@@ -1,10 +1,9 @@
-"""The 100k events/sec throughput push: batched + sharded dispatch.
+"""The 100k events/sec throughput push: batched dispatch.
 
 The headline benchmark for the batched hot path: a million-notification
 workload (reduce with ``BENCH_THROUGHPUT_EVENTS``; CI smokes at 50k) is
-driven through a single shell with every combination of batch size
-{1, 16, 256} and store/dispatch shard count {1, 4, 16}, and the min-of-N
-events/sec of each configuration lands in ``BENCH_throughput.json``.
+driven through a single shell at batch sizes {1, 16, 256}, and the
+min-of-N events/sec of each lands in ``BENCH_throughput.json``.
 
 Two rates are reported per configuration, because the lazy trace makes
 them genuinely different things:
@@ -22,12 +21,8 @@ Batch size 1 routes through the per-event specification path
 ISSUE's >=5x guard is measured against.
 
 The rule mix installs one compiled per-family propagation-style
-prohibition on a quarter of the families (so ~25% of events fire a rule
-and the rest exercise the indexed miss path), and deliberately **no**
-family-wildcard rules: a catch-all rule pins every event to the barrier
-shard, which is a real property of sharded dispatch worth measuring — in
-the equivalence tests — but would turn the shard sweep here into a
-measurement of shard 0.
+prohibition on a quarter of the families, so ~25% of events fire a rule
+and the rest exercise the indexed miss path.
 """
 
 import os
@@ -53,11 +48,10 @@ SETTLE_EVENTS = min(EVENTS, 200_000)
 MEMORY_EVENTS = min(EVENTS, 100_000)
 
 BATCH_SIZES = (1, 16, 256)
-SHARD_COUNTS = (1, 4, 16)
 
 
-def _build_shell(shards: int):
-    cm = ConstraintManager(Scenario(seed=0, dispatch_shards=shards))
+def _build_shell():
+    cm = ConstraintManager(Scenario(seed=0))
     cm.add_site("bench")
     shell = cm.shell("bench")
     for i in range(FIRING_FAMILIES):
@@ -91,8 +85,8 @@ def _ingest(shell, descs, batch: int) -> None:
             ingest(descs[start : start + batch], time=0)
 
 
-def _timed_round(descs, batch: int, shards: int, settle: bool) -> float:
-    cm, shell = _build_shell(shards)
+def _timed_round(descs, batch: int, settle: bool) -> float:
+    cm, shell = _build_shell()
     started = time.perf_counter()
     _ingest(shell, descs, batch)
     if settle:
@@ -100,41 +94,36 @@ def _timed_round(descs, batch: int, shards: int, settle: bool) -> float:
     return time.perf_counter() - started
 
 
-def _sweep_key(batch: int, shards: int, count: int) -> str:
-    return f"ingest_b{batch}_s{shards}_n{count}"
+def _sweep_key(batch: int, count: int) -> str:
+    # "_s1_": the key format of the checked-in baseline, whose entries
+    # were recorded on this same single-dict configuration.
+    return f"ingest_b{batch}_s1_n{count}"
 
 
 def test_throughput_sweep():
-    """The full batch x shard sweep, plus the ISSUE's two hard guards:
+    """The batch-size sweep, plus the ISSUE's two hard guards:
     best batched config >= 5x the per-event baseline (min-of-N), and
     >= 100k events/sec on the best configuration."""
     descs = _workload(EVENTS)
     settle_descs = descs[:SETTLE_EVENTS]
-    rates: dict[tuple[int, int], float] = {}
+    rates: dict[int, float] = {}
     for batch in BATCH_SIZES:
-        for shards in SHARD_COUNTS:
-            ingest_walls = [
-                _timed_round(descs, batch, shards, settle=False)
-                for _ in range(ROUNDS)
-            ]
-            settled_walls = [
-                _timed_round(settle_descs, batch, shards, settle=True)
-                for _ in range(ROUNDS)
-            ]
-            stats = throughput_stats(EVENTS, ingest_walls)
-            stats["batch"] = batch
-            stats["shards"] = shards
-            stats["settled"] = throughput_stats(
-                SETTLE_EVENTS, settled_walls
-            )
-            rates[(batch, shards)] = stats["events_per_second"]
-            update_bench_json(
-                "throughput", _sweep_key(batch, shards, EVENTS), stats
-            )
+        ingest_walls = [
+            _timed_round(descs, batch, settle=False) for _ in range(ROUNDS)
+        ]
+        settled_walls = [
+            _timed_round(settle_descs, batch, settle=True)
+            for _ in range(ROUNDS)
+        ]
+        stats = throughput_stats(EVENTS, ingest_walls)
+        stats["batch"] = batch
+        stats["settled"] = throughput_stats(SETTLE_EVENTS, settled_walls)
+        rates[batch] = stats["events_per_second"]
+        update_bench_json("throughput", _sweep_key(batch, EVENTS), stats)
 
-    baseline = rates[(1, 1)]
-    best_config = max(rates, key=rates.get)
-    best = rates[best_config]
+    baseline = rates[1]
+    best_batch = max(rates, key=rates.get)
+    best = rates[best_batch]
     update_bench_json(
         "throughput",
         "headline",
@@ -143,8 +132,7 @@ def test_throughput_sweep():
             "rounds": ROUNDS,
             "baseline_events_per_second": baseline,
             "best_events_per_second": best,
-            "best_batch": best_config[0],
-            "best_shards": best_config[1],
+            "best_batch": best_batch,
             "speedup_vs_per_event": best / baseline,
         },
     )
@@ -154,8 +142,8 @@ def test_throughput_sweep():
         f"budget is 5x"
     )
     assert best >= 100_000, (
-        f"best configuration b{best_config[0]}/s{best_config[1]} reached "
-        f"only {best:,.0f} events/sec; the target is 100k"
+        f"best batch size {best_batch} reached only {best:,.0f} "
+        f"events/sec; the target is 100k"
     )
 
 
@@ -170,7 +158,7 @@ def test_throughput_memory():
         if not nested:
             tracemalloc.start()
         tracemalloc.reset_peak()
-        _timed_round(descs, batch, 1, settle=True)
+        _timed_round(descs, batch, settle=True)
         peaks[label] = tracemalloc.get_traced_memory()[1]
         if not nested:
             tracemalloc.stop()

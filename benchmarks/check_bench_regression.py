@@ -13,14 +13,12 @@ Timings under ``MIN_SECONDS`` are ignored entirely: at sub-5ms scale a
 cache hiccup alone can exceed the tolerance.
 
 With no arguments every default (fresh, baseline) pair is checked —
-currently the core micro-benchmarks, the batched-dispatch throughput
-sweep, the multi-core worker sweep, and the parallel-phase plan sweep;
-passing ``--fresh``/``--baseline`` restricts the run to that one explicit
-pair.  Throughput, multicore, and parallel-phase baselines are recorded
-at the CI smoke scale (``BENCH_THROUGHPUT_EVENTS=50000`` /
-``BENCH_MULTICORE_EVENTS=50000`` / ``BENCH_PARALLEL_PHASE_EVENTS=50000``)
-so the guard compares like-for-like: each sweep entry's key embeds its
-configuration and event count, and only matching keys are compared.
+currently the core micro-benchmarks and the batched-dispatch throughput
+sweep; passing ``--fresh``/``--baseline`` restricts the run to that one
+explicit pair.  The throughput baseline is recorded at the CI smoke scale
+(``BENCH_THROUGHPUT_EVENTS=50000``) so the guard compares like-for-like:
+each sweep entry's key embeds its configuration and event count, and only
+matching keys are compared.
 
 Usage::
 
@@ -54,14 +52,6 @@ DEFAULT_PAIRS = (
     (
         REPO_ROOT / "BENCH_throughput.json",
         REPO_ROOT / "benchmarks" / "baseline_throughput.json",
-    ),
-    (
-        REPO_ROOT / "BENCH_multicore.json",
-        REPO_ROOT / "benchmarks" / "baseline_multicore.json",
-    ),
-    (
-        REPO_ROOT / "BENCH_parallel_phase.json",
-        REPO_ROOT / "benchmarks" / "baseline_parallel_phase.json",
     ),
 )
 

@@ -1,30 +1,29 @@
-"""Certified parallel phases and the race sanitizer (CM-Par).
+"""Rule interference analysis and the race sanitizer (CM-Par).
 
 A trading-desk hub ingests postings, quotes, and fills from a legacy
-front-office system.  With ``Scenario(dispatch_shards=4,
-parallel_phases=True)`` the shell asks the static effect analysis
-(:mod:`repro.analysis.effects` / :mod:`repro.analysis.parplan`) to
-partition its rules into **certified parallel phases** — groups whose
-condition evaluations provably commute — and CM-Lint surfaces everything
-that *limits* the certification:
+front-office system.  The static effect analysis
+(:mod:`repro.analysis.effects` / :mod:`repro.analysis.parplan`) partitions
+the hub's rules into **phases** — groups whose condition and RHS
+evaluations provably commute — and, on a ``Scenario(sanitize=True)``,
+CM-Lint surfaces every pair and rule that is *not* provably independent:
 
 ======  =====================================================================
 CM701   ``post_journal`` / ``post_trades`` both overwrite the private
-        ``BookTotal`` marker and their trigger families land on the same
-        dispatch shard: the pair stays serial.
+        ``BookTotal`` marker: the pair does not commute.
 CM702   ``mirror_all`` writes through a family-wildcard template; its
-        footprint is unbounded, so nothing can be certified against it.
+        footprint is unbounded, so nothing is provably disjoint from it.
 CM703   ``audit_requests`` cannot be compiled (its RHS emits an ``N``
         event); its effect summary is the AST fallback.
 CM704   ``push_rate`` fires across the network; sends must follow trace
-        order, so the rule is pinned to the serial barrier phase.
+        order, so the rule sits in the barrier phase.
 CM705   ``scan_positions`` performs an enumerating read over the whole
         ``position`` family, which ``record_fill`` writes.
 ======  =====================================================================
 
-``sanitize=True`` additionally attaches the dynamic race sanitizer: every
-store access during the run is checked against the plan's independence
-claims.  A clean run prints ``races: 0`` — the analysis' soundness held.
+The shell itself dispatches serially; the plan is analysis.
+``sanitize=True`` attaches the dynamic race sanitizer, which checks every
+store access of the run against the plan's independence claims.  A clean
+run prints ``races: 0`` — the analysis' soundness held.
 
 Run:  python examples/parallel_phases.py
 """
@@ -66,14 +65,7 @@ def _wildcard_mirror_rule():
 def build():
     """Wire the desk: a hub shell with six strategy rules, an annex shell
     owning the downstream rate store."""
-    scenario = Scenario(
-        seed=11,
-        batch_max=8,
-        dispatch_shards=4,
-        parallel_phases=True,
-        sanitize=True,
-    )
-    cm = ConstraintManager(scenario)
+    cm = ConstraintManager(Scenario(seed=11, sanitize=True))
 
     front = LegacySystem("front-office")
     rid_front = (
@@ -106,11 +98,10 @@ def build():
     cm.site("annex").source(rates, rid_rates)
 
     hub = cm.site("hub").private("BookTotal", "LastQuote")
-    # The CM701 pair: journal and trades hash to the same dispatch shard
-    # and both blind-write the shared last-posting marker.
+    # The CM701 pair: both blind-write the shared last-posting marker.
     hub.rule("N(journal(n), b) -> [0] W(BookTotal, b)", name="post_journal")
     hub.rule("N(trades(n), b) -> [0] W(BookTotal, b)", name="post_trades")
-    # Commutes with everything open: keyed private writes (certified).
+    # Commutes with everything open: keyed private writes.
     hub.rule("N(quote(n), b) -> [0] W(LastQuote(n), b)", name="mark_quote")
     # Enumerating read over the whole position family (CM705 vs
     # record_fill's writes).
@@ -160,16 +151,15 @@ def main() -> None:
         )
     cm.run(until=seconds(120))
 
-    hub = cm.shell("hub")
-    stats = hub.parallelism_stats()
-    plan = stats["plan"]
-    print("certified parallel plan for site 'hub':")
+    from repro.analysis import build_parallel_plan, lint_manager
+
+    plan = build_parallel_plan(cm.shell("hub")).to_dict()
+    print("interference plan for site 'hub':")
     for index, phase in enumerate(plan["phases"]):
         kind = "barrier" if phase["barrier"] else "open"
         print(f"  phase {index} ({kind}): {', '.join(phase['rules'])}")
-    print("certified pairs:", plan["certified_pairs"])
+    print("provably independent pairs:", plan["certified_pairs"])
     print("barrier reasons:", plan["barrier_reasons"])
-    print("hoisted conditions this run:", stats["hoisted_conditions"])
 
     report = scenario.sanitizer.report()
     print(
@@ -178,8 +168,6 @@ def main() -> None:
         f"predicted conflicts serialized by the plan="
         f"{report['predicted_conflicts']})"
     )
-
-    from repro.analysis import lint_manager
 
     findings = lint_manager(cm)
     codes = sorted(d.code for d in findings.diagnostics)

@@ -1,16 +1,15 @@
-"""Commutativity & parallel-phase certification diagnostics (CM7xx).
+"""Rule-interference diagnostics (CM7xx).
 
 The static planner (:mod:`repro.analysis.parplan`) partitions each site's
-strategy rules into certified parallel phases; this check surfaces what
-*limits* that certification: non-commuting pairs that share a dispatch
-shard (CM701), unbounded wildcard-write footprints (CM702), AST-fallback
-effect summaries (CM703), send-forced barriers (CM704), and
-enumerating-read/write overlaps (CM705).
+strategy rules into phases of provably independent rules; this check
+surfaces what *limits* that independence: non-commuting pairs (CM701),
+unbounded wildcard-write footprints (CM702), AST-fallback effect summaries
+(CM703), send-forced barriers (CM704), and enumerating-read/write overlaps
+(CM705).
 
-All five codes describe parallel certification, so the check is silent
-when the scenario does not shard dispatch (``dispatch_shards <= 1``):
-serial configurations have nothing to certify and their lint snapshots
-stay unchanged.
+The check speaks only when the linted scenario attached the race sanitizer
+(``Scenario(sanitize=True)``), the run-time cross-check of the same
+analysis; every other configuration's lint snapshot stays unchanged.
 """
 
 from __future__ import annotations
@@ -21,25 +20,15 @@ from repro.analysis.parplan import (
     REASON_WILDCARD_WRITE,
     plan_from_entries,
 )
-from repro.cm.store import shard_of
 from repro.core.compile import compile_rule
 from repro.core.errors import CompileError
 
 CHECK = "commutativity"
 
 
-def _dispatch_shard(rule, shards: int) -> int:
-    """The shard a rule's LHS events land on — the family hash for keyed
-    templates, the barrier shard 0 for catch-all and item-less ones."""
-    family = rule.lhs.dispatch_family
-    if family is None:
-        return 0
-    return shard_of(family, shards)
-
-
 def _site_plans(ctx):
-    """Per site: ``(plan, rules_by_name)`` built from the trigger graph's
-    strategy nodes (no live shell needed)."""
+    """Per site: the plan built from the trigger graph's strategy nodes
+    (no live shell needed)."""
     by_site: dict[str, list] = {}
     for node in ctx.graph.strategy_nodes():
         try:
@@ -50,19 +39,15 @@ def _site_plans(ctx):
             (node.rule, program, node.rhs_site != node.site)
         )
     return {
-        site: (
-            plan_from_entries(site, entries),
-            {rule.name: rule for rule, __, __s in entries},
-        )
+        site: plan_from_entries(site, entries)
         for site, entries in by_site.items()
     }
 
 
 def check_commutativity(ctx, report) -> None:
-    shards = getattr(ctx, "dispatch_shards", 1)
-    if shards <= 1:
+    if not ctx.sanitize:
         return
-    for site, (plan, rules) in sorted(_site_plans(ctx).items()):
+    for site, plan in sorted(_site_plans(ctx).items()):
         for name, reason in sorted(plan.barrier_reasons.items()):
             if reason == REASON_SEND:
                 report.add(
@@ -122,17 +107,11 @@ def check_commutativity(ctx, report) -> None:
                     )
                 )
                 continue
-            shard_a = _dispatch_shard(rules[conflict.rule_a], shards)
-            shard_b = _dispatch_shard(rules[conflict.rule_b], shards)
-            if shard_a != shard_b:
-                continue
             report.add(
                 diagnostic(
                     "CM701",
                     f"rules {conflict.rule_a!r} and {conflict.rule_b!r} "
-                    f"share dispatch shard {shard_a} but do not commute "
-                    f"({conflict.kind} overlap on {overlap}); their "
-                    f"evaluations stay serial",
+                    f"do not commute: {conflict.kind} overlap on {overlap}",
                     site=site,
                     rule=conflict.rule_a,
                     check=CHECK,

@@ -131,13 +131,12 @@ CODES: dict[str, tuple[Severity, str]] = {
         "a channel on the delivery path has an unbounded latency model; "
         "feasibility cannot be proven statically",
     ),
-    # commutativity & parallel phases (CM7xx) — emitted only when the
-    # scenario shards dispatch (parallel matching configured), since the
-    # findings describe limits on parallel certification.
+    # rule interference (CM7xx) — emitted only when the scenario attached
+    # the race sanitizer (Scenario(sanitize=True)).
     "CM701": (
         Severity.WARNING,
-        "two rules sharing a dispatch shard do not commute; their phase "
-        "must evaluate serially",
+        "two rules at one site do not commute: their read/write footprints "
+        "overlap, so their relative order is observable",
     ),
     "CM702": (
         Severity.WARNING,

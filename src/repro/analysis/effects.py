@@ -1,8 +1,7 @@
 """Static per-rule effect summaries: what a rule may read and write.
 
-The sharded dispatch path (PRs 8–9) parallelized *matching* only, because
-nothing proved two rules' condition+RHS evaluations independent.  This
-module supplies the missing proof obligation's first half: a **sound
+Deciding whether two rules' condition+RHS evaluations are independent
+needs a proof; this module supplies its first half: a **sound
 over-approximation** of every data item a rule's condition may read and
 every item its right-hand side may write, plus the two effects that are
 not data accesses at all — firing across the network (``sends``) and
@@ -136,10 +135,10 @@ class EffectSummary:
     reads: tuple[FootTerm, ...] = ()
     writes: tuple[FootTerm, ...] = ()
     #: The subset of ``reads`` issued by the LHS condition alone (binders
-    #: included).  This is what gates condition *hoisting*: a condition
-    #: whose ``cond_reads`` no installed rule writes can be evaluated
-    #: before the batch commits, and one with no reads at all can be
-    #: evaluated on a worker process during the matching phase.
+    #: included).  A condition whose ``cond_reads`` no installed rule
+    #: writes gives the same verdict wherever in a batch it is evaluated
+    #: (the plan's ``hoistable`` set); one with no reads at all is
+    #: ``store_free``.
     cond_reads: tuple[FootTerm, ...] = ()
     #: RHS fires across the network (rhs_site != lhs site).
     sends: bool = False

@@ -43,10 +43,11 @@ class LintContext:
     private_families: set[str] = field(default_factory=set)
     network: Optional[object] = None
     guarantees: list = field(default_factory=list)
-    #: Dispatch shard count of the linted configuration (1 = serial).
-    #: The commutativity check (CM7xx) only speaks when dispatch is
-    #: sharded — parallel certification is meaningless otherwise.
-    dispatch_shards: int = 1
+    #: Whether the linted configuration has the race sanitizer attached
+    #: (``Scenario(sanitize=True)``).  The commutativity check (CM7xx)
+    #: only speaks then, so ordinary lint snapshots carry no
+    #: rule-interference findings.
+    sanitize: bool = False
 
     def family_known(self, family: str) -> bool:
         if self.scope == "shell":
@@ -91,7 +92,7 @@ def manager_context(cm) -> LintContext:
         private_families=private,
         network=cm.scenario.network,
         guarantees=guarantees,
-        dispatch_shards=getattr(cm.scenario, "dispatch_shards", 1),
+        sanitize=cm.scenario.sanitizer is not None,
     )
 
 
@@ -118,9 +119,7 @@ def shell_context(shell) -> LintContext:
         translator_sites=translator_sites,
         known_families=known,
         network=shell.network,
-        dispatch_shards=(
-            shell._sharded.shards if shell._sharded is not None else 1
-        ),
+        sanitize=shell._sanitizer is not None,
     )
 
 

@@ -24,18 +24,17 @@ rule-chaining path), so the triggering rule's effective footprint is the
 transitive closure over the local trigger edges — the same unification
 the PR-5 trigger graph uses.
 
-The plan certifies two executable refinements the dispatcher consumes:
+The plan also records two facts about LHS conditions:
 
 - ``hoistable`` — rules whose condition reads nothing *any* local rule
-  (transitively) writes: their conditions may be evaluated for a whole
-  batch before any RHS commits;
-- ``store_free`` — the subset whose condition reads no local data at all:
-  those conditions can run on shard worker processes during the matching
-  phase, off the GIL.
+  (transitively) writes: its verdict cannot depend on where in a batch it
+  is evaluated;
+- ``store_free`` — the subset whose condition reads no local data at all.
 
-RHS commits always stay in batch order — certification licenses parallel
-*evaluation*, never observable reordering — which is what keeps a
-plan-driven execution's trace byte-identical to the serial kernel's.
+The plan is *analysis*: the shell's dispatch kernel is serial and consumes
+none of it.  Its consumers are CM-Lint (CM701–705 explain rule
+interference) and the race sanitizer, which checks every claimed
+independence against the accesses a run actually makes.
 """
 
 from __future__ import annotations

@@ -21,37 +21,19 @@ rule language:
 The index is purely a pre-filter: every rule it returns still runs its
 compiled matcher (which re-checks kind and family), so indexing can drop
 non-candidates but never admit a spurious match.
-
-:class:`ShardedDispatcher` layers family sharding on top for the batched
-path: a batch is partitioned by item family and each shard runs the pure
-matching phase against its own candidate-bucket cache, while condition
-evaluation and RHS execution stay serial in batch order (they read and
-mutate the store) — which is exactly what keeps a sharded execution's trace
-identical to the unsharded kernel's.
 """
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from operator import attrgetter
+from typing import Iterator, Optional
 
-from repro.cm.store import shard_of
 from repro.core.compile import CompiledRule, compile_rule
 from repro.core.errors import CompileError
 from repro.core.events import EventDesc, EventKind
 from repro.core.rules import Rule
 from repro.core.templates import Matcher, compile_matcher
-from repro.core.terms import Bindings
-from repro.runtime.codec import decode_value, encode_desc_compact
-
-_SCALARS = (str, int, float, bool, type(None))
-
-#: One-shot latch for the thread-pool opt-in warning (threads are strictly
-#: slower than the serial path under the GIL; process workers are the real
-#: parallel option).
-_threads_warning_emitted = False
 
 
 @dataclass(frozen=True)
@@ -147,7 +129,7 @@ class RuleIndex:
             return exact if exact is not None else []
         if exact is None:
             return catch_all
-        return _merge_by_serial(exact, catch_all)
+        return sorted(exact + catch_all, key=attrgetter("serial"))
 
     def __len__(self) -> int:
         return len(self._all)
@@ -159,337 +141,3 @@ class RuleIndex:
     def rules(self) -> list[Rule]:
         """All installed rules in installation order."""
         return [installed.rule for installed in self._all]
-
-
-def _merge_by_serial(
-    left: list[InstalledRule], right: list[InstalledRule]
-) -> list[InstalledRule]:
-    """Merge two serial-sorted bucket lists into one serial-sorted list."""
-    merged: list[InstalledRule] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i].serial < right[j].serial:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged
-
-
-#: One matching hit: ``(installed, slots, bindings, cond)`` — ``slots``
-#: for compiled programs, ``bindings`` for the interpreted fallback (the
-#: unused one is None).  ``cond`` is the condition verdict when a worker
-#: already evaluated it (store-free rules under a parallel plan): ``True``
-#: means fire without re-evaluating, ``None`` means not yet evaluated
-#: (failing hits are dropped at the worker and never ship).
-MatchHit = tuple[InstalledRule, Optional[list], Optional[Bindings], Optional[bool]]
-
-
-class ShardedDispatcher:
-    """Family-sharded batch matching over one :class:`RuleIndex`.
-
-    Phase A (*match*, here): a batch's descriptors are partitioned by item
-    family — placed by the same deterministic family hash the sharded
-    :class:`~repro.cm.store.ShellStore` uses — and each shard runs the pure
-    matchers of its own cached candidate buckets against its events.
-    Matching depends only on the descriptor, never on the store, so shards
-    share no mutable hot structure and may run on a thread pool
-    (``threads=True``; off by default, since under the GIL pure-Python
-    matching gains nothing from threads — the knob exists so the
-    equivalence tests can prove thread-safety of the partitioning).
-
-    **Cross-family rules are the barrier**: an event whose kind has
-    catch-all (family-variable) candidates, or that carries no item at all,
-    cannot be matched within one family's shard, so it pins to shard 0 (the
-    designated barrier shard) and is counted in ``barrier_events``.
-
-    Phase B (run by the shell): condition evaluation and RHS execution walk
-    the hits serially, in original batch order.  Conditions read the
-    mutable store and RHSs write it, so this phase is what keeps a sharded
-    execution's trace *identical* to the unsharded kernel's.
-    """
-
-    def __init__(
-        self,
-        index: RuleIndex,
-        shards: int,
-        threads: bool = False,
-        workers: int = 0,
-    ):
-        self.index = index
-        self.shards = max(1, int(shards))
-        self.threads = bool(threads) and self.shards > 1
-        #: Worker *processes* for phase A (0 = in-process matching).  This
-        #: is the executor that actually parallelizes: each worker holds
-        #: its own compiled rule set and matches descriptor slices shipped
-        #: by the wire codec's compact form, off the GIL.
-        self.workers = max(0, int(workers)) if self.shards > 1 else 0
-        if self.threads:
-            global _threads_warning_emitted
-            if not _threads_warning_emitted:
-                _threads_warning_emitted = True
-                warnings.warn(
-                    "shard_threads runs pure-Python matching on a thread "
-                    "pool, which the GIL makes strictly slower than the "
-                    "serial path; use shard_workers=N (process-backed "
-                    "matching) for real multi-core speedup",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        self._family_shard: dict[str, int] = {}
-        # Per-shard (kind, family) -> candidate bucket caches, rebuilt when
-        # the index changes (rules cannot be installed mid-dispatch).
-        self._caches: list[dict] = [{} for _ in range(self.shards)]
-        self._cache_rules = len(index)
-        self.events_by_shard = [0] * self.shards
-        self.barrier_events = 0
-        self.batches = 0
-        self.last_candidates = 0
-        #: Per-event shard assignment of the last ``match_batch`` — the
-        #: shell's phase B reads it so store write attribution follows the
-        #: shard that actually dispatched the event (barrier-pinned events
-        #: attribute to shard 0, matching ``events_by_shard``).
-        self.last_shard_of: list[int] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._worker_pool = None
-        self._worker_pool_rules = -1
-        self._worker_pool_free: frozenset = frozenset()
-        #: Serials of rules the active parallel plan proved store-free —
-        #: their compiled conditions read no local data, so workers may
-        #: evaluate them during phase A, off the GIL.
-        self._store_free: frozenset = frozenset()
-        self._by_serial: dict[int, InstalledRule] = {}
-
-    def set_plan(self, plan) -> None:
-        """Arm plan-driven dispatch from a certified parallel plan.
-
-        Ships the plan's store-free rule set to the matching phase: those
-        conditions are evaluated where the match happens (worker processes
-        when configured), and their hits arrive pre-decided.  Passing
-        ``None`` disarms.  A changed set rebuilds the worker pool on the
-        next batch, since workers bake the set in at start.
-        """
-        if plan is None:
-            free: frozenset = frozenset()
-        else:
-            free = frozenset(
-                inst.serial
-                for inst in self.index
-                if inst.rule.name in plan.store_free
-            )
-        self._store_free = free
-
-    def shard_for(self, family: str) -> int:
-        index = self._family_shard.get(family)
-        if index is None:
-            index = self._family_shard[family] = shard_of(family, self.shards)
-        return index
-
-    def match_batch(
-        self, descs: Sequence[EventDesc]
-    ) -> list[Optional[list[MatchHit]]]:
-        """Phase A: per-event match hits (``None`` where nothing matched).
-
-        ``last_candidates`` afterwards holds the number of candidate rules
-        consulted across the batch — the same count the per-event path
-        would have accumulated into ``candidates_considered``.
-        """
-        if self._cache_rules != len(self.index):
-            self._caches = [{} for _ in range(self.shards)]
-            self._cache_rules = len(self.index)
-        matches: list[Optional[list[MatchHit]]] = [None] * len(descs)
-        self.batches += 1
-        if self.shards == 1:
-            self.last_candidates = self._match_shard(
-                0, descs, range(len(descs)), matches
-            )
-            self.events_by_shard[0] += len(descs)
-            self.last_shard_of = [0] * len(descs)
-            return matches
-        assignment: list[list[int]] = [[] for _ in range(self.shards)]
-        shard_of_event = [0] * len(descs)
-        catch_all = self.index._catch_all
-        barrier = assignment[0]
-        barriers = 0
-        for i, desc in enumerate(descs):
-            item = desc.item
-            if item is None or catch_all.get(desc.kind):
-                barrier.append(i)
-                barriers += 1
-            else:
-                shard = self.shard_for(item.name)
-                assignment[shard].append(i)
-                shard_of_event[i] = shard
-        self.barrier_events += barriers
-        self.last_shard_of = shard_of_event
-        total = 0
-        if self.workers:
-            total = self._match_with_workers(descs, assignment, matches)
-        elif self.threads:
-            pool = self._pool
-            if pool is None:
-                pool = self._pool = ThreadPoolExecutor(
-                    max_workers=self.shards, thread_name_prefix="cm-shard"
-                )
-            futures = [
-                pool.submit(self._match_shard, shard, descs, indices, matches)
-                for shard, indices in enumerate(assignment)
-                if indices
-            ]
-            for future in futures:
-                total += future.result()
-        else:
-            for shard, indices in enumerate(assignment):
-                if indices:
-                    total += self._match_shard(shard, descs, indices, matches)
-        for shard, indices in enumerate(assignment):
-            self.events_by_shard[shard] += len(indices)
-        self.last_candidates = total
-        return matches
-
-    def _ensure_worker_pool(self):
-        """The live worker pool, (re)built when the rule set changed."""
-        from repro.cm.workers import ShardWorkerPool
-
-        if self._worker_pool is not None and (
-            self._worker_pool_rules != len(self.index)
-            or self._worker_pool_free != self._store_free
-        ):
-            self._worker_pool.close()
-            self._worker_pool = None
-        if self._worker_pool is None:
-            rules = [(inst.serial, inst.rule) for inst in self.index]
-            self._worker_pool = ShardWorkerPool(
-                rules, self.workers, store_free=self._store_free
-            )
-            self._worker_pool_rules = len(self.index)
-            self._worker_pool_free = self._store_free
-            self._by_serial = {inst.serial: inst for inst in self.index}
-        return self._worker_pool
-
-    def _match_with_workers(
-        self,
-        descs: Sequence[EventDesc],
-        assignment: list[list[int]],
-        matches: list[Optional[list[MatchHit]]],
-    ) -> int:
-        """Phase A on the worker processes: ship compact descriptor slices
-        (whole shards, so per-event hit order is one worker's bucket
-        order), reassemble hits against the parent's installed rules."""
-        pool = self._ensure_worker_pool()
-        slices: dict[int, list[tuple[int, tuple]]] = {}
-        for shard, indices in enumerate(assignment):
-            if not indices:
-                continue
-            slice_ = slices.setdefault(shard % pool.workers, [])
-            for i in indices:
-                slice_.append((i, encode_desc_compact(descs[i])))
-        hits, considered = pool.match_slices(slices)
-        by_serial = self._by_serial
-        for index, serial, slots, bindings, cond in hits:
-            installed = by_serial[serial]
-            hit: MatchHit = (
-                installed,
-                [
-                    v if isinstance(v, _SCALARS) else decode_value(v)
-                    for v in slots
-                ]
-                if slots is not None
-                else None,
-                {
-                    name: (v if isinstance(v, _SCALARS) else decode_value(v))
-                    for name, v in bindings
-                }
-                if bindings is not None
-                else None,
-                cond,
-            )
-            bucket = matches[index]
-            if bucket is None:
-                bucket = matches[index] = []
-            bucket.append(hit)
-        return considered
-
-    def close(self) -> None:
-        """Release executors (worker processes, thread pool); idempotent."""
-        if self._worker_pool is not None:
-            self._worker_pool.close()
-            self._worker_pool = None
-            self._worker_pool_rules = -1
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def _match_shard(
-        self,
-        shard: int,
-        descs: Sequence[EventDesc],
-        indices: Sequence[int],
-        matches: list[Optional[list[MatchHit]]],
-    ) -> int:
-        """Match one shard's events; writes only this shard's ``matches``
-        slots (disjoint per shard, so concurrent shards never collide)."""
-        cache = self._caches[shard]
-        candidates = self.index.candidates
-        considered = 0
-        # Two-level cache (kind, then family), kind level memoized across
-        # consecutive events — same trick as the shell's fused loop: one
-        # C-level string hash per event instead of an Enum hash.
-        last_kind = None
-        kind_cache: dict = {}
-        for i in indices:
-            desc = descs[i]
-            item = desc.item
-            kind = desc.kind
-            if kind is not last_kind:
-                kind_cache = cache.get(kind)
-                if kind_cache is None:
-                    kind_cache = cache[kind] = {}
-                last_kind = kind
-            name = item.name if item is not None else None
-            bucket = kind_cache.get(name)
-            if bucket is None:
-                bucket = kind_cache[name] = candidates(desc)
-            if not bucket:
-                continue
-            considered += len(bucket)
-            hits: Optional[list[MatchHit]] = None
-            for installed in bucket:
-                program = installed.program
-                if program is not None:
-                    slots = program.match(desc)
-                    if slots is not None:
-                        if hits is None:
-                            hits = []
-                        hits.append((installed, slots, None, None))
-                else:
-                    bindings = installed.matcher(desc)
-                    if bindings is not None:
-                        if hits is None:
-                            hits = []
-                        hits.append((installed, None, bindings, None))
-            matches[i] = hits
-        return considered
-
-    def stats(self) -> dict:
-        """Per-shard dispatch counters for the run report."""
-        stats = {
-            "shards": self.shards,
-            "threads": self.threads,
-            "workers": self.workers,
-            # Which phase-A executor actually ran this dispatcher.
-            "executor": (
-                "workers"
-                if self.workers
-                else ("threads" if self.threads else "serial")
-            ),
-            "batches": self.batches,
-            "events_by_shard": list(self.events_by_shard),
-            "barrier_events": self.barrier_events,
-        }
-        if self._worker_pool is not None:
-            stats["worker_pool"] = self._worker_pool.stats()
-        return stats

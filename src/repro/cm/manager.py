@@ -20,7 +20,7 @@ This is the operator-facing surface of the toolkit (Section 4 of the paper):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.constraints import Constraint, InequalityConstraint
@@ -95,26 +95,6 @@ class Scenario:
     #: Same-tick event batching per shell: events arriving at one virtual
     #: tick dispatch as fused batches of up to this size (0/1 = per-event).
     batch_max: int = 0
-    #: Family shards per shell store/dispatcher (1 = the unsharded kernel).
-    dispatch_shards: int = 1
-    #: Run sharded phase-A matching on a thread pool.  Off by default:
-    #: pure-Python matching gains nothing under the GIL, so threads only
-    #: demonstrate (and test) that per-shard state is truly independent.
-    #: Opting in emits a one-time warning pointing at ``shard_workers``.
-    shard_threads: bool = False
-    #: Run sharded phase-A matching on this many worker *processes* (0 =
-    #: in-process).  The real multi-core option: workers hold their own
-    #: compiled rule sets and match descriptor slices shipped by the wire
-    #: codec, off the GIL; conditions and RHS stay serial in batch order,
-    #: so the trace is identical to the sequential kernel's.  Needs
-    #: ``dispatch_shards > 1`` (shards are the unit of distribution).
-    shard_workers: int = 0
-    #: Drive sharded batch dispatch from each shell's certified
-    #: :class:`~repro.analysis.parplan.ParallelPlan`: hoistable conditions
-    #: evaluate ahead of the batch's commits and store-free conditions run
-    #: on the shard workers.  Trace-identical to the serial kernel — the
-    #: plan certifies evaluation order freedom, never commit reordering.
-    parallel_phases: bool = False
     #: Attach the dynamic race sanitizer
     #: (:class:`~repro.analysis.sanitizer.RaceSanitizer`): every store
     #: access is checked against the static plan's independence claims;
@@ -200,14 +180,9 @@ class ConstraintManager:
             failure_plan=self.scenario.failure_plan,
             rngs=self.scenario.rngs,
             obs=self.scenario.obs,
-            shards=self.scenario.dispatch_shards,
-            shard_threads=self.scenario.shard_threads,
-            shard_workers=self.scenario.shard_workers,
         )
         if self.scenario.batch_max > 1:
             shell.enable_batching(self.scenario.batch_max)
-        if self.scenario.parallel_phases:
-            shell.enable_parallel_phases()
         if self.scenario.sanitizer is not None:
             self.scenario.sanitizer.register_shell(shell)
         shell.on_failure.append(self.board.on_notice)
@@ -221,11 +196,6 @@ class ConstraintManager:
         if site not in self.shells:
             raise ConfigurationError(f"unknown site: {site!r}")
         return self.shells[site]
-
-    def close(self) -> None:
-        """Release every shell's dispatch executors (worker processes)."""
-        for shell in self.shells.values():
-            shell.close()
 
     # -- fluent wiring ---------------------------------------------------------
 
@@ -333,7 +303,7 @@ class ConstraintManager:
                 constraint, strategy, native_options
             )
         else:
-            self._install_rules(strategy)
+            strategy = self._install_rules(strategy)
         sites = constraint.sites(self.locations)
         for family, site in strategy.private_families:
             sites.add(site)
@@ -345,7 +315,13 @@ class ConstraintManager:
         self.installed.append(installed)
         return installed
 
-    def _install_rules(self, strategy: StrategySpec) -> None:
+    def _install_rules(self, strategy: StrategySpec) -> StrategySpec:
+        """Install a strategy's rules at their shells.
+
+        Returns the strategy as installed: a periodic rule that left its
+        ``lhs_site`` open is pinned to the shell that runs its timer, so
+        the trace validator holds it to that site's ``P`` events only.
+        """
         for family, site in strategy.private_families:
             if not site:
                 raise ConfigurationError(
@@ -354,10 +330,15 @@ class ConstraintManager:
                 )
             self.locations.register(family, site)
         self._validate_rule_requirements(strategy)
+        placed = []
         for rule in strategy.rules:
             rhs_site = rule.resolve_rhs_site(self.locations)
-            if rule.lhs.kind is EventKind.PERIODIC:
-                lhs_site = rule.lhs_site or rhs_site
+            periodic = rule.lhs.kind is EventKind.PERIODIC
+            if periodic and rule.lhs_site is None and rhs_site is not None:
+                rule = replace(rule, lhs_site=rhs_site)
+            placed.append(rule)
+            if periodic:
+                lhs_site = rule.lhs_site
                 if lhs_site is None:
                     raise ConfigurationError(
                         f"rule {rule.name!r}: cannot place the periodic timer"
@@ -379,6 +360,7 @@ class ConstraintManager:
                 family = rule.lhs.item_family
                 assert family is not None
                 self.shell(lhs_site).translator_for(family).setup_notify(family)
+        return replace(strategy, rules=tuple(placed))
 
     def _validate_rule_requirements(self, strategy: StrategySpec) -> None:
         """Fail installation early when a rule needs an unoffered interface.

@@ -53,7 +53,7 @@ from repro.core.events import Event, EventKind, periodic_desc
 from repro.core.items import DataItemRef
 from repro.core.rules import Rule
 from repro.core.terms import Bindings, Const, ground_item
-from repro.cm.dispatch import RuleIndex, ShardedDispatcher
+from repro.cm.dispatch import InstalledRule, RuleIndex
 from repro.core.timebase import Ticks
 from repro.core.trace import ExecutionTrace
 from repro.cm.failures import FailureNotice
@@ -98,9 +98,6 @@ class CMShell:
         failure_plan: FailurePlan,
         rngs: RngRegistry,
         obs: Instrumentation | None = None,
-        shards: int = 1,
-        shard_threads: bool = False,
-        shard_workers: int = 0,
     ):
         self.site = site
         self.sim = sim
@@ -109,21 +106,9 @@ class CMShell:
         self.failure_plan = failure_plan
         self.rngs = rngs
         self.obs = obs if obs is not None else network.obs
-        self.store = ShellStore(site, trace, shards=shards)
+        self.store = ShellStore(site, trace)
         self.translators: dict[str, CMTranslator] = {}
         self._index = RuleIndex()
-        # Family-sharded batch matching; the per-event path never pays for
-        # it, and shards=1 keeps the fused batch loop shard-free too.
-        self._sharded = (
-            ShardedDispatcher(
-                self._index,
-                shards,
-                threads=shard_threads,
-                workers=shard_workers,
-            )
-            if shards > 1
-            else None
-        )
         self._timers: list[PeriodicTimer] = []
         self.peers: list[str] = []
         self.failure_log: list[FailureNotice] = []
@@ -169,19 +154,9 @@ class CMShell:
             unit="events",
             site=site,
         )
-        # -- certified parallel phases & the race sanitizer --
         #: The attached RaceSanitizer (Scenario(sanitize=True)); None keeps
         #: every hook below to a single identity check on the hot path.
         self._sanitizer = None
-        #: Plan-driven dispatch (Scenario(parallel_phases=True)): hoist
-        #: certified conditions ahead of the batch's commits and let shard
-        #: workers evaluate store-free ones during matching.
-        self._parallel = False
-        self._parallel_plan = None
-        self._parallel_plan_rules = -1
-        self._m_hoisted = metrics.counter(
-            "shell_hoisted_conditions", site=site
-        )
         #: Offset of this site's local clock from true time, in ticks.
         #: Strategy execution never needs clocks (Section 7.2), but rules
         #: that *stamp* local time — the implicit ``now`` variable, as in
@@ -430,63 +405,10 @@ class CMShell:
                 seen.add(id(translator))
                 translator.stop_timers()
 
-    def close(self) -> None:
-        """Release dispatch executors (shard worker processes)."""
-        if self._sharded is not None:
-            self._sharded.close()
-
-    # -- certified parallel phases & the race sanitizer ----------------------
-
     def attach_sanitizer(self, sanitizer) -> None:
         """Attach the dynamic race sanitizer (see
         :mod:`repro.analysis.sanitizer`); hooks stay dormant otherwise."""
         self._sanitizer = sanitizer
-
-    def enable_parallel_phases(self, enabled: bool = True) -> None:
-        """Drive batched dispatch from the certified parallel plan.
-
-        When enabled, each sharded batch (re)builds the site's
-        :class:`~repro.analysis.parplan.ParallelPlan` lazily and uses it
-        two ways: *hoistable* conditions are evaluated for the whole batch
-        before any RHS commits, and *store-free* conditions are shipped to
-        the shard workers for evaluation during the matching phase.  RHS
-        commits always stay in batch order, so the trace is byte-identical
-        to the serial kernel's — certification licenses parallel
-        evaluation, never observable reordering.
-        """
-        self._parallel = bool(enabled)
-        self._parallel_plan = None
-        self._parallel_plan_rules = -1
-        if not enabled and self._sharded is not None:
-            self._sharded.set_plan(None)
-
-    def parallel_plan(self):
-        """The site's current certified plan (lazy; rebuilt when the rule
-        set changes; ``None`` while no rules are installed)."""
-        count = len(self._index)
-        if count == 0:
-            return None
-        if self._parallel_plan is None or self._parallel_plan_rules != count:
-            from repro.analysis.parplan import build_parallel_plan
-
-            self._parallel_plan = build_parallel_plan(self)
-            self._parallel_plan_rules = count
-            if self._parallel and self._sharded is not None:
-                self._sharded.set_plan(self._parallel_plan)
-        return self._parallel_plan
-
-    def parallelism_stats(self) -> dict:
-        """Plan-driven dispatch counters plus the plan itself, for the run
-        report's ``parallelism`` section.  Empty unless enabled."""
-        if not self._parallel:
-            return {}
-        plan = self.parallel_plan()
-        return {
-            "enabled": True,
-            "hoisted_conditions": self._m_hoisted.value,
-            # None for a shell with no installed rules (nothing to plan).
-            "plan": plan.to_dict() if plan is not None else None,
-        }
 
     # -- event processing -----------------------------------------------------------
 
@@ -568,19 +490,19 @@ class CMShell:
         return len(descs)
 
     def _dispatch_batch(self, batch) -> None:
-        """One same-tick batch through the fused hot loop.
+        """One same-tick batch through the dispatch kernel.
 
         The batched path's contract with the per-event specification path
         (:meth:`_process_event`): identical matching, condition evaluation,
         firing order, and RHS execution — but the per-event fixed costs are
-        paid once per batch.  Metrics counters accumulate in locals and
-        flush at batch close (also on an exception escaping mid-batch), the
-        flight recorder gets one digest per block, and candidate buckets
-        are memoized per ``(kind, family)`` for the batch's rule-set
-        generation.  When per-event observability artifacts are on (spans,
-        event sinks, rule profiles) the loop falls back to
-        :meth:`_process_event` per event: batching amortizes bookkeeping,
-        never the observability contract.
+        paid once per batch.  The event/candidate counters accumulate in
+        locals and flush at batch close (also on an exception escaping
+        mid-batch), the flight recorder gets one digest per block, and
+        candidate buckets are memoized per ``(kind, family)`` for the
+        batch's rule-set generation.  When per-event observability
+        artifacts are on (spans, event sinks, rule profiles) the loop falls
+        back to :meth:`_process_event` per event: batching amortizes
+        bookkeeping, never the observability contract.
         """
         descs = batch.descs
         count = len(descs)
@@ -598,117 +520,22 @@ class CMShell:
             obs.flight.record(
                 self.site, "batch", self.sim.now, f"{count} events"
             )
-        site = self.site
-        store = self.store
-        network = self.network
+        applies = self._applies
+        fire = self._fire
         n_candidates = 0
-        n_fired = 0
-        fired_local: dict[str, int] = {}
+        # The candidate cache is two-level (kind, then family) with the
+        # kind level memoized across consecutive events: hashing an Enum
+        # member is a Python-level call, and batches are almost always
+        # single-kind, so the hot lookup pays only one C-level string hash
+        # per event.
+        index_ = self._index
+        cache = self._batch_cache
+        if self._batch_cache_rules != len(index_):
+            cache = self._batch_cache = {}
+            self._batch_cache_rules = len(index_)
+        last_kind = None
+        kind_cache: dict = {}
         try:
-            if self._sharded is not None:
-                # Phase A: pure per-shard matching (store-free conditions
-                # decided on the workers when a plan is armed).  Phase A.5:
-                # hoisted condition pre-pass over the whole batch.  Phase B
-                # (below): remaining conditions + RHS serially in batch
-                # order, which is what keeps the trace identical to the
-                # unsharded kernel's.
-                san = self._sanitizer
-                if self._parallel:
-                    self.parallel_plan()
-                matches = self._sharded.match_batch(descs)
-                n_candidates = self._sharded.last_candidates
-                shard_of_event = self._sharded.last_shard_of
-                verdicts = (
-                    self._hoist_conditions(matches, count)
-                    if self._parallel
-                    else None
-                )
-                try:
-                    for index in range(count):
-                        hits = matches[index]
-                        if not hits:
-                            continue
-                        # Attribute this event's RHS writes to the shard
-                        # that dispatched it (barrier-pinned events go to
-                        # shard 0, matching events_by_shard).
-                        store.dispatch_shard = shard_of_event[index]
-                        for installed, slots, bindings, cond in hits:
-                            program = installed.program
-                            if cond is None and verdicts is not None:
-                                cond = verdicts.get((index, installed.serial))
-                            if cond is False:
-                                continue
-                            if cond is None:
-                                if program is not None:
-                                    lhs = program.lhs
-                                    if lhs is not None:
-                                        cstore = (
-                                            store
-                                            if san is None
-                                            else san.reader(
-                                                site,
-                                                installed.rule.name,
-                                                store,
-                                                self.sim.now,
-                                            )
-                                        )
-                                        try:
-                                            if not lhs(slots, cstore):
-                                                continue
-                                        except (BindingError, TypeError):
-                                            continue
-                                elif not self._lhs_condition_holds(
-                                    installed.rule, bindings
-                                ):
-                                    continue
-                            rule = installed.rule
-                            n_fired += 1
-                            fired_local[rule.name] = (
-                                fired_local.get(rule.name, 0) + 1
-                            )
-                            trigger = batch.event_at(index)
-                            rhs_site = installed.rhs_site
-                            if program is not None:
-                                if rhs_site is None or rhs_site == site:
-                                    self._execute_compiled_rhs(
-                                        program, slots, trigger
-                                    )
-                                else:
-                                    network.send(
-                                        site,
-                                        rhs_site,
-                                        FireMessage(
-                                            rule, (), trigger,
-                                            program=program,
-                                            slots=tuple(slots),
-                                        ),
-                                    )
-                            elif rhs_site is None or rhs_site == site:
-                                self._execute_rhs(rule, bindings, trigger)
-                            else:
-                                network.send(
-                                    site,
-                                    rhs_site,
-                                    FireMessage(
-                                        rule, tuple(bindings.items()), trigger
-                                    ),
-                                )
-                finally:
-                    store.dispatch_shard = None
-                return
-            # Unsharded fused loop.  The candidate cache is two-level
-            # (kind, then family) with the kind level memoized across
-            # consecutive events: hashing an Enum member is a Python-level
-            # call, and batches are almost always single-kind, so the hot
-            # lookup pays only one C-level string hash per event.
-            san = self._sanitizer
-            index_ = self._index
-            cache = self._batch_cache
-            if self._batch_cache_rules != len(index_):
-                cache = self._batch_cache = {}
-                self._batch_cache_rules = len(index_)
-            last_kind = None
-            kind_cache: dict = {}
             for index in range(count):
                 desc = descs[index]
                 item = desc.item
@@ -726,159 +553,27 @@ class CMShell:
                     continue
                 n_candidates += len(bucket)
                 for installed in bucket:
-                    program = installed.program
-                    if program is not None:
-                        slots = program.match(desc)
-                        if slots is None:
-                            continue
-                        lhs = program.lhs
-                        if lhs is not None:
-                            cstore = (
-                                store
-                                if san is None
-                                else san.reader(
-                                    site, installed.rule.name, store,
-                                    self.sim.now,
-                                )
-                            )
-                            try:
-                                if not lhs(slots, cstore):
-                                    continue
-                            except (BindingError, TypeError):
-                                continue
-                        rule = installed.rule
-                        n_fired += 1
-                        fired_local[rule.name] = (
-                            fired_local.get(rule.name, 0) + 1
-                        )
-                        trigger = batch.event_at(index)
-                        rhs_site = installed.rhs_site
-                        if rhs_site is None or rhs_site == site:
-                            self._execute_compiled_rhs(
-                                program, slots, trigger
-                            )
-                        else:
-                            network.send(
-                                site,
-                                rhs_site,
-                                FireMessage(
-                                    rule, (), trigger,
-                                    program=program, slots=tuple(slots),
-                                ),
-                            )
-                        continue
-                    bindings = installed.matcher(desc)
-                    if bindings is None:
-                        continue
-                    rule = installed.rule
-                    if not self._lhs_condition_holds(rule, bindings):
-                        continue
-                    n_fired += 1
-                    fired_local[rule.name] = fired_local.get(rule.name, 0) + 1
-                    trigger = batch.event_at(index)
-                    rhs_site = installed.rhs_site
-                    if rhs_site is None or rhs_site == site:
-                        self._execute_rhs(rule, bindings, trigger)
-                    else:
-                        network.send(
-                            site,
-                            rhs_site,
-                            FireMessage(
-                                rule, tuple(bindings.items()), trigger
-                            ),
-                        )
+                    bound = applies(installed, desc)
+                    if bound is not None:
+                        # Trigger events materialize lazily: an event
+                        # nothing fires on never becomes an Event here.
+                        fire(installed, bound, batch.event_at(index))
         finally:
-            # One flush per batch: the deferred counter deltas.
             self._m_events.value += count
             self._m_candidates.value += n_candidates
-            self._m_fired.value += n_fired
-            fired_by_rule = self._fired_by_rule
-            for name, hits in fired_local.items():
-                fired_by_rule[name].value += hits
 
     def batching_stats(self) -> dict:
-        """Batch/shard dispatch counters for the run report.
-
-        Empty when this shell never dispatched a batch and has no sharding
-        configured, so unbatched runs' reports are unchanged.
+        """Batch dispatch counters for the run report; empty when this
+        shell never dispatched a batch, so unbatched reports are unchanged.
         """
         batches = self._m_batches.value
-        sharded = self._sharded
-        if not batches and sharded is None:
+        if not batches:
             return {}
-        stats: dict = {
+        return {
             "batches_processed": batches,
             "batch_events": self._m_batch_events.value,
             "batch_size": self._batch_hist.summary(),
         }
-        if sharded is not None:
-            stats["shards"] = sharded.shards
-            stats["threads"] = sharded.threads
-            stats["workers"] = sharded.workers
-            stats["executor"] = sharded.stats()["executor"]
-            stats["events_by_shard"] = list(sharded.events_by_shard)
-            stats["barrier_events"] = sharded.barrier_events
-        else:
-            stats["shards"] = 1
-            stats["threads"] = False
-            stats["workers"] = 0
-            stats["executor"] = "serial"
-            stats["events_by_shard"] = [self._m_batch_events.value]
-            stats["barrier_events"] = 0
-        return stats
-
-    def _hoist_conditions(self, matches, count: int):
-        """Phase A.5: pre-evaluate hoistable conditions for a whole batch.
-
-        Certified safe by the parallel plan: a *hoistable* rule's condition
-        reads nothing any local rule (transitively) writes, so evaluating
-        it before the batch's RHS commits cannot change its verdict.  Only
-        condition *evaluation* moves; RHS commits still run serially in
-        batch order, so the trace is unchanged.  Returns
-        ``{(event index, rule serial): verdict}`` for the hoisted hits, or
-        ``None`` when the plan offers nothing to hoist.
-        """
-        plan = self.parallel_plan()
-        if plan is None or not plan.hoistable:
-            return None
-        hoistable = plan.hoistable
-        san = self._sanitizer
-        store = self.store
-        site = self.site
-        verdicts: dict = {}
-        hoisted = 0
-        for index in range(count):
-            hits = matches[index]
-            if not hits:
-                continue
-            for installed, slots, bindings, cond in hits:
-                if cond is not None:
-                    continue  # already decided on a worker
-                rule = installed.rule
-                if rule.name not in hoistable:
-                    continue
-                program = installed.program
-                if program is not None:
-                    lhs = program.lhs
-                    if lhs is None:
-                        ok = True
-                    else:
-                        cstore = (
-                            store
-                            if san is None
-                            else san.reader(site, rule.name, store, self.sim.now)
-                        )
-                        try:
-                            ok = bool(lhs(slots, cstore))
-                        except (BindingError, TypeError):
-                            ok = False
-                else:
-                    ok = self._lhs_condition_holds(rule, bindings)
-                verdicts[(index, installed.serial)] = ok
-                hoisted += 1
-        if hoisted:
-            self._m_hoisted.value += hoisted
-        return verdicts
 
     def _process_event(self, event: Event) -> None:
         self._m_events.value += 1
@@ -908,73 +603,87 @@ class CMShell:
                 obs.tracer.pop()
                 obs.tracer.finish(span, self.sim.now)
 
+    # -- the dispatch kernel -----------------------------------------------------
+    #
+    # Exactly one function decides whether an installed rule applies to a
+    # descriptor and exactly one fires it; the per-event, profiled and
+    # batched loops differ only in how they find candidates and what they
+    # count.
+
+    def _applies(self, installed: InstalledRule, desc):
+        """Match ``desc`` against the rule's LHS and evaluate its condition.
+
+        Returns the firing's bound variables — the compiled program's slot
+        list, or the interpreted matcher's bindings dict — or ``None`` when
+        the rule does not apply.
+        """
+        program = installed.program
+        if program is None:
+            # Interpreted reference path (compiled=False or compile fallback).
+            bindings = installed.matcher(desc)
+            if bindings is None or not self._lhs_condition_holds(
+                installed.rule, bindings
+            ):
+                return None
+            return bindings
+        # Compiled hot path: slot matcher -> fused binder/condition closure.
+        slots = program.match(desc)
+        if slots is None:
+            return None
+        lhs = program.lhs
+        if lhs is not None:
+            san = self._sanitizer
+            store = (
+                self.store
+                if san is None
+                else san.reader(
+                    self.site, installed.rule.name, self.store, self.sim.now
+                )
+            )
+            try:
+                if not lhs(slots, store):
+                    return None
+            except (BindingError, TypeError):
+                # Unbindable condition (e.g. arithmetic over a cache that is
+                # still MISSING): not applicable yet.
+                return None
+        return slots
+
+    def _fire(self, installed: InstalledRule, bound, trigger: Event) -> None:
+        """Fire an applicable rule: run its RHS here, or send the firing to
+        the shell owning the RHS site.  ``bound`` is what :meth:`_applies`
+        returned."""
+        rule = installed.rule
+        self._m_fired.value += 1
+        self._fired_by_rule[rule.name].value += 1
+        program = installed.program
+        rhs_site = installed.rhs_site
+        if rhs_site is None or rhs_site == self.site:
+            if program is not None:
+                self._execute_compiled_rhs(program, bound, trigger)
+            else:
+                self._execute_rhs(rule, bound, trigger)
+        else:
+            if program is not None:
+                message = FireMessage(
+                    rule, (), trigger, program=program, slots=tuple(bound)
+                )
+            else:
+                message = FireMessage(rule, tuple(bound.items()), trigger)
+            self.network.send(self.site, rhs_site, message)
+
     def _dispatch(self, event: Event) -> None:
         if self.obs.rule_profiling:
             return self._dispatch_profiled(event)
         desc = event.desc
-        site = self.site
-        store = self.store
-        san = self._sanitizer
+        applies = self._applies
+        fire = self._fire
         m_candidates = self._m_candidates
         for installed in self._index.candidates(desc):
             m_candidates.value += 1
-            program = installed.program
-            if program is not None:
-                # Compiled hot path: slot matcher -> fused binder/condition
-                # closure -> compiled RHS plan.  No AST in sight.
-                slots = program.match(desc)
-                if slots is None:
-                    continue
-                lhs = program.lhs
-                if lhs is not None:
-                    cstore = (
-                        store
-                        if san is None
-                        else san.reader(
-                            site, installed.rule.name, store, self.sim.now
-                        )
-                    )
-                    try:
-                        if not lhs(slots, cstore):
-                            continue
-                    except (BindingError, TypeError):
-                        # Unbindable condition (e.g. arithmetic over a cache
-                        # that is still MISSING): not applicable yet.
-                        continue
-                rule = installed.rule
-                self._m_fired.value += 1
-                self._fired_by_rule[rule.name].value += 1
-                rhs_site = installed.rhs_site
-                if rhs_site is None or rhs_site == site:
-                    self._execute_compiled_rhs(program, slots, event)
-                else:
-                    self.network.send(
-                        site,
-                        rhs_site,
-                        FireMessage(
-                            rule, (), event, program=program,
-                            slots=tuple(slots),
-                        ),
-                    )
-                continue
-            # Interpreted reference path (compiled=False or compile fallback).
-            bindings = installed.matcher(desc)
-            if bindings is None:
-                continue
-            rule = installed.rule
-            if not self._lhs_condition_holds(rule, bindings):
-                continue
-            self._m_fired.value += 1
-            self._fired_by_rule[rule.name].value += 1
-            rhs_site = installed.rhs_site
-            if rhs_site is None or rhs_site == site:
-                self._execute_rhs(rule, bindings, event)
-            else:
-                self.network.send(
-                    site,
-                    rhs_site,
-                    FireMessage(rule, tuple(bindings.items()), event),
-                )
+            bound = applies(installed, desc)
+            if bound is not None:
+                fire(installed, bound, event)
 
     def _profile_for(self, rule_name: str) -> tuple:
         profile = self._profiles.get(rule_name)
@@ -999,80 +708,24 @@ class CMShell:
         return profile
 
     def _dispatch_profiled(self, event: Event) -> None:
-        """The dispatch loop with per-rule profiling instruments.
+        """:meth:`_dispatch` with per-rule profiling instruments.
 
-        Semantically identical to :meth:`_dispatch`; kept separate so the
-        unprofiled hot path pays exactly one extra attribute check.  A
-        *miss* is a candidate the index nominated whose matcher or LHS
-        condition rejected the event; execution time covers the RHS (or
-        the cross-site fire send), measured in wall nanoseconds.
+        Kept separate so the unprofiled hot path pays exactly one extra
+        attribute check.  A *miss* is a candidate the index nominated whose
+        matcher or LHS condition rejected the event; execution time covers
+        the RHS (or the cross-site fire send), in wall nanoseconds.
         """
         desc = event.desc
-        site = self.site
-        store = self.store
-        san = self._sanitizer
         for installed in self._index.candidates(desc):
             self._m_candidates.value += 1
-            rule = installed.rule
-            hits, misses, exec_hist = self._profile_for(rule.name)
-            program = installed.program
-            if program is not None:
-                slots = program.match(desc)
-                if slots is None:
-                    misses.value += 1
-                    continue
-                lhs = program.lhs
-                if lhs is not None:
-                    cstore = (
-                        store
-                        if san is None
-                        else san.reader(site, rule.name, store, self.sim.now)
-                    )
-                    try:
-                        if not lhs(slots, cstore):
-                            misses.value += 1
-                            continue
-                    except (BindingError, TypeError):
-                        misses.value += 1
-                        continue
-                hits.value += 1
-                self._m_fired.value += 1
-                self._fired_by_rule[rule.name].value += 1
-                rhs_site = installed.rhs_site
-                began = perf_counter_ns()
-                if rhs_site is None or rhs_site == site:
-                    self._execute_compiled_rhs(program, slots, event)
-                else:
-                    self.network.send(
-                        site,
-                        rhs_site,
-                        FireMessage(
-                            rule, (), event, program=program,
-                            slots=tuple(slots),
-                        ),
-                    )
-                exec_hist.observe(perf_counter_ns() - began)
-                continue
-            bindings = installed.matcher(desc)
-            if bindings is None:
-                misses.value += 1
-                continue
-            if not self._lhs_condition_holds(rule, bindings):
+            hits, misses, exec_hist = self._profile_for(installed.rule.name)
+            bound = self._applies(installed, desc)
+            if bound is None:
                 misses.value += 1
                 continue
             hits.value += 1
-            self._m_fired.value += 1
-            self._fired_by_rule[rule.name].value += 1
-            rhs_site = installed.rhs_site
             began = perf_counter_ns()
-            if rhs_site is None or rhs_site == site:
-                self._execute_rhs(rule, bindings, event)
-            else:
-                self.network.send(
-                    site,
-                    rhs_site,
-                    FireMessage(rule, tuple(bindings.items()), event),
-                )
+            self._fire(installed, bound, event)
             exec_hist.observe(perf_counter_ns() - began)
 
     def _lhs_condition_holds(self, rule: Rule, bindings: Bindings) -> bool:
@@ -1095,83 +748,57 @@ class CMShell:
 
     def _on_message(self, message: Message) -> None:
         payload = message.payload
-        san = self._sanitizer
-        if san is not None and isinstance(payload, (FireMessage, WireFiring)):
-            # Merge the sender's vector clock before any RHS runs here —
-            # the FIFO channel makes receive order a happens-before witness.
-            san.on_receive(self.site, message.src)
         if isinstance(payload, FireMessage):
-            obs = self.obs
-            span = None
-            if obs.enabled:
-                if obs.flight is not None:
-                    obs.flight.record(
-                        self.site, "fire", self.sim.now, payload.rule.name
-                    )
-                if obs.tracer.enabled:
-                    # Parent is the in-flight net.send activation the
-                    # network pushed (a local span, or a SpanContext
-                    # resumed off a wire frame).
-                    span = obs.tracer.start(
-                        "shell.fire",
-                        self.site,
-                        self.sim.now,
-                        rule=payload.rule.name,
-                    )
-                    obs.tracer.push(span)
-            try:
-                if payload.program is not None:
-                    self._execute_compiled_rhs(
-                        payload.program, list(payload.slots), payload.trigger
-                    )
-                else:
-                    self._execute_rhs(
-                        payload.rule, dict(payload.bindings), payload.trigger
-                    )
-            finally:
-                if span is not None:
-                    obs.tracer.pop()
-                    obs.tracer.finish(span, self.sim.now)
+            rule, program = payload.rule, payload.program
+            slots = payload.slots if program is not None else None
+        elif isinstance(payload, FailureNotice):
+            self._handle_failure(payload)
+            return
         elif isinstance(payload, WireFiring):
             # A firing that crossed a by-value channel: resolve the rule
             # from local knowledge and run the locally compiled program.
             rule, program = self._resolve_firing(payload)
-            obs = self.obs
-            span = None
-            if obs.enabled:
-                if obs.flight is not None:
-                    obs.flight.record(self.site, "fire", self.sim.now, rule.name)
-                if obs.tracer.enabled:
-                    span = obs.tracer.start(
-                        "shell.fire", self.site, self.sim.now, rule=rule.name
-                    )
-                    obs.tracer.push(span)
-            try:
-                if payload.slots is not None:
-                    if program is None:
-                        raise ConfigurationError(
-                            f"shell {self.site!r}: firing for rule "
-                            f"{rule.name!r} carries compiled slots but the "
-                            f"rule did not compile here — both sides of a "
-                            f"channel must share the rule definition"
-                        )
-                    self._execute_compiled_rhs(
-                        program, list(payload.slots), payload.trigger
-                    )
-                else:
-                    self._execute_rhs(
-                        rule, dict(payload.bindings or ()), payload.trigger
-                    )
-            finally:
-                if span is not None:
-                    obs.tracer.pop()
-                    obs.tracer.finish(span, self.sim.now)
-        elif isinstance(payload, FailureNotice):
-            self._handle_failure(payload)
+            slots = payload.slots
+            if slots is not None and program is None:
+                raise ConfigurationError(
+                    f"shell {self.site!r}: firing for rule {rule.name!r} "
+                    f"carries compiled slots but the rule did not compile "
+                    f"here — both sides of a channel must share the rule "
+                    f"definition"
+                )
         else:
             raise ConfigurationError(
                 f"shell {self.site!r} received unknown message {payload!r}"
             )
+        san = self._sanitizer
+        if san is not None:
+            # Merge the sender's vector clock before any RHS runs here —
+            # the FIFO channel makes receive order a happens-before witness.
+            san.on_receive(self.site, message.src)
+        obs = self.obs
+        span = None
+        if obs.enabled:
+            if obs.flight is not None:
+                obs.flight.record(self.site, "fire", self.sim.now, rule.name)
+            if obs.tracer.enabled:
+                # Parent is the in-flight net.send activation the network
+                # pushed (a local span, or a SpanContext resumed off a wire
+                # frame).
+                span = obs.tracer.start(
+                    "shell.fire", self.site, self.sim.now, rule=rule.name
+                )
+                obs.tracer.push(span)
+        try:
+            if slots is not None:
+                self._execute_compiled_rhs(program, list(slots), payload.trigger)
+            else:
+                self._execute_rhs(
+                    rule, dict(payload.bindings or ()), payload.trigger
+                )
+        finally:
+            if span is not None:
+                obs.tracer.pop()
+                obs.tracer.finish(span, self.sim.now)
 
     def _execute_rhs(self, rule: Rule, bindings: Bindings, trigger: Event) -> None:
         san = self._sanitizer

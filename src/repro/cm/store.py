@@ -5,17 +5,10 @@ The store implements the :class:`~repro.core.conditions.LocalData` protocol
 so strategy conditions can read it, and records every write as a ``W`` event
 in the execution trace so guarantees over auxiliary data (``Flag``, ``Tb``,
 caches) are checkable.
-
-For the batched dispatch path the store can be *sharded by item family*:
-each shard owns an independent dict (its own write log counter), placed by a
-deterministic hash of the family name, so concurrent per-shard matching
-never shares a mutable hot structure.  ``shards=1`` (the default) keeps the
-single-dict fast path with zero indirection.
 """
 
 from __future__ import annotations
 
-import zlib
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -25,49 +18,21 @@ from repro.core.rules import Rule
 from repro.core.trace import ExecutionTrace
 
 
-def shard_of(family: str, shards: int) -> int:
-    """Deterministic family -> shard placement (stable across processes)."""
-    return zlib.crc32(family.encode("utf-8")) % shards
-
-
 class ShellStore:
     """The private database of one CM-Shell."""
 
-    def __init__(self, site: str, trace: ExecutionTrace, shards: int = 1):
+    def __init__(self, site: str, trace: ExecutionTrace):
         self.site = site
         self.trace = trace
-        self.shards = max(1, int(shards))
-        self._shards: list[dict[DataItemRef, Value]] = [
-            {} for _ in range(self.shards)
-        ]
-        # Unsharded fast path: one dict, no placement lookup.
-        self._single = self._shards[0] if self.shards == 1 else None
-        self._family_shard: dict[str, int] = {}
+        self._data: dict[DataItemRef, Value] = {}
         self.writes = 0
-        self.writes_by_shard = [0] * self.shards
-        #: Attribution override for the sharded dispatch path: the shell's
-        #: phase B sets this to the shard that *dispatched* the event whose
-        #: RHS is writing, so ``writes_by_shard`` agrees with the
-        #: dispatcher's ``events_by_shard`` — barrier-pinned events (item
-        #: less, or a kind with family-wildcard candidates) attribute their
-        #: writes to barrier shard 0, not the written family's home shard.
-        #: ``None`` (the default, and the whole unsharded path) attributes
-        #: by home shard.  Data *placement* always stays by family hash.
-        self.dispatch_shard: Optional[int] = None
-        self._items_view: Optional[Mapping[DataItemRef, Value]] = None
-
-    def _shard_index(self, family: str) -> int:
-        index = self._family_shard.get(family)
-        if index is None:
-            index = self._family_shard[family] = shard_of(family, self.shards)
-        return index
+        self._items_view: Mapping[DataItemRef, Value] = MappingProxyType(
+            self._data
+        )
 
     def read_local(self, ref: DataItemRef) -> Value:
         """Current value of a private item; MISSING if never written."""
-        data = self._single
-        if data is None:
-            data = self._shards[self._shard_index(ref.name)]
-        return data.get(ref, MISSING)
+        return self._data.get(ref, MISSING)
 
     def write(
         self,
@@ -78,30 +43,13 @@ class ShellStore:
         trigger: Optional[Event] = None,
     ) -> Event:
         """Write a private item, recording the W event."""
-        index = 0 if self._single is not None else self._shard_index(ref.name)
-        self._shards[index][ref] = value
+        self._data[ref] = value
         self.writes += 1
-        attributed = self.dispatch_shard
-        self.writes_by_shard[attributed if attributed is not None else index] += 1
-        self._items_view = None
         return self.trace.record(
             time, self.site, write_desc(ref, value), rule=rule, trigger=trigger
         )
 
     def items(self) -> Mapping[DataItemRef, Value]:
-        """Read-only view of all private data (for applications, Section 7.1).
-
-        Cached between writes: repeated calls from validation paths return
-        the same mapping object instead of rebuilding a dict each time.
-        """
-        view = self._items_view
-        if view is None:
-            if self._single is not None:
-                view = MappingProxyType(self._single)
-            else:
-                merged: dict[DataItemRef, Value] = {}
-                for shard in self._shards:
-                    merged.update(shard)
-                view = MappingProxyType(merged)
-            self._items_view = view
-        return view
+        """Read-only live view of all private data (for applications,
+        Section 7.1); every call returns the same mapping object."""
+        return self._items_view

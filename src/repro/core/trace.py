@@ -895,6 +895,20 @@ def _provenance_index(
     return index
 
 
+def _own_site_matches(matches, rule: Rule):
+    """LHS matches a shell would actually dispatch to ``rule``.
+
+    A shell only sees its own site's events, so a rule pinned to a site
+    (``lhs_site``; every installed periodic rule is) must not be held to
+    another site's events — two sites polling on one period each record a
+    ``P(period)`` the other's rule matches.
+    """
+    site = rule.lhs_site
+    if site is None:
+        return matches
+    return ((event, b) for event, b in matches if event.site == site)
+
+
 def _check_liveness(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
     from repro.core.conditions import TRUE  # local import to avoid cycle noise
 
@@ -902,7 +916,9 @@ def _check_liveness(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]
     provenance: dict[tuple[int, str, int], list[Event]] | None = None
     for rule in rules:
         if rule.is_prohibition:
-            for event, __ in trace.events_matching(rule.lhs):
+            for event, __ in _own_site_matches(
+                trace.events_matching(rule.lhs), rule
+            ):
                 violations.append(
                     Violation(
                         6,
@@ -914,7 +930,9 @@ def _check_liveness(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]
         if rule.condition is not TRUE:
             # The LHS condition read local data we no longer have; skip.
             continue
-        for event, bindings in trace.events_matching(rule.lhs):
+        for event, __ in _own_site_matches(
+            trace.events_matching(rule.lhs), rule
+        ):
             deadline = event.time + rule.delay
             if deadline > trace.horizon:
                 continue  # obligation not yet due at end of trace
@@ -1114,7 +1132,9 @@ def _check_liveness_naive(
     violations: list[Violation] = []
     for rule in rules:
         if rule.is_prohibition:
-            for event, __ in queries.events_matching(rule.lhs):
+            for event, __ in _own_site_matches(
+                queries.events_matching(rule.lhs), rule
+            ):
                 violations.append(
                     Violation(
                         6,
@@ -1125,7 +1145,9 @@ def _check_liveness_naive(
             continue
         if rule.condition is not TRUE:
             continue
-        for event, bindings in queries.events_matching(rule.lhs):
+        for event, __ in _own_site_matches(
+            queries.events_matching(rule.lhs), rule
+        ):
             deadline = event.time + rule.delay
             if deadline > trace.horizon:
                 continue

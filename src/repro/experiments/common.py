@@ -63,10 +63,6 @@ def build_salary_scenario(
     service: Optional[ServiceModel] = None,
     runtime: RuntimeSpec = "sim",
     batch_max: int = 0,
-    dispatch_shards: int = 1,
-    shard_threads: bool = False,
-    shard_workers: int = 0,
-    parallel_phases: bool = False,
     sanitize: bool = False,
 ) -> SalaryScenario:
     """Build and install the salary copy-constraint scenario.
@@ -85,10 +81,6 @@ def build_salary_scenario(
         in_order=in_order,
         runtime=runtime,
         batch_max=batch_max,
-        dispatch_shards=dispatch_shards,
-        shard_threads=shard_threads,
-        shard_workers=shard_workers,
-        parallel_phases=parallel_phases,
         sanitize=sanitize,
     )
     cm = ConstraintManager(scenario)
@@ -166,10 +158,6 @@ def build_salary_scenario(
                 "in_order": in_order,
                 "service": service,
                 "batch_max": batch_max,
-                "dispatch_shards": dispatch_shards,
-                "shard_threads": shard_threads,
-                "shard_workers": shard_workers,
-                "parallel_phases": parallel_phases,
                 "sanitize": sanitize,
             },
         )

@@ -47,17 +47,14 @@ class RunReport:
     #: enabled.
     flight: dict = field(default_factory=dict)
     #: Per-site batched-dispatch summary (batch counts, batch-size
-    #: histogram, per-shard event counters); empty for sites that never
-    #: ran the batched path.
+    #: histogram); empty for sites that never ran the batched path.
     batching: dict = field(default_factory=dict)
-    #: Certified-parallel-phase facts: per-site plan digests (phases,
-    #: certified pairs, barrier reasons, hoisted-condition counts) plus
-    #: the race sanitizer's verdict when one was attached; empty when
-    #: neither ``parallel_phases`` nor ``sanitize`` was on.
-    parallelism: dict = field(default_factory=dict)
+    #: The race sanitizer's verdict (``Scenario(sanitize=True)``); empty
+    #: when none was attached.
+    sanitizer: dict = field(default_factory=dict)
     #: Shell-process supervision facts (pid, liveness, exit code,
-    #: restarts per site plus worker-pool utilization); ``{"enabled":
-    #: False}`` on the in-process runtimes.
+    #: restarts per site); ``{"enabled": False}`` on the in-process
+    #: runtimes.
     processes: dict = field(default_factory=lambda: {"enabled": False})
 
     def to_dict(self) -> dict:
@@ -77,7 +74,7 @@ class RunReport:
             "rule_profile": self.rule_profile,
             "flight": self.flight,
             "batching": self.batching,
-            "parallelism": self.parallelism,
+            "sanitizer": self.sanitizer,
             "processes": self.processes,
         }
 
@@ -140,28 +137,12 @@ class RunReport:
                 f"stale {staleness:g}s ({entry['staleness_fraction']:.1%})"
             )
         for site, entry in self.batching.items():
-            suffix = ""
-            if entry.get("shards", 1) > 1:
-                suffix = (
-                    f", {entry['shards']} shards "
-                    f"({entry.get('barrier_events', 0)} barrier)"
-                )
             lines.append(
                 f"  batching {site}: {entry.get('batch_events', 0)} events "
                 f"in {entry.get('batches_processed', 0)} batches "
                 f"(p99 size {(entry.get('batch_size') or {}).get('p99') or 0:g})"
-                f"{suffix}"
             )
-        parallelism = self.parallelism
-        for site, entry in parallelism.get("sites", {}).items():
-            plan = entry.get("plan") or {}
-            lines.append(
-                f"  parallelism {site}: {len(plan.get('phases', []))} "
-                f"phases, {plan.get('certified_pairs', 0)} certified "
-                f"pairs, {entry.get('hoisted_conditions', 0)} hoisted "
-                f"conditions"
-            )
-        sanitizer = parallelism.get("sanitizer", {})
+        sanitizer = self.sanitizer
         if sanitizer.get("enabled"):
             verdict = "ok" if sanitizer.get("ok") else "RACES FLAGGED"
             lines.append(
@@ -396,23 +377,10 @@ def build_run_report(cm: Any) -> RunReport:
         if entry:
             report.batching[site] = entry
 
-    # -- certified parallel phases & the race sanitizer ------------------------
-    parallel_sites = {}
-    for site, shell in cm.shells.items():
-        stats = shell.parallelism_stats()
-        if stats:
-            parallel_sites[site] = stats
+    # -- the race sanitizer (only when one was attached) -----------------------
     sanitizer = getattr(scenario, "sanitizer", None)
-    if parallel_sites or sanitizer is not None:
-        report.parallelism = {
-            "enabled": bool(parallel_sites),
-            "sites": parallel_sites,
-            "sanitizer": (
-                sanitizer.report()
-                if sanitizer is not None
-                else {"enabled": False}
-            ),
-        }
+    if sanitizer is not None:
+        report.sanitizer = sanitizer.report()
 
     # -- shell processes (only the proc runtime has any) -----------------------
     process_report = getattr(scenario.runtime_impl, "process_report", None)

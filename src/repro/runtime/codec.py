@@ -17,10 +17,7 @@ Four layers, each building on the previous:
   the rare nested container are tagged dicts, decoded back to canonical
   objects (``MISSING`` decodes to *the* singleton, so ``is``-checks hold
   across the boundary).
-- **descriptors** — :class:`~repro.core.events.EventDesc` as a dict, plus a
-  *compact tuple* form (``(kind value, family, args, values)``) used by the
-  shard-worker pool, where per-descriptor cost dominates and a flat tuple
-  of mostly-raw scalars pickles several times faster than the dataclass.
+- **descriptors** — :class:`~repro.core.events.EventDesc` as a dict.
 - **events** — a trigger :class:`~repro.core.events.Event` travels as its
   provenance chain (depth-bounded), reconstructed bottom-up with explicit
   sequence numbers so decoding never advances the global event counter.
@@ -57,8 +54,6 @@ class CodecError(ValueError):
 
 
 # -- values -------------------------------------------------------------------
-
-_SCALARS = (str, int, float, bool, type(None))
 
 
 def encode_value(value: Any) -> Any:
@@ -137,50 +132,6 @@ def decode_desc(data: dict[str, Any]) -> EventDesc:
         EventKind(data["kind"]),
         item,
         tuple(decode_value(v) for v in data["values"]),
-    )
-
-
-def encode_desc_compact(desc: EventDesc) -> tuple:
-    """Descriptor as a flat tuple for the shard-worker pipe.
-
-    ``(kind value, family, args, values)`` — raw scalars pass through
-    untagged (the pipe pickles, so there is no JSON restriction; only
-    non-scalars like ``MISSING`` need the tagged form to decode back to
-    canonical singletons on the worker side).  Measured ~4x cheaper to
-    pickle per descriptor than the frozen dataclass itself.
-    """
-    item = desc.item
-    return (
-        desc.kind.value,
-        item.name if item is not None else None,
-        tuple(
-            a if isinstance(a, _SCALARS) else encode_value(a)
-            for a in (item.args if item is not None else ())
-        ),
-        tuple(
-            v if isinstance(v, _SCALARS) else encode_value(v)
-            for v in desc.values
-        ),
-    )
-
-
-def decode_desc_compact(data: tuple) -> EventDesc:
-    """Reverse :func:`encode_desc_compact` (worker side)."""
-    kind_value, family, args, values = data
-    item = (
-        None
-        if family is None
-        else DataItemRef(
-            family,
-            tuple(
-                a if isinstance(a, _SCALARS) else decode_value(a) for a in args
-            ),
-        )
-    )
-    return EventDesc(
-        EventKind(kind_value),
-        item,
-        tuple(v if isinstance(v, _SCALARS) else decode_value(v) for v in values),
     )
 
 

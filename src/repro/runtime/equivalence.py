@@ -172,7 +172,6 @@ def _observe(
     rate: float,
     duration_seconds: float,
     sanitize: bool = False,
-    parallel_phases: bool = False,
 ) -> RuntimeObservation:
     # Imported lazily: the experiments package imports the runtime package.
     from repro.experiments.common import build_salary_scenario
@@ -183,7 +182,6 @@ def _observe(
         seed=seed,
         runtime=runtime,
         sanitize=sanitize,
-        parallel_phases=parallel_phases,
     )
     salary.scenario.obs.enable_tracing()
     workload = PersonnelWorkload(
@@ -235,7 +233,6 @@ def _observe(
         # Real-resource runtimes (wire sockets, shell processes) must be
         # released even when a comparison fails mid-observation.
         salary.scenario.shutdown()
-        salary.cm.close()
 
 
 def run_equivalence(
@@ -248,7 +245,6 @@ def run_equivalence(
     faults: WireFaultPlan | None = None,
     runtime: str = "wire",
     sanitize: bool = False,
-    parallel_phases: bool = False,
 ) -> EquivalenceReport:
     """Run one seeded scenario on sim plus a real runtime and compare.
 
@@ -257,12 +253,10 @@ def run_equivalence(
     or ``"proc"`` (every shell its own OS process, same wire protocol).
 
     ``sanitize=True`` arms the dynamic race sanitizer on both sides and
-    folds its verdict into ``EquivalenceReport.ok``; ``parallel_phases``
-    runs condition evaluation under the certified parallel plan so the
-    sanitizer is checking the plan the static analysis actually emitted.
-    For the proc runtime the parent-side sanitizer sees nothing (each
-    shell process rebuilds its own), so the sim observation carries the
-    meaningful soundness check there.
+    folds its verdict into ``EquivalenceReport.ok``.  For the proc runtime
+    the parent-side sanitizer sees nothing (each shell process rebuilds its
+    own), so the sim observation carries the meaningful soundness check
+    there.
 
     The default workload (6 employees, 0.5 updates/s, 20 virtual seconds)
     keeps a wire run under two wall seconds at the default ``time_scale``
@@ -293,11 +287,11 @@ def run_equivalence(
 
     sim_obs = _observe(
         "sim", "sim", seed, strategy_kind, employee_count, rate,
-        duration_seconds, sanitize=sanitize, parallel_phases=parallel_phases,
+        duration_seconds, sanitize=sanitize,
     )
     wire_obs = _observe(
         real_factory, runtime, seed, strategy_kind, employee_count, rate,
-        duration_seconds, sanitize=sanitize, parallel_phases=parallel_phases,
+        duration_seconds, sanitize=sanitize,
     )
     return EquivalenceReport(
         seed=seed, strategy_kind=strategy_kind, sim=sim_obs, wire=wire_obs

@@ -276,7 +276,6 @@ class ProcRuntime:
         self._stats_applied: dict[str, dict[str, int]] = {}
         self._fired_applied: dict[str, dict[str, int]] = {}
         self._net_by_site: dict[str, dict[str, int]] = {}
-        self._worker_report: dict[str, dict] = {}
 
     # -- Runtime protocol -------------------------------------------------------
 
@@ -375,10 +374,6 @@ class ProcRuntime:
             "enabled": True,
             "runtime": self.name,
             "sites": self.process_info(),
-            "workers": {
-                site: dict(stats)
-                for site, stats in sorted(self._worker_report.items())
-            },
         }
 
     # -- parent internals -------------------------------------------------------
@@ -776,9 +771,6 @@ class ProcRuntime:
             net = result.get("net")
             if net:
                 self._net_by_site[site] = net
-            batching = result.get("batching")
-            if batching:
-                self._worker_report[site] = batching
         network = self.network
         network.messages_sent = sum(
             n.get("messages_sent", 0) for n in self._net_by_site.values()
@@ -1062,7 +1054,6 @@ async def _child_session(
                 name: counter.value
                 for name, counter in own_shell._fired_by_rule.items()
             },
-            "batching": own_shell.batching_stats() or None,
             "net": {
                 "messages_sent": wire.messages_sent,
                 "messages_dropped": wire.messages_dropped,
@@ -1136,5 +1127,4 @@ async def _child_session(
             await wire.stop()
         except Exception:
             pass
-        cm.close()
         await control.close()

@@ -1,9 +1,9 @@
 """CM-Lint commutativity diagnostics (CM701–CM705).
 
-Each code gets a positive case *and* the adjacent negative one: serial
-configurations stay silent, cross-shard conflicts are not CM701, and no
-CM7xx finding is ever an error (certification limits are advice, not
-spec violations).
+Each code gets a positive case *and* the adjacent negative one:
+configurations without the race sanitizer stay silent, and no CM7xx
+finding is ever an error (interference findings are advice, not spec
+violations).
 """
 
 from __future__ import annotations
@@ -20,15 +20,11 @@ from repro.core.templates import Template
 from repro.core.terms import FAMILY_WILDCARD, ItemPattern, Var
 from repro.ris.legacy import LegacySystem
 
-# crc32 family shards at dispatch_shards=4: journal/trades/rate -> 1,
-# quote/fill -> 0.  The CM701 cases depend on these placements.
-SHARDS = 4
 
-
-def desk(rules, shards=SHARDS):
+def desk(rules, sanitize=True):
     """A hub shell fed by one legacy source, with ``rules`` installed via
     the site builder: ``(text_or_rule, rhs_site, name)`` tuples."""
-    cm = ConstraintManager(Scenario(seed=0, dispatch_shards=shards))
+    cm = ConstraintManager(Scenario(seed=0, sanitize=sanitize))
 
     front = LegacySystem("front-office")
     rid = CMRID("legacy", "front-office")
@@ -62,33 +58,25 @@ def codes(cm):
     return sorted(d.code for d in lint_manager(cm).diagnostics)
 
 
-SAME_SHARD_CONFLICT = [
+WRITE_CONFLICT = [
     ("N(journal(n), b) -> [0] W(BookTotal, b)", None, "post_journal"),
     ("N(trades(n), b) -> [0] W(BookTotal, b)", None, "post_trades"),
 ]
 
 
 class TestCM701:
-    def test_same_shard_non_commuting_pair_warns(self):
-        report = lint_manager(desk(SAME_SHARD_CONFLICT))
+    def test_non_commuting_pair_warns(self):
+        report = lint_manager(desk(WRITE_CONFLICT))
         (finding,) = [d for d in report.diagnostics if d.code == "CM701"]
         assert finding.severity is Severity.WARNING
         assert "post_journal" in finding.message
         assert "post_trades" in finding.message
+        assert "ww overlap on BookTotal" in finding.message
         assert "overlapping footprint" in finding.hint
         assert report.ok  # advice, never an error
 
-    def test_cross_shard_conflict_is_not_reported(self):
-        # quote lands on shard 0, journal on shard 1: the pair never
-        # contends inside one shard, so certification loses nothing.
-        cm = desk([
-            ("N(quote(n), b) -> [0] W(BookTotal, b)", None, "mark"),
-            ("N(journal(n), b) -> [0] W(BookTotal, b)", None, "post"),
-        ])
-        assert "CM701" not in codes(cm)
-
-    def test_serial_configuration_is_silent(self):
-        cm = desk(SAME_SHARD_CONFLICT, shards=1)
+    def test_unsanitized_configuration_is_silent(self):
+        cm = desk(WRITE_CONFLICT, sanitize=False)
         assert not [c for c in codes(cm) if c.startswith("CM7")]
 
 
@@ -152,8 +140,7 @@ class TestCM705:
         assert "overlapping footprint" in finding.hint
 
     def test_enumerating_pair_is_not_also_cm701(self):
-        # The CM705 shape subsumes the shard-contention advice: one
-        # finding per pair, the more specific code wins.
+        # One finding per pair: the more specific code wins.
         assert "CM701" not in codes(desk(self.ENUMERATING))
 
 

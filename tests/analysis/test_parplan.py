@@ -1,8 +1,8 @@
 """Unit tests for the parallel-phase planner.
 
 ``plan_from_entries`` is exercised shell-free (the form CM-Lint uses);
-the shell-backed ``build_parallel_plan`` path is covered by the
-integration tests in ``tests/cm/test_parallel_phases.py``.
+``TestAdversarialNeverCertified`` goes through the shell-backed
+``build_parallel_plan`` (the form the race sanitizer uses).
 """
 
 from __future__ import annotations
@@ -10,9 +10,11 @@ from __future__ import annotations
 from repro.analysis.parplan import (
     REASON_SEND,
     REASON_WILDCARD_WRITE,
+    build_parallel_plan,
     effective_summaries,
     plan_from_entries,
 )
+from repro.cm import ConstraintManager, Scenario
 from repro.core.compile import compile_rule
 from repro.core.dsl import parse_rule
 from repro.core.errors import CompileError
@@ -194,3 +196,68 @@ class TestPlanShape:
         (conflict,) = plan.conflicts
         assert conflict.enumerating
         assert not plan.independent("scan", "record")
+
+
+class TestAdversarialNeverCertified:
+    """One rule pair per non-commuting shape: whatever else the planner
+    does, ``independent()`` must stay False for these."""
+
+    def _plan(self, rules, rhs_sites=()):
+        cm = ConstraintManager(Scenario(seed=0))
+        cm.add_site("s")
+        cm.add_site("peer")
+        shell = cm.shell("s")
+        sites = dict(rhs_sites)
+        for text, name in rules:
+            shell.install(parse_rule(text, name=name), sites.get(name))
+        return build_parallel_plan(shell)
+
+    def test_write_write_on_the_same_item(self):
+        plan = self._plan([
+            ("N(a(n), b) -> [0] W(Total, b)", "ra"),
+            ("N(b(n), b) -> [0] W(Total, b)", "rb"),
+        ])
+        assert not plan.independent("ra", "rb")
+
+    def test_read_vs_write(self):
+        plan = self._plan([
+            ("N(a(n), b) & (b > Total) -> [0] W(Out(n), b)", "ra"),
+            ("N(b(n), b) -> [0] W(Total, b)", "rb"),
+        ])
+        assert not plan.independent("ra", "rb")
+
+    def test_enumerating_read_vs_family_write(self):
+        plan = self._plan([
+            ("N(a(n), b) -> [0] RR(pos(x))", "scan"),
+            ("N(b(n), b) -> [0] W(pos(n), b)", "record"),
+        ])
+        assert not plan.independent("scan", "record")
+
+    def test_cross_site_sender_is_never_certified(self):
+        plan = self._plan(
+            [
+                ("N(a(n), b) -> [0] W(Far(n), b)", "push"),
+                ("N(b(n), b) -> [0] W(Out(n), b)", "local"),
+            ],
+            rhs_sites={"push": "peer"},
+        )
+        assert plan.barrier_reasons["push"]
+        assert not plan.independent("push", "local")
+
+    def test_chained_write_collision_is_never_certified(self):
+        # ra only writes Mid, but Mid triggers the chain rule which
+        # writes Total — colliding with rb's direct write.
+        plan = self._plan([
+            ("N(a(n), b) -> [0] W(Mid, b)", "ra"),
+            ("W(Mid, b) -> [0] W(Total, b)", "chain"),
+            ("N(b(n), b) -> [0] W(Total, b)", "rb"),
+        ])
+        assert not plan.independent("ra", "rb")
+
+    def test_overlap_must_be_proven_absent_not_just_unlikely(self):
+        # ANY-keyed writes to the same family may alias: not certifiable.
+        plan = self._plan([
+            ("N(a(n), b) -> [0] W(Out(n), b)", "ra"),
+            ("N(b(n), b) -> [0] W(Out(n), b)", "rb"),
+        ])
+        assert not plan.independent("ra", "rb")

@@ -164,3 +164,24 @@ class TestEndToEnd:
         assert report["ok"] is True
         assert report["writes"] > 0, "the run must actually be observed"
         cm.stop()
+
+    def test_salary_run_with_sanitizer_matches_serial(self):
+        from repro.core.timebase import seconds
+        from repro.experiments.common import build_salary_scenario
+
+        def verdicts(**kwargs):
+            salary = build_salary_scenario("propagation", seed=3, **kwargs)
+            salary.cm.spontaneous_write("salary1", ("e1",), 50_000.0)
+            salary.cm.run(seconds(40))
+            reports = salary.cm.check_guarantees()
+            result = {name: r.valid for name, r in reports.items()}
+            salary.cm.stop()
+            return result, salary
+
+        serial, __ = verdicts()
+        sanitized, salary = verdicts(sanitize=True)
+        assert sanitized == serial
+        assert salary.scenario.sanitizer.ok
+        report = salary.cm.run_report()
+        assert report.to_dict()["sanitizer"]["enabled"] is True
+        assert "sanitizer: ok" in report.render()

@@ -1,14 +1,12 @@
-"""Batched and sharded dispatch vs. the sequential kernel.
+"""Batched dispatch vs. the sequential kernel.
 
 Batching (``ingest_batch``, ``deliver_local_events``, ``enable_batching``)
-and family sharding (``Scenario(dispatch_shards=...)``) are pure
-performance transformations.  These tests hold them to that claim at
-three strengths:
+is a pure performance transformation.  These tests hold it to that claim
+at three strengths:
 
-- **trace identity** — dispatching pre-recorded events through the fused
-  batch loop, sharded or not, must produce the byte-identical trace the
-  per-event specification path produces (same events, same firing order,
-  same provenance);
+- **trace identity** — dispatching pre-recorded events through the batch
+  loop must produce the byte-identical trace the per-event specification
+  path produces (same events, same firing order, same provenance);
 - **verdict identity** — full salary-scenario runs with same-tick
   buffering enabled must reach exactly the sequential kernel's guarantee
   verdicts under every strategy and several seeds, with the Appendix-A
@@ -24,6 +22,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cm import ConstraintManager, Scenario
+from repro.cm.shell import CMShell
 from repro.core import validate_trace
 from repro.core.dsl import parse_rule
 from repro.core.events import EventKind, notify_desc, reset_event_sequence
@@ -45,16 +44,12 @@ FAMILIES = 8
 # -- dispatch-level trace identity --------------------------------------------
 
 
-def _build_shell(
-    shards: int = 1, threads: bool = False, catch_all: bool = True
-):
+def _build_shell(catch_all: bool = True):
     """One shell with a chained-write rule per family (immediate RHS, so
     firing writes land mid-batch) plus an optional family-wildcard audit
-    rule (the catch-all that pins events to the barrier shard)."""
+    rule (a catch-all candidate for every NOTIFY)."""
     reset_event_sequence()
-    cm = ConstraintManager(
-        Scenario(seed=0, dispatch_shards=shards, shard_threads=threads)
-    )
+    cm = ConstraintManager(Scenario(seed=0))
     cm.add_site("s")
     shell = cm.shell("s")
     for i in range(FAMILIES):
@@ -122,35 +117,6 @@ def test_deliver_local_events_trace_identical():
     )
 
 
-@pytest.mark.parametrize("shards,threads", [(4, False), (16, True)])
-def test_sharded_dispatch_trace_identical(shards, threads):
-    expected, __ = _sequential_signature()
-    cm, shell = _build_shell(shards=shards, threads=threads)
-    trace = cm.scenario.trace
-    events = [trace.record(0, "s", desc) for desc in _descs()]
-    shell.deliver_local_events(events)
-    assert _signature(trace) == expected
-    batching = shell.batching_stats()
-    assert batching["shards"] == shards
-    # The family-wildcard audit rule makes every NOTIFY a barrier event.
-    assert batching["barrier_events"] == N_EVENTS
-
-
-@pytest.mark.parametrize("shards", [4, 16])
-def test_sharded_dispatch_spreads_without_catch_all(shards):
-    """Without a catch-all rule the partitioner actually shards."""
-    expected, __ = _sequential_signature(catch_all=False)
-    cm, shell = _build_shell(shards=shards, catch_all=False)
-    trace = cm.scenario.trace
-    events = [trace.record(0, "s", desc) for desc in _descs()]
-    shell.deliver_local_events(events)
-    assert _signature(trace) == expected
-    batching = shell.batching_stats()
-    assert batching["barrier_events"] == 0
-    assert sum(batching["events_by_shard"]) == N_EVENTS
-    assert sum(1 for n in batching["events_by_shard"] if n) > 1
-
-
 def test_ingest_batch_equivalent_and_valid():
     """``ingest_batch`` defers chained writes to after the block (they
     stay same-tick, so verdicts and the validator are unaffected); the
@@ -190,10 +156,26 @@ def _salary_run(strategy_kind: str, seed: int, **scenario_kwargs):
     return salary, verdicts, violations
 
 
-@pytest.mark.parametrize("strategy_kind", STRATEGY_KINDS)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_batched_salary_verdicts_identical(strategy_kind, seed):
+@pytest.mark.parametrize(
+    "seed,strategy_kind,compiled",
+    [
+        pytest.param(
+            seed,
+            kind,
+            compiled,
+            id=f"{seed}-{kind}" + ("" if compiled else "-interpreted"),
+        )
+        for compiled in (True, False)
+        for seed in SEEDS
+        for kind in STRATEGY_KINDS
+    ],
+)
+def test_batched_salary_verdicts_identical(
+    seed, strategy_kind, compiled, monkeypatch
+):
     __, base_verdicts, base_violations = _salary_run(strategy_kind, seed)
+    # compiled=False runs the interpreted arm through the batch loop.
+    monkeypatch.setattr(CMShell, "compile_rules", compiled)
     batched, verdicts, violations = _salary_run(
         strategy_kind, seed, batch_max=32
     )
@@ -202,32 +184,7 @@ def test_batched_salary_verdicts_identical(strategy_kind, seed):
     assert verdicts == base_verdicts
     processed = batched.cm.stats()["total"]
     assert processed["events_processed"] > 0
-
-
-def test_sharded_salary_trace_identical_to_unsharded_batched():
-    """With the same batching, sharded dispatch must not change the trace
-    at all — shard partitioning only reorders the *matching* phase."""
-
-    def run(shards: int):
-        salary, verdicts, violations = _salary_run(
-            "propagation", 0, batch_max=32, dispatch_shards=shards
-        )
-        events = salary.scenario.trace.events
-        base = events[0].seq
-        return (
-            [
-                (e.time, e.site, str(e.desc), e.seq - base)
-                for e in events
-            ],
-            verdicts,
-            violations,
-        )
-
-    unsharded, base_verdicts, base_violations = run(1)
-    sharded, verdicts, violations = run(4)
-    assert base_violations == [] and violations == []
-    assert sharded == unsharded
-    assert verdicts == base_verdicts
+    assert bool(processed["rules_compiled"]) is compiled
 
 
 # -- the lazy trace is invisible ----------------------------------------------
@@ -277,21 +234,3 @@ def test_store_items_view_is_cached_and_read_only():
         view[ref] = 2.0  # read-only
     store.write(ref, 3.0, 0)
     assert store.items()[ref] == 3.0  # writes stay visible
-
-
-def test_store_items_sharded_merges_and_invalidates():
-    cm, shell = _build_shell(shards=4, catch_all=False)
-    store = shell.store
-    refs = [item(f"Out{i}") for i in range(FAMILIES)]
-    for index, ref in enumerate(refs):
-        store.write(ref, float(index), 0)
-    view = store.items()
-    assert store.items() is view
-    assert {ref: view[ref] for ref in refs} == {
-        ref: float(index) for index, ref in enumerate(refs)
-    }
-    store.write(refs[0], 99.0, 0)
-    fresh = store.items()
-    assert fresh is not view  # snapshot invalidated by the write
-    assert fresh[refs[0]] == 99.0
-    assert sum(store.writes_by_shard) == store.writes

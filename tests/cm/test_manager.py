@@ -7,6 +7,7 @@ from cm_helpers import two_site_relational
 from repro.cm import CMRID, ConstraintManager, Scenario
 from repro.constraints import CopyConstraint
 from repro.core.errors import ConfigurationError
+from repro.core.events import EventKind
 from repro.core.interfaces import InterfaceKind
 from repro.core.timebase import seconds
 from repro.ris.relational import RelationalDatabase
@@ -177,3 +178,55 @@ class TestInstallation:
         cm.run(until=seconds(60))
         # Nothing new after stopping (no timers left to fire).
         assert len(cm.scenario.trace.events) == reads_before
+
+
+class TestEqualPeriodPolling:
+    def _relational(self, cm, site, family, *offers):
+        db = RelationalDatabase(site)
+        db.execute("CREATE TABLE t (k TEXT PRIMARY KEY, v REAL)")
+        db.execute("INSERT INTO t VALUES ('e1', 1.0)")
+        rid = CMRID("relational", site).bind(
+            family, params=("n",), table="t", key_column="k", value_column="v"
+        )
+        for kind in offers:
+            if kind is InterfaceKind.NO_SPONTANEOUS_WRITE:
+                rid.offer(family, kind)
+            else:
+                rid.offer(family, kind, bound_seconds=1.0)
+        cm.add_site(site)
+        cm.add_source(site, db, rid)
+
+    def test_two_pairs_on_one_period_validate_clean(self):
+        """A shell only dispatches its own site's events: branch1's P(10)
+        is not an unanswered trigger of branch0's polling rule."""
+        from repro.core.trace import validate_trace, validate_trace_naive
+
+        cm = ConstraintManager(Scenario(seed=1))
+        for i in range(2):
+            self._relational(cm, f"branch{i}", f"src{i}", InterfaceKind.READ)
+            self._relational(
+                cm,
+                f"hq{i}",
+                f"dst{i}",
+                InterfaceKind.WRITE,
+                InterfaceKind.NO_SPONTANEOUS_WRITE,
+            )
+            constraint = cm.declare(
+                CopyConstraint(f"src{i}", f"dst{i}", params=("n",))
+            )
+            polling = next(
+                s
+                for s in cm.suggest(constraint, polling_period=seconds(10))
+                if s.strategy.kind == "polling"
+            )
+            cm.install(constraint, polling)
+        cm.run(until=seconds(60))
+        rules = [
+            rule
+            for installed in cm.installed
+            for rule in installed.strategy.rules
+        ]
+        trace = cm.scenario.trace
+        assert len(list(trace.events_of_kind(EventKind.PERIODIC))) >= 10
+        assert validate_trace(trace, rules) == []
+        assert validate_trace_naive(trace, rules) == []

@@ -28,7 +28,7 @@ TOP_LEVEL_KEYS = [
     "rule_profile",
     "flight",
     "batching",
-    "parallelism",
+    "sanitizer",
     "processes",
 ]
 
@@ -69,17 +69,8 @@ FLIGHT_KEYS = {"capacity", "records_taken", "ring_sizes", "dumps"}
 FLIGHT_DUMP_KEYS = {"reason", "time", "time_s", "records"}
 FLIGHT_RECORD_KEYS = {"time", "time_s", "site", "kind", "detail"}
 RULE_PROFILE_KEYS = {"match_hits", "match_misses", "fired", "exec_ns"}
-BATCHING_KEYS = {
-    "batches_processed", "batch_events", "batch_size", "shards", "threads",
-    "workers", "executor", "events_by_shard", "barrier_events",
-}
+BATCHING_KEYS = {"batches_processed", "batch_events", "batch_size"}
 BATCH_SIZE_KEYS = {"count", "unit", "mean", "min", "max", "p50", "p99"}
-PARALLELISM_KEYS = {"enabled", "sites", "sanitizer"}
-PARALLELISM_SITE_KEYS = {"enabled", "hoisted_conditions", "plan"}
-PARALLELISM_PLAN_KEYS = {
-    "site", "phases", "certified_pairs", "barrier_reasons", "conflicts",
-    "hoistable", "store_free", "fallback_rules",
-}
 SANITIZER_KEYS = {
     "enabled", "ok", "races", "race_count", "predicted_conflicts",
     "reads", "writes", "receives", "sites",
@@ -142,40 +133,19 @@ class TestRunReportSchema:
             assert entry["batch_events"] >= 1
             assert set(entry["batch_size"]) == BATCH_SIZE_KEYS
             assert entry["batch_size"]["unit"] == "events"
-            assert entry["shards"] == 1
-            assert entry["workers"] == 0
-            assert entry["executor"] == "serial"
-            assert len(entry["events_by_shard"]) == entry["shards"]
 
-    def test_parallelism_section_empty_without_the_features(self):
+    def test_sanitizer_section_empty_without_the_sanitizer(self):
         data = build_report().to_dict()
-        assert data["parallelism"] == {}
+        assert data["sanitizer"] == {}
 
-    def test_parallelism_section_schema(self):
+    def test_sanitizer_section_schema(self):
         salary = build_salary_scenario(
-            "propagation",
-            batch_max=32,
-            dispatch_shards=2,
-            parallel_phases=True,
-            sanitize=True,
+            "propagation", batch_max=32, sanitize=True
         )
         cm = salary.cm
         cm.spontaneous_write("salary1", ("e1",), 50_000.0)
         cm.run(seconds(30))
-        data = cm.run_report().to_dict()
-        section = data["parallelism"]
-        assert set(section) == PARALLELISM_KEYS
-        assert section["enabled"] is True
-        assert section["sites"], "parallel phases were enabled"
-        for entry in section["sites"].values():
-            assert set(entry) == PARALLELISM_SITE_KEYS
-            if entry["plan"] is not None:
-                assert set(entry["plan"]) == PARALLELISM_PLAN_KEYS
-        assert any(
-            entry["plan"] is not None
-            for entry in section["sites"].values()
-        ), "at least one site has rules to plan"
-        sanitizer = section["sanitizer"]
+        sanitizer = cm.run_report().to_dict()["sanitizer"]
         assert set(sanitizer) == SANITIZER_KEYS
         assert sanitizer["enabled"] is True
         assert sanitizer["ok"] is True

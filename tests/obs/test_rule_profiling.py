@@ -1,7 +1,10 @@
 """Tests for opt-in per-rule profiling in the dispatch hot path."""
 
+import pytest
+
 from repro.core.timebase import seconds
 from repro.experiments.common import build_salary_scenario
+from repro.workloads import PersonnelWorkload
 
 
 def run_salary(profiled: bool):
@@ -13,6 +16,43 @@ def run_salary(profiled: bool):
     cm.spontaneous_write("salary1", ("e2",), 60_000.0)
     cm.run(seconds(30))
     return salary, cm
+
+
+def workload_trace(strategy_kind: str, seed: int, profiled: bool) -> list:
+    salary = build_salary_scenario(
+        strategy_kind=strategy_kind, seed=seed, polling_period=10.0
+    )
+    if profiled:
+        salary.scenario.obs.enable_rule_profiling()
+    PersonnelWorkload(
+        salary.cm, employee_count=6, rate=0.5, duration=seconds(120)
+    )
+    salary.cm.run(until=seconds(200))
+    events = salary.scenario.trace.events
+    base = events[0].seq
+    return [
+        (
+            event.time,
+            event.site,
+            str(event.desc),
+            event.rule.name if event.rule is not None else None,
+            event.trigger.seq - base if event.trigger is not None else None,
+            event.seq - base,
+        )
+        for event in events
+    ]
+
+
+@pytest.mark.parametrize(
+    "strategy_kind", ["propagation", "cached-propagation", "polling"]
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_profiled_trace_is_byte_identical(strategy_kind, seed):
+    """The profiled loop runs the same kernel: same events, same order,
+    same provenance as the plain loop."""
+    plain = workload_trace(strategy_kind, seed, profiled=False)
+    assert plain
+    assert workload_trace(strategy_kind, seed, profiled=True) == plain
 
 
 class TestRuleProfiling:

@@ -99,7 +99,6 @@ class TestProcRelayUnderFaults:
             assert sum(s["duplicates_discarded"] for s in stats.values()) >= 1
         finally:
             cm.scenario.shutdown()
-            cm.close()
 
     def test_notices_cross_as_json_not_by_reference(self):
         cm, sites = make_federation(3, faults=HOSTILE)
@@ -122,7 +121,6 @@ class TestProcRelayUnderFaults:
                 assert received is not original
         finally:
             cm.scenario.shutdown()
-            cm.close()
 
     def test_remote_shells_do_not_reforward(self):
         cm, __ = make_federation(3, faults=HOSTILE)
@@ -136,7 +134,6 @@ class TestProcRelayUnderFaults:
             assert cm.scenario.network.messages_sent == 2
         finally:
             cm.scenario.shutdown()
-            cm.close()
 
 
 class TestProcSupervision:
@@ -176,7 +173,6 @@ class TestProcSupervision:
             assert report["sites"]["s2"]["alive"] is False
         finally:
             cm.scenario.shutdown()
-            cm.close()
 
     def test_shutdown_harvests_exit_codes(self):
         cm, sites = make_federation(2, time_scale=100.0)
@@ -184,7 +180,6 @@ class TestProcSupervision:
         cm.run(until=seconds(5))
         pids = {s: runtime.process_info()[s]["pid"] for s in sites}
         cm.scenario.shutdown()
-        cm.close()
         info = runtime.process_info()
         for site in sites:
             assert info[site]["alive"] is False

@@ -49,11 +49,11 @@ def test_polling_scenario_equivalent():
 
 
 def test_sanitized_equivalence_is_clean_and_observed():
-    """With the race sanitizer armed on both sides (and plan-driven
-    dispatch live), the equivalence verdict must hold *and* the sanitizer
-    must have actually watched the run — a vacuously clean observation
+    """With the race sanitizer armed on both sides, the equivalence
+    verdict must hold *and* the sanitizer must have actually watched the
+    run — a vacuously clean observation
     (zero accesses) would prove nothing about the plan's soundness."""
-    report = run_equivalence(seed=0, sanitize=True, parallel_phases=True)
+    report = run_equivalence(seed=0, sanitize=True)
     assert report.ok, report.render()
     for obs in (report.sim, report.wire):
         assert obs.sanitizer_ok, obs.runtime
