@@ -312,70 +312,109 @@ def test_shell_events_per_second(benchmark):
 #
 # The observability hooks must be near-free when no sink is attached: the
 # shell's hot path pays registry-counter increments (attribute increments on
-# interned Counter objects) plus one ``obs.enabled`` check.  The baseline
-# below replicates the pre-instrumentation dispatch loop — same index, same
-# matchers, same RHS execution, plain instance-attribute counters — and the
-# instrumented path must stay within 5% of it.
+# interned Counter objects) plus the ``obs.enabled`` and
+# ``obs.rule_profiling`` checks.  The baseline below replicates the dispatch
+# kernel call for call — ``deliver_local_event`` -> ``_process_event`` ->
+# ``_dispatch`` -> ``_applies`` -> ``_fire`` -> RHS executor, sharing the
+# shell's own ``_applies`` and executors — with plain-int counters and no
+# ``obs`` checks, so the ratio measures instrumentation and nothing else;
+# the instrumented path must stay within 5% of it.
 
 
 class _UninstrumentedDispatch:
-    """Replica of the shell dispatch loop before the metrics registry."""
+    """The shell's per-event dispatch kernel minus its instrumentation."""
+
+    # Slotted like the registry's Counter, so a plain-int increment here
+    # costs what a ``counter.value += 1`` costs there.
+    __slots__ = (
+        "shell",
+        "events_processed",
+        "candidates_considered",
+        "rules_fired",
+        "fired_by_rule",
+    )
 
     def __init__(self, shell):
         self.shell = shell
         self.events_processed = 0
         self.candidates_considered = 0
         self.rules_fired = 0
+        self.fired_by_rule = dict.fromkeys(shell._fired_by_rule, 0)
 
-    def process(self, event) -> None:
+    def deliver_local_event(self, event) -> None:
+        self._process_event(event)
+
+    def _process_event(self, event) -> None:
         self.events_processed += 1
+        self._dispatch(event)
+
+    def _dispatch(self, event) -> None:
+        desc = event.desc
         shell = self.shell
-        for installed in shell._index.candidates(event.desc):
+        applies = shell._applies
+        fire = self._fire
+        for installed in shell._index.candidates(desc):
             self.candidates_considered += 1
-            bindings = installed.matcher(event.desc)
-            if bindings is None:
-                continue
-            rule = installed.rule
-            if not shell._lhs_condition_holds(rule, bindings):
-                continue
-            self.rules_fired += 1
-            rhs_site = installed.rhs_site
-            if rhs_site is None or rhs_site == shell.site:
-                shell._execute_rhs(rule, bindings, event)
+            bound = applies(installed, desc)
+            if bound is not None:
+                fire(installed, bound, event)
+
+    def _fire(self, installed, bound, trigger) -> None:
+        rule = installed.rule
+        self.rules_fired += 1
+        self.fired_by_rule[rule.name] += 1
+        shell = self.shell
+        program = installed.program
+        rhs_site = installed.rhs_site
+        assert rhs_site is None or rhs_site == shell.site
+        if program is not None:
+            shell._execute_compiled_rhs(program, bound, trigger)
+        else:
+            shell._execute_rhs(rule, bound, trigger)
 
 
 def test_instrumentation_overhead_no_sink():
-    # compiled=False: the replica below reproduces the *interpreted*
-    # dispatch loop, so the instrumented side must run interpreted too.
+    # compiled=False: the 5% budget was set on the interpreted arm (the
+    # replica shares ``_applies`` and the executors, so it follows whichever
+    # arm the shell's rules were installed on).
     shell, events = _build_dispatch_shell(1000, compiled=False)
     assert not shell.obs.enabled and not shell.obs.sinks
     baseline = _UninstrumentedDispatch(shell)
 
-    def instrumented() -> None:
-        for event in events:
+    def instrumented(block) -> None:
+        for event in block:
             shell.deliver_local_event(event)
 
-    def uninstrumented() -> None:
-        for event in events:
-            baseline.process(event)
+    def uninstrumented(block) -> None:
+        for event in block:
+            baseline.deliver_local_event(event)
 
-    def timed(fn) -> float:
+    def timed(fn, block) -> float:
         started = time.perf_counter()
-        fn()
+        fn(block)
         return time.perf_counter() - started
 
-    # Warm-up, then alternating-order min-of-N: the minimum over many
-    # rounds is the least-noise estimate of each loop's true cost.
-    for fn in (instrumented, uninstrumented, instrumented, uninstrumented):
-        fn()
-    best_instrumented = best_baseline = float("inf")
+    # Alternating-order min-of-30, taken per 50-event block: the two sides
+    # of a block run back to back (under a millisecond apart), so a noisy
+    # neighbour or a clock-speed shift hits both alike, and the minimum
+    # over the rounds is the least-noise estimate of each block's cost.
+    # (Whole-pass minima, 20 ms apart, read anywhere from 0.82 to 1.48 on a
+    # busy 2-CPU box: each side's minimum came from a different quiet spell.)
+    blocks = [events[i : i + 50] for i in range(0, len(events), 50)]
+    for block in blocks * 2:  # warm-up
+        instrumented(block)
+        uninstrumented(block)
+    best_i = [float("inf")] * len(blocks)
+    best_b = [float("inf")] * len(blocks)
     for round_index in range(30):
-        if round_index % 2 == 0:
-            t_i, t_b = timed(instrumented), timed(uninstrumented)
-        else:
-            t_b, t_i = timed(uninstrumented), timed(instrumented)
-        best_instrumented = min(best_instrumented, t_i)
-        best_baseline = min(best_baseline, t_b)
+        for k, block in enumerate(blocks):
+            if (round_index + k) % 2 == 0:
+                t_i, t_b = timed(instrumented, block), timed(uninstrumented, block)
+            else:
+                t_b, t_i = timed(uninstrumented, block), timed(instrumented, block)
+            best_i[k] = min(best_i[k], t_i)
+            best_b[k] = min(best_b[k], t_b)
+    best_instrumented, best_baseline = sum(best_i), sum(best_b)
 
     ratio = best_instrumented / best_baseline
     update_bench_json(

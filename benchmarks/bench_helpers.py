@@ -56,26 +56,6 @@ def update_bench_json(name: str, key: str, payload: dict) -> Path:
     return write_bench_json(name, data)
 
 
-def throughput_stats(events: int, wall_times: list[float]) -> dict:
-    """Summarize repeated timed rounds of one fixed-size workload.
-
-    ``events_per_second`` is the **min-of-N** rate (best wall time of the
-    rounds) — the standard way to strip scheduler noise from a CPU-bound
-    measurement — with the mean reported alongside so the JSON shows the
-    spread.
-    """
-    best = min(wall_times)
-    mean = sum(wall_times) / len(wall_times)
-    return {
-        "events": events,
-        "rounds": len(wall_times),
-        "wall_seconds": best,
-        "wall_seconds_mean": mean,
-        "events_per_second": events / best if best else 0.0,
-        "events_per_second_mean": events / mean if mean else 0.0,
-    }
-
-
 def _bench_name(run: Callable) -> str:
     module = run.__module__.rsplit(".", 1)[-1]
     suffix = run.__name__

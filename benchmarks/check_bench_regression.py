@@ -13,12 +13,8 @@ Timings under ``MIN_SECONDS`` are ignored entirely: at sub-5ms scale a
 cache hiccup alone can exceed the tolerance.
 
 With no arguments every default (fresh, baseline) pair is checked —
-currently the core micro-benchmarks and the batched-dispatch throughput
-sweep; passing ``--fresh``/``--baseline`` restricts the run to that one
-explicit pair.  The throughput baseline is recorded at the CI smoke scale
-(``BENCH_THROUGHPUT_EVENTS=50000``) so the guard compares like-for-like:
-each sweep entry's key embeds its configuration and event count, and only
-matching keys are compared.
+currently the core micro-benchmarks; passing ``--fresh``/``--baseline``
+restricts the run to that one explicit pair.
 
 Usage::
 
@@ -48,10 +44,6 @@ DEFAULT_PAIRS = (
     (
         REPO_ROOT / "BENCH_core_micro.json",
         REPO_ROOT / "benchmarks" / "baseline_core_micro.json",
-    ),
-    (
-        REPO_ROOT / "BENCH_throughput.json",
-        REPO_ROOT / "benchmarks" / "baseline_throughput.json",
     ),
 )
 

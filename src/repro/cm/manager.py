@@ -92,9 +92,6 @@ class Scenario:
     failure_plan: FailurePlan = field(default_factory=FailurePlan)
     in_order: bool = True
     runtime: RuntimeSpec = "sim"
-    #: Same-tick event batching per shell: events arriving at one virtual
-    #: tick dispatch as fused batches of up to this size (0/1 = per-event).
-    batch_max: int = 0
     #: Attach the dynamic race sanitizer
     #: (:class:`~repro.analysis.sanitizer.RaceSanitizer`): every store
     #: access is checked against the static plan's independence claims;
@@ -181,8 +178,6 @@ class ConstraintManager:
             rngs=self.scenario.rngs,
             obs=self.scenario.obs,
         )
-        if self.scenario.batch_max > 1:
-            shell.enable_batching(self.scenario.batch_max)
         if self.scenario.sanitizer is not None:
             self.scenario.sanitizer.register_shell(shell)
         shell.on_failure.append(self.board.on_notice)

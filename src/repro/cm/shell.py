@@ -139,9 +139,6 @@ class CMShell:
         self._remote_rules: dict[str, tuple[Rule, Optional[CompiledRule]]] = {}
         self._chain_depth = 0
         # -- batched dispatch state --
-        self._batch_max = 0
-        self._batch_buffer: list[Event] = []
-        self._batch_flush_scheduled = False
         # (kind, family) -> candidate bucket, valid while the rule set is
         # unchanged (rules cannot be installed mid-batch).
         self._batch_cache: dict = {}
@@ -413,99 +410,46 @@ class CMShell:
     # -- event processing -----------------------------------------------------------
 
     def deliver_local_event(self, event: Event) -> None:
-        """Entry point for events from this site's translators.
-
-        With batching enabled (:meth:`enable_batching`) the event is
-        buffered and dispatched with the rest of its tick's arrivals in one
-        fused batch; the flush callback is scheduled *at the current tick*,
-        so the scheduler (which breaks same-time ties by insertion order)
-        runs it after every already-scheduled arrival of this tick — only
-        the intra-tick interleaving changes, never cross-tick ordering.
-        """
-        if self._batch_max:
-            buffer = self._batch_buffer
-            if buffer and buffer[0].time != event.time:
-                # The clock advanced before the scheduled flush ran (the
-                # wall-clock runtime can do this): close the old tick's
-                # block eagerly so a batch never spans ticks.
-                self._flush_event_buffer()
-                buffer = self._batch_buffer
-            buffer.append(event)
-            if len(buffer) >= self._batch_max:
-                self._flush_event_buffer()
-            elif not self._batch_flush_scheduled:
-                self._batch_flush_scheduled = True
-                self.sim.at(self.sim.now, self._flush_event_buffer)
-            return
+        """Entry point for events from this site's translators: dispatch
+        one already-recorded event."""
         self._process_event(event)
 
-    def enable_batching(self, max_batch: int = 256) -> None:
-        """Dispatch translator-delivered events in same-tick batches.
-
-        Events arriving at one virtual tick are buffered and run through
-        the fused batch loop together, up to ``max_batch`` per block
-        (``max_batch <= 1`` turns batching back off).  Verdict-preserving:
-        all buffered events share one tick, so only the intra-tick
-        interleaving with other same-tick callbacks changes, which the
-        Appendix-A properties are insensitive to (property 7 explicitly
-        ignores same-time pairs) — ``tests/cm/test_batched_equivalence.py``
-        holds batched runs to the sequential kernel's verdicts.
-        """
-        self._batch_max = 0 if max_batch <= 1 else int(max_batch)
-
-    def _flush_event_buffer(self) -> None:
-        self._batch_flush_scheduled = False
-        buffer = self._batch_buffer
-        if not buffer:
-            return
-        self._batch_buffer = []
-        self._dispatch_batch(_RecordedBatch(buffer))
-
     def deliver_local_events(self, events: list[Event]) -> None:
-        """Dispatch a batch of already-recorded same-tick events in one
-        fused pass (the batched counterpart of :meth:`deliver_local_event`).
+        """Dispatch a block of already-recorded same-tick events in one
+        batch pass (the batched counterpart of :meth:`deliver_local_event`;
+        the resulting trace is byte-identical to per-event delivery).
         """
-        if events:
-            self._dispatch_batch(_RecordedBatch(events))
+        self._dispatch_batch(events)
 
-    def ingest_batch(
-        self, descs, time: Optional[Ticks] = None
-    ) -> int:
-        """Record and dispatch a same-tick batch of local event descriptors.
+    def ingest_batch(self, descs) -> int:
+        """Record and dispatch a block of local event descriptors at the
+        current tick.
 
-        The high-throughput front door: descriptors go through
-        :meth:`ExecutionTrace.record_batch` (journal writes eager, Event
-        materialization and index maintenance deferred to one flush per
-        block) and then through the fused batch dispatch loop, which
-        materializes trigger events lazily — an event nothing matches never
-        becomes an Event object until the trace is read.  Returns the
-        number of events ingested.
+        The descriptors go through :meth:`ExecutionTrace.record_batch` —
+        the whole block is in the trace before the first rule fires, so
+        chained RHS writes land *after* their block — and then through the
+        batch dispatch loop.  Returns the number of events ingested.
         """
-        descs = list(descs)
-        if not descs:
-            return 0
-        when = self.sim.now if time is None else time
-        batch = self.trace.record_batch(when, self.site, descs)
-        self._dispatch_batch(batch)
-        return len(descs)
+        events = self.trace.record_batch(self.sim.now, self.site, list(descs))
+        self._dispatch_batch(events)
+        return len(events)
 
-    def _dispatch_batch(self, batch) -> None:
-        """One same-tick batch through the dispatch kernel.
+    def _dispatch_batch(self, events: list[Event]) -> None:
+        """One same-tick batch of recorded events through the dispatch kernel.
 
         The batched path's contract with the per-event specification path
         (:meth:`_process_event`): identical matching, condition evaluation,
         firing order, and RHS execution — but the per-event fixed costs are
         paid once per batch.  The event/candidate counters accumulate in
-        locals and flush at batch close (also on an exception escaping
-        mid-batch), the flight recorder gets one digest per block, and
-        candidate buckets are memoized per ``(kind, family)`` for the
-        batch's rule-set generation.  When per-event observability
-        artifacts are on (spans, event sinks, rule profiles) the loop falls
-        back to :meth:`_process_event` per event: batching amortizes
-        bookkeeping, never the observability contract.
+        locals and are added at batch close (on an exception escaping
+        mid-batch, for the events the loop reached), the flight recorder
+        gets one digest per block, and candidate buckets are memoized per
+        ``(kind, family)`` for the batch's rule-set generation.  When
+        per-event observability artifacts are on (spans, event sinks, rule
+        profiles) the loop falls back to :meth:`_process_event` per event:
+        batching amortizes bookkeeping, never the observability contract.
         """
-        descs = batch.descs
-        count = len(descs)
+        count = len(events)
         if not count:
             return
         obs = self.obs
@@ -513,8 +457,8 @@ class CMShell:
         self._m_batch_events.value += count
         self._batch_hist.observe(count)
         if obs.rule_profiling or obs.sinks or obs.tracer.enabled:
-            for index in range(count):
-                self._process_event(batch.event_at(index))
+            for event in events:
+                self._process_event(event)
             return
         if obs.enabled and obs.flight is not None:
             obs.flight.record(
@@ -523,6 +467,7 @@ class CMShell:
         applies = self._applies
         fire = self._fire
         n_candidates = 0
+        reached = 0
         # The candidate cache is two-level (kind, then family) with the
         # kind level memoized across consecutive events: hashing an Enum
         # member is a Python-level call, and batches are almost always
@@ -536,8 +481,8 @@ class CMShell:
         last_kind = None
         kind_cache: dict = {}
         try:
-            for index in range(count):
-                desc = descs[index]
+            for reached, event in enumerate(events, 1):
+                desc = event.desc
                 item = desc.item
                 kind = desc.kind
                 if kind is not last_kind:
@@ -555,11 +500,9 @@ class CMShell:
                 for installed in bucket:
                     bound = applies(installed, desc)
                     if bound is not None:
-                        # Trigger events materialize lazily: an event
-                        # nothing fires on never becomes an Event here.
-                        fire(installed, bound, batch.event_at(index))
+                        fire(installed, bound, event)
         finally:
-            self._m_events.value += count
+            self._m_events.value += reached
             self._m_candidates.value += n_candidates
 
     def batching_stats(self) -> dict:
@@ -999,21 +942,6 @@ class CMShell:
                 )
         for listener in self.on_failure:
             listener(notice)
-
-
-class _RecordedBatch:
-    """Adapter giving already-recorded events the shape the fused batch
-    loop consumes (``descs`` + ``event_at``), mirroring
-    :class:`~repro.core.trace.TraceBatch`."""
-
-    __slots__ = ("descs", "_events")
-
-    def __init__(self, events: list[Event]) -> None:
-        self._events = events
-        self.descs = [event.desc for event in events]
-
-    def event_at(self, index: int) -> Event:
-        return self._events[index]
 
 
 def _ground_value(template, bindings: Bindings, index: int):

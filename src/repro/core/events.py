@@ -155,9 +155,8 @@ def reserve_event_seqs(count: int) -> int:
 
     Batched trace recording claims numbering for a whole block up front so
     the per-event ``next(_event_seq)`` call (and the default-factory hop
-    into it) drops out of the hot loop, while events materialized lazily
-    later still get exactly the numbers a sequential recording would have
-    assigned.
+    into it) drops out of the hot loop; the block's events get exactly the
+    numbers a sequential recording would have assigned.
     """
     global _event_seq
     first = next(_event_seq)

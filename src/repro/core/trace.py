@@ -252,8 +252,8 @@ _NO_EVENTS: tuple[Event, ...] = ()
 def _build_event(time, site, desc, old, new, seq) -> Event:
     """Fill an :class:`Event` directly.  Event is a frozen dataclass; its
     ``__init__`` costs ~2x a bare ``__dict__`` fill (field ordering,
-    default factories, frozen-setattr indirection), so the hot loops build
-    instances this way.  The result is indistinguishable from a
+    default factories, frozen-setattr indirection), so ``record_batch``
+    builds instances this way.  The result is indistinguishable from a
     constructed one."""
     event = Event.__new__(Event)
     fields = event.__dict__
@@ -266,126 +266,6 @@ def _build_event(time, site, desc, old, new, seq) -> Event:
     fields["trigger"] = None
     fields["seq"] = seq
     return event
-
-
-class TraceBatch:
-    """One same-tick block recorded by :meth:`ExecutionTrace.record_batch`.
-
-    Recording a batch pays the *semantic* costs eagerly — the time-order
-    check, the journal writes (so ``current_value`` and later events' ``old``
-    views stay correct), the horizon update, and a block reservation of
-    sequence numbers.  What it defers is the per-event bookkeeping that
-    sequential recording pays every time: constructing the frozen
-    :class:`Event` dataclass and appending it to the query indexes.  Those
-    happen once per block, when the trace is next read (or the next
-    per-event ``record()`` forces a flush) — or incrementally through
-    :meth:`event_at` while a dispatcher walks the block.
-
-    ``event_at`` materializes sequentially and caches, so every consumer —
-    dispatch triggers, the flushed event list, provenance identity checks —
-    sees the *same* Event objects, and interpretation views chain by
-    identity within the block exactly as sequential recording produces.
-    """
-
-    __slots__ = (
-        "trace",
-        "time",
-        "site",
-        "descs",
-        "_first_seq",
-        "_start_version",
-        "_versions",
-        "_events",
-        "_sparse",
-        "_cursor_view",
-    )
-
-    def __init__(
-        self,
-        trace: "ExecutionTrace",
-        time: Ticks,
-        site: str,
-        descs: list[EventDesc],
-        first_seq: int,
-        start_version: int,
-        versions: list[int] | None,
-    ) -> None:
-        self.trace = trace
-        self.time = time
-        self.site = site
-        self.descs = descs
-        self._first_seq = first_seq
-        self._start_version = start_version
-        #: Per-event post-write journal version; 0 for non-writes.  ``None``
-        #: for a block with no writes at all (every event shares one view).
-        self._versions = versions
-        self._events: list[Event] = []
-        #: Out-of-order materializations of a write-free block (every event
-        #: shares one view, so index ``i`` needs no prefix walk); the flush
-        #: adopts these objects, keeping trigger identity stable.
-        self._sparse: dict[int, Event] = {}
-        self._cursor_view = None
-
-    def __len__(self) -> int:
-        return len(self.descs)
-
-    def event_at(self, index: int) -> Event:
-        """The event at ``index``.
-
-        In a block that wrote nothing the event is built directly (O(1) —
-        the batched dispatcher's trigger lookups must not cascade into
-        materializing the whole prefix); otherwise the prefix up to
-        ``index`` is materialized to thread the views through the writes.
-        """
-        events = self._events
-        if index < len(events):
-            return events[index]
-        if self._versions is None:
-            event = self._sparse.get(index)
-            if event is None:
-                view = self._cursor_view
-                if view is None:
-                    view = self._cursor_view = self.trace._journal.view(
-                        self._start_version
-                    )
-                event = self._sparse[index] = _build_event(
-                    self.time,
-                    self.site,
-                    self.descs[index],
-                    view,
-                    view,
-                    self._first_seq + index,
-                )
-            return event
-        self._materialize_upto(index)
-        return events[index]
-
-    def _materialize_upto(self, index: int) -> None:
-        journal = self.trace._journal
-        events = self._events
-        descs = self.descs
-        versions = self._versions
-        time = self.time
-        site = self.site
-        current = self._cursor_view
-        if current is None:
-            current = journal.view(self._start_version)
-        seq = self._first_seq + len(events)
-        sparse = self._sparse
-        for i in range(len(events), index + 1):
-            old = current
-            if versions is not None:
-                version = versions[i]
-                if version:
-                    current = journal.view(version)
-            # Adopt any trigger already built out of order, so the flushed
-            # trace holds the exact objects dispatch fired on.
-            event = sparse.pop(i, None) if sparse else None
-            if event is None:
-                event = _build_event(time, site, descs[i], old, current, seq)
-            seq += 1
-            events.append(event)
-        self._cursor_view = current
 
 
 class ExecutionTrace:
@@ -405,7 +285,6 @@ class ExecutionTrace:
     def __init__(self) -> None:
         self._events: list[Event] = []
         self._events_snapshot: tuple[Event, ...] = ()
-        self._pending: list[TraceBatch] = []
         self._journal = StateJournal()
         self._seeded: dict[DataItemRef, Value] = {}
         self.horizon: Ticks = 0
@@ -429,7 +308,7 @@ class ExecutionTrace:
 
         Must be called before any event is recorded.
         """
-        if self._events or self._pending:
+        if self._events:
             raise TraceError("cannot seed a trace after events were recorded")
         self._journal.seed(ref, value)
         self._seeded[ref] = value
@@ -454,8 +333,6 @@ class ExecutionTrace:
         numbering for provenance lookups to resolve.  Passing it never
         advances the global event counter.
         """
-        if self._pending:
-            self._flush_pending()
         events = self._events
         if events and time < events[-1].time:
             raise TraceError(
@@ -502,81 +379,49 @@ class ExecutionTrace:
 
     def record_batch(
         self, time: Ticks, site: str, descs: Sequence[EventDesc]
-    ) -> TraceBatch:
+    ) -> list[Event]:
         """Record a same-tick block of spontaneous events in one call.
 
-        Semantically equivalent to calling :meth:`record` once per
-        descriptor at the same ``time``/``site`` with no provenance, but the
-        per-event costs — Event construction, event-list append, index
-        maintenance — are deferred to one flush per block (see
-        :class:`TraceBatch`), which is what lets batched ingestion clear
-        100k+ events/sec where sequential recording pays ~µs-scale fixed
-        costs on every event.
-
-        Journal writes still happen here, eagerly and in order, so
-        ``current_value`` and every later event's interpretations are
-        correct regardless of when the block flushes.
+        Equivalent to calling :meth:`record` once per descriptor at the
+        same ``time``/``site`` with no provenance, and returns the recorded
+        events in order.  What the block amortizes is the time-order check,
+        the sequence-number reservation and the horizon update (once each
+        instead of per event) and the :class:`Event` constructor
+        (:func:`_build_event`); every event is built, appended and indexed
+        before the call returns.
         """
-        descs = list(descs)
-        pending = self._pending
-        if pending:
-            last_time: Ticks | None = pending[-1].time
-        elif self._events:
-            last_time = self._events[-1].time
-        else:
-            last_time = None
-        if last_time is not None and time < last_time:
+        events = self._events
+        if events and time < events[-1].time:
             raise TraceError(
-                f"event at {time} recorded after event at {last_time}"
+                f"event at {time} recorded after event at {events[-1].time}"
             )
+        start = len(events)
         journal = self._journal
-        start_version = journal.version
-        versions: list[int] | None = None
+        index_event = self._index_event
+        seq = reserve_event_seqs(len(descs))
         # Identity checks instead of the ``is_write`` property: the loop
         # runs once per ingested event and a Python-level property call is
         # a measurable fraction of the whole batched path.
         write_kind = EventKind.WRITE
         spont_kind = EventKind.SPONTANEOUS_WRITE
-        for index, desc in enumerate(descs):
+        current = journal.view()
+        for desc in descs:
+            old = current
             kind = desc.kind
             if kind is write_kind or kind is spont_kind:
                 assert desc.item is not None
-                if versions is None:
-                    versions = [0] * len(descs)
-                versions[index] = journal.write(
+                journal.write(
                     desc.item,
-                    desc.values[0]
-                    if kind is write_kind
-                    else desc.values[1],
+                    desc.values[0] if kind is write_kind else desc.values[1],
                 )
-        batch = TraceBatch(
-            self,
-            time,
-            site,
-            descs,
-            reserve_event_seqs(len(descs)),
-            start_version,
-            versions,
-        )
-        if descs:
-            pending.append(batch)
-            if time > self.horizon:
-                self.horizon = time
-        return batch
-
-    def _flush_pending(self) -> None:
-        """Materialize pending batches into the event list and indexes."""
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        events = self._events
-        index_event = self._index_event
-        for batch in pending:
-            batch._materialize_upto(len(batch.descs) - 1)
-            for event in batch._events:
-                events.append(event)
-                index_event(event)
+                current = journal.view()
+            event = _build_event(time, site, desc, old, current, seq)
+            seq += 1
+            events.append(event)
+            index_event(event)
+        if descs and time > self.horizon:
+            self.horizon = time
+        return events[start:]
 
     def _index_event(self, event: Event) -> None:
         desc = event.desc
@@ -616,8 +461,6 @@ class ExecutionTrace:
     @property
     def events(self) -> tuple[Event, ...]:
         """All recorded events, in order (a read-only snapshot)."""
-        if self._pending:
-            self._flush_pending()
         snapshot = self._events_snapshot
         if len(snapshot) != len(self._events):
             snapshot = self._events_snapshot = tuple(self._events)
@@ -631,18 +474,13 @@ class ExecutionTrace:
     @property
     def generated_events(self) -> tuple[Event, ...]:
         """Events carrying provenance (a rule and/or trigger), in order."""
-        if self._pending:
-            self._flush_pending()
         return tuple(self._generated)
 
     def __len__(self) -> int:
-        # Countable without materializing pending batches.
-        return len(self._events) + sum(len(b.descs) for b in self._pending)
+        return len(self._events)
 
     def _candidates(self, tmpl: Template) -> Sequence[Event]:
         """The indexed superset of events that can match ``tmpl``."""
-        if self._pending:
-            self._flush_pending()
         if tmpl.kind is EventKind.FALSE:
             return _NO_EVENTS
         family = tmpl.dispatch_family
@@ -661,14 +499,10 @@ class ExecutionTrace:
 
     def events_of_kind(self, kind: EventKind) -> Iterator[Event]:
         """All events with the given descriptor kind."""
-        if self._pending:
-            self._flush_pending()
         return iter(self._by_kind.get(kind, _NO_EVENTS))
 
     def writes_to(self, ref: DataItemRef) -> Iterator[Event]:
         """All (generated or spontaneous) writes to ``ref``, in order."""
-        if self._pending:
-            self._flush_pending()
         return iter(self._writes_by_item.get(ref, _NO_EVENTS))
 
     def timeline(self, ref: DataItemRef) -> Timeline:
@@ -678,8 +512,6 @@ class ExecutionTrace:
         previous call for this item, and returns the cached
         :class:`Timeline` object when nothing changed.
         """
-        if self._pending:
-            self._flush_pending()
         builder = self._timelines.get(ref)
         if builder is None:
             builder = _TimelineBuilder(self._seeded.get(ref, MISSING))
@@ -705,8 +537,6 @@ class ExecutionTrace:
 
     def refs_of_family(self, family: str) -> list[DataItemRef]:
         """All ground item refs of a parameterized family seen in the trace."""
-        if self._pending:
-            self._flush_pending()
         refs = self._family_refs.get(family)
         if not refs:
             return []
@@ -719,8 +549,6 @@ class ExecutionTrace:
 
     def stats(self) -> dict[str, int]:
         """Recording/query counters (surfaced in run reports and tests)."""
-        if self._pending:
-            self._flush_pending()
         return {
             "events_recorded": len(self._events),
             "items_tracked": len(self._journal),

@@ -62,7 +62,6 @@ def build_salary_scenario(
     in_order: bool = True,
     service: Optional[ServiceModel] = None,
     runtime: RuntimeSpec = "sim",
-    batch_max: int = 0,
     sanitize: bool = False,
 ) -> SalaryScenario:
     """Build and install the salary copy-constraint scenario.
@@ -80,7 +79,6 @@ def build_salary_scenario(
         failure_plan=failure_plan or FailurePlan(),
         in_order=in_order,
         runtime=runtime,
-        batch_max=batch_max,
         sanitize=sanitize,
     )
     cm = ConstraintManager(scenario)
@@ -157,7 +155,6 @@ def build_salary_scenario(
                 "failure_plan": failure_plan,
                 "in_order": in_order,
                 "service": service,
-                "batch_max": batch_max,
                 "sanitize": sanitize,
             },
         )

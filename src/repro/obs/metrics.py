@@ -50,7 +50,7 @@ RULE_EXEC_NS_BOUNDS: tuple[float, ...] = (
 
 #: Bounds for batch-size series (``shell_batch_size``): power-of-two
 #: buckets covering single-event "batches" up to the largest blocks the
-#: throughput benchmark sweeps.
+#: dispatch benchmarks ingest.
 BATCH_SIZE_BOUNDS: tuple[float, ...] = (
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096,
 )

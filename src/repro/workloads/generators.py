@@ -24,7 +24,7 @@ def notification_stream(
 ) -> list[EventDesc]:
     """A deterministic pre-generated list of ``N(item, value)`` descriptors.
 
-    The throughput benchmark's raw material: ``count`` notifications drawn
+    The dispatch benchmarks' raw material: ``count`` notifications drawn
     uniformly (keyed by ``seed``) over a ``families × keys_per_family``
     item grid, ready to feed :meth:`~repro.cm.shell.CMShell.ingest_batch`
     without any per-event generation cost inside the timed region.

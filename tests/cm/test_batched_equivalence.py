@@ -1,20 +1,20 @@
 """Batched dispatch vs. the sequential kernel.
 
-Batching (``ingest_batch``, ``deliver_local_events``, ``enable_batching``)
-is a pure performance transformation.  These tests hold it to that claim
-at three strengths:
+Batching (``ingest_batch``, ``deliver_local_events``) is a pure performance
+transformation.  These tests hold it to that claim at two strengths, on
+compiled and interpreted rules alike:
 
 - **trace identity** — dispatching pre-recorded events through the batch
   loop must produce the byte-identical trace the per-event specification
   path produces (same events, same firing order, same provenance);
-- **verdict identity** — full salary-scenario runs with same-tick
-  buffering enabled must reach exactly the sequential kernel's guarantee
-  verdicts under every strategy and several seeds, with the Appendix-A
-  validator passing on both traces;
-- **laziness is invisible** — the deferred Event materialization behind
-  ``record_batch`` must never be observable: flushed events are the very
-  objects dispatch fired on, sequence numbers stay contiguous, and the
-  validator accepts mixed batch/per-event recording.
+- **multiset equivalence** — ``ingest_batch`` records its whole block
+  before the first rule fires, so chained writes land after the block;
+  the event multiset still equals the sequential run's and the Appendix-A
+  validator accepts the trace.
+
+``record_batch`` itself is held to ``record``: same events, same
+interpretation chaining, same sequence numbers, all in the trace the
+moment the call returns.
 """
 
 from __future__ import annotations
@@ -22,20 +22,26 @@ from __future__ import annotations
 import pytest
 
 from repro.cm import ConstraintManager, Scenario
-from repro.cm.shell import CMShell
 from repro.core import validate_trace
 from repro.core.dsl import parse_rule
-from repro.core.events import EventKind, notify_desc, reset_event_sequence
+from repro.core.errors import TraceError
+from repro.core.events import (
+    EventKind,
+    notify_desc,
+    reset_event_sequence,
+    spontaneous_write_desc,
+    write_desc,
+)
 from repro.core.items import item
 from repro.core.rules import RhsStep, Rule
 from repro.core.templates import FALSE_TEMPLATE, Template
 from repro.core.terms import FAMILY_WILDCARD, ItemPattern, Var
 from repro.core.timebase import seconds
-from repro.experiments.common import build_salary_scenario
-from repro.workloads import PersonnelWorkload
+from repro.core.trace import ExecutionTrace
 
-STRATEGY_KINDS = ["propagation", "cached-propagation", "polling"]
-SEEDS = [0, 1, 2]
+COMPILED = pytest.mark.parametrize(
+    "compiled", [True, False], ids=["compiled", "interpreted"]
+)
 
 N_EVENTS = 200
 FAMILIES = 8
@@ -44,10 +50,11 @@ FAMILIES = 8
 # -- dispatch-level trace identity --------------------------------------------
 
 
-def _build_shell(catch_all: bool = True):
+def _build_shell(catch_all: bool = True, compiled: bool = True):
     """One shell with a chained-write rule per family (immediate RHS, so
     firing writes land mid-batch) plus an optional family-wildcard audit
-    rule (a catch-all candidate for every NOTIFY)."""
+    rule (a catch-all candidate for every NOTIFY).  ``compiled=False``
+    installs every rule on the interpreted arm."""
     reset_event_sequence()
     cm = ConstraintManager(Scenario(seed=0))
     cm.add_site("s")
@@ -55,7 +62,8 @@ def _build_shell(catch_all: bool = True):
     for i in range(FAMILIES):
         cm.locations.register(f"Out{i}", "s")
         shell.install(
-            parse_rule(f"N(fam{i}(n), b) -> [0] W(Out{i}, b)", name=f"copy{i}")
+            parse_rule(f"N(fam{i}(n), b) -> [0] W(Out{i}, b)", name=f"copy{i}"),
+            compiled=compiled,
         )
     if catch_all:
         lhs = Template(
@@ -64,7 +72,8 @@ def _build_shell(catch_all: bool = True):
             (Var("b"),),
         )
         shell.install(
-            Rule(name="audit", lhs=lhs, delay=0, steps=(RhsStep(FALSE_TEMPLATE),))
+            Rule(name="audit", lhs=lhs, delay=0, steps=(RhsStep(FALSE_TEMPLATE),)),
+            compiled=compiled,
         )
     return cm, shell
 
@@ -102,121 +111,187 @@ def _sequential_signature(**build_kwargs):
     return _signature(trace), cm.stats()["total"]
 
 
-def test_deliver_local_events_trace_identical():
-    expected, expected_stats = _sequential_signature()
-    cm, shell = _build_shell()
+def _assert_ran_batched(stats, compiled):
+    """The run went through ``_dispatch_batch`` with real batches, on the
+    arm the test asked for — so the suite cannot go vacuous."""
+    assert stats["batch_events"] > stats["batches_processed"] > 0
+    assert bool(stats["rules_compiled"]) is compiled
+    assert stats["events_processed"] > 0
+
+
+@COMPILED
+def test_deliver_local_events_trace_identical(compiled):
+    expected, expected_stats = _sequential_signature(compiled=compiled)
+    cm, shell = _build_shell(compiled=compiled)
     trace = cm.scenario.trace
     events = [trace.record(0, "s", desc) for desc in _descs()]
     shell.deliver_local_events(events)
     assert _signature(trace) == expected
     stats = cm.stats()["total"]
-    assert stats["rules_fired"] == expected_stats["rules_fired"]
-    assert (
-        stats["candidates_considered"]
-        == expected_stats["candidates_considered"]
-    )
+    for counter in ("rules_fired", "candidates_considered", "events_processed"):
+        assert stats[counter] == expected_stats[counter]
+    _assert_ran_batched(stats, compiled)
 
 
-def test_ingest_batch_equivalent_and_valid():
+@COMPILED
+def test_ingest_batch_equivalent_and_valid(compiled):
     """``ingest_batch`` defers chained writes to after the block (they
     stay same-tick, so verdicts and the validator are unaffected); the
     event *multiset* matches the sequential run's exactly."""
-    expected, __ = _sequential_signature(catch_all=False)
-    cm, shell = _build_shell(catch_all=False)
+    expected, expected_stats = _sequential_signature(
+        catch_all=False, compiled=compiled
+    )
+    cm, shell = _build_shell(catch_all=False, compiled=compiled)
     for start in range(0, N_EVENTS, 64):
-        shell.ingest_batch(_descs()[start : start + 64], time=0)
+        assert shell.ingest_batch(_descs()[start : start + 64]) == min(
+            64, N_EVENTS - start
+        )
     got = _signature(cm.scenario.trace)
     assert sorted(got) != [] and sorted(e[:4] for e in got) == sorted(
         e[:4] for e in expected
     )
     assert validate_trace(cm.scenario.trace, shell._index.rules) == []
+    stats = cm.stats()["total"]
+    assert stats["events_processed"] == expected_stats["events_processed"]
+    _assert_ran_batched(stats, compiled)
 
 
-# -- scenario-level verdict identity ------------------------------------------
+def test_ingest_batch_records_at_the_current_tick():
+    """A block is ingested at ``sim.now``, the tick its RHS writes are
+    recorded at; there is no ``time=`` to stamp it ahead of the clock
+    (which made the first chained write a time regression)."""
+    reset_event_sequence()
+    cm = ConstraintManager(Scenario(seed=0))
+    cm.add_site("s")
+    shell = cm.shell("s")
+    shell.install(parse_rule("N(fam(n), b) -> [0] W(cache(n), b)", name="copy"))
+    descs = [notify_desc(item("fam", f"k{i}"), float(i)) for i in range(4)]
+    with pytest.raises(TypeError):
+        shell.ingest_batch(descs, time=5)
+    cm.scenario.sim.at(5, lambda: shell.ingest_batch(descs))
+    cm.run(until=10)
+    trace = cm.scenario.trace
+    assert [event.time for event in trace.events] == [5] * 8
+    assert shell.stats()["events_processed"] == 8  # 4 ingested + 4 chained
+    assert shell.stats()["rules_fired"] == 4
+    assert validate_trace(trace, shell.rules) == []
 
 
-def _salary_run(strategy_kind: str, seed: int, **scenario_kwargs):
-    salary = build_salary_scenario(
-        strategy_kind=strategy_kind,
-        seed=seed,
-        polling_period=10.0,
-        **scenario_kwargs,
-    )
-    PersonnelWorkload(
-        salary.cm, employee_count=6, rate=0.5, duration=seconds(120)
-    )
-    salary.cm.run(until=seconds(200))
-    verdicts = {
-        name: report.valid
-        for name, report in salary.cm.check_guarantees().items()
-    }
-    violations = validate_trace(
-        salary.scenario.trace, list(salary.installed.strategy.rules)
-    )
-    return salary, verdicts, violations
+def test_batch_counts_only_the_events_it_dispatched():
+    """An exception escaping a rule's RHS mid-block leaves
+    ``events_processed`` at the number of events the loop reached, exactly
+    as per-event delivery of the same block does."""
+
+    def run(deliver):
+        reset_event_sequence()
+        cm = ConstraintManager(Scenario(seed=0))
+        cm.add_site("s")
+        shell = cm.shell("s")
+        shell.install(parse_rule("N(fam(n), b) -> [0] W(cache(n), b)", name="copy"))
+        boom = RuntimeError("RHS failed")
+        write = shell.store.write
+
+        def failing_write(ref, value, *args, **kwargs):
+            if value == 2.0:
+                raise boom
+            return write(ref, value, *args, **kwargs)
+
+        shell.store.write = failing_write
+        descs = [notify_desc(item("fam", f"k{i}"), float(i)) for i in range(6)]
+        with pytest.raises(RuntimeError):
+            deliver(cm, shell, descs)
+        return shell.stats()["events_processed"]
+
+    def per_event(cm, shell, descs):
+        for desc in descs:
+            shell.deliver_local_event(cm.scenario.trace.record(0, "s", desc))
+
+    # Events 0 and 1 dispatch and chain one write each, event 2 is reached
+    # and raises: 3 dispatched + 2 chained.
+    assert run(per_event) == 5
+    assert run(lambda cm, shell, descs: shell.ingest_batch(descs)) == 5
 
 
-@pytest.mark.parametrize(
-    "seed,strategy_kind,compiled",
-    [
-        pytest.param(
-            seed,
-            kind,
-            compiled,
-            id=f"{seed}-{kind}" + ("" if compiled else "-interpreted"),
+# -- record_batch is record, once per descriptor ------------------------------
+
+
+def _mixed_descs():
+    """A block mixing non-writes with both write kinds."""
+    x, y = item("X"), item("Y", "k")
+    return [
+        notify_desc(item("fam0", "k0"), 1.0),
+        write_desc(x, 1.0),
+        notify_desc(item("fam1", "k1"), 2.0),
+        spontaneous_write_desc(y, 0.0, 5.0),
+        spontaneous_write_desc(x, 1.0, 2.0),
+        notify_desc(item("fam0", "k0"), 3.0),
+        write_desc(y, 6.0),
+    ]
+
+
+def _event_signature(trace):
+    base = trace.events[0].seq
+    return [
+        (
+            event.time,
+            event.site,
+            event.desc,
+            dict(event.old),
+            dict(event.new),
+            event.seq - base,
         )
-        for compiled in (True, False)
-        for seed in SEEDS
-        for kind in STRATEGY_KINDS
-    ],
-)
-def test_batched_salary_verdicts_identical(
-    seed, strategy_kind, compiled, monkeypatch
-):
-    __, base_verdicts, base_violations = _salary_run(strategy_kind, seed)
-    # compiled=False runs the interpreted arm through the batch loop.
-    monkeypatch.setattr(CMShell, "compile_rules", compiled)
-    batched, verdicts, violations = _salary_run(
-        strategy_kind, seed, batch_max=32
-    )
-    assert base_violations == []
-    assert violations == []
-    assert verdicts == base_verdicts
-    processed = batched.cm.stats()["total"]
-    assert processed["events_processed"] > 0
-    assert bool(processed["rules_compiled"]) is compiled
+        for event in trace.events
+    ]
 
 
-# -- the lazy trace is invisible ----------------------------------------------
-
-
-def test_record_batch_flush_preserves_identity_and_order():
-    from repro.core.trace import ExecutionTrace
+def test_record_batch_is_eager_and_equals_record():
+    descs = _mixed_descs()
+    reset_event_sequence()
+    reference = ExecutionTrace()
+    reference.record(0, "s", descs[0])
+    for desc in descs:
+        reference.record(seconds(1), "s", desc)
 
     reset_event_sequence()
     trace = ExecutionTrace()
-    descs = _descs()[:10]
-    batch = trace.record_batch(0, "s", descs)
-    # Lazily counted, not yet materialized.
-    assert len(trace) == 10
-    early = batch.event_at(7)  # out-of-order trigger materialization
-    events = trace.events  # flush-on-read
-    assert len(events) == 10
-    assert events[7] is early
-    assert [e.seq for e in events] == list(range(events[0].seq, events[0].seq + 10))
-    assert [e.desc for e in events] == descs
-    # Per-event recording continues seamlessly after a flushed block.
-    later = trace.record(seconds(1), "s", descs[0])
+    first = trace.record(0, "s", descs[0])
+    block = trace.record_batch(seconds(1), "s", descs)
+    # Everything is in the trace, and indexed, the moment the call returns.
+    events = trace.events
+    assert len(trace) == len(events) == len(descs) + 1
+    assert len(block) == len(descs)
+    assert all(got is held for got, held in zip(block, events[-len(descs) :]))
+    assert list(trace.writes_to(item("X"))) == [block[1], block[4]]
+    assert trace.horizon == seconds(1)
+    assert trace.current_value(item("Y", "k")) == 6.0
+    # Same events, interpretations and numbering as record() per descriptor.
+    assert _event_signature(trace) == _event_signature(reference)
+    assert [e.seq for e in events] == list(range(first.seq, first.seq + len(events)))
+    # Interpretation views chain by identity, into and across the block.
+    for previous, event in zip(events, events[1:]):
+        assert event.old is previous.new
+    for event in block:
+        assert (event.new is event.old) is (not event.desc.kind.is_write)
+        assert event.rule is None and event.trigger is None
+    # Per-event recording continues the numbering and the chain.
+    later = trace.record(seconds(2), "s", descs[0])
     assert later.seq == events[-1].seq + 1
+    assert later.old is events[-1].new
+    assert validate_trace(trace, []) == []
+    # An empty block records nothing and reserves nothing.
+    assert trace.record_batch(seconds(2), "s", []) == []
+    assert trace.record(seconds(2), "s", descs[0]).seq == later.seq + 1
 
 
 def test_record_batch_rejects_time_regression():
-    from repro.core.trace import ExecutionTrace, TraceError
-
     trace = ExecutionTrace()
     trace.record_batch(seconds(2), "s", _descs()[:3])
     with pytest.raises(TraceError):
         trace.record_batch(seconds(1), "s", _descs()[:3])
+    trace.record(seconds(3), "s", _descs()[0])
+    with pytest.raises(TraceError):
+        trace.record_batch(seconds(2), "s", _descs()[:3])
+    assert len(trace) == 4  # a rejected block records nothing
 
 
 # -- ShellStore.items caching (the per-access dict rebuild regression) --------
