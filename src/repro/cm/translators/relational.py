@@ -20,6 +20,8 @@ write requests.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.core.conditions import evaluate
 from repro.core.errors import ConfigurationError
 from repro.core.interfaces import InterfaceKind
@@ -28,6 +30,17 @@ from repro.cm.rid import ItemBinding
 from repro.cm.translator import CMTranslator
 from repro.ris.relational import RelationalDatabase
 from repro.ris.relational.triggers import TriggerEvent
+
+
+class _Family(NamedTuple):
+    """What one family's locator resolves to, worked out on first use: the
+    binding and the four constant statement texts its reads and writes run."""
+
+    binding: ItemBinding
+    select: str
+    update: str
+    insert: str
+    delete: str
 
 
 class RelationalTranslator(CMTranslator):
@@ -44,6 +57,7 @@ class RelationalTranslator(CMTranslator):
         super().__init__(source, rid, service)
         self.db: RelationalDatabase = source
         self._trigger_count = 0
+        self._families: dict[str, _Family] = {}
 
     # -- locator plumbing ---------------------------------------------------
 
@@ -57,8 +71,22 @@ class RelationalTranslator(CMTranslator):
                 )
         return locator["table"], locator["key_column"], locator["value_column"]
 
+    def _family(self, name: str) -> _Family:
+        family = self._families.get(name)
+        if family is None:
+            table, key_column, value_column = self._locator(name)
+            family = self._families[name] = _Family(
+                self.rid.binding(name),
+                f"SELECT {value_column} FROM {table} WHERE {key_column} = ?",
+                f"UPDATE {table} SET {value_column} = ? WHERE {key_column} = ?",
+                f"INSERT INTO {table} ({key_column}, {value_column}) "
+                f"VALUES (?, ?)",
+                f"DELETE FROM {table} WHERE {key_column} = ?",
+            )
+        return family
+
     def _key_for(self, ref: DataItemRef) -> Value:
-        binding = self.rid.binding(ref.name)
+        binding = self._family(ref.name).binding
         if binding.parameterized:
             if len(ref.args) != 1:
                 raise ConfigurationError(
@@ -76,37 +104,24 @@ class RelationalTranslator(CMTranslator):
     # -- native hooks ----------------------------------------------------------
 
     def _native_read(self, ref: DataItemRef) -> Value:
-        table, key_column, value_column = self._locator(ref.name)
+        family = self._family(ref.name)
         self.count_op("sql_select")
-        rows = self.db.query(
-            f"SELECT {value_column} FROM {table} WHERE {key_column} = ?",
-            (self._key_for(ref),),
-        )
+        rows = self.db.query(family.select, (self._key_for(ref),))
         if not rows:
             return MISSING
         return rows[0][0]
 
     def _native_write(self, ref: DataItemRef, value: Value) -> None:
-        table, key_column, value_column = self._locator(ref.name)
+        family = self._family(ref.name)
         key = self._key_for(ref)
         if value is MISSING:
             self.count_op("sql_delete")
-            self.db.execute(
-                f"DELETE FROM {table} WHERE {key_column} = ?", (key,)
-            )
+            self.db.execute(family.delete, (key,))
             return
         self.count_op("sql_update")
-        result = self.db.execute(
-            f"UPDATE {table} SET {value_column} = ? WHERE {key_column} = ?",
-            (value, key),
-        )
-        if result.rowcount == 0:
+        if self.db.execute(family.update, (value, key)).rowcount == 0:
             self.count_op("sql_insert")
-            self.db.execute(
-                f"INSERT INTO {table} ({key_column}, {value_column}) "
-                f"VALUES (?, ?)",
-                (key, value),
-            )
+            self.db.execute(family.insert, (key, value))
 
     def _native_enumerate(self, family: str) -> list[DataItemRef]:
         table, key_column, __ = self._locator(family)

@@ -216,10 +216,19 @@ class InterfaceSet:
     """All interfaces offered for the item families of one source."""
 
     specs: list[InterfaceSpec] = field(default_factory=list)
+    #: First spec added per (family, kind); ``specs`` is only ever read.
+    _by_kind: dict[tuple[str, InterfaceKind], InterfaceSpec] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for spec in self.specs:
+            self._by_kind.setdefault((spec.family, spec.kind), spec)
 
     def add(self, spec: InterfaceSpec) -> None:
         """Add one offered interface."""
         self.specs.append(spec)
+        self._by_kind.setdefault((spec.family, spec.kind), spec)
 
     def for_family(self, family: str) -> list[InterfaceSpec]:
         """All interfaces offered for a family."""
@@ -231,17 +240,17 @@ class InterfaceSet:
 
     def get(self, family: str, kind: InterfaceKind) -> InterfaceSpec:
         """One offered interface by (family, kind); raises if absent."""
-        for spec in self.for_family(family):
-            if spec.kind is kind:
-                return spec
-        raise SpecError(
-            f"no {kind.value} interface offered for {family!r} "
-            f"(offered: {sorted(k.value for k in self.kinds_for(family))})"
-        )
+        spec = self._by_kind.get((family, kind))
+        if spec is None:
+            raise SpecError(
+                f"no {kind.value} interface offered for {family!r} "
+                f"(offered: {sorted(k.value for k in self.kinds_for(family))})"
+            )
+        return spec
 
     def has(self, family: str, kind: InterfaceKind) -> bool:
         """Whether a (family, kind) interface is offered."""
-        return any(s.kind is kind for s in self.for_family(family))
+        return (family, kind) in self._by_kind
 
     def bound(self, family: str, kind: InterfaceKind) -> Ticks:
         """The δ of one offered interface (0 if the kind is unbounded)."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Optional
 
 
@@ -235,3 +235,14 @@ Statement = (
     | CommitTransaction
     | RollbackTransaction
 )
+
+
+def param_count(node: Any) -> int:
+    """How many ``?`` placeholders a statement (or any part of one) holds."""
+    if isinstance(node, SqlParam):
+        return 1
+    if isinstance(node, tuple):
+        return sum(map(param_count, node))
+    if is_dataclass(node):
+        return sum(param_count(getattr(node, f.name)) for f in fields(node))
+    return 0

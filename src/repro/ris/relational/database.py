@@ -3,7 +3,10 @@
 :class:`RelationalDatabase` exposes one native entry point, :meth:`execute`,
 taking SQL text plus ``?`` parameters, like a real server's wire protocol.
 Everything the CM-Translator does — reads, writes, trigger declaration for
-notify interfaces — goes through it.
+notify interfaces — goes through it.  A translator sends the same few texts
+over and over, so each distinct text is parsed once per process
+(``parse_sql`` memoizes) and bound once per database (``_bind``); only the
+availability checks, the parameter binding and the row work run per call.
 
 Failure injection: :meth:`set_available` / :meth:`set_busy` flip the server
 into the paper's logical / metric failure modes, making ``execute`` raise
@@ -14,9 +17,9 @@ can exercise their error-classification path (Section 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from repro.ris.base import Capability, RawInformationSource
+from repro.ris.base import Capability, RawInformationSource, RISErrorCode
 from repro.ris.relational.ast import (
     BeginTransaction,
     CommitTransaction,
@@ -30,22 +33,33 @@ from repro.ris.relational.ast import (
     RollbackTransaction,
     Select,
     Update,
+    param_count,
 )
 from repro.ris.relational.errors import (
     CatalogError,
     ConstraintViolationError,
     DatabaseBusyError,
     DatabaseUnavailableError,
+    SqlError,
 )
 from repro.ris.relational.executor import (
+    access_path,
     evaluate_expr,
     matching_rows,
+    projection_names,
     run_select,
 )
 from repro.ris.relational.parser import parse_sql
 from repro.ris.relational.storage import Catalog, Row, Table
 from repro.ris.relational.transactions import TransactionManager
-from repro.ris.relational.triggers import TriggerCallback, TriggerManager
+from repro.ris.relational.triggers import (
+    TriggerCallback,
+    TriggerEvent,
+    TriggerManager,
+)
+
+#: Bound statements kept per database; a full map is dropped and rebuilt.
+_STATEMENT_CACHE_SIZE = 256
 
 
 @dataclass
@@ -66,6 +80,10 @@ class ResultSet:
         return first[0] if first else None
 
 
+#: A bound statement: its placeholder count and its per-call runner.
+_Bound = tuple[int, Callable[[Sequence[Any]], ResultSet]]
+
+
 class RelationalDatabase(RawInformationSource):
     """A complete (mini) SQL database server."""
 
@@ -79,6 +97,7 @@ class RelationalDatabase(RawInformationSource):
         self._available = True
         self._busy = False
         self.statements_executed = 0
+        self._statements: dict[str, _Bound] = {}
 
     def capabilities(self) -> Capability:
         """Everything: the richest source in the federation."""
@@ -105,63 +124,34 @@ class RelationalDatabase(RawInformationSource):
     # -- the native interface ------------------------------------------------
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
-        """Parse and run one SQL statement."""
+        """Run one SQL statement (parsed and bound on first sight of its text)."""
         if not self._available:
             raise DatabaseUnavailableError(f"{self.name} is down")
         if self._busy:
             raise DatabaseBusyError(f"{self.name} is overloaded")
         self.statements_executed += 1
+        arity, run = self._statements.get(sql) or self._bind(sql)
+        if len(params) != arity:
+            raise SqlError(
+                RISErrorCode.INVALID_REQUEST,
+                f"statement has {arity} placeholder(s) but {len(params)} "
+                f"parameter(s) were supplied",
+            )
+        return run(params)
+
+    def _bind(self, sql: str) -> _Bound:
+        """Resolve a statement against the catalog, once per text.
+
+        The bound form is (placeholder count, runner); the runner has its
+        table, column names, triggers and index probes in hand and does only
+        the per-call work.  Any DDL drops every bound statement.
+        """
         statement = parse_sql(sql)
-        if isinstance(statement, Select):
-            table = self.catalog.table(statement.table)
-            columns, rows = run_select(table, statement, params)
-            return ResultSet(columns=columns, rows=rows, rowcount=len(rows))
-        if isinstance(statement, Insert):
-            return self._run_insert(statement, params)
-        if isinstance(statement, Update):
-            return self._run_update(statement, params)
-        if isinstance(statement, Delete):
-            return self._run_delete(statement, params)
-        if isinstance(statement, CreateTable):
-            self.catalog.create_table(
-                statement.name, statement.columns, statement.checks
-            )
-            return ResultSet()
-        if isinstance(statement, DropTable):
-            self.catalog.drop_table(statement.name)
-            return ResultSet()
-        if isinstance(statement, CreateIndex):
-            table = self.catalog.table(statement.table)
-            if statement.unique:
-                table.add_hash_index(statement.column, unique=True)
-            else:
-                table.add_hash_index(statement.column)
-                table.add_ordered_index(statement.column)
-            return ResultSet()
-        if isinstance(statement, CreateTrigger):
-            self.catalog.table(statement.table)  # validate the table exists
-            self.triggers.create(
-                statement.name,
-                statement.operation,
-                statement.table,
-                statement.column,
-            )
-            return ResultSet()
-        if isinstance(statement, DropTrigger):
-            self.triggers.drop(statement.name)
-            return ResultSet()
-        if isinstance(statement, BeginTransaction):
-            self.transactions.begin()
-            return ResultSet()
-        if isinstance(statement, CommitTransaction):
-            for trigger, event in self.transactions.commit():
-                if trigger.callback is not None:
-                    trigger.callback(event)
-            return ResultSet()
-        if isinstance(statement, RollbackTransaction):
-            self.transactions.rollback()
-            return ResultSet()
-        raise CatalogError(f"unsupported statement: {statement!r}")
+        bound = param_count(statement), _BINDERS[type(statement)](self, statement)
+        if len(self._statements) >= _STATEMENT_CACHE_SIZE:
+            self._statements.clear()
+        self._statements[sql] = bound
+        return bound
 
     def set_trigger_callback(self, name: str, callback: TriggerCallback) -> None:
         """Attach the host-language body of a declared trigger."""
@@ -171,100 +161,172 @@ class RelationalDatabase(RawInformationSource):
         """Convenience: execute a SELECT and return its rows."""
         return self.execute(sql, params).rows
 
-    # -- DML internals --------------------------------------------------------
+    # -- statement binders ------------------------------------------------------
 
-    def _check_constraints(self, table: Table, row: Row) -> None:
-        for check in table.checks:
-            if not evaluate_expr(check, row, ()):
-                raise ConstraintViolationError(
-                    f"CHECK constraint failed on {table.name!r}"
-                )
+    def _check_constraints(self, table: Table, row: Row, changes: Row) -> None:
+        if table.checks:
+            candidate = {**row, **changes}
+            for check in table.checks:
+                if not evaluate_expr(check, candidate, ()):
+                    raise ConstraintViolationError(
+                        f"CHECK constraint failed on {table.name!r}"
+                    )
 
-    def _fire_or_defer(
-        self, table: str, operation: str, old_row, new_row, assigned=None
-    ) -> None:
-        pairs = self.triggers.events_for(
-            table, operation, old_row, new_row, assigned
-        )
+    def _fire_or_defer(self, triggers, operation: str, old_row, new_row) -> None:
         transaction = self.transactions.current
-        for trigger, event in pairs:
+        for trigger in triggers:
+            event = TriggerEvent(
+                trigger.name,
+                trigger.table,
+                operation,
+                dict(old_row) if old_row is not None else None,
+                dict(new_row) if new_row is not None else None,
+            )
             if transaction is not None:
                 transaction.defer_trigger(trigger, event)
             elif trigger.callback is not None:
                 trigger.callback(event)
 
-    def _run_insert(self, statement: Insert, params: Sequence[Any]) -> ResultSet:
+    def _bind_select(self, statement: Select):
         table = self.catalog.table(statement.table)
-        inserted = 0
-        for value_row in statement.rows:
-            if statement.columns:
-                if len(statement.columns) != len(value_row):
-                    raise CatalogError(
-                        f"INSERT has {len(statement.columns)} column(s) but "
-                        f"{len(value_row)} value(s)"
-                    )
-                names = statement.columns
-            else:
-                names = tuple(table.column_names)
+        names = projection_names(table, statement)
+        probes = access_path(table, statement.where)
+
+        def run(params: Sequence[Any]) -> ResultSet:
+            rows = run_select(table, statement, probes, params)
+            return ResultSet(columns=list(names), rows=rows, rowcount=len(rows))
+
+        return run
+
+    def _bind_insert(self, statement: Insert):
+        table = self.catalog.table(statement.table)
+        names = statement.columns or tuple(table.columns)
+        blank = dict.fromkeys(table.columns)
+        triggers = self.triggers.matching(table.name, "INSERT")
+
+        def run(params: Sequence[Any]) -> ResultSet:
+            for value_row in statement.rows:
                 if len(names) != len(value_row):
                     raise CatalogError(
-                        f"INSERT needs {len(names)} value(s), got {len(value_row)}"
+                        f"INSERT has {len(names)} column(s) but "
+                        f"{len(value_row)} value(s)"
                     )
-            values = {
-                name: evaluate_expr(expr, {}, params)
-                for name, expr in zip(names, value_row)
-            }
-            full_row = {name: values.get(name) for name in table.column_names}
-            self._check_constraints(table, full_row)
-            rowid = table.insert_row(values)
-            inserted += 1
-            transaction = self.transactions.current
-            if transaction is not None:
-                transaction.log_undo(
-                    lambda t=table, rid=rowid: t.delete_row(rid)
-                )
-            self._fire_or_defer(
-                statement.table, "INSERT", None, table.rows[rowid]
-            )
-        return ResultSet(rowcount=inserted)
+                values = {
+                    name: evaluate_expr(expr, {}, params)
+                    for name, expr in zip(names, value_row)
+                }
+                self._check_constraints(table, blank, values)
+                rowid = table.insert_row(values)
+                transaction = self.transactions.current
+                if transaction is not None:
+                    transaction.log_undo(lambda rid=rowid: table.delete_row(rid))
+                self._fire_or_defer(triggers, "INSERT", None, table.rows[rowid])
+            return ResultSet(rowcount=len(statement.rows))
 
-    def _run_update(self, statement: Update, params: Sequence[Any]) -> ResultSet:
-        table = self.catalog.table(statement.table)
-        matched = matching_rows(table, statement.where, params)
-        updated = 0
-        for rowid, row in matched:
-            changes = {
-                name: evaluate_expr(expr, row, params)
-                for name, expr in statement.assignments
-            }
-            candidate = dict(row)
-            candidate.update(changes)
-            self._check_constraints(table, candidate)
-            old, new = table.update_row(rowid, changes)
-            updated += 1
-            transaction = self.transactions.current
-            if transaction is not None:
-                undo_changes = {name: old[name] for name in changes}
-                transaction.log_undo(
-                    lambda t=table, rid=rowid, c=undo_changes: t.update_row(rid, c)
-                )
-            self._fire_or_defer(
-                statement.table, "UPDATE", old, new,
-                {name for name, __ in statement.assignments},
-            )
-        return ResultSet(rowcount=updated)
+        return run
 
-    def _run_delete(self, statement: Delete, params: Sequence[Any]) -> ResultSet:
+    def _bind_update(self, statement: Update):
         table = self.catalog.table(statement.table)
-        matched = matching_rows(table, statement.where, params)
-        deleted = 0
-        for rowid, __ in matched:
-            old = table.delete_row(rowid)
-            deleted += 1
-            transaction = self.transactions.current
-            if transaction is not None:
-                transaction.log_undo(
-                    lambda t=table, rid=rowid, r=old: t.restore_row(rid, r)
-                )
-            self._fire_or_defer(statement.table, "DELETE", old, None)
-        return ResultSet(rowcount=deleted)
+        probes = access_path(table, statement.where)
+        assigned = frozenset(name for name, __ in statement.assignments)
+        triggers = self.triggers.matching(table.name, "UPDATE", assigned)
+
+        def run(params: Sequence[Any]) -> ResultSet:
+            matched = matching_rows(table, statement.where, probes, params)
+            for rowid, row in matched:
+                changes = {
+                    name: evaluate_expr(expr, row, params)
+                    for name, expr in statement.assignments
+                }
+                self._check_constraints(table, row, changes)
+                old, new = table.update_row(rowid, changes)
+                transaction = self.transactions.current
+                if transaction is not None:
+                    undo = {name: old[name] for name in changes}
+                    transaction.log_undo(
+                        lambda rid=rowid, c=undo: table.update_row(rid, c)
+                    )
+                self._fire_or_defer(triggers, "UPDATE", old, new)
+            return ResultSet(rowcount=len(matched))
+
+        return run
+
+    def _bind_delete(self, statement: Delete):
+        table = self.catalog.table(statement.table)
+        probes = access_path(table, statement.where)
+        triggers = self.triggers.matching(table.name, "DELETE")
+
+        def run(params: Sequence[Any]) -> ResultSet:
+            matched = matching_rows(table, statement.where, probes, params)
+            for rowid, __ in matched:
+                old = table.delete_row(rowid)
+                transaction = self.transactions.current
+                if transaction is not None:
+                    transaction.log_undo(
+                        lambda rid=rowid, r=old: table.restore_row(rid, r)
+                    )
+                self._fire_or_defer(triggers, "DELETE", old, None)
+            return ResultSet(rowcount=len(matched))
+
+        return run
+
+    # -- DDL and transaction control ---------------------------------------------
+
+    def _drop_table(self, statement: DropTable) -> None:
+        self.catalog.drop_table(statement.name)
+        self.triggers.drop_table(statement.name)
+
+    def _create_index(self, statement: CreateIndex) -> None:
+        table = self.catalog.table(statement.table)
+        if statement.unique:
+            table.add_hash_index(statement.column, unique=True)
+        else:
+            table.add_hash_index(statement.column)
+            table.add_ordered_index(statement.column)
+
+    def _create_trigger(self, statement: CreateTrigger) -> None:
+        table = self.catalog.table(statement.table)  # the table must exist
+        if statement.column is not None:
+            table.require_column(statement.column)
+        self.triggers.create(
+            statement.name, statement.operation, statement.table, statement.column
+        )
+
+    def _commit(self, statement: CommitTransaction) -> None:
+        for trigger, event in self.transactions.commit():
+            if trigger.callback is not None:
+                trigger.callback(event)
+
+
+def _action(apply: Callable[[RelationalDatabase, Any], None], ddl: bool = False):
+    """Binder for a statement with nothing to resolve: the runner applies it
+    and, for DDL, drops every bound statement of that database."""
+
+    def bind(db: RelationalDatabase, statement):
+        def run(params: Sequence[Any]) -> ResultSet:
+            apply(db, statement)
+            if ddl:
+                db._statements.clear()
+            return ResultSet()
+
+        return run
+
+    return bind
+
+
+_BINDERS = {
+    Select: RelationalDatabase._bind_select,
+    Insert: RelationalDatabase._bind_insert,
+    Update: RelationalDatabase._bind_update,
+    Delete: RelationalDatabase._bind_delete,
+    CreateTable: _action(
+        lambda db, s: db.catalog.create_table(s.name, s.columns, s.checks), ddl=True
+    ),
+    DropTable: _action(RelationalDatabase._drop_table, ddl=True),
+    CreateIndex: _action(RelationalDatabase._create_index, ddl=True),
+    CreateTrigger: _action(RelationalDatabase._create_trigger, ddl=True),
+    DropTrigger: _action(lambda db, s: db.triggers.drop(s.name), ddl=True),
+    BeginTransaction: _action(lambda db, s: db.transactions.begin()),
+    CommitTransaction: _action(RelationalDatabase._commit),
+    RollbackTransaction: _action(lambda db, s: db.transactions.rollback()),
+}

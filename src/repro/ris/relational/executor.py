@@ -8,7 +8,9 @@ an ordered index for range predicates; otherwise it scans.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+import re
+from functools import lru_cache, partial
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.ris.relational.ast import (
     OrderItem,
@@ -112,7 +114,7 @@ def evaluate_expr(expr: SqlExpr, row: Row, params: Sequence[Any]) -> Any:
         pattern = evaluate_expr(expr.pattern, row, params)
         if value is None or pattern is None:
             return False
-        result = _like_match(str(value), str(pattern))
+        result = _like_regex(str(pattern)).fullmatch(str(value)) is not None
         return not result if expr.negated else result
     if isinstance(expr, SqlAggregate):
         raise SqlError(
@@ -122,38 +124,48 @@ def evaluate_expr(expr: SqlExpr, row: Row, params: Sequence[Any]) -> Any:
     raise SqlError(RISErrorCode.INVALID_REQUEST, f"bad expression {expr!r}")
 
 
-def _like_match(value: str, pattern: str) -> bool:
+@lru_cache(maxsize=256)
+def _like_regex(pattern: str) -> re.Pattern:
     """SQL LIKE: ``%`` matches any run, ``_`` any single character."""
-    import re
-
-    regex = "".join(
-        ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
-        for ch in pattern
+    return re.compile(
+        "".join(
+            ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
+            for ch in pattern
+        )
     )
-    return re.fullmatch(regex, value) is not None
 
 
 def _truthy(value: Any) -> bool:
     return bool(value) and value is not None
 
 
-def candidate_rowids(
-    table: Table, where: Optional[SqlExpr], params: Sequence[Any]
-) -> Optional[list[int]]:
-    """Rowids an index can narrow the WHERE clause to, or None for a scan.
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+_RANGE = {
+    "<": lambda index, value: index.range(high=value, include_high=False),
+    "<=": lambda index, value: index.range(high=value),
+    ">": lambda index, value: index.range(low=value, include_low=False),
+    ">=": lambda index, value: index.range(low=value),
+}
+
+#: One index probe: (rowids for a constant, the literal/placeholder supplying it).
+Probe = tuple[Callable[[Any], Iterable[int]], SqlExpr]
+
+
+def access_path(table: Table, where: Optional[SqlExpr]) -> tuple[Probe, ...]:
+    """The index probes a WHERE clause admits on this table, in order.
 
     Recognizes equality and range predicates of the shape
     ``column <op> constant`` appearing as the WHERE clause itself or as an
-    AND-conjunct of it; the remaining predicate is still applied to each
-    candidate row afterwards, so this is purely an access-path optimization.
+    AND-conjunct of it, where the table has a fitting index.  Worked out
+    once per bound statement; :func:`matching_rows` takes the first probe
+    whose constant is not NULL and still applies the whole predicate to
+    each candidate row, so this is purely an access-path optimization.
     """
     if where is None:
-        return None
-    for conjunct in _conjuncts(where):
-        plan = _index_plan(table, conjunct, params)
-        if plan is not None:
-            return plan
-    return None
+        return ()
+    probes = (_index_probe(table, conjunct) for conjunct in _conjuncts(where))
+    return tuple(probe for probe in probes if probe is not None)
 
 
 def _conjuncts(expr: SqlExpr) -> Iterable[SqlExpr]:
@@ -164,57 +176,39 @@ def _conjuncts(expr: SqlExpr) -> Iterable[SqlExpr]:
         yield expr
 
 
-def _constant_side(expr: SqlExpr, params: Sequence[Any]) -> tuple[bool, Any]:
-    if isinstance(expr, SqlLiteral):
-        return True, expr.value
-    if isinstance(expr, SqlParam):
-        if expr.index < len(params):
-            return True, params[expr.index]
-    return False, None
-
-
-def _index_plan(
-    table: Table, predicate: SqlExpr, params: Sequence[Any]
-) -> Optional[list[int]]:
+def _index_probe(table: Table, predicate: SqlExpr) -> Optional[Probe]:
     if not isinstance(predicate, SqlBinary):
         return None
-    column: Optional[str] = None
-    op = predicate.op
-    value: Any = None
-    if isinstance(predicate.left, SqlColumn):
-        is_const, value = _constant_side(predicate.right, params)
-        if is_const:
-            column = predicate.left.name
-    elif isinstance(predicate.right, SqlColumn):
-        is_const, value = _constant_side(predicate.left, params)
-        if is_const:
-            column = predicate.right.name
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-    if column is None or value is None:
+    column, constant, op = predicate.left, predicate.right, predicate.op
+    if not isinstance(column, SqlColumn):
+        column, constant, op = constant, column, _FLIPPED.get(op, op)
+    if not isinstance(column, SqlColumn) or not isinstance(
+        constant, (SqlLiteral, SqlParam)
+    ):
         return None
-    if op == "=" and column in table.hash_indexes:
-        return sorted(table.hash_indexes[column].lookup(value))
-    if op in ("<", "<=", ">", ">=") and column in table.ordered_indexes:
-        index = table.ordered_indexes[column]
-        if op == "<":
-            return list(index.range(high=value, include_high=False))
-        if op == "<=":
-            return list(index.range(high=value, include_high=True))
-        if op == ">":
-            return list(index.range(low=value, include_low=False))
-        return list(index.range(low=value, include_low=True))
+    if op == "=" and column.name in table.hash_indexes:
+        lookup = table.hash_indexes[column.name].lookup
+        return (lambda value: sorted(lookup(value))), constant
+    if op in _RANGE and column.name in table.ordered_indexes:
+        return partial(_RANGE[op], table.ordered_indexes[column.name]), constant
     return None
 
 
 def matching_rows(
-    table: Table, where: Optional[SqlExpr], params: Sequence[Any]
+    table: Table,
+    where: Optional[SqlExpr],
+    probes: tuple[Probe, ...],
+    params: Sequence[Any],
 ) -> list[tuple[int, Row]]:
     """All (rowid, row) pairs satisfying the WHERE clause."""
-    candidates = candidate_rowids(table, where, params)
-    if candidates is None:
-        pairs = list(table.scan())
+    rows = table.rows
+    for lookup, constant in probes:
+        value = evaluate_expr(constant, {}, params)
+        if value is not None:
+            pairs = [(rid, rows[rid]) for rid in lookup(value) if rid in rows]
+            break
     else:
-        pairs = [(rid, table.rows[rid]) for rid in candidates if rid in table.rows]
+        pairs = list(rows.items())
     if where is None:
         return pairs
     return [
@@ -224,28 +218,40 @@ def matching_rows(
     ]
 
 
+def projection_names(table: Table, statement: Select) -> list[str]:
+    """The result column names of a SELECT on this table."""
+    if statement.is_star:
+        return table.column_names
+    names = []
+    for index, item in enumerate(statement.items, 1):
+        if item.alias:
+            names.append(item.alias)
+        elif isinstance(item.expr, SqlColumn):
+            names.append(item.expr.name)
+        elif isinstance(item.expr, SqlAggregate):
+            names.append(f"{item.expr.func.lower()}_{index}")
+        else:
+            names.append(f"expr_{index}")
+    return names
+
+
 def run_select(
-    table: Table, statement: Select, params: Sequence[Any]
-) -> tuple[list[str], list[tuple[Any, ...]]]:
-    """Execute a SELECT, returning (column names, result rows)."""
-    matched = matching_rows(table, statement.where, params)
+    table: Table,
+    statement: Select,
+    probes: tuple[Probe, ...],
+    params: Sequence[Any],
+) -> list[tuple[Any, ...]]:
+    """Execute a SELECT, returning its result rows."""
+    matched = matching_rows(table, statement.where, probes, params)
     rows = [row for __, row in matched]
     if statement.order_by:
         rows = _apply_order(table, rows, statement.order_by)
     if statement.is_aggregate:
-        return _run_aggregates(statement, rows, params)
+        return [_run_aggregates(statement, rows, params)]
     if statement.is_star:
         names = table.column_names
         result = [tuple(row[name] for name in names) for row in rows]
     else:
-        names = []
-        for index, item in enumerate(statement.items):
-            if item.alias:
-                names.append(item.alias)
-            elif isinstance(item.expr, SqlColumn):
-                names.append(item.expr.name)
-            else:
-                names.append(f"expr_{index + 1}")
         result = [
             tuple(
                 evaluate_expr(item.expr, row, params)
@@ -263,7 +269,7 @@ def run_select(
         result = deduped
     if statement.limit is not None:
         result = result[: statement.limit]
-    return names, result
+    return result
 
 
 def _apply_order(
@@ -282,10 +288,9 @@ def _apply_order(
 
 def _run_aggregates(
     statement: Select, rows: list[Row], params: Sequence[Any]
-) -> tuple[list[str], list[tuple[Any, ...]]]:
-    names: list[str] = []
+) -> tuple[Any, ...]:
     values: list[Any] = []
-    for index, item in enumerate(statement.items):
+    for item in statement.items:
         expr = item.expr
         if not isinstance(expr, SqlAggregate):
             raise SqlError(
@@ -293,7 +298,6 @@ def _run_aggregates(
                 "cannot mix aggregates and plain expressions "
                 "(no GROUP BY support)",
             )
-        names.append(item.alias or f"{expr.func.lower()}_{index + 1}")
         if expr.argument is None:
             values.append(len(rows))
             continue
@@ -316,4 +320,4 @@ def _run_aggregates(
             raise SqlError(
                 RISErrorCode.INVALID_REQUEST, f"bad aggregate {expr.func!r}"
             )
-    return names, [tuple(values)]
+    return tuple(values)

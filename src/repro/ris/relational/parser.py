@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from repro.ris.relational.ast import (
@@ -481,8 +482,14 @@ class _SqlParser:
         raise self.error(f"expected an expression, found {token.text!r}")
 
 
+@lru_cache(maxsize=256)
 def parse_sql(sql: str) -> Statement:
-    """Parse one SQL statement (a trailing semicolon is allowed)."""
+    """Parse one SQL statement (a trailing semicolon is allowed).
+
+    Memoized process-wide by text: the ASTs are frozen and depend on no
+    catalog, so every database shares one parse of a given statement.  A
+    syntax error is raised anew each time (``lru_cache`` keeps no exceptions).
+    """
     parser = _SqlParser(tokenize_sql(sql))
     statement = parser.parse_statement()
     parser.accept_sym(";")

@@ -82,15 +82,11 @@ class TriggerManager:
         """All trigger names."""
         return list(self._triggers)
 
-    def events_for(
-        self,
-        table: str,
-        operation: str,
-        old_row: Optional[Row],
-        new_row: Optional[Row],
-        assigned_columns: Optional[set[str]] = None,
-    ) -> list[tuple[TriggerDef, TriggerEvent]]:
-        """Matching (trigger, event) pairs for one row change.
+    def matching(
+        self, table: str, operation: str, assigned: frozenset[str] = frozenset()
+    ) -> list[TriggerDef]:
+        """The triggers one kind of row change on a table fires, in
+        declaration order.
 
         ``UPDATE OF col`` follows real-DBMS semantics: it fires when the
         column is *assigned* in the SET clause, even if the new value equals
@@ -98,27 +94,19 @@ class TriggerManager:
         notifications, and why the paper's CM-side cache (Section 3.2) is
         worth having.
         """
-        matched: list[tuple[TriggerDef, TriggerEvent]] = []
-        for trigger in self._triggers.values():
-            if trigger.table != table or trigger.operation != operation:
-                continue
-            if (
-                trigger.operation == "UPDATE"
-                and trigger.column is not None
-                and assigned_columns is not None
-                and trigger.column not in assigned_columns
-            ):
-                continue  # UPDATE OF col: that column was not assigned
-            matched.append(
-                (
-                    trigger,
-                    TriggerEvent(
-                        trigger_name=trigger.name,
-                        table=table,
-                        operation=operation,
-                        old_row=dict(old_row) if old_row is not None else None,
-                        new_row=dict(new_row) if new_row is not None else None,
-                    ),
-                )
+        return [
+            trigger
+            for trigger in self._triggers.values()
+            if trigger.table == table
+            and trigger.operation == operation
+            and (
+                operation != "UPDATE"
+                or trigger.column is None
+                or trigger.column in assigned
             )
-        return matched
+        ]
+
+    def drop_table(self, table: str) -> None:
+        """Forget every trigger declared on a table (it was dropped)."""
+        for trigger in self.triggers_for(table):
+            del self._triggers[trigger.name]

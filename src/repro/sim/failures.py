@@ -76,6 +76,8 @@ class FailurePlan:
 
     def windows_at(self, site: str, time: Ticks) -> list[FailureWindow]:
         """All windows covering ``site`` at ``time``."""
+        if not self.windows:
+            return []
         return [w for w in self.windows if w.site == site and w.active_at(time)]
 
     def slowdown_at(self, site: str, time: Ticks) -> float:

@@ -88,6 +88,14 @@ class TestInterfaceSet:
             interfaces.get("X", InterfaceKind.WRITE)
         assert "notify" in str(excinfo.value)
 
+    def test_lookup_keeps_the_first_spec_of_a_kind(self):
+        first = notify_interface("X", seconds(2))
+        interfaces = InterfaceSet(specs=[first, notify_interface("X", seconds(9))])
+        assert interfaces.has("X", InterfaceKind.NOTIFY)
+        assert not interfaces.has("Y", InterfaceKind.NOTIFY)
+        assert interfaces.get("X", InterfaceKind.NOTIFY) is first
+        assert len(interfaces.specs) == 2
+
     def test_describe_is_readable(self):
         text = self.build().describe()
         assert "X: notify (bound 2s)" in text
