@@ -24,10 +24,9 @@ trigger graph and runs the CM-Lint check battery (see
 script.  ``--json PATH`` writes the structured findings; the exit code is
 1 when any error-severity finding survives the target's allowlist.
 ``--lint-codes`` prints the diagnostic-code reference, and ``--explain
-CM701`` (any code) deep-dives one code: its registry meaning plus every
-matching finding — for the CM7xx parallel-certification codes, the
-offending rule pair and the overlapping footprint term the static
-analysis could not prove disjoint.
+CM501`` (any code) deep-dives one code: its registry meaning plus every
+matching finding, suppressed ones included; an unknown code exits 2
+before anything is linted.
 """
 
 from __future__ import annotations
@@ -82,6 +81,7 @@ def _lint(
     json_path: str | None,
     explain: str | None = None,
 ) -> int:
+    from repro.analysis.diagnostics import CODES
     from repro.analysis.reporters import (
         render_explain,
         render_text,
@@ -94,6 +94,15 @@ def _lint(
     )
     from repro.core.errors import ConfigurationError
 
+    if explain is not None:
+        explain = explain.upper()
+        if explain not in CODES:
+            print(
+                f"unknown diagnostic code {explain!r} "
+                f"(known: {', '.join(sorted(CODES))})",
+                file=sys.stderr,
+            )
+            return 2
     if target is not None:
         try:
             results = {target: lint_target(target)}
@@ -233,10 +242,9 @@ def main(argv: list[str] | None = None) -> int:
         "--explain",
         metavar="CODE",
         default=None,
-        help="deep-dive one diagnostic code (e.g. CM701): print its "
-        "meaning plus every matching finding — for the CM7xx parallel-"
-        "certification codes, the offending rule pair and the overlapping "
-        "footprint term; combine with --lint TARGET to narrow the survey",
+        help="deep-dive one diagnostic code (e.g. CM501): print its "
+        "meaning plus every matching finding, suppressed ones included; "
+        "combine with --lint TARGET to narrow the survey",
     )
     sub = parser.add_subparsers(dest="command")
     experiments = sub.add_parser(

@@ -25,12 +25,6 @@ from repro.analysis.diagnostics import (
     Severity,
     describe_codes,
 )
-from repro.analysis.effects import (
-    EffectSummary,
-    FootTerm,
-    effect_summary,
-    shell_effects,
-)
 from repro.analysis.graph import (
     Edge,
     Node,
@@ -46,38 +40,22 @@ from repro.analysis.lint import (
     manager_context,
     run_checks,
 )
-from repro.analysis.parplan import (
-    ParallelPlan,
-    Phase,
-    build_parallel_plan,
-    plan_from_entries,
-)
-from repro.analysis.sanitizer import RaceSanitizer
 
 __all__ = [
     "CODES",
     "Diagnostic",
     "Edge",
-    "EffectSummary",
-    "FootTerm",
     "LintContext",
     "LintReport",
     "Node",
-    "ParallelPlan",
-    "Phase",
-    "RaceSanitizer",
     "Severity",
     "TriggerGraph",
-    "build_parallel_plan",
     "build_shell_graph",
     "build_trigger_graph",
     "describe_codes",
-    "effect_summary",
     "lint_manager",
     "lint_shell",
     "manager_context",
-    "plan_from_entries",
     "run_checks",
-    "shell_effects",
     "unify_templates",
 ]

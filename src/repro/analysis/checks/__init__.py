@@ -10,7 +10,6 @@ checks that need manager-wide context).
 
 from __future__ import annotations
 
-from repro.analysis.checks.commutativity import check_commutativity
 from repro.analysis.checks.conflicts import check_write_conflicts
 from repro.analysis.checks.cycles import check_cycles
 from repro.analysis.checks.dead import check_dead_rules
@@ -26,7 +25,6 @@ ALL_CHECKS = [
     ("dead-rules", check_dead_rules),
     ("write-conflicts", check_write_conflicts),
     ("guarantee-feasibility", check_feasibility),
-    ("commutativity", check_commutativity),
 ]
 
 __all__ = [
@@ -37,5 +35,4 @@ __all__ = [
     "check_dead_rules",
     "check_write_conflicts",
     "check_feasibility",
-    "check_commutativity",
 ]

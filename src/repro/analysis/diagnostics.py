@@ -131,34 +131,6 @@ CODES: dict[str, tuple[Severity, str]] = {
         "a channel on the delivery path has an unbounded latency model; "
         "feasibility cannot be proven statically",
     ),
-    # rule interference (CM7xx) — emitted only when the scenario attached
-    # the race sanitizer (Scenario(sanitize=True)).
-    "CM701": (
-        Severity.WARNING,
-        "two rules at one site do not commute: their read/write footprints "
-        "overlap, so their relative order is observable",
-    ),
-    "CM702": (
-        Severity.WARNING,
-        "rule writes through a family-wildcard template; its write "
-        "footprint is unbounded and forces the serial barrier phase",
-    ),
-    "CM703": (
-        Severity.INFO,
-        "effect summary derived from the rule AST alone (compile "
-        "fallback); the footprint may be wider than the compiled "
-        "program's",
-    ),
-    "CM704": (
-        Severity.INFO,
-        "cross-site send forces a phase barrier; network FIFO order must "
-        "follow trace order",
-    ),
-    "CM705": (
-        Severity.WARNING,
-        "enumerating read spans a whole family another rule writes; the "
-        "pair cannot be certified parallel",
-    ),
 }
 
 

@@ -43,11 +43,6 @@ class LintContext:
     private_families: set[str] = field(default_factory=set)
     network: Optional[object] = None
     guarantees: list = field(default_factory=list)
-    #: Whether the linted configuration has the race sanitizer attached
-    #: (``Scenario(sanitize=True)``).  The commutativity check (CM7xx)
-    #: only speaks then, so ordinary lint snapshots carry no
-    #: rule-interference findings.
-    sanitize: bool = False
 
     def family_known(self, family: str) -> bool:
         if self.scope == "shell":
@@ -92,7 +87,6 @@ def manager_context(cm) -> LintContext:
         private_families=private,
         network=cm.scenario.network,
         guarantees=guarantees,
-        sanitize=cm.scenario.sanitizer is not None,
     )
 
 
@@ -119,7 +113,6 @@ def shell_context(shell) -> LintContext:
         translator_sites=translator_sites,
         known_families=known,
         network=shell.network,
-        sanitize=shell._sanitizer is not None,
     )
 
 
@@ -148,7 +141,6 @@ SHELL_CHECK_NAMES = (
     "interface-compliance",
     "variable-safety",
     "cycles",
-    "commutativity",
 )
 
 

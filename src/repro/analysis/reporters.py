@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from repro.analysis.diagnostics import LintReport
+from repro.analysis.diagnostics import CODES, LintReport
 
 
 def merge_reports(reports: list[LintReport]) -> LintReport:
@@ -66,21 +66,12 @@ def render_text(results: dict[str, LintReport]) -> str:
 def render_explain(code: str, results: dict[str, LintReport]) -> str:
     """Deep-dive digest for one diagnostic code (CLI ``--explain``).
 
-    Prints the registry entry for ``code`` followed by every matching
-    finding across the linted targets — for the CM7xx commutativity codes
-    that is the offending rule pair and the overlapping footprint term the
-    static analysis could not prove disjoint (carried in the hint).
-    Suppressed findings are included (marked), since ``--explain`` is a
-    diagnosis tool, not a gate.
+    Prints the registry entry for ``code`` (a key of ``CODES``; the CLI
+    rejects anything else before linting) followed by every matching
+    finding across the linted targets.  Suppressed findings are included
+    (marked), since ``--explain`` is a diagnosis tool, not a gate.
     """
-    from repro.analysis.diagnostics import CODES
-
-    code = code.upper()
-    registered = CODES.get(code)
-    if registered is None:
-        known = ", ".join(sorted(CODES))
-        return f"unknown diagnostic code {code!r} (known: {known})"
-    severity, meaning = registered
+    severity, meaning = CODES[code]
     lines = [f"{code} ({severity.value}): {meaning}", ""]
     hits = 0
     for target, report in results.items():

@@ -92,11 +92,6 @@ class Scenario:
     failure_plan: FailurePlan = field(default_factory=FailurePlan)
     in_order: bool = True
     runtime: RuntimeSpec = "sim"
-    #: Attach the dynamic race sanitizer
-    #: (:class:`~repro.analysis.sanitizer.RaceSanitizer`): every store
-    #: access is checked against the static plan's independence claims;
-    #: any flagged pair is a soundness bug in the effect analysis.
-    sanitize: bool = False
     sim: Clock = field(init=False)
     rngs: RngRegistry = field(init=False)
     network: TransportAPI = field(init=False)
@@ -106,8 +101,6 @@ class Scenario:
     obs: Instrumentation = field(init=False)
     #: The resolved runtime instance bound to this scenario.
     runtime_impl: Runtime = field(init=False)
-    #: The attached race sanitizer (``sanitize=True``), else ``None``.
-    sanitizer: Optional[Any] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         reset_event_sequence()
@@ -118,11 +111,6 @@ class Scenario:
         self.runtime_impl = resolve_runtime(self.runtime)
         self.sim, self.network = self.runtime_impl.build(self)
         self.trace = ExecutionTrace()
-        self.sanitizer = None
-        if self.sanitize:
-            from repro.analysis.sanitizer import RaceSanitizer
-
-            self.sanitizer = RaceSanitizer(obs=self.obs)
         for hook in list(_scenario_hooks):
             hook(self)
 
@@ -178,8 +166,6 @@ class ConstraintManager:
             rngs=self.scenario.rngs,
             obs=self.scenario.obs,
         )
-        if self.scenario.sanitizer is not None:
-            self.scenario.sanitizer.register_shell(shell)
         shell.on_failure.append(self.board.on_notice)
         self.shells[name] = shell
         for other in self.shells.values():

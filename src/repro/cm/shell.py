@@ -151,9 +151,6 @@ class CMShell:
             unit="events",
             site=site,
         )
-        #: The attached RaceSanitizer (Scenario(sanitize=True)); None keeps
-        #: every hook below to a single identity check on the hot path.
-        self._sanitizer = None
         #: Offset of this site's local clock from true time, in ticks.
         #: Strategy execution never needs clocks (Section 7.2), but rules
         #: that *stamp* local time — the implicit ``now`` variable, as in
@@ -402,11 +399,6 @@ class CMShell:
                 seen.add(id(translator))
                 translator.stop_timers()
 
-    def attach_sanitizer(self, sanitizer) -> None:
-        """Attach the dynamic race sanitizer (see
-        :mod:`repro.analysis.sanitizer`); hooks stay dormant otherwise."""
-        self._sanitizer = sanitizer
-
     # -- event processing -----------------------------------------------------------
 
     def deliver_local_event(self, event: Event) -> None:
@@ -575,16 +567,8 @@ class CMShell:
             return None
         lhs = program.lhs
         if lhs is not None:
-            san = self._sanitizer
-            store = (
-                self.store
-                if san is None
-                else san.reader(
-                    self.site, installed.rule.name, self.store, self.sim.now
-                )
-            )
             try:
-                if not lhs(slots, store):
+                if not lhs(slots, self.store):
                     return None
             except (BindingError, TypeError):
                 # Unbindable condition (e.g. arithmetic over a cache that is
@@ -672,16 +656,10 @@ class CMShell:
             exec_hist.observe(perf_counter_ns() - began)
 
     def _lhs_condition_holds(self, rule: Rule, bindings: Bindings) -> bool:
-        san = self._sanitizer
-        store = (
-            self.store
-            if san is None
-            else san.reader(self.site, rule.name, self.store, self.sim.now)
-        )
         try:
             for var, expr in rule.binders:
-                bindings[var] = evaluate_value(expr, bindings, store)
-            return evaluate(rule.condition, bindings, store)
+                bindings[var] = evaluate_value(expr, bindings, self.store)
+            return evaluate(rule.condition, bindings, self.store)
         except (BindingError, TypeError):
             # An unbindable condition (e.g. arithmetic over a cache that is
             # still MISSING) means the rule is simply not applicable yet.
@@ -713,11 +691,6 @@ class CMShell:
             raise ConfigurationError(
                 f"shell {self.site!r} received unknown message {payload!r}"
             )
-        san = self._sanitizer
-        if san is not None:
-            # Merge the sender's vector clock before any RHS runs here —
-            # the FIFO channel makes receive order a happens-before witness.
-            san.on_receive(self.site, message.src)
         obs = self.obs
         span = None
         if obs.enabled:
@@ -744,21 +717,13 @@ class CMShell:
                 obs.tracer.finish(span, self.sim.now)
 
     def _execute_rhs(self, rule: Rule, bindings: Bindings, trigger: Event) -> None:
-        san = self._sanitizer
-        store = (
-            self.store
-            if san is None
-            else san.reader(self.site, rule.name, self.store, self.sim.now)
-        )
         for step in rule.steps:
             if step.template.kind is EventKind.FALSE:
                 continue  # prohibitions are promises, not actions
             step_bindings = dict(bindings)
             step_bindings["now"] = self.sim.now + self.clock_skew
             try:
-                applicable = evaluate(
-                    step.condition, step_bindings, store
-                )
+                applicable = evaluate(step.condition, step_bindings, self.store)
             except (BindingError, TypeError):
                 applicable = False  # unevaluable condition = not applicable
             if not applicable:
@@ -777,25 +742,17 @@ class CMShell:
         """
         rule = program.rule
         slots[program.now_slot] = self.sim.now + self.clock_skew
-        san = self._sanitizer
-        store = (
-            self.store
-            if san is None
-            else san.reader(self.site, rule.name, self.store, self.sim.now)
-        )
         for step in program.steps:
             condition = step.condition
             if condition is not None:
                 try:
-                    if not condition(slots, store):
+                    if not condition(slots, self.store):
                         continue
                 except (BindingError, TypeError):
                     continue  # unevaluable condition = not applicable
             kind = step.kind
             if kind is EventKind.WRITE_REQUEST:
                 ref = step.make_ref(slots)
-                if san is not None:
-                    san.on_write(self.site, rule.name, ref, self.sim.now)
                 self.translator_for(ref.name).request_write(
                     ref, step.make_value(slots), rule=rule, trigger=trigger
                 )
@@ -803,15 +760,9 @@ class CMShell:
                 if step.enumerating:
                     translator = self.translator_for(step.family)
                     for ref in translator.enumerate_refs(step.family):
-                        if san is not None:
-                            san.on_read(
-                                self.site, rule.name, ref, self.sim.now
-                            )
                         translator.request_read(ref, rule=rule, trigger=trigger)
                 else:
                     ref = step.make_ref(slots)
-                    if san is not None:
-                        san.on_read(self.site, rule.name, ref, self.sim.now)
                     self.translator_for(ref.name).request_read(
                         ref, rule=rule, trigger=trigger
                     )
@@ -822,8 +773,6 @@ class CMShell:
                         f"rule {rule.name!r} writes {ref.name!r} directly; "
                         f"database items need a WR (write request) event"
                     )
-                if san is not None:
-                    san.on_write(self.site, rule.name, ref, self.sim.now)
                 event = self.store.write(
                     ref, step.make_value(slots), self.sim.now,
                     rule=rule, trigger=trigger,
@@ -842,12 +791,9 @@ class CMShell:
 
     def _emit(self, template, bindings: Bindings, rule: Rule, trigger: Event) -> None:
         kind = template.kind
-        san = self._sanitizer
         if kind is EventKind.WRITE_REQUEST:
             ref = ground_item(template.item, bindings)
             value = _ground_value(template, bindings, index=0)
-            if san is not None:
-                san.on_write(self.site, rule.name, ref, self.sim.now)
             self.translator_for(ref.name).request_write(
                 ref, value, rule=rule, trigger=trigger
             )
@@ -857,13 +803,9 @@ class CMShell:
             if unbound:
                 translator = self.translator_for(template.item.name)
                 for ref in translator.enumerate_refs(template.item.name):
-                    if san is not None:
-                        san.on_read(self.site, rule.name, ref, self.sim.now)
                     translator.request_read(ref, rule=rule, trigger=trigger)
                 return
             ref = ground_item(template.item, bindings)
-            if san is not None:
-                san.on_read(self.site, rule.name, ref, self.sim.now)
             self.translator_for(ref.name).request_read(
                 ref, rule=rule, trigger=trigger
             )
@@ -876,8 +818,6 @@ class CMShell:
                     f"database items need a WR (write request) event"
                 )
             value = _ground_value(template, bindings, index=0)
-            if san is not None:
-                san.on_write(self.site, rule.name, ref, self.sim.now)
             event = self.store.write(
                 ref, value, self.sim.now, rule=rule, trigger=trigger
             )

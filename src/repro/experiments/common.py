@@ -62,7 +62,6 @@ def build_salary_scenario(
     in_order: bool = True,
     service: Optional[ServiceModel] = None,
     runtime: RuntimeSpec = "sim",
-    sanitize: bool = False,
 ) -> SalaryScenario:
     """Build and install the salary copy-constraint scenario.
 
@@ -79,7 +78,6 @@ def build_salary_scenario(
         failure_plan=failure_plan or FailurePlan(),
         in_order=in_order,
         runtime=runtime,
-        sanitize=sanitize,
     )
     cm = ConstraintManager(scenario)
     cm.add_site("sf")
@@ -155,7 +153,6 @@ def build_salary_scenario(
                 "failure_plan": failure_plan,
                 "in_order": in_order,
                 "service": service,
-                "sanitize": sanitize,
             },
         )
     return SalaryScenario(

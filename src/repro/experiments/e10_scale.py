@@ -196,32 +196,6 @@ def run(
     return result
 
 
-def run_scaled(
-    config: RunConfig | None = None,
-    *,
-    replica_counts: tuple[int, ...] = (8, 16),
-    people: int = 25,
-    rate: float = 2.0,
-    duration: float = 180.0,
-    seed: int = 11,
-) -> ExperimentResult:
-    """The scaled-up E10 configuration.
-
-    Sixteen replicas x 25 people x 2 writes/s over 180s drives roughly an
-    order of magnitude more trace events than :func:`run`; practical only
-    now that trace recording is O(1) per event and the latency measurement
-    reads the per-kind event index instead of rescanning the trace.
-    """
-    return run(
-        config,
-        replica_counts=replica_counts,
-        people=people,
-        rate=rate,
-        duration=duration,
-        seed=seed,
-    )
-
-
 def main() -> None:
     """Print the experiment's result table."""
     print(run().render())

@@ -49,9 +49,6 @@ class RunReport:
     #: Per-site batched-dispatch summary (batch counts, batch-size
     #: histogram); empty for sites that never ran the batched path.
     batching: dict = field(default_factory=dict)
-    #: The race sanitizer's verdict (``Scenario(sanitize=True)``); empty
-    #: when none was attached.
-    sanitizer: dict = field(default_factory=dict)
     #: Shell-process supervision facts (pid, liveness, exit code,
     #: restarts per site); ``{"enabled": False}`` on the in-process
     #: runtimes.
@@ -74,7 +71,6 @@ class RunReport:
             "rule_profile": self.rule_profile,
             "flight": self.flight,
             "batching": self.batching,
-            "sanitizer": self.sanitizer,
             "processes": self.processes,
         }
 
@@ -141,15 +137,6 @@ class RunReport:
                 f"  batching {site}: {entry.get('batch_events', 0)} events "
                 f"in {entry.get('batches_processed', 0)} batches "
                 f"(p99 size {(entry.get('batch_size') or {}).get('p99') or 0:g})"
-            )
-        sanitizer = self.sanitizer
-        if sanitizer.get("enabled"):
-            verdict = "ok" if sanitizer.get("ok") else "RACES FLAGGED"
-            lines.append(
-                f"  sanitizer: {verdict} "
-                f"({sanitizer.get('race_count', 0)} races, "
-                f"{sanitizer.get('predicted_conflicts', 0)} conflicts "
-                f"serialized by the plan)"
             )
         processes = self.processes
         if processes.get("enabled"):
@@ -376,11 +363,6 @@ def build_run_report(cm: Any) -> RunReport:
         entry = shell.batching_stats()
         if entry:
             report.batching[site] = entry
-
-    # -- the race sanitizer (only when one was attached) -----------------------
-    sanitizer = getattr(scenario, "sanitizer", None)
-    if sanitizer is not None:
-        report.sanitizer = sanitizer.report()
 
     # -- shell processes (only the proc runtime has any) -----------------------
     process_report = getattr(scenario.runtime_impl, "process_report", None)

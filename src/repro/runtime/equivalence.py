@@ -46,22 +46,10 @@ class RuntimeObservation:
     cross_site_trees: int = 0
     disconnected_trees: int = 0
     trees_over_kappa: int = 0
-    #: Race-sanitizer verdict (``sanitize=True`` runs only): flag count
-    #: plus how many store accesses the sanitizer actually checked, so a
-    #: "clean" run that observed nothing is distinguishable from a clean
-    #: run that observed the whole workload.
-    sanitizer_races: int = 0
-    sanitizer_accesses: int = 0
 
     @property
     def trace_valid(self) -> bool:
         return not self.trace_violations
-
-    @property
-    def sanitizer_ok(self) -> bool:
-        """No access pair the static analysis certified independent was
-        observed to collide (vacuously true when not sanitizing)."""
-        return self.sanitizer_races == 0
 
     @property
     def spans_valid(self) -> bool:
@@ -83,9 +71,6 @@ class RuntimeObservation:
             "disconnected_trees": self.disconnected_trees,
             "trees_over_kappa": self.trees_over_kappa,
             "spans_valid": self.spans_valid,
-            "sanitizer_races": self.sanitizer_races,
-            "sanitizer_accesses": self.sanitizer_accesses,
-            "sanitizer_ok": self.sanitizer_ok,
         }
 
 
@@ -122,8 +107,6 @@ class EquivalenceReport:
             and self.wire.trace_valid
             and self.verdicts_match
             and self.spans_match
-            and self.sim.sanitizer_ok
-            and self.wire.sanitizer_ok
         )
 
     def render(self) -> str:
@@ -171,7 +154,6 @@ def _observe(
     employee_count: int,
     rate: float,
     duration_seconds: float,
-    sanitize: bool = False,
 ) -> RuntimeObservation:
     # Imported lazily: the experiments package imports the runtime package.
     from repro.experiments.common import build_salary_scenario
@@ -181,7 +163,6 @@ def _observe(
         strategy_kind=strategy_kind,
         seed=seed,
         runtime=runtime,
-        sanitize=sanitize,
     )
     salary.scenario.obs.enable_tracing()
     workload = PersonnelWorkload(
@@ -208,12 +189,6 @@ def _observe(
                 cross_site += 1
                 if kappa is not None and tree.end_to_end() > kappa:
                     over_kappa += 1
-        sanitizer_races = sanitizer_accesses = 0
-        san = getattr(salary.scenario, "sanitizer", None)
-        if san is not None:
-            san_report = san.report()
-            sanitizer_races = san_report["race_count"]
-            sanitizer_accesses = san_report["reads"] + san_report["writes"]
         return RuntimeObservation(
             runtime=label,
             verdicts={name: report.valid for name, report in reports.items()},
@@ -226,8 +201,6 @@ def _observe(
             cross_site_trees=cross_site,
             disconnected_trees=disconnected,
             trees_over_kappa=over_kappa,
-            sanitizer_races=sanitizer_races,
-            sanitizer_accesses=sanitizer_accesses,
         )
     finally:
         # Real-resource runtimes (wire sockets, shell processes) must be
@@ -244,19 +217,12 @@ def run_equivalence(
     time_scale: float = 20.0,
     faults: WireFaultPlan | None = None,
     runtime: str = "wire",
-    sanitize: bool = False,
 ) -> EquivalenceReport:
     """Run one seeded scenario on sim plus a real runtime and compare.
 
     ``runtime`` picks the real substrate being held to the sim verdicts:
     ``"wire"`` (the default; shells as asyncio tasks over loopback TCP)
     or ``"proc"`` (every shell its own OS process, same wire protocol).
-
-    ``sanitize=True`` arms the dynamic race sanitizer on both sides and
-    folds its verdict into ``EquivalenceReport.ok``.  For the proc runtime
-    the parent-side sanitizer sees nothing (each shell process rebuilds its
-    own), so the sim observation carries the meaningful soundness check
-    there.
 
     The default workload (6 employees, 0.5 updates/s, 20 virtual seconds)
     keeps a wire run under two wall seconds at the default ``time_scale``
@@ -287,11 +253,11 @@ def run_equivalence(
 
     sim_obs = _observe(
         "sim", "sim", seed, strategy_kind, employee_count, rate,
-        duration_seconds, sanitize=sanitize,
+        duration_seconds,
     )
     wire_obs = _observe(
         real_factory, runtime, seed, strategy_kind, employee_count, rate,
-        duration_seconds, sanitize=sanitize,
+        duration_seconds,
     )
     return EquivalenceReport(
         seed=seed, strategy_kind=strategy_kind, sim=sim_obs, wire=wire_obs

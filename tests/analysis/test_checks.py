@@ -116,6 +116,21 @@ class TestVariableSafety:
         cm.stop()
         assert "CM201" not in codes_of(report)
 
+    def test_uncompilable_rule_is_info_cm202(self):
+        cm = bare_two_site()
+        sf = cm.shell("sf")
+        # The compiler has no plan for an RHS that emits a notification.
+        sf.install(rule("rule echo: N(salary1(n), b) -> [1] N(salary2(n), b)"))
+        sf.install(
+            rule("rule fwd: N(salary1(n), b) -> [1] WR(salary2(n), b)"),
+            rhs_site="ny",
+        )
+        report = lint_manager(cm)
+        cm.stop()
+        (finding,) = [d for d in report.diagnostics if d.code == "CM202"]
+        assert finding.severity.value == "info"
+        assert finding.rule == "echo"
+
 
 class TestCycles:
     def test_unguarded_private_write_cycle_cm301(self):

@@ -97,9 +97,7 @@ class TestLintReport:
 class TestCodeRegistry:
     def test_all_families_represented(self):
         prefixes = {code[:3] for code in CODES}
-        assert prefixes == {
-            "CM1", "CM2", "CM3", "CM4", "CM5", "CM6", "CM7",
-        }
+        assert prefixes == {"CM1", "CM2", "CM3", "CM4", "CM5", "CM6"}
 
     def test_describe_codes_lists_every_code(self):
         text = describe_codes()

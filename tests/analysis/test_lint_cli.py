@@ -51,3 +51,26 @@ class TestLintCli:
         out = capsys.readouterr().out
         for code in CODES:
             assert code in out
+
+    def test_explain_unknown_code_exits_two_before_linting(
+        self, capsys, monkeypatch
+    ):
+        import repro.analysis.targets as targets
+
+        def fail(*args, **kwargs):
+            raise AssertionError("an unknown code must not lint anything")
+
+        monkeypatch.setattr(targets, "lint_all", fail)
+        monkeypatch.setattr(targets, "lint_target", fail)
+        assert main(["--explain", "CM999"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown diagnostic code 'CM999'" in captured.err
+        assert "CM501" in captured.err
+
+    def test_explain_shows_suppressed_findings(self, capsys):
+        assert main(["--lint", "e6_monitor", "--explain", "cm501"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("CM501 (warning):")
+        assert "(suppressed)" in out
+        assert "2 CM501 finding(s) across 1 linted target(s)" in out

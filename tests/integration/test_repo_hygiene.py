@@ -1,4 +1,4 @@
-"""Repository-consistency checks: docs, benches, and experiments in sync."""
+"""Repository-consistency checks: docs, smoke tests, and experiments in sync."""
 
 from pathlib import Path
 
@@ -6,16 +6,19 @@ REPO = Path(__file__).resolve().parents[2]
 
 
 class TestHygiene:
-    def test_every_experiment_has_a_benchmark(self):
+    def test_every_experiment_has_a_smoke_test(self):
         from repro.experiments.runner import EXPERIMENTS
 
-        bench_text = "".join(
-            path.read_text() for path in (REPO / "benchmarks").glob("bench_*.py")
-        )
+        smoke_text = (
+            REPO / "tests" / "integration" / "test_experiments_smoke.py"
+        ).read_text()
         for key, (__, run) in EXPERIMENTS.items():
-            assert run.__module__ + "" in bench_text or (
-                run.__name__ in bench_text
-            ), f"experiment {key} ({run.__module__}) has no benchmark"
+            module = run.__module__.rsplit(".", 1)[-1]
+            call = f"{module}.{run.__name__}("
+            assert call in smoke_text, (
+                f"experiment {key} is never run by the smoke tests "
+                f"(no {call!r} in test_experiments_smoke.py)"
+            )
 
     def test_every_experiment_is_documented(self):
         experiments_md = (REPO / "EXPERIMENTS.md").read_text()

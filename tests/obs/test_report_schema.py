@@ -30,7 +30,6 @@ TOP_LEVEL_KEYS = [
     "rule_profile",
     "flight",
     "batching",
-    "sanitizer",
     "processes",
 ]
 
@@ -73,10 +72,6 @@ FLIGHT_RECORD_KEYS = {"time", "time_s", "site", "kind", "detail"}
 RULE_PROFILE_KEYS = {"match_hits", "match_misses", "fired", "exec_ns"}
 BATCHING_KEYS = {"batches_processed", "batch_events", "batch_size"}
 BATCH_SIZE_KEYS = {"count", "unit", "mean", "min", "max", "p50", "p99"}
-SANITIZER_KEYS = {
-    "enabled", "ok", "races", "race_count", "predicted_conflicts",
-    "reads", "writes", "receives", "sites",
-}
 
 
 def build_report():
@@ -138,22 +133,6 @@ class TestRunReportSchema:
             assert entry["batch_events"] == 2
             assert set(entry["batch_size"]) == BATCH_SIZE_KEYS
             assert entry["batch_size"]["unit"] == "events"
-
-    def test_sanitizer_section_empty_without_the_sanitizer(self):
-        data = build_report().to_dict()
-        assert data["sanitizer"] == {}
-
-    def test_sanitizer_section_schema(self):
-        salary = build_salary_scenario("propagation", sanitize=True)
-        cm = salary.cm
-        cm.spontaneous_write("salary1", ("e1",), 50_000.0)
-        cm.run(seconds(30))
-        sanitizer = cm.run_report().to_dict()["sanitizer"]
-        assert set(sanitizer) == SANITIZER_KEYS
-        assert sanitizer["enabled"] is True
-        assert sanitizer["ok"] is True
-        assert sanitizer["races"] == []
-        cm.stop()
 
     def test_processes_section_disabled_on_in_process_runtimes(self):
         data = build_report().to_dict()

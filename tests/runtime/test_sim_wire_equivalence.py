@@ -48,24 +48,6 @@ def test_polling_scenario_equivalent():
     assert report.ok, report.render()
 
 
-def test_sanitized_equivalence_is_clean_and_observed():
-    """With the race sanitizer armed on both sides, the equivalence
-    verdict must hold *and* the sanitizer must have actually watched the
-    run — a vacuously clean observation
-    (zero accesses) would prove nothing about the plan's soundness."""
-    report = run_equivalence(seed=0, sanitize=True)
-    assert report.ok, report.render()
-    for obs in (report.sim, report.wire):
-        assert obs.sanitizer_ok, obs.runtime
-        assert obs.sanitizer_races == 0
-        assert obs.sanitizer_accesses > 0, (
-            f"{obs.runtime}: the sanitizer observed nothing"
-        )
-    data = report.to_dict()
-    for side in ("sim", "wire"):
-        assert data[side]["sanitizer_ok"] is True
-
-
 def test_report_serializes_for_artifacts():
     report = run_equivalence(seed=1, duration_seconds=10.0)
     data = report.to_dict()
