@@ -13,24 +13,22 @@ joint state, which the checker derives by merging the items' change points.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.core.guarantees.base import Guarantee, GuaranteeReport
 from repro.core.intervals import Interval, IntervalSet
 from repro.core.items import DataItemRef, Value
 from repro.core.timebase import DAY, Ticks, format_ticks, to_seconds
-from repro.core.trace import ExecutionTrace
+from repro.core.trace import ExecutionTrace, Timeline
 
 Predicate = Callable[[dict[DataItemRef, Value]], bool]
 
 
-def _joint_change_points(
-    trace: ExecutionTrace, items: list[DataItemRef]
-) -> list[Ticks]:
+def _joint_change_points(timelines: Iterable[Timeline]) -> list[Ticks]:
     """Sorted distinct times at which any of the items changes value."""
     points: set[Ticks] = {0}
-    for ref in items:
-        for time, __ in trace.timeline(ref).change_points():
+    for timeline in timelines:
+        for time, __ in timeline.change_points():
             points.add(time)
     return sorted(points)
 
@@ -39,14 +37,16 @@ def _violation_intervals(
     trace: ExecutionTrace, items: list[DataItemRef], predicate: Predicate
 ) -> IntervalSet:
     """The set of times at which the predicate does **not** hold."""
-    points = _joint_change_points(trace, items)
+    # Fetched once: an item's timeline cannot change during a check.
+    timelines = {ref: trace.timeline(ref) for ref in items}
+    points = _joint_change_points(timelines.values())
     horizon = trace.horizon
     bad: list[Interval] = []
     for index, start in enumerate(points):
         end = points[index + 1] if index + 1 < len(points) else horizon
         if end <= start:
             continue
-        state = {ref: trace.value_at(ref, start) for ref in items}
+        state = {ref: line.value_at(start) for ref, line in timelines.items()}
         if not predicate(state):
             bad.append(Interval(start, end))
     return IntervalSet(bad)

@@ -571,15 +571,16 @@ def validate_trace(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
     with non-trivial conditions depend on local shell state at firing time,
     which the trace does not retain, so a missing event for such a step is
     not reported (it may legitimately have been suppressed by its condition).
-    Property 7 (in-order processing of related rules) is checked exactly over
-    the recorded generated events.
+    Property 7 (in-order processing of related rules) is one scan, O(1) per
+    generated event: in time order an event is late iff its trigger precedes
+    the latest trigger its (trigger site, site) group saw at a strictly
+    earlier event tick.  Each late event is reported once, not once per pair.
 
     Implementation: properties 1-5 are fused into a single pass over the
     event list (using the interpretation journal's write deltas for the
     property-2/3 state checks), and properties 6-7 consume the trace's
-    kind/family and provenance indexes; no full pass beyond those two
-    remains.  :func:`validate_trace_naive` is the pass-per-property
-    reference this is tested against.
+    kind/family and provenance indexes.  :func:`validate_trace_naive` is the
+    pass-per-property, pair-per-pair reference this is tested against.
     """
     buckets: dict[int, list[Violation]] = {n: [] for n in range(1, 8)}
     previous: Event | None = None
@@ -633,7 +634,7 @@ def validate_trace(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
     buckets[6] = _check_liveness(trace, rules)
 
     # Property 7: related rules fire in order.
-    buckets[7] = _check_in_order(trace.generated_events)
+    buckets[7] = _check_in_order(trace._generated)
 
     return [violation for n in range(1, 8) for violation in buckets[n]]
 
@@ -765,7 +766,7 @@ def _check_liveness(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]
             if deadline > trace.horizon:
                 continue  # obligation not yet due at end of trace
             if provenance is None:
-                provenance = _provenance_index(trace.generated_events)
+                provenance = _provenance_index(trace._generated)
             previous_time = event.time
             for step in rule.steps:
                 if step.condition is not TRUE:
@@ -805,31 +806,30 @@ def _find_generated(
 
 def _check_in_order(generated_events: Sequence[Event]) -> list[Violation]:
     """Property 7: if two generated events come from *related* rules (same
-    LHS site, same RHS site), their order must match their triggers' order."""
-    violations: list[Violation] = []
-    generated = [
+    LHS site, same RHS site), their order must match their triggers' order.
+    One scan, one violation per late event; see :func:`validate_trace`."""
+    events = [
         e for e in generated_events if e.rule is not None and e.trigger is not None
     ]
-    by_sites: dict[tuple[str, str], list[Event]] = {}
-    for event in generated:
-        key = (event.trigger.site, event.site)
-        by_sites.setdefault(key, []).append(event)
-    for group in by_sites.values():
-        for index, first in enumerate(group):
-            for second in group[index + 1:]:
-                t1, t3 = first.trigger.time, second.trigger.time
-                t2, t4 = first.time, second.time
-                if t1 == t3 or t2 == t4:
-                    continue
-                if (t1 < t3) != (t2 < t4):
-                    violations.append(
-                        Violation(
-                            7,
-                            "related rules fired out of order "
-                            f"(triggers at {t1} vs {t3}, events at {t2} vs {t4})",
-                            second,
-                        )
-                    )
+    if any(a.time > b.time for a, b in zip(events, events[1:])):
+        events.sort(key=lambda e: e.time)  # tampered trace, see property 1
+    violations: list[Violation] = []
+    marks: dict[tuple[str, str], list] = {}  # group -> [mark holder, candidate]
+    for event in events:
+        mark = marks.setdefault((event.trigger.site, event.site), [None, event])
+        first, held = mark
+        if held.time < event.time:
+            if first is None or held.trigger.time > first.trigger.time:
+                first = mark[0] = held
+            mark[1] = event
+        elif event.trigger.time > held.trigger.time:
+            mark[1] = event
+        if first is not None and event.trigger.time < first.trigger.time:
+            message = (
+                f"related rules fired out of order (triggers at {first.trigger.time} "
+                f"vs {event.trigger.time}, events at {first.time} vs {event.time})"
+            )
+            violations.append(Violation(7, message, event))
     return violations
 
 
@@ -946,7 +946,7 @@ def validate_trace_naive(
     violations.extend(_check_liveness_naive(queries, rules))
 
     # Property 7: related rules fire in order.
-    violations.extend(_check_in_order(events))
+    violations.extend(_check_in_order_naive(events))
 
     return violations
 
@@ -1022,3 +1022,33 @@ def _find_generated_naive(
             if match_desc(tmpl, event.desc) is not None:
                 return event
     return None
+
+
+def _check_in_order_naive(generated_events: Sequence[Event]) -> list[Violation]:
+    """Property 7: if two generated events come from *related* rules (same
+    LHS site, same RHS site), their order must match their triggers' order."""
+    violations: list[Violation] = []
+    generated = [
+        e for e in generated_events if e.rule is not None and e.trigger is not None
+    ]
+    by_sites: dict[tuple[str, str], list[Event]] = {}
+    for event in generated:
+        key = (event.trigger.site, event.site)
+        by_sites.setdefault(key, []).append(event)
+    for group in by_sites.values():
+        for index, first in enumerate(group):
+            for second in group[index + 1:]:
+                t1, t3 = first.trigger.time, second.trigger.time
+                t2, t4 = first.time, second.time
+                if t1 == t3 or t2 == t4:
+                    continue
+                if (t1 < t3) != (t2 < t4):
+                    violations.append(
+                        Violation(
+                            7,
+                            "related rules fired out of order "
+                            f"(triggers at {t1} vs {t3}, events at {t2} vs {t4})",
+                            second,
+                        )
+                    )
+    return violations

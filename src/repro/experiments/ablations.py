@@ -5,7 +5,8 @@
    proving the "Y strictly follows X" guarantee.  The ablation disables the
    network's per-channel FIFO and shows guarantee (3) — and the
    path-plotting application built on it — breaking, while guarantee (1)
-   survives (it never cared about order).
+   survives (it never cared about order).  The property-7 checker itself
+   is asked too: it must flag the free-for-all run and pass the FIFO one.
 
 2. **Trigger-echo suppression.**  Translators do not report CM-originated
    writes through notify interfaces (``Ws -> N`` covers spontaneous writes
@@ -19,6 +20,7 @@ from __future__ import annotations
 from repro.apps import PlotterApp
 from repro.core.items import DataItemRef
 from repro.core.timebase import seconds
+from repro.core.trace import validate_trace
 from repro.experiments.common import (
     ExperimentResult,
     RunConfig,
@@ -33,7 +35,8 @@ from repro.workloads import UpdateStream
 CLAIM = (
     "with FIFO channels disabled, guarantee (3) 'Y strictly follows X' "
     "breaks (and the plotter draws out-of-order paths) while guarantee (1) "
-    "still holds — confirming why the formalism demands in-order processing"
+    "still holds, and valid-execution property 7 flags exactly that run — "
+    "confirming why the formalism demands in-order processing"
 )
 
 
@@ -57,6 +60,7 @@ def run_in_order_ablation(
             "g3 strict",
             "plot points",
             "out_of_order_pairs",
+            "p7 flagged",
         ],
     )
     outcomes = {}
@@ -102,7 +106,13 @@ def run_in_order_ablation(
             DataItemRef("salary2", ("robot",)),
         )
         audit = plotter.audit()
-        outcomes[in_order] = (follows_ok, strict_ok, audit)
+        late = sum(
+            violation.property_number == 7
+            for violation in validate_trace(
+                salary.scenario.trace, list(salary.installed.strategy.rules)
+            )
+        )
+        outcomes[in_order] = (follows_ok, strict_ok, audit, late)
         result.rows.append(
             [
                 "fifo" if in_order else "free-for-all",
@@ -110,10 +120,11 @@ def run_in_order_ablation(
                 strict_ok,
                 audit.points_plotted,
                 len(audit.out_of_order_pairs),
+                late,
             ]
         )
-    fifo_follows, fifo_strict, fifo_audit = outcomes[True]
-    free_follows, free_strict, free_audit = outcomes[False]
+    fifo_follows, fifo_strict, fifo_audit, fifo_late = outcomes[True]
+    free_follows, free_strict, free_audit, free_late = outcomes[False]
     if not (fifo_follows and fifo_strict and fifo_audit.ordered):
         result.claim_holds = False
         result.notes.append("FIFO channels did not preserve guarantee (3)")
@@ -126,6 +137,11 @@ def run_in_order_ablation(
         result.claim_holds = False
         result.notes.append(
             "guarantee (1) broke without FIFO; it should be order-insensitive"
+        )
+    if fifo_late or not free_late:
+        result.claim_holds = False
+        result.notes.append(
+            "the property-7 checker must flag the free-for-all run and only it"
         )
     attach_observability(result, salary.cm)
     return result

@@ -12,9 +12,11 @@ provenance — and assert query-by-query agreement.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.dsl import parse_rule
 from repro.core.events import (
+    Event,
     EventKind,
     notify_desc,
     periodic_desc,
@@ -24,6 +26,7 @@ from repro.core.events import (
     write_desc,
     write_request_desc,
 )
+from repro.core.interpretations import EMPTY_INTERPRETATION
 from repro.core.items import MISSING, item
 from repro.core.templates import FALSE_TEMPLATE, Template
 from repro.core.terms import FAMILY_WILDCARD, ItemPattern, Var
@@ -31,6 +34,8 @@ from repro.core.timebase import seconds
 from repro.core.trace import (
     ExecutionTrace,
     ReferenceTraceQueries,
+    _check_in_order,
+    _check_in_order_naive,
     validate_trace,
     validate_trace_naive,
 )
@@ -194,18 +199,70 @@ def test_timelines_agree_interleaved_with_recording(seed):
             assert incremental.change_points() == rebuilt.change_points()
 
 
+def _split(violations):
+    """(Properties 1-6 verbatim, the event seqs property 7 flags)."""
+    exact = [
+        (v.property_number, v.message, v.event.seq if v.event else None)
+        for v in violations
+        if v.property_number != 7
+    ]
+    return exact, [v.event.seq for v in violations if v.property_number == 7]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_validator_agrees_with_naive(seed):
+    """Property 7 agrees on *which events* are late: the scan reports each
+    once, the pairwise reference once per inverted pair it is the late
+    member of."""
     trace = _random_trace(seed)
-    fused = validate_trace(trace, RULES)
-    naive = validate_trace_naive(trace, RULES)
-    assert [
-        (v.property_number, v.message, v.event.seq if v.event else None)
-        for v in fused
-    ] == [
-        (v.property_number, v.message, v.event.seq if v.event else None)
-        for v in naive
+    exact, late = _split(validate_trace(trace, RULES))
+    naive_exact, naive_late = _split(validate_trace_naive(trace, RULES))
+    assert exact == naive_exact
+    assert len(late) == len(set(late))
+    assert set(late) == set(naive_late)
+
+
+def _seqs(violations):
+    return {v.event.seq for v in violations}
+
+
+_BLANK = {
+    "desc": periodic_desc(1),
+    "old": EMPTY_INTERPRETATION,
+    "new": EMPTY_INTERPRETATION,
+}
+
+
+def _generated(triples):
+    """Hand-built generated events from (group, trigger tick, tick) triples."""
+    return [
+        Event(
+            time=tick,
+            site=f"dst{group // 2}",
+            rule=RULES[0],
+            trigger=Event(time=trigger_tick, site=f"src{group % 2}", **_BLANK),
+            **_BLANK,
+        )
+        for group, trigger_tick, tick in triples
     ]
+
+
+# Few distinct ticks over many events: most pairs tie on one side or both.
+_TRIPLES = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(0, 6)),
+    max_size=40,
+)
+
+
+@given(triples=_TRIPLES)
+@settings(max_examples=300, deadline=None)
+def test_in_order_scan_agrees_with_pairwise(triples):
+    shuffled = _generated(triples)
+    assert bool(_check_in_order(shuffled)) == bool(_check_in_order_naive(shuffled))
+    ordered = sorted(shuffled, key=lambda e: e.time)
+    late = _check_in_order(ordered)
+    assert len(late) == len(_seqs(late))
+    assert _seqs(late) == _seqs(_check_in_order_naive(ordered))
 
 
 def test_validator_agrees_on_clean_trace():

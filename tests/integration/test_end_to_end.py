@@ -10,7 +10,7 @@ import pytest
 from repro.core.events import EventKind
 from repro.core.guarantees import leads
 from repro.core.timebase import DAY, clock_time, seconds
-from repro.core.trace import validate_trace
+from repro.core.trace import ExecutionTrace, validate_trace, validate_trace_naive
 from repro.experiments.common import build_salary_scenario
 from repro.workloads import UpdateStream
 from repro.workloads.generators import random_walk
@@ -68,6 +68,77 @@ class TestPropagationStack:
             while origin.trigger is not None:
                 origin = origin.trigger
             assert origin.desc.kind is EventKind.SPONTANEOUS_WRITE
+
+
+def _replayed(trace, triggers):
+    """A copy of a recorded trace with the triggers of some events (by seq)
+    replaced: a planted reordering the run itself never produced."""
+    copy = ExecutionTrace()
+    for ref, value in trace.seeded.items():
+        copy.seed(ref, value)
+    for event in trace.events:
+        copy.record(
+            event.time,
+            event.site,
+            event.desc,
+            rule=event.rule,
+            trigger=triggers.get(event.seq, event.trigger),
+            seq=event.seq,
+        )
+    copy.close(trace.horizon)
+    return copy
+
+
+def _late(violations):
+    return {v.event.seq for v in violations if v.property_number == 7}
+
+
+class TestPlantedReorderings:
+    """Property 7 on a FIFO propagation run with provenance swapped after
+    the fact; both validators must single out the same events."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        salary = run_with_workload(
+            build_salary_scenario("propagation", seed=4), duration=60
+        )
+        trace = salary.scenario.trace
+        rules = list(salary.installed.strategy.rules)
+        assert validate_trace(trace, rules) == []
+        return trace, rules
+
+    def _group(self, trace, source, site):
+        return [
+            e
+            for e in trace.generated_events
+            if (e.trigger.site, e.site) == (source, site)
+        ]
+
+    def test_swap_inside_a_group_flags_exactly_the_later_event(self, run):
+        trace, rules = run
+        earlier, later = self._group(trace, "sf", "ny")[7:9]
+        assert earlier.trigger.time < later.trigger.time
+        planted = _replayed(
+            trace, {earlier.seq: later.trigger, later.seq: earlier.trigger}
+        )
+        assert _late(validate_trace(planted, rules)) == {later.seq}
+        assert _late(validate_trace_naive(planted, rules)) == {later.seq}
+
+    def test_swap_across_groups_is_not_flagged(self, run):
+        trace, rules = run
+        # One propagation chain, Ws -> N (sf to sf) -> WR (sf to ny), that
+        # overlaps neither neighbour: both events keep a trigger from site
+        # sf, so they stay in their groups, in trigger order.
+        before, request, after = self._group(trace, "sf", "ny")[6:9]
+        notify = request.trigger
+        assert notify in self._group(trace, "sf", "sf")
+        assert before.time < notify.trigger.time
+        assert request.time < after.trigger.trigger.time
+        planted = _replayed(
+            trace, {notify.seq: request.trigger, request.seq: notify.trigger}
+        )
+        assert _late(validate_trace(planted, rules)) == set()
+        assert _late(validate_trace_naive(planted, rules)) == set()
 
 
 class TestPollingStack:
