@@ -34,6 +34,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.runtime.api import RUNTIMES
+
 
 def _profile_experiment(experiment: str, out_path: str | None) -> int:
     import cProfile
@@ -256,10 +258,10 @@ def main(argv: list[str] | None = None) -> int:
     experiments.add_argument("--quiet", action="store_true")
     experiments.add_argument(
         "--runtime",
-        choices=("sim", "async"),
+        choices=sorted(RUNTIMES),
         default=None,
         help="run under the 'sim' kernel (default) or the 'async' wire "
-        "runtime (asyncio shells over real sockets)",
+        "runtime (alias 'wire': asyncio shells over real sockets)",
     )
     experiments.add_argument(
         "--time-scale",
@@ -287,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     watch.add_argument(
         "--runtime",
-        choices=("sim", "async"),
+        choices=sorted(RUNTIMES),
         default=None,
         help="execution runtime (default sim)",
     )

@@ -28,7 +28,7 @@ scanning all node pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.conditions import TRUE, Binary, Expr, Name

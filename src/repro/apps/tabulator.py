@@ -15,7 +15,7 @@ will be missing values — which is precisely the experiment E2 demonstrates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cm.manager import ConstraintManager
 from repro.core.items import MISSING, DataItemRef

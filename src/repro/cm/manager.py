@@ -116,7 +116,7 @@ class Scenario:
 
     @property
     def runtime_name(self) -> str:
-        """The active runtime's registered name ("sim" or "async")."""
+        """The active runtime's ``name`` ("sim"; "async" for the wire runtime)."""
         return self.runtime_impl.name
 
     def run(self, until: Ticks) -> None:

@@ -50,7 +50,6 @@ from repro.core.errors import (
     SpecError,
 )
 from repro.core.events import Event, EventKind, periodic_desc
-from repro.core.items import DataItemRef
 from repro.core.rules import Rule
 from repro.core.terms import Bindings, Const, ground_item
 from repro.cm.dispatch import InstalledRule, RuleIndex
@@ -894,7 +893,7 @@ class _PhasedTimer:
     """A daily-phase periodic timer: first fires at the next occurrence of
     ``phase`` ticks-past-midnight, then every ``period``."""
 
-    def __init__(self, sim: Simulator, period: Ticks, phase: Ticks, callback):
+    def __init__(self, sim: Clock, period: Ticks, phase: Ticks, callback):
         from repro.core.timebase import DAY
 
         self.sim = sim

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from repro.core.conditions import TRUE, Binary, Expr, ItemRead, Name
+from repro.core.conditions import Binary, Expr, ItemRead, Name
 from repro.core.errors import SpecError
 from repro.core.events import EventKind
 from repro.core.rules import RhsStep, Rule, RuleRole

@@ -35,7 +35,7 @@ from repro.core.conditions import Binary, Expr, ItemRead, Literal, Name
 from repro.core.errors import SpecError
 from repro.core.events import EventKind
 from repro.core.items import MISSING
-from repro.core.rules import RhsStep, Rule, RuleRole
+from repro.core.rules import RhsStep, Rule
 from repro.core.templates import Template, template
 from repro.core.terms import Const, ItemPattern, Var
 from repro.core.timebase import Ticks

@@ -327,11 +327,10 @@ class ExecutionTrace:
         """Record one event, computing its interpretations.  O(1) per event.
 
         ``seq`` preserves an explicit sequence number when re-recording an
-        event that was numbered elsewhere (the process runtime merging its
-        shells' traces): event identity across process boundaries is
-        ``(site, seq)``, so the merged trace must keep each child's
-        numbering for provenance lookups to resolve.  Passing it never
-        advances the global event counter.
+        event numbered elsewhere, e.g. replaying a trace with planted
+        faults: event identity is ``(site, seq)``, so the copy must keep
+        the original numbering for provenance lookups to resolve.  Passing
+        it never advances the global event counter.
         """
         events = self._events
         if events and time < events[-1].time:

@@ -12,7 +12,7 @@ from repro.constraints import CopyConstraint
 from repro.core.catalog import Suggestion
 from repro.core.errors import ConfigurationError
 from repro.core.interfaces import InterfaceKind
-from repro.core.timebase import Ticks, seconds
+from repro.core.timebase import seconds
 from repro.ris.relational import RelationalDatabase
 from repro.runtime.api import RunConfig, RuntimeSpec, resolve_config
 from repro.sim.failures import FailurePlan
@@ -132,29 +132,6 @@ def build_salary_scenario(
     )
     chosen = pick_suggestion(suggestions, strategy_kind)
     installed = cm.install(constraint, chosen)
-    # The process runtime rebuilds this wiring inside each shell process:
-    # hand it this module-level builder (picklable by qualified name) with
-    # the exact same knobs, minus the runtime itself.
-    accept = getattr(scenario.runtime_impl, "accept_bootstrap", None)
-    if accept is not None:
-        accept(
-            build_salary_scenario,
-            {
-                "strategy_kind": strategy_kind,
-                "seed": seed,
-                "notify_bound": notify_bound,
-                "read_bound": read_bound,
-                "write_bound": write_bound,
-                "rule_delay": rule_delay,
-                "polling_period": polling_period,
-                "offer_notify": offer_notify,
-                "offer_read": offer_read,
-                "latency": latency,
-                "failure_plan": failure_plan,
-                "in_order": in_order,
-                "service": service,
-            },
-        )
     return SalaryScenario(
         scenario, cm, branch_db, hq_db, constraint, installed, chosen
     )

@@ -21,7 +21,6 @@ from repro.cm import CMRID, ConstraintManager, Scenario
 from repro.constraints import CopyConstraint
 from repro.core.events import EventKind
 from repro.core.interfaces import InterfaceKind
-from repro.core.items import DataItemRef
 from repro.core.timebase import seconds, to_seconds
 from repro.experiments.common import (
     ExperimentResult,
@@ -33,7 +32,6 @@ from repro.experiments.common import (
 from repro.runtime.api import RuntimeSpec
 from repro.ris.relational import RelationalDatabase
 from repro.workloads import UpdateStream
-from repro.workloads.generators import random_walk
 
 CLAIM = (
     "per-update propagation latency stays flat as replica sites are added: "

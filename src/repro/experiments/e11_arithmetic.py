@@ -23,7 +23,7 @@ from repro.constraints import ArithmeticConstraint
 from repro.core.guarantees.arithmetic import sum_timeline
 from repro.core.interfaces import InterfaceKind
 from repro.core.items import MISSING, DataItemRef
-from repro.core.timebase import Ticks, seconds, to_seconds
+from repro.core.timebase import Ticks, seconds
 from repro.experiments.common import (
     ExperimentResult,
     RunConfig,

@@ -13,7 +13,7 @@ the measured worst-case propagation lag against the computed κ.
 
 from __future__ import annotations
 
-from repro.core.timebase import seconds, to_seconds
+from repro.core.timebase import seconds
 from repro.core.trace import validate_trace
 from repro.experiments.common import (
     ExperimentResult,

@@ -17,7 +17,7 @@ disappear.
 from __future__ import annotations
 
 from repro.core.guarantees import leads
-from repro.core.timebase import seconds, to_seconds
+from repro.core.timebase import seconds
 from repro.experiments.common import (
     ExperimentResult,
     RunConfig,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.cm import CMRID, ConstraintManager, Scenario
 from repro.constraints import ReferentialConstraint
 from repro.core.interfaces import InterfaceKind
-from repro.core.timebase import DAY, clock_time, days, hours, seconds, to_seconds
+from repro.core.timebase import DAY, clock_time, days, seconds
 from repro.experiments.common import (
     ExperimentResult,
     RunConfig,

@@ -36,6 +36,7 @@ from repro.experiments import (
     e11_arithmetic,
 )
 from repro.experiments.common import ExperimentResult, RunConfig
+from repro.runtime.api import RUNTIMES
 
 EXPERIMENTS: dict[str, tuple[str, Callable[..., object]]] = {
     "e1": ("propagation strategy (Section 4.2)", e1_propagation.run),
@@ -91,10 +92,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--runtime",
-        choices=("sim", "async"),
+        choices=sorted(RUNTIMES),
         default="sim",
         help="execution runtime: 'sim' (deterministic discrete-event kernel) "
-        "or 'async' (asyncio shells over real sockets)",
+        "or 'async' (alias 'wire': asyncio shells over real sockets)",
     )
     parser.add_argument(
         "--time-scale",

@@ -49,10 +49,6 @@ class RunReport:
     #: Per-site batched-dispatch summary (batch counts, batch-size
     #: histogram); empty for sites that never ran the batched path.
     batching: dict = field(default_factory=dict)
-    #: Shell-process supervision facts (pid, liveness, exit code,
-    #: restarts per site); ``{"enabled": False}`` on the in-process
-    #: runtimes.
-    processes: dict = field(default_factory=lambda: {"enabled": False})
 
     def to_dict(self) -> dict:
         return {
@@ -71,7 +67,6 @@ class RunReport:
             "rule_profile": self.rule_profile,
             "flight": self.flight,
             "batching": self.batching,
-            "processes": self.processes,
         }
 
     def to_json(self, indent: int = 2) -> str:
@@ -137,13 +132,6 @@ class RunReport:
                 f"  batching {site}: {entry.get('batch_events', 0)} events "
                 f"in {entry.get('batches_processed', 0)} batches "
                 f"(p99 size {(entry.get('batch_size') or {}).get('p99') or 0:g})"
-            )
-        processes = self.processes
-        if processes.get("enabled"):
-            sites = processes.get("sites", {})
-            live = sum(1 for entry in sites.values() if entry.get("alive"))
-            lines.append(
-                f"  processes: {len(sites)} shell processes, {live} alive"
             )
         flight = self.flight
         if flight:
@@ -363,11 +351,6 @@ def build_run_report(cm: Any) -> RunReport:
         entry = shell.batching_stats()
         if entry:
             report.batching[site] = entry
-
-    # -- shell processes (only the proc runtime has any) -----------------------
-    process_report = getattr(scenario.runtime_impl, "process_report", None)
-    if process_report is not None:
-        report.processes = process_report()
 
     # -- flight recorder (only when the recorder was attached) -----------------
     if flight is not None:

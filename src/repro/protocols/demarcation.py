@@ -36,7 +36,6 @@ from enum import Enum
 from typing import Optional
 
 from repro.core.items import DataItemRef
-from repro.core.timebase import Ticks
 from repro.cm.shell import CMShell
 from repro.sim.network import Message, Network
 

@@ -11,7 +11,7 @@ scenario of Section 6.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.ris.base import (

@@ -11,7 +11,7 @@ constraint checks, Section 6.1).
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 from repro.ris.relational.errors import TransactionError
 from repro.ris.relational.triggers import TriggerDef, TriggerEvent

@@ -1,14 +1,13 @@
-"""The runtime package: one seam, three execution substrates.
+"""The runtime package: one seam, two execution substrates.
 
 ``Scenario(runtime="sim")`` (the default) runs on the deterministic
-discrete-event kernel; ``Scenario(runtime="async")`` runs every CM-Shell
+discrete-event kernel, the executable specification;
+``Scenario(runtime="async")`` (alias ``"wire"``) runs every CM-Shell
 as asyncio tasks behind real loopback sockets with length-prefixed
-JSON-RPC framing, wall-clock timers, and injectable socket-level faults;
-``Scenario(runtime="proc")`` goes one step further and runs every
-CM-Shell as its own OS process (off the GIL), still over the same wire
-protocol.  See :mod:`repro.runtime.api` for the seam and
-:mod:`repro.runtime.equivalence` for the harness that holds the
-runtimes to the same guarantees.
+JSON-RPC framing, wall-clock timers, and injectable socket-level faults.
+See :mod:`repro.runtime.api` for the seam and
+:mod:`repro.runtime.equivalence` for the harness that holds the wire
+runtime to the sim kernel's guarantees.
 """
 
 from repro.runtime.api import (
@@ -26,7 +25,6 @@ from repro.runtime.channels import ChannelFaults, WireFaultPlan
 from repro.runtime.clock import WallClock
 from repro.runtime.equivalence import EquivalenceReport, run_equivalence
 from repro.runtime.gateway import Gateway, WireNetwork
-from repro.runtime.proc import ProcRuntime, ProcRuntimeError
 from repro.runtime.sim_runtime import SimRuntime
 
 __all__ = [
@@ -35,8 +33,6 @@ __all__ = [
     "Clock",
     "EquivalenceReport",
     "Gateway",
-    "ProcRuntime",
-    "ProcRuntimeError",
     "RUNTIMES",
     "RunConfig",
     "Runtime",

@@ -120,19 +120,11 @@ def _async_factory() -> Runtime:
     return AsyncRuntime()
 
 
-def _proc_factory() -> Runtime:
-    from repro.runtime.proc import ProcRuntime
-
-    return ProcRuntime()
-
-
 RUNTIMES: dict[str, Callable[[], Runtime]] = {
     "sim": _sim_factory,
     "async": _async_factory,
     # "wire" reads better in prose; accept it as an alias for "async".
     "wire": _async_factory,
-    # Every CM-Shell as its own OS process (multi-core, off the GIL).
-    "proc": _proc_factory,
 }
 
 
@@ -198,16 +190,6 @@ class RunConfig:
                 return AsyncRuntime(time_scale=time_scale, faults=faults)
 
             return factory
-        if isinstance(spec, str) and spec == "proc":
-            time_scale = self.time_scale
-            faults = self.faults
-
-            def proc_factory() -> Runtime:
-                from repro.runtime.proc import ProcRuntime
-
-                return ProcRuntime(time_scale=time_scale, faults=faults)
-
-            return proc_factory
         return spec
 
     def resolve_seed(self, default: int) -> int:

@@ -273,11 +273,6 @@ class ChannelSender:
         self._next_seq += 1
         return seq
 
-    @property
-    def in_flight(self) -> int:
-        """Messages queued but not yet written to the socket."""
-        return self._outbox.qsize() + (1 if self._held is not None else 0)
-
     def enqueue(self, seq: int, deliver_at: int, params: dict[str, Any]) -> None:
         """Queue one sequenced message for paced transmission."""
         self._outbox.put_nowait(_Outgoing(seq, deliver_at, params))
@@ -323,9 +318,9 @@ class ChannelSender:
                 self._flush_held(stream)
                 await stream.drain()
             except OSError:
-                # The endpoint is gone (e.g. a killed shell process).
-                # Drop the frame instead of crashing the sending task;
-                # the process supervisor reports the death separately.
+                # The endpoint is gone (dial refused or the connection
+                # died mid-write).  Drop this frame and count it instead of
+                # crashing the sending task; the next frame redials.
                 self.frames_dropped_dead += 1
                 self._stream = None
         if self._stream is not None:

@@ -79,13 +79,6 @@ class WallClock:
         self._stopped = False
         self.events_processed = 0
         self.max_queue_depth = 0
-        #: Shared wall-clock epoch (``time.time()``) for the next
-        #: activation.  The process runtime hands every shell process the
-        #: same epoch so their virtual clocks advance in lockstep — on one
-        #: machine ``time.time()`` agrees across processes to well under a
-        #: millisecond, far tighter than the channel latencies being
-        #: modelled.  ``None`` anchors to the local loop (single-process).
-        self.sync_epoch: float | None = None
 
     # -- Simulator-compatible surface -----------------------------------------
 
@@ -163,21 +156,9 @@ class WallClock:
         event.callback()
 
     def activate(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Anchor virtual time to ``loop`` and flush buffered schedules.
-
-        With :attr:`sync_epoch` set, the anchor instant is that shared
-        wall epoch instead of "now" — translated into the loop's timebase
-        so every process activating against the same epoch agrees on
-        virtual time regardless of when its activate call actually ran.
-        """
+        """Anchor virtual time to ``loop`` and flush buffered schedules."""
         self._loop = loop
-        epoch, self.sync_epoch = self.sync_epoch, None
-        if epoch is not None:
-            import time as _time
-
-            self._origin = loop.time() + (epoch - _time.time())
-        else:
-            self._origin = loop.time()
+        self._origin = loop.time()
         self._anchor = self._floor
         buffered, self._buffered = self._buffered, []
         for event in buffered:

@@ -1,4 +1,4 @@
-"""Self-contained by-value encoding for everything that crosses a process.
+"""Self-contained by-value encoding for everything that crosses a channel.
 
 The wire runtime's original payload codec shipped rule firings *by
 in-process handle*: the frame carried a token and the sender-side payload
@@ -35,7 +35,7 @@ plain facts and encode field-by-field like failure notices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.core.events import Event, EventDesc, EventKind
 from repro.core.interpretations import Interpretation
@@ -157,39 +157,25 @@ def encode_event(
     }
 
 
-def decode_event(
-    data: dict[str, Any],
-    rule_resolver: Optional[Callable[[str], Any]] = None,
-) -> Event:
+def decode_event(data: dict[str, Any]) -> Event:
     """Reverse :func:`encode_event`, bottom-up.
 
     Reconstructed events carry empty interpretations (the receiving side
     never reads ``old``/``new`` off a remote trigger) and their *original*
     sequence numbers — passing ``seq=`` explicitly keeps the global event
     counter untouched, so local event numbering is unaffected by decoding.
-    ``rule_resolver`` maps a rule name back to a locally known
-    :class:`~repro.core.rules.Rule` (returning ``None`` is fine: validators
-    identify remote triggers by ``(site, seq)``, not by their rule field).
+    The ``rule`` field decodes to ``None``: the frame carries the rule's
+    *name*, and validators identify remote triggers by ``(site, seq)``,
+    not by their rule field.
     """
     trigger_data = data["trigger"]
-    trigger = (
-        decode_event(trigger_data, rule_resolver)
-        if trigger_data is not None
-        else None
-    )
-    rule_name = data["rule"]
-    rule = (
-        rule_resolver(rule_name)
-        if rule_name is not None and rule_resolver is not None
-        else None
-    )
+    trigger = decode_event(trigger_data) if trigger_data is not None else None
     return Event(
         time=data["time"],
         site=data["site"],
         desc=decode_desc(data["desc"]),
         old=Interpretation(),
         new=Interpretation(),
-        rule=rule,
         trigger=trigger,
         seq=data["seq"],
     )
@@ -231,16 +217,13 @@ def encode_firing(fire: Any) -> dict[str, Any]:
     return data
 
 
-def decode_firing(
-    data: dict[str, Any],
-    rule_resolver: Optional[Callable[[str], Any]] = None,
-) -> WireFiring:
+def decode_firing(data: dict[str, Any]) -> WireFiring:
     """Reverse :func:`encode_firing` into a neutral :class:`WireFiring`."""
     slots_data = data.get("slots")
     bindings_data = data.get("bindings")
     return WireFiring(
         rule_name=data["rule"],
-        trigger=decode_event(data["trigger"], rule_resolver),
+        trigger=decode_event(data["trigger"]),
         slots=(
             [decode_value(v) for v in slots_data]
             if slots_data is not None

@@ -11,9 +11,8 @@ order.  What it *must* promise is the paper's actual contract:
    wire trace as against the sim trace for the same seeded scenario.
 
 :func:`run_equivalence` runs one seeded salary scenario (the paper's
-Section 4.2 running example) on both runtimes and compares.  The CI
-harness runs it across several seeds; ``tests/runtime/test_equivalence.py``
-asserts it inline.
+Section 4.2 running example) on both runtimes and compares;
+``tests/runtime/test_sim_wire_equivalence.py`` asserts it across seeds.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from typing import Any
 from repro.core.timebase import seconds
 from repro.core.trace import validate_trace
 from repro.runtime.api import RuntimeSpec
+from repro.runtime.async_runtime import AsyncRuntime
 from repro.runtime.channels import WireFaultPlan
 
 
@@ -203,8 +203,8 @@ def _observe(
             trees_over_kappa=over_kappa,
         )
     finally:
-        # Real-resource runtimes (wire sockets, shell processes) must be
-        # released even when a comparison fails mid-observation.
+        # The wire runtime's sockets must be released even when a
+        # comparison fails mid-observation.
         salary.scenario.shutdown()
 
 
@@ -216,13 +216,8 @@ def run_equivalence(
     duration_seconds: float = 20.0,
     time_scale: float = 20.0,
     faults: WireFaultPlan | None = None,
-    runtime: str = "wire",
 ) -> EquivalenceReport:
-    """Run one seeded scenario on sim plus a real runtime and compare.
-
-    ``runtime`` picks the real substrate being held to the sim verdicts:
-    ``"wire"`` (the default; shells as asyncio tasks over loopback TCP)
-    or ``"proc"`` (every shell its own OS process, same wire protocol).
+    """Run one seeded scenario on sim and over the wire and compare.
 
     The default workload (6 employees, 0.5 updates/s, 20 virtual seconds)
     keeps a wire run under two wall seconds at the default ``time_scale``
@@ -232,32 +227,13 @@ def run_equivalence(
     headroom — comfortable even on a loaded machine, where a higher scale
     makes event-loop jitter masquerade as a timing-property violation.
     """
-    if runtime == "proc":
-
-        def real_factory():
-            from repro.runtime.proc import ProcRuntime
-
-            return ProcRuntime(time_scale=time_scale, faults=faults)
-
-    elif runtime == "wire":
-
-        def real_factory():
-            from repro.runtime.async_runtime import AsyncRuntime
-
-            return AsyncRuntime(time_scale=time_scale, faults=faults)
-
-    else:
-        raise ValueError(
-            f"unknown equivalence runtime {runtime!r} (have: wire, proc)"
-        )
-
     sim_obs = _observe(
         "sim", "sim", seed, strategy_kind, employee_count, rate,
         duration_seconds,
     )
     wire_obs = _observe(
-        real_factory, runtime, seed, strategy_kind, employee_count, rate,
-        duration_seconds,
+        AsyncRuntime(time_scale=time_scale, faults=faults), "wire", seed,
+        strategy_kind, employee_count, rate, duration_seconds,
     )
     return EquivalenceReport(
         seed=seed, strategy_kind=strategy_kind, sim=sim_obs, wire=wire_obs

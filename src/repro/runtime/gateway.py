@@ -73,10 +73,7 @@ class Gateway:
 
     def __init__(self, host: str = "127.0.0.1") -> None:
         self.host = host
-        #: site -> TCP port.  Locally bound sites get theirs from
-        #: :meth:`start`; a process-runtime child *injects* its peers'
-        #: ports via :meth:`set_remote_ports` after the registration
-        #: exchange, so dialing works identically either way.
+        #: site -> the ephemeral loopback port :meth:`start` bound for it.
         self.ports: dict[str, int] = {}
         self._servers: dict[str, asyncio.Server] = {}
         self._accepted: list[FrameStream] = []
@@ -102,12 +99,6 @@ class Gateway:
             )
             self._servers[site] = server
             self.ports[site] = server.sockets[0].getsockname()[1]
-
-    def set_remote_ports(self, ports: dict[str, int]) -> None:
-        """Add ports of sites served by *other* processes (child mode)."""
-        for site, port in ports.items():
-            if site not in self._servers:
-                self.ports[site] = port
 
     async def dial(self, src: str, dst: str) -> FrameStream:
         """Open the ``src -> dst`` channel connection (hello handshake)."""
@@ -190,7 +181,6 @@ class WireNetwork:
         faults: WireFaultPlan | None = None,
         gateway: Gateway | None = None,
         deliver_batch_max: int = 16,
-        local_sites: Optional[list[str]] = None,
     ) -> None:
         self.clock = clock
         self.rngs = rng_registry or RngRegistry()
@@ -218,11 +208,6 @@ class WireNetwork:
         #: Virtual-time horizon of the current run; frames due after it are
         #: not delivered (the sim kernel leaves them queued past ``until``).
         self.horizon: int | None = None
-        #: Sites whose listening endpoints *this process* binds; ``None``
-        #: means all registered sites (the single-process wire runtime).
-        #: A process-runtime child binds only its own site and dials
-        #: peers through injected remote ports.
-        self.local_sites = set(local_sites) if local_sites is not None else None
         self._wall_sent: dict[tuple[str, str, int], float] = {}
         self._started = False
         self.messages_sent = 0
@@ -230,11 +215,6 @@ class WireNetwork:
         self.messages_delivered = 0
         #: Messages enqueued on a channel and not yet seen by a receiver.
         self.outstanding = 0
-        #: Raw wire frames seen per channel, before resequencing — the
-        #: process runtime's drain barrier compares these against the
-        #: senders' ``frames_written`` (the only cross-process claim the
-        #: receiving endpoint can verify by itself).
-        self.frames_seen: dict[tuple[str, str], int] = {}
         self._channel_metrics: dict[tuple[str, str], tuple] = {}
 
     # -- Network-compatible surface -------------------------------------------
@@ -389,10 +369,7 @@ class WireNetwork:
 
     async def start(self) -> None:
         """Open the gateway endpoints and release any buffered channels."""
-        local = self.local_sites
-        await self.gateway.start(
-            [site for site in self.sites if local is None or site in local]
-        )
+        await self.gateway.start(self.sites)
         self._started = True
         for sender in self._senders.values():
             sender.ensure_started()
@@ -400,31 +377,13 @@ class WireNetwork:
     async def quiesce(self, wall_budget: float = 5.0) -> None:
         """Wait until all enqueued messages reached their receivers.
 
-        Meaningful only when senders and receivers share this process
-        (``outstanding`` is incremented on send and decremented on
-        receipt); the process runtime uses :meth:`flush_senders` plus a
-        cross-process drain barrier over ``frames_seen`` instead.
+        Senders and receivers share this process, so ``outstanding``
+        (incremented on send, decremented on receipt) is the whole
+        barrier.
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + wall_budget
         while self.outstanding > 0 and loop.time() < deadline:
-            await asyncio.sleep(0.002)
-
-    async def flush_senders(self, wall_budget: float = 5.0) -> None:
-        """Wait until every sender's outbox has been written to its socket.
-
-        Unlike :meth:`quiesce` this makes no claim about *receipt* — the
-        receivers may live in other processes.  The caller then reports
-        per-channel ``frames_written`` so the receiving side can wait for
-        its ``frames_seen`` to catch up (the drain barrier).
-        """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + wall_budget
-        while loop.time() < deadline:
-            if all(
-                sender.in_flight == 0 for sender in self._senders.values()
-            ):
-                break
             await asyncio.sleep(0.002)
 
     async def stop(self) -> None:
@@ -468,7 +427,6 @@ class WireNetwork:
     def _on_frame(self, params: dict[str, Any]) -> None:
         """One inbound ``cm.deliver`` frame (possibly duplicated/reordered)."""
         channel = (params["src"], params["dst"])
-        self.frames_seen[channel] = self.frames_seen.get(channel, 0) + 1
         receiver = self._receiver_for(channel)
         accepted = receiver.accept(params)
         if self.in_order and accepted:
@@ -483,7 +441,6 @@ class WireNetwork:
         """One inbound ``cm.deliver_batch`` frame: resequence the whole
         coalesced run at once, then deliver each message in order."""
         channel = (params["src"], params["dst"])
-        self.frames_seen[channel] = self.frames_seen.get(channel, 0) + 1
         frames = params.get("frames")
         if not frames:
             return
@@ -563,7 +520,6 @@ class WireNetwork:
                 + (sender.frames_coalesced if sender else 0),
                 "frames_dropped_dead": carried.get("frames_dropped_dead", 0)
                 + (sender.frames_dropped_dead if sender else 0),
-                "frames_seen": self.frames_seen.get(channel, 0),
                 "duplicates_discarded": (
                     receiver.duplicates_discarded if receiver else 0
                 ),

@@ -15,7 +15,7 @@ workload changes never perturb network timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.core.timebase import Ticks, seconds

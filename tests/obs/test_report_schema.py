@@ -30,7 +30,6 @@ TOP_LEVEL_KEYS = [
     "rule_profile",
     "flight",
     "batching",
-    "processes",
 ]
 
 DISPATCH_TOTAL_KEYS = {
@@ -133,14 +132,6 @@ class TestRunReportSchema:
             assert entry["batch_events"] == 2
             assert set(entry["batch_size"]) == BATCH_SIZE_KEYS
             assert entry["batch_size"]["unit"] == "events"
-
-    def test_processes_section_disabled_on_in_process_runtimes(self):
-        data = build_report().to_dict()
-        # The sim kernel runs everything in one process; the section is
-        # present (the key set is the contract) but explicitly disabled.
-        # The proc runtime's populated shape is covered in
-        # tests/runtime/test_proc_runtime.py.
-        assert data["processes"] == {"enabled": False}
 
     def test_rule_profile_section_schema(self):
         data = build_report().to_dict()

@@ -1,5 +1,7 @@
 """Tests for channel fault plans, the payload codec, and the resequencer."""
 
+import asyncio
+
 import pytest
 
 from repro.cm.failures import FailureNotice
@@ -7,10 +9,13 @@ from repro.core.timebase import seconds
 from repro.runtime.channels import (
     ChannelFaults,
     ChannelReceiver,
+    ChannelSender,
     WireFaultPlan,
     decode_payload,
     encode_payload,
 )
+from repro.runtime.clock import WallClock
+from repro.runtime.transport import FrameStream
 from repro.sim.failures import FailureKind
 
 
@@ -85,6 +90,60 @@ class TestPayloadCodec:
 
 def frame(seq):
     return {"src": "a", "dst": "b", "seq": seq, "payload": seq}
+
+
+class TestSenderSurvivesDeadEndpoint:
+    def test_refused_dial_drops_one_frame_and_the_task_carries_on(self):
+        async def scenario():
+            received = []
+
+            async def serve(reader, writer):
+                stream = FrameStream(reader, writer)
+                while (frame := await stream.recv()) is not None:
+                    received.append(frame.params["seq"])
+                writer.close()
+
+            server = await asyncio.start_server(serve, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            dials = 0
+
+            async def dial():
+                nonlocal dials
+                dials += 1
+                if dials == 1:
+                    raise ConnectionRefusedError("endpoint is down")
+                return await FrameStream.open("127.0.0.1", port)
+
+            sender = ChannelSender("a", "b", WallClock(), dial)
+            for _ in range(3):
+                seq = sender.next_seq()
+                sender.enqueue(seq, 0, {"src": "a", "dst": "b", "seq": seq})
+            sender.ensure_started()
+
+            async def until(done):
+                while not done():
+                    await asyncio.sleep(0.002)
+
+            await asyncio.wait_for(
+                until(
+                    lambda: sender.frames_written + sender.frames_dropped_dead
+                    == 3
+                ),
+                timeout=5.0,
+            )
+            alive = not sender._task.done()
+            await asyncio.wait_for(sender.close(), timeout=5.0)
+            await asyncio.wait_for(until(lambda: len(received) == 2), 5.0)
+            server.close()
+            await asyncio.wait_for(server.wait_closed(), timeout=5.0)
+            return sender, alive, received
+
+        sender, alive, received = asyncio.run(scenario())
+        assert alive, "the sending task died with the endpoint"
+        assert sender.frames_dropped_dead == 1
+        assert sender.frames_written == 2
+        # The refused frame is gone; its successors crossed the socket.
+        assert received == [1, 2]
 
 
 class TestResequencer:

@@ -1,12 +1,12 @@
 """Codec round-trip property: real traces survive by-value encoding.
 
-The firing codec is what crosses every process boundary in the proc
-runtime, so the property is checked against *real* executions, not
-synthetic descriptors: run the Section 4.2 salary scenario on the
-deterministic kernel for each catalog strategy and each seed, then
-encode → decode every recorded event and demand the diff be empty —
-same time, site, sequence number, descriptor, rule, and trigger
-provenance chain (depth-bounded exactly like the wire).
+The firing codec is what crosses every channel of the wire runtime, so
+the property is checked against *real* executions, not synthetic
+descriptors: run the Section 4.2 salary scenario on the deterministic
+kernel for each catalog strategy and each seed, then encode → decode
+every recorded event and demand the diff be empty — same time, site,
+sequence number, descriptor, and trigger provenance chain (depth-bounded
+exactly like the wire), with the rule's name in the encoded frame.
 """
 
 import pytest
@@ -22,7 +22,6 @@ from repro.runtime.codec import (
     encode_event,
     encode_value,
 )
-from repro.runtime.proc import trace_rule_resolver
 from repro.workloads import PersonnelWorkload
 
 STRATEGIES = ["propagation", "cached-propagation", "polling"]
@@ -35,13 +34,10 @@ def _trace_for(strategy_kind, seed):
         salary.cm, employee_count=6, rate=0.5, duration=seconds(20)
     )
     salary.cm.run(until=seconds(30))
-    # The same resolver the proc runtime's merge uses: installed rules,
-    # remote-registered rules, and the translators' interface rules.
-    resolve = trace_rule_resolver(salary.cm.shells)
-    return salary.scenario.trace, resolve
+    return salary.scenario.trace
 
 
-def _diff(original, decoded, depth=MAX_TRIGGER_DEPTH):
+def _diff(original, encoded, decoded, depth=MAX_TRIGGER_DEPTH):
     """Field-level differences between an event and its round-trip."""
     problems = []
     for field in ("time", "site", "seq"):
@@ -50,8 +46,9 @@ def _diff(original, decoded, depth=MAX_TRIGGER_DEPTH):
             problems.append(f"{field}: {a!r} != {b!r}")
     if original.desc != decoded.desc:
         problems.append(f"desc: {original.desc!r} != {decoded.desc!r}")
+    # A decoded event carries no rule object; the name rides in the frame.
     rule_a = original.rule.name if original.rule is not None else None
-    rule_b = decoded.rule.name if decoded.rule is not None else None
+    rule_b = encoded["rule"]
     if rule_a != rule_b:
         problems.append(f"rule: {rule_a!r} != {rule_b!r}")
     if depth > 0 and original.trigger is not None:
@@ -60,7 +57,12 @@ def _diff(original, decoded, depth=MAX_TRIGGER_DEPTH):
         else:
             problems.extend(
                 f"trigger.{p}"
-                for p in _diff(original.trigger, decoded.trigger, depth - 1)
+                for p in _diff(
+                    original.trigger,
+                    encoded["trigger"],
+                    decoded.trigger,
+                    depth - 1,
+                )
             )
     return problems
 
@@ -69,38 +71,24 @@ class TestEventRoundTrip:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("strategy_kind", STRATEGIES)
     def test_trace_diff_is_empty(self, strategy_kind, seed):
-        trace, resolve = _trace_for(strategy_kind, seed)
-        events = trace.events
+        events = _trace_for(strategy_kind, seed).events
         assert events, "scenario produced no events"
         problems = []
         for event in events:
-            decoded = decode_event(encode_event(event), resolve)
+            encoded = encode_event(event)
             problems.extend(
                 f"event ({event.site}, {event.seq}): {p}"
-                for p in _diff(event, decoded)
+                for p in _diff(event, encoded, decode_event(encoded))
             )
         assert not problems, "\n".join(problems[:20])
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_rule_identity_is_reresolved_not_copied(self, seed):
-        trace, resolve = _trace_for("propagation", seed)
-        fired = [e for e in trace.events if e.rule is not None]
-        assert fired, "no rule firings recorded"
-        for event in fired:
-            decoded = decode_event(encode_event(event), resolve)
-            # The decoded rule must be the *same object* the resolver
-            # knows — that is what lets provenance indexes keyed by rule
-            # identity keep working after a merge.
-            assert decoded.rule is resolve(event.rule.name)
-            assert decoded.rule is event.rule
-
     def test_desc_roundtrip_preserves_descriptor_equality(self):
-        trace, _rules = _trace_for("cached-propagation", 0)
+        trace = _trace_for("cached-propagation", 0)
         for event in trace.events:
             assert decode_desc(encode_desc(event.desc)) == event.desc
 
     def test_value_roundtrip_on_observed_values(self):
-        trace, _rules = _trace_for("polling", 0)
+        trace = _trace_for("polling", 0)
         seen = 0
         for event in trace.events:
             for value in event.desc.values:

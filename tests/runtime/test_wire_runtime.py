@@ -5,6 +5,8 @@ frames over loopback TCP, paced by the scaled wall clock.  Time scales
 are set high so virtual minutes cost wall milliseconds.
 """
 
+import pytest
+
 from repro.cm import ConstraintManager, Scenario
 from repro.core.timebase import seconds
 from repro.experiments.common import build_salary_scenario
@@ -14,6 +16,14 @@ from repro.runtime.gateway import WireNetwork
 
 def wire(time_scale=1000.0, faults=None):
     return AsyncRuntime(time_scale=time_scale, faults=faults)
+
+
+def test_unregistered_runtime_name_lists_the_registry():
+    with pytest.raises(
+        ValueError,
+        match=r"unknown runtime 'carrier' \(have: async, sim, wire\)",
+    ):
+        Scenario(runtime="carrier")
 
 
 class TestWireScenario:
