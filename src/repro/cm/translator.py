@@ -12,6 +12,18 @@ metric-failure slowdown from the scenario's failure plan), so the promised
 interface bounds are *honest* — the translator self-reports a metric failure
 whenever an operation completes later than the bound the CM-RID advertised.
 
+Resolved once, paid per call: Section 4.1 fixes what a translator knows
+about an interface — which kinds a family offers, the interface rule, its
+bound δ — at initialization, from the CM-RID.  So :meth:`CMTranslator.attach`
+binds the shell's site, clock, trace, failure plan and instrumentation as
+plain attributes, the first draw binds this source's RNG stream, and the
+first operation on a family resolves its write / read / notify interfaces
+into one entry the request, the completion and the notification paths
+share.  What stays per call is what an execution can observe: the
+failure-plan probes (a plan may gain windows after wiring), the failure
+notices, and the service-time and notify-loss draws, from the same stream in
+the same order.
+
 Subclasses implement four native hooks:
 
 - ``_native_read(ref)`` — return the current value (MISSING if absent);
@@ -28,7 +40,7 @@ the native write (firing any declared notify hooks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.core.errors import ConfigurationError, UnsupportedOperationError
 from repro.core.events import (
@@ -40,7 +52,7 @@ from repro.core.events import (
     write_desc,
     write_request_desc,
 )
-from repro.core.interfaces import InterfaceKind, InterfaceSet
+from repro.core.interfaces import InterfaceKind, InterfaceSet, InterfaceSpec
 from repro.core.items import MISSING, DataItemRef, Value
 from repro.core.rules import Rule
 from repro.core.timebase import Ticks, seconds
@@ -67,14 +79,45 @@ class ServiceModel:
 
     def sample(self, operation: str, rng, slowdown: float = 1.0) -> Ticks:
         """One service-time sample for a given operation kind."""
-        base = {"read": self.read, "write": self.write, "notify": self.notify}[
-            operation
-        ]
+        if operation == "write":
+            base = self.write
+        elif operation == "read":
+            base = self.read
+        elif operation == "notify":
+            base = self.notify
+        else:
+            raise KeyError(operation)
         if self.jitter:
             factor = 1.0 + rng.uniform(-self.jitter, self.jitter)
         else:
             factor = 1.0
         return max(1, round(base * factor * slowdown))
+
+
+class _Offers(NamedTuple):
+    """What the CM-RID offers for one family on the operation paths, worked
+    out on first use: the interface each operation runs under (its rule is
+    the provenance of the events the operation generates, its bound what
+    the operation is held to), or ``None`` where the kind is not offered."""
+
+    write: InterfaceSpec | None
+    read: InterfaceSpec | None
+    #: The conditional-notify interface when offered, else the plain one.
+    notify: InterfaceSpec | None
+
+
+class _Unattached:
+    """Stands in for what :meth:`CMTranslator.attach` binds from the shell
+    (clock, trace, failure plan, instrumentation): using any of it before
+    the translator joined a shell is a wiring mistake."""
+
+    def __init__(self, source_name: str) -> None:
+        self._source_name = source_name
+
+    def __getattr__(self, name: str):
+        raise ConfigurationError(
+            f"translator for {self._source_name!r} is not attached to a shell"
+        )
 
 
 class CMTranslator:
@@ -101,7 +144,11 @@ class CMTranslator:
         self.rid = rid
         self.service = service or ServiceModel()
         self.shell: Optional["CMShell"] = None
+        self.site: str | None = None
+        self.sim = self.trace = self._plan = self._obs = _Unattached(source.name)
+        self._rng = None
         self._interfaces: InterfaceSet | None = None
+        self._offers: dict[str, _Offers] = {}
         self._failed: FailureKind | None = None
         self._current_spontaneous: Event | None = None
         self._notify_families: set[str] = set()
@@ -119,42 +166,29 @@ class CMTranslator:
     # -- wiring ----------------------------------------------------------------
 
     def attach(self, shell: "CMShell") -> None:
-        """Bind this translator to its site's shell (done by the manager)."""
+        """Bind this translator to its site's shell (done by the manager).
+
+        Everything the operation paths need from the shell is bound here,
+        once, as plain attributes: the site, the clock, the trace, the
+        failure plan and the instrumentation.  The clock and trace are kept
+        as *objects* — their methods are looked up per call, so a wrapper
+        installed on the class (the benchmark ledger's spans) is always the
+        one that runs.
+        """
         self.shell = shell
+        self.site = shell.site
+        self.sim = shell.sim
+        self.trace = shell.trace
+        self._plan = shell.failure_plan
+        self._obs = shell.obs
 
-    def _require_shell(self) -> "CMShell":
-        if self.shell is None:
-            raise ConfigurationError(
-                f"translator for {self.source.name!r} is not attached to a shell"
-            )
-        return self.shell
-
-    @property
-    def site(self) -> str:
-        """The site of the owning shell."""
-        return self._require_shell().site
-
-    @property
-    def sim(self):
-        """The scenario's simulator (via the owning shell)."""
-        return self._require_shell().sim
-
-    @property
-    def trace(self):
-        """The scenario's execution trace (via the owning shell)."""
-        return self._require_shell().trace
-
-    @property
-    def _rng(self):
-        return self._require_shell().rngs.stream(f"translator:{self.source.name}")
-
-    @property
-    def _plan(self):
-        return self._require_shell().failure_plan
-
-    @property
-    def _obs(self):
-        return self._require_shell().obs
+    def _stream(self):
+        """Bind this source's RNG stream, on the first draw (call sites read
+        ``self._rng or self._stream()``).  Not in :meth:`attach`: seeding a
+        stream costs ~30 µs, and a federation's worth of them there is
+        set-up time paid even by translators that never draw."""
+        rng = self._rng = self.shell.rngs.stream(f"translator:{self.source.name}")
+        return rng
 
     # -- observability helpers -----------------------------------------------
 
@@ -174,8 +208,9 @@ class CMTranslator:
             self._op_counters[op] = counter
         counter.value += amount
 
-    def _observe_propagation(self, family: str, wr_event: Event) -> None:
-        """Record end-to-end propagation latency for a completed write.
+    def _observe_propagation(self, family: str, wr_event: Event, now: Ticks) -> None:
+        """Record end-to-end propagation latency for a write completed at
+        ``now``.
 
         Latency is measured from the *root* of the write's trigger chain
         (the spontaneous write or periodic tick that started the causal
@@ -190,7 +225,7 @@ class CMTranslator:
                 "propagation_latency", family=family
             )
             self._prop_hists[family] = hist
-        hist.observe(self.sim.now - root.time)
+        hist.observe(now - root.time)
 
     # -- survey (Section 4.1 initialization) -------------------------------------
 
@@ -204,17 +239,25 @@ class CMTranslator:
         """Item families this translator manages."""
         return list(self.rid.bindings)
 
-    def _interface_rule(self, family: str, kind: InterfaceKind) -> Rule | None:
-        interfaces = self.offered_interfaces()
-        if interfaces.has(family, kind):
-            return interfaces.get(family, kind).rule
-        return None
+    def _offered(self, family: str) -> _Offers:
+        """The family's operation interfaces, resolved from the survey once."""
+        offers = self._offers.get(family)
+        if offers is None:
+            interfaces = self.offered_interfaces()
+
+            def spec(kind: InterfaceKind) -> InterfaceSpec | None:
+                if interfaces.has(family, kind):
+                    return interfaces.get(family, kind)
+                return None
+
+            offers = self._offers[family] = _Offers(
+                spec(InterfaceKind.WRITE),
+                spec(InterfaceKind.READ),
+                spec(InterfaceKind.CONDITIONAL_NOTIFY) or spec(InterfaceKind.NOTIFY),
+            )
+        return offers
 
     # -- service-time / failure plumbing --------------------------------------------
-
-    def _delay(self, operation: str) -> Ticks:
-        slowdown = self._plan.slowdown_at(self.site, self.sim.now)
-        return self.service.sample(operation, self._rng, slowdown)
 
     def _schedule_op(self, operation: str, fn) -> None:
         """Schedule a native operation on this translator's FIFO lane.
@@ -224,22 +267,29 @@ class CMTranslator:
         their sampled service times differ.  This is what makes the paper's
         in-order-processing assumption (Appendix A property 7) hold across
         interface rules that share this site.
+
+        Per call: the failure plan's slowdown and one service-time draw from
+        this source's stream — both observable, so neither is cached.
         """
-        start = max(self.sim.now, self._busy_until)
-        completion = start + self._delay(operation)
+        sim = self.sim
+        now = sim.now
+        slowdown = self._plan.slowdown_at(self.site, now)
+        completion = max(now, self._busy_until) + self.service.sample(
+            operation, self._rng or self._stream(), slowdown
+        )
         self._busy_until = completion
         obs = self._obs
         if obs.enabled:
             # Carry the causal context across the service-time gap so the
             # completion's span parents onto whatever requested the op.
             fn = obs.tracer.bind(fn)
-        self.sim.at(completion, fn)
+        sim.at(completion, fn)
 
     def _report(self, kind: FailureKind, detail: str) -> None:
         if self._failed is kind:
             return  # already reported; don't spam
         self._failed = kind
-        self._require_shell().report_failure(
+        self.shell.report_failure(
             FailureNotice(
                 site=self.site,
                 source_name=self.source.name,
@@ -256,7 +306,7 @@ class CMTranslator:
         if self._failed is None:
             return
         previous, self._failed = self._failed, None
-        self._require_shell().report_failure(
+        self.shell.report_failure(
             FailureNotice(
                 site=self.site,
                 source_name=self.source.name,
@@ -267,18 +317,22 @@ class CMTranslator:
             )
         )
 
-    def _check_bound(self, family: str, kind: InterfaceKind, elapsed: Ticks) -> None:
-        """Self-report a metric failure when an op exceeded its promise."""
-        interfaces = self.offered_interfaces()
-        if not interfaces.has(family, kind):
-            return
-        bound = interfaces.bound(family, kind)
+    def _check_bound(self, spec: InterfaceSpec, elapsed: Ticks) -> None:
+        """Self-report a metric failure when an op exceeded its promise.
+
+        An operation that met its bound — or runs under an interface that
+        promises none — ends a metric failure.  Logical failures do not
+        auto-recover: the interface statements were broken, so the system
+        must be reset (Section 5).
+        """
+        bound = spec.bound
         if bound and elapsed > bound:
             self._report(
                 FailureKind.METRIC,
-                f"{kind.value} for {family!r} took {elapsed} > bound {bound}",
+                f"{spec.kind.value} for {spec.family!r} took {elapsed} > "
+                f"bound {bound}",
             )
-        elif self._failed is FailureKind.METRIC and bound and elapsed <= bound:
+        elif self._failed is FailureKind.METRIC:
             self._note_success()
 
     # -- CM-Interface: writes ----------------------------------------------------------
@@ -291,8 +345,7 @@ class CMTranslator:
         trigger: Event | None = None,
     ) -> None:
         """Accept a CM write request: records WR, performs W after service time."""
-        interfaces = self.offered_interfaces()
-        if not interfaces.has(ref.name, InterfaceKind.WRITE):
+        if self._offered(ref.name).write is None:
             raise UnsupportedOperationError(
                 f"{self.source.name!r} offers no write interface for {ref.name!r}"
             )
@@ -317,7 +370,8 @@ class CMTranslator:
     def _perform_write(
         self, ref: DataItemRef, value: Value, wr_event: Event, attempt: int
     ) -> None:
-        if self._plan.logically_failed(self.site, self.sim.now):
+        sim = self.sim
+        if self._plan.logically_failed(self.site, sim.now):
             self._report(FailureKind.LOGICAL, f"site down; write {ref} lost")
             return
         try:
@@ -330,7 +384,7 @@ class CMTranslator:
                 )
                 if self._obs.enabled:
                     retry = self._obs.tracer.bind(retry)
-                self.sim.after(self.retry_delay * (attempt + 1), retry)
+                sim.after(self.retry_delay * (attempt + 1), retry)
                 return
             if error.code.transient:
                 self._report(
@@ -340,11 +394,10 @@ class CMTranslator:
             else:
                 self._report_error(error, f"write {ref}")
             return
-        elapsed = self.sim.now - wr_event.time
-        self._check_bound(ref.name, InterfaceKind.WRITE, elapsed)
-        if self._failed is None:
-            self._note_success()
-        self._observe_propagation(ref.name, wr_event)
+        now = sim.now  # after the native call: a wall clock moves during it
+        spec = self._offers[ref.name].write
+        self._check_bound(spec, now - wr_event.time)
+        self._observe_propagation(ref.name, wr_event, now)
         obs = self._obs
         if obs.enabled and obs.tracer.enabled:
             # Retroactive span: the op's full extent (request to native
@@ -357,13 +410,9 @@ class CMTranslator:
                 source=self.source.name,
                 ref=str(ref),
             )
-            obs.tracer.finish(span, self.sim.now)
+            obs.tracer.finish(span, now)
         self.trace.record(
-            self.sim.now,
-            self.site,
-            write_desc(ref, value),
-            rule=self._interface_rule(ref.name, InterfaceKind.WRITE),
-            trigger=wr_event,
+            now, self.site, write_desc(ref, value), rule=spec.rule, trigger=wr_event
         )
 
     # -- CM-Interface: reads --------------------------------------------------------------
@@ -375,8 +424,7 @@ class CMTranslator:
         trigger: Event | None = None,
     ) -> None:
         """Accept a CM read request: records RR, delivers R after service time."""
-        interfaces = self.offered_interfaces()
-        if not interfaces.has(ref.name, InterfaceKind.READ):
+        if self._offered(ref.name).read is None:
             raise UnsupportedOperationError(
                 f"{self.source.name!r} offers no read interface for {ref.name!r}"
             )
@@ -391,7 +439,8 @@ class CMTranslator:
         self._schedule_op("read", lambda: self._perform_read(ref, rr_event))
 
     def _perform_read(self, ref: DataItemRef, rr_event: Event) -> None:
-        if self._plan.logically_failed(self.site, self.sim.now):
+        sim = self.sim
+        if self._plan.logically_failed(self.site, sim.now):
             self._report(FailureKind.LOGICAL, f"site down; read {ref} lost")
             return
         try:
@@ -399,15 +448,14 @@ class CMTranslator:
         except RISError as error:
             self._report_error(error, f"read {ref}")
             return
-        elapsed = self.sim.now - rr_event.time
-        self._check_bound(ref.name, InterfaceKind.READ, elapsed)
-        if self._failed is None:
-            self._note_success()
+        now = sim.now  # after the native call: a wall clock moves during it
+        spec = self._offers[ref.name].read
+        self._check_bound(spec, now - rr_event.time)
         r_event = self.trace.record(
-            self.sim.now,
+            now,
             self.site,
             read_response_desc(ref, value),
-            rule=self._interface_rule(ref.name, InterfaceKind.READ),
+            rule=spec.rule,
             trigger=rr_event,
         )
         obs = self._obs
@@ -419,14 +467,14 @@ class CMTranslator:
                 source=self.source.name,
                 ref=str(ref),
             )
-            obs.tracer.finish(span, self.sim.now)
+            obs.tracer.finish(span, now)
             obs.tracer.push(span)
             try:
-                self._require_shell().deliver_local_event(r_event)
+                self.shell.deliver_local_event(r_event)
             finally:
                 obs.tracer.pop()
         else:
-            self._require_shell().deliver_local_event(r_event)
+            self.shell.deliver_local_event(r_event)
 
     def enumerate_refs(self, family: str) -> list[DataItemRef]:
         """All current instances of a family (for enumerating reads)."""
@@ -503,20 +551,18 @@ class CMTranslator:
         """
         now = self.sim.now
         drop_probability = self._plan.notify_drop_probability(self.site, now)
-        if drop_probability and self._rng.random() < drop_probability:
+        if (
+            drop_probability
+            and (self._rng or self._stream()).random() < drop_probability
+        ):
             self.notifications_suppressed += 1
             return
         if self._plan.logically_failed(self.site, now):
             return  # the site is dead; nothing is sent (logical failure)
-        interfaces = self.offered_interfaces()
-        if rule is not None:
-            pass  # provenance supplied by the caller (periodic notify)
-        elif interfaces.has(ref.name, InterfaceKind.CONDITIONAL_NOTIFY):
-            rule = interfaces.get(
-                ref.name, InterfaceKind.CONDITIONAL_NOTIFY
-            ).rule
-        else:
-            rule = self._interface_rule(ref.name, InterfaceKind.NOTIFY)
+        if rule is None:  # else: provenance supplied by the caller (periodic)
+            spec = self._offered(ref.name).notify
+            if spec is not None:
+                rule = spec.rule
 
         requested = now
 
@@ -541,11 +587,11 @@ class CMTranslator:
                 obs.tracer.finish(span, self.sim.now)
                 obs.tracer.push(span)
                 try:
-                    self._require_shell().deliver_local_event(n_event)
+                    self.shell.deliver_local_event(n_event)
                 finally:
                     obs.tracer.pop()
             else:
-                self._require_shell().deliver_local_event(n_event)
+                self.shell.deliver_local_event(n_event)
 
         self._schedule_op("notify", deliver)
 

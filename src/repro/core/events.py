@@ -24,7 +24,6 @@ them and the event that triggered the rule (valid-execution properties 4-5).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
@@ -141,36 +140,40 @@ def periodic_desc(period: Ticks) -> EventDesc:
     return EventDesc(EventKind.PERIODIC, None, (period,))
 
 
-_event_seq = itertools.count(1)
+_next_seq = 1
 
 
 def reset_event_sequence() -> None:
     """Reset the global event numbering (used between test scenarios)."""
-    global _event_seq
-    _event_seq = itertools.count(1)
+    global _next_seq
+    _next_seq = 1
 
 
 def reserve_event_seqs(count: int) -> int:
     """Reserve ``count`` consecutive sequence numbers; return the first.
 
-    Batched trace recording claims numbering for a whole block up front so
-    the per-event ``next(_event_seq)`` call (and the default-factory hop
-    into it) drops out of the hot loop; the block's events get exactly the
-    numbers a sequential recording would have assigned.
+    The one place event numbers come from: a constructed :class:`Event`
+    and :meth:`ExecutionTrace.record` take one, batched recording claims a
+    whole block up front, and the block's events get exactly the numbers a
+    sequential recording would have assigned.
     """
-    global _event_seq
-    first = next(_event_seq)
-    _event_seq = itertools.count(first + count)
+    global _next_seq
+    first = _next_seq
+    _next_seq = first + count
     return first
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One occurrence: the Appendix A six-tuple plus sequence number and site.
 
     ``old``/``new`` are interpretations over the constraint-relevant items;
     for write events they differ exactly on the written item.  ``rule`` and
     ``trigger`` are null for spontaneous events.
+
+    Slotted: a trace holds one of these per event and the verdict reads
+    every field of every one, so instances carry no ``__dict__`` (DESIGN.md
+    §6 has the build / read / bytes measurements).
     """
 
     time: Ticks
@@ -180,7 +183,7 @@ class Event:
     new: Interpretation
     rule: Optional["Rule"] = None
     trigger: Optional["Event"] = None
-    seq: int = field(default_factory=lambda: next(_event_seq))
+    seq: int = field(default_factory=lambda: reserve_event_seqs(1))
 
     @property
     def is_spontaneous(self) -> bool:

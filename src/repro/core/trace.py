@@ -249,22 +249,38 @@ class Violation:
 _NO_EVENTS: tuple[Event, ...] = ()
 
 
-def _build_event(time, site, desc, old, new, seq) -> Event:
-    """Fill an :class:`Event` directly.  Event is a frozen dataclass; its
-    ``__init__`` costs ~2x a bare ``__dict__`` fill (field ordering,
-    default factories, frozen-setattr indirection), so ``record_batch``
-    builds instances this way.  The result is indistinguishable from a
-    constructed one."""
-    event = Event.__new__(Event)
-    fields = event.__dict__
-    fields["time"] = time
-    fields["site"] = site
-    fields["desc"] = desc
-    fields["old"] = old
-    fields["new"] = new
-    fields["rule"] = None
-    fields["trigger"] = None
-    fields["seq"] = seq
+# Recording tests ``kind is _WRITE or kind is _SPONTANEOUS_WRITE`` instead of
+# the ``is_write`` property: it runs once per event, and a Python-level
+# property call is a measurable fraction of the whole record path.
+_WRITE = EventKind.WRITE
+_SPONTANEOUS_WRITE = EventKind.SPONTANEOUS_WRITE
+_new_event = Event.__new__
+_set_time = Event.time.__set__
+_set_site = Event.site.__set__
+_set_desc = Event.desc.__set__
+_set_old = Event.old.__set__
+_set_new = Event.new.__set__
+_set_rule = Event.rule.__set__
+_set_trigger = Event.trigger.__set__
+_set_seq = Event.seq.__set__
+
+
+def _build_event(time, site, desc, old, new, rule, trigger, seq) -> Event:
+    """The trace's one :class:`Event` constructor, for ``record`` and
+    ``record_batch`` alike.  Event is a frozen, slotted dataclass; its
+    generated ``__init__`` goes through ``object.__setattr__`` by name for
+    every field (and through the default factory for ``seq``), ~2.5x the
+    cost of filling the slots through their member descriptors.  The result
+    is indistinguishable from a constructed one."""
+    event = _new_event(Event)
+    _set_time(event, time)
+    _set_site(event, site)
+    _set_desc(event, desc)
+    _set_old(event, old)
+    _set_new(event, new)
+    _set_rule(event, rule)
+    _set_trigger(event, trigger)
+    _set_seq(event, seq)
     return event
 
 
@@ -338,38 +354,17 @@ class ExecutionTrace:
                 f"event at {time} recorded after event at {events[-1].time}"
             )
         journal = self._journal
-        old = journal.view()
+        old = new = journal.view()
         kind = desc.kind
-        if kind.is_write:
+        if kind is _WRITE or kind is _SPONTANEOUS_WRITE:
             assert desc.item is not None
-            if kind is EventKind.WRITE:
-                journal.write(desc.item, desc.values[0])
-            else:
-                journal.write(desc.item, desc.values[1])
+            journal.write(
+                desc.item, desc.values[0] if kind is _WRITE else desc.values[1]
+            )
             new = journal.view()
-        else:
-            new = old
         if seq is None:
-            event = Event(
-                time=time,
-                site=site,
-                desc=desc,
-                old=old,
-                new=new,
-                rule=rule,
-                trigger=trigger,
-            )
-        else:
-            event = Event(
-                time=time,
-                site=site,
-                desc=desc,
-                old=old,
-                new=new,
-                rule=rule,
-                trigger=trigger,
-                seq=seq,
-            )
+            seq = reserve_event_seqs(1)
+        event = _build_event(time, site, desc, old, new, rule, trigger, seq)
         events.append(event)
         self._index_event(event)
         if time > self.horizon:
@@ -398,23 +393,18 @@ class ExecutionTrace:
         journal = self._journal
         index_event = self._index_event
         seq = reserve_event_seqs(len(descs))
-        # Identity checks instead of the ``is_write`` property: the loop
-        # runs once per ingested event and a Python-level property call is
-        # a measurable fraction of the whole batched path.
-        write_kind = EventKind.WRITE
-        spont_kind = EventKind.SPONTANEOUS_WRITE
         current = journal.view()
         for desc in descs:
             old = current
             kind = desc.kind
-            if kind is write_kind or kind is spont_kind:
+            if kind is _WRITE or kind is _SPONTANEOUS_WRITE:
                 assert desc.item is not None
                 journal.write(
                     desc.item,
-                    desc.values[0] if kind is write_kind else desc.values[1],
+                    desc.values[0] if kind is _WRITE else desc.values[1],
                 )
                 current = journal.view()
-            event = _build_event(time, site, desc, old, current, seq)
+            event = _build_event(time, site, desc, old, current, None, None, seq)
             seq += 1
             events.append(event)
             index_event(event)
@@ -436,7 +426,7 @@ class ExecutionTrace:
             if by_family is None:
                 by_family = self._by_kind_family[key] = []
             by_family.append(event)
-            if kind.is_write:
+            if kind is _WRITE or kind is _SPONTANEOUS_WRITE:
                 writes = self._writes_by_item.get(item)
                 if writes is None:
                     writes = self._writes_by_item[item] = []

@@ -66,7 +66,14 @@ class FailureWindow:
 
 @dataclass
 class FailurePlan:
-    """The full failure schedule for a scenario (empty by default)."""
+    """The full failure schedule for a scenario (empty by default).
+
+    Translators, the network and the wire gateway probe the plan on every
+    operation, and most scenarios inject no failures, so each probe answers
+    an empty plan before looking at a window.  The emptiness is checked per
+    call, here and nowhere else: :meth:`add` is public, and a plan may gain
+    windows after the federation is wired.
+    """
 
     windows: list[FailureWindow] = field(default_factory=list)
 
@@ -76,12 +83,12 @@ class FailurePlan:
 
     def windows_at(self, site: str, time: Ticks) -> list[FailureWindow]:
         """All windows covering ``site`` at ``time``."""
-        if not self.windows:
-            return []
         return [w for w in self.windows if w.site == site and w.active_at(time)]
 
     def slowdown_at(self, site: str, time: Ticks) -> float:
         """Combined metric slowdown factor in effect at ``site``."""
+        if not self.windows:
+            return 1.0
         factor = 1.0
         for window in self.windows_at(site, time):
             if window.kind is FailureKind.METRIC:
@@ -90,12 +97,16 @@ class FailurePlan:
 
     def logically_failed(self, site: str, time: Ticks) -> bool:
         """Whether ``site`` is logically failed (contract broken) at ``time``."""
+        if not self.windows:
+            return False
         return any(
             w.kind is FailureKind.LOGICAL for w in self.windows_at(site, time)
         )
 
     def notify_drop_probability(self, site: str, time: Ticks) -> float:
         """Probability that a notification from ``site`` is silently lost."""
+        if not self.windows:
+            return 0.0
         probability = 0.0
         for window in self.windows_at(site, time):
             if window.kind is FailureKind.SILENT_NOTIFY_LOSS:

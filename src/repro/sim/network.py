@@ -107,6 +107,19 @@ class _SiteEntry:
     handler: Callable[[Message], None]
 
 
+@dataclass(slots=True)
+class _Channel:
+    """What one (src, dst) channel resolves to, worked out on first use: its
+    latency model, RNG stream and instruments, plus the FIFO clamp."""
+
+    model: LatencyModel
+    rng: Any
+    delivered: Counter
+    latency: Histogram
+    in_flight: Gauge
+    last_delivery: Ticks = 0
+
+
 class Network:
     """Sites plus per-channel FIFO message delivery.
 
@@ -133,29 +146,22 @@ class Network:
         self.obs = obs or Instrumentation()
         self._sites: dict[str, _SiteEntry] = {}
         self._channel_latency: dict[tuple[str, str], LatencyModel] = {}
-        self._last_delivery: dict[tuple[str, str], Ticks] = {}
-        # Per-channel instruments, resolved once on first use so the send
-        # path pays dict-lookup + attribute-increment, nothing more.
-        self._channel_metrics: dict[
-            tuple[str, str], tuple[Counter, Histogram, Gauge]
-        ] = {}
+        self._channels: dict[tuple[str, str], _Channel] = {}
         self.messages_sent = 0
         self.messages_dropped = 0
 
-    def _metrics_for(
-        self, channel: tuple[str, str]
-    ) -> tuple[Counter, Histogram, Gauge]:
-        cached = self._channel_metrics.get(channel)
-        if cached is None:
-            src, dst = channel
-            registry = self.obs.metrics
-            cached = (
-                registry.counter("net_messages", src=src, dst=dst),
-                registry.histogram("net_latency", src=src, dst=dst),
-                registry.gauge("net_in_flight", src=src, dst=dst),
-            )
-            self._channel_metrics[channel] = cached
-        return cached
+    def _channel(self, src: str, dst: str) -> _Channel:
+        """Resolve a channel once, so the send path pays a dict lookup and
+        attribute reads — no stream-name formatting, no registry probes."""
+        registry = self.obs.metrics
+        channel = self._channels[src, dst] = _Channel(
+            self._channel_latency.get((src, dst), self.default_latency),
+            self.rngs.stream(f"net:{src}->{dst}"),
+            registry.counter("net_messages", src=src, dst=dst),
+            registry.histogram("net_latency", src=src, dst=dst),
+            registry.gauge("net_in_flight", src=src, dst=dst),
+        )
+        return channel
 
     def register_site(self, site: str, handler: Callable[[Message], None]) -> None:
         """Register ``site`` with its inbound-message handler."""
@@ -175,11 +181,9 @@ class Network:
     def set_channel_latency(self, src: str, dst: str, model: LatencyModel) -> None:
         """Override the latency model for the (src, dst) channel."""
         self._channel_latency[(src, dst)] = model
-
-    def _latency_for(self, src: str, dst: str) -> Ticks:
-        model = self._channel_latency.get((src, dst), self.default_latency)
-        rng = self.rngs.stream(f"net:{src}->{dst}")
-        return model.sample(rng)
+        channel = self._channels.get((src, dst))
+        if channel is not None:
+            channel.model = model
 
     def send(self, src: str, dst: str, payload: Any) -> Message | None:
         """Send ``payload`` from ``src`` to ``dst``.
@@ -195,21 +199,18 @@ class Network:
             raise ValueError(f"unknown destination site: {dst}")
         now = self.sim.now
         self.messages_sent += 1
-        if self.failure_plan.logically_failed(src, now) or (
-            self.failure_plan.logically_failed(dst, now)
-        ):
+        plan = self.failure_plan
+        if plan.logically_failed(src, now) or plan.logically_failed(dst, now):
             self.messages_dropped += 1
             return None
-        latency = 0 if src == dst else self._latency_for(src, dst)
-        slowdown = self.failure_plan.slowdown_at(src, now)
-        latency = round(latency * slowdown)
+        channel = self._channels.get((src, dst)) or self._channel(src, dst)
+        latency = 0 if src == dst else channel.model.sample(channel.rng)
+        latency = round(latency * plan.slowdown_at(src, now))
         deliver_at = now + latency
-        channel = (src, dst)
-        if self.in_order:
-            deliver_at = max(deliver_at, self._last_delivery.get(channel, 0))
-        self._last_delivery[channel] = deliver_at
-        in_flight = self._metrics_for(channel)[2]
-        in_flight.inc()
+        if self.in_order and deliver_at < channel.last_delivery:
+            deliver_at = channel.last_delivery
+        channel.last_delivery = deliver_at
+        channel.in_flight.inc()
         message = Message(
             src=src, dst=dst, payload=payload, sent_at=now, deliver_at=deliver_at
         )
@@ -233,22 +234,19 @@ class Network:
                 )
                 tracer.finish(span, deliver_at)
                 message.span = span
-        self.sim.at(deliver_at, lambda: self._deliver(message))
+        self.sim.at(deliver_at, lambda: self._deliver(message, channel))
         return message
 
-    def _deliver(self, message: Message) -> None:
-        delivered, latency_hist, in_flight = self._metrics_for(
-            (message.src, message.dst)
-        )
-        in_flight.dec()
+    def _deliver(self, message: Message, channel: _Channel) -> None:
+        channel.in_flight.dec()
         if self.failure_plan.logically_failed(message.dst, self.sim.now):
             self.messages_dropped += 1
             return
         # Channel metrics count *deliveries*: a message dropped at a failed
         # destination must not inflate the channel's message count, and the
         # latency histogram records only hops that actually completed.
-        delivered.value += 1
-        latency_hist.observe(message.deliver_at - message.sent_at)
+        channel.delivered.value += 1
+        channel.latency.observe(message.deliver_at - message.sent_at)
         if self.obs.enabled and self.obs.flight is not None:
             self.obs.flight.record(
                 message.dst,

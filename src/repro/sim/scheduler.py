@@ -11,33 +11,41 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.timebase import Ticks, to_seconds
 
 
-@dataclass(order=True)
-class ScheduledEvent:
-    """A pending callback in the simulator's queue.
+class ScheduledEvent(list):
+    """A pending callback: the handle :meth:`Simulator.at` returns *is* the
+    queue entry, ``[time, seq, callback, sim]``.
 
-    Instances are returned by :meth:`Simulator.at` / :meth:`Simulator.after`
-    and can be cancelled.  Ordering is (time, sequence number), which makes
-    simultaneous events run in the order they were scheduled.
+    Being a list, entries order by ``(time, seq)`` in C — ``seq`` is unique,
+    so the comparison never reaches the callback — which makes simultaneous
+    events run in the order they were scheduled, with one heap object per
+    scheduled callback.  Cancelling clears the callback slot; the simulator
+    clears the ``sim`` slot when it pops the entry, so cancelling a handle
+    that already ran touches no queue accounting.
     """
 
-    time: Ticks
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    _sim: "Simulator | None" = field(default=None, compare=False, repr=False)
+    __slots__ = ()
+
+    @property
+    def time(self) -> Ticks:
+        """The virtual time the callback is (or was) due at."""
+        return self[0]
+
+    @property
+    def cancelled(self) -> bool:
+        """Whether :meth:`cancel` was called."""
+        return self[2] is None
 
     def cancel(self) -> None:
         """Prevent the callback from running (no-op if already run)."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self._sim is not None:
-                self._sim._note_cancelled()
+        if self[2] is not None:
+            self[2] = None
+            if self[3] is not None:
+                self[3]._note_cancelled()
 
 
 class Simulator:
@@ -75,12 +83,11 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at {time} ticks; current time is {self._now}"
             )
-        event = ScheduledEvent(
-            time=time, seq=next(self._seq), callback=callback, _sim=self
-        )
-        heapq.heappush(self._queue, event)
-        if len(self._queue) > self.max_queue_depth:
-            self.max_queue_depth = len(self._queue)
+        event = ScheduledEvent((time, next(self._seq), callback, self))
+        queue = self._queue
+        heapq.heappush(queue, event)
+        if len(queue) > self.max_queue_depth:
+            self.max_queue_depth = len(queue)
         return event
 
     def after(self, delay: Ticks, callback: Callable[[], None]) -> ScheduledEvent:
@@ -104,27 +111,33 @@ class Simulator:
         """
         self._cancelled_pending += 1
         if self._cancelled_pending * 2 > len(self._queue):
-            self._queue = [e for e in self._queue if not e.cancelled]
+            self._queue = [e for e in self._queue if e[2] is not None]
             heapq.heapify(self._queue)
             self._cancelled_pending = 0
 
     def peek(self) -> Ticks | None:
         """Time of the next pending event, or ``None`` if the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
+        queue = self._queue
+        while queue and queue[0][2] is None:
+            heapq.heappop(queue)
             self._cancelled_pending -= 1
-        return self._queue[0].time if self._queue else None
+        return queue[0][0] if queue else None
 
     def step(self) -> bool:
         """Run the single next event.  Returns ``False`` if none remained."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+        queue = self._queue
+        while queue:
+            event = heapq.heappop(queue)
+            callback = event[2]
+            if callback is None:
                 self._cancelled_pending -= 1
                 continue
-            self._now = event.time
+            # The entry has left the queue: a later cancel() on the handle
+            # must not count a tombstone that is not there.
+            event[3] = None
+            self._now = event[0]
             self.events_processed += 1
-            event.callback()
+            callback()
             return True
         return False
 

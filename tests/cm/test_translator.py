@@ -2,12 +2,16 @@
 
 import pytest
 
-from cm_helpers import two_site_relational
+from cm_helpers import EXACT_SERVICE, two_site_relational
 
-from repro.core.errors import UnsupportedOperationError
+from repro.cm import CMRID, ConstraintManager, Scenario
+from repro.cm.translators.relational import RelationalTranslator
+from repro.core.errors import ConfigurationError, UnsupportedOperationError
 from repro.core.events import EventKind
+from repro.core.interfaces import InterfaceKind
 from repro.core.items import MISSING, DataItemRef
 from repro.core.timebase import seconds
+from repro.ris.relational import RelationalDatabase
 from repro.sim.failures import FailureKind, FailurePlan, FailureWindow
 
 
@@ -148,6 +152,25 @@ class TestNotifications:
             translator_b.setup_notify("salary2")
 
 
+class TestWiring:
+    def test_unattached_translator_raises_configuration_error(self):
+        # attach() binds the shell's site, clock, trace, plan and obs as
+        # plain attributes; before it, using them is a wiring mistake, not
+        # an AttributeError.
+        hq = RelationalDatabase("hq")
+        rid = (
+            CMRID("relational", "hq")
+            .bind("salary2", params=("n",), table="employees")
+            .offer("salary2", InterfaceKind.WRITE, bound_seconds=2.0)
+        )
+        translator = RelationalTranslator(hq, rid)
+        assert translator.shell is None
+        with pytest.raises(ConfigurationError, match="not attached"):
+            translator.request_write(ref2(), 1.0)
+        with pytest.raises(ConfigurationError, match="not attached"):
+            translator.apply_spontaneous_write(ref2(), 1.0)
+
+
 class TestFailureClassification:
     def test_crash_reports_logical_failure_once(self):
         cm, __, hq, ___, translator_b = two_site_relational()
@@ -175,6 +198,42 @@ class TestFailureClassification:
         kinds = [(n.kind, n.recovered) for n in cm.board.notices]
         assert (FailureKind.METRIC, False) in kinds
         assert (FailureKind.METRIC, True) in kinds
+
+    def test_busy_retry_recovers_on_an_unbounded_interface(self):
+        # WRITE offered with no bound (``bound_seconds`` defaults to 0): the
+        # retry through BUSY still reports METRIC, and the write that then
+        # succeeds — it cannot miss a bound it does not have — must report
+        # the recovery, or every metric guarantee touching the site reads
+        # invalid to the horizon.
+        cm = ConstraintManager(Scenario(seed=0))
+        cm.add_site("ny")
+        hq = RelationalDatabase("hq")
+        hq.execute("CREATE TABLE employees (empid TEXT PRIMARY KEY, salary REAL)")
+        rid = (
+            CMRID("relational", "hq")
+            .bind(
+                "salary2",
+                params=("n",),
+                table="employees",
+                key_column="empid",
+                value_column="salary",
+            )
+            .offer("salary2", InterfaceKind.WRITE)
+        )
+        translator = cm.add_source("ny", hq, rid, EXACT_SERVICE)
+        sim = cm.scenario.sim
+        hq.set_busy(True)
+        sim.at(seconds(1), lambda: translator.request_write(ref2(), 1.0))
+        sim.at(seconds(1.2), lambda: hq.set_busy(False))
+        sim.at(seconds(10), lambda: translator.request_write(ref2(), 2.0))
+        sim.at(seconds(11), lambda: translator.request_write(ref2(), 3.0))
+        cm.run(until=seconds(30))
+        assert hq.query("SELECT salary FROM employees")[0] == (3.0,)
+        assert translator._failed is None
+        assert [(n.kind, n.recovered) for n in cm.board.notices] == [
+            (FailureKind.METRIC, False),
+            (FailureKind.METRIC, True),
+        ]
 
     def test_bound_overrun_self_reported(self):
         plan = FailurePlan()

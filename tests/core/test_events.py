@@ -1,5 +1,8 @@
 """Unit tests for events and descriptors."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.events import (
@@ -82,3 +85,34 @@ class TestEvent:
     def test_str_mentions_site_and_descriptor(self):
         event = self._event(write_request_desc(item("X"), 3))
         assert "@a" in str(event) and "WR(X, 3)" in str(event)
+
+    def test_slotted_and_frozen(self):
+        # A trace holds one Event per recorded event: no per-instance dict.
+        event = self._event(notify_desc(item("X"), 1))
+        assert not hasattr(event, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.time = 11
+        # (Not always FrozenInstanceError: 3.11's frozen + slotted
+        # ``__setattr__`` raises TypeError for a name that is not a field.)
+        with pytest.raises((AttributeError, TypeError)):
+            event.extra = 1
+
+    def test_value_semantics(self):
+        trigger = self._event(spontaneous_write_desc(item("X"), 0, 1), seq=1)
+        event = self._event(notify_desc(item("X"), 1), trigger=trigger, seq=2)
+        twin = self._event(notify_desc(item("X"), 1), trigger=trigger, seq=2)
+        assert event == twin and hash(event) == hash(twin)
+        assert event != dataclasses.replace(event, seq=3)
+        assert repr(event).startswith(
+            "Event(time=10, site='a', desc=EventDesc(kind=<EventKind.NOTIFY: 'N'>"
+        )
+        assert repr(event).endswith(", seq=2)")
+
+    def test_pickle_round_trip(self):
+        trigger = self._event(spontaneous_write_desc(item("X"), 0, 1), seq=1)
+        event = self._event(notify_desc(item("X"), 1), trigger=trigger, seq=2)
+        copy = pickle.loads(pickle.dumps(event))
+        assert copy == event and copy.trigger == trigger
+        assert not hasattr(copy, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.seq = 3

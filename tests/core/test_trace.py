@@ -11,6 +11,7 @@ from repro.core.events import (
     Event,
     EventKind,
     notify_desc,
+    reset_event_sequence,
     spontaneous_write_desc,
     write_desc,
     write_request_desc,
@@ -47,6 +48,27 @@ class TestRecording:
         trace.record(10, "a", write_desc(X, 5))
         with pytest.raises(TraceError):
             trace.record(5, "a", write_desc(X, 6))
+
+    def test_record_and_record_batch_build_equal_events(self):
+        # One constructor behind both: same fields, same numbering, same
+        # slotted shape, whichever way a block of descriptors is recorded.
+        descs = [
+            notify_desc(X, 1),
+            spontaneous_write_desc(X, 1, 2),
+            write_desc(Y, 3),
+            notify_desc(Y, 3),
+        ]
+        reset_event_sequence()
+        single = ExecutionTrace()
+        one_by_one = [single.record(10, "a", desc) for desc in descs]
+        reset_event_sequence()
+        block = ExecutionTrace().record_batch(10, "a", descs)
+        assert block == one_by_one
+        assert [e.seq for e in block] == [1, 2, 3, 4]
+        for event in block + one_by_one:
+            assert type(event) is Event and not hasattr(event, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            block[0].time = 11
 
     def test_seed_before_events_only(self, trace):
         trace.record(10, "a", write_desc(X, 5))

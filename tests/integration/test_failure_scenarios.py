@@ -1,5 +1,7 @@
 """Integration tests of the Section 5 failure semantics."""
 
+from repro.core.events import EventKind
+from repro.core.items import DataItemRef
 from repro.core.timebase import seconds
 from repro.experiments.common import build_salary_scenario
 from repro.sim.failures import FailureKind, FailurePlan, FailureWindow
@@ -130,3 +132,82 @@ class TestSilentLoss:
 
         report = leads("salary1", "salary2").check(salary.scenario.trace)
         assert not report.valid
+
+
+class TestPlanGainsWindowsAfterWiring:
+    """``FailurePlan.add`` is public: a window added after the translators
+    and channels have already served operations must take effect on the very
+    next one.  (What the run path resolves once — interfaces, streams,
+    instruments — never includes whether the plan is empty.)"""
+
+    def served(self):
+        """A propagation scenario that has completed one full hop chain."""
+        plan = FailurePlan()
+        salary = build_salary_scenario("propagation", seed=30, failure_plan=plan)
+        salary.cm.spontaneous_write("salary1", ("e1",), 100.0)
+        salary.cm.run(until=seconds(20))
+        assert salary.hq_db.query("SELECT salary FROM employees") == [(100.0,)]
+        assert salary.cm.board.notices == []
+        return salary, plan
+
+    def test_logical_window_drops_the_next_operation(self):
+        salary, plan = self.served()
+        network = salary.scenario.network
+        plan.add(FailureWindow("ny", FailureKind.LOGICAL, seconds(20), seconds(60)))
+        # The channel drops the firing bound for the dead site...
+        salary.cm.spontaneous_write("salary1", ("e1",), 200.0)
+        salary.cm.run(until=seconds(40))
+        assert network.messages_dropped == 1
+        # ...and the translator there loses a write handed to it directly.
+        translator = salary.cm.shell("ny").translator_for("salary2")
+        translator.request_write(DataItemRef("salary2", ("e1",)), 300.0)
+        salary.cm.run(until=seconds(50))
+        assert salary.hq_db.query("SELECT salary FROM employees") == [(100.0,)]
+        assert [n.kind for n in translator.shell.failure_log] == [FailureKind.LOGICAL]
+
+    def test_metric_window_slows_the_next_operation(self):
+        salary, plan = self.served()
+        (first,) = salary.scenario.trace.events_of_kind(EventKind.WRITE)
+        plan.add(
+            FailureWindow(
+                "ny", FailureKind.METRIC, seconds(20), seconds(60), slowdown=200.0
+            )
+        )
+        plan.add(
+            FailureWindow(
+                "sf", FailureKind.METRIC, seconds(20), seconds(60), slowdown=10.0
+            )
+        )
+        sent = salary.scenario.sim.now
+        salary.cm.spontaneous_write("salary1", ("e1",), 200.0)
+        salary.cm.run(until=seconds(60))
+        __, second = salary.scenario.trace.events_of_kind(EventKind.WRITE)
+        # Channel sf->ny: 0.05 s x 10; translator at ny: ~0.03 s x 200 > the
+        # 2 s write bound, so it self-reports a metric failure.
+        assert second.time - sent > first.time + seconds(4)
+        latency = salary.scenario.obs.metrics.histogram(
+            "net_latency", src="sf", dst="ny"
+        )
+        assert latency.max == seconds(0.5)
+        assert [(n.kind, n.recovered) for n in salary.cm.board.notices] == [
+            (FailureKind.METRIC, False)
+        ]
+
+    def test_silent_loss_window_drops_the_next_notification(self):
+        salary, plan = self.served()
+        plan.add(
+            FailureWindow(
+                "sf",
+                FailureKind.SILENT_NOTIFY_LOSS,
+                seconds(20),
+                seconds(60),
+                drop_probability=1.0,
+            )
+        )
+        salary.cm.spontaneous_write("salary1", ("e1",), 200.0)
+        salary.cm.run(until=seconds(40))
+        translator = salary.cm.shell("sf").translator_for("salary1")
+        assert translator.notifications_suppressed == 1
+        assert translator.notifications_delivered == 1
+        assert salary.hq_db.query("SELECT salary FROM employees") == [(100.0,)]
+        assert salary.cm.board.notices == []

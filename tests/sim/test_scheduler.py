@@ -134,6 +134,22 @@ class TestRunControl:
         handle = sim.at(1, lambda: None)
         sim.at(2, lambda: None)
         sim.run()
+        for tick in range(3, 13):
+            sim.at(tick, lambda: None)
         handle.cancel()  # already executed; must stay a no-op
-        sim.at(3, lambda: None)
+        # ...including in the tombstone count: the entry left the heap when
+        # it ran, and counting it would make compaction fire early forever.
+        assert sim._cancelled_pending == 0
+        assert len(sim._queue) == 10
         assert sim.peek() == 3
+
+    def test_handle_keeps_time_cancelled_and_cancel(self):
+        # The handle is the queue entry; its public face is unchanged.
+        sim = Simulator()
+        handle = sim.at(7, lambda: None)
+        assert handle.time == 7 and not handle.cancelled
+        handle.cancel()
+        assert handle.cancelled
+        handle.cancel()  # idempotent
+        sim.run()
+        assert sim.events_processed == 0
