@@ -18,7 +18,7 @@ weakening.)
 from __future__ import annotations
 
 from repro.core.guarantees.base import Guarantee, GuaranteeReport
-from repro.core.intervals import Interval, IntervalSet
+from repro.core.intervals import spans_cover
 from repro.core.items import MISSING, DataItemRef
 from repro.core.timebase import Ticks, to_seconds
 from repro.core.trace import ExecutionTrace, Timeline
@@ -74,24 +74,13 @@ class SumFollowsGuarantee(Guarantee):
         report = GuaranteeReport(self.name, valid=True, checked_instances=1)
         target = trace.timeline(self.target_ref)
         source = sum_timeline(trace, self.operand_refs)
-        source_segments = [
-            s for s in source.segments() if s.value is not MISSING
-        ]
-        for segment in target.segments():
-            if segment.value is MISSING:
-                continue
-            allowed: list[Interval] = []
-            for witness in source_segments:
-                if witness.value != segment.value:
-                    continue
-                start = witness.start + 1 if witness.start > 0 else 0
-                allowed.append(
-                    Interval(start, witness.end + self.within - 1)
-                )
-            uncovered = IntervalSet(allowed).uncovered(
-                Interval(segment.start, segment.end)
-            )
-            if uncovered:
+        slack = self.within - 1
+        for segment in target.held():
+            allowed = [
+                (w.start + 1 if w.start > 0 else 0, w.end + slack)
+                for w in source.held_with(segment.value)
+            ]
+            if not spans_cover(allowed, segment.start, segment.end):
                 report.valid = False
                 report.counterexamples.append(
                     f"{self.target_ref} held {segment.value!r} during "

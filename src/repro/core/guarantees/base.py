@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.items import DataItemRef
-from repro.core.trace import ExecutionTrace
+from repro.core.trace import ExecutionTrace, Timeline
 
 
 @dataclass
@@ -93,14 +93,37 @@ def paired_refs(
     side — quantification over data is achieved through parameterized data
     names, as in Section 3.3 of the paper.
     """
-    arg_tuples: set[tuple] = set()
-    for ref in trace.refs_of_family(x_family):
-        arg_tuples.add(ref.args)
-    for ref in trace.refs_of_family(y_family):
-        arg_tuples.add(ref.args)
-    if not arg_tuples:
-        arg_tuples.add(())
+    # Refs the trace already holds are reused, not rebuilt: the pairing is
+    # kept with the trace (:func:`paired_timelines`) and should add little.
+    x_refs = {ref.args: ref for ref in trace.refs_of_family(x_family)}
+    y_refs = {ref.args: ref for ref in trace.refs_of_family(y_family)}
+    arg_tuples = x_refs.keys() | y_refs.keys() or {()}
     return [
-        (DataItemRef(x_family, args), DataItemRef(y_family, args))
+        (
+            x_refs.get(args) or DataItemRef(x_family, args),
+            y_refs.get(args) or DataItemRef(y_family, args),
+        )
         for args in sorted(arg_tuples, key=lambda a: tuple(map(str, a)))
     ]
+
+
+def paired_timelines(
+    trace: ExecutionTrace, x_family: str, y_family: str
+) -> list[tuple[DataItemRef, DataItemRef, Timeline, Timeline]]:
+    """:func:`paired_refs` with both items' timelines attached.
+
+    Derived once per family pair per trace state (event count and horizon)
+    and kept on the trace: the several guarantees issued for one copy
+    constraint iterate the same list, and through it the same
+    :class:`~repro.core.trace.Timeline` objects and their remembered
+    segments.
+    """
+    state = (len(trace), trace.horizon)
+    cached = trace._pairings.get((x_family, y_family))
+    if cached is None or cached[0] != state:
+        pairs = [
+            (x_ref, y_ref, trace.timeline(x_ref), trace.timeline(y_ref))
+            for x_ref, y_ref in paired_refs(trace, x_family, y_family)
+        ]
+        cached = trace._pairings[(x_family, y_family)] = (state, pairs)
+    return cached[1]

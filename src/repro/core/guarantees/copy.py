@@ -21,8 +21,12 @@ Given a copy constraint ``X = Y`` with ``X`` the primary:
 
 Checking is exact over the piecewise-constant timelines the trace provides:
 each maximal constant segment of a timeline is one family of universally
-quantified instantiations, and witness existence reduces to interval-set
-coverage (see the module docstring of :mod:`repro.core.intervals`).
+quantified instantiations, and witness existence reduces to interval
+coverage (:func:`repro.core.intervals.spans_cover`).  A check reads each
+history once: the family pairing and its timelines are fetched once per
+trace state (:func:`~repro.core.guarantees.base.paired_timelines`), every
+timeline hands out the segments it derived the first time it was asked, and
+one report accumulates over all instances.
 
 Two boundary conventions, both documented behaviours:
 
@@ -38,48 +42,12 @@ Two boundary conventions, both documented behaviours:
 
 from __future__ import annotations
 
-from repro.core.guarantees.base import Guarantee, GuaranteeReport, paired_refs
-from repro.core.intervals import Interval, IntervalSet
-from repro.core.items import MISSING, DataItemRef
+from typing import Sequence
+
+from repro.core.guarantees.base import Guarantee, GuaranteeReport, paired_timelines
+from repro.core.intervals import spans_cover
 from repro.core.timebase import Ticks, to_seconds
-from repro.core.trace import ExecutionTrace, Timeline, TimelineSegment
-
-
-def _value_segments(timeline: Timeline) -> list[TimelineSegment]:
-    """Segments with real (non-MISSING) values."""
-    return [s for s in timeline.segments() if s.value is not MISSING]
-
-
-def _segments_by_value(
-    segments: list[TimelineSegment],
-) -> dict[object, list[TimelineSegment]] | None:
-    """Segments grouped by value, or ``None`` if a value is unhashable.
-
-    Witness lookup per obligation segment is then a dict hit instead of a
-    scan over every segment of the other timeline — the difference between
-    O(segments²) and O(segments) per checked pair.
-    """
-    grouped: dict[object, list[TimelineSegment]] = {}
-    try:
-        for segment in segments:
-            grouped.setdefault(segment.value, []).append(segment)
-    except TypeError:
-        return None
-    return grouped
-
-
-def _witnesses(
-    grouped: dict[object, list[TimelineSegment]] | None,
-    segments: list[TimelineSegment],
-    value: object,
-) -> list[TimelineSegment]:
-    """Segments holding ``value`` (indexed; falls back to a linear scan)."""
-    if grouped is not None:
-        try:
-            return grouped.get(value, [])
-        except TypeError:
-            pass
-    return [s for s in segments if s.value == value]
+from repro.core.trace import ExecutionTrace, TimelineSegment
 
 
 class FollowsGuarantee(Guarantee):
@@ -107,41 +75,30 @@ class FollowsGuarantee(Guarantee):
 
     def check(self, trace: ExecutionTrace) -> GuaranteeReport:
         report = GuaranteeReport(self.name, valid=True)
-        for x_ref, y_ref in paired_refs(trace, self.x_family, self.y_family):
-            report.merge(self._check_pair(trace, x_ref, y_ref))
-        return report
-
-    def _check_pair(
-        self, trace: ExecutionTrace, x_ref: DataItemRef, y_ref: DataItemRef
-    ) -> GuaranteeReport:
-        report = GuaranteeReport(self.name, valid=True, checked_instances=1)
-        x_timeline = trace.timeline(x_ref)
-        y_timeline = trace.timeline(y_ref)
-        x_segments = _value_segments(x_timeline)
-        x_by_value = _segments_by_value(x_segments)
+        check = self._check_nonmetric if self.within is None else self._check_metric
         max_lag: Ticks = 0
-        for segment in _value_segments(y_timeline):
-            witnesses = _witnesses(x_by_value, x_segments, segment.value)
-            if self.within is None:
-                ok, lag = self._check_nonmetric(segment, witnesses)
-            else:
-                ok, lag = self._check_metric(segment, witnesses)
-            if not ok:
-                report.valid = False
-                report.counterexamples.append(
-                    f"{y_ref} held {segment.value!r} during "
-                    f"[{segment.start}, {segment.end}) without a prior "
-                    f"{'(recent enough) ' if self.within else ''}"
-                    f"{x_ref} = {segment.value!r}"
-                )
-            elif lag is not None:
-                max_lag = max(max_lag, lag)
+        for x_ref, y_ref, x_timeline, y_timeline in paired_timelines(
+            trace, self.x_family, self.y_family
+        ):
+            report.checked_instances += 1
+            for segment in y_timeline.held():
+                ok, lag = check(segment, x_timeline.held_with(segment.value))
+                if not ok:
+                    report.valid = False
+                    report.counterexamples.append(
+                        f"{y_ref} held {segment.value!r} during "
+                        f"[{segment.start}, {segment.end}) without a prior "
+                        f"{'(recent enough) ' if self.within else ''}"
+                        f"{x_ref} = {segment.value!r}"
+                    )
+                elif lag is not None and lag > max_lag:
+                    max_lag = lag
         report.stats["max_lag_ticks"] = max_lag
         report.stats["max_lag_seconds"] = to_seconds(max_lag)
         return report
 
     def _check_nonmetric(
-        self, segment: TimelineSegment, witnesses: list[TimelineSegment]
+        self, segment: TimelineSegment, witnesses: Sequence[TimelineSegment]
     ) -> tuple[bool, Ticks | None]:
         best_lag: Ticks | None = None
         for witness in witnesses:
@@ -154,20 +111,17 @@ class FollowsGuarantee(Guarantee):
         return best_lag is not None, best_lag
 
     def _check_metric(
-        self, segment: TimelineSegment, witnesses: list[TimelineSegment]
+        self, segment: TimelineSegment, witnesses: Sequence[TimelineSegment]
     ) -> tuple[bool, Ticks | None]:
         assert self.within is not None
-        allowed: list[Interval] = []
-        for witness in witnesses:
-            # t2 must satisfy t1 - κ < t2 < t1 with t2 in [c, d); such a t2
-            # exists iff c + 1 <= t1 <= d + κ - 2, i.e. t1 in [c+1, d+κ-1).
-            # A witness held since time 0 also covers t1 = 0 (seeded origin).
-            start = witness.start + 1 if witness.start > 0 else 0
-            allowed.append(Interval(start, witness.end + self.within - 1))
-        uncovered = IntervalSet(allowed).uncovered(
-            Interval(segment.start, segment.end)
-        )
-        if uncovered:
+        # t2 must satisfy t1 - κ < t2 < t1 with t2 in [c, d); such a t2
+        # exists iff c + 1 <= t1 <= d + κ - 2, i.e. t1 in [c+1, d+κ-1).
+        # A witness held since time 0 also covers t1 = 0 (seeded origin).
+        slack = self.within - 1
+        allowed = [
+            (w.start + 1 if w.start > 0 else 0, w.end + slack) for w in witnesses
+        ]
+        if not spans_cover(allowed, segment.start, segment.end):
             return False, None
         best_lag = min(
             (segment.start - w.start for w in witnesses
@@ -210,50 +164,42 @@ class LeadsGuarantee(Guarantee):
 
     def check(self, trace: ExecutionTrace) -> GuaranteeReport:
         report = GuaranteeReport(self.name, valid=True)
-        for x_ref, y_ref in paired_refs(trace, self.x_family, self.y_family):
-            report.merge(self._check_pair(trace, x_ref, y_ref))
-        return report
-
-    def _check_pair(
-        self, trace: ExecutionTrace, x_ref: DataItemRef, y_ref: DataItemRef
-    ) -> GuaranteeReport:
-        report = GuaranteeReport(self.name, valid=True, checked_instances=1)
-        x_timeline = trace.timeline(x_ref)
-        y_timeline = trace.timeline(y_ref)
-        y_segments = _value_segments(y_timeline)
-        y_by_value = _segments_by_value(y_segments)
+        check = self._check_nonmetric if self.within is None else self._check_metric
         horizon = trace.horizon
         missed = 0
         total = 0
         exempt = 0
         max_delay: Ticks = 0
-        for segment in _value_segments(x_timeline):
-            if segment.start == 0:
-                # A value held since time 0 predates constraint management
-                # (a seeded initial load); "X leads Y" quantifies over the
-                # values X *takes* during the managed execution.  Notify-
-                # based strategies only see changes, so prior history is
-                # exempt — mirroring the seeded-origin rule in `follows`.
-                exempt += 1
-                continue
-            total += 1
-            witnesses = _witnesses(y_by_value, y_segments, segment.value)
-            if self.within is None:
-                verdict, delay = self._check_nonmetric(segment, witnesses, horizon)
-            else:
-                verdict, delay = self._check_metric(segment, witnesses, horizon)
-            if verdict == "violated":
-                missed += 1
-                report.valid = False
-                report.counterexamples.append(
-                    f"{x_ref} took {segment.value!r} at {segment.start} but "
-                    f"{y_ref} never{' (in time)' if self.within else ''} "
-                    f"reflected it"
+        for x_ref, y_ref, x_timeline, y_timeline in paired_timelines(
+            trace, self.x_family, self.y_family
+        ):
+            report.checked_instances += 1
+            for segment in x_timeline.held():
+                if segment.start == 0:
+                    # A value held since time 0 predates constraint
+                    # management (a seeded initial load); "X leads Y"
+                    # quantifies over the values X *takes* during the managed
+                    # execution.  Notify-based strategies only see changes,
+                    # so prior history is exempt — mirroring the
+                    # seeded-origin rule in `follows`.
+                    exempt += 1
+                    continue
+                total += 1
+                verdict, delay = check(
+                    segment, y_timeline.held_with(segment.value), horizon
                 )
-            elif verdict == "inconclusive":
-                report.inconclusive += 1
-            elif delay is not None:
-                max_delay = max(max_delay, delay)
+                if verdict == "violated":
+                    missed += 1
+                    report.valid = False
+                    report.counterexamples.append(
+                        f"{x_ref} took {segment.value!r} at {segment.start} but "
+                        f"{y_ref} never{' (in time)' if self.within else ''} "
+                        f"reflected it"
+                    )
+                elif verdict == "inconclusive":
+                    report.inconclusive += 1
+                elif delay is not None and delay > max_delay:
+                    max_delay = delay
         report.stats["values_taken"] = total
         report.stats["values_missed"] = missed
         report.stats["values_exempt_seeded"] = exempt
@@ -264,7 +210,7 @@ class LeadsGuarantee(Guarantee):
     def _check_nonmetric(
         self,
         segment: TimelineSegment,
-        witnesses: list[TimelineSegment],
+        witnesses: Sequence[TimelineSegment],
         horizon: Ticks,
     ) -> tuple[str, Ticks | None]:
         # A witness interval [e, f) provides t2 > t1 for every t1 < f - 1; a
@@ -290,25 +236,19 @@ class LeadsGuarantee(Guarantee):
     def _check_metric(
         self,
         segment: TimelineSegment,
-        witnesses: list[TimelineSegment],
+        witnesses: Sequence[TimelineSegment],
         horizon: Ticks,
     ) -> tuple[str, Ticks | None]:
         assert self.within is not None
-        allowed: list[Interval] = []
-        for witness in witnesses:
-            # t2 in [e, f) with t1 < t2 < t1 + κ exists iff
-            # e - κ < t1 < f - 1  =>  valid t1 set [e - κ + 1, f - 1).
-            allowed.append(
-                Interval(max(0, witness.start - self.within + 1), witness.end - 1)
-            )
         # Obligations due strictly within the horizon only.
         due_end = min(segment.end, horizon - self.within + 1)
         if due_end <= segment.start:
             return "inconclusive", None
-        uncovered = IntervalSet(allowed).uncovered(
-            Interval(segment.start, due_end)
-        )
-        if uncovered:
+        # t2 in [e, f) with t1 < t2 < t1 + κ exists iff
+        # e - κ < t1 < f - 1  =>  valid t1 set [e - κ + 1, f - 1).
+        reach = self.within - 1
+        allowed = [(max(0, w.start - reach), w.end - 1) for w in witnesses]
+        if not spans_cover(allowed, segment.start, due_end):
             return "violated", None
         delay = min(
             (max(0, w.start - segment.start) for w in witnesses),
@@ -333,41 +273,39 @@ class StrictlyFollowsGuarantee(Guarantee):
 
     def check(self, trace: ExecutionTrace) -> GuaranteeReport:
         report = GuaranteeReport(self.name, valid=True)
-        for x_ref, y_ref in paired_refs(trace, self.x_family, self.y_family):
-            report.merge(self._check_pair(trace, x_ref, y_ref))
-        return report
-
-    def _check_pair(
-        self, trace: ExecutionTrace, x_ref: DataItemRef, y_ref: DataItemRef
-    ) -> GuaranteeReport:
-        report = GuaranteeReport(self.name, valid=True, checked_instances=1)
-        x_segments = _value_segments(trace.timeline(x_ref))
-        y_segments = _value_segments(trace.timeline(y_ref))
-        first_start: dict[object, Ticks] = {}
-        last_end: dict[object, Ticks] = {}
-        for segment in x_segments:
-            key = segment.value
-            if key not in first_start:
-                first_start[key] = segment.start
-            last_end[key] = max(last_end.get(key, 0), segment.end)
-        checked_pairs: set[tuple[object, object]] = set()
-        for index, earlier in enumerate(y_segments):
-            for later in y_segments[index:]:
-                if later is earlier and later.length < 2:
-                    continue  # no two distinct instants in a 1-tick segment
-                pair = (earlier.value, later.value)
-                if pair in checked_pairs:
-                    continue
-                checked_pairs.add(pair)
-                if not self._witness_order(
-                    earlier.value, later.value, first_start, last_end
-                ):
-                    report.valid = False
-                    report.counterexamples.append(
-                        f"{y_ref} held {earlier.value!r} then {later.value!r} "
-                        f"but {x_ref} never held them in that order"
-                    )
-        report.stats["ordered_pairs_checked"] = len(checked_pairs)
+        ordered_pairs = 0
+        for x_ref, y_ref, x_timeline, y_timeline in paired_timelines(
+            trace, self.x_family, self.y_family
+        ):
+            report.checked_instances += 1
+            first_start: dict[object, Ticks] = {}
+            last_end: dict[object, Ticks] = {}
+            for segment in x_timeline.held():
+                key = segment.value
+                if key not in first_start:
+                    first_start[key] = segment.start
+                last_end[key] = max(last_end.get(key, 0), segment.end)
+            y_segments = y_timeline.held()
+            checked_pairs: set[tuple[object, object]] = set()
+            for index, earlier in enumerate(y_segments):
+                for later in y_segments[index:]:
+                    if later is earlier and later.length < 2:
+                        continue  # no two distinct instants in a 1-tick segment
+                    pair = (earlier.value, later.value)
+                    if pair in checked_pairs:
+                        continue
+                    checked_pairs.add(pair)
+                    if not self._witness_order(
+                        earlier.value, later.value, first_start, last_end
+                    ):
+                        report.valid = False
+                        report.counterexamples.append(
+                            f"{y_ref} held {earlier.value!r} then "
+                            f"{later.value!r} but {x_ref} never held them in "
+                            f"that order"
+                        )
+            ordered_pairs += len(checked_pairs)
+        report.stats["ordered_pairs_checked"] = ordered_pairs
         return report
 
     @staticmethod

@@ -8,46 +8,52 @@
 
 Both are checked exactly: state histories are piecewise constant, so it
 suffices to evaluate the predicate once per maximal constant region of the
-joint state, which the checker derives by merging the items' change points.
+joint state, which the checker walks in one merged sweep over the items'
+change points (linear in the total number of changes).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from operator import itemgetter
+from typing import Callable
 
 from repro.core.guarantees.base import Guarantee, GuaranteeReport
 from repro.core.intervals import Interval, IntervalSet
 from repro.core.items import DataItemRef, Value
 from repro.core.timebase import DAY, Ticks, format_ticks, to_seconds
-from repro.core.trace import ExecutionTrace, Timeline
+from repro.core.trace import ExecutionTrace
 
 Predicate = Callable[[dict[DataItemRef, Value]], bool]
-
-
-def _joint_change_points(timelines: Iterable[Timeline]) -> list[Ticks]:
-    """Sorted distinct times at which any of the items changes value."""
-    points: set[Ticks] = {0}
-    for timeline in timelines:
-        for time, __ in timeline.change_points():
-            points.add(time)
-    return sorted(points)
 
 
 def _violation_intervals(
     trace: ExecutionTrace, items: list[DataItemRef], predicate: Predicate
 ) -> IntervalSet:
-    """The set of times at which the predicate does **not** hold."""
-    # Fetched once: an item's timeline cannot change during a check.
-    timelines = {ref: trace.timeline(ref) for ref in items}
-    points = _joint_change_points(timelines.values())
+    """The set of times at which the predicate does **not** hold.
+
+    One merged sweep over the items' change points: the running joint state
+    is updated change by change (every item changes at time 0, so it is
+    complete from the first region on) and the predicate evaluated once per
+    maximal region in which no item changes.
+    """
+    changes = [
+        (time, ref, value)
+        for ref in items
+        for time, value in trace.timeline(ref).change_points()
+    ]
+    changes.sort(key=itemgetter(0))  # stable: per-item order is kept
     horizon = trace.horizon
+    state: dict[DataItemRef, Value] = {}
     bad: list[Interval] = []
-    for index, start in enumerate(points):
-        end = points[index + 1] if index + 1 < len(points) else horizon
-        if end <= start:
-            continue
-        state = {ref: line.value_at(start) for ref, line in timelines.items()}
-        if not predicate(state):
+    index, count = 0, len(changes)
+    while index < count:
+        start = changes[index][0]
+        while index < count and changes[index][0] == start:
+            __, ref, value = changes[index]
+            state[ref] = value
+            index += 1
+        end = changes[index][0] if index < count else horizon
+        if end > start and not predicate(state):
             bad.append(Interval(start, end))
     return IntervalSet(bad)
 

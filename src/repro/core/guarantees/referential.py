@@ -17,19 +17,14 @@ from __future__ import annotations
 
 from repro.core.guarantees.base import Guarantee, GuaranteeReport
 from repro.core.intervals import Interval, IntervalSet
-from repro.core.items import MISSING, DataItemRef
+from repro.core.items import DataItemRef
 from repro.core.timebase import Ticks, format_ticks, to_seconds
 from repro.core.trace import ExecutionTrace
 
 
 def _existence_intervals(trace: ExecutionTrace, ref: DataItemRef) -> IntervalSet:
     """Times at which ``ref`` exists (value is not MISSING)."""
-    timeline = trace.timeline(ref)
-    return IntervalSet(
-        Interval(s.start, s.end)
-        for s in timeline.segments()
-        if s.value is not MISSING
-    )
+    return IntervalSet(Interval(s.start, s.end) for s in trace.timeline(ref).held())
 
 
 class ReferentialGuarantee(Guarantee):

@@ -46,6 +46,21 @@ class Interval:
         return f"[{self.start}, {self.end})"
 
 
+def spans_cover(spans: list[tuple[Ticks, Ticks]], start: Ticks, end: Ticks) -> bool:
+    """Whether the union of half-open ``(start, end)`` spans covers
+    ``[start, end)`` — ``not IntervalSet(spans).uncovered(interval)`` as one
+    sort and one sweep over plain tuples, with no set built.  Sorts ``spans``
+    in place."""
+    spans.sort()
+    reach = start
+    for span_start, span_end in spans:
+        if reach >= end or span_start > reach:
+            break
+        if span_end > reach:
+            reach = span_end
+    return reach >= end
+
+
 class IntervalSet:
     """A normalized (sorted, disjoint, non-empty) union of intervals."""
 

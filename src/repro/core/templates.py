@@ -32,9 +32,10 @@ from repro.core.terms import (
     match_term,
 )
 
-#: A pre-compiled template matcher: descriptor in, matching interpretation
-#: (or ``None``) out.  Produced by :func:`compile_matcher`.
-Matcher = Callable[[EventDesc], Optional[Bindings]]
+#: A pre-compiled template matcher: descriptor (and, optionally, bindings to
+#: start from) in, matching interpretation (or ``None``) out.  Produced by
+#: :func:`compile_matcher`.
+Matcher = Callable[..., Optional[Bindings]]
 
 
 @dataclass(frozen=True)
@@ -180,17 +181,25 @@ def compile_matcher(tmpl: Template) -> Matcher:
     instead of re-interpreting it on every event.  Rule engines that match
     the same LHS against many events (the CM-Shell's dispatch loop) install
     one compiled matcher per rule.
+
+    The matcher takes an optional ``seed``: bindings to start from instead
+    of the empty interpretation (copied, never mutated).  A seeded match
+    succeeds iff the descriptor matches standalone *and* agrees with the
+    seed on every variable they share — how an RHS template is matched
+    under its rule's LHS interpretation — and returns the seed extended.
     """
     if tmpl.kind is EventKind.FALSE:
-        return lambda desc: None
+        return lambda desc, seed=None: None
     kind = tmpl.kind
     value_tests = tuple(_compile_term(term) for term in tmpl.values)
     if tmpl.item is None:
 
-        def itemless_matcher(desc: EventDesc) -> Optional[Bindings]:
+        def itemless_matcher(
+            desc: EventDesc, seed: Optional[Bindings] = None
+        ) -> Optional[Bindings]:
             if desc.kind is not kind:
                 return None
-            bindings: Bindings = {}
+            bindings: Bindings = {} if seed is None else dict(seed)
             for test, value in zip(value_tests, desc.values):
                 if not test(value, bindings):
                     return None
@@ -203,7 +212,9 @@ def compile_matcher(tmpl: Template) -> Matcher:
     arg_tests = tuple(_compile_term(term) for term in tmpl.item.args)
     arg_count = len(arg_tests)
 
-    def matcher(desc: EventDesc) -> Optional[Bindings]:
+    def matcher(
+        desc: EventDesc, seed: Optional[Bindings] = None
+    ) -> Optional[Bindings]:
         if desc.kind is not kind:
             return None
         item = desc.item
@@ -213,7 +224,7 @@ def compile_matcher(tmpl: Template) -> Matcher:
             return None
         if len(item.args) != arg_count:
             return None
-        bindings: Bindings = {}
+        bindings: Bindings = {} if seed is None else dict(seed)
         for test, value in zip(arg_tests, item.args):
             if not test(value, bindings):
                 return None

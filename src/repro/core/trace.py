@@ -21,7 +21,12 @@ stay near-linear in the number of events:
   than scanning the whole trace;
 - :meth:`~ExecutionTrace.timeline` extends a per-item incrementally
   collapsed change list, doing O(1) work per appended write, instead of
-  rebuilding from all of the item's writes.
+  rebuilding from all of the item's writes, and hands out the same
+  :class:`Timeline` until the item changes; a timeline derives its held
+  segments once (:meth:`Timeline.held`), so every guarantee checker reads
+  the same segment objects;
+- :func:`validate_trace` compiles each rule's templates once per validation
+  and resolves provenance through a per-rule index keyed by trigger ``seq``.
 
 The naive full-scan implementations are retained in
 :class:`ReferenceTraceQueries` / :func:`validate_trace_naive` as the
@@ -41,12 +46,12 @@ from repro.core.events import Event, EventDesc, EventKind, reserve_event_seqs
 from repro.core.interpretations import StateJournal, write_delta
 from repro.core.items import MISSING, DataItemRef, Value
 from repro.core.rules import Rule
-from repro.core.templates import Template, match_desc
+from repro.core.templates import Matcher, Template, compile_matcher, match_desc
 from repro.core.terms import Bindings
 from repro.core.timebase import Ticks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimelineSegment:
     """A maximal interval during which an item held one value.
 
@@ -78,10 +83,17 @@ class Timeline:
     :meth:`ExecutionTrace.timeline` share their change arrays with the
     trace's incremental per-item builder; the builder appends past
     ``_length`` (invisible here) and copies the arrays before any in-place
-    collapse that would touch an entry this view can see.
+    collapse that would touch an entry this view can see.  That is what
+    makes it sound for a timeline to remember what it derives from itself
+    (:meth:`held`, :meth:`held_with`): nothing it was derived from can
+    change, and a further write to the item yields a *new* timeline.
     """
 
-    __slots__ = ("_times", "_values", "_length", "horizon")
+    __slots__ = ("_times", "_values", "_length", "horizon", "_held", "_by_value")
+
+    #: Up to this many held segments are scanned for a value, not grouped:
+    #: the dict costs more to build and keep than the scans it saves.
+    _SCAN_LIMIT = 8
 
     def __init__(self, changes: list[tuple[Ticks, Value]], horizon: Ticks):
         if not changes or changes[0][0] != 0:
@@ -104,6 +116,7 @@ class Timeline:
         self._values = [value for _, value in deduped]
         self._length = len(self._times)
         self.horizon = max(horizon, self._times[-1])
+        self._held = self._by_value = None
 
     @classmethod
     def _over(
@@ -119,6 +132,7 @@ class Timeline:
         timeline._values = values
         timeline._length = length
         timeline.horizon = max(horizon, times[length - 1])
+        timeline._held = timeline._by_value = None
         return timeline
 
     def value_at(self, time: Ticks) -> Value:
@@ -137,11 +151,42 @@ class Timeline:
             if end > start:
                 yield TimelineSegment(start, end, values[index])
 
-    def segments_with_value(self, value: Value) -> Iterator[TimelineSegment]:
-        """Maximal segments during which the item held ``value``."""
-        for segment in self.segments():
-            if segment.value == value:
-                yield segment
+    def held(self) -> tuple[TimelineSegment, ...]:
+        """The segments with a real (non-``MISSING``) value, in time order.
+
+        Derived on first use and remembered: every later call, from any
+        checker, returns the same tuple of the same segment objects.
+        """
+        held = self._held
+        if held is None:
+            held = self._held = tuple(
+                s for s in self.segments() if s.value is not MISSING
+            )
+        return held
+
+    def held_with(self, value: Value) -> Sequence[TimelineSegment]:
+        """The :meth:`held` segments whose value equals ``value``.
+
+        Long histories answer from a by-value grouping built once; short
+        ones (and histories holding an unhashable value) scan.
+        """
+        held = self.held()
+        grouped = self._by_value
+        if grouped is None and len(held) > self._SCAN_LIMIT:
+            lists: dict[Value, list[TimelineSegment]] = {}
+            try:
+                for segment in held:
+                    lists.setdefault(segment.value, []).append(segment)
+                grouped = {v: tuple(group) for v, group in lists.items()}
+            except TypeError:
+                grouped = False  # an unhashable value: scan, and do not retry
+            self._by_value = grouped
+        if grouped:
+            try:
+                return grouped.get(value, ())
+            except TypeError:
+                pass
+        return [s for s in held if s.value is value or s.value == value]
 
     def change_points(self) -> list[tuple[Ticks, Value]]:
         """The (time, new value) change list, starting at time 0."""
@@ -254,6 +299,7 @@ _NO_EVENTS: tuple[Event, ...] = ()
 # property call is a measurable fraction of the whole record path.
 _WRITE = EventKind.WRITE
 _SPONTANEOUS_WRITE = EventKind.SPONTANEOUS_WRITE
+_PERIODIC = EventKind.PERIODIC
 _new_event = Event.__new__
 _set_time = Event.time.__set__
 _set_site = Event.site.__set__
@@ -312,6 +358,9 @@ class ExecutionTrace:
         self._family_sorted: dict[str, tuple[int, list[DataItemRef]]] = {}
         self._generated: list[Event] = []
         self._timelines: dict[DataItemRef, _TimelineBuilder] = {}
+        # Family-pair timeline lists of the guarantee checkers
+        # (:func:`repro.core.guarantees.base.paired_timelines`).
+        self._pairings: dict[tuple[str, str], tuple] = {}
         # -- instrumentation --
         self._timeline_extend_steps = 0
         self._timeline_builds = 0
@@ -330,6 +379,7 @@ class ExecutionTrace:
         self._seeded[ref] = value
         self._add_family_ref(ref)
         self._timelines.pop(ref, None)
+        self._pairings.clear()
 
     def record(
         self,
@@ -568,20 +618,24 @@ def validate_trace(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
     Implementation: properties 1-5 are fused into a single pass over the
     event list (using the interpretation journal's write deltas for the
     property-2/3 state checks), and properties 6-7 consume the trace's
-    kind/family and provenance indexes.  :func:`validate_trace_naive` is the
-    pass-per-property, pair-per-pair reference this is tested against.
+    kind/family indexes.  Each rule object gets one :class:`_RulePlan` per
+    validation — its templates compiled once, its generated events indexed
+    by trigger — which property 5 fills and property 6 reads.
+    :func:`validate_trace_naive` is the pass-per-property, pair-per-pair,
+    template-interpreting reference this is tested against.
     """
     buckets: dict[int, list[Violation]] = {n: [] for n in range(1, 8)}
+    plans: dict[int, _RulePlan] = {}  # by rule object identity
     previous: Event | None = None
     for event in trace.events:
-        desc = event.desc
+        kind = event.desc.kind
         # Property 1: nondecreasing time.
         if previous is not None and event.time < previous.time:
             buckets[1].append(Violation(1, "events out of time order", event))
 
         # Property 2: write events transform interpretations correctly.
-        if desc.kind.is_write:
-            ref = desc.item
+        if kind is _WRITE or kind is _SPONTANEOUS_WRITE:
+            ref = event.desc.item
             assert ref is not None
             if not _write_transforms_state(event, ref):
                 buckets[2].append(
@@ -604,23 +658,25 @@ def validate_trace(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
             )
 
         # Property 4: spontaneous events carry no provenance.
-        spontaneous_kind = desc.kind in (
-            EventKind.SPONTANEOUS_WRITE,
-            EventKind.PERIODIC,
-        )
-        if spontaneous_kind and (event.rule is not None or event.trigger is not None):
+        if (kind is _SPONTANEOUS_WRITE or kind is _PERIODIC) and (
+            event.rule is not None or event.trigger is not None
+        ):
             buckets[4].append(
                 Violation(4, "spontaneous event carries rule/trigger", event)
             )
 
         # Property 5: generated events have consistent provenance.
-        if event.rule is not None:
-            _check_provenance(event, buckets[5])
+        rule = event.rule
+        if rule is not None:
+            plan = plans.get(id(rule))
+            if plan is None:
+                plan = plans[id(rule)] = _RulePlan(rule)
+            _check_provenance(event, rule, plan, buckets[5])
 
         previous = event
 
     # Property 6: rule liveness for unconditional steps.
-    buckets[6] = _check_liveness(trace, rules)
+    buckets[6] = _check_liveness(trace, rules, plans)
 
     # Property 7: related rules fire in order.
     buckets[7] = _check_in_order(trace._generated)
@@ -645,98 +701,97 @@ def _write_transforms_state(event: Event, ref: DataItemRef) -> bool:
     return event.new == event.old.updated(ref, written)
 
 
-def _check_provenance(event: Event, violations: list[Violation]) -> None:
-    """Property 5 checks for one generated event."""
-    if event.trigger is None:
+class _RulePlan:
+    """What one validation needs of one rule object, derived once: the
+    compiled LHS, one compiled matcher per RHS step (``steps[i]`` for
+    ``rule.steps[i]``; ``FALSE`` compiles to match-nothing), and the rule's
+    generated events by their trigger's ``seq`` — the event itself, a list
+    only when one trigger generated several (a multi-step RHS).  The key is
+    an int every event already holds, where ``(rule id, site, seq)`` tuples
+    and a bucket list per event were the validator's allocation peak; the
+    trigger's site is compared on the hit.  Trigger identity is
+    ``(site, seq)``, never the object: a firing that crossed the wire
+    carries a by-value reconstruction of its trigger.
+    """
+
+    __slots__ = ("lhs", "steps", "by_trigger")
+
+    def __init__(self, rule: Rule) -> None:
+        self.lhs: Matcher = compile_matcher(rule.lhs)
+        self.steps: tuple[Matcher, ...] = tuple(
+            compile_matcher(step.template) for step in rule.steps
+        )
+        self.by_trigger: dict[int, Event | list[Event]] = {}
+
+
+def _check_provenance(
+    event: Event, rule: Rule, plan: _RulePlan, violations: list[Violation]
+) -> None:
+    """Property 5 checks for one generated event (and its index entry)."""
+    trigger = event.trigger
+    if trigger is None:
         violations.append(Violation(5, "generated event lacks a trigger", event))
         return
-    rule = event.rule
-    assert rule is not None
-    bindings = match_desc(rule.lhs, event.trigger.desc)
+    index = plan.by_trigger
+    held = index.get(trigger.seq)
+    if held is None:
+        index[trigger.seq] = event
+    elif type(held) is list:
+        held.append(event)
+    else:
+        index[trigger.seq] = [held, event]
+    bindings = plan.lhs(trigger.desc)
     if bindings is None:
         violations.append(
             Violation(5, "trigger does not match the rule's LHS", event)
         )
         return
-    if not _desc_matches_some_step(rule, event.desc, bindings):
+    # Seeded with the LHS interpretation: instantiates the step *and* agrees
+    # with the trigger on every shared variable.
+    desc = event.desc
+    for step in plan.steps:
+        if step(desc, bindings) is not None:
+            break
+    else:
         violations.append(
             Violation(
                 5, "event is not an instantiation of any RHS template", event
             )
         )
-    if event.trigger.time > event.time:
+    if trigger.time > event.time:
         violations.append(Violation(5, "event precedes its trigger", event))
-    if event.time > event.trigger.time + rule.delay:
+    if event.time > trigger.time + rule.delay:
         violations.append(
             Violation(5, "event exceeds its rule's delay bound", event)
         )
 
 
-def _desc_matches_some_step(rule: Rule, desc: EventDesc, bindings: Bindings) -> bool:
-    """Whether ``desc`` instantiates an RHS template under extended bindings."""
-    for step in rule.steps:
-        if step.template.kind is EventKind.FALSE:
-            continue
-        extended = match_desc(step.template, desc)
-        if extended is None:
-            continue
-        consistent = all(
-            extended.get(name, value) == value for name, value in bindings.items()
-            if name in extended
-        )
-        if consistent:
-            return True
-    return False
-
-
-def _provenance_index(
-    generated: Sequence[Event],
-) -> dict[tuple[int, str, int], list[Event]]:
-    """Generated events grouped by (rule identity, trigger ``(site, seq)``).
-
-    The rule key is an object identity (provenance fields reference the
-    exact installed rule objects).  The *trigger* is keyed by its
-    ``(site, seq)`` pair instead: a firing that crossed the wire carries a
-    by-value reconstruction of its trigger — same site and sequence
-    number, different object — and provenance must treat that as the same
-    event.
-    """
-    index: dict[tuple[int, str, int], list[Event]] = {}
-    for event in generated:
-        if event.rule is None or event.trigger is None:
-            continue
-        key = (id(event.rule), event.trigger.site, event.trigger.seq)
-        bucket = index.get(key)
-        if bucket is None:
-            bucket = index[key] = []
-        bucket.append(event)
-    return index
-
-
-def _own_site_matches(matches, rule: Rule):
-    """LHS matches a shell would actually dispatch to ``rule``.
-
-    A shell only sees its own site's events, so a rule pinned to a site
-    (``lhs_site``; every installed periodic rule is) must not be held to
-    another site's events — two sites polling on one period each record a
-    ``P(period)`` the other's rule matches.
-    """
+def _lhs_events(trace: ExecutionTrace, rule: Rule, lhs: Matcher) -> Iterator[Event]:
+    """LHS matches at the rule's own site (see :func:`_own_site_matches`)."""
     site = rule.lhs_site
-    if site is None:
-        return matches
-    return ((event, b) for event, b in matches if event.site == site)
+    return (
+        event
+        for event in trace._candidates(rule.lhs)
+        if (site is None or event.site == site) and lhs(event.desc) is not None
+    )
 
 
-def _check_liveness(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
+def _check_liveness(
+    trace: ExecutionTrace, rules: list[Rule], plans: dict[int, _RulePlan]
+) -> list[Violation]:
     from repro.core.conditions import TRUE  # local import to avoid cycle noise
 
     violations: list[Violation] = []
-    provenance: dict[tuple[int, str, int], list[Event]] | None = None
     for rule in rules:
-        if rule.is_prohibition:
-            for event, __ in _own_site_matches(
-                trace.events_matching(rule.lhs), rule
-            ):
+        prohibition = rule.is_prohibition
+        if not prohibition and rule.condition is not TRUE:
+            # The LHS condition read local data we no longer have; skip.
+            continue
+        plan = plans.get(id(rule))
+        if plan is None:
+            plan = plans[id(rule)] = _RulePlan(rule)
+        if prohibition:
+            for event in _lhs_events(trace, rule, plan.lhs):
                 violations.append(
                     Violation(
                         6,
@@ -745,24 +800,15 @@ def _check_liveness(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]
                     )
                 )
             continue
-        if rule.condition is not TRUE:
-            # The LHS condition read local data we no longer have; skip.
-            continue
-        for event, __ in _own_site_matches(
-            trace.events_matching(rule.lhs), rule
-        ):
+        for event in _lhs_events(trace, rule, plan.lhs):
             deadline = event.time + rule.delay
             if deadline > trace.horizon:
                 continue  # obligation not yet due at end of trace
-            if provenance is None:
-                provenance = _provenance_index(trace._generated)
             previous_time = event.time
-            for step in rule.steps:
+            for step, matches in zip(rule.steps, plan.steps):
                 if step.condition is not TRUE:
                     break  # later steps' timing depends on this one; stop here
-                found = _find_generated(
-                    provenance, rule, event, step.template, previous_time, deadline
-                )
+                found = _find_generated(plan, event, matches, previous_time, deadline)
                 if found is None:
                     violations.append(
                         Violation(
@@ -778,17 +824,17 @@ def _check_liveness(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]
 
 
 def _find_generated(
-    provenance: dict[tuple[int, str, int], list[Event]],
-    rule: Rule,
-    trigger: Event,
-    tmpl: Template,
-    not_before: Ticks,
-    deadline: Ticks,
+    plan: _RulePlan, trigger: Event, matches: Matcher, earliest: Ticks, deadline: Ticks
 ) -> Event | None:
-    for event in provenance.get((id(rule), trigger.site, trigger.seq), ()):
-        if event.time < not_before or event.time > deadline:
+    held = plan.by_trigger.get(trigger.seq)
+    if held is None:
+        return None
+    for event in held if type(held) is list else (held,):
+        if event.trigger.site != trigger.site:
+            continue  # another site's event that happens to share the seq
+        if event.time < earliest or event.time > deadline:
             continue
-        if match_desc(tmpl, event.desc) is not None:
+        if matches(event.desc) is not None:
             return event
     return None
 
@@ -929,7 +975,7 @@ def validate_trace_naive(
     for event in events:
         if event.rule is None:
             continue
-        _check_provenance(event, violations)
+        _check_provenance_naive(event, violations)
 
     # Property 6: rule liveness for unconditional steps.
     violations.extend(_check_liveness_naive(queries, rules))
@@ -938,6 +984,67 @@ def validate_trace_naive(
     violations.extend(_check_in_order_naive(events))
 
     return violations
+
+
+def _check_provenance_naive(event: Event, violations: list[Violation]) -> None:
+    """Property 5 for one generated event, interpreting the templates: the
+    reference's own copy, sharing nothing with :func:`_check_provenance`."""
+    if event.trigger is None:
+        violations.append(Violation(5, "generated event lacks a trigger", event))
+        return
+    rule = event.rule
+    assert rule is not None
+    bindings = match_desc(rule.lhs, event.trigger.desc)
+    if bindings is None:
+        violations.append(
+            Violation(5, "trigger does not match the rule's LHS", event)
+        )
+        return
+    if not _desc_matches_some_step_naive(rule, event.desc, bindings):
+        violations.append(
+            Violation(
+                5, "event is not an instantiation of any RHS template", event
+            )
+        )
+    if event.trigger.time > event.time:
+        violations.append(Violation(5, "event precedes its trigger", event))
+    if event.time > event.trigger.time + rule.delay:
+        violations.append(
+            Violation(5, "event exceeds its rule's delay bound", event)
+        )
+
+
+def _desc_matches_some_step_naive(
+    rule: Rule, desc: EventDesc, bindings: Bindings
+) -> bool:
+    """Whether ``desc`` instantiates an RHS template under extended bindings."""
+    for step in rule.steps:
+        if step.template.kind is EventKind.FALSE:
+            continue
+        extended = match_desc(step.template, desc)
+        if extended is None:
+            continue
+        consistent = all(
+            extended.get(name, value) == value for name, value in bindings.items()
+            if name in extended
+        )
+        if consistent:
+            return True
+    return False
+
+
+def _own_site_matches(matches, rule: Rule):
+    """LHS matches a shell would actually dispatch to ``rule``.
+
+    A shell only sees its own site's events, so a rule pinned to a site
+    (``lhs_site``; every installed periodic rule is) must not be held to
+    another site's events — two sites polling on one period each record a
+    ``P(period)`` the other's rule matches.
+    """
+    site = rule.lhs_site
+    if site is None:
+        return matches
+    return ((event, b) for event, b in matches if event.site == site)
 
 
 def _check_liveness_naive(

@@ -110,6 +110,43 @@ class TestCompiledMatcherEquivalence:
                     f"{tmpl} vs {desc}"
                 )
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_match_is_standalone_match_plus_shared_variables(self, seed):
+        # What the trace validator asks of an RHS template under its rule's
+        # LHS interpretation: the descriptor matches on its own *and* agrees
+        # with the seed on every variable they share.  The random templates
+        # cover constants, WILDCARD, FAMILY_WILDCARD and repeated variables;
+        # seeds bind any subset of their variables, to values that sometimes
+        # agree with the descriptor and sometimes do not.
+        rng = random.Random(1000 + seed)
+        templates = [random_template(rng) for __ in range(60)]
+        matchers = [compile_matcher(t) for t in templates]
+        hits = misses = 0
+        for __ in range(200):
+            desc = random_desc(rng)
+            bound = rng.sample(["n", "m", "b"], rng.randint(0, 3))
+            given = {name: rng.choice(KEYS + VALUES) for name in bound}
+            before = dict(given)
+            for tmpl, matcher in zip(templates, matchers):
+                alone = match_desc(tmpl, desc)
+                if alone is None or any(
+                    alone[name] != value
+                    for name, value in given.items()
+                    if name in alone
+                ):
+                    expected = None
+                else:
+                    expected = {**given, **alone}
+                assert matcher(desc, given) == expected, f"{tmpl} vs {desc}"
+                hits += expected is not None
+                misses += alone is not None and expected is None
+            assert given == before  # the seed is copied, never written to
+        assert hits and misses  # both outcomes were exercised
+
+    def test_seeded_false_template_never_matches(self):
+        matcher = compile_matcher(FALSE_TEMPLATE)
+        assert matcher(notify_desc(DataItemRef("alpha"), 1.0), {"b": 1.0}) is None
+
     def test_false_template_never_matches(self):
         matcher = compile_matcher(FALSE_TEMPLATE)
         assert matcher(notify_desc(DataItemRef("alpha"), 1.0)) is None

@@ -16,6 +16,28 @@ from conftest import make_timeline_trace
 S = seconds  # brevity: S(3) = 3 virtual seconds in ticks
 
 
+def keyed_trace(histories, horizon):
+    """Like ``make_timeline_trace`` for parameterized items: ``histories``
+    maps ``(family, key)`` to its ``[(time, value), ...]`` writes."""
+    from repro.core.events import spontaneous_write_desc
+    from repro.core.items import DataItemRef
+    from repro.core.trace import ExecutionTrace
+
+    trace = ExecutionTrace()
+    changes = sorted(
+        (time, family, key, value)
+        for (family, key), history in histories.items()
+        for time, value in history
+    )
+    for time, family, key, value in changes:
+        ref = DataItemRef(family, (key,))
+        trace.record(
+            time, "site", spontaneous_write_desc(ref, trace.current_value(ref), value)
+        )
+    trace.close(horizon)
+    return trace
+
+
 class TestFollows:
     def test_valid_propagation(self):
         trace = make_timeline_trace(
@@ -173,6 +195,30 @@ class TestLeads:
         assert not leads("X", "Y", within_seconds=5).check(trace).valid
         assert leads("X", "Y", within_seconds=10).check(trace).valid
 
+    def test_counts_are_summed_over_the_family(self):
+        # k1 takes three values and Y misses one; k2 takes two, none missed.
+        # The family's report counts all five (folding per-key reports with
+        # max() read 3 taken / 1 missed: one key's misses over another's
+        # takes as soon as a run has more than one key).
+        trace = keyed_trace(
+            {
+                ("X", "k1"): [(S(1), "a"), (S(2), "skipped"), (S(3), "b")],
+                ("Y", "k1"): [(S(2), "a"), (S(4), "b")],
+                ("X", "k2"): [(S(1), "c"), (S(5), "d")],
+                ("Y", "k2"): [(S(2), "c"), (S(6), "d")],
+            },
+            horizon=S(30),
+        )
+        report = leads("X", "Y").check(trace)
+        assert not report.valid
+        assert report.checked_instances == 2
+        assert report.stats["values_taken"] == 5
+        assert report.stats["values_missed"] == 1
+        assert report.stats["values_exempt_seeded"] == 0
+        # Maxima stay maxima: k1's "b" and k2's "d" each took 1 s.
+        assert report.stats["max_propagation_delay_seconds"] == 1.0
+        assert len(report.counterexamples) == 1
+
 
 class TestStrictlyFollows:
     def test_in_order_propagation(self):
@@ -217,6 +263,21 @@ class TestStrictlyFollows:
         )
         # Y sees 2 then 1 again, but X never held 1 after 2.
         assert not strictly_follows("X", "Y").check(trace).valid
+
+    def test_ordered_pairs_are_summed_over_the_family(self):
+        trace = keyed_trace(
+            {
+                ("X", "k1"): [(S(1), 1), (S(2), 2)],
+                ("Y", "k1"): [(S(2), 1), (S(3), 2)],
+                ("X", "k2"): [(S(1), 7)],
+                ("Y", "k2"): [(S(2), 7)],
+            },
+            horizon=S(10),
+        )
+        report = strictly_follows("X", "Y").check(trace)
+        assert report.valid and report.checked_instances == 2
+        # k1: (1,1) (1,2) (2,2); k2: (7,7).
+        assert report.stats["ordered_pairs_checked"] == 4
 
 
 class TestPropagationModel:

@@ -1,7 +1,13 @@
 """Tests for invariant, periodic, and periodic-copy guarantees."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.core.guarantees import invariant, periodic
-from repro.core.guarantees.invariants import PeriodicCopyGuarantee
+from repro.core.guarantees.invariants import (
+    PeriodicCopyGuarantee,
+    _violation_intervals,
+)
+from repro.core.intervals import Interval, IntervalSet
 from repro.core.items import DataItemRef
 from repro.core.timebase import DAY, clock_time, hours, seconds
 
@@ -131,3 +137,62 @@ class TestPeriodicCopy:
             "src", "dst", clock_time(17, 15), clock_time(8)
         )
         assert not guarantee.check(trace).valid
+
+
+def _bisecting_violation_intervals(trace, items, predicate):
+    """The pre-sweep checker, kept here as the reference: the state at
+    every joint change point, looked up by bisecting each item's timeline."""
+    timelines = {ref: trace.timeline(ref) for ref in items}
+    points = sorted(
+        {t for line in timelines.values() for t, __ in line.change_points()}
+    )
+    bad = []
+    for index, start in enumerate(points):
+        end = points[index + 1] if index + 1 < len(points) else trace.horizon
+        if end <= start:
+            continue
+        state = {ref: line.value_at(start) for ref, line in timelines.items()}
+        if not predicate(state):
+            bad.append(Interval(start, end))
+    return IntervalSet(bad)
+
+
+class TestMergedSweep:
+    # A few ticks and values over up to four items: simultaneous changes,
+    # no-op writes and a change exactly at the horizon (tick 12) are common.
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=8),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_bisection(self, histories, bound):
+        names = [f"I{index}" for index in range(len(histories))]
+        trace = make_timeline_trace(
+            {name: sorted(history) for name, history in zip(names, histories)},
+            horizon=12,
+        )
+        items = [DataItemRef(name) for name in names]
+        seen = []
+
+        def predicate(state):
+            seen.append(dict(state))
+            return sum(v for v in state.values() if isinstance(v, int)) <= bound
+
+        swept = _violation_intervals(trace, items, predicate)
+        states, seen = seen, []
+        assert swept == _bisecting_violation_intervals(trace, items, predicate)
+        # Once per maximal joint region, on the same full states, in order.
+        assert states == seen
+        assert all(list(state) == items for state in states)
+
+    def test_change_exactly_at_the_horizon_opens_no_region(self):
+        trace = make_timeline_trace(
+            {"X": [(0, 1), (seconds(5), 20), (seconds(10), 1)], "Y": [(0, 10)]},
+            horizon=seconds(10),
+        )
+        bad = _violation_intervals(trace, [X, Y], leq)
+        assert list(bad) == [Interval(seconds(5), seconds(10))]

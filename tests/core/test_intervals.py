@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.core.intervals import Interval, IntervalSet
+from repro.core.intervals import Interval, IntervalSet, spans_cover
 
 
 def interval_strategy(max_value: int = 200):
@@ -110,3 +110,30 @@ class TestProperties:
     @given(interval_set_strategy(), interval_strategy())
     def test_covers_iff_uncovered_empty(self, a, interval):
         assert a.covers(interval) == (not a.uncovered(interval))
+
+
+class TestSpansCover:
+    """The guarantee checkers' sort-and-sweep over plain ``(start, end)``
+    tuples against the interval-set algebra it stands in for."""
+
+    def test_empty_touching_and_nested(self):
+        assert not spans_cover([], 0, 10)
+        assert spans_cover([], 5, 5)  # an empty interval is vacuously covered
+        assert spans_cover([(5, 10), (0, 5)], 0, 10)  # touching, unsorted
+        assert not spans_cover([(0, 5), (6, 10)], 0, 10)  # one tick missing
+        assert spans_cover([(0, 20), (3, 4), (5, 9)], 2, 15)  # nested
+        assert not spans_cover([(3, 4), (0, 2), (5, 9)], 0, 9)
+        assert spans_cover([(7, 3), (0, 10)], 0, 10)  # an empty span is inert
+        assert not spans_cover([(1, 10)], 0, 10)  # late start
+
+    # Endpoints from a small range, unordered pairs included, so that empty,
+    # touching, nested and duplicate spans are all common.
+    @given(
+        st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=8),
+        st.integers(0, 30),
+        st.integers(0, 30),
+    )
+    def test_agrees_with_interval_set_uncovered(self, spans, start, end):
+        reference = IntervalSet(Interval(a, b) for a, b in spans)
+        expected = not reference.uncovered(Interval(start, end))
+        assert spans_cover(list(spans), start, end) == expected

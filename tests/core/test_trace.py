@@ -20,7 +20,12 @@ from repro.core.interpretations import EMPTY_INTERPRETATION
 from repro.core.items import MISSING, DataItemRef, item
 from repro.core.templates import template
 from repro.core.terms import pattern
-from repro.core.trace import ExecutionTrace, Timeline, validate_trace
+from repro.core.trace import (
+    ExecutionTrace,
+    Timeline,
+    TimelineSegment,
+    validate_trace,
+)
 from repro.core.timebase import seconds
 
 
@@ -340,6 +345,63 @@ class TestTimelineEdgeCases:
         assert before.value_at(25) == "b"
         assert after.change_points() == [(0, MISSING), (10, "a")]
         assert after.value_at(25) == "a"
+
+    def test_held_segments_are_derived_once_per_timeline(self, trace):
+        trace.record(10, "a", write_desc(X, "a"))
+        trace.record(20, "a", write_desc(X, "b"))
+        trace.close(30)
+        before = trace.timeline(X)
+        held = before.held()
+        assert held == (TimelineSegment(10, 20, "a"), TimelineSegment(20, 30, "b"))
+        assert before.held() is held  # no MISSING head, nothing re-derived
+        assert trace.timeline(X).held() is held
+        assert before.held_with("b") == [held[1]]
+        assert before.held_with("b")[0] is held[1]
+        assert before.held_with(MISSING) == [] == before.held_with("zz")
+        # A further write yields a *new* timeline with the new segment; the
+        # view handed out earlier still answers from what it remembered.
+        trace.record(25, "a", write_desc(X, "c"))
+        after = trace.timeline(X)
+        assert after is not before
+        assert [s.value for s in after.held()] == ["a", "b", "c"]
+        assert after.held()[1] == TimelineSegment(20, 25, "b")
+        assert before.held() is held and held[1].end == 30
+
+    def test_held_with_long_histories_group_and_short_ones_scan(self):
+        # Above Timeline._SCAN_LIMIT held segments the answer comes from a
+        # by-value grouping built once; both paths must agree with a filter.
+        for length in (3, Timeline._SCAN_LIMIT, Timeline._SCAN_LIMIT + 1, 40):
+            changes = [(10 * (i + 1), i % 3) for i in range(length)]
+            timeline = Timeline(changes, horizon=10 * (length + 2))
+            assert len(timeline.held()) == length
+            for value in (0, 1, 2, 1.0, True, "absent", MISSING):
+                expected = [s for s in timeline.held() if s.value == value]
+                assert list(timeline.held_with(value)) == expected
+            grouped = length > Timeline._SCAN_LIMIT
+            assert (timeline._by_value is not None) == grouped
+
+    def test_held_with_unhashable_values_falls_back_to_a_scan(self):
+        changes = [(10 * (i + 1), [i % 2]) for i in range(12)]
+        timeline = Timeline(changes, horizon=200)
+        assert [s.start for s in timeline.held_with([1])] == [20, 40, 60, 80, 100, 120]
+        assert timeline._by_value is False  # remembered: no second attempt
+        assert len(timeline.held_with([0])) == 6
+        # ... and an unhashable probe against a hashable, grouped history.
+        plain = Timeline([(10 * (i + 1), i) for i in range(12)], horizon=200)
+        assert plain.held_with(3) == (plain.held()[3],)
+        assert plain.held_with([3]) == []
+
+    def test_segment_is_a_frozen_slotted_value(self):
+        segment = TimelineSegment(10, 20, "a")
+        assert segment == TimelineSegment(10, 20, "a")
+        assert segment != TimelineSegment(10, 21, "a")
+        assert hash(segment) == hash(TimelineSegment(10, 20, "a"))
+        assert repr(segment) == "TimelineSegment(start=10, end=20, value='a')"
+        assert segment.covers(10) and not segment.covers(20)
+        assert segment.length == 10
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            segment.end = 30
+        assert not hasattr(segment, "__dict__")
 
     def test_close_extends_horizon_of_later_timelines_only(self, trace):
         trace.record(10, "a", write_desc(X, 1))

@@ -7,8 +7,16 @@ retained in :mod:`repro.core.trace`) are the executable specification.
 These tests generate random traces — mixed event kinds, parameterized
 families, same-instant writes, seeded items, valid and deliberately broken
 provenance — and assert query-by-query agreement.
+
+``validate_trace_naive`` interprets rule templates through its own
+provenance check (``match_desc`` per event), the indexed validator through
+compiled, LHS-seeded matchers and a per-rule trigger index, so the planted
+provenance faults of :class:`TestPlantedProvenance` are differential too:
+each names the property it must trip, on both validators, with the same
+flagged events.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -278,3 +286,292 @@ def test_validator_agrees_on_clean_trace():
     trace.close(clock)
     assert validate_trace(trace, []) == []
     assert validate_trace_naive(trace, []) == []
+
+
+# -- planted provenance faults (properties 5 and 6) ---------------------------
+
+PROPAGATE = RULES[0]
+TWO_STEP = parse_rule(
+    "N(phone(n), b) -> [5] WR(addr(n), b), N(flag(n), b)", name="two-step"
+)
+MIRROR = parse_rule("N(phone(n), b) -> [5] N(flag(n), b)", name="mirror")
+
+
+def _chains(*rules, rounds=6):
+    """A clean run: per round one ``N(phone(p), v)`` at the hub and, per
+    rule, its RHS events in step order one second apart at ``replica1``.
+    Returns the trace and the rounds as ``(trigger, [generated, ...])``."""
+    trace = ExecutionTrace()
+    chains = []
+    for index in range(rounds):
+        start = seconds(10 * index + 1)
+        ref = f"p{index % 2}"
+        trigger = trace.record(start, "hub", notify_desc(item("phone", ref), index))
+        generated = []
+        for rule in rules:
+            for offset, step in enumerate(rule.steps, start=2):
+                make = (
+                    write_request_desc
+                    if step.template.kind is EventKind.WRITE_REQUEST
+                    else notify_desc
+                )
+                generated.append(
+                    trace.record(
+                        start + seconds(offset),
+                        "replica1",
+                        make(item(step.template.item.name, ref), index),
+                        rule=rule,
+                        trigger=trigger,
+                    )
+                )
+        chains.append((trigger, generated))
+    trace.close(seconds(100))
+    return trace, chains
+
+
+def _replayed(trace, edits=None, drop=(), horizon=None):
+    """A copy of ``trace`` with per-``seq`` field overrides applied and the
+    ``drop`` seqs left out, re-recorded in (new) time order under the
+    original sequence numbers, so provenance keeps resolving."""
+    edits = edits or {}
+    rows = []
+    for event in trace.events:
+        if event.seq in drop:
+            continue
+        row = {
+            "time": event.time,
+            "site": event.site,
+            "desc": event.desc,
+            "rule": event.rule,
+            "trigger": event.trigger,
+            "seq": event.seq,
+        }
+        row.update(edits.get(event.seq, {}))
+        rows.append(row)
+    rows.sort(key=lambda row: row["time"])
+    copy = ExecutionTrace()
+    for row in rows:
+        copy.record(**row)
+    copy.close(trace.horizon if horizon is None else horizon)
+    return copy
+
+
+def _flagged(violations, number):
+    return [
+        (v.message, v.event.seq) for v in violations if v.property_number == number
+    ]
+
+
+class TestPlantedProvenance:
+    """One mutation per clause of the property-5/6 checks.  ``_both`` holds
+    the two validators to the same violation list and returns it."""
+
+    def _both(self, trace, rules):
+        fast = validate_trace(trace, rules)
+        exact, late = _split(fast)
+        naive_exact, naive_late = _split(validate_trace_naive(trace, rules))
+        assert exact == naive_exact
+        assert set(late) == set(naive_late)
+        return fast
+
+    def test_clean_chains_validate(self):
+        for rules in ([PROPAGATE], [TWO_STEP], [PROPAGATE, MIRROR]):
+            trace, __ = _chains(*rules)
+            assert self._both(trace, rules) == []
+
+    def test_trigger_the_lhs_does_not_match(self):
+        trace, chains = _chains(PROPAGATE)
+        (__, (victim,)), (__, (other,)) = chains[2], chains[1]
+        planted = _replayed(trace, {victim.seq: {"trigger": other}})
+        found = self._both(planted, [PROPAGATE])
+        assert _flagged(found, 5) == [
+            ("trigger does not match the rule's LHS", victim.seq)
+        ]
+        # ... which leaves the real trigger's obligation unmet.
+        assert [seq for __, seq in _flagged(found, 6)] == [chains[2][0].seq]
+
+    def test_event_instantiating_no_step(self):
+        trace, chains = _chains(PROPAGATE)
+        __, (victim,) = chains[3]
+        tampered = write_request_desc(item("flag", "p1"), 3)
+        planted = _replayed(trace, {victim.seq: {"desc": tampered}})
+        found = self._both(planted, [PROPAGATE])
+        assert _flagged(found, 5) == [
+            ("event is not an instantiation of any RHS template", victim.seq)
+        ]
+        assert [seq for __, seq in _flagged(found, 6)] == [chains[3][0].seq]
+
+    def test_step_matched_standalone_but_not_under_the_lhs_binding(self):
+        # WR(addr(p0), 3) instantiates WR(addr(n), b) on its own; its trigger
+        # N(phone(p1), 3) binds n = p1.  Only a match seeded with the LHS
+        # interpretation (or the reference's shared-variable check) sees it.
+        trace, chains = _chains(PROPAGATE)
+        __, (victim,) = chains[3]
+        tampered = write_request_desc(item("addr", "p0"), 3)
+        planted = _replayed(trace, {victim.seq: {"desc": tampered}})
+        found = self._both(planted, [PROPAGATE])
+        assert [(v.property_number, v.event.seq) for v in found] == [
+            (5, victim.seq)
+        ]
+        assert "not an instantiation" in found[0].message
+
+    def test_event_after_the_delay_bound(self):
+        trace, chains = _chains(PROPAGATE)
+        trigger, (victim,) = chains[1]
+        late = trigger.time + PROPAGATE.delay + 1
+        planted = _replayed(trace, {victim.seq: {"time": late}})
+        found = self._both(planted, [PROPAGATE])
+        assert _flagged(found, 5) == [
+            ("event exceeds its rule's delay bound", victim.seq)
+        ]
+        assert [seq for __, seq in _flagged(found, 6)] == [trigger.seq]
+
+    def test_event_before_its_trigger(self):
+        trace, chains = _chains(PROPAGATE)
+        trigger, (victim,) = chains[4]
+        planted = _replayed(trace, {victim.seq: {"time": trigger.time - 1}})
+        found = self._both(planted, [PROPAGATE])
+        assert _flagged(found, 5) == [("event precedes its trigger", victim.seq)]
+        assert [seq for __, seq in _flagged(found, 6)] == [trigger.seq]
+
+    def test_generated_event_removed(self):
+        trace, chains = _chains(PROPAGATE)
+        trigger, (victim,) = chains[2]
+        found = self._both(_replayed(trace, drop={victim.seq}), [PROPAGATE])
+        assert [(v.property_number, v.event.seq) for v in found] == [
+            (6, trigger.seq)
+        ]
+
+    def test_obligation_not_yet_due_is_excused(self):
+        trace, chains = _chains(PROPAGATE)
+        trigger, (victim,) = chains[-1]
+        early = trigger.time + PROPAGATE.delay - 1
+        planted = _replayed(trace, drop={victim.seq}, horizon=early)
+        assert planted.horizon == early
+        assert self._both(planted, [PROPAGATE]) == []
+
+    def test_instantiation_outside_previous_step_and_deadline(self):
+        # The second step's event moved *before* the first step's: still
+        # after the trigger and inside the delay (property 5 is content),
+        # but steps are sequential, so step two has no instantiation in
+        # [step one, deadline].
+        trace, chains = _chains(TWO_STEP)
+        trigger, (first, second) = chains[3]
+        planted = _replayed(trace, {second.seq: {"time": first.time - 1}})
+        found = self._both(planted, [TWO_STEP])
+        assert [(v.property_number, v.event.seq) for v in found] == [
+            (6, trigger.seq)
+        ]
+        assert "N(flag(n), b)" in found[0].message
+
+    def test_by_value_trigger_copies_resolve(self):
+        # What the wire codec hands back: same (site, seq), another object.
+        trace, chains = _chains(TWO_STEP)
+        edits = {
+            event.seq: {"trigger": dataclasses.replace(trigger)}
+            for trigger, generated in chains
+            for event in generated
+        }
+        planted = _replayed(trace, edits)
+        assert all(
+            e.trigger is not chains[0][0] for e in planted.generated_events
+        )
+        assert self._both(planted, [TWO_STEP]) == []
+
+    def test_two_rules_fire_on_one_trigger(self):
+        trace, chains = _chains(PROPAGATE, MIRROR)
+        trigger, (__, mirrored) = chains[2]
+        assert mirrored.rule is MIRROR
+        found = self._both(
+            _replayed(trace, drop={mirrored.seq}), [PROPAGATE, MIRROR]
+        )
+        assert [(v.property_number, v.event.seq) for v in found] == [
+            (6, trigger.seq)
+        ]
+        assert "'mirror'" in found[0].message
+
+    def test_one_seq_on_two_sites_is_two_triggers(self):
+        # Sequence numbers are per process; merged traces can repeat one.
+        # The site, compared on the index hit, keeps the triggers apart.
+        trace = ExecutionTrace()
+        triggers = [
+            trace.record(
+                seconds(1), site, notify_desc(item("phone", "p0"), 1), seq=500
+            )
+            for site in ("hub", "annex")
+        ]
+        trace.record(
+            seconds(2),
+            "replica1",
+            write_request_desc(item("addr", "p0"), 1),
+            rule=PROPAGATE,
+            trigger=triggers[0],
+            seq=501,
+        )
+        trace.close(seconds(20))
+        found = self._both(trace, [PROPAGATE])
+        assert [(v.property_number, v.event.site) for v in found] == [(6, "annex")]
+
+
+# Rules the random traces draw provenance from: a repeated variable, a
+# constant, a multi-step RHS, a prohibition and a site-pinned periodic rule
+# beside the plain copy rules.
+POOL = RULES + [
+    TWO_STEP,
+    MIRROR,
+    parse_rule("N(phone(n), n) -> [2] WR(addr(n), n)", name="diagonal"),
+    parse_rule("N(phone(n), 1) -> [2] WR(addr(n), 1)", name="ones"),
+    dataclasses.replace(
+        parse_rule("P(2) -> [3] RR(phone(n))", name="poll"), lhs_site="hub"
+    ),
+]
+
+_EVENT_SPECS = st.lists(
+    st.tuples(
+        st.integers(0, 6),  # descriptor shape
+        st.integers(0, 2),  # family
+        st.integers(0, 1),  # argument
+        st.integers(0, 2),  # value
+        st.integers(0, 3),  # seconds since the previous event
+        st.integers(0, 1),  # site
+        st.one_of(  # provenance: (rule, how far back the trigger is)
+            st.none(), st.tuples(st.integers(0, len(POOL) - 1), st.integers(1, 6))
+        ),
+    ),
+    max_size=40,
+)
+
+
+@given(
+    specs=_EVENT_SPECS,
+    picked=st.sets(st.integers(0, len(POOL) - 1)),
+    slack=st.integers(0, 8),
+)
+@settings(max_examples=300, deadline=None)
+def test_validators_agree_on_random_rule_sets_and_traces(specs, picked, slack):
+    trace = ExecutionTrace()
+    clock = 0
+    for shape, family, arg, value, gap, site, provenance in specs:
+        clock += seconds(gap)
+        ref = item(FAMILIES[family], ARGS[arg])
+        value = ARGS[arg] if value == 2 else value
+        desc = (
+            write_desc(ref, value),
+            spontaneous_write_desc(ref, 0, value),
+            notify_desc(ref, value),
+            write_request_desc(ref, value),
+            read_request_desc(ref),
+            read_response_desc(ref, value),
+            periodic_desc(seconds(2)),
+        )[shape]
+        rule = trigger = None
+        if provenance is not None and trace.events:
+            rule = POOL[provenance[0]]
+            trigger = trace.events[-min(provenance[1], len(trace.events))]
+        trace.record(clock, SITES[site], desc, rule=rule, trigger=trigger)
+    trace.close(clock + seconds(slack))
+    rules = [POOL[index] for index in sorted(picked)]
+    exact, late = _split(validate_trace(trace, rules))
+    naive_exact, naive_late = _split(validate_trace_naive(trace, rules))
+    assert exact == naive_exact
+    assert set(late) == set(naive_late)
