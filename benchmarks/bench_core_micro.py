@@ -315,10 +315,10 @@ def test_shell_events_per_second(benchmark):
 # interned Counter objects) plus the ``obs.enabled`` and
 # ``obs.rule_profiling`` checks.  The baseline below replicates the dispatch
 # kernel call for call — ``deliver_local_event`` -> ``_process_event`` ->
-# ``_dispatch`` -> ``_applies`` -> ``_fire`` -> RHS executor, sharing the
-# shell's own ``_applies`` and executors — with plain-int counters and no
-# ``obs`` checks, so the ratio measures instrumentation and nothing else;
-# the instrumented path must stay within 5% of it.
+# ``_applies`` -> ``_fire`` -> RHS executor, sharing the shell's own
+# ``_applies`` and executors — with plain-int counters and no ``obs``
+# checks, so the ratio measures instrumentation and nothing else; the
+# instrumented path must stay within 5% of it.
 
 
 class _UninstrumentedDispatch:
@@ -346,18 +346,14 @@ class _UninstrumentedDispatch:
 
     def _process_event(self, event) -> None:
         self.events_processed += 1
-        self._dispatch(event)
-
-    def _dispatch(self, event) -> None:
         desc = event.desc
         shell = self.shell
-        applies = shell._applies
-        fire = self._fire
-        for installed in shell._index.candidates(desc):
-            self.candidates_considered += 1
-            bound = applies(installed, desc)
+        candidates = shell._index.candidates(desc)
+        self.candidates_considered += len(candidates)
+        for installed in candidates:
+            bound = shell._applies(installed, desc)
             if bound is not None:
-                fire(installed, bound, event)
+                self._fire(installed, bound, event)
 
     def _fire(self, installed, bound, trigger) -> None:
         rule = installed.rule

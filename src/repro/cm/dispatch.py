@@ -16,7 +16,8 @@ rule language:
 - :meth:`RuleIndex.candidates` returns, for a ground descriptor, only the
   rules in the exact bucket plus the kind's catch-all bucket — merged by
   installation order, so the firing sequence is *identical* to the linear
-  scan's.
+  scan's.  The merged bucket is memoized per ``(kind, family)`` until the
+  rule set changes.
 
 The index is purely a pre-filter: every rule it returns still runs its
 compiled matcher (which re-checks kind and family), so indexing can drop
@@ -68,6 +69,9 @@ class RuleIndex:
         self._buckets: dict[tuple[EventKind, Optional[str]], list[InstalledRule]] = {}
         self._catch_all: dict[EventKind, list[InstalledRule]] = {}
         self._all: list[InstalledRule] = []
+        # (kind value, family) -> merged candidate bucket.  Keyed by the
+        # kind's string value: hashing an Enum member is a Python-level call.
+        self._memo: dict[tuple[str, Optional[str]], list[InstalledRule]] = {}
 
     def add(
         self, rule: Rule, rhs_site: Optional[str], compiled: bool = True
@@ -94,6 +98,7 @@ class RuleIndex:
             program=program,
         )
         self._all.append(installed)
+        self._memo.clear()
         kind = rule.lhs.kind
         family = rule.lhs.dispatch_family
         if family is None and rule.lhs.item is not None:
@@ -113,6 +118,7 @@ class RuleIndex:
         installation-order iteration stays correct.
         """
         self._all.remove(installed)
+        self._memo.clear()
         kind = installed.rule.lhs.kind
         family = installed.rule.lhs.dispatch_family
         if family is None and installed.rule.lhs.item is not None:
@@ -121,15 +127,22 @@ class RuleIndex:
             self._buckets[(kind, family)].remove(installed)
 
     def candidates(self, desc: EventDesc) -> list[InstalledRule]:
-        """Rules whose LHS might match ``desc``, in installation order."""
-        family = desc.item.name if desc.item is not None else None
-        exact = self._buckets.get((desc.kind, family))
-        catch_all = self._catch_all.get(desc.kind)
-        if catch_all is None:
-            return exact if exact is not None else []
-        if exact is None:
-            return catch_all
-        return sorted(exact + catch_all, key=attrgetter("serial"))
+        """Rules whose LHS might match ``desc``, in installation order.
+
+        The returned list is shared: callers must not mutate it.
+        """
+        item = desc.item
+        family = item.name if item is not None else None
+        key = (desc.kind._value_, family)
+        bucket = self._memo.get(key)
+        if bucket is None:
+            kind = desc.kind
+            bucket = self._buckets.get((kind, family), [])
+            catch_all = self._catch_all.get(kind)
+            if catch_all:
+                bucket = sorted(bucket + catch_all, key=attrgetter("serial"))
+            self._memo[key] = bucket
+        return bucket
 
     def __len__(self) -> int:
         return len(self._all)

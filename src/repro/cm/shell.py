@@ -59,7 +59,7 @@ from repro.cm.failures import FailureNotice
 from repro.cm.store import ShellStore
 from repro.cm.translator import CMTranslator
 from repro.obs import Instrumentation
-from repro.obs.metrics import BATCH_SIZE_BOUNDS, RULE_EXEC_NS_BOUNDS
+from repro.obs.metrics import RULE_EXEC_NS_BOUNDS
 from repro.runtime.api import Clock, TransportAPI
 from repro.runtime.codec import WireFiring
 from repro.sim.failures import FailurePlan
@@ -137,19 +137,8 @@ class CMShell:
         # cross the wire; this side re-compiles its own program).
         self._remote_rules: dict[str, tuple[Rule, Optional[CompiledRule]]] = {}
         self._chain_depth = 0
-        # -- batched dispatch state --
-        # (kind, family) -> candidate bucket, valid while the rule set is
-        # unchanged (rules cannot be installed mid-batch).
-        self._batch_cache: dict = {}
-        self._batch_cache_rules = 0
         self._m_batches = metrics.counter("shell_batches_processed", site=site)
         self._m_batch_events = metrics.counter("shell_batch_events", site=site)
-        self._batch_hist = metrics.histogram(
-            "shell_batch_size",
-            bounds=BATCH_SIZE_BOUNDS,
-            unit="events",
-            site=site,
-        )
         #: Offset of this site's local clock from true time, in ticks.
         #: Strategy execution never needs clocks (Section 7.2), but rules
         #: that *stamp* local time — the implicit ``now`` variable, as in
@@ -359,7 +348,7 @@ class CMShell:
             "events_processed": self._m_events.value,
             "candidates_considered": self._m_candidates.value,
             "rules_fired": self._m_fired.value,
-            # Zero unless the batched dispatch path ran.
+            # Zero unless events arrived in blocks (deliver_local_events).
             "batches_processed": self._m_batches.value,
             "batch_events": self._m_batch_events.value,
             # Zero unless rule profiling was enabled for the run.
@@ -406,110 +395,33 @@ class CMShell:
         self._process_event(event)
 
     def deliver_local_events(self, events: list[Event]) -> None:
-        """Dispatch a block of already-recorded same-tick events in one
-        batch pass (the batched counterpart of :meth:`deliver_local_event`;
-        the resulting trace is byte-identical to per-event delivery).
-        """
-        self._dispatch_batch(events)
+        """Dispatch a block of already-recorded events, in order: exactly
+        :meth:`deliver_local_event` once per event, plus one count in
+        ``batches_processed`` and ``batch_events`` (an empty block counts
+        nothing)."""
+        if events:
+            self._m_batches.value += 1
+            self._m_batch_events.value += len(events)
+        for event in events:
+            self._process_event(event)
 
     def ingest_batch(self, descs) -> int:
-        """Record and dispatch a block of local event descriptors at the
-        current tick.
+        """Record a block of local event descriptors at the current tick,
+        then dispatch it.
 
         The descriptors go through :meth:`ExecutionTrace.record_batch` —
         the whole block is in the trace before the first rule fires, so
-        chained RHS writes land *after* their block — and then through the
-        batch dispatch loop.  Returns the number of events ingested.
+        chained RHS writes land *after* their block — and then through
+        :meth:`deliver_local_events`.  Returns the number of events
+        ingested.
         """
-        events = self.trace.record_batch(self.sim.now, self.site, list(descs))
-        self._dispatch_batch(events)
+        events = self.trace.record_batch(self.sim.now, self.site, descs)
+        self.deliver_local_events(events)
         return len(events)
 
-    def _dispatch_batch(self, events: list[Event]) -> None:
-        """One same-tick batch of recorded events through the dispatch kernel.
-
-        The batched path's contract with the per-event specification path
-        (:meth:`_process_event`): identical matching, condition evaluation,
-        firing order, and RHS execution — but the per-event fixed costs are
-        paid once per batch.  The event/candidate counters accumulate in
-        locals and are added at batch close (on an exception escaping
-        mid-batch, for the events the loop reached), the flight recorder
-        gets one digest per block, and candidate buckets are memoized per
-        ``(kind, family)`` for the batch's rule-set generation.  When
-        per-event observability artifacts are on (spans, event sinks, rule
-        profiles) the loop falls back to :meth:`_process_event` per event:
-        batching amortizes bookkeeping, never the observability contract.
-        """
-        count = len(events)
-        if not count:
-            return
-        obs = self.obs
-        self._m_batches.value += 1
-        self._m_batch_events.value += count
-        self._batch_hist.observe(count)
-        if obs.rule_profiling or obs.sinks or obs.tracer.enabled:
-            for event in events:
-                self._process_event(event)
-            return
-        if obs.enabled and obs.flight is not None:
-            obs.flight.record(
-                self.site, "batch", self.sim.now, f"{count} events"
-            )
-        applies = self._applies
-        fire = self._fire
-        n_candidates = 0
-        reached = 0
-        # The candidate cache is two-level (kind, then family) with the
-        # kind level memoized across consecutive events: hashing an Enum
-        # member is a Python-level call, and batches are almost always
-        # single-kind, so the hot lookup pays only one C-level string hash
-        # per event.
-        index_ = self._index
-        cache = self._batch_cache
-        if self._batch_cache_rules != len(index_):
-            cache = self._batch_cache = {}
-            self._batch_cache_rules = len(index_)
-        last_kind = None
-        kind_cache: dict = {}
-        try:
-            for reached, event in enumerate(events, 1):
-                desc = event.desc
-                item = desc.item
-                kind = desc.kind
-                if kind is not last_kind:
-                    kind_cache = cache.get(kind)
-                    if kind_cache is None:
-                        kind_cache = cache[kind] = {}
-                    last_kind = kind
-                name = item.name if item is not None else None
-                bucket = kind_cache.get(name)
-                if bucket is None:
-                    bucket = kind_cache[name] = index_.candidates(desc)
-                if not bucket:
-                    continue
-                n_candidates += len(bucket)
-                for installed in bucket:
-                    bound = applies(installed, desc)
-                    if bound is not None:
-                        fire(installed, bound, event)
-        finally:
-            self._m_events.value += reached
-            self._m_candidates.value += n_candidates
-
-    def batching_stats(self) -> dict:
-        """Batch dispatch counters for the run report; empty when this
-        shell never dispatched a batch, so unbatched reports are unchanged.
-        """
-        batches = self._m_batches.value
-        if not batches:
-            return {}
-        return {
-            "batches_processed": batches,
-            "batch_events": self._m_batch_events.value,
-            "batch_size": self._batch_hist.summary(),
-        }
-
     def _process_event(self, event: Event) -> None:
+        """Dispatch one recorded event: every candidate the index nominates,
+        in installation order, through :meth:`_applies` and :meth:`_fire`."""
         self._m_events.value += 1
         obs = self.obs
         span = None
@@ -531,7 +443,16 @@ class CMShell:
             if obs.sinks:
                 obs.emit_event(event)
         try:
-            self._dispatch(event)
+            if obs.rule_profiling:
+                self._dispatch_profiled(event)
+                return
+            desc = event.desc
+            candidates = self._index.candidates(desc)
+            self._m_candidates.value += len(candidates)
+            for installed in candidates:
+                bound = self._applies(installed, desc)
+                if bound is not None:
+                    self._fire(installed, bound, event)
         finally:
             if span is not None:
                 obs.tracer.pop()
@@ -540,9 +461,8 @@ class CMShell:
     # -- the dispatch kernel -----------------------------------------------------
     #
     # Exactly one function decides whether an installed rule applies to a
-    # descriptor and exactly one fires it; the per-event, profiled and
-    # batched loops differ only in how they find candidates and what they
-    # count.
+    # descriptor and exactly one fires it; the loop in _process_event and
+    # the profiled loop differ only in what they count.
 
     def _applies(self, installed: InstalledRule, desc):
         """Match ``desc`` against the rule's LHS and evaluate its condition.
@@ -598,19 +518,6 @@ class CMShell:
                 message = FireMessage(rule, tuple(bound.items()), trigger)
             self.network.send(self.site, rhs_site, message)
 
-    def _dispatch(self, event: Event) -> None:
-        if self.obs.rule_profiling:
-            return self._dispatch_profiled(event)
-        desc = event.desc
-        applies = self._applies
-        fire = self._fire
-        m_candidates = self._m_candidates
-        for installed in self._index.candidates(desc):
-            m_candidates.value += 1
-            bound = applies(installed, desc)
-            if bound is not None:
-                fire(installed, bound, event)
-
     def _profile_for(self, rule_name: str) -> tuple:
         profile = self._profiles.get(rule_name)
         if profile is None:
@@ -634,7 +541,7 @@ class CMShell:
         return profile
 
     def _dispatch_profiled(self, event: Event) -> None:
-        """:meth:`_dispatch` with per-rule profiling instruments.
+        """:meth:`_process_event`'s loop with per-rule profiling instruments.
 
         Kept separate so the unprofiled hot path pays exactly one extra
         attribute check.  A *miss* is a candidate the index nominated whose

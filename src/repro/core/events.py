@@ -149,18 +149,16 @@ def reset_event_sequence() -> None:
     _next_seq = 1
 
 
-def reserve_event_seqs(count: int) -> int:
-    """Reserve ``count`` consecutive sequence numbers; return the first.
+def next_event_seq() -> int:
+    """Take the next event sequence number.
 
     The one place event numbers come from: a constructed :class:`Event`
-    and :meth:`ExecutionTrace.record` take one, batched recording claims a
-    whole block up front, and the block's events get exactly the numbers a
-    sequential recording would have assigned.
+    and :meth:`ExecutionTrace.record` take one each.
     """
     global _next_seq
-    first = _next_seq
-    _next_seq = first + count
-    return first
+    seq = _next_seq
+    _next_seq = seq + 1
+    return seq
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,7 +181,7 @@ class Event:
     new: Interpretation
     rule: Optional["Rule"] = None
     trigger: Optional["Event"] = None
-    seq: int = field(default_factory=lambda: reserve_event_seqs(1))
+    seq: int = field(default_factory=next_event_seq)
 
     @property
     def is_spontaneous(self) -> bool:

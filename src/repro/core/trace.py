@@ -42,7 +42,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.core.errors import TraceError
-from repro.core.events import Event, EventDesc, EventKind, reserve_event_seqs
+from repro.core.events import Event, EventDesc, EventKind, next_event_seq
 from repro.core.interpretations import StateJournal, write_delta
 from repro.core.items import MISSING, DataItemRef, Value
 from repro.core.rules import Rule
@@ -312,12 +312,12 @@ _set_seq = Event.seq.__set__
 
 
 def _build_event(time, site, desc, old, new, rule, trigger, seq) -> Event:
-    """The trace's one :class:`Event` constructor, for ``record`` and
-    ``record_batch`` alike.  Event is a frozen, slotted dataclass; its
-    generated ``__init__`` goes through ``object.__setattr__`` by name for
-    every field (and through the default factory for ``seq``), ~2.5x the
-    cost of filling the slots through their member descriptors.  The result
-    is indistinguishable from a constructed one."""
+    """The trace's one :class:`Event` constructor.  Event is a frozen,
+    slotted dataclass; its generated ``__init__`` goes through
+    ``object.__setattr__`` by name for every field (and through the default
+    factory for ``seq``), ~2.5x the cost of filling the slots through their
+    member descriptors.  The result is indistinguishable from a constructed
+    one."""
     event = _new_event(Event)
     _set_time(event, time)
     _set_site(event, site)
@@ -413,7 +413,7 @@ class ExecutionTrace:
             )
             new = journal.view()
         if seq is None:
-            seq = reserve_event_seqs(1)
+            seq = next_event_seq()
         event = _build_event(time, site, desc, old, new, rule, trigger, seq)
         events.append(event)
         self._index_event(event)
@@ -424,43 +424,16 @@ class ExecutionTrace:
     def record_batch(
         self, time: Ticks, site: str, descs: Sequence[EventDesc]
     ) -> list[Event]:
-        """Record a same-tick block of spontaneous events in one call.
+        """Record a same-tick block of events without provenance:
+        :meth:`record` once per descriptor.
 
-        Equivalent to calling :meth:`record` once per descriptor at the
-        same ``time``/``site`` with no provenance, and returns the recorded
-        events in order.  What the block amortizes is the time-order check,
-        the sequence-number reservation and the horizon update (once each
-        instead of per event) and the :class:`Event` constructor
-        (:func:`_build_event`); every event is built, appended and indexed
-        before the call returns.
+        Every event is in the trace before the call returns, so a caller
+        that dispatches the block afterwards has all of it recorded before
+        the first rule fires.  A time regression raises on the first
+        descriptor and records nothing.
         """
-        events = self._events
-        if events and time < events[-1].time:
-            raise TraceError(
-                f"event at {time} recorded after event at {events[-1].time}"
-            )
-        start = len(events)
-        journal = self._journal
-        index_event = self._index_event
-        seq = reserve_event_seqs(len(descs))
-        current = journal.view()
-        for desc in descs:
-            old = current
-            kind = desc.kind
-            if kind is _WRITE or kind is _SPONTANEOUS_WRITE:
-                assert desc.item is not None
-                journal.write(
-                    desc.item,
-                    desc.values[0] if kind is _WRITE else desc.values[1],
-                )
-                current = journal.view()
-            event = _build_event(time, site, desc, old, current, None, None, seq)
-            seq += 1
-            events.append(event)
-            index_event(event)
-        if descs and time > self.horizon:
-            self.horizon = time
-        return events[start:]
+        record = self.record
+        return [record(time, site, desc) for desc in descs]
 
     def _index_event(self, event: Event) -> None:
         desc = event.desc

@@ -246,25 +246,10 @@ def attach_observability(
     from repro.core.timebase import to_seconds
 
     sim = cm.scenario.sim
-    dispatch = {
-        "events_processed": 0,
-        "candidates_considered": 0,
-        "rules_fired": 0,
-        "rules_installed": 0,
-        "rules_compiled": 0,
-        "rules_fallback": 0,
-        "batches_processed": 0,
-        "batch_events": 0,
-        "match_hits": 0,
-        "match_misses": 0,
-    }
-    for site in cm.scenario.network.sites:
-        for key, value in cm.shell(site).stats().items():
-            dispatch[key] += value
     result.observability = {
         "ticks": sim.now,
         "virtual_seconds": to_seconds(sim.now),
-        "dispatch": dispatch,
+        "dispatch": cm.stats()["total"],
         "messages_sent": cm.scenario.network.messages_sent,
         "max_queue_depth": sim.max_queue_depth,
     }

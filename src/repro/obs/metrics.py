@@ -48,13 +48,6 @@ RULE_EXEC_NS_BOUNDS: tuple[float, ...] = (
     1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 1e6, 1e7, 1e8,
 )
 
-#: Bounds for batch-size series (``shell_batch_size``): power-of-two
-#: buckets covering single-event "batches" up to the largest blocks the
-#: dispatch benchmarks ingest.
-BATCH_SIZE_BOUNDS: tuple[float, ...] = (
-    1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096,
-)
-
 LabelSet = tuple[tuple[str, str], ...]
 
 

@@ -46,9 +46,6 @@ class RunReport:
     #: (failures and guarantee violations); empty unless the recorder was
     #: enabled.
     flight: dict = field(default_factory=dict)
-    #: Per-site batched-dispatch summary (batch counts, batch-size
-    #: histogram); empty for sites that never ran the batched path.
-    batching: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -66,7 +63,6 @@ class RunReport:
             "lint": self.lint,
             "rule_profile": self.rule_profile,
             "flight": self.flight,
-            "batching": self.batching,
         }
 
     def to_json(self, indent: int = 2) -> str:
@@ -126,12 +122,6 @@ class RunReport:
                 f"  guarantee {entry['name']}: "
                 f"{'standing' if entry['standing'] else 'NOT standing'}, "
                 f"stale {staleness:g}s ({entry['staleness_fraction']:.1%})"
-            )
-        for site, entry in self.batching.items():
-            lines.append(
-                f"  batching {site}: {entry.get('batch_events', 0)} events "
-                f"in {entry.get('batches_processed', 0)} batches "
-                f"(p99 size {(entry.get('batch_size') or {}).get('p99') or 0:g})"
             )
         flight = self.flight
         if flight:
@@ -345,12 +335,6 @@ def build_run_report(cm: Any) -> RunReport:
         profile = shell.rule_profile()
         if profile:
             report.rule_profile[site] = profile
-
-    # -- batched dispatch (only for sites that ran the batched path) -----------
-    for site, shell in cm.shells.items():
-        entry = shell.batching_stats()
-        if entry:
-            report.batching[site] = entry
 
     # -- flight recorder (only when the recorder was attached) -----------------
     if flight is not None:

@@ -1,12 +1,7 @@
-"""Batched dispatch vs. the sequential kernel.
+"""Block delivery vs. per-event delivery, on compiled and interpreted rules.
 
-Batching (``ingest_batch``, ``deliver_local_events``) is a pure performance
-transformation.  These tests hold it to that claim at two strengths, on
-compiled and interpreted rules alike:
-
-- **trace identity** — dispatching pre-recorded events through the batch
-  loop must produce the byte-identical trace the per-event specification
-  path produces (same events, same firing order, same provenance);
+- **trace identity** — ``deliver_local_events`` over pre-recorded events
+  produces the byte-identical trace per-event delivery produces;
 - **multiset equivalence** — ``ingest_batch`` records its whole block
   before the first rule fires, so chained writes land after the block;
   the event multiset still equals the sequential run's and the Appendix-A
@@ -57,8 +52,7 @@ def _build_shell(catch_all: bool = True, compiled: bool = True):
     installs every rule on the interpreted arm."""
     reset_event_sequence()
     cm = ConstraintManager(Scenario(seed=0))
-    cm.add_site("s")
-    shell = cm.shell("s")
+    shell = cm.add_site("s")
     for i in range(FAMILIES):
         cm.locations.register(f"Out{i}", "s")
         shell.install(
@@ -66,14 +60,10 @@ def _build_shell(catch_all: bool = True, compiled: bool = True):
             compiled=compiled,
         )
     if catch_all:
-        lhs = Template(
-            EventKind.NOTIFY,
-            ItemPattern(FAMILY_WILDCARD, (Var("n"),)),
-            (Var("b"),),
-        )
+        wildcard = ItemPattern(FAMILY_WILDCARD, (Var("n"),))
+        lhs = Template(EventKind.NOTIFY, wildcard, (Var("b"),))
         shell.install(
-            Rule(name="audit", lhs=lhs, delay=0, steps=(RhsStep(FALSE_TEMPLATE),)),
-            compiled=compiled,
+            Rule("audit", lhs, 0, (RhsStep(FALSE_TEMPLATE),)), compiled=compiled
         )
     return cm, shell
 
@@ -111,12 +101,22 @@ def _sequential_signature(**build_kwargs):
     return _signature(trace), cm.stats()["total"]
 
 
-def _assert_ran_batched(stats, compiled):
-    """The run went through ``_dispatch_batch`` with real batches, on the
-    arm the test asked for — so the suite cannot go vacuous."""
-    assert stats["batch_events"] > stats["batches_processed"] > 0
+def _assert_ran_batched(stats, expected_stats, compiled):
+    """Every dispatch counter equals the per-event run's, and the run
+    delivered real blocks on the arm the test asked for — so the suite
+    cannot go vacuous."""
+    assert stats.pop("batch_events") > stats.pop("batches_processed") > 0
+    assert stats == {key: expected_stats[key] for key in stats}
     assert bool(stats["rules_compiled"]) is compiled
-    assert stats["events_processed"] > 0
+
+
+def _per_event(cm, shell, descs):
+    for desc in descs:
+        shell.deliver_local_event(cm.scenario.trace.record(0, "s", desc))
+
+
+def _ingest(cm, shell, descs):
+    shell.ingest_batch(descs)
 
 
 @COMPILED
@@ -127,10 +127,7 @@ def test_deliver_local_events_trace_identical(compiled):
     events = [trace.record(0, "s", desc) for desc in _descs()]
     shell.deliver_local_events(events)
     assert _signature(trace) == expected
-    stats = cm.stats()["total"]
-    for counter in ("rules_fired", "candidates_considered", "events_processed"):
-        assert stats[counter] == expected_stats[counter]
-    _assert_ran_batched(stats, compiled)
+    _assert_ran_batched(cm.stats()["total"], expected_stats, compiled)
 
 
 @COMPILED
@@ -151,9 +148,7 @@ def test_ingest_batch_equivalent_and_valid(compiled):
         e[:4] for e in expected
     )
     assert validate_trace(cm.scenario.trace, shell._index.rules) == []
-    stats = cm.stats()["total"]
-    assert stats["events_processed"] == expected_stats["events_processed"]
-    _assert_ran_batched(stats, compiled)
+    _assert_ran_batched(cm.stats()["total"], expected_stats, compiled)
 
 
 def test_ingest_batch_records_at_the_current_tick():
@@ -162,8 +157,7 @@ def test_ingest_batch_records_at_the_current_tick():
     (which made the first chained write a time regression)."""
     reset_event_sequence()
     cm = ConstraintManager(Scenario(seed=0))
-    cm.add_site("s")
-    shell = cm.shell("s")
+    shell = cm.add_site("s")
     shell.install(parse_rule("N(fam(n), b) -> [0] W(cache(n), b)", name="copy"))
     descs = [notify_desc(item("fam", f"k{i}"), float(i)) for i in range(4)]
     with pytest.raises(TypeError):
@@ -185,8 +179,7 @@ def test_batch_counts_only_the_events_it_dispatched():
     def run(deliver):
         reset_event_sequence()
         cm = ConstraintManager(Scenario(seed=0))
-        cm.add_site("s")
-        shell = cm.shell("s")
+        shell = cm.add_site("s")
         shell.install(parse_rule("N(fam(n), b) -> [0] W(cache(n), b)", name="copy"))
         boom = RuntimeError("RHS failed")
         write = shell.store.write
@@ -202,14 +195,25 @@ def test_batch_counts_only_the_events_it_dispatched():
             deliver(cm, shell, descs)
         return shell.stats()["events_processed"]
 
-    def per_event(cm, shell, descs):
-        for desc in descs:
-            shell.deliver_local_event(cm.scenario.trace.record(0, "s", desc))
-
     # Events 0 and 1 dispatch and chain one write each, event 2 is reached
     # and raises: 3 dispatched + 2 chained.
-    assert run(per_event) == 5
-    assert run(lambda cm, shell, descs: shell.ingest_batch(descs)) == 5
+    assert run(_per_event) == run(_ingest) == 5
+
+
+def test_ingest_batch_leaves_one_flight_digest_per_event():
+    """An incident dump after an ingested block names each event, exactly
+    as after per-event delivery (not one ``"batch"`` digest per block)."""
+
+    def ring(deliver):
+        cm, shell = _build_shell(catch_all=False)
+        flight = cm.scenario.obs.enable_flight()
+        deliver(cm, shell, _descs()[:16])
+        return flight.digest("s")
+
+    expected = ring(_per_event)
+    assert len(expected) == 32  # 16 notifications + 16 chained writes
+    assert {row["kind"] for row in expected} == {"event"}
+    assert ring(_ingest) == expected
 
 
 # -- record_batch is record, once per descriptor ------------------------------

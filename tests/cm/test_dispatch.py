@@ -13,9 +13,10 @@ import pytest
 
 from cm_helpers import two_site_relational
 
+from repro.cm import ConstraintManager, Scenario
 from repro.cm.dispatch import RuleIndex
 from repro.core.dsl import parse_rule
-from repro.core.errors import BindingError
+from repro.core.errors import BindingError, ConfigurationError
 from repro.core.events import (
     EventDesc,
     EventKind,
@@ -191,6 +192,12 @@ class TestIndexEquivalence:
         index = RuleIndex()
         for serial in range(rng.choice([3, 20, 80])):
             index.add(random_rule(rng, serial), None)
+            # Lookups between installs: the memoized merged buckets must
+            # follow every add and stay in installation order.
+            desc = random_desc(rng)
+            assert self.indexed_matches(index, desc) == self.linear_matches(
+                index, desc
+            )
         for __ in range(300):
             desc = random_desc(rng)
             assert self.indexed_matches(index, desc) == self.linear_matches(
@@ -391,3 +398,44 @@ class TestShellDispatchCounters:
             if event.desc.kind is EventKind.WRITE and event.rule is not None
         ]
         assert fired == ["a", "b", "c"]
+
+
+class TestCandidateMemo:
+    """Every change to the rule set shows on the next ``candidates()``."""
+
+    def test_rule_installed_between_blocks_fires_on_the_second(self):
+        cm = ConstraintManager(Scenario(seed=0))
+        shell = cm.add_site("s")
+        cm.locations.register("Seen", "s")
+        block = [notify_desc(DataItemRef("fam", ("k1",)), 1.0)]
+        shell.ingest_batch(block)  # memoizes "no candidates" for N(fam)
+        shell.install(parse_rule("N(fam(n), b) -> [0] W(Seen(n), b)", name="seen"))
+        shell.ingest_batch(block)
+        assert shell.stats()["rules_fired"] == 1
+
+    def test_rejected_strict_install_leaves_candidates_unchanged(self, monkeypatch):
+        cm = ConstraintManager(Scenario(seed=0))
+        shell = cm.add_site("s")
+        for family in ("PingV", "PongV"):
+            cm.locations.register(family, "s")
+        shell.install(parse_rule("W(PingV, b) -> [1] W(PongV, b)", name="ping"))
+        # A family-wildcard W rule makes W(PongV)'s bucket a merged one.
+        wildcard = ItemPattern(FAMILY_WILDCARD, ())
+        any_write = Template(EventKind.WRITE, wildcard, (Var("b"),))
+        shell.install(Rule("audit", any_write, 0, (RhsStep(FALSE_TEMPLATE),)))
+        index, pong = shell._index, write_desc(DataItemRef("PongV"), 1.0)
+        before, during, remove = index.candidates(pong), [], index.remove
+
+        def remove_after_lookup(installed):
+            # Memoize the bucket with the doomed rule in it, then roll back.
+            during.append([c.rule.name for c in index.candidates(pong)])
+            remove(installed)
+
+        monkeypatch.setattr(index, "remove", remove_after_lookup)
+        with pytest.raises(ConfigurationError):
+            shell.install(
+                parse_rule("W(PongV, b) -> [1] W(PingV, b)", name="pong"), strict=True
+            )
+        assert [c.rule.name for c in before] == ["audit"]
+        assert during == [["audit", "pong"]]
+        assert index.candidates(pong) == before

@@ -55,8 +55,9 @@ class TestRecording:
             trace.record(5, "a", write_desc(X, 6))
 
     def test_record_and_record_batch_build_equal_events(self):
-        # One constructor behind both: same fields, same numbering, same
-        # slotted shape, whichever way a block of descriptors is recorded.
+        # record_batch is record once per descriptor: same fields, same
+        # numbering, same slotted shape, and the whole block is in the
+        # trace, indexed, the moment the call returns.
         descs = [
             notify_desc(X, 1),
             spontaneous_write_desc(X, 1, 2),
@@ -67,13 +68,27 @@ class TestRecording:
         single = ExecutionTrace()
         one_by_one = [single.record(10, "a", desc) for desc in descs]
         reset_event_sequence()
-        block = ExecutionTrace().record_batch(10, "a", descs)
+        trace = ExecutionTrace()
+        block = trace.record_batch(10, "a", descs)
         assert block == one_by_one
         assert [e.seq for e in block] == [1, 2, 3, 4]
         for event in block + one_by_one:
             assert type(event) is Event and not hasattr(event, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             block[0].time = 11
+        assert list(trace.events) == block
+        assert list(trace.writes_to(X)) == [block[1]]
+        assert trace.horizon == 10 and trace.current_value(Y) == 3
+        for previous, event in zip(block, block[1:]):
+            assert event.old is previous.new
+        for event in block:
+            assert (event.new is event.old) is (not event.desc.kind.is_write)
+            assert event.rule is None and event.trigger is None
+        # An empty block reserves nothing; a time regression records nothing.
+        assert trace.record_batch(11, "a", []) == []
+        with pytest.raises(TraceError):
+            trace.record_batch(9, "a", descs)
+        assert len(trace) == 4 and trace.record(11, "a", descs[0]).seq == 5
 
     def test_seed_before_events_only(self, trace):
         trace.record(10, "a", write_desc(X, 5))

@@ -9,17 +9,23 @@ registry probe or a Python-level queue comparison creeping back into the
 hot path fails here long before a benchmark would show it.
 
 Run these first after touching ``cm/translator.py``, ``sim/scheduler.py``,
-``sim/network.py`` or ``ExecutionTrace.record`` — and, for the verdict
-budget, ``core/guarantees/`` or ``validate_trace``.
+``sim/network.py`` or ``ExecutionTrace.record`` — for the dispatch
+budgets, ``cm/shell.py`` or ``cm/dispatch.py``; for the verdict budget,
+``core/guarantees/`` or ``validate_trace``.
 """
 
 import random
 import sys
 
+import pytest
+
+from repro.cm import ConstraintManager, Scenario
 from repro.cm.verify import verify
+from repro.core.dsl import parse_rule
 from repro.core.timebase import seconds
 from repro.experiments.e10_scale import build_federation
 from repro.sim.scheduler import Simulator
+from repro.workloads.generators import notification_stream
 
 
 def python_calls(fn) -> int:
@@ -58,6 +64,28 @@ def fanout_federation():
     for tick in sorted(rng.randrange(seconds(10)) for _ in range(updates)):
         cm.scenario.sim.at(tick, update)
     return cm, updates * replicas
+
+
+def dispatch_shell(batched: bool, notifications: int = 4096):
+    """``benchmarks/e2e``'s ``dispatch_batched`` / ``dispatch_per_event``
+    shape: 16 cache rules, 16 last-value rules, 32 rule-less families."""
+    cm = ConstraintManager(Scenario(seed=11))
+    shell = cm.add_site("s")
+    rules = [f"N(fam{i}(n), b) & (b > 50) -> [0] W(cache{i}(n), b)" for i in range(16)]
+    rules += [f"N(fam{i}(n), b) -> [0] W(last{i}, b)" for i in range(16, 32)]
+    for i, text in enumerate(rules):
+        shell.install(parse_rule(text, name=f"r{i}"))
+    families = [f"fam{i}" for i in range(64)]
+    descs = notification_stream(families, 16, notifications, seed=11)
+    at, record = cm.scenario.sim.at, cm.scenario.trace.record
+    ingest, deliver = shell.ingest_batch, shell.deliver_local_event
+    if batched:
+        for tick, start in enumerate(range(0, notifications, 256), start=1):
+            at(tick, lambda chunk=descs[start : start + 256]: ingest(chunk))
+    else:
+        for tick, desc in enumerate(descs, start=1):
+            at(tick, lambda t=tick, d=desc: deliver(record(t, "s", d)))
+    return cm
 
 
 class TestCallBudget:
@@ -103,3 +131,16 @@ class TestCallBudget:
         assert report.ok, report.render()
         assert len(report.guarantee_reports) == 128
         assert calls / events <= 65
+
+    @pytest.mark.parametrize(
+        "batched, budget", [(True, 21.5), (False, 24.5)], ids=["block", "per_event"]
+    )
+    def test_dispatch_calls_per_event(self, batched, budget):
+        # Per dispatched event (notifications plus chained writes): 18.5
+        # through ingest_batch and 21.4 through record + deliver_local_event
+        # once both run the one per-event kernel; about 15 % above each.
+        cm = dispatch_shell(batched)
+        calls = python_calls(lambda: cm.run(until=seconds(1)))
+        dispatched = cm.stats()["total"]["events_processed"]
+        assert dispatched == len(cm.scenario.trace) > 4096
+        assert calls / dispatched <= budget

@@ -9,8 +9,6 @@ deliberate snapshot update here, and removing or renaming one is loud.
 
 import json
 
-from repro.core.events import notify_desc
-from repro.core.items import item
 from repro.core.timebase import seconds
 from repro.experiments.common import build_salary_scenario
 
@@ -29,7 +27,6 @@ TOP_LEVEL_KEYS = [
     "lint",
     "rule_profile",
     "flight",
-    "batching",
 ]
 
 DISPATCH_TOTAL_KEYS = {
@@ -69,8 +66,6 @@ FLIGHT_KEYS = {"capacity", "records_taken", "ring_sizes", "dumps"}
 FLIGHT_DUMP_KEYS = {"reason", "time", "time_s", "records"}
 FLIGHT_RECORD_KEYS = {"time", "time_s", "site", "kind", "detail"}
 RULE_PROFILE_KEYS = {"match_hits", "match_misses", "fired", "exec_ns"}
-BATCHING_KEYS = {"batches_processed", "batch_events", "batch_size"}
-BATCH_SIZE_KEYS = {"count", "unit", "mean", "min", "max", "p50", "p99"}
 
 
 def build_report():
@@ -80,9 +75,6 @@ def build_report():
     flight = cm.scenario.obs.enable_flight()
     cm.scenario.obs.enable_rule_profiling()
     cm.spontaneous_write("salary1", ("e1",), 50_000.0)
-    cm.shell("sf").ingest_batch(
-        [notify_desc(item("salary1", f"e{n}"), 40_000.0) for n in (2, 3)]
-    )
     cm.run(seconds(30))
     flight.dump("schema-test", cm.scenario.sim.now)
     return cm.run_report()
@@ -122,16 +114,6 @@ class TestRunReportSchema:
             assert set(dump) == FLIGHT_DUMP_KEYS
             for record in dump["records"]:
                 assert set(record) == FLIGHT_RECORD_KEYS
-
-    def test_batching_section_schema(self):
-        data = build_report().to_dict()
-        assert set(data["batching"]) == {"sf"}, "only sf ingested a batch"
-        for entry in data["batching"].values():
-            assert set(entry) == BATCHING_KEYS
-            assert entry["batches_processed"] == 1
-            assert entry["batch_events"] == 2
-            assert set(entry["batch_size"]) == BATCH_SIZE_KEYS
-            assert entry["batch_size"]["unit"] == "events"
 
     def test_rule_profile_section_schema(self):
         data = build_report().to_dict()
