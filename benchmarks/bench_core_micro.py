@@ -310,10 +310,10 @@ def test_shell_events_per_second(benchmark):
 
 # -- instrumentation overhead (PR 2 guard) ------------------------------------
 #
-# The observability hooks must be near-free when no sink is attached: the
-# shell's hot path pays registry-counter increments (attribute increments on
-# interned Counter objects) plus the ``obs.enabled`` and
-# ``obs.rule_profiling`` checks.  The baseline below replicates the dispatch
+# The observability hooks must be near-free while tracing and the flight
+# recorder are off: the shell's hot path pays registry-counter increments
+# (attribute increments on interned Counter objects) plus the one
+# ``obs.enabled`` check.  The baseline below replicates the dispatch
 # kernel call for call — ``deliver_local_event`` -> ``_process_event`` ->
 # ``_applies`` -> ``_fire`` -> RHS executor, sharing the shell's own
 # ``_applies`` and executors — with plain-int counters and no ``obs``
@@ -374,7 +374,7 @@ def test_instrumentation_overhead_no_sink():
     # replica shares ``_applies`` and the executors, so it follows whichever
     # arm the shell's rules were installed on).
     shell, events = _build_dispatch_shell(1000, compiled=False)
-    assert not shell.obs.enabled and not shell.obs.sinks
+    assert not shell.obs.enabled
     baseline = _UninstrumentedDispatch(shell)
 
     def instrumented(block) -> None:

@@ -1,117 +1,15 @@
-"""Observability-overhead guards for the flight recorder and rule profiling.
+"""Flight-recorder incident dump sample for the CI artifact upload.
 
-The flight recorder is pitched as *always affordable*: one dict lookup and
-one bounded-deque append per digest, no formatting on the hot path.  This
-file holds it to that pitch — flight-recorder-on dispatch must stay within
-10% of the no-sink baseline — and records the measured ratios (plus the
-opt-in rule-profiling cost, which has no budget but is tracked) into
-``BENCH_obs_overhead.json``.
-
-It also regenerates ``flight_dump_sample.json``: a real incident dump from
-a failure-injection run, uploaded as a CI artifact so the dump format the
-docs describe is always one click away.
+Regenerates ``flight_dump_sample.json``: a real incident dump from a
+failure-injection run, uploaded as a CI artifact so the dump format the
+docs describe is always one click away.  The recorder's per-event cost is
+held as a call count, not a clock, by
+``tests/integration/test_call_budget.py::test_flight_recorder_calls_per_event``.
 """
 
 import json
-import time
 
-from bench_helpers import REPO_ROOT, update_bench_json
-
-from bench_core_micro import N_DISPATCH_EVENTS, _build_dispatch_shell
-
-FLIGHT_OVERHEAD_BUDGET = 1.10  # flight-on dispatch <= 110% of no-sink
-
-
-def _timed(fn) -> float:
-    started = time.perf_counter()
-    fn()
-    return time.perf_counter() - started
-
-
-def _best_of_alternating(first, second, rounds: int = 30):
-    """Min-of-N with alternating order: the least-noise cost estimate of
-    each loop, insulated from cache-warming and scheduling drift."""
-    for fn in (first, second, first, second):
-        fn()  # warm-up
-    best_first = best_second = float("inf")
-    for round_index in range(rounds):
-        if round_index % 2 == 0:
-            t_1, t_2 = _timed(first), _timed(second)
-        else:
-            t_2, t_1 = _timed(second), _timed(first)
-        best_first = min(best_first, t_1)
-        best_second = min(best_second, t_2)
-    return best_first, best_second
-
-
-def test_flight_recorder_overhead_under_budget():
-    """Dispatch with the flight recorder on must cost < 10% over the
-    no-sink baseline (same rules, same events, compiled dispatch)."""
-    baseline_shell, baseline_events = _build_dispatch_shell(1000)
-    flight_shell, flight_events = _build_dispatch_shell(1000)
-    flight = flight_shell.obs.enable_flight()
-    assert not baseline_shell.obs.enabled
-    assert flight_shell.obs.enabled and not flight_shell.obs.tracer.enabled
-
-    def baseline() -> None:
-        for event in baseline_events:
-            baseline_shell.deliver_local_event(event)
-
-    def flight_on() -> None:
-        for event in flight_events:
-            flight_shell.deliver_local_event(event)
-
-    best_flight, best_baseline = _best_of_alternating(flight_on, baseline)
-    ratio = best_flight / best_baseline
-    update_bench_json(
-        "obs_overhead",
-        "flight_recorder_dispatch",
-        {
-            "flight_seconds": best_flight,
-            "baseline_seconds": best_baseline,
-            "overhead_ratio": ratio,
-            "budget_ratio": FLIGHT_OVERHEAD_BUDGET,
-            "events_per_run": N_DISPATCH_EVENTS,
-            "records_taken": flight.records_taken,
-        },
-    )
-    assert flight.records_taken > 0, "the recorder must actually record"
-    assert len(flight) <= flight.capacity  # bounded, however long the run
-    assert ratio < FLIGHT_OVERHEAD_BUDGET, (
-        f"flight-recorder overhead {100 * (ratio - 1):.1f}% exceeds the "
-        f"10% budget "
-        f"({best_flight * 1e3:.2f}ms vs {best_baseline * 1e3:.2f}ms)"
-    )
-
-
-def test_rule_profiling_cost_is_tracked():
-    """Per-rule profiling is opt-in and allowed to cost more (it times
-    every firing with ``perf_counter_ns``); there is no budget, but the
-    ratio lands in the bench JSON so its trajectory is visible."""
-    baseline_shell, baseline_events = _build_dispatch_shell(1000)
-    profiled_shell, profiled_events = _build_dispatch_shell(1000)
-    profiled_shell.obs.enable_rule_profiling()
-
-    def baseline() -> None:
-        for event in baseline_events:
-            baseline_shell.deliver_local_event(event)
-
-    def profiled() -> None:
-        for event in profiled_events:
-            profiled_shell.deliver_local_event(event)
-
-    best_profiled, best_baseline = _best_of_alternating(profiled, baseline)
-    update_bench_json(
-        "obs_overhead",
-        "rule_profiling_dispatch",
-        {
-            "profiled_seconds": best_profiled,
-            "baseline_seconds": best_baseline,
-            "overhead_ratio": best_profiled / best_baseline,
-        },
-    )
-    stats = profiled_shell.stats()
-    assert stats["match_hits"] + stats["match_misses"] > 0
+from bench_helpers import REPO_ROOT
 
 
 def test_regenerate_flight_dump_sample():

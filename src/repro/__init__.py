@@ -19,7 +19,7 @@ The package provides:
 - :mod:`repro.constraints`, :mod:`repro.protocols` — constraint types and
   the Demarcation Protocol.
 - :mod:`repro.obs` — the instrumentation subsystem: metrics registry,
-  causal firing traces, structured sinks, and the end-of-run report.
+  causal firing traces, the flight recorder, and the end-of-run report.
 - :mod:`repro.workloads`, :mod:`repro.apps`, :mod:`repro.experiments` —
   scenario generators, guarantee-consuming applications, and the
   experiment harness reproducing the paper's claims.
@@ -80,13 +80,10 @@ from repro.core.timebase import days, hours, minutes, seconds, to_seconds
 from repro.obs import (
     FlightRecorder,
     Instrumentation,
-    JsonlSink,
     MetricsRegistry,
-    PrometheusExporter,
     RunReport,
     SpanContext,
     SpanTree,
-    TelemetryBus,
     Tracer,
 )
 from repro.runtime import (
@@ -149,9 +146,6 @@ __all__ = [
     "SpanTree",
     "SpanContext",
     "FlightRecorder",
-    "TelemetryBus",
-    "JsonlSink",
-    "PrometheusExporter",
     "RunReport",
     # runtimes (sim kernel and wire/asyncio)
     "Runtime",

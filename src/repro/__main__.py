@@ -6,9 +6,6 @@ Subcommands:
   (same as ``python -m repro.experiments.runner``);
 - ``menu`` — print the toolkit's interface and strategy menus with their
   paper-style rule shapes;
-- ``watch <experiment>`` — run one experiment with the live telemetry
-  dashboard (:mod:`repro.obs.watch`) streaming shell/channel/rule
-  counters as the run progresses;
 - ``demo`` — run the quickstart scenario inline.
 
 The top-level ``--profile <experiment>`` flag runs one experiment under
@@ -274,37 +271,6 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=None,
         help="override every experiment's default seed",
     )
-    watch = sub.add_parser(
-        "watch",
-        help="run one experiment with a live telemetry dashboard "
-        "(shell/channel/rule counters streamed as the run progresses)",
-    )
-    watch.add_argument("experiment", help="experiment id (e.g. e1)")
-    watch.add_argument(
-        "--interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="virtual seconds between dashboard frames (default 1.0)",
-    )
-    watch.add_argument(
-        "--runtime",
-        choices=sorted(RUNTIMES),
-        default=None,
-        help="execution runtime (default sim)",
-    )
-    watch.add_argument(
-        "--time-scale",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="with --runtime async: virtual seconds per wall second",
-    )
-    watch.add_argument("--seed", type=int, default=None)
-    watch.add_argument(
-        "--scale", type=float, default=1.0, metavar="FACTOR",
-        help="multiply experiment workload sizes by FACTOR",
-    )
     sub.add_parser("menu", help="print the interface and strategy menus")
     sub.add_parser("demo", help="run the quickstart scenario")
     args = parser.parse_args(argv)
@@ -338,24 +304,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             forwarded.extend(["--seed", str(args.seed)])
         return runner_main(forwarded)
-    if args.command == "watch":
-        from repro.experiments.common import RunConfig
-        from repro.obs.watch import DEFAULT_INTERVAL_S, watch_experiment
-
-        config = RunConfig(
-            runtime=args.runtime or "sim",
-            seed=args.seed,
-            scale=args.scale,
-            time_scale=args.time_scale or 20.0,
-        )
-        return watch_experiment(
-            args.experiment,
-            config=config,
-            interval_s=(
-                args.interval if args.interval is not None
-                else DEFAULT_INTERVAL_S
-            ),
-        )
     if args.command == "menu":
         _print_menu()
         return 0

@@ -56,25 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.cm.builder import ConstraintBuilder, SiteBuilder
 
 
-#: Module-level hooks invoked with every newly built :class:`Scenario`
-#: (right after its runtime is wired, before any sites exist).  This is
-#: the seam external observers use to reach scenarios constructed deep
-#: inside experiment ``run()`` functions — the ``python -m repro watch``
-#: dashboard attaches its telemetry bus here.
-_scenario_hooks: list = []
-
-
-def add_scenario_hook(hook):
-    """Register ``hook(scenario)`` to run for each new Scenario."""
-    _scenario_hooks.append(hook)
-    return hook
-
-
-def remove_scenario_hook(hook) -> None:
-    """Unregister a hook added with :func:`add_scenario_hook`."""
-    _scenario_hooks.remove(hook)
-
-
 @dataclass
 class Scenario:
     """The world one experiment runs in — simulated or over the wire.
@@ -97,7 +78,8 @@ class Scenario:
     network: TransportAPI = field(init=False)
     trace: ExecutionTrace = field(init=False)
     #: The scenario-wide observability bundle (metrics registry, span
-    #: tracer, sinks).  Shells, the network, and translators all share it.
+    #: tracer, flight recorder).  Shells, the network, and translators all
+    #: share it.
     obs: Instrumentation = field(init=False)
     #: The resolved runtime instance bound to this scenario.
     runtime_impl: Runtime = field(init=False)
@@ -111,8 +93,6 @@ class Scenario:
         self.runtime_impl = resolve_runtime(self.runtime)
         self.sim, self.network = self.runtime_impl.build(self)
         self.trace = ExecutionTrace()
-        for hook in list(_scenario_hooks):
-            hook(self)
 
     @property
     def runtime_name(self) -> str:
@@ -460,24 +440,14 @@ class ConstraintManager:
         (``rules_installed``, ``events_processed``, ``candidates_considered``,
         ``rules_fired``); ``candidates_considered`` vs.
         ``rules_installed * events_processed`` quantifies what indexed
-        dispatch pruned away relative to a linear scan.
+        dispatch pruned away relative to a linear scan.  ``"total"`` sums
+        each key the shells report.
         """
         per_site = {site: shell.stats() for site, shell in self.shells.items()}
-        total = {
-            "rules_installed": 0,
-            "rules_compiled": 0,
-            "rules_fallback": 0,
-            "events_processed": 0,
-            "candidates_considered": 0,
-            "rules_fired": 0,
-            "batches_processed": 0,
-            "batch_events": 0,
-            "match_hits": 0,
-            "match_misses": 0,
-        }
+        total: dict[str, int] = {}
         for counters in per_site.values():
-            for key in total:
-                total[key] += counters[key]
+            for key, value in counters.items():
+                total[key] = total.get(key, 0) + value
         per_site["total"] = total
         return per_site
 

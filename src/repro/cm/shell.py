@@ -38,7 +38,6 @@ which is how parameterized polling and end-of-day scans work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter_ns
 from typing import Callable, Optional
 
 from repro.core.compile import CompiledRule, compile_rule
@@ -59,7 +58,6 @@ from repro.cm.failures import FailureNotice
 from repro.cm.store import ShellStore
 from repro.cm.translator import CMTranslator
 from repro.obs import Instrumentation
-from repro.obs.metrics import RULE_EXEC_NS_BOUNDS
 from repro.runtime.api import Clock, TransportAPI
 from repro.runtime.codec import WireFiring
 from repro.sim.failures import FailurePlan
@@ -126,10 +124,6 @@ class CMShell:
         self._m_compiled = metrics.counter("shell_rules_compiled", site=site)
         self._m_fallback = metrics.counter("shell_rules_fallback", site=site)
         self._fired_by_rule: dict[str, object] = {}
-        # Per-rule profiling instruments (match hits/misses, RHS wall ns),
-        # created lazily the first time the *profiled* dispatch loop meets
-        # each rule — an unprofiled run never allocates them.
-        self._profiles: dict[str, tuple] = {}
         self._rules_by_name: dict[str, Rule] = {}
         self._installed_by_name: dict[str, object] = {}
         # Rules whose LHS fires at a *peer* but whose RHS runs here: the
@@ -339,7 +333,7 @@ class CMShell:
         ``rules_installed * events_processed``.  Since PR 2 these are an
         adapter over the scenario's metrics registry
         (``shell_events_processed{site=...}`` and friends), so the same
-        numbers appear in Prometheus exports and run reports.
+        numbers appear in run reports.
         """
         return {
             "rules_installed": len(self._index),
@@ -351,31 +345,7 @@ class CMShell:
             # Zero unless events arrived in blocks (deliver_local_events).
             "batches_processed": self._m_batches.value,
             "batch_events": self._m_batch_events.value,
-            # Zero unless rule profiling was enabled for the run.
-            "match_hits": sum(p[0].value for p in self._profiles.values()),
-            "match_misses": sum(p[1].value for p in self._profiles.values()),
         }
-
-    def rule_profile(self) -> dict[str, dict]:
-        """Per-rule dispatch profile (empty unless profiling was enabled).
-
-        For each rule the profiled dispatch loop considered: how often its
-        matcher hit vs. missed, how often it fired, and the wall-time
-        histogram of its RHS executions (nanoseconds — real time, not
-        virtual; this is the cost of running the rule, not the latency the
-        scenario models).
-        """
-        profile: dict[str, dict] = {}
-        for rule_name in sorted(self._profiles):
-            hits, misses, exec_hist = self._profiles[rule_name]
-            fired = self._fired_by_rule.get(rule_name)
-            profile[rule_name] = {
-                "match_hits": hits.value,
-                "match_misses": misses.value,
-                "fired": fired.value if fired is not None else 0,
-                "exec_ns": exec_hist.summary(),
-            }
-        return profile
 
     def stop_timers(self) -> None:
         """Stop all periodic timers, including translator-driven ones."""
@@ -440,12 +410,7 @@ class CMShell:
                     seq=event.seq,
                 )
                 obs.tracer.push(span)
-            if obs.sinks:
-                obs.emit_event(event)
         try:
-            if obs.rule_profiling:
-                self._dispatch_profiled(event)
-                return
             desc = event.desc
             candidates = self._index.candidates(desc)
             self._m_candidates.value += len(candidates)
@@ -461,8 +426,8 @@ class CMShell:
     # -- the dispatch kernel -----------------------------------------------------
     #
     # Exactly one function decides whether an installed rule applies to a
-    # descriptor and exactly one fires it; the loop in _process_event and
-    # the profiled loop differ only in what they count.
+    # descriptor and exactly one fires it; _process_event is the only loop
+    # that calls them.
 
     def _applies(self, installed: InstalledRule, desc):
         """Match ``desc`` against the rule's LHS and evaluate its condition.
@@ -517,49 +482,6 @@ class CMShell:
             else:
                 message = FireMessage(rule, tuple(bound.items()), trigger)
             self.network.send(self.site, rhs_site, message)
-
-    def _profile_for(self, rule_name: str) -> tuple:
-        profile = self._profiles.get(rule_name)
-        if profile is None:
-            metrics = self.obs.metrics
-            profile = (
-                metrics.counter(
-                    "rule_match_hits", site=self.site, rule=rule_name
-                ),
-                metrics.counter(
-                    "rule_match_misses", site=self.site, rule=rule_name
-                ),
-                metrics.histogram(
-                    "rule_exec_ns",
-                    bounds=RULE_EXEC_NS_BOUNDS,
-                    unit="ns",
-                    site=self.site,
-                    rule=rule_name,
-                ),
-            )
-            self._profiles[rule_name] = profile
-        return profile
-
-    def _dispatch_profiled(self, event: Event) -> None:
-        """:meth:`_process_event`'s loop with per-rule profiling instruments.
-
-        Kept separate so the unprofiled hot path pays exactly one extra
-        attribute check.  A *miss* is a candidate the index nominated whose
-        matcher or LHS condition rejected the event; execution time covers
-        the RHS (or the cross-site fire send), in wall nanoseconds.
-        """
-        desc = event.desc
-        for installed in self._index.candidates(desc):
-            self._m_candidates.value += 1
-            hits, misses, exec_hist = self._profile_for(installed.rule.name)
-            bound = self._applies(installed, desc)
-            if bound is None:
-                misses.value += 1
-                continue
-            hits.value += 1
-            began = perf_counter_ns()
-            self._fire(installed, bound, event)
-            exec_hist.observe(perf_counter_ns() - began)
 
     def _lhs_condition_holds(self, rule: Rule, bindings: Bindings) -> bool:
         try:

@@ -1,7 +1,7 @@
 """``repro.obs`` — the toolkit's observability layer.
 
 One :class:`Instrumentation` object per :class:`~repro.cm.manager.Scenario`
-bundles the three pillars:
+bundles:
 
 - a :class:`~repro.obs.metrics.MetricsRegistry` of labeled counters,
   gauges, and virtual-time histograms (the shells' ``stats()`` counters
@@ -9,23 +9,21 @@ bundles the three pillars:
 - a :class:`~repro.obs.spans.Tracer` recording causal firing spans, so a
   cross-site propagation chain is one queryable tree with per-hop
   virtual-time latencies;
-- structured sinks (:class:`~repro.obs.sinks.JsonlSink`,
-  :class:`~repro.obs.sinks.PrometheusExporter`) and the
-  :class:`~repro.obs.report.RunReport` emitted at end of run.
+- an optional :class:`~repro.obs.flight.FlightRecorder` of bounded
+  per-site digest rings, dumped on every incident;
+
+and :class:`~repro.obs.report.RunReport` is the structured document
+assembled from them at end of run.
 
 Overhead discipline: metrics are always-on plain attribute increments
-(they back ``stats()``); span recording and per-event sink output happen
-only while :attr:`Instrumentation.enabled` is true, which every hook
-checks with a single attribute load — the no-sink fast path is guarded by
-a microbenchmark in ``benchmarks/bench_core_micro.py``.
+(they back ``stats()``); span recording and flight digests happen only
+while :attr:`Instrumentation.enabled` is true, which every hook checks
+with a single attribute load — the disabled fast path is guarded by a
+microbenchmark in ``benchmarks/bench_core_micro.py``.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import IO, Union
-
-from repro.obs.bus import TelemetryBus, TelemetryUpdate
 from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.metrics import (
     Counter,
@@ -35,7 +33,6 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BOUNDS,
 )
 from repro.obs.report import RunReport, build_run_report
-from repro.obs.sinks import JsonlSink, PrometheusExporter, render_prometheus
 from repro.obs.spans import Span, SpanContext, SpanTree, Tracer
 
 __all__ = [
@@ -46,45 +43,35 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_LATENCY_BOUNDS",
     "Instrumentation",
-    "JsonlSink",
-    "PrometheusExporter",
-    "render_prometheus",
     "RunReport",
     "build_run_report",
     "Span",
     "SpanContext",
     "SpanTree",
-    "TelemetryBus",
-    "TelemetryUpdate",
     "Tracer",
 ]
 
 
 class Instrumentation:
-    """Metrics + tracer + sinks for one scenario.
+    """Metrics + tracer + flight recorder for one scenario.
 
-    ``enabled`` is the one flag hot paths check: false until tracing is
-    enabled or a sink is attached, so an unobserved run skips every span
-    and per-event record with a single attribute load and branch.
+    ``enabled`` is the one flag hot paths check: false until tracing or
+    the flight recorder is enabled, so an unobserved run skips every span
+    and digest with a single attribute load and branch.
     """
 
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
         self.tracer = Tracer()
-        self.sinks: list[JsonlSink] = []
         self.enabled = False
         #: The bounded digest rings, present only after
         #: :meth:`enable_flight`.  Flight-only mode sets :attr:`enabled`
         #: without enabling the tracer, so hooks record digests but skip
         #: span construction entirely (the ring-buffer fast path).
         self.flight: FlightRecorder | None = None
-        #: Per-rule dispatch profiling (match hit/miss counters, RHS wall
-        #: latency).  Checked directly by the shells' dispatch loop, not
-        #: via :attr:`enabled` — profiling a run does not imply tracing it.
-        self.rule_profiling = False
 
     def enable_tracing(self) -> "Instrumentation":
-        """Record spans (without attaching any sink)."""
+        """Record spans."""
         self.tracer.enable()
         self.enabled = True
         return self
@@ -95,36 +82,3 @@ class Instrumentation:
             self.flight = FlightRecorder(capacity)
         self.enabled = True
         return self.flight
-
-    def enable_rule_profiling(self) -> "Instrumentation":
-        """Turn on per-rule matcher and RHS-latency profiling."""
-        self.rule_profiling = True
-        return self
-
-    def attach_sink(self, sink: JsonlSink) -> JsonlSink:
-        """Stream finished spans (and per-event records) to ``sink``."""
-        self.sinks.append(sink)
-        self.tracer.on_finish(self._emit_span)
-        self.enabled = True
-        return sink
-
-    def attach_jsonl(self, target: Union[str, Path, IO[str]]) -> JsonlSink:
-        """Convenience: attach a fresh :class:`JsonlSink` on ``target``."""
-        return self.attach_sink(JsonlSink(target))
-
-    def _emit_span(self, span: Span) -> None:
-        record = span.to_dict()
-        for sink in self.sinks:
-            sink.emit(record)
-
-    def emit_event(self, event) -> None:
-        """Stream one trace event to every sink (hot paths pre-check
-        :attr:`enabled`)."""
-        for sink in self.sinks:
-            sink.emit_event(event)
-
-    def flush(self) -> None:
-        """Write a final metrics snapshot to every sink and flush them."""
-        for sink in self.sinks:
-            sink.emit_metrics(self.metrics)
-            sink.close()

@@ -15,7 +15,6 @@ the range of interest for propagation latencies whose guarantees quote
 ``κ`` bounds in seconds.
 
 Nothing here does I/O: structured output is the job of
-:mod:`repro.obs.sinks` (JSONL, Prometheus text format) and
 :mod:`repro.obs.report`.
 """
 
@@ -39,13 +38,6 @@ DEFAULT_LATENCY_BOUNDS: tuple[Ticks, ...] = tuple(
 #: of wall time, the range loopback frames actually land in.
 WIRE_MS_BOUNDS: tuple[float, ...] = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0,
-)
-
-#: Bounds for wall-nanosecond series (per-rule RHS execution profiling):
-#: 1µs .. 100ms.  A compiled RHS runs in single-digit microseconds; the
-#: upper decades catch translator-bound and pathological rules.
-RULE_EXEC_NS_BOUNDS: tuple[float, ...] = (
-    1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 1e6, 1e7, 1e8,
 )
 
 LabelSet = tuple[tuple[str, str], ...]
@@ -112,18 +104,13 @@ class Histogram:
     ``bounds`` are inclusive upper bucket edges in ticks; observations above
     the last bound land in the implicit +Inf bucket.  ``sum``/``count``/
     ``min``/``max`` are tracked exactly, so reports can quote exact extrema
-    alongside bucketed percentile estimates.
-
-    ``unit`` names what an observation *is* — ``"ticks"`` (virtual time,
-    the default), ``"ms"`` (real milliseconds, e.g. ``wire_latency_ms``),
-    or ``"ns"`` (wall nanoseconds, rule profiling).  Summaries and the
-    Prometheus renderer use it to convert bounds honestly instead of
-    assuming everything is ticks.
+    alongside bucketed percentile estimates.  The one series in other
+    units, ``wire_latency_ms`` (real milliseconds, :data:`WIRE_MS_BOUNDS`),
+    is read through those exact fields only, never :meth:`summary`.
     """
 
     __slots__ = (
-        "name", "labels", "bounds", "unit", "buckets", "count", "sum",
-        "min", "max",
+        "name", "labels", "bounds", "buckets", "count", "sum", "min", "max",
     )
 
     def __init__(
@@ -131,12 +118,10 @@ class Histogram:
         name: str,
         labels: LabelSet,
         bounds: tuple[Ticks, ...] = DEFAULT_LATENCY_BOUNDS,
-        unit: str = "ticks",
     ) -> None:
         self.name = name
         self.labels = labels
         self.bounds = bounds
-        self.unit = unit
         self.buckets = [0] * (len(bounds) + 1)
         self.count = 0
         self.sum = 0
@@ -172,21 +157,8 @@ class Histogram:
         return self.max
 
     def summary(self) -> dict:
-        """Compact JSON-friendly digest.
-
-        Tick-unit histograms keep the historical seconds-suffixed keys;
-        other units report raw values with an explicit ``unit`` field.
-        """
-        if self.unit != "ticks":
-            return {
-                "count": self.count,
-                "unit": self.unit,
-                "mean": round(self.mean, 3),
-                "min": round(self.min, 3) if self.min is not None else None,
-                "max": round(self.max, 3) if self.max is not None else None,
-                "p50": self.quantile(0.50),
-                "p99": self.quantile(0.99),
-            }
+        """Compact JSON-friendly digest of a tick-valued histogram, in
+        seconds."""
         return {
             "count": self.count,
             "mean_s": round(to_seconds(round(self.mean)), 6),
@@ -237,7 +209,6 @@ class MetricsRegistry:
         self,
         name: str,
         bounds: tuple[Ticks, ...] | None = None,
-        unit: str = "ticks",
         **labels: str,
     ) -> Histogram:
         key = (name, _label_key(labels))
@@ -246,9 +217,7 @@ class MetricsRegistry:
             assert isinstance(existing, Histogram)
             return existing
         self._check_type(name, Histogram)
-        hist = Histogram(
-            name, key[1], bounds or DEFAULT_LATENCY_BOUNDS, unit=unit
-        )
+        hist = Histogram(name, key[1], bounds or DEFAULT_LATENCY_BOUNDS)
         self._series[key] = hist
         return hist
 
@@ -298,26 +267,5 @@ class MetricsRegistry:
     def __iter__(self) -> Iterator:
         return iter(self._series.values())
 
-    def items(self) -> Iterator[tuple[tuple[str, LabelSet], object]]:
-        """``((name, labels), instrument)`` pairs — the stable series keys
-        delta consumers (the telemetry bus) diff against."""
-        return iter(self._series.items())
-
     def __len__(self) -> int:
         return len(self._series)
-
-    def snapshot(self) -> dict:
-        """JSON-friendly dump of every series, grouped by metric name."""
-        out: dict[str, list[dict]] = {}
-        for (name, labels), instrument in self._series.items():
-            entry: dict = {"labels": dict(labels)}
-            if isinstance(instrument, Histogram):
-                entry.update(instrument.summary())
-            elif isinstance(instrument, Gauge):
-                entry["value"] = instrument.value
-                entry["high"] = instrument.high
-            else:
-                assert isinstance(instrument, Counter)
-                entry["value"] = instrument.value
-            out.setdefault(name, []).append(entry)
-        return out

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro.core.timebase import Ticks, to_seconds
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass
@@ -39,9 +39,6 @@ class RunReport:
     #: ``Diagnostic.to_dict()`` entries), so a persisted run report records
     #: what was statically knowable about the wiring that produced it.
     lint: list[dict] = field(default_factory=list)
-    #: Per-site per-rule dispatch profile (matcher hits/misses, RHS wall-ns
-    #: histograms); empty unless rule profiling was enabled.
-    rule_profile: dict = field(default_factory=dict)
     #: Flight-recorder digest — ring fill levels plus every incident dump
     #: (failures and guarantee violations); empty unless the recorder was
     #: enabled.
@@ -61,7 +58,6 @@ class RunReport:
             "traces": self.traces,
             "trace_index": self.trace_index,
             "lint": self.lint,
-            "rule_profile": self.rule_profile,
             "flight": self.flight,
         }
 
@@ -145,14 +141,6 @@ class RunReport:
                 f"materializations"
             )
         return "\n".join(lines)
-
-
-def _histogram_entry(hist: Histogram) -> dict:
-    entry = dict(hist.labels)
-    entry.update(hist.summary())
-    entry["mean_s"] = entry.pop("mean_s")
-    entry["max_s"] = entry.get("max_s") or 0.0
-    return entry
 
 
 def build_run_report(cm: Any) -> RunReport:
@@ -329,12 +317,6 @@ def build_run_report(cm: Any) -> RunReport:
                 to_seconds(deepest) if deepest is not None else 0.0
             ),
         }
-
-    # -- per-rule dispatch profile (only when profiling was on) ----------------
-    for site, shell in cm.shells.items():
-        profile = shell.rule_profile()
-        if profile:
-            report.rule_profile[site] = profile
 
     # -- flight recorder (only when the recorder was attached) -----------------
     if flight is not None:

@@ -189,8 +189,8 @@ class Tracer:
     """Span recorder with an explicit activation stack.
 
     Disabled by default: every instrumentation hook checks
-    :attr:`enabled` first, so tracing costs nothing until a sink is
-    attached or :meth:`enable` is called.
+    :attr:`enabled` first, so tracing costs nothing until :meth:`enable`
+    is called.
     """
 
     def __init__(self) -> None:
@@ -198,14 +198,8 @@ class Tracer:
         self.spans: list[Span] = []
         self._stack: list[Union[Span, SpanContext]] = []
         self._next_id = 1
-        self._emit: Optional[Callable[[Span], None]] = None
 
     def enable(self) -> None:
-        self.enabled = True
-
-    def on_finish(self, emit: Callable[[Span], None]) -> None:
-        """Stream finished spans to a sink callback."""
-        self._emit = emit
         self.enabled = True
 
     # -- recording -------------------------------------------------------------
@@ -249,8 +243,6 @@ class Tracer:
 
     def finish(self, span: Span, end: Ticks) -> None:
         span.end = end
-        if self._emit is not None:
-            self._emit(span)
 
     def push(self, span: Union[Span, SpanContext]) -> None:
         self._stack.append(span)

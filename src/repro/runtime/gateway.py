@@ -256,7 +256,6 @@ class WireNetwork:
                 registry.histogram(
                     "wire_latency_ms",
                     bounds=WIRE_MS_BOUNDS,
-                    unit="ms",
                     src=src,
                     dst=dst,
                 ),

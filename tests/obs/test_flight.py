@@ -99,6 +99,21 @@ class TestDump:
 
 
 class TestInstrumentationWiring:
+    def test_disabled_by_default(self):
+        obs = Instrumentation()
+        assert not obs.enabled
+        assert not obs.tracer.enabled
+        assert obs.flight is None
+
+    def test_enable_tracing_without_flight(self):
+        obs = Instrumentation()
+        obs.enable_tracing()
+        assert obs.enabled
+        assert obs.flight is None
+        span = obs.tracer.start("op", "sf", 0)
+        obs.tracer.finish(span, seconds(1))
+        assert len(obs.tracer.spans) == 1
+
     def test_enable_flight_turns_on_obs_without_tracing(self):
         obs = Instrumentation()
         flight = obs.enable_flight()

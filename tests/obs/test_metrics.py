@@ -111,15 +111,3 @@ class TestHistogram:
         default = registry.histogram("other")
         assert default.bounds == DEFAULT_LATENCY_BOUNDS
 
-
-class TestSnapshot:
-    def test_snapshot_groups_by_metric_name(self):
-        registry = MetricsRegistry()
-        registry.counter("hits", site="sf").inc(2)
-        registry.gauge("depth").set(4)
-        registry.histogram("lat", family="y").observe(seconds(0.5))
-        snap = registry.snapshot()
-        assert snap["hits"] == [{"labels": {"site": "sf"}, "value": 2}]
-        assert snap["depth"][0]["high"] == 4
-        assert snap["lat"][0]["count"] == 1
-        assert snap["lat"][0]["labels"] == {"family": "y"}

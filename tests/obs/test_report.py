@@ -21,7 +21,7 @@ class TestRunReport:
         assert report.dispatch == cm.stats()
         assert report.dispatch["total"]["rules_fired"] >= 2
         # The stats() adapter reads the same registry series that the
-        # report and the Prometheus export read.
+        # report reads.
         registry = cm.scenario.obs.metrics
         for site in ("sf", "ny"):
             assert (

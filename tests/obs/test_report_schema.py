@@ -25,7 +25,6 @@ TOP_LEVEL_KEYS = [
     "traces",
     "trace_index",
     "lint",
-    "rule_profile",
     "flight",
 ]
 
@@ -38,8 +37,6 @@ DISPATCH_TOTAL_KEYS = {
     "rules_fallback",
     "batches_processed",
     "batch_events",
-    "match_hits",
-    "match_misses",
 }
 
 NETWORK_KEYS = {"messages_sent", "messages_dropped", "channels"}
@@ -65,7 +62,6 @@ TRACES_KEYS = {"trees", "spans", "max_end_to_end_s"}
 FLIGHT_KEYS = {"capacity", "records_taken", "ring_sizes", "dumps"}
 FLIGHT_DUMP_KEYS = {"reason", "time", "time_s", "records"}
 FLIGHT_RECORD_KEYS = {"time", "time_s", "site", "kind", "detail"}
-RULE_PROFILE_KEYS = {"match_hits", "match_misses", "fired", "exec_ns"}
 
 
 def build_report():
@@ -73,7 +69,6 @@ def build_report():
     cm = salary.cm
     cm.scenario.obs.enable_tracing()
     flight = cm.scenario.obs.enable_flight()
-    cm.scenario.obs.enable_rule_profiling()
     cm.spontaneous_write("salary1", ("e1",), 50_000.0)
     cm.run(seconds(30))
     flight.dump("schema-test", cm.scenario.sim.now)
@@ -114,14 +109,6 @@ class TestRunReportSchema:
             assert set(dump) == FLIGHT_DUMP_KEYS
             for record in dump["records"]:
                 assert set(record) == FLIGHT_RECORD_KEYS
-
-    def test_rule_profile_section_schema(self):
-        data = build_report().to_dict()
-        assert data["rule_profile"], "profiling was enabled"
-        for site_profile in data["rule_profile"].values():
-            for entry in site_profile.values():
-                assert set(entry) == RULE_PROFILE_KEYS
-                assert entry["exec_ns"]["unit"] == "ns"
 
     def test_whole_report_is_json_round_trippable(self):
         report = build_report()

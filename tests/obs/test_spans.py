@@ -67,15 +67,6 @@ class TestTracer:
 
         assert tracer.bind(fn) is fn
 
-    def test_on_finish_streams_finished_spans(self):
-        tracer = Tracer()
-        seen = []
-        tracer.on_finish(seen.append)
-        assert tracer.enabled
-        span = tracer.start("op", "a", 0)
-        tracer.finish(span, seconds(1))
-        assert seen == [span]
-
 
 class TestSpanTree:
     def test_connected_tree_and_queries(self):

@@ -53,9 +53,6 @@ EXPECTED_ALL = [
     "SpanTree",
     "SpanContext",
     "FlightRecorder",
-    "TelemetryBus",
-    "JsonlSink",
-    "PrometheusExporter",
     "RunReport",
     # runtimes (sim kernel and wire/asyncio)
     "Runtime",
