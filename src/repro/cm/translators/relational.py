@@ -85,8 +85,9 @@ class RelationalTranslator(CMTranslator):
             )
         return family
 
-    def _key_for(self, ref: DataItemRef) -> Value:
-        binding = self._family(ref.name).binding
+    @staticmethod
+    def _key_for(family: _Family, ref: DataItemRef) -> Value:
+        binding = family.binding
         if binding.parameterized:
             if len(ref.args) != 1:
                 raise ConfigurationError(
@@ -106,14 +107,14 @@ class RelationalTranslator(CMTranslator):
     def _native_read(self, ref: DataItemRef) -> Value:
         family = self._family(ref.name)
         self.count_op("sql_select")
-        rows = self.db.query(family.select, (self._key_for(ref),))
+        rows = self.db.query(family.select, (self._key_for(family, ref),))
         if not rows:
             return MISSING
         return rows[0][0]
 
     def _native_write(self, ref: DataItemRef, value: Value) -> None:
         family = self._family(ref.name)
-        key = self._key_for(ref)
+        key = self._key_for(family, ref)
         if value is MISSING:
             self.count_op("sql_delete")
             self.db.execute(family.delete, (key,))

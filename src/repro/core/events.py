@@ -75,6 +75,10 @@ _VALUE_ARITY = {
     EventKind.FALSE: 0,
 }
 
+#: ``kind._value_`` -> (takes an item, value arity): a descriptor's whole
+#: shape check is one lookup, with no Python-level ``Enum`` hash or property.
+_SHAPE = {kind._value_: (kind.takes_item, _VALUE_ARITY[kind]) for kind in EventKind}
+
 
 @dataclass(frozen=True)
 class EventDesc:
@@ -85,6 +89,9 @@ class EventDesc:
     values: tuple[Value, ...] = ()
 
     def __post_init__(self) -> None:
+        takes_item, arity = _SHAPE[self.kind._value_]
+        if (self.item is None) is not takes_item and len(self.values) == arity:
+            return
         if self.kind.takes_item and self.item is None:
             raise ValueError(f"{self.kind.value} descriptor requires an item")
         if not self.kind.takes_item and self.item is not None:

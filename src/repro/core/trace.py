@@ -350,10 +350,10 @@ class ExecutionTrace:
         self._journal = StateJournal()
         self._seeded: dict[DataItemRef, Value] = {}
         self.horizon: Ticks = 0
-        # -- record-time indexes --
+        # -- record-time indexes (kinds keyed by ``_value_``, hashed in C) --
         self._writes_by_item: dict[DataItemRef, list[Event]] = {}
-        self._by_kind: dict[EventKind, list[Event]] = {}
-        self._by_kind_family: dict[tuple[EventKind, str], list[Event]] = {}
+        self._by_kind: dict[str, list[Event]] = {}
+        self._by_kind_family: dict[tuple[str, str], list[Event]] = {}
         self._family_refs: dict[str, set[DataItemRef]] = {}
         self._family_sorted: dict[str, tuple[int, list[DataItemRef]]] = {}
         self._generated: list[Event] = []
@@ -438,13 +438,13 @@ class ExecutionTrace:
     def _index_event(self, event: Event) -> None:
         desc = event.desc
         kind = desc.kind
-        by_kind = self._by_kind.get(kind)
+        by_kind = self._by_kind.get(kind._value_)
         if by_kind is None:
-            by_kind = self._by_kind[kind] = []
+            by_kind = self._by_kind[kind._value_] = []
         by_kind.append(event)
         item = desc.item
         if item is not None:
-            key = (kind, item.name)
+            key = (kind._value_, item.name)
             by_family = self._by_kind_family.get(key)
             if by_family is None:
                 by_family = self._by_kind_family[key] = []
@@ -499,8 +499,8 @@ class ExecutionTrace:
         if family is None:
             # Item-less (P) or family-wildcard template: every event of the
             # kind must be consulted.
-            return self._by_kind.get(tmpl.kind, _NO_EVENTS)
-        return self._by_kind_family.get((tmpl.kind, family), _NO_EVENTS)
+            return self._by_kind.get(tmpl.kind._value_, _NO_EVENTS)
+        return self._by_kind_family.get((tmpl.kind._value_, family), _NO_EVENTS)
 
     def events_matching(self, tmpl: Template) -> Iterator[tuple[Event, Bindings]]:
         """All (event, matching interpretation) pairs for a template."""
@@ -511,7 +511,7 @@ class ExecutionTrace:
 
     def events_of_kind(self, kind: EventKind) -> Iterator[Event]:
         """All events with the given descriptor kind."""
-        return iter(self._by_kind.get(kind, _NO_EVENTS))
+        return iter(self._by_kind.get(kind._value_, _NO_EVENTS))
 
     def writes_to(self, ref: DataItemRef) -> Iterator[Event]:
         """All (generated or spontaneous) writes to ``ref``, in order."""

@@ -43,11 +43,11 @@ from repro.ris.relational.errors import (
     SqlError,
 )
 from repro.ris.relational.executor import (
+    Compiled,
     access_path,
-    evaluate_expr,
-    matching_rows,
+    compile_expr,
+    compile_select,
     projection_names,
-    run_select,
 )
 from repro.ris.relational.parser import parse_sql
 from repro.ris.relational.storage import Catalog, Row, Table
@@ -143,8 +143,11 @@ class RelationalDatabase(RawInformationSource):
         """Resolve a statement against the catalog, once per text.
 
         The bound form is (placeholder count, runner); the runner has its
-        table, column names, triggers and index probes in hand and does only
-        the per-call work.  Any DDL drops every bound statement.
+        table, triggers, access path and compiled expressions in hand and
+        does only the per-call work.  Every column the statement names
+        resolves here, so an unknown one raises on every call, whatever the
+        table holds (a bind that raises is not kept).  Any DDL drops every
+        bound statement.
         """
         statement = parse_sql(sql)
         bound = param_count(statement), _BINDERS[type(statement)](self, statement)
@@ -163,14 +166,16 @@ class RelationalDatabase(RawInformationSource):
 
     # -- statement binders ------------------------------------------------------
 
-    def _check_constraints(self, table: Table, row: Row, changes: Row) -> None:
-        if table.checks:
-            candidate = {**row, **changes}
-            for check in table.checks:
-                if not evaluate_expr(check, candidate, ()):
-                    raise ConstraintViolationError(
-                        f"CHECK constraint failed on {table.name!r}"
-                    )
+    @staticmethod
+    def _check_constraints(
+        table: Table, checks: tuple[Compiled, ...], row: Row, changes: Row
+    ) -> None:
+        candidate = {**row, **changes}
+        for check in checks:
+            if not check(candidate, ()):
+                raise ConstraintViolationError(
+                    f"CHECK constraint failed on {table.name!r}"
+                )
 
     def _fire_or_defer(self, triggers, operation: str, old_row, new_row) -> None:
         transaction = self.transactions.current
@@ -190,10 +195,10 @@ class RelationalDatabase(RawInformationSource):
     def _bind_select(self, statement: Select):
         table = self.catalog.table(statement.table)
         names = projection_names(table, statement)
-        probes = access_path(table, statement.where)
+        select = compile_select(table, statement)
 
         def run(params: Sequence[Any]) -> ResultSet:
-            rows = run_select(table, statement, probes, params)
+            rows = select(params)
             return ResultSet(columns=list(names), rows=rows, rowcount=len(rows))
 
         return run
@@ -202,43 +207,55 @@ class RelationalDatabase(RawInformationSource):
         table = self.catalog.table(statement.table)
         names = statement.columns or tuple(table.columns)
         blank = dict.fromkeys(table.columns)
+        # VALUES read no row: a column named in one is unknown.
+        value_rows = [
+            tuple(compile_expr(expr, ()) for expr in value_row)
+            for value_row in statement.rows
+        ]
+        checks = _compile_checks(table)
         triggers = self.triggers.matching(table.name, "INSERT")
 
         def run(params: Sequence[Any]) -> ResultSet:
-            for value_row in statement.rows:
+            for value_row in value_rows:
                 if len(names) != len(value_row):
                     raise CatalogError(
                         f"INSERT has {len(names)} column(s) but "
                         f"{len(value_row)} value(s)"
                     )
-                values = {
-                    name: evaluate_expr(expr, {}, params)
-                    for name, expr in zip(names, value_row)
-                }
-                self._check_constraints(table, blank, values)
+                values = {}
+                for name, value in zip(names, value_row):
+                    values[name] = value(None, params)
+                if checks:
+                    self._check_constraints(table, checks, blank, values)
                 rowid = table.insert_row(values)
                 transaction = self.transactions.current
                 if transaction is not None:
                     transaction.log_undo(lambda rid=rowid: table.delete_row(rid))
-                self._fire_or_defer(triggers, "INSERT", None, table.rows[rowid])
-            return ResultSet(rowcount=len(statement.rows))
+                if triggers:
+                    self._fire_or_defer(triggers, "INSERT", None, table.rows[rowid])
+            return ResultSet(rowcount=len(value_rows))
 
         return run
 
     def _bind_update(self, statement: Update):
         table = self.catalog.table(statement.table)
-        probes = access_path(table, statement.where)
+        matching = access_path(table, statement.where)
+        assignments = []
+        for name, expr in statement.assignments:
+            table.require_column(name)
+            assignments.append((name, compile_expr(expr, table.columns)))
+        checks = _compile_checks(table)
         assigned = frozenset(name for name, __ in statement.assignments)
         triggers = self.triggers.matching(table.name, "UPDATE", assigned)
 
         def run(params: Sequence[Any]) -> ResultSet:
-            matched = matching_rows(table, statement.where, probes, params)
+            matched = matching(params)
             for rowid, row in matched:
-                changes = {
-                    name: evaluate_expr(expr, row, params)
-                    for name, expr in statement.assignments
-                }
-                self._check_constraints(table, row, changes)
+                changes = {}
+                for name, value in assignments:
+                    changes[name] = value(row, params)
+                if checks:
+                    self._check_constraints(table, checks, row, changes)
                 old, new = table.update_row(rowid, changes)
                 transaction = self.transactions.current
                 if transaction is not None:
@@ -246,18 +263,19 @@ class RelationalDatabase(RawInformationSource):
                     transaction.log_undo(
                         lambda rid=rowid, c=undo: table.update_row(rid, c)
                     )
-                self._fire_or_defer(triggers, "UPDATE", old, new)
+                if triggers:
+                    self._fire_or_defer(triggers, "UPDATE", old, new)
             return ResultSet(rowcount=len(matched))
 
         return run
 
     def _bind_delete(self, statement: Delete):
         table = self.catalog.table(statement.table)
-        probes = access_path(table, statement.where)
+        matching = access_path(table, statement.where)
         triggers = self.triggers.matching(table.name, "DELETE")
 
         def run(params: Sequence[Any]) -> ResultSet:
-            matched = matching_rows(table, statement.where, probes, params)
+            matched = matching(params)
             for rowid, __ in matched:
                 old = table.delete_row(rowid)
                 transaction = self.transactions.current
@@ -265,7 +283,8 @@ class RelationalDatabase(RawInformationSource):
                     transaction.log_undo(
                         lambda rid=rowid, r=old: table.restore_row(rid, r)
                     )
-                self._fire_or_defer(triggers, "DELETE", old, None)
+                if triggers:
+                    self._fire_or_defer(triggers, "DELETE", old, None)
             return ResultSet(rowcount=len(matched))
 
         return run
@@ -296,6 +315,11 @@ class RelationalDatabase(RawInformationSource):
         for trigger, event in self.transactions.commit():
             if trigger.callback is not None:
                 trigger.callback(event)
+
+
+def _compile_checks(table: Table) -> tuple[Compiled, ...]:
+    """The table's CHECK constraints, compiled against its columns."""
+    return tuple(compile_expr(check, table.columns) for check in table.checks)
 
 
 def _action(apply: Callable[[RelationalDatabase, Any], None], ddl: bool = False):

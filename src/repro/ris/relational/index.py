@@ -39,11 +39,9 @@ class HashIndex:
             if not bucket:
                 del self._buckets[value]
 
-    def lookup(self, value: Any) -> set[int]:
-        """Rowids holding the value (empty set for NULL)."""
-        if value is None:
-            return set()
-        return set(self._buckets.get(value, ()))
+    def lookup(self, value: Any) -> list[int]:
+        """Rowids holding the value, ascending (none for NULL)."""
+        return sorted(self._buckets.get(value, ()))
 
     def would_violate(self, value: Any, ignoring_rowid: int | None = None) -> bool:
         """Whether adding ``value`` would break a unique constraint."""

@@ -154,12 +154,17 @@ class Table:
         return rowid
 
     def update_row(self, rowid: int, changes: Row) -> tuple[Row, Row]:
-        """Apply ``changes`` to one row; returns (old copy, new copy)."""
-        row = self.rows[rowid]
-        old = dict(row)
-        new = dict(row)
+        """Apply ``changes`` to one row; returns (old row, new row).
+
+        One copy: the stored dict is replaced, not mutated, and is returned
+        as ``old``.  No code mutates a stored row (only :meth:`insert_row`
+        and :meth:`restore_row` build one), so it stays as it was.
+        """
+        old = self.rows[rowid]
+        new = dict(old)
+        columns = self.columns
         for name, value in changes.items():
-            column = self.require_column(name)
+            column = columns.get(name) or self.require_column(name)
             new[name] = _check_type(column, value)
         for column_name, index in self.hash_indexes.items():
             if new[column_name] != old[column_name] and index.would_violate(

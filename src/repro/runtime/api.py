@@ -52,7 +52,10 @@ class Clock(Protocol):
     """
 
     @property
-    def now(self) -> Ticks: ...
+    def now(self) -> Ticks:
+        """Current virtual time in ticks.  Only read through the protocol,
+        so a plain attribute satisfies it (the simulator's is one)."""
+        ...
 
     @property
     def now_seconds(self) -> float: ...

@@ -52,7 +52,10 @@ class Simulator:
     """Deterministic discrete-event loop with an integer-microsecond clock."""
 
     def __init__(self) -> None:
-        self._now: Ticks = 0
+        #: Current virtual time in ticks.  A plain attribute, not a
+        #: property, because every hop of a propagation reads it; only
+        #: :meth:`run` assigns it.  Everything else treats it as read-only.
+        self.now: Ticks = 0
         self._queue: list[ScheduledEvent] = []
         self._cancelled_pending = 0
         self._seq = itertools.count()
@@ -64,14 +67,9 @@ class Simulator:
         self.max_queue_depth = 0
 
     @property
-    def now(self) -> Ticks:
-        """Current virtual time in ticks."""
-        return self._now
-
-    @property
     def now_seconds(self) -> float:
         """Current virtual time in float seconds (reporting convenience)."""
-        return to_seconds(self._now)
+        return to_seconds(self.now)
 
     def at(self, time: Ticks, callback: Callable[[], None]) -> ScheduledEvent:
         """Schedule ``callback`` to run at absolute virtual time ``time``.
@@ -79,9 +77,9 @@ class Simulator:
         Scheduling in the past is an error: the framework's rules only ever
         produce future (or simultaneous) events.
         """
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule at {time} ticks; current time is {self._now}"
+                f"cannot schedule at {time} ticks; current time is {self.now}"
             )
         event = ScheduledEvent((time, next(self._seq), callback, self))
         queue = self._queue
@@ -94,7 +92,7 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` ticks from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        return self.at(self._now + delay, callback)
+        return self.at(self.now + delay, callback)
 
     def stop(self) -> None:
         """Stop the run loop after the currently executing callback."""
@@ -123,44 +121,44 @@ class Simulator:
             self._cancelled_pending -= 1
         return queue[0][0] if queue else None
 
-    def step(self) -> bool:
-        """Run the single next event.  Returns ``False`` if none remained."""
-        queue = self._queue
-        while queue:
-            event = heapq.heappop(queue)
-            callback = event[2]
-            if callback is None:
-                self._cancelled_pending -= 1
-                continue
-            # The entry has left the queue: a later cancel() on the handle
-            # must not count a tombstone that is not there.
-            event[3] = None
-            self._now = event[0]
-            self.events_processed += 1
-            callback()
-            return True
-        return False
-
     def run(self, until: Ticks | None = None) -> None:
         """Run events until the queue drains or virtual time passes ``until``.
 
         When ``until`` is given, the clock is advanced to exactly ``until`` at
         the end of the run even if the last event fired earlier, so that
         "state at end of run" queries are well defined.
+
+        The loop pops and dispatches inline, so the only Python-level call
+        per event is the callback itself.
         """
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
         self._running = True
         self._stopped = False
+        heappop = heapq.heappop
+        queue = self._queue
         try:
-            while not self._stopped:
-                next_time = self.peek()
-                if next_time is None:
+            while queue and not self._stopped:
+                event = queue[0]
+                callback = event[2]
+                if callback is None:  # a tombstone: drop it
+                    heappop(queue)
+                    self._cancelled_pending -= 1
+                    continue
+                time = event[0]
+                if until is not None and time > until:
                     break
-                if until is not None and next_time > until:
-                    break
-                self.step()
-            if until is not None and self._now < until:
-                self._now = until
+                heappop(queue)
+                # The entry has left the queue: a later cancel() on the
+                # handle must not count a tombstone that is not there.
+                event[3] = None
+                self.now = time
+                self.events_processed += 1
+                callback()
+                # A cancel() inside the callback may have compacted the heap
+                # into a new list.
+                queue = self._queue
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False

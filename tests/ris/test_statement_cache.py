@@ -246,6 +246,43 @@ class TestPlaceholderArity:
         assert events == []
 
 
+#: Statements naming a column ``kv`` lacks, in each position one can sit.
+UNKNOWN_COLUMN = [
+    ("UPDATE kv SET nope = ? WHERE k = ?", (1, "a")),
+    ("UPDATE kv SET v = ? WHERE nope = ?", (1, "a")),
+    ("UPDATE kv SET v = nope + ? WHERE k = ?", (1, "a")),
+    ("DELETE FROM kv WHERE nope = ?", ("a",)),
+    ("SELECT nope FROM kv WHERE k = ?", ("a",)),
+    ("SELECT k FROM kv WHERE k = ? AND nope IS NULL", ("a",)),
+    ("SELECT k FROM kv ORDER BY nope", ()),
+    ("SELECT SUM(nope) FROM kv", ()),
+]
+
+
+class TestUnknownColumns:
+    """An unknown column is rejected when the statement binds, so the
+    outcome cannot depend on whether any row reaches the reference."""
+
+    @pytest.mark.parametrize("populated", [False, True], ids=["empty", "populated"])
+    @pytest.mark.parametrize("sql, params", UNKNOWN_COLUMN)
+    def test_rejected_whatever_the_table_holds(self, sql, params, populated):
+        db = RelationalDatabase("kv")
+        db.execute("CREATE TABLE kv (k TEXT PRIMARY KEY, v INTEGER)")
+        if populated:
+            db.execute("INSERT INTO kv VALUES ('a', 1), ('b', 2)")
+        before = db.query("SELECT k, v FROM kv ORDER BY k")
+        for __ in range(2):  # a bind that raises is not kept
+            with pytest.raises(CatalogError):
+                db.execute(sql, params)
+            assert sql not in db._statements
+        assert db.query("SELECT k, v FROM kv ORDER BY k") == before
+
+    def test_insert_values_name_no_column(self, kv):
+        with pytest.raises(CatalogError):
+            kv.execute("INSERT INTO kv VALUES (?, v)", ("c",))
+        assert kv.query("SELECT COUNT(*) FROM kv") == [(2,)]
+
+
 class TestTriggerCatalog:
     def test_drop_table_drops_its_triggers(self, kv):
         events = []

@@ -56,6 +56,20 @@ class TestRunControl:
         sim.run(until=100)
         assert sim.now == 100
 
+    def test_run_owns_the_clock(self):
+        # ``now`` is a plain attribute that only run() assigns: each
+        # callback sees its own entry's time, a drained run leaves the
+        # clock on the last popped event, and run(until=...) on ``until``.
+        sim = Simulator()
+        seen: list[int] = []
+        handles = [sim.at(t, lambda: seen.append(sim.now)) for t in (3, 8, 8, 21)]
+        sim.run(until=10)
+        assert seen == [h.time for h in handles[:3]]
+        assert sim.now == 10
+        sim.run()
+        assert seen == [h.time for h in handles]
+        assert sim.now == handles[-1].time
+
     def test_run_until_leaves_future_events(self):
         sim = Simulator()
         fired = []
