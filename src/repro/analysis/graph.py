@@ -192,9 +192,6 @@ class TriggerGraph:
     def strategy_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.kind == "strategy"]
 
-    def interface_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.kind == "interface"]
-
     def __len__(self) -> int:
         return len(self.nodes)
 

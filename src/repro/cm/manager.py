@@ -94,11 +94,6 @@ class Scenario:
         self.sim, self.network = self.runtime_impl.build(self)
         self.trace = ExecutionTrace()
 
-    @property
-    def runtime_name(self) -> str:
-        """The active runtime's ``name`` ("sim"; "async" for the wire runtime)."""
-        return self.runtime_impl.name
-
     def run(self, until: Ticks) -> None:
         """Advance the scenario and close the trace at the horizon."""
         self.runtime_impl.run(self, until)

@@ -137,14 +137,6 @@ class CompiledRule:
         self.lhs = lhs
         self.steps = steps
 
-    def bindings_dict(self, slots: list) -> dict[str, Value]:
-        """The equivalent matching-interpretation dict (diagnostics only)."""
-        return {
-            name: slots[index]
-            for index, name in enumerate(self.slot_names)
-            if slots[index] is not None or name == "now"
-        }
-
 
 # -- expression compilation ---------------------------------------------------
 

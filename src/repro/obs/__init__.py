@@ -18,8 +18,9 @@ assembled from them at end of run.
 Overhead discipline: metrics are always-on plain attribute increments
 (they back ``stats()``); span recording and flight digests happen only
 while :attr:`Instrumentation.enabled` is true, which every hook checks
-with a single attribute load — the disabled fast path is guarded by a
-microbenchmark in ``benchmarks/bench_core_micro.py``.
+with a single attribute load.  ``tests/integration/test_call_budget.py``
+holds the disabled path to zero Python-level calls into this package per
+dispatched event, and the flight recorder to exactly one.
 """
 
 from __future__ import annotations

@@ -96,14 +96,6 @@ class FlatFileStore(RawInformationSource):
         self._files[path] = content
         self._mtimes[path] = self._clock()
 
-    def delete_file(self, path: str) -> None:
-        """Remove a file; NOT_FOUND if absent."""
-        self._check_available()
-        if path not in self._files:
-            raise RISError(RISErrorCode.NOT_FOUND, f"no such file: {path!r}")
-        del self._files[path]
-        del self._mtimes[path]
-
     def exists(self, path: str) -> bool:
         """Whether a file exists."""
         self._check_available()

@@ -54,10 +54,6 @@ class LegacySystem(RawInformationSource):
         """Simulate the system being down (a detectable failure)."""
         self._available = available
 
-    def set_drop_decider(self, decider: Callable[[], bool]) -> None:
-        """Install the silent-loss decision hook (failure injection)."""
-        self._drop_decider = decider
-
     def _check_available(self) -> None:
         if not self._available:
             raise RISError(

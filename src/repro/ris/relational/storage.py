@@ -237,11 +237,3 @@ class Catalog:
         if table is None:
             raise CatalogError(f"no such table: {name!r}")
         return table
-
-    def has_table(self, name: str) -> bool:
-        """Whether the table exists."""
-        return name in self._tables
-
-    def table_names(self) -> list[str]:
-        """All table names, in creation order."""
-        return list(self._tables)

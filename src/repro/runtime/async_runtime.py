@@ -55,10 +55,6 @@ class AsyncRuntime:
     - ``max_wall_seconds`` — watchdog on one ``run`` call.
     - ``quiesce_wall`` — wall budget for in-flight frames to land after
       the horizon.
-    - ``deliver_batch_max`` — most messages a channel sender may coalesce
-      into one ``cm.deliver_batch`` frame when a burst is already due
-      (1 disables coalescing; see
-      :class:`~repro.runtime.channels.ChannelSender`).
     """
 
     name = "async"
@@ -70,14 +66,12 @@ class AsyncRuntime:
         host: str = "127.0.0.1",
         max_wall_seconds: float = 120.0,
         quiesce_wall: float = 5.0,
-        deliver_batch_max: int = 16,
     ) -> None:
         self.time_scale = time_scale
         self.faults = faults
         self.host = host
         self.max_wall_seconds = max_wall_seconds
         self.quiesce_wall = quiesce_wall
-        self.deliver_batch_max = deliver_batch_max
         self.clock: WallClock | None = None
         self.wire: WireNetwork | None = None
 
@@ -93,7 +87,6 @@ class AsyncRuntime:
             obs=scenario.obs,
             faults=self.faults,
             gateway=Gateway(self.host),
-            deliver_batch_max=self.deliver_batch_max,
         )
         return self.clock, self.wire
 

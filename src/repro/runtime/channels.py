@@ -47,7 +47,6 @@ from repro.runtime.transport import FrameStream
 from repro.sim.failures import FailureKind
 
 DELIVER_METHOD = "cm.deliver"
-DELIVER_BATCH_METHOD = "cm.deliver_batch"
 HELLO_METHOD = "cm.hello"
 
 
@@ -167,7 +166,7 @@ def decode_payload(data: dict[str, Any]) -> Any:
     Firings decode to a :class:`~repro.runtime.codec.WireFiring` — a
     neutral record the shell resolves against its own installed rules.
     """
-    kind_tag = data.get("type")
+    kind_tag = data.get("type") if isinstance(data, dict) else None
     if kind_tag == _FAILURE_NOTICE:
         kind: Any = data["kind"]
         try:
@@ -227,16 +226,6 @@ class ChannelSender:
     reorder faults are applied *here*, at the frame layer, after
     sequencing — which is what makes the receiver's resequencer an honest
     reimplementation of property 7 rather than a formality.
-
-    With ``batch_max > 1`` the task *coalesces*: when the message it just
-    paced out has already-due successors queued behind it (a burst whose
-    delivery times have all passed), up to ``batch_max`` of them travel in
-    one ``cm.deliver_batch`` frame — paying the framing, syscall, and
-    resequencer costs once per burst instead of once per message.
-    Coalescing never changes delivery order or timing (only messages whose
-    ``deliver_at`` has already been reached are eligible) and is disabled
-    on channels with injected faults, whose drop/dup/reorder semantics are
-    defined per individual frame.
     """
 
     def __init__(
@@ -247,7 +236,6 @@ class ChannelSender:
         dial: Callable[[], Awaitable[FrameStream]],
         faults: ChannelFaults = NO_FAULTS,
         fault_rng: Any = None,
-        batch_max: int = 1,
     ) -> None:
         self.src = src
         self.dst = dst
@@ -255,11 +243,9 @@ class ChannelSender:
         self.dial = dial
         self.faults = faults
         self.fault_rng = fault_rng
-        self.batch_max = max(1, int(batch_max))
         self.frames_written = 0
         self.frames_duplicated = 0
         self.frames_reordered = 0
-        self.frames_coalesced = 0
         self.frames_dropped_dead = 0
         self._next_seq = 0
         self._outbox: asyncio.Queue[_Outgoing | None] = asyncio.Queue()
@@ -290,14 +276,6 @@ class ChannelSender:
             await self.clock.sleep_until(item.deliver_at)
             try:
                 stream = await self._ensure_stream()
-                batch = self._coalesce_due(item)
-                if batch is not None:
-                    self._write(
-                        stream, _batch_frame_for(self.src, self.dst, batch)
-                    )
-                    self.frames_coalesced += len(batch)
-                    await stream.drain()
-                    continue
                 frame_bytes = _frame_for(item.params)
                 rng = self.fault_rng
                 if (
@@ -331,24 +309,6 @@ class ChannelSender:
             except OSError:
                 self.frames_dropped_dead += 1
             self._stream = None
-
-    def _coalesce_due(self, item: _Outgoing) -> list[dict[str, Any]] | None:
-        """Already-due successors of ``item``, or ``None`` when it must go
-        out alone (no burst behind it, faults in play, or a held frame)."""
-        if self.batch_max <= 1 or self.faults.any or self._held is not None:
-            return None
-        queue = self._outbox._queue  # peek: asyncio.Queue has no public one
-        now = self.clock.now
-        head = queue[0] if queue else None
-        if head is None or head.deliver_at > now:
-            return None
-        frames = [item.params]
-        while len(frames) < self.batch_max:
-            head = queue[0] if queue else None
-            if head is None or head.deliver_at > now:
-                break
-            frames.append(self._outbox.get_nowait().params)
-        return frames
 
     async def _next_item(self) -> _Outgoing | None:
         """Dequeue the next message; flush a held-back frame on idle."""
@@ -393,18 +353,6 @@ def _frame_for(params: dict[str, Any]) -> bytes:
     return encode_frame(Notification(DELIVER_METHOD, params))
 
 
-def _batch_frame_for(
-    src: str, dst: str, frames: list[dict[str, Any]]
-) -> bytes:
-    from repro.runtime.transport import encode_frame
-
-    return encode_frame(
-        Notification(
-            DELIVER_BATCH_METHOD, {"src": src, "dst": dst, "frames": frames}
-        )
-    )
-
-
 # -- receiving ----------------------------------------------------------------
 
 
@@ -440,31 +388,4 @@ class ChannelReceiver:
         while self.next_seq in self._buffer:
             ready.append(self._buffer.pop(self.next_seq))
             self.next_seq += 1
-        return ready
-
-    def accept_batch(
-        self, frames: list[dict[str, Any]]
-    ) -> list[dict[str, Any]]:
-        """Accept one coalesced ``cm.deliver_batch`` frame's messages.
-
-        The common case — a consecutive run starting exactly at
-        ``next_seq``, nothing buffered — advances the resequencer in one
-        step; anything else falls back to per-message :meth:`accept`.
-        """
-        if not self.in_order:
-            return list(frames)
-        if (
-            frames
-            and not self._buffer
-            and frames[0]["seq"] == self.next_seq
-            and all(
-                frame["seq"] == self.next_seq + offset
-                for offset, frame in enumerate(frames)
-            )
-        ):
-            self.next_seq += len(frames)
-            return list(frames)
-        ready: list[dict[str, Any]] = []
-        for frame in frames:
-            ready.extend(self.accept(frame))
         return ready

@@ -34,7 +34,6 @@ from repro.obs import Instrumentation
 from repro.obs.metrics import WIRE_MS_BOUNDS
 from repro.obs.spans import SpanContext
 from repro.runtime.channels import (
-    DELIVER_BATCH_METHOD,
     DELIVER_METHOD,
     HELLO_METHOD,
     ChannelReceiver,
@@ -78,18 +77,10 @@ class Gateway:
         self._servers: dict[str, asyncio.Server] = {}
         self._accepted: list[FrameStream] = []
         self._on_deliver: Callable[[dict[str, Any]], None] | None = None
-        self._on_deliver_batch: Callable[[dict[str, Any]], None] | None = None
 
-    def bind_dispatch(
-        self,
-        on_deliver: Callable[[dict[str, Any]], None],
-        on_deliver_batch: Callable[[dict[str, Any]], None] | None = None,
-    ) -> None:
-        """Set the callbacks for inbound ``cm.deliver`` (and, optionally,
-        coalesced ``cm.deliver_batch``) frames.  Without a batch callback,
-        batch frames unfold into per-message deliveries."""
+    def bind_dispatch(self, on_deliver: Callable[[dict[str, Any]], None]) -> None:
+        """Set the callback for inbound ``cm.deliver`` frames."""
         self._on_deliver = on_deliver
-        self._on_deliver_batch = on_deliver_batch
 
     async def start(self, sites: list[str]) -> None:
         """Open one listening endpoint per site (ephemeral loopback ports)."""
@@ -130,17 +121,12 @@ class Gateway:
                 frame = await stream.recv()
                 if frame is None:
                     return
-                if not isinstance(frame, Notification):
-                    continue
-                if frame.method == DELIVER_METHOD:
-                    if self._on_deliver is not None:
-                        self._on_deliver(frame.params)
-                elif frame.method == DELIVER_BATCH_METHOD:
-                    if self._on_deliver_batch is not None:
-                        self._on_deliver_batch(frame.params)
-                    elif self._on_deliver is not None:
-                        for sub in frame.params.get("frames", ()):
-                            self._on_deliver(sub)
+                if (
+                    isinstance(frame, Notification)
+                    and frame.method == DELIVER_METHOD
+                    and self._on_deliver is not None
+                ):
+                    self._on_deliver(frame.params)
         except (ProtocolError, ConnectionResetError):
             return
         finally:
@@ -180,7 +166,6 @@ class WireNetwork:
         obs: Instrumentation | None = None,
         faults: WireFaultPlan | None = None,
         gateway: Gateway | None = None,
-        deliver_batch_max: int = 16,
     ) -> None:
         self.clock = clock
         self.rngs = rng_registry or RngRegistry()
@@ -190,10 +175,7 @@ class WireNetwork:
         self.obs = obs or Instrumentation()
         self.faults = faults or WireFaultPlan()
         self.gateway = gateway or Gateway()
-        #: Most messages one ``cm.deliver_batch`` frame may coalesce; 1
-        #: disables sender-side coalescing entirely.
-        self.deliver_batch_max = max(1, int(deliver_batch_max))
-        self.gateway.bind_dispatch(self._on_frame, self._on_frame_batch)
+        self.gateway.bind_dispatch(self._on_frame)
         self._sites: dict[str, _SiteEntry] = {}
         self._channel_latency: dict[tuple[str, str], LatencyModel] = {}
         self._last_delivery: dict[tuple[str, str], int] = {}
@@ -360,7 +342,6 @@ class WireNetwork:
                 dial,
                 faults=faults,
                 fault_rng=self._fault_rng(channel) if faults.any else None,
-                batch_max=self.deliver_batch_max,
             )
             sender._next_seq = self._seq_carry.pop(channel, 0)
             self._senders[channel] = sender
@@ -401,14 +382,12 @@ class WireNetwork:
                     "frames_written": 0,
                     "frames_duplicated": 0,
                     "frames_reordered": 0,
-                    "frames_coalesced": 0,
                     "frames_dropped_dead": 0,
                 },
             )
             carried["frames_written"] += sender.frames_written
             carried["frames_duplicated"] += sender.frames_duplicated
             carried["frames_reordered"] += sender.frames_reordered
-            carried["frames_coalesced"] += sender.frames_coalesced
             carried["frames_dropped_dead"] += sender.frames_dropped_dead
         self._senders.clear()
         await self.gateway.stop()
@@ -424,9 +403,27 @@ class WireNetwork:
         return receiver
 
     def _on_frame(self, params: dict[str, Any]) -> None:
-        """One inbound ``cm.deliver`` frame (possibly duplicated/reordered)."""
-        channel = (params["src"], params["dst"])
-        receiver = self._receiver_for(channel)
+        """One inbound ``cm.deliver`` frame (possibly duplicated/reordered).
+
+        A frame whose envelope cannot be sequenced — ``src``, ``dst``,
+        ``seq``, ``sent_at`` or ``deliver_at`` missing or mistyped, or a
+        site this network does not know — is dropped before it reaches a
+        resequencer, and the connection keeps serving.
+        """
+        src, dst = params.get("src"), params.get("dst")
+        if not (
+            isinstance(src, str)
+            and src in self._sites
+            and isinstance(dst, str)
+            and dst in self._sites
+            and all(
+                type(params.get(key)) is int
+                for key in ("seq", "sent_at", "deliver_at")
+            )
+        ):
+            self.messages_dropped += 1
+            return
+        receiver = self._receiver_for((src, dst))
         accepted = receiver.accept(params)
         if self.in_order and accepted:
             # Each distinct seq is seen exactly once in ordered mode.
@@ -436,28 +433,18 @@ class WireNetwork:
         for ready in accepted:
             self._deliver(ready)
 
-    def _on_frame_batch(self, params: dict[str, Any]) -> None:
-        """One inbound ``cm.deliver_batch`` frame: resequence the whole
-        coalesced run at once, then deliver each message in order."""
-        channel = (params["src"], params["dst"])
-        frames = params.get("frames")
-        if not frames:
-            return
-        receiver = self._receiver_for(channel)
-        accepted = receiver.accept_batch(frames)
-        if self.in_order and accepted:
-            self.outstanding -= len(accepted)
-        elif not self.in_order:
-            self.outstanding = max(0, self.outstanding - len(frames))
-        for ready in accepted:
-            self._deliver(ready)
-
     def _deliver(self, params: dict[str, Any]) -> None:
         src, dst, seq = params["src"], params["dst"], params["seq"]
         now = self.clock.now
+        try:
+            payload = decode_payload(params["payload"])
+        except (ValueError, KeyError, TypeError):  # CodecError is a ValueError
+            # Sequenced but undecodable: lost like a dropped frame, past the
+            # resequencer, so its successors on the channel still flow.
+            self.messages_dropped += 1
+            return
         metrics = self._metrics_for((src, dst))
         metrics[2].dec()  # net_in_flight
-        payload = decode_payload(params["payload"])
         wall_sent = self._wall_sent.pop((src, dst, seq), None)
         if self.horizon is not None and params["deliver_at"] > self.horizon:
             # The sim kernel would leave this message queued past the
@@ -515,8 +502,10 @@ class WireNetwork:
                 + (sender.frames_duplicated if sender else 0),
                 "frames_reordered": carried.get("frames_reordered", 0)
                 + (sender.frames_reordered if sender else 0),
-                "frames_coalesced": carried.get("frames_coalesced", 0)
-                + (sender.frames_coalesced if sender else 0),
+                # Every message travels as its own frame.  The key stays
+                # only because benchmarks/e2e/run.py reads it; it goes
+                # when that harness stops reading it.
+                "frames_coalesced": 0,
                 "frames_dropped_dead": carried.get("frames_dropped_dead", 0)
                 + (sender.frames_dropped_dead if sender else 0),
                 "duplicates_discarded": (

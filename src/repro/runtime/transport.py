@@ -78,10 +78,6 @@ class FrameStream:
         self.writer.write(encode_frame(message))
         await self.writer.drain()
 
-    def send_nowait(self, message: Message | dict[str, Any]) -> None:
-        """Write one frame without awaiting the drain (caller flushes)."""
-        self.writer.write(encode_frame(message))
-
     async def drain(self) -> None:
         await self.writer.drain()
 

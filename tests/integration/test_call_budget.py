@@ -13,6 +13,11 @@ Run these first after touching ``cm/translator.py``, ``sim/scheduler.py``,
 ``ris/relational/`` — the per-layer budget names the layer — for the dispatch
 budgets, ``cm/shell.py`` or ``cm/dispatch.py``; for the verdict budget,
 ``core/guarantees/`` or ``validate_trace``.
+
+``TestScalingBudgets`` holds the same kind of count to a *shape*: compiled
+rules against the interpreter, observability off against nothing, and
+calls per unit of work as items, events or rules double or grow a
+hundredfold.
 """
 
 import gc
@@ -20,14 +25,24 @@ import os
 import random
 import sys
 from collections import Counter
+from functools import partial
 
 import pytest
 
-from repro.cm import ConstraintManager, Scenario
+from repro.analysis import lint_manager
+from repro.cm import CMRID, ConstraintManager, Scenario
 from repro.cm.verify import verify
 from repro.core.dsl import parse_rule
+from repro.core.events import EventKind, notify_desc, spontaneous_write_desc
+from repro.core.interfaces import InterfaceKind
+from repro.core.items import item
+from repro.core.rules import RhsStep, Rule
+from repro.core.templates import FALSE_TEMPLATE, Template
+from repro.core.terms import FAMILY_WILDCARD, ItemPattern, Var
 from repro.core.timebase import seconds
+from repro.core.trace import ExecutionTrace, validate_trace
 from repro.experiments.e10_scale import build_federation
+from repro.ris.relational import RelationalDatabase
 from repro.sim.scheduler import Simulator
 from repro.workloads.generators import notification_stream
 
@@ -55,6 +70,16 @@ def python_calls_by_file(fn) -> Counter:
     return Counter(
         {name.replace(os.sep, "/"): count for name, count in counts.items()}
     )
+
+
+@pytest.fixture
+def no_collector():
+    """Keep the cyclic collector off while counting: finalizers of garbage
+    left by earlier tests would otherwise land inside the profiled call."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
 
 
 #: The write path's layers, by the source files their code lives in.
@@ -220,25 +245,193 @@ class TestCallBudget:
         assert dispatched == len(cm.scenario.trace) > 4096
         assert calls / dispatched <= budget
 
+    @pytest.mark.usefixtures("no_collector")
     def test_flight_recorder_calls_per_event(self):
         # The recorder's pitch is one ring append per digest: with it on,
         # each dispatched event costs exactly one more call than with obs
         # off — ``FlightRecorder.record``; ``sim.now`` is an attribute, not
         # a call.  (21.43 -> 23.43 per event over 5 627 events when first
         # pinned with ``now`` a property; 16.32 -> 17.32 since.)
-        # The collector stays off while counting: finalizers of garbage
-        # left by earlier tests would otherwise land in either run.
         off = dispatch_shell(False)
         on = dispatch_shell(False)
         flight = on.scenario.obs.enable_flight()
-        gc.collect()
-        gc.disable()
-        try:
-            calls_off = python_calls(lambda: off.run(until=seconds(1)))
-            calls_on = python_calls(lambda: on.run(until=seconds(1)))
-        finally:
-            gc.enable()
+        calls_off = python_calls(lambda: off.run(until=seconds(1)))
+        calls_on = python_calls(lambda: on.run(until=seconds(1)))
         dispatched = on.stats()["total"]["events_processed"]
         assert dispatched == off.stats()["total"]["events_processed"] > 4096
         assert flight.records_taken == dispatched
         assert calls_on - calls_off == dispatched
+
+
+def dispatch_mix(n_rules: int, compiled: bool = True):
+    """One prohibition rule per item family plus one family-wildcard rule
+    per 50 (those land in the index's catch-all bucket, so every event
+    still consults them), and 200 recorded notifications not yet
+    dispatched.  ``FALSE`` right-hand sides keep the count pure dispatch."""
+    cm = ConstraintManager(Scenario(seed=0))
+    shell = cm.add_site("bench")
+    wildcard = Template(
+        EventKind.NOTIFY, ItemPattern(FAMILY_WILDCARD, (Var("n"),)), (Var("b"),)
+    )
+    for i in range(n_rules):
+        if i % 50 == 49:
+            rule = Rule(f"r{i}", wildcard, 0, (RhsStep(FALSE_TEMPLATE),))
+        else:
+            rule = parse_rule(f"N(fam{i}(n), b) -> [1] FALSE", name=f"r{i}")
+        shell.install(rule, compiled=compiled)
+    descs = [notify_desc(item(f"fam{i % n_rules}", "e"), float(i)) for i in range(200)]
+    record = cm.scenario.trace.record
+    events = [record(seconds(i + 1), "bench", d) for i, d in enumerate(descs)]
+    return shell, events
+
+
+def deliver_all(shell, events) -> None:
+    for event in events:
+        shell.deliver_local_event(event)
+
+
+ANNOUNCE = parse_rule("Ws(F(n), a, b) -> [1] N(F(n), b)", name="announce")
+
+
+def fill_trace(trace: ExecutionTrace, refs, n_events: int) -> None:
+    """``n_events`` events over ``refs``: spontaneous writes, each followed
+    by its generated ``ANNOUNCE`` notification, all in one site-pair group
+    (so validation runs Appendix-A properties 5-7 on half the trace)."""
+    clock = 0
+    for index in range(n_events // 2):
+        ref = refs[index % len(refs)]
+        clock += seconds(0.5)
+        value = index % 7
+        write = trace.record(
+            clock, "s", spontaneous_write_desc(ref, trace.current_value(ref), value)
+        )
+        trace.record(
+            clock + seconds(0.25),
+            "s",
+            notify_desc(ref, value),
+            rule=ANNOUNCE,
+            trigger=write,
+        )
+    trace.close(clock + seconds(10))
+
+
+def query_bundle(trace: ExecutionTrace, refs) -> tuple:
+    """Every indexed query once, then validation."""
+    writes = 0
+    for ref in refs:
+        writes += sum(1 for _ in trace.writes_to(ref))
+        trace.timeline(ref)
+    spontaneous = sum(1 for _ in trace.events_of_kind(EventKind.SPONTANEOUS_WRITE))
+    return (
+        writes,
+        spontaneous,
+        len(trace.refs_of_family("F")),
+        validate_trace(trace, [ANNOUNCE]),
+    )
+
+
+def lint_chain(n_rules: int) -> ConstraintManager:
+    """Two sites, the salary source, and ``n_rules`` chained private-write
+    rules on one shell: a periodic head, then each link triggered by the
+    previous link's write.  Lint-clean by construction."""
+    cm = ConstraintManager(Scenario(seed=0))
+    cm.add_site("sf")
+    cm.add_site("ny")
+    branch = RelationalDatabase("branch")
+    branch.execute("CREATE TABLE employees (empid TEXT PRIMARY KEY, salary REAL)")
+    rid = CMRID("relational", "branch").bind(
+        "salary1",
+        params=("n",),
+        table="employees",
+        key_column="empid",
+        value_column="salary",
+    )
+    rid.offer("salary1", InterfaceKind.NOTIFY, bound_seconds=2.0)
+    rid.offer("salary1", InterfaceKind.READ, bound_seconds=1.0)
+    cm.add_source("sf", branch, rid)
+    shell = cm.shell("sf")
+    cm.locations.register("Stage0", "sf")
+    shell.install(parse_rule("P(3600) -> [1] W(Stage0, 0)", name="head"))
+    for i in range(1, n_rules):
+        cm.locations.register(f"Stage{i}", "sf")
+        shell.install(
+            parse_rule(f"W(Stage{i - 1}, b) -> [1] W(Stage{i}, b)", name=f"link{i}")
+        )
+    return cm
+
+
+@pytest.mark.usefixtures("no_collector")
+class TestScalingBudgets:
+    # Measured when these replaced the wall-clock micro-benchmarks; each
+    # bound sits about 15 % beyond its measurement.
+
+    def test_compiled_dispatch_calls_per_event(self):
+        # 1 000 rules: 88.9 calls per dispatched event compiled, 277.7
+        # interpreted (3.12x).
+        per_event = {}
+        for compiled in (True, False):
+            shell, events = dispatch_mix(1000, compiled)
+            calls = python_calls(partial(deliver_all, shell, events))
+            per_event[compiled] = calls / shell.stats()["events_processed"]
+        assert per_event[True] <= 105, per_event
+        assert per_event[False] / per_event[True] >= 2.7, per_event
+
+    def test_observability_off_costs_no_calls(self):
+        # With tracing and the flight recorder off, the shell's counters
+        # are attribute increments: not one call lands in ``repro/obs/``,
+        # on either dispatch arm.
+        for compiled in (True, False):
+            shell, events = dispatch_mix(1000, compiled)
+            assert not shell.obs.enabled
+            by_file = python_calls_by_file(partial(deliver_all, shell, events))
+            assert shell.stats()["events_processed"] == len(events)
+            obs = {name: n for name, n in by_file.items() if layer_of(name) == "obs"}
+            assert obs == {}, obs
+
+    def test_record_calls_flat_in_items(self):
+        # Per recorded event over 4 000 events: 15.03 at 64 items, 15.07 at
+        # 128.  Snapshotting whole interpretations per event once made this
+        # grow linearly with the item count.
+        per_event = {}
+        for n_items in (64, 128):
+            refs = [item("F", f"i{k}") for k in range(n_items)]
+            calls = python_calls(partial(fill_trace, ExecutionTrace(), refs, 4000))
+            per_event[n_items] = calls / 4000
+        assert per_event[128] / per_event[64] <= 1.05, per_event
+
+    def test_trace_queries_calls_linear_in_events(self):
+        # The query bundle per event: 13.73 at 2 000 events, 13.61 at
+        # 4 000 (32 items).  A pairwise property-7 loop, or a query that
+        # rescans the journal per item, breaks the ratio.
+        per_event = {}
+        for n_events in (2000, 4000):
+            trace = ExecutionTrace()
+            refs = [item("F", f"i{k}") for k in range(32)]
+            fill_trace(trace, refs, n_events)
+            results = []
+            calls = python_calls(
+                lambda t=trace, r=refs: results.append(query_bundle(t, r))
+            )
+            per_event[n_events] = calls / n_events
+            half = n_events // 2
+            assert results == [(half, half, 32, [])]
+            assert len(trace.generated_events) == half
+            # Exact work: every write journaled once and folded into its
+            # item's timeline once; no query materialized an interpretation.
+            stats = trace.stats()
+            assert stats["events_recorded"] == n_events
+            assert stats["state_versions"] == half
+            assert stats["timeline_extend_steps"] == half
+            assert stats["interpretation_materializations"] == 0
+        assert per_event[4000] / per_event[2000] <= 1.1, per_event
+
+    def test_lint_calls_linear_in_rules(self):
+        # Calls per rule for a warm lint pass: 85.5 at 10 chained rules,
+        # 77.1 at 1 000.  The first pass pays one-time setup, so it is
+        # the lint-clean check, not the count.
+        per_rule = {}
+        for n_rules in (10, 1000):
+            cm = lint_chain(n_rules)
+            assert lint_manager(cm).diagnostics == []
+            per_rule[n_rules] = python_calls(partial(lint_manager, cm)) / n_rules
+        assert per_rule[1000] <= 1.1 * per_rule[10], per_rule

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.cm.failures import FailureNotice
 from repro.core.timebase import seconds
 from repro.experiments.common import build_salary_scenario
 from repro.obs import Instrumentation
 from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
+from repro.sim.failures import FailureKind
 
 
 class TestRings:
@@ -133,3 +135,30 @@ class TestInstrumentationWiring:
         assert {"event", "net.send", "net.recv", "fire"} <= kinds
         assert set(flight.sites) == {"sf", "ny"}
         assert flight.dumps == []  # nothing went wrong
+
+    def test_injected_failure_dumps_the_notice_and_the_guarantees(self):
+        # The sim-runtime incident: a logical failure at ny mid-run freezes
+        # the rings once for the notice and once per guarantee it took down.
+        salary = build_salary_scenario("propagation")
+        cm = salary.cm
+        cm.scenario.obs.enable_flight()
+        cm.spontaneous_write("salary1", ("e1",), 50_000.0)
+        cm.scenario.sim.at(
+            seconds(10),
+            lambda: cm.shell("ny").report_failure(
+                FailureNotice(
+                    site="ny",
+                    source_name="hq",
+                    kind=FailureKind.LOGICAL,
+                    time=seconds(10),
+                    detail="injected outage",
+                )
+            ),
+        )
+        cm.run(seconds(30))
+        report = cm.run_report()
+        reasons = [dump["reason"] for dump in report.flight["dumps"]]
+        assert any(reason.startswith("failure:ny:hq:") for reason in reasons)
+        assert any(reason.startswith("guarantee:") for reason in reasons)
+        for dump in report.flight["dumps"]:
+            assert dump["records"], "dumps carry the last-N digest"

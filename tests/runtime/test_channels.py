@@ -175,33 +175,3 @@ class TestResequencer:
         assert receiver.accept(frame(0)) == [frame(0)]
         assert receiver.accept(frame(0)) == [frame(0)]
         assert receiver.duplicates_discarded == 0
-
-    def test_batch_consecutive_fast_path(self):
-        receiver = ChannelReceiver()
-        frames = [frame(0), frame(1), frame(2)]
-        assert receiver.accept_batch(frames) == frames
-        assert receiver.next_seq == 3
-        assert receiver.frames_buffered_high == 0  # never touched the buffer
-
-    def test_batch_with_gap_falls_back_to_per_frame(self):
-        receiver = ChannelReceiver()
-        # seq 1 arrives inside a batch before seq 0: the batch path must
-        # heal exactly like per-frame accept would.
-        assert receiver.accept_batch([frame(1), frame(2)]) == []
-        assert receiver.accept_batch([frame(0)]) == [
-            frame(0),
-            frame(1),
-            frame(2),
-        ]
-        assert receiver.next_seq == 3
-
-    def test_batch_duplicates_discarded(self):
-        receiver = ChannelReceiver()
-        receiver.accept_batch([frame(0), frame(1)])
-        assert receiver.accept_batch([frame(1), frame(2)]) == [frame(2)]
-        assert receiver.duplicates_discarded == 1
-
-    def test_batch_raw_mode_passes_through(self):
-        receiver = ChannelReceiver(in_order=False)
-        frames = [frame(1), frame(1), frame(0)]
-        assert receiver.accept_batch(frames) == frames
