@@ -20,9 +20,10 @@ plain attributes, the first draw binds this source's RNG stream, and the
 first operation on a family resolves its write / read / notify interfaces
 into one entry the request, the completion and the notification paths
 share.  What stays per call is what an execution can observe: the
-failure-plan probes (a plan may gain windows after wiring), the failure
-notices, and the service-time and notify-loss draws, from the same stream in
-the same order.
+failure-plan check (``plan.windows`` read inline, the plan probed only when
+it has windows; a plan may gain windows after wiring), the failure notices,
+and the service-time and notify-loss draws, from the same stream in the same
+order.
 
 Subclasses implement four native hooks:
 
@@ -273,7 +274,8 @@ class CMTranslator:
         """
         sim = self.sim
         now = sim.now
-        slowdown = self._plan.slowdown_at(self.site, now)
+        plan = self._plan
+        slowdown = plan.slowdown_at(self.site, now) if plan.windows else 1.0
         completion = max(now, self._busy_until) + self.service.sample(
             operation, self._rng or self._stream(), slowdown
         )
@@ -371,7 +373,8 @@ class CMTranslator:
         self, ref: DataItemRef, value: Value, wr_event: Event, attempt: int
     ) -> None:
         sim = self.sim
-        if self._plan.logically_failed(self.site, sim.now):
+        plan = self._plan
+        if plan.windows and plan.logically_failed(self.site, sim.now):
             self._report(FailureKind.LOGICAL, f"site down; write {ref} lost")
             return
         try:
@@ -440,7 +443,8 @@ class CMTranslator:
 
     def _perform_read(self, ref: DataItemRef, rr_event: Event) -> None:
         sim = self.sim
-        if self._plan.logically_failed(self.site, sim.now):
+        plan = self._plan
+        if plan.windows and plan.logically_failed(self.site, sim.now):
             self._report(FailureKind.LOGICAL, f"site down; read {ref} lost")
             return
         try:
@@ -521,7 +525,8 @@ class CMTranslator:
             p_event = self.trace.record(
                 self.sim.now, self.site, periodic_desc(spec.period)
             )
-            if self._plan.logically_failed(self.site, self.sim.now):
+            plan = self._plan
+            if plan.windows and plan.logically_failed(self.site, self.sim.now):
                 return
             try:
                 value = self._native_read(ref)
@@ -550,15 +555,17 @@ class CMTranslator:
         drop the notification here with no error anywhere.
         """
         now = self.sim.now
-        drop_probability = self._plan.notify_drop_probability(self.site, now)
-        if (
-            drop_probability
-            and (self._rng or self._stream()).random() < drop_probability
-        ):
-            self.notifications_suppressed += 1
-            return
-        if self._plan.logically_failed(self.site, now):
-            return  # the site is dead; nothing is sent (logical failure)
+        plan = self._plan
+        if plan.windows:
+            drop_probability = plan.notify_drop_probability(self.site, now)
+            if (
+                drop_probability
+                and (self._rng or self._stream()).random() < drop_probability
+            ):
+                self.notifications_suppressed += 1
+                return
+            if plan.logically_failed(self.site, now):
+                return  # the site is dead; nothing is sent (logical failure)
         if rule is None:  # else: provenance supplied by the caller (periodic)
             spec = self._offered(ref.name).notify
             if spec is not None:

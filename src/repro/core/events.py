@@ -80,9 +80,28 @@ _VALUE_ARITY = {
 _SHAPE = {kind._value_: (kind.takes_item, _VALUE_ARITY[kind]) for kind in EventKind}
 
 
-@dataclass(frozen=True)
+def _shape_error(kind: EventKind, item: Optional[DataItemRef], values) -> None:
+    """Raise the ``ValueError`` naming what is wrong with a descriptor's
+    shape; return when nothing is."""
+    if kind.takes_item and item is None:
+        raise ValueError(f"{kind.value} descriptor requires an item")
+    if not kind.takes_item and item is not None:
+        raise ValueError(f"{kind.value} descriptor takes no item")
+    if len(values) != kind.value_arity:
+        raise ValueError(
+            f"{kind.value} takes {kind.value_arity} value(s), got {len(values)}"
+        )
+
+
+@dataclass(frozen=True, slots=True)
 class EventDesc:
-    """A ground event descriptor, e.g. ``N(salary1('e042'), 95000)``."""
+    """A ground event descriptor, e.g. ``N(salary1('e042'), 95000)``.
+
+    Slotted, like :class:`Event`.  The constructor checks shape; the hot
+    helpers below (``write_desc`` and co.) fix kind and arity themselves,
+    check the item, and fill the slots through their member descriptors,
+    which costs no Python-level call.
+    """
 
     kind: EventKind
     item: Optional[DataItemRef]
@@ -92,15 +111,7 @@ class EventDesc:
         takes_item, arity = _SHAPE[self.kind._value_]
         if (self.item is None) is not takes_item and len(self.values) == arity:
             return
-        if self.kind.takes_item and self.item is None:
-            raise ValueError(f"{self.kind.value} descriptor requires an item")
-        if not self.kind.takes_item and self.item is not None:
-            raise ValueError(f"{self.kind.value} descriptor takes no item")
-        if len(self.values) != self.kind.value_arity:
-            raise ValueError(
-                f"{self.kind.value} takes {self.kind.value_arity} value(s), "
-                f"got {len(self.values)}"
-            )
+        _shape_error(self.kind, self.item, self.values)
 
     def __str__(self) -> str:
         parts: list[str] = []
@@ -110,21 +121,49 @@ class EventDesc:
         return f"{self.kind.value}({', '.join(parts)})"
 
 
+_new_desc = object.__new__
+_set_kind = EventDesc.kind.__set__
+_set_item = EventDesc.item.__set__
+_set_values = EventDesc.values.__set__
+_WRITE = EventKind.WRITE
+_SPONTANEOUS_WRITE = EventKind.SPONTANEOUS_WRITE
+_WRITE_REQUEST = EventKind.WRITE_REQUEST
+_NOTIFY = EventKind.NOTIFY
+
+
 def write_desc(ref: DataItemRef, value: Value) -> EventDesc:
     """``W(X, b)`` — the database performs ``X <- b``."""
-    return EventDesc(EventKind.WRITE, ref, (value,))
+    if ref is None:
+        _shape_error(_WRITE, ref, (value,))
+    desc = _new_desc(EventDesc)
+    _set_kind(desc, _WRITE)
+    _set_item(desc, ref)
+    _set_values(desc, (value,))
+    return desc
 
 
 def spontaneous_write_desc(
     ref: DataItemRef, old_value: Value, new_value: Value
 ) -> EventDesc:
     """``Ws(X, a, b)`` — an application updates ``X`` from ``a`` to ``b``."""
-    return EventDesc(EventKind.SPONTANEOUS_WRITE, ref, (old_value, new_value))
+    if ref is None:
+        _shape_error(_SPONTANEOUS_WRITE, ref, (old_value, new_value))
+    desc = _new_desc(EventDesc)
+    _set_kind(desc, _SPONTANEOUS_WRITE)
+    _set_item(desc, ref)
+    _set_values(desc, (old_value, new_value))
+    return desc
 
 
 def write_request_desc(ref: DataItemRef, value: Value) -> EventDesc:
     """``WR(X, b)`` — the CM requests the write ``X <- b``."""
-    return EventDesc(EventKind.WRITE_REQUEST, ref, (value,))
+    if ref is None:
+        _shape_error(_WRITE_REQUEST, ref, (value,))
+    desc = _new_desc(EventDesc)
+    _set_kind(desc, _WRITE_REQUEST)
+    _set_item(desc, ref)
+    _set_values(desc, (value,))
+    return desc
 
 
 def read_request_desc(ref: DataItemRef) -> EventDesc:
@@ -139,7 +178,13 @@ def read_response_desc(ref: DataItemRef, value: Value) -> EventDesc:
 
 def notify_desc(ref: DataItemRef, value: Value) -> EventDesc:
     """``N(X, b)`` — the CM is notified of the update ``X <- b``."""
-    return EventDesc(EventKind.NOTIFY, ref, (value,))
+    if ref is None:
+        _shape_error(_NOTIFY, ref, (value,))
+    desc = _new_desc(EventDesc)
+    _set_kind(desc, _NOTIFY)
+    _set_item(desc, ref)
+    _set_values(desc, (value,))
+    return desc
 
 
 def periodic_desc(period: Ticks) -> EventDesc:
@@ -159,8 +204,9 @@ def reset_event_sequence() -> None:
 def next_event_seq() -> int:
     """Take the next event sequence number.
 
-    The one place event numbers come from: a constructed :class:`Event`
-    and :meth:`ExecutionTrace.record` take one each.
+    Event numbers come from one counter, ``_next_seq``: a constructed
+    :class:`Event` takes one here, and :meth:`ExecutionTrace.record`
+    advances the same module attribute inline.
     """
     global _next_seq
     seq = _next_seq

@@ -22,7 +22,7 @@ predicate of Section 6.2 — inserting writes a real value, deleting writes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import _tuplegetter
 from typing import Any, Iterator
 
 from repro.core.errors import ConfigurationError
@@ -51,24 +51,47 @@ class _Missing:
 MISSING = _Missing()
 
 
-@dataclass(frozen=True)
-class DataItemRef:
+#: The last element of every :class:`DataItemRef` tuple: a ref equals only a
+#: tuple carrying this object, so never a plain ``(name, args)`` tuple.
+_REF_MARK = object()
+_new_tuple = tuple.__new__
+
+
+class DataItemRef(tuple):
     """A ground reference to one data item, e.g. ``phone('alice')``.
 
     ``name`` identifies the item family (unique across the whole federation,
     as in the paper where ``salary1`` and ``salary2`` name items in different
     databases); ``args`` are the concrete parameter values, empty for plain
     items like ``X``.
+
+    An immutable value, stored as the tuple ``(name, args, _REF_MARK)`` so
+    that ``hash`` and ``==`` run in C: every trace index, journal and store
+    is keyed by refs.  The private mark keeps a ref from equalling (or
+    colliding as a key with) the plain tuple of its fields; ``name`` and
+    ``args`` read through the C field getters ``namedtuple`` uses.
     """
 
-    name: str
-    args: tuple[Value, ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, name: str, args: tuple[Value, ...] = ()) -> "DataItemRef":
+        return _new_tuple(cls, (name, args, _REF_MARK))
+
+    name = _tuplegetter(0, "The item family's name.")
+    args = _tuplegetter(1, "The concrete parameter values.")
+
+    def __repr__(self) -> str:
+        return f"DataItemRef(name={self[0]!r}, args={self[1]!r})"
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.name
-        rendered = ", ".join(repr(a) for a in self.args)
-        return f"{self.name}({rendered})"
+        name, args = self[0], self[1]
+        if not args:
+            return name
+        rendered = ", ".join(repr(a) for a in args)
+        return f"{name}({rendered})"
+
+    def __reduce__(self):
+        return (type(self), (self[0], self[1]))
 
 
 def item(name: str, *args: Value) -> DataItemRef:

@@ -41,8 +41,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
+from repro.core import events as _numbering
 from repro.core.errors import TraceError
-from repro.core.events import Event, EventDesc, EventKind, next_event_seq
+from repro.core.events import Event, EventDesc, EventKind
 from repro.core.interpretations import StateJournal, write_delta
 from repro.core.items import MISSING, DataItemRef, Value
 from repro.core.rules import Rule
@@ -311,25 +312,6 @@ _set_trigger = Event.trigger.__set__
 _set_seq = Event.seq.__set__
 
 
-def _build_event(time, site, desc, old, new, rule, trigger, seq) -> Event:
-    """The trace's one :class:`Event` constructor.  Event is a frozen,
-    slotted dataclass; its generated ``__init__`` goes through
-    ``object.__setattr__`` by name for every field (and through the default
-    factory for ``seq``), ~2.5x the cost of filling the slots through their
-    member descriptors.  The result is indistinguishable from a constructed
-    one."""
-    event = _new_event(Event)
-    _set_time(event, time)
-    _set_site(event, site)
-    _set_desc(event, desc)
-    _set_old(event, old)
-    _set_new(event, new)
-    _set_rule(event, rule)
-    _set_trigger(event, trigger)
-    _set_seq(event, seq)
-    return event
-
-
 class ExecutionTrace:
     """The recorded event sequence of one scenario run.
 
@@ -377,7 +359,7 @@ class ExecutionTrace:
             raise TraceError("cannot seed a trace after events were recorded")
         self._journal.seed(ref, value)
         self._seeded[ref] = value
-        self._add_family_ref(ref)
+        self._family_refs.setdefault(ref.name, set()).add(ref)
         self._timelines.pop(ref, None)
         self._pairings.clear()
 
@@ -406,17 +388,51 @@ class ExecutionTrace:
         journal = self._journal
         old = new = journal.view()
         kind = desc.kind
-        if kind is _WRITE or kind is _SPONTANEOUS_WRITE:
-            assert desc.item is not None
-            journal.write(
-                desc.item, desc.values[0] if kind is _WRITE else desc.values[1]
-            )
+        item = desc.item
+        is_write = kind is _WRITE or kind is _SPONTANEOUS_WRITE
+        if is_write:
+            assert item is not None
+            journal.write(item, desc.values[0] if kind is _WRITE else desc.values[1])
             new = journal.view()
         if seq is None:
-            seq = next_event_seq()
-        event = _build_event(time, site, desc, old, new, rule, trigger, seq)
+            seq = _numbering._next_seq
+            _numbering._next_seq = seq + 1
+        # Numbered, built and indexed in this one frame.  Event is a frozen,
+        # slotted dataclass: its generated ``__init__`` sets every field by
+        # name through ``object.__setattr__``, ~2.5x the cost of filling the
+        # slots through their member descriptors.
+        event = _new_event(Event)
+        _set_time(event, time)
+        _set_site(event, site)
+        _set_desc(event, desc)
+        _set_old(event, old)
+        _set_new(event, new)
+        _set_rule(event, rule)
+        _set_trigger(event, trigger)
+        _set_seq(event, seq)
         events.append(event)
-        self._index_event(event)
+        key = kind._value_
+        indexed = self._by_kind.get(key)
+        if indexed is None:
+            indexed = self._by_kind[key] = []
+        indexed.append(event)
+        if item is not None:
+            family = item.name
+            indexed = self._by_kind_family.get((key, family))
+            if indexed is None:
+                indexed = self._by_kind_family[key, family] = []
+            indexed.append(event)
+            if is_write:
+                indexed = self._writes_by_item.get(item)
+                if indexed is None:
+                    indexed = self._writes_by_item[item] = []
+                indexed.append(event)
+            refs = self._family_refs.get(family)
+            if refs is None:
+                refs = self._family_refs[family] = set()
+            refs.add(item)
+        if rule is not None or trigger is not None:
+            self._generated.append(event)
         if time > self.horizon:
             self.horizon = time
         return event
@@ -434,35 +450,6 @@ class ExecutionTrace:
         """
         record = self.record
         return [record(time, site, desc) for desc in descs]
-
-    def _index_event(self, event: Event) -> None:
-        desc = event.desc
-        kind = desc.kind
-        by_kind = self._by_kind.get(kind._value_)
-        if by_kind is None:
-            by_kind = self._by_kind[kind._value_] = []
-        by_kind.append(event)
-        item = desc.item
-        if item is not None:
-            key = (kind._value_, item.name)
-            by_family = self._by_kind_family.get(key)
-            if by_family is None:
-                by_family = self._by_kind_family[key] = []
-            by_family.append(event)
-            if kind is _WRITE or kind is _SPONTANEOUS_WRITE:
-                writes = self._writes_by_item.get(item)
-                if writes is None:
-                    writes = self._writes_by_item[item] = []
-                writes.append(event)
-            self._add_family_ref(item)
-        if event.rule is not None or event.trigger is not None:
-            self._generated.append(event)
-
-    def _add_family_ref(self, ref: DataItemRef) -> None:
-        refs = self._family_refs.get(ref.name)
-        if refs is None:
-            refs = self._family_refs[ref.name] = set()
-        refs.add(ref)
 
     def close(self, horizon: Ticks) -> None:
         """Extend the trace horizon to the end-of-run time."""

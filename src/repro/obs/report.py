@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
+from repro.core.items import DataItemRef
 from repro.core.timebase import Ticks, to_seconds
 from repro.obs.metrics import MetricsRegistry
 
@@ -62,7 +63,7 @@ class RunReport:
         }
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, default=str)
+        return json.dumps(_refs_as_str(self.to_dict()), indent=indent, default=str)
 
     def write_to(self, path: Union[str, Path]) -> Path:
         path = Path(path)
@@ -141,6 +142,19 @@ class RunReport:
                 f"materializations"
             )
         return "\n".join(lines)
+
+
+def _refs_as_str(value: Any) -> Any:
+    """``value`` with every :class:`DataItemRef` in it rendered as its
+    ``str``.  A ref is a tuple, and ``json`` encodes a tuple (subclass or
+    not) as a list without consulting ``default``."""
+    if isinstance(value, DataItemRef):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _refs_as_str(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_refs_as_str(item) for item in value]
+    return value
 
 
 def build_run_report(cm: Any) -> RunReport:

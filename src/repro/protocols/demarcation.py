@@ -140,10 +140,10 @@ class DemarcationAgent:
     def _write_limit(self, value: float) -> None:
         self.shell.store.write(self.limit_ref, value, self.shell.sim.now)
 
-    def _locally_allowed(self, new_value: float) -> bool:
+    def _locally_allowed(self, new_value: float, limit: float) -> bool:
         if self.side == "x":
-            return new_value <= self.limit
-        return new_value >= self.limit
+            return new_value <= limit
+        return new_value >= limit
 
     # -- the application-facing operation ------------------------------------------
 
@@ -156,7 +156,7 @@ class DemarcationAgent:
         is granted.  Returns True when the update applied immediately.
         """
         self.stats.updates_attempted += 1
-        if self._locally_allowed(new_value):
+        if self._locally_allowed(new_value, self.limit):
             self._write_value(new_value)
             self.stats.updates_applied += 1
             return True
@@ -196,37 +196,36 @@ class DemarcationAgent:
         opposite-direction handshakes could each rely on the other's
         pre-handshake limit and jointly break ``Lx <= Ly`` — the requester
         just sees a no-slack grant and denies its pending update.
+
+        The limit and the item are each read once: nothing here writes
+        either before the last read.
         """
+        limit = self.limit
         if self._pending:
             self.network.send(
                 self.shell.site,
                 self.peer_site,
-                _LimitGrant(self.side, self.limit, request.request_id),
+                _LimitGrant(self.side, limit, request.request_id),
             )
             return
+        available = self.value  # our limit may move at most to our item
         if self.side == "y":
             # Peer (X side) wants Lx >= needed; we may raise Ly up to Y.
-            available = self.value  # Ly may rise to at most Y
             if request.needed > available:
-                granted = self._grant_amount(self.limit, available, available)
+                granted = self._grant_amount(limit, available, available)
             else:
-                granted = self._grant_amount(
-                    self.limit, request.needed, available
-                )
-            granted = max(granted, self.limit)  # never regress our own limit
-            if granted > self.limit:
+                granted = self._grant_amount(limit, request.needed, available)
+            granted = max(granted, limit)  # never regress our own limit
+            if granted > limit:
                 self._write_limit(granted)
         else:
             # Peer (Y side) wants Ly <= needed; we may lower Lx down to X.
-            available = self.value  # Lx may drop to at least X
             if request.needed < available:
-                granted = self._grant_amount(self.limit, available, available)
+                granted = self._grant_amount(limit, available, available)
             else:
-                granted = self._grant_amount(
-                    self.limit, request.needed, available
-                )
-            granted = min(granted, self.limit)
-            if granted < self.limit:
+                granted = self._grant_amount(limit, request.needed, available)
+            granted = min(granted, limit)
+            if granted < limit:
                 self._write_limit(granted)
         self.network.send(
             self.shell.site,
@@ -253,18 +252,18 @@ class DemarcationAgent:
     def _handle_grant(self, grant: _LimitGrant) -> None:
         """The peer moved its limit; we may now move ours up to the grant."""
         self.stats.grants_received += 1
+        limit = self.limit
         if self.side == "x":
-            # We may raise Lx to at most the granted Ly.
-            if grant.granted > self.limit:
-                self._write_limit(grant.granted)
+            moves = grant.granted > limit  # raise Lx to at most the granted Ly
         else:
-            # We may lower Ly to at least the granted Lx.
-            if grant.granted < self.limit:
-                self._write_limit(grant.granted)
+            moves = grant.granted < limit  # lower Ly to at least the granted Lx
+        if moves:
+            self._write_limit(grant.granted)
+            limit = self.limit  # re-read: the update below sees the new limit
         desired = self._pending.pop(grant.request_id, None)
         if desired is None:
             return
-        if self._locally_allowed(desired):
+        if self._locally_allowed(desired, limit):
             self._write_value(desired)
             self.stats.updates_applied += 1
         else:

@@ -261,7 +261,10 @@ class WireNetwork:
         now = self.clock.now
         self.messages_sent += 1
         plan = self.failure_plan
-        if plan.logically_failed(src, now) or plan.logically_failed(dst, now):
+        windows = plan.windows  # read per send: a plan may gain windows later
+        if windows and (
+            plan.logically_failed(src, now) or plan.logically_failed(dst, now)
+        ):
             self.messages_dropped += 1
             return None
         channel = (src, dst)
@@ -273,7 +276,9 @@ class WireNetwork:
             metrics[4].value += 1
             return None
         latency = 0 if src == dst else self._latency_for(src, dst)
-        latency = round(latency * plan.slowdown_at(src, now)) + faults.delay
+        if windows:
+            latency = latency * plan.slowdown_at(src, now)
+        latency = round(latency) + faults.delay
         deliver_at = now + latency
         if self.in_order:
             deliver_at = max(deliver_at, self._last_delivery.get(channel, 0))
@@ -450,7 +455,8 @@ class WireNetwork:
             # The sim kernel would leave this message queued past the
             # horizon; on the wire we simply do not hand it to the shell.
             return
-        if self.failure_plan.logically_failed(dst, now):
+        plan = self.failure_plan
+        if plan.windows and plan.logically_failed(dst, now):
             self.messages_dropped += 1
             return
         # Channel metrics count *deliveries*, not send attempts.

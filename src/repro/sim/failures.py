@@ -68,10 +68,11 @@ class FailureWindow:
 class FailurePlan:
     """The full failure schedule for a scenario (empty by default).
 
-    Translators, the network and the wire gateway probe the plan on every
-    operation, and most scenarios inject no failures, so each probe answers
-    an empty plan before looking at a window.  The emptiness is checked per
-    call, here and nowhere else: :meth:`add` is public, and a plan may gain
+    Translators, the network and the wire gateway consult the plan on every
+    operation, and most scenarios inject no failures, so each of those
+    sites reads ``windows`` inline and calls a probe only when it is
+    non-empty (the probes answer an empty plan too).  The emptiness is read
+    per call, never cached: :meth:`add` is public, and a plan may gain
     windows after the federation is wired.
     """
 

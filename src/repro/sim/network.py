@@ -199,18 +199,26 @@ class Network:
             raise ValueError(f"unknown destination site: {dst}")
         now = self.sim.now
         self.messages_sent += 1
+        # The plan is probed only when it has windows, read on every send:
+        # ``FailurePlan.add`` may give it some after wiring.
         plan = self.failure_plan
-        if plan.logically_failed(src, now) or plan.logically_failed(dst, now):
+        windows = plan.windows
+        if windows and (
+            plan.logically_failed(src, now) or plan.logically_failed(dst, now)
+        ):
             self.messages_dropped += 1
             return None
         channel = self._channels.get((src, dst)) or self._channel(src, dst)
         latency = 0 if src == dst else channel.model.sample(channel.rng)
-        latency = round(latency * plan.slowdown_at(src, now))
+        latency = round(latency * plan.slowdown_at(src, now) if windows else latency)
         deliver_at = now + latency
         if self.in_order and deliver_at < channel.last_delivery:
             deliver_at = channel.last_delivery
         channel.last_delivery = deliver_at
-        channel.in_flight.inc()
+        in_flight = channel.in_flight  # Gauge.inc, without the two calls
+        level = in_flight.value = in_flight.value + 1
+        if level > in_flight.high:
+            in_flight.high = level
         message = Message(
             src=src, dst=dst, payload=payload, sent_at=now, deliver_at=deliver_at
         )
@@ -238,8 +246,9 @@ class Network:
         return message
 
     def _deliver(self, message: Message, channel: _Channel) -> None:
-        channel.in_flight.dec()
-        if self.failure_plan.logically_failed(message.dst, self.sim.now):
+        channel.in_flight.value -= 1
+        plan = self.failure_plan
+        if plan.windows and plan.logically_failed(message.dst, self.sim.now):
             self.messages_dropped += 1
             return
         # Channel metrics count *deliveries*: a message dropped at a failed

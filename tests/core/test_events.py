@@ -51,6 +51,76 @@ class TestDescriptors:
             EventDesc(EventKind.WRITE, item("X"), (1, 2))
 
 
+#: Value arity per kind, and whether the kind takes an item.
+SHAPES = {
+    EventKind.WRITE: (True, 1),
+    EventKind.SPONTANEOUS_WRITE: (True, 2),
+    EventKind.WRITE_REQUEST: (True, 1),
+    EventKind.READ_REQUEST: (True, 0),
+    EventKind.READ_RESPONSE: (True, 1),
+    EventKind.NOTIFY: (True, 1),
+    EventKind.PERIODIC: (False, 1),
+    EventKind.FALSE: (False, 0),
+}
+
+#: Every helper, with values of the right arity and its kind.
+HELPERS = [
+    (write_desc, (5,), EventKind.WRITE),
+    (spontaneous_write_desc, (4, 5), EventKind.SPONTANEOUS_WRITE),
+    (write_request_desc, (5,), EventKind.WRITE_REQUEST),
+    (read_request_desc, (), EventKind.READ_REQUEST),
+    (read_response_desc, (5,), EventKind.READ_RESPONSE),
+    (notify_desc, (5,), EventKind.NOTIFY),
+]
+
+
+class TestDescriptorShapeErrors:
+    """The exact ``ValueError`` texts, on the constructor and on every
+    helper, whichever way the descriptor is built."""
+
+    @pytest.mark.parametrize("kind", list(EventKind), ids=lambda k: k.value)
+    def test_constructor_messages(self, kind):
+        takes_item, arity = SHAPES[kind]
+        values = (0,) * arity
+        if takes_item:
+            with pytest.raises(ValueError) as missing:
+                EventDesc(kind, None, values)
+            assert str(missing.value) == f"{kind.value} descriptor requires an item"
+        else:
+            with pytest.raises(ValueError) as spurious:
+                EventDesc(kind, item("X"), values)
+            assert str(spurious.value) == f"{kind.value} descriptor takes no item"
+        good_item = item("X") if takes_item else None
+        with pytest.raises(ValueError) as wrong:
+            EventDesc(kind, good_item, values + (0,))
+        assert str(wrong.value) == (
+            f"{kind.value} takes {arity} value(s), got {arity + 1}"
+        )
+        assert EventDesc(kind, good_item, values).values == values
+
+    @pytest.mark.parametrize(
+        "helper, values, kind", HELPERS, ids=[h.__name__ for h, *_ in HELPERS]
+    )
+    def test_helper_requires_an_item(self, helper, values, kind):
+        with pytest.raises(ValueError) as missing:
+            helper(None, *values)
+        assert str(missing.value) == f"{kind.value} descriptor requires an item"
+
+    @pytest.mark.parametrize(
+        "helper, values, kind", HELPERS, ids=[h.__name__ for h, *_ in HELPERS]
+    )
+    def test_helper_builds_what_the_constructor_builds(self, helper, values, kind):
+        built = helper(item("s", 1), *values)
+        constructed = EventDesc(kind, item("s", 1), values)
+        assert type(built) is EventDesc
+        assert built == constructed and hash(built) == hash(constructed)
+        assert repr(built) == repr(constructed) and str(built) == str(constructed)
+        assert pickle.loads(pickle.dumps(built)) == constructed
+        assert not hasattr(built, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.values = ()
+
+
 class TestEvent:
     def _event(self, desc, **kwargs):
         return Event(

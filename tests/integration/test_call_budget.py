@@ -41,10 +41,13 @@ from repro.core.templates import FALSE_TEMPLATE, Template
 from repro.core.terms import FAMILY_WILDCARD, ItemPattern, Var
 from repro.core.timebase import seconds
 from repro.core.trace import ExecutionTrace, validate_trace
+from repro.experiments.e4_demarcation import build_inventory_cm
 from repro.experiments.e10_scale import build_federation
+from repro.protocols.demarcation import SlackPolicy
 from repro.ris.relational import RelationalDatabase
 from repro.sim.scheduler import Simulator
 from repro.workloads.generators import notification_stream
+from repro.workloads.inventory import InventoryWorkload
 
 
 def python_calls(fn) -> int:
@@ -163,8 +166,11 @@ class TestCallBudget:
         # resolved interfaces per family, 124 after; 91.6 once bound SQL
         # compiled to closures, descriptors checked shape in one lookup,
         # the trace keyed kinds by value and ``sim.now`` became an
-        # attribute.  The budget sits ~20 % above, so it catches a
-        # regression without pinning the exact count.
+        # attribute; 63.2 once refs hashed and compared in C, descriptors
+        # and events were built through their slots, ``record`` ran in one
+        # frame and an empty failure plan cost no probe.  The budget sits
+        # ~20 % above, so it catches a regression without pinning the
+        # exact count.
         cm, propagations = fanout_federation()
         calls = python_calls(lambda: cm.run(until=seconds(40)))
         writes = sum(
@@ -176,28 +182,32 @@ class TestCallBudget:
         # ``sim.now`` is a plain attribute that only run() assigns: nothing
         # on the write path may have moved the clock past the run's end.
         assert cm.scenario.sim.now == seconds(40)
-        assert calls / propagations <= 110
+        assert calls / propagations <= 75
 
     def test_fanout_calls_per_propagation_by_layer(self):
         # The same count, per layer, so a regression names the layer that
         # regressed.  Calls per propagation before -> after the change
-        # that set these budgets (~15-20 % above the "after" column):
-        #   ris          21.85 -> 14.31   compiled WHERE / SET / VALUES
-        #   translator   15.22 -> 14.19   family resolved once per write
-        #   trace        20.66 -> 14.47   one-lookup shape check, str keys
-        #   sim          23.48 -> 12.23   ``now`` attribute, inline run()
+        # that set these budgets (~15 % above the "after" column):
+        #   ris          14.31 -> 14.31
+        #   translator   14.19 -> 14.19   (plan probes read ``windows``)
+        #   trace        14.47 ->  4.16   one-frame record, slot-built
+        #                                 descriptors
+        #   sim          12.23 ->  6.13   no plan probes, inline gauge
         #   shell         5.09 ->  5.09
-        #   obs           5.91 ->  5.91
-        #   other        31.64 -> 25.41   generated dataclass methods ~14,
-        #                                 journal views, compiled rules
+        #   obs           5.91 ->  2.91   in-flight gauge not called
+        #   other        25.41 -> 16.44   ref hash / == in C, no
+        #                                 ``EventDesc.__init__``; left:
+        #                                 journal views, ``ResultSet`` /
+        #                                 ``Message`` / ``FireMessage``
+        #                                 ``__init__``, compiled rules
         budgets = {
             "ris": 17,
             "translator": 17,
-            "trace": 17,
-            "sim": 14.5,
+            "trace": 4.8,
+            "sim": 7,
             "shell": 6,
-            "obs": 7,
-            "other": 30,
+            "obs": 3.4,
+            "other": 19,
         }
         cm, propagations = fanout_federation()
         by_file = python_calls_by_file(lambda: cm.run(until=seconds(40)))
@@ -231,19 +241,41 @@ class TestCallBudget:
         assert calls / events <= 65
 
     @pytest.mark.parametrize(
-        "batched, budget", [(True, 17.5), (False, 19)], ids=["block", "per_event"]
+        "batched, budget", [(True, 10.5), (False, 12)], ids=["block", "per_event"]
     )
     def test_dispatch_calls_per_event(self, batched, budget):
         # Per dispatched event (notifications plus chained writes): 18.5
         # through ingest_batch and 21.4 through record + deliver_local_event
         # once both run the one per-event kernel; 14.9 and 16.3 once
         # descriptors checked shape in one lookup, the trace keyed kinds by
-        # value and the scheduler loop ran inline.  About 15 % above each.
+        # value and the scheduler loop ran inline; 8.2 and 9.7 once refs
+        # hashed in C and ``record`` numbered, built and indexed its event
+        # in one frame.  About 15-25 % above each.
         cm = dispatch_shell(batched)
         calls = python_calls(lambda: cm.run(until=seconds(1)))
         dispatched = cm.stats()["total"]["events_processed"]
         assert dispatched == len(cm.scenario.trace) > 4096
         assert calls / dispatched <= budget
+
+    def test_demarcation_calls_per_event(self):
+        # ``benchmarks/e2e``'s ``demarcation_sim`` shape over 5 000 virtual
+        # seconds: limit handshakes, conditional sends, no rule fires.  Per
+        # recorded event 55.4 while every ref hash, descriptor, plan probe
+        # and gauge update was a Python frame and each handler re-read its
+        # limit per use; 33.9 since.  A handshake that re-reads its state
+        # per use, or a probe of an empty plan, fails here.
+        cm, installed = build_inventory_cm(11, SlackPolicy.EXACT)
+        protocol = installed.native_protocol
+        InventoryWorkload(
+            cm.scenario.sim, cm.scenario.rngs, protocol, duration=seconds(5000)
+        )
+        before = len(cm.scenario.trace)
+        calls = python_calls(lambda: cm.run(until=seconds(5030)))
+        events = len(cm.scenario.trace) - before
+        x, y = protocol.x_agent.stats, protocol.y_agent.stats
+        assert x.updates_attempted + y.updates_attempted > 3000
+        assert x.requests_sent + y.requests_sent > 1000
+        assert calls / events <= 42
 
     @pytest.mark.usefixtures("no_collector")
     def test_flight_recorder_calls_per_event(self):
@@ -389,9 +421,10 @@ class TestScalingBudgets:
             assert obs == {}, obs
 
     def test_record_calls_flat_in_items(self):
-        # Per recorded event over 4 000 events: 15.03 at 64 items, 15.07 at
-        # 128.  Snapshotting whole interpretations per event once made this
-        # grow linearly with the item count.
+        # Per recorded event over 4 000 events: 15.03 at 64 items, 15.06 at
+        # 128; 6.50 at both since ``record`` runs in one frame and refs hash
+        # in C.  Snapshotting whole interpretations per event once made
+        # this grow linearly with the item count.
         per_event = {}
         for n_items in (64, 128):
             refs = [item("F", f"i{k}") for k in range(n_items)]
@@ -401,8 +434,9 @@ class TestScalingBudgets:
 
     def test_trace_queries_calls_linear_in_events(self):
         # The query bundle per event: 13.73 at 2 000 events, 13.61 at
-        # 4 000 (32 items).  A pairwise property-7 loop, or a query that
-        # rescans the journal per item, breaks the ratio.
+        # 4 000 (32 items); 13.15 and 13.07 with refs hashed in C.  A
+        # pairwise property-7 loop, or a query that rescans the journal per
+        # item, breaks the ratio.
         per_event = {}
         for n_events in (2000, 4000):
             trace = ExecutionTrace()

@@ -4,7 +4,11 @@ from repro.core.events import EventKind
 from repro.core.items import DataItemRef
 from repro.core.timebase import seconds
 from repro.experiments.common import build_salary_scenario
+from repro.runtime.channels import encode_payload
+from repro.runtime.clock import WallClock
+from repro.runtime.gateway import WireNetwork
 from repro.sim.failures import FailureKind, FailurePlan, FailureWindow
+from repro.sim.network import FixedLatency
 from repro.workloads import UpdateStream
 from repro.workloads.generators import random_walk
 
@@ -211,3 +215,57 @@ class TestPlanGainsWindowsAfterWiring:
         assert translator.notifications_delivered == 1
         assert salary.hq_db.query("SELECT salary FROM employees") == [(100.0,)]
         assert salary.cm.board.notices == []
+
+    def test_logical_window_drops_a_message_already_in_flight(self):
+        salary, plan = self.served()
+        network = salary.scenario.network
+        network.set_channel_latency("sf", "ny", FixedLatency(seconds(5)))
+        salary.cm.spontaneous_write("salary1", ("e1",), 200.0)
+        salary.cm.run(until=seconds(21))
+        in_flight = salary.scenario.obs.metrics.gauge(
+            "net_in_flight", src="sf", dst="ny"
+        )
+        assert (network.messages_sent, in_flight.value) == (2, 1)
+        # ny dies while the firing is on the wire: the send-side check has
+        # passed, so only the delivery-side one can drop it.
+        plan.add(FailureWindow("ny", FailureKind.LOGICAL, seconds(21), seconds(60)))
+        salary.cm.run(until=seconds(40))
+        assert network.messages_dropped == 1
+        assert (in_flight.value, in_flight.high) == (0, 1)
+        delivered = salary.scenario.obs.metrics.value(
+            "net_messages", src="sf", dst="ny"
+        )
+        assert delivered == 1  # the first hop, before the window
+        assert salary.hq_db.query("SELECT salary FROM employees") == [(100.0,)]
+
+    def test_wire_gateway_drops_at_send_and_at_delivery(self):
+        # The wire network's two plan checks, driven without sockets: frames
+        # enter through the dispatch the gateway binds, ``_on_frame``.
+        plan = FailurePlan()
+        network = WireNetwork(WallClock(), failure_plan=plan)
+        received = []
+        network.register_site("a", lambda message: None)
+        network.register_site("b", lambda message: received.append(message.payload))
+
+        def frame(seq, payload):
+            return {
+                "src": "a",
+                "dst": "b",
+                "seq": seq,
+                "sent_at": 0,
+                "deliver_at": 0,
+                "payload": encode_payload(payload),
+            }
+
+        assert network.send("a", "b", "m0") is not None
+        network._on_frame(frame(0, "m0"))
+        assert received == ["m0"]
+        plan.add(FailureWindow("b", FailureKind.LOGICAL, 0, seconds(60)))
+        # Send side: the window is consulted on the very next send...
+        assert network.send("a", "b", "m1") is None
+        assert network.messages_dropped == 1
+        # ...and delivery side: a frame already on the wire when b died.
+        network._on_frame(frame(1, "m1"))
+        assert received == ["m0"]
+        assert network.messages_dropped == 2
+        assert network.messages_delivered == 1
