@@ -41,15 +41,9 @@ from repro.cm.translators import translator_for
 from repro.obs import Instrumentation
 from repro.obs.report import RunReport, build_run_report
 from repro.ris.base import RawInformationSource
-from repro.runtime.api import (
-    Clock,
-    Runtime,
-    RuntimeSpec,
-    TransportAPI,
-    resolve_runtime,
-)
+from repro.runtime.api import Clock, Runtime, RuntimeSpec, resolve_runtime
 from repro.sim.failures import FailurePlan
-from repro.sim.network import LatencyModel
+from repro.sim.network import LatencyModel, Network
 from repro.sim.rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -64,8 +58,9 @@ class Scenario:
     ``"sim"`` (default) is the deterministic discrete-event kernel,
     ``"async"`` runs shells as asyncio tasks over real loopback sockets.
     ``sim`` and ``network`` keep their historical names and surfaces —
-    whichever runtime is active, they satisfy the :class:`Clock` and
-    :class:`TransportAPI` protocols everything downstream codes against.
+    whichever runtime is active, ``sim`` satisfies the :class:`Clock`
+    protocol and ``network`` is a :class:`~repro.sim.network.Network` (the
+    wire's is the same class plus a socket hop).
     """
 
     seed: int = 0
@@ -75,7 +70,7 @@ class Scenario:
     runtime: RuntimeSpec = "sim"
     sim: Clock = field(init=False)
     rngs: RngRegistry = field(init=False)
-    network: TransportAPI = field(init=False)
+    network: Network = field(init=False)
     trace: ExecutionTrace = field(init=False)
     #: The scenario-wide observability bundle (metrics registry, span
     #: tracer, flight recorder).  Shells, the network, and translators all

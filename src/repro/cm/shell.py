@@ -52,16 +52,16 @@ from repro.core.events import Event, EventKind, periodic_desc
 from repro.core.rules import Rule
 from repro.core.terms import Bindings, Const, ground_item
 from repro.cm.dispatch import InstalledRule, RuleIndex
-from repro.core.timebase import Ticks
+from repro.core.timebase import DAY, Ticks
 from repro.core.trace import ExecutionTrace
 from repro.cm.failures import FailureNotice
 from repro.cm.store import ShellStore
 from repro.cm.translator import CMTranslator
 from repro.obs import Instrumentation
-from repro.runtime.api import Clock, TransportAPI
+from repro.runtime.api import Clock
 from repro.runtime.codec import WireFiring
 from repro.sim.failures import FailurePlan
-from repro.sim.network import Message
+from repro.sim.network import Message, Network
 from repro.sim.process import PeriodicTimer
 from repro.sim.rng import RngRegistry
 
@@ -90,7 +90,7 @@ class CMShell:
         self,
         site: str,
         sim: Clock,
-        network: TransportAPI,
+        network: Network,
         trace: ExecutionTrace,
         failure_plan: FailurePlan,
         rngs: RngRegistry,
@@ -297,11 +297,14 @@ class CMShell:
             )
             self._process_event(p_event)
 
-        if phase is None:
-            timer = PeriodicTimer(self.sim, period, fire)
-        else:
-            timer = _PhasedTimer(self.sim, period, phase, fire)
-        self._timers.append(timer)
+        first = None
+        if phase is not None:
+            # A daily phase: the next occurrence of ``phase`` past midnight.
+            now = self.sim.now
+            first = (now // DAY) * DAY + phase
+            while first <= now:
+                first += DAY
+        self._timers.append(PeriodicTimer(self.sim, period, fire, first))
 
     @property
     def rules(self) -> list[Rule]:
@@ -716,33 +719,3 @@ def _ground_value(template, bindings: Bindings, index: int):
     from repro.core.terms import ground_term
 
     return ground_term(template.values[index], bindings)
-
-
-class _PhasedTimer:
-    """A daily-phase periodic timer: first fires at the next occurrence of
-    ``phase`` ticks-past-midnight, then every ``period``."""
-
-    def __init__(self, sim: Clock, period: Ticks, phase: Ticks, callback):
-        from repro.core.timebase import DAY
-
-        self.sim = sim
-        self.period = period
-        self.callback = callback
-        self._stopped = False
-        self.fire_count = 0
-        first = (sim.now // DAY) * DAY + phase
-        while first <= sim.now:
-            first += DAY
-        self._pending = sim.at(first, self._fire)
-
-    def _fire(self) -> None:
-        if self._stopped:
-            return
-        self.fire_count += 1
-        self._pending = self.sim.after(self.period, self._fire)
-        self.callback()
-
-    def stop(self) -> None:
-        self._stopped = True
-        if self._pending is not None:
-            self._pending.cancel()

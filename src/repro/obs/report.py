@@ -229,11 +229,6 @@ def build_run_report(cm: Any) -> RunReport:
                 "min_ms": round(wire_ms.min, 3),
                 "max_ms": round(wire_ms.max, 3),
             }
-            drops = registry.value(
-                "wire_fault_drops", src=labels.get("src"), dst=labels.get("dst")
-            )
-            if drops:
-                entry["wire_fault_drops"] = drops
         channels.append(entry)
     report.network = {
         "messages_sent": network.messages_sent,

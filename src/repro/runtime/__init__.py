@@ -4,7 +4,8 @@
 discrete-event kernel, the executable specification;
 ``Scenario(runtime="async")`` (alias ``"wire"``) runs every CM-Shell
 as asyncio tasks behind real loopback sockets with length-prefixed
-JSON-RPC framing, wall-clock timers, and injectable socket-level faults.
+JSON-RPC framing, wall-clock timers, and injectable dup/reorder socket
+faults — over the same :class:`~repro.sim.network.Network` delivery policy.
 See :mod:`repro.runtime.api` for the seam and
 :mod:`repro.runtime.equivalence` for the harness that holds the wire
 runtime to the sim kernel's guarantees.
@@ -16,7 +17,6 @@ from repro.runtime.api import (
     RunConfig,
     Runtime,
     RuntimeSpec,
-    TransportAPI,
     resolve_config,
     resolve_runtime,
 )
@@ -38,7 +38,6 @@ __all__ = [
     "Runtime",
     "RuntimeSpec",
     "SimRuntime",
-    "TransportAPI",
     "WallClock",
     "WireFaultPlan",
     "WireNetwork",

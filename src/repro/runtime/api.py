@@ -12,11 +12,12 @@ factors that into a single constructor-injected seam:
   deterministic discrete-event kernel, unchanged in behaviour.  It remains
   the *executable specification*: every ordering property the paper's
   Appendix A requires is exactly enforced there.
-- :class:`~repro.runtime.async_runtime.AsyncRuntime` — each CM-Shell's
-  message intake becomes its own asyncio-served socket endpoint; FIFO
-  channels are carried over real loopback TCP with length-prefixed
-  JSON-RPC framing, timers are wall-clock (scaled), and socket-level
-  faults (drop/dup/reorder/delay per channel) can be injected.
+- :class:`~repro.runtime.async_runtime.AsyncRuntime` — the same
+  :class:`~repro.sim.network.Network` delivery policy on a scaled
+  wall clock, with a socket hop between each delivery timer and the
+  kernel's delivery code: one asyncio-served loopback endpoint per
+  CM-Shell, length-prefixed JSON-RPC framing, sequence numbers and a
+  resequencer per channel, and injectable dup/reorder socket faults.
 
 Scenarios select a runtime with one parameter::
 
@@ -26,8 +27,8 @@ Scenarios select a runtime with one parameter::
 
 and everything downstream — shells, translators, workloads, ``verify()``
 — is agnostic: they talk to ``scenario.sim`` (a :class:`Clock`) and
-``scenario.network`` (a :class:`TransportAPI`), whichever runtime provided
-them.
+``scenario.network`` (a :class:`~repro.sim.network.Network`, or its wire
+subclass), whichever runtime provided them.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.core.timebase import Ticks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cm.manager import Scenario
+    from repro.sim.network import Network
 
 
 @runtime_checkable
@@ -67,31 +69,12 @@ class Clock(Protocol):
     def stop(self) -> None: ...
 
 
-@runtime_checkable
-class TransportAPI(Protocol):
-    """What shells (and the run report) need from "the network"."""
-
-    messages_sent: int
-    messages_dropped: int
-
-    def register_site(self, site: str, handler: Callable[[Any], None]) -> None: ...
-
-    def has_site(self, site: str) -> bool: ...
-
-    @property
-    def sites(self) -> list[str]: ...
-
-    def send(self, src: str, dst: str, payload: Any) -> Any: ...
-
-    def set_channel_latency(self, src: str, dst: str, model: Any) -> None: ...
-
-
 class Runtime(Protocol):
     """One execution substrate for a :class:`~repro.cm.manager.Scenario`.
 
     A runtime instance is bound to exactly one scenario: ``build`` is
     called from ``Scenario.__post_init__`` and returns the (clock,
-    transport) pair everything else is wired against; ``run`` advances the
+    network) pair everything else is wired against; ``run`` advances the
     scenario to a virtual-time horizon; ``shutdown`` releases any real
     resources (sockets, tasks).  Pass a fresh instance — or a name/factory
     — per scenario.
@@ -99,7 +82,7 @@ class Runtime(Protocol):
 
     name: str
 
-    def build(self, scenario: "Scenario") -> tuple[Clock, TransportAPI]: ...
+    def build(self, scenario: "Scenario") -> tuple[Clock, Network]: ...
 
     def run(self, scenario: "Scenario", until: Ticks) -> None: ...
 

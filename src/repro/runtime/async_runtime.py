@@ -6,15 +6,15 @@ inter-site message over a real socket as a length-prefixed JSON-RPC
 frame, and replaces the discrete-event queue with a scaled wall clock
 (:class:`~repro.runtime.clock.WallClock`).  ``run(until)`` then means:
 
-1. start the gateway endpoints and release any channel traffic buffered
-   during wiring;
+1. start the gateway endpoints;
 2. let wall time advance virtual time to the horizon, with timers firing
-   on the loop and channel sender tasks pacing frames to their virtual
-   delivery times;
+   on the loop — a message's delivery timer firing writes its frame;
 3. quiesce — wait (bounded in wall time) until every frame written has
    reached its receiver, so the trace is complete when it closes;
 4. tear the sockets down.  A later ``run`` builds fresh endpoints; channel
-   sequence numbers carry over so per-channel FIFO spans runs.
+   senders, their sequence numbers and the resequencers carry over, so
+   per-channel FIFO spans runs, and a message due after the horizon is
+   delivered in the next run, as on the kernel.
 
 The entire session is wrapped in a wall-clock watchdog
 (``max_wall_seconds``) — a wedged socket or a runaway schedule raises
@@ -50,8 +50,8 @@ class AsyncRuntime:
       at 20x but only 20 ms at 100x), and on a loaded host an aggressive
       scale makes real scheduling jitter show up as honest — but
       unwanted — timing-property violations in the recorded trace.
-    - ``faults`` — socket-level fault plan (drop/dup/reorder/delay per
-      directed channel).
+    - ``faults`` — socket-level fault plan (dup/reorder per directed
+      channel).
     - ``max_wall_seconds`` — watchdog on one ``run`` call.
     - ``quiesce_wall`` — wall budget for in-flight frames to land after
       the horizon.
@@ -114,7 +114,6 @@ class AsyncRuntime:
 
     async def _session(self, until: Ticks) -> None:
         assert self.wire is not None and self.clock is not None
-        self.wire.horizon = until
         await self.wire.start()
         try:
             await asyncio.wait_for(

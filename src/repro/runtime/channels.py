@@ -1,21 +1,25 @@
 """FIFO channels over the wire: fault injection, payload codec, ordering.
 
 The sim kernel's :class:`~repro.sim.network.Network` gets FIFO "for free"
-by clamping delivery times in one global event queue.  On a real socket
-the channel layer has to *earn* the same property — and that is exactly
-what Appendix A property 7 requires of any deployment: in-order message
-delivery between sites, in-order processing at each site.
+by clamping delivery times in one global event queue.  The wire runs the
+same network, clamp included, but a clamped deadline is not an order on a
+real socket: asyncio fires equal deadlines in any order, and frames can be
+duplicated or overtaken.  So the channel layer has to *earn* the property
+— and that is exactly what Appendix A property 7 requires of any
+deployment: in-order message delivery between sites, in-order processing
+at each site.
 
 Three pieces live here:
 
 - :class:`ChannelFaults` / :class:`WireFaultPlan` — injectable socket-level
-  misbehaviour per directed channel: **drop** (the frame never leaves the
-  sender — a lost datagram), **dup** (the frame is written twice),
-  **reorder** (the frame is held back and overtaken by its successor),
-  and **extra delay**.  These subsume the sim kernel's failure flags: a
-  logical-failure window is a drop probability of 1.0 with extra context,
-  and the ``in_order=False`` ablation is simply "reorder faults with the
-  healing resequencer turned off".
+  misbehaviour per directed channel: **dup** (the frame is written twice)
+  and **reorder** (the frame is held back and overtaken by its
+  successor).  They are what show the resequencer is load-bearing; the
+  ``in_order=False`` ablation is "reorder with the healing resequencer
+  turned off".  There is no drop fault: the paper's network is reliable,
+  and a lost message is a logical failure, which the failure plan injects
+  for both runtimes.  A slower channel is a latency model
+  (``set_channel_latency``), not a fault.
 - the **payload codec** — every payload travels fully by value
   (:mod:`repro.runtime.codec`): failure notices and demarcation-protocol
   messages as plain field dicts, rule firings as rule name + encoded slot
@@ -23,8 +27,8 @@ Three pieces live here:
   shell's own installed rules.  Nothing in a frame references sender
   memory, so the same frames work across a real process boundary.
 - :class:`ChannelSender` / :class:`ChannelReceiver` — the sending task
-  that paces frames to their virtual delivery times and applies dup/
-  reorder at the frame layer, and the per-channel resequencer that
+  that writes each frame as its delivery timer hands it over and applies
+  dup / reorder at the frame layer, and the per-channel resequencer that
   restores exactly-once, in-order delivery from sequence numbers.
 """
 
@@ -57,30 +61,24 @@ HELLO_METHOD = "cm.hello"
 class ChannelFaults:
     """Socket-level fault probabilities for one directed channel.
 
-    ``drop``/``dup``/``reorder`` are per-message probabilities; ``delay``
-    is extra one-way latency in ticks added to every message.  Reordered
-    frames are flushed after ``reorder_flush_wall`` wall seconds if no
-    successor overtakes them, so a reorder fault can never stall a channel
-    forever.
+    ``dup`` / ``reorder`` are per-frame probabilities.  Reordered frames
+    are flushed after ``reorder_flush_wall`` wall seconds if no successor
+    overtakes them, so a reorder fault can never stall a channel forever.
     """
 
-    drop: float = 0.0
     dup: float = 0.0
     reorder: float = 0.0
-    delay: int = 0
     reorder_flush_wall: float = 0.02
 
     def __post_init__(self) -> None:
-        for name in ("drop", "dup", "reorder"):
+        for name in ("dup", "reorder"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"bad {name} probability: {value}")
-        if self.delay < 0:
-            raise ValueError(f"negative delay: {self.delay}")
 
     @property
     def any(self) -> bool:
-        return bool(self.drop or self.dup or self.reorder or self.delay)
+        return bool(self.dup or self.reorder)
 
 
 NO_FAULTS = ChannelFaults()
@@ -207,39 +205,27 @@ def decode_payload(data: dict[str, Any]) -> Any:
 # -- sending ------------------------------------------------------------------
 
 
-@dataclass
-class _Outgoing:
-    """One message queued on a channel, already sequenced."""
-
-    seq: int
-    deliver_at: int
-    params: dict[str, Any]
-
-
 class ChannelSender:
     """The per-channel sending task.
 
-    Messages enter via :meth:`enqueue` (synchronous — called from rule
-    execution inside the loop) already carrying their virtual delivery
-    time; the task paces them out in FIFO order, waiting on the scaled
-    wall clock, then writes ``cm.deliver`` notification frames.  Dup and
-    reorder faults are applied *here*, at the frame layer, after
-    sequencing — which is what makes the receiver's resequencer an honest
-    reimplementation of property 7 rather than a formality.
+    Frames enter via :meth:`enqueue` (synchronous — called from the
+    message's delivery timer inside the loop) already sequenced; the task
+    writes them as ``cm.deliver`` notification frames in the order they
+    arrive.  Dup and reorder faults are applied *here*, at the frame layer,
+    after sequencing — which is what makes the receiver's resequencer an
+    honest reimplementation of property 7 rather than a formality.
+
+    A sender outlives a run: its sequence counter and frame counts carry
+    over, and :meth:`close` rebuilds only what belongs to one event loop
+    (queue, task, stream).
     """
 
     def __init__(
         self,
-        src: str,
-        dst: str,
-        clock: Any,
         dial: Callable[[], Awaitable[FrameStream]],
         faults: ChannelFaults = NO_FAULTS,
         fault_rng: Any = None,
     ) -> None:
-        self.src = src
-        self.dst = dst
-        self.clock = clock
         self.dial = dial
         self.faults = faults
         self.fault_rng = fault_rng
@@ -248,7 +234,7 @@ class ChannelSender:
         self.frames_reordered = 0
         self.frames_dropped_dead = 0
         self._next_seq = 0
-        self._outbox: asyncio.Queue[_Outgoing | None] = asyncio.Queue()
+        self._outbox: asyncio.Queue[dict[str, Any] | None] = asyncio.Queue()
         self._held: bytes | None = None
         self._stream: FrameStream | None = None
         self._task: asyncio.Task | None = None
@@ -259,40 +245,31 @@ class ChannelSender:
         self._next_seq += 1
         return seq
 
-    def enqueue(self, seq: int, deliver_at: int, params: dict[str, Any]) -> None:
-        """Queue one sequenced message for paced transmission."""
-        self._outbox.put_nowait(_Outgoing(seq, deliver_at, params))
-
-    def ensure_started(self) -> None:
-        """Start the sending task on the running loop (idempotent)."""
+    def enqueue(self, params: dict[str, Any]) -> None:
+        """Queue one sequenced frame and make sure the task is writing."""
+        self._outbox.put_nowait(params)
         if self._task is None or self._task.done():
             self._task = asyncio.get_running_loop().create_task(self._run())
 
     async def _run(self) -> None:
         while True:
-            item = await self._next_item()
-            if item is None:
+            params = await self._next_item()
+            if params is None:
                 break
-            await self.clock.sleep_until(item.deliver_at)
             try:
                 stream = await self._ensure_stream()
-                frame_bytes = _frame_for(item.params)
-                rng = self.fault_rng
-                if (
-                    rng is not None
-                    and self.faults.reorder
-                    and self._held is None
-                ):
-                    if rng.random() < self.faults.reorder:
+                frame_bytes = _frame_for(params)
+                rng, faults = self.fault_rng, self.faults
+                if faults.reorder and self._held is None:
+                    if rng.random() < faults.reorder:
                         # Hold this frame back; its successor overtakes it.
                         self._held = frame_bytes
                         self.frames_reordered += 1
                         continue
                 self._write(stream, frame_bytes)
-                if rng is not None and self.faults.dup:
-                    if rng.random() < self.faults.dup:
-                        self._write(stream, frame_bytes)
-                        self.frames_duplicated += 1
+                if faults.dup and rng.random() < faults.dup:
+                    self._write(stream, frame_bytes)
+                    self.frames_duplicated += 1
                 self._flush_held(stream)
                 await stream.drain()
             except OSError:
@@ -310,8 +287,8 @@ class ChannelSender:
                 self.frames_dropped_dead += 1
             self._stream = None
 
-    async def _next_item(self) -> _Outgoing | None:
-        """Dequeue the next message; flush a held-back frame on idle."""
+    async def _next_item(self) -> dict[str, Any] | None:
+        """Dequeue the next frame; flush a held-back frame on idle."""
         if self._held is None:
             return await self._outbox.get()
         try:
@@ -339,12 +316,13 @@ class ChannelSender:
         return self._stream
 
     async def close(self) -> None:
-        """Flush remaining frames and stop the task."""
-        if self._task is None:
-            return
-        self._outbox.put_nowait(None)
-        await self._task
-        self._task = None
+        """Write what is queued, stop the task and close the stream; the
+        next run starts a fresh queue on its own loop."""
+        if self._task is not None:
+            self._outbox.put_nowait(None)
+            await self._task
+            self._task = None
+        self._outbox = asyncio.Queue()
 
 
 def _frame_for(params: dict[str, Any]) -> bytes:

@@ -5,9 +5,10 @@ it now *tracks the wall clock*, accelerated by a scale factor: at
 ``time_scale=100`` one wall second is 100 virtual seconds, so a 300-second
 scenario runs in 3 seconds of real time.  Everything that schedules
 callbacks against the simulator (`at`/`after`, :class:`PeriodicTimer`,
-translators' service-time completions, workload generators) works
-unchanged against this clock — the callbacks land on the asyncio loop via
-``loop.call_at``.
+translators' service-time completions, workload generators, the network's
+delivery timers) works unchanged against this clock — the callbacks land
+on the asyncio loop via ``loop.call_at``.  On the wire a delivery timer
+firing is the moment a message's frame is written to its channel socket.
 
 Two lifecycle subtleties:
 
@@ -16,15 +17,22 @@ Two lifecycle subtleties:
   updates).  Schedules made while no loop is active are buffered and
   flushed when :meth:`run_until` activates the clock.
 - **Horizon freezing.** ``run_until(h)`` returns with virtual time pinned
-  to exactly ``h`` (mirroring ``Simulator.run(until=h)``), outstanding
-  wall timers cancelled, and later schedules buffered again — so a second
-  ``run_until`` resumes where the first stopped, which is how scenarios
-  that run / reconfigure / run again behave identically on both runtimes.
+  to exactly ``h`` (mirroring ``Simulator.run(until=h)``), every event
+  due by ``h`` run (a stalled loop's stragglers at the freeze) and none
+  due after it, outstanding wall timers cancelled, and later schedules
+  buffered again — so a second ``run_until`` resumes where the first
+  stopped, which is how scenarios that run / reconfigure / run again
+  behave identically on both runtimes.
+  A message due after the horizon is such a timer: it is delivered in the
+  next run, as on the kernel.
 
 Unlike the discrete-event kernel there is no global total order on
 simultaneous callbacks — that is the point: the wire runtime exhibits real
 concurrency, and the equivalence harness checks that the *guarantees*
-survive it, not that the interleaving is byte-identical.
+survive it, not that the interleaving is byte-identical.  asyncio's timer
+heap does not even keep scheduling order among equal deadlines, which is
+why channel sequence numbers are allocated at ``send()``, not when a
+delivery timer fires.
 """
 
 from __future__ import annotations
@@ -77,6 +85,8 @@ class WallClock:
         self._buffered: list[WallEvent] = []
         self._live: set[WallEvent] = set()
         self._stopped = False
+        #: The active ``run_until`` horizon: nothing due after it fires.
+        self._until: Ticks = 0
         self.events_processed = 0
         self.max_queue_depth = 0
 
@@ -128,16 +138,6 @@ class WallClock:
 
     # -- wire-runtime internals ------------------------------------------------
 
-    def wall_delay(self, time: Ticks) -> float:
-        """Wall seconds from now until virtual ``time`` (>= 0)."""
-        return max(0.0, (time - self.now) / (self.time_scale * _TICKS_PER_SECOND))
-
-    async def sleep_until(self, time: Ticks) -> None:
-        """Async-sleep until virtual ``time`` has passed."""
-        delay = self.wall_delay(time)
-        if delay > 0:
-            await asyncio.sleep(delay)
-
     def _arm(self, event: WallEvent) -> None:
         assert self._loop is not None
         when = self._origin + (event.time - self._anchor) / (
@@ -148,7 +148,15 @@ class WallClock:
 
     def _fire(self, event: WallEvent) -> None:
         self._live.discard(event)
-        if event.cancelled or self._stopped:
+        # The handle holds the event in its arguments: drop the cycle, so a
+        # fired event is freed by reference counting, not by the collector.
+        event._handle = None
+        if event.cancelled:
+            return
+        if self._stopped or event.time > self._until:
+            # As on the simulator, work due after the horizon (or after a
+            # ``stop``) stays queued for the next run.
+            self._buffered.append(event)
             return
         if event.time > self._floor:
             self._floor = event.time
@@ -171,22 +179,33 @@ class WallClock:
         Cancels the wall timers of still-pending events but keeps the
         events, so a later :meth:`activate` re-arms them — repeated
         ``run_until`` calls therefore behave like the simulator's repeated
-        ``run(until=...)``.
+        ``run(until=...)``.  Events due by ``at_time`` that a stalled loop
+        had not reached when the deadline passed run here first, in time
+        order, with what they schedule, as ``run(until=...)`` runs every
+        event due by its horizon.
         """
-        self._floor = max(self._floor, at_time)
+        self._loop = None
+        self._until = at_time
         live, self._live = self._live, set()
         for event in live:
             if event._handle is not None:
                 event._handle.cancel()
                 event._handle = None
-            if not event.cancelled:
-                self._buffered.append(event)
-        self._loop = None
+            self._buffered.append(event)
+        while not self._stopped:
+            due = [event for event in self._buffered if event.time <= at_time]
+            if not due:
+                break
+            self._buffered = [e for e in self._buffered if e.time > at_time]
+            for event in sorted(due, key=lambda event: event.time):
+                self._fire(event)
+        self._floor = max(self._floor, at_time)
 
     async def run_until(self, until: Ticks) -> None:
         """Let scheduled callbacks fire until virtual ``until``, then freeze."""
         loop = asyncio.get_running_loop()
         self._stopped = False
+        self._until = until
         self.activate(loop)
         deadline = self._origin + (until - self._anchor) / (
             self.time_scale * _TICKS_PER_SECOND

@@ -13,21 +13,22 @@ it around the handler, so cross-shell causal chains reconnect into one
 :class:`~repro.obs.spans.SpanTree` by id, with no in-process state shared
 between the endpoints.
 
-:class:`WireNetwork` is the shell-facing facade with the same surface as
-the sim kernel's :class:`~repro.sim.network.Network` (``register_site``,
-``send``, ``set_channel_latency``, the per-channel metrics) — which is
-what lets :class:`~repro.cm.shell.CMShell` and the Demarcation Protocol
-run over real sockets without a line of change.  Message *timing* still
-honours the scenario's latency models and failure plan (sampled from the
-same seeded RNG streams), so a wire run is the sim scenario's honest
-deployment, not a different experiment.
+:class:`WireNetwork` *is* the sim kernel's
+:class:`~repro.sim.network.Network` — one delivery policy, one home —
+with a socket hop between each delivery timer and the kernel's delivery
+code: sequence and encode at send, frame when the timer fires,
+resequence and decode at the receiving endpoint.  That is what lets
+:class:`~repro.cm.shell.CMShell` and the Demarcation Protocol run over
+real sockets without a line of change, and what makes a wire run the sim
+scenario's honest deployment (same latency models, failure plan and
+seeded RNG streams), not a different experiment.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time as _time
-from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.obs import Instrumentation
@@ -38,7 +39,6 @@ from repro.runtime.channels import (
     HELLO_METHOD,
     ChannelReceiver,
     ChannelSender,
-    NO_FAULTS,
     WireFaultPlan,
     decode_payload,
     encode_payload,
@@ -54,17 +54,8 @@ from repro.runtime.jsonrpc import (
 )
 from repro.runtime.transport import FrameStream
 from repro.sim.failures import FailurePlan
-from repro.sim.network import FixedLatency, LatencyModel, Message
+from repro.sim.network import LatencyModel, Message, Network
 from repro.sim.rng import RngRegistry
-from repro.core.timebase import seconds
-
-
-@dataclass
-class _SiteEntry:
-    """One registered site; ``handler`` is rebindable (the Demarcation
-    Protocol wraps it), matching the sim network's contract."""
-
-    handler: Callable[[Message], None]
 
 
 class Gateway:
@@ -145,16 +136,36 @@ class Gateway:
         self._accepted.clear()
 
 
-class WireNetwork:
-    """Sites plus per-channel FIFO delivery — over real sockets.
+class WireNetwork(Network):
+    """The sim :class:`~repro.sim.network.Network` plus a socket hop.
 
-    Drop-in compatible with :class:`repro.sim.network.Network` from the
-    shells' point of view.  Differences are exactly the ones the wire
-    makes real: frames cross loopback TCP, per-channel FIFO is restored by
-    sequence-number resequencing (not a scheduler clamp), and the
-    ``wire_latency_ms`` histograms record *real milliseconds*, next to the
+    Every delivery decision is the kernel's.  :meth:`Network.send` samples
+    the latency, applies the failure plan's drops and slowdown, clamps for
+    FIFO, moves the instruments, records the flight digest and the
+    ``net.send`` span, and schedules the delivery timer — here a
+    :class:`~repro.runtime.clock.WallClock` timer.  The wire adds only what
+    a socket needs:
+
+    - ``send`` also encodes the payload and allocates the channel sequence
+      number.  Sequencing happens at send time because asyncio's timer heap
+      does not keep FIFO order among equal deadlines, and the FIFO clamp
+      makes equal deadlines common;
+    - when the delivery timer fires, the frame is written to the channel
+      connection;
+    - the receiving endpoint resequences and decodes the frame, then runs
+      the kernel's own delivery (:meth:`Network._deliver`): in-flight
+      decrement, drop at a dead destination, count-on-delivery, flight
+      digest, trace-context push and the handler.
+
+    A message due after a run's horizon stays a buffered clock timer and
+    is delivered in the next run, as on the kernel.  ``wire_latency_ms``
+    records real milliseconds from ``send()`` to the handler, next to the
     virtual-tick ``net_latency`` series.
     """
+
+    #: In the class dict on purpose: the benchmark ledger wraps each
+    #: network class's own ``register_site``, once per handler.
+    register_site = Network.register_site
 
     def __init__(
         self,
@@ -167,204 +178,85 @@ class WireNetwork:
         faults: WireFaultPlan | None = None,
         gateway: Gateway | None = None,
     ) -> None:
-        self.clock = clock
-        self.rngs = rng_registry or RngRegistry()
-        self.default_latency = default_latency or FixedLatency(seconds(0.01))
-        self.failure_plan = failure_plan or FailurePlan()
-        self.in_order = in_order
-        self.obs = obs or Instrumentation()
+        super().__init__(
+            clock, rng_registry, default_latency, failure_plan, in_order, obs
+        )
         self.faults = faults or WireFaultPlan()
         self.gateway = gateway or Gateway()
         self.gateway.bind_dispatch(self._on_frame)
-        self._sites: dict[str, _SiteEntry] = {}
-        self._channel_latency: dict[tuple[str, str], LatencyModel] = {}
-        self._last_delivery: dict[tuple[str, str], int] = {}
         self._senders: dict[tuple[str, str], ChannelSender] = {}
         self._receivers: dict[tuple[str, str], ChannelReceiver] = {}
-        #: Sequence numbers carried across socket teardowns, so per-channel
-        #: FIFO (and the receivers' resequencers) span repeated runs.
-        self._seq_carry: dict[tuple[str, str], int] = {}
-        #: Sender counters accumulated across runs (senders are rebuilt
-        #: per run; their diagnostics must not reset with them).
-        self._sender_stats: dict[tuple[str, str], dict[str, int]] = {}
-        #: Virtual-time horizon of the current run; frames due after it are
-        #: not delivered (the sim kernel leaves them queued past ``until``).
-        self.horizon: int | None = None
+        #: Frames of sent messages whose delivery timer has not fired yet,
+        #: by ``id`` of the in-flight :class:`Message`.
+        self._unsent: dict[int, dict[str, Any]] = {}
         self._wall_sent: dict[tuple[str, str, int], float] = {}
-        self._started = False
-        self.messages_sent = 0
-        self.messages_dropped = 0
-        self.messages_delivered = 0
-        #: Messages enqueued on a channel and not yet seen by a receiver.
+        #: Frames written and not yet seen by a receiver.
         self.outstanding = 0
-        self._channel_metrics: dict[tuple[str, str], tuple] = {}
-
-    # -- Network-compatible surface -------------------------------------------
 
     @property
-    def sim(self):  # parity: Network exposes .sim
-        return self.clock
-
-    def register_site(self, site: str, handler: Callable[[Message], None]) -> None:
-        """Register ``site`` with its inbound-message handler."""
-        if site in self._sites:
-            raise ValueError(f"site already registered: {site}")
-        self._sites[site] = _SiteEntry(handler=handler)
-
-    def has_site(self, site: str) -> bool:
-        return site in self._sites
-
-    @property
-    def sites(self) -> list[str]:
-        return list(self._sites)
-
-    def set_channel_latency(self, src: str, dst: str, model: LatencyModel) -> None:
-        self._channel_latency[(src, dst)] = model
-
-    def _latency_for(self, src: str, dst: str) -> int:
-        model = self._channel_latency.get((src, dst), self.default_latency)
-        rng = self.rngs.stream(f"net:{src}->{dst}")
-        return model.sample(rng)
-
-    def _metrics_for(self, channel: tuple[str, str]):
-        cached = self._channel_metrics.get(channel)
-        if cached is None:
-            src, dst = channel
-            registry = self.obs.metrics
-            cached = (
-                registry.counter("net_messages", src=src, dst=dst),
-                registry.histogram("net_latency", src=src, dst=dst),
-                registry.gauge("net_in_flight", src=src, dst=dst),
-                registry.histogram(
-                    "wire_latency_ms",
-                    bounds=WIRE_MS_BOUNDS,
-                    src=src,
-                    dst=dst,
-                ),
-                registry.counter("wire_fault_drops", src=src, dst=dst),
-            )
-            self._channel_metrics[channel] = cached
-        return cached
+    def messages_delivered(self) -> int:
+        """Messages handed to a destination's handler (count-on-delivery)."""
+        return sum(channel.delivered.value for channel in self._channels.values())
 
     def send(self, src: str, dst: str, payload: Any) -> Optional[Message]:
-        """Send ``payload`` from ``src`` to ``dst`` over the channel socket.
+        """:meth:`Network.send`, plus the frame the delivery timer writes.
 
-        Same contract as the sim network: returns the in-flight
-        :class:`Message` or ``None`` when the message is lost — to a
-        logical-failure window (either endpoint dead) or to an injected
-        socket-level drop fault.
+        The payload is encoded first, so one the codec cannot carry raises
+        before anything is sent.
         """
-        if src not in self._sites:
-            raise ValueError(f"unknown source site: {src}")
-        if dst not in self._sites:
-            raise ValueError(f"unknown destination site: {dst}")
-        now = self.clock.now
-        self.messages_sent += 1
-        plan = self.failure_plan
-        windows = plan.windows  # read per send: a plan may gain windows later
-        if windows and (
-            plan.logically_failed(src, now) or plan.logically_failed(dst, now)
-        ):
-            self.messages_dropped += 1
-            return None
-        channel = (src, dst)
-        faults = self.faults.for_channel(src, dst)
-        metrics = self._metrics_for(channel)
-        if faults.drop and self._fault_rng(channel).random() < faults.drop:
-            # The frame never leaves the sender: a lost datagram.
-            self.messages_dropped += 1
-            metrics[4].value += 1
-            return None
-        latency = 0 if src == dst else self._latency_for(src, dst)
-        if windows:
-            latency = latency * plan.slowdown_at(src, now)
-        latency = round(latency) + faults.delay
-        deliver_at = now + latency
-        if self.in_order:
-            deliver_at = max(deliver_at, self._last_delivery.get(channel, 0))
-        self._last_delivery[channel] = deliver_at
-        sender = self._sender_for(channel, faults)
-        seq = sender.next_seq()
-        params = {
-            "src": src,
-            "dst": dst,
-            "seq": seq,
-            "sent_at": now,
-            "deliver_at": deliver_at,
-            "payload": encode_payload(payload),
-        }
-        message = Message(
-            src=src, dst=dst, payload=payload, sent_at=now, deliver_at=deliver_at
-        )
-        metrics[2].inc()  # net_in_flight
-        self._wall_sent[(src, dst, seq)] = _time.monotonic()
-        obs = self.obs
-        if obs.enabled and obs.flight is not None:
-            obs.flight.record(
-                src, "net.send", now, f"->{dst} {type(payload).__name__}"
-            )
-        if obs.enabled and obs.tracer.enabled:
-            # The hop's causal context rides *in the frame*: the receiving
-            # endpoint reconnects onto these ids, never onto shared objects,
-            # so the same mechanism works across real process boundaries.
-            tracer = obs.tracer
-            span = tracer.start(
-                "net.send",
-                src,
-                now,
-                src=src,
-                dst=dst,
-                payload=type(payload).__name__,
-            )
-            tracer.finish(span, deliver_at)
-            message.span = span
-            params["trace"] = span.context.to_wire()
-        self.outstanding += 1
-        sender.enqueue(seq, deliver_at, params)
-        if self._started:
-            sender.ensure_started()
+        encoded = encode_payload(payload)
+        message = super().send(src, dst, payload)
+        if message is not None:
+            seq = self._sender_for(src, dst).next_seq()
+            params = {
+                "src": src,
+                "dst": dst,
+                "seq": seq,
+                "sent_at": message.sent_at,
+                "deliver_at": message.deliver_at,
+                "payload": encoded,
+            }
+            if message.span is not None:
+                # The hop's causal context rides *in the frame*: the
+                # receiving endpoint reconnects onto these ids, never onto
+                # shared objects, so it works across process boundaries.
+                params["trace"] = message.span.context.to_wire()
+            self._unsent[id(message)] = params
+            self._wall_sent[src, dst, seq] = _time.monotonic()
         return message
+
+    def _deliver(self, message: Message, channel: Any) -> None:
+        """The delivery timer fired: write the message's frame.  The
+        kernel's delivery runs when the frame reaches its endpoint."""
+        self.outstanding += 1
+        self._senders[message.src, message.dst].enqueue(
+            self._unsent.pop(id(message))
+        )
 
     # -- wiring / lifecycle -----------------------------------------------------
 
-    def _fault_rng(self, channel: tuple[str, str]):
-        return self.rngs.stream(f"wirefault:{channel[0]}->{channel[1]}")
-
-    def _sender_for(
-        self, channel: tuple[str, str], faults=NO_FAULTS
-    ) -> ChannelSender:
-        sender = self._senders.get(channel)
+    def _sender_for(self, src: str, dst: str) -> ChannelSender:
+        sender = self._senders.get((src, dst))
         if sender is None:
-            src, dst = channel
-
-            async def dial() -> FrameStream:
-                return await self.gateway.dial(src, dst)
-
-            sender = ChannelSender(
-                src,
-                dst,
-                self.clock,
-                dial,
-                faults=faults,
-                fault_rng=self._fault_rng(channel) if faults.any else None,
+            faults = self.faults.for_channel(src, dst)
+            sender = self._senders[src, dst] = ChannelSender(
+                partial(self.gateway.dial, src, dst),
+                faults,
+                self.rngs.stream(f"wirefault:{src}->{dst}") if faults.any else None,
             )
-            sender._next_seq = self._seq_carry.pop(channel, 0)
-            self._senders[channel] = sender
         return sender
 
     async def start(self) -> None:
-        """Open the gateway endpoints and release any buffered channels."""
+        """Open the gateway endpoints."""
         await self.gateway.start(self.sites)
-        self._started = True
-        for sender in self._senders.values():
-            sender.ensure_started()
 
     async def quiesce(self, wall_budget: float = 5.0) -> None:
-        """Wait until all enqueued messages reached their receivers.
+        """Wait until every frame written has reached its receiver.
 
         Senders and receivers share this process, so ``outstanding``
-        (incremented on send, decremented on receipt) is the whole
-        barrier.
+        (incremented when a frame is queued for writing, decremented on
+        receipt) is the whole barrier.  Messages whose delivery timer has
+        not fired are not outstanding: they wait for the next run.
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + wall_budget
@@ -374,38 +266,14 @@ class WireNetwork:
     async def stop(self) -> None:
         """Close channels and gateway endpoints.
 
-        Senders are discarded (their queues and tasks are bound to the
-        loop that is ending) with their sequence counters carried over,
-        so a later run continues each channel where it left off.
+        Senders keep their sequence counters and frame counts, so a later
+        run continues each channel where it left off.
         """
-        for channel, sender in self._senders.items():
+        for sender in self._senders.values():
             await sender.close()
-            self._seq_carry[channel] = sender._next_seq
-            carried = self._sender_stats.setdefault(
-                channel,
-                {
-                    "frames_written": 0,
-                    "frames_duplicated": 0,
-                    "frames_reordered": 0,
-                    "frames_dropped_dead": 0,
-                },
-            )
-            carried["frames_written"] += sender.frames_written
-            carried["frames_duplicated"] += sender.frames_duplicated
-            carried["frames_reordered"] += sender.frames_reordered
-            carried["frames_dropped_dead"] += sender.frames_dropped_dead
-        self._senders.clear()
         await self.gateway.stop()
-        self._started = False
 
     # -- inbound path ------------------------------------------------------------
-
-    def _receiver_for(self, channel: tuple[str, str]) -> ChannelReceiver:
-        receiver = self._receivers.get(channel)
-        if receiver is None:
-            receiver = ChannelReceiver(in_order=self.in_order)
-            self._receivers[channel] = receiver
-        return receiver
 
     def _on_frame(self, params: dict[str, Any]) -> None:
         """One inbound ``cm.deliver`` frame (possibly duplicated/reordered).
@@ -428,19 +296,22 @@ class WireNetwork:
         ):
             self.messages_dropped += 1
             return
-        receiver = self._receiver_for((src, dst))
+        receiver = self._receivers.get((src, dst))
+        if receiver is None:
+            receiver = self._receivers[src, dst] = ChannelReceiver(self.in_order)
         accepted = receiver.accept(params)
-        if self.in_order and accepted:
+        if self.in_order:
             # Each distinct seq is seen exactly once in ordered mode.
             self.outstanding -= len(accepted)
-        elif not self.in_order:
+        else:
             self.outstanding = max(0, self.outstanding - 1)
         for ready in accepted:
-            self._deliver(ready)
+            self._arrive(ready)
 
-    def _deliver(self, params: dict[str, Any]) -> None:
-        src, dst, seq = params["src"], params["dst"], params["seq"]
-        now = self.clock.now
+    def _arrive(self, params: dict[str, Any]) -> None:
+        """Decode one resequenced frame and run the kernel's delivery."""
+        src, dst = params["src"], params["dst"]
+        wall_sent = self._wall_sent.pop((src, dst, params["seq"]), None)
         try:
             payload = decode_payload(params["payload"])
         except (ValueError, KeyError, TypeError):  # CodecError is a ValueError
@@ -448,72 +319,40 @@ class WireNetwork:
             # resequencer, so its successors on the channel still flow.
             self.messages_dropped += 1
             return
-        metrics = self._metrics_for((src, dst))
-        metrics[2].dec()  # net_in_flight
-        wall_sent = self._wall_sent.pop((src, dst, seq), None)
-        if self.horizon is not None and params["deliver_at"] > self.horizon:
-            # The sim kernel would leave this message queued past the
-            # horizon; on the wire we simply do not hand it to the shell.
-            return
-        plan = self.failure_plan
-        if plan.windows and plan.logically_failed(dst, now):
-            self.messages_dropped += 1
-            return
-        # Channel metrics count *deliveries*, not send attempts.
-        metrics[0].value += 1
-        metrics[1].observe(max(0, now - params["sent_at"]))
-        if wall_sent is not None:
-            metrics[3].observe((_time.monotonic() - wall_sent) * 1_000.0)
-        self.messages_delivered += 1
-        if self.obs.enabled and self.obs.flight is not None:
-            self.obs.flight.record(dst, "net.recv", now, f"<-{src} seq={seq}")
         message = Message(
-            src=src,
-            dst=dst,
-            payload=payload,
-            sent_at=params["sent_at"],
-            deliver_at=now,
+            src,
+            dst,
+            payload,
+            params["sent_at"],
+            params["deliver_at"],
+            SpanContext.from_wire(params.get("trace")),
         )
-        handler = self._sites[dst].handler
-        # Resume the causal context carried in the frame: everything the
-        # handler traces parents (by id) onto the sender's net.send span,
-        # reconnecting the tree across the socket.
-        ctx = SpanContext.from_wire(params.get("trace"))
-        if ctx is not None and self.obs.enabled:
-            tracer = self.obs.tracer
-            tracer.push(ctx)
-            try:
-                handler(message)
-            finally:
-                tracer.pop()
-        else:
-            handler(message)
+        channel = self._channels.get((src, dst)) or self._channel(src, dst)
+        delivered = channel.delivered.value
+        arrived = _time.monotonic()
+        Network._deliver(self, message, channel)
+        if wall_sent is not None and channel.delivered.value > delivered:
+            self.obs.metrics.histogram(
+                "wire_latency_ms", bounds=WIRE_MS_BOUNDS, src=src, dst=dst
+            ).observe((arrived - wall_sent) * 1_000.0)
 
     # -- diagnostics --------------------------------------------------------------
 
     def channel_stats(self) -> dict[str, dict[str, int]]:
         """Per-channel wire counters (frames, dups healed, reorders)."""
         stats: dict[str, dict[str, int]] = {}
-        channels = (
-            set(self._senders) | set(self._sender_stats) | set(self._receivers)
-        )
-        for channel in sorted(channels):
+        for channel in sorted(self._senders.keys() | self._receivers.keys()):
             sender = self._senders.get(channel)
-            carried = self._sender_stats.get(channel, {})
             receiver = self._receivers.get(channel)
             stats[f"{channel[0]}->{channel[1]}"] = {
-                "frames_written": carried.get("frames_written", 0)
-                + (sender.frames_written if sender else 0),
-                "frames_duplicated": carried.get("frames_duplicated", 0)
-                + (sender.frames_duplicated if sender else 0),
-                "frames_reordered": carried.get("frames_reordered", 0)
-                + (sender.frames_reordered if sender else 0),
+                "frames_written": sender.frames_written if sender else 0,
+                "frames_duplicated": sender.frames_duplicated if sender else 0,
+                "frames_reordered": sender.frames_reordered if sender else 0,
                 # Every message travels as its own frame.  The key stays
                 # only because benchmarks/e2e/run.py reads it; it goes
                 # when that harness stops reading it.
                 "frames_coalesced": 0,
-                "frames_dropped_dead": carried.get("frames_dropped_dead", 0)
-                + (sender.frames_dropped_dead if sender else 0),
+                "frames_dropped_dead": sender.frames_dropped_dead if sender else 0,
                 "duplicates_discarded": (
                     receiver.duplicates_discarded if receiver else 0
                 ),

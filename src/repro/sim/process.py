@@ -16,9 +16,11 @@ from repro.sim.scheduler import ScheduledEvent, Simulator
 class PeriodicTimer:
     """Fires a callback every ``period`` ticks until stopped.
 
-    The first firing is at ``start + period`` (a ``P(p)`` event occurs every
-    ``p`` seconds *by definition*; we take the epoch to be the timer's start
-    time).  Use ``fire_immediately=True`` to also fire at start.
+    The first firing is at absolute time ``first``, by default
+    ``start + period`` (a ``P(p)`` event occurs every ``p`` seconds *by
+    definition*; we take the epoch to be the timer's start time).  A
+    daily-phase timer passes the phase's next occurrence; ``first=sim.now``
+    also fires at start.
     """
 
     def __init__(
@@ -26,20 +28,18 @@ class PeriodicTimer:
         sim: Simulator,
         period: Ticks,
         callback: Callable[[], None],
-        fire_immediately: bool = False,
+        first: Ticks | None = None,
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive: {period}")
         self.sim = sim
         self.period = period
         self.callback = callback
-        self._pending: ScheduledEvent | None = None
         self._stopped = False
         self.fire_count = 0
-        if fire_immediately:
-            self._pending = sim.after(0, self._fire)
-        else:
-            self._pending = sim.after(period, self._fire)
+        if first is None:
+            first = sim.now + period
+        self._pending: ScheduledEvent | None = sim.at(first, self._fire)
 
     def _fire(self) -> None:
         if self._stopped:

@@ -4,9 +4,6 @@ from repro.core.events import EventKind
 from repro.core.items import DataItemRef
 from repro.core.timebase import seconds
 from repro.experiments.common import build_salary_scenario
-from repro.runtime.channels import encode_payload
-from repro.runtime.clock import WallClock
-from repro.runtime.gateway import WireNetwork
 from repro.sim.failures import FailureKind, FailurePlan, FailureWindow
 from repro.sim.network import FixedLatency
 from repro.workloads import UpdateStream
@@ -237,35 +234,3 @@ class TestPlanGainsWindowsAfterWiring:
         )
         assert delivered == 1  # the first hop, before the window
         assert salary.hq_db.query("SELECT salary FROM employees") == [(100.0,)]
-
-    def test_wire_gateway_drops_at_send_and_at_delivery(self):
-        # The wire network's two plan checks, driven without sockets: frames
-        # enter through the dispatch the gateway binds, ``_on_frame``.
-        plan = FailurePlan()
-        network = WireNetwork(WallClock(), failure_plan=plan)
-        received = []
-        network.register_site("a", lambda message: None)
-        network.register_site("b", lambda message: received.append(message.payload))
-
-        def frame(seq, payload):
-            return {
-                "src": "a",
-                "dst": "b",
-                "seq": seq,
-                "sent_at": 0,
-                "deliver_at": 0,
-                "payload": encode_payload(payload),
-            }
-
-        assert network.send("a", "b", "m0") is not None
-        network._on_frame(frame(0, "m0"))
-        assert received == ["m0"]
-        plan.add(FailureWindow("b", FailureKind.LOGICAL, 0, seconds(60)))
-        # Send side: the window is consulted on the very next send...
-        assert network.send("a", "b", "m1") is None
-        assert network.messages_dropped == 1
-        # ...and delivery side: a frame already on the wire when b died.
-        network._on_frame(frame(1, "m1"))
-        assert received == ["m0"]
-        assert network.messages_dropped == 2
-        assert network.messages_delivered == 1

@@ -14,7 +14,6 @@ from repro.runtime.channels import (
     decode_payload,
     encode_payload,
 )
-from repro.runtime.clock import WallClock
 from repro.runtime.transport import FrameStream
 from repro.sim.failures import FailureKind
 
@@ -24,30 +23,24 @@ class TestChannelFaults:
         faults = ChannelFaults()
         assert not faults.any
 
-    @pytest.mark.parametrize("name", ["drop", "dup", "reorder"])
+    @pytest.mark.parametrize("name", ["dup", "reorder"])
     def test_probability_bounds_enforced(self, name):
         with pytest.raises(ValueError):
             ChannelFaults(**{name: 1.5})
         with pytest.raises(ValueError):
             ChannelFaults(**{name: -0.1})
 
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelFaults(delay=-1)
-
     def test_any_triggers_on_each_knob(self):
-        assert ChannelFaults(drop=0.1).any
         assert ChannelFaults(dup=0.1).any
         assert ChannelFaults(reorder=0.1).any
-        assert ChannelFaults(delay=5).any
 
     def test_plan_per_channel_override(self):
-        plan = WireFaultPlan(default=ChannelFaults(drop=0.5)).set(
+        plan = WireFaultPlan(default=ChannelFaults(reorder=0.5)).set(
             "a", "b", ChannelFaults(dup=1.0)
         )
         assert plan.for_channel("a", "b").dup == 1.0
-        assert plan.for_channel("a", "b").drop == 0.0
-        assert plan.for_channel("b", "a").drop == 0.5
+        assert plan.for_channel("a", "b").reorder == 0.0
+        assert plan.for_channel("b", "a").reorder == 0.5
 
 
 class TestPayloadCodec:
@@ -114,11 +107,9 @@ class TestSenderSurvivesDeadEndpoint:
                     raise ConnectionRefusedError("endpoint is down")
                 return await FrameStream.open("127.0.0.1", port)
 
-            sender = ChannelSender("a", "b", WallClock(), dial)
+            sender = ChannelSender(dial)
             for _ in range(3):
-                seq = sender.next_seq()
-                sender.enqueue(seq, 0, {"src": "a", "dst": "b", "seq": seq})
-            sender.ensure_started()
+                sender.enqueue({"src": "a", "dst": "b", "seq": sender.next_seq()})
 
             async def until(done):
                 while not done():

@@ -1,6 +1,7 @@
 """Tests for the scaled wall clock behind the wire runtime."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -82,18 +83,51 @@ class TestScheduling:
         run(clock, seconds(10))
         assert fired == []
 
+    def test_stop_leaves_later_events_queued(self):
+        # As on the simulator: a stopped run keeps its pending work, and
+        # the next run delivers it.
+        clock = WallClock(time_scale=SCALE)
+        fired = []
+        clock.at(seconds(1), clock.stop)
+        clock.at(seconds(5), lambda: fired.append("later"))
+        run(clock, seconds(10))
+        assert fired == []
+        run(clock, seconds(20))
+        assert fired == ["later"]
+
+    def test_events_due_after_the_horizon_wait_for_the_next_run(self):
+        # A stalled callback carries the loop past the deadline and past
+        # the next timer's wall time; that timer is still not this run's.
+        clock = WallClock(time_scale=SCALE)
+        fired = []
+        clock.at(seconds(1), lambda: time.sleep(0.01))  # 50 virtual s
+        clock.at(seconds(3), lambda: fired.append("late"))
+        run(clock, seconds(2))
+        assert fired == []
+        assert clock.now == seconds(2)
+        run(clock, seconds(10))
+        assert fired == ["late"]
+
+    def test_freeze_runs_what_is_due_by_the_horizon(self):
+        # Timers a stalled loop had not reached by the deadline run at the
+        # freeze, in time order, with what they schedule that is due too.
+        clock = WallClock(time_scale=SCALE)
+        fired = []
+
+        def first():
+            fired.append(1)
+            clock.at(seconds(2), lambda: fired.append(2))
+
+        clock.at(seconds(1), first)
+        clock.at(seconds(5), lambda: fired.append(5))
+        clock.freeze(seconds(3))
+        assert fired == [1, 2]
+        assert clock.now == seconds(3)
+        run(clock, seconds(6))
+        assert fired == [1, 2, 5]
+
 
 class TestWallPacing:
-    def test_wall_delay_is_scaled(self):
-        clock = WallClock(time_scale=100.0)
-        # 10 virtual seconds at 100x is 0.1 wall seconds.
-        assert clock.wall_delay(seconds(10)) == pytest.approx(0.1)
-
-    def test_wall_delay_never_negative(self):
-        clock = WallClock(time_scale=SCALE)
-        run(clock, seconds(5))
-        assert clock.wall_delay(seconds(1)) == 0.0
-
     def test_now_is_monotonic_across_runs(self):
         clock = WallClock(time_scale=SCALE)
         samples = []

@@ -20,12 +20,18 @@ class TestPeriodicTimer:
     def test_fire_immediately(self):
         sim = Simulator()
         times = []
-        PeriodicTimer(
-            sim, seconds(10), lambda: times.append(sim.now),
-            fire_immediately=True,
-        )
+        PeriodicTimer(sim, seconds(10), lambda: times.append(sim.now), first=sim.now)
         sim.run(until=seconds(15))
         assert times == [0, seconds(10)]
+
+    def test_first_firing_sets_the_phase(self):
+        sim = Simulator()
+        times = []
+        PeriodicTimer(
+            sim, seconds(10), lambda: times.append(sim.now), first=seconds(3)
+        )
+        sim.run(until=seconds(25))
+        assert times == [seconds(3), seconds(13), seconds(23)]
 
     def test_stop(self):
         sim = Simulator()
