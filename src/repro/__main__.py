@@ -16,14 +16,11 @@ additionally saves the printed digest to a file for CI artifacts.
 
 The top-level ``--lint <target>`` flag (or ``--lint --all``) statically
 analyzes a wired configuration without running any events: it builds the
-trigger graph and runs the CM-Lint check battery (see
-:mod:`repro.analysis`) over the named experiment or ``example:<stem>``
-script.  ``--json PATH`` writes the structured findings; the exit code is
-1 when any error-severity finding survives the target's allowlist.
-``--lint-codes`` prints the diagnostic-code reference, and ``--explain
-CM501`` (any code) deep-dives one code: its registry meaning plus every
-matching finding, suppressed ones included; an unknown code exits 2
-before anything is linted.
+trigger graph and runs the CM-Lint checks (see :mod:`repro.analysis`) over
+the named experiment or ``example:<stem>`` script.  ``--json PATH`` writes
+the structured findings; the exit code is 1 when any error-severity
+finding survives the target's ``LINT_SUPPRESS`` allowlist.
+``--lint-codes`` prints the diagnostic-code reference.
 """
 
 from __future__ import annotations
@@ -74,18 +71,8 @@ def _profile_experiment(experiment: str, out_path: str | None) -> int:
     return 0
 
 
-def _lint(
-    target: str | None,
-    lint_all: bool,
-    json_path: str | None,
-    explain: str | None = None,
-) -> int:
-    from repro.analysis.diagnostics import CODES
-    from repro.analysis.reporters import (
-        render_explain,
-        render_text,
-        write_json,
-    )
+def _lint(target: str | None, lint_all: bool, json_path: str | None) -> int:
+    from repro.analysis.reporters import render_text, write_json
     from repro.analysis.targets import (
         available_targets,
         lint_all as run_all,
@@ -93,23 +80,13 @@ def _lint(
     )
     from repro.core.errors import ConfigurationError
 
-    if explain is not None:
-        explain = explain.upper()
-        if explain not in CODES:
-            print(
-                f"unknown diagnostic code {explain!r} "
-                f"(known: {', '.join(sorted(CODES))})",
-                file=sys.stderr,
-            )
-            return 2
     if target is not None:
         try:
             results = {target: lint_target(target)}
         except ConfigurationError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-    elif lint_all or explain is not None:
-        # A bare --explain CODE surveys every target for the code.
+    elif lint_all:
         results = run_all()
     else:
         print(
@@ -118,10 +95,7 @@ def _lint(
             file=sys.stderr,
         )
         return 2
-    if explain is not None:
-        print(render_explain(explain, results))
-    else:
-        print(render_text(results))
+    print(render_text(results))
     if json_path is not None:
         path = write_json(results, json_path)
         print(f"lint report written to {path}")
@@ -237,14 +211,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print the CM-Lint diagnostic-code reference and exit",
     )
-    parser.add_argument(
-        "--explain",
-        metavar="CODE",
-        default=None,
-        help="deep-dive one diagnostic code (e.g. CM501): print its "
-        "meaning plus every matching finding, suppressed ones included; "
-        "combine with --lint TARGET to narrow the survey",
-    )
     sub = parser.add_subparsers(dest="command")
     experiments = sub.add_parser(
         "experiments", help="run the reproduction experiments"
@@ -278,9 +244,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.lint_codes:
         _print_lint_codes()
         return 0
-    if args.lint is not None or args.lint_all or args.explain is not None:
+    if args.lint is not None or args.lint_all:
         target = args.lint if args.lint else None
-        return _lint(target, args.lint_all, args.lint_json, args.explain)
+        return _lint(target, args.lint_all, args.lint_json)
     if args.lint_json is not None:
         parser.error("--json requires --lint")
     if args.profile is not None:

@@ -1,21 +1,24 @@
 """CM-Lint: static analysis of constraint-management configurations.
 
 The paper's toolkit assumes administrators pick interface/strategy pairs
-from a library of proven combinations; this package is the mechanized form
-of that assumption.  It builds a static **trigger graph** over a wired
+from a library of proven combinations.  Its one static step, the interface
+survey, is not here: ``cm.install`` and ``cm.site(...).rule(...)`` run it
+and raise :class:`~repro.core.errors.ConfigurationError` before a rule is
+indexed.  This package checks what that survey, the runtime and the
+post-run verdict do not: it builds a static **trigger graph** over a wired
 (but not yet run) :class:`~repro.cm.manager.ConstraintManager` — nodes are
 installed strategy rules and offered interface rules, edges are template
-unifications — and runs a battery of checks producing structured
-:class:`Diagnostic` findings with stable ``CMxxx`` codes.
+unifications — and reports unbound rule variables (CM201), unguarded
+trigger cycles (CM301), unordered cross-site writers (CM501), and metric
+bounds no path can meet (CM601) or that hold only while a guard fires
+(CM603), as structured :class:`Diagnostic` findings.
 
 Entry points:
 
-- :func:`lint_manager` / :func:`lint_shell` — analyze a wired manager or a
-  single shell;
+- :func:`lint_manager` — analyze a wired manager; ``verify()`` and
+  ``run_report()`` call it;
 - ``python -m repro --lint <target>|--all`` — the CLI, over every
-  experiment and example script;
-- ``CMShell.install(..., strict=True)`` — raise on error findings at
-  install time.
+  experiment and example script.
 """
 
 from repro.analysis.diagnostics import (
@@ -29,14 +32,12 @@ from repro.analysis.graph import (
     Edge,
     Node,
     TriggerGraph,
-    build_shell_graph,
     build_trigger_graph,
     unify_templates,
 )
 from repro.analysis.lint import (
     LintContext,
     lint_manager,
-    lint_shell,
     manager_context,
     run_checks,
 )
@@ -50,11 +51,9 @@ __all__ = [
     "Node",
     "Severity",
     "TriggerGraph",
-    "build_shell_graph",
     "build_trigger_graph",
     "describe_codes",
     "lint_manager",
-    "lint_shell",
     "manager_context",
     "run_checks",
     "unify_templates",

@@ -44,7 +44,7 @@ def _reachable(graph: TriggerGraph, start: int) -> set[int]:
     while queue:
         node = queue.popleft()
         for edge in graph.out_edges(node):
-            if edge.echo or edge.dst in seen:
+            if edge.dst in seen:
                 continue
             seen.add(edge.dst)
             queue.append(edge.dst)

@@ -1,20 +1,11 @@
-"""Cycle & echo detection (CM3xx) over the trigger graph.
+"""Unguarded-cycle detection (CM301) over the trigger graph.
 
-A cycle in the trigger graph means a set of rules that can re-trigger each
-other.  Three classes, in decreasing severity:
-
-- **unguarded hard cycle** (CM301): every edge of some cycle is
-  unconditional and non-echo — once entered, the rules fire forever (the
-  runtime's chain-depth limit will eventually kill the run).
-- **echo cycle** (CM302): the cycle closes only through a write→notify
-  *echo* edge — a committed CM write re-entering as a spontaneous-write
-  notification.  Translators suppress their own writes, so this is benign
-  in a correct deployment, but it is exactly the failure mode the echo
-  ablation demonstrates: one leaky translator and the loop is live.
-- **guarded cycle** (CM303): a condition guards some edge of every cycle;
-  the loop terminates as long as the guard converges (e.g. cached
-  propagation's ``cache(n) != b`` stops re-propagating once the cache
-  agrees).  Reported as info, showing the guarding condition.
+A cycle of unconditional edges is a set of rules that, once entered,
+re-trigger each other forever.  Within one shell the chain-depth limit
+stops it with a ``SpecError``; across sites every hop is a fresh message,
+so the run never quiesces and no other check reports it.  A cycle that a
+condition guards on some edge terminates as long as the guard converges
+(cached propagation's ``cache(n) != b``), and is not reported.
 
 Self-loops are cycles of length one and classify identically.
 """
@@ -88,26 +79,6 @@ def _sccs(
     return result
 
 
-def _cyclic_within(
-    members: set[int],
-    graph: TriggerGraph,
-    keep: Callable[[Edge], bool],
-) -> bool:
-    """Whether the member-induced subgraph (edges passing ``keep``) has a
-    cycle."""
-
-    def edges_of(node: int) -> list[Edge]:
-        return [
-            e
-            for e in graph.out_edges(node)
-            if e.dst in members and keep(e)
-        ]
-
-    # Reuse Tarjan over the full index space; nodes outside ``members``
-    # simply have no edges and form trivial components.
-    return bool(_sccs(len(graph.nodes), edges_of))
-
-
 def _describe(graph: TriggerGraph, members: list[int]) -> str:
     names = [graph.nodes[m].name for m in members]
     sites = sorted({graph.nodes[m].site for m in members})
@@ -119,79 +90,25 @@ def _describe(graph: TriggerGraph, members: list[int]) -> str:
 
 def check_cycles(ctx, report) -> None:
     graph: TriggerGraph = ctx.graph
-    for members in _sccs(len(graph.nodes), graph.out_edges):
-        member_set = set(members)
+
+    def unguarded(node: int) -> list[Edge]:
+        return [e for e in graph.out_edges(node) if not e.guarded]
+
+    for members in _sccs(len(graph.nodes), unguarded):
         anchor = graph.nodes[members[0]]
-        internal = [
-            e
-            for m in members
-            for e in graph.out_edges(m)
-            if e.dst in member_set
-        ]
-        if _cyclic_within(
-            member_set, graph, lambda e: not e.guarded and not e.echo
-        ):
-            report.add(
-                diagnostic(
-                    "CM301",
-                    f"unguarded trigger cycle: "
-                    f"{_describe(graph, members)}; these rules re-trigger "
-                    f"each other unconditionally",
-                    site=anchor.site,
-                    rule=anchor.name,
-                    check=CHECK,
-                    hint=(
-                        "guard one edge of the cycle with a convergence "
-                        "condition (e.g. only propagate when the value "
-                        "actually changed)"
-                    ),
-                )
+        report.add(
+            diagnostic(
+                "CM301",
+                f"unguarded trigger cycle: "
+                f"{_describe(graph, members)}; these rules re-trigger "
+                f"each other unconditionally",
+                site=anchor.site,
+                rule=anchor.name,
+                check=CHECK,
+                hint=(
+                    "guard one edge of the cycle with a convergence "
+                    "condition (e.g. only propagate when the value "
+                    "actually changed)"
+                ),
             )
-        elif _cyclic_within(member_set, graph, lambda e: not e.echo):
-            guards = sorted(
-                {e.guard for e in internal if e.guard and not e.echo}
-            )
-            report.add(
-                diagnostic(
-                    "CM303",
-                    f"guarded trigger cycle: {_describe(graph, members)}; "
-                    f"benign while the guard(s) "
-                    f"{guards} converge",
-                    site=anchor.site,
-                    rule=anchor.name,
-                    check=CHECK,
-                )
-            )
-        else:
-            echo_families = sorted(
-                {
-                    graph.nodes[e.src].family or "?"
-                    for e in internal
-                    if e.echo
-                }
-            )
-            report.add(
-                diagnostic(
-                    "CM302",
-                    f"echo-closed trigger cycle: "
-                    f"{_describe(graph, members)}; live only if a "
-                    f"translator leaks its own writes on "
-                    f"{', '.join(echo_families)} back as notifications",
-                    site=anchor.site,
-                    rule=anchor.name,
-                    check=CHECK,
-                    hint=(
-                        "translators must suppress notifications for "
-                        "CM-initiated writes (the echo ablation shows "
-                        "what happens otherwise)"
-                    ),
-                )
-            )
-
-
-def find_cycles(graph: TriggerGraph) -> list[list[int]]:
-    """Public helper: all non-trivial SCCs of the graph (tests use it)."""
-    return _sccs(len(graph.nodes), graph.out_edges)
-
-
-__all__ = ["check_cycles", "find_cycles"]
+        )

@@ -19,14 +19,21 @@ guarantee.  The estimate is **conservative**: templates are unified, not
 executed, so the path set over-approximates runtime behaviour, and every
 hop is charged its worst case — a κ the check accepts can still be missed
 under failures, but a κ it rejects (CM601) is unachievable even on a
-perfect run.
+perfect run.  A run checks κ only on the latencies it happened to draw,
+so CM601 is the one report of a κ below the worst case.  When every path
+within κ passes a guard (CM603), the bound holds only while the guards
+fire, which no run that only ever satisfies them shows.
+
+A guarantee with no path at all, or one whose only paths cross a channel
+with an unbounded latency model, gets no finding: the former fails the
+guarantee check at the first X change, the latter is not decidable here.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.analysis.diagnostics import diagnostic
 from repro.analysis.graph import Edge, Node, TriggerGraph
@@ -39,26 +46,19 @@ CHECK = "guarantee-feasibility"
 _INF = float("inf")
 
 
-def _worst_case_latency(network, src: str, dst: str) -> Optional[Ticks]:
-    """Worst-case one-way latency for a channel; ``None`` when unbounded
-    (or when no network is in scope)."""
-    if src == dst:
-        return 0
-    if network is None:
-        return None
-    model = network._channel_latency.get((src, dst), network.default_latency)
-    return model.worst_case()
-
-
-def _node_cost(node: Node, network) -> tuple[float, bool]:
-    """(worst-case ticks this node adds, hit-an-unbounded-channel flag)."""
+def _node_cost(node: Node, network) -> float:
+    """Worst-case ticks this node adds; infinite across a channel whose
+    latency model is unbounded."""
     cost: float = node.rule.delay
     if node.site != node.rhs_site:
-        hop = _worst_case_latency(network, node.site, node.rhs_site)
+        model = network._channel_latency.get(
+            (node.site, node.rhs_site), network.default_latency
+        )
+        hop = model.worst_case()
         if hop is None:
-            return _INF, True
+            return _INF
         cost += hop
-    return cost, False
+    return cost
 
 
 def _writers_of(graph: TriggerGraph, family: str) -> list[Node]:
@@ -85,19 +85,13 @@ def _distances_to(
     targets: list[Node],
     network,
     keep: Callable[[Edge], bool],
-) -> tuple[dict[int, float], bool]:
+) -> dict[int, float]:
     """Worst-case cost from each node's LHS firing to a committed target
-    write, minimized over paths (Dijkstra on the reversed graph).
-
-    Returns the distance map and whether any path was cut by an unbounded
-    channel.
-    """
+    write, minimized over paths (Dijkstra on the reversed graph)."""
     dist: dict[int, float] = {}
-    unbounded_seen = False
     heap: list[tuple[float, int]] = []
     for target in targets:
-        cost, unbounded = _node_cost(target, network)
-        unbounded_seen |= unbounded
+        cost = _node_cost(target, network)
         if cost < dist.get(target.index, _INF):
             dist[target.index] = cost
             heapq.heappush(heap, (cost, target.index))
@@ -106,16 +100,14 @@ def _distances_to(
         if d > dist.get(index, _INF):
             continue
         for edge in graph.in_edges(index):
-            if edge.echo or not keep(edge):
+            if not keep(edge):
                 continue
             pred = graph.nodes[edge.src]
-            cost, unbounded = _node_cost(pred, network)
-            unbounded_seen |= unbounded
-            candidate = d + cost
+            candidate = d + _node_cost(pred, network)
             if candidate < dist.get(pred.index, _INF):
                 dist[pred.index] = candidate
                 heapq.heappush(heap, (candidate, pred.index))
-    return dist, unbounded_seen
+    return dist
 
 
 def _reaches(graph: TriggerGraph, start: int, goal_indices: set[int]) -> bool:
@@ -126,7 +118,7 @@ def _reaches(graph: TriggerGraph, start: int, goal_indices: set[int]) -> bool:
     while queue:
         node = queue.popleft()
         for edge in graph.out_edges(node):
-            if edge.echo or edge.dst in seen:
+            if edge.dst in seen:
                 continue
             if edge.dst in goal_indices:
                 return True
@@ -190,43 +182,13 @@ def check_feasibility(ctx, report) -> None:
             continue
         targets = _writers_of(graph, y_family)
         sources = _sources_for(graph, x_family)
-        dist_all, cut_by_unbounded = _distances_to(
-            graph, targets, network, keep=lambda e: True
-        )
+        dist_all = _distances_to(graph, targets, network, keep=lambda e: True)
         best = _INF
         for node, extra, __ in sources:
             d = dist_all.get(node.index, _INF)
             if d + extra < best:
                 best = d + extra
-        if not targets or not sources or best == _INF:
-            if cut_by_unbounded and sources and targets:
-                report.add(
-                    diagnostic(
-                        "CM604",
-                        f"guarantee {guarantee.name!r}: every delivery "
-                        f"path crosses a channel with an unbounded "
-                        f"latency model; feasibility cannot be proven "
-                        f"statically",
-                        check=CHECK,
-                        hint=(
-                            "use FixedLatency or UniformLatency on the "
-                            "path's channels to make the bound checkable"
-                        ),
-                    )
-                )
-                continue
-            report.add(
-                diagnostic(
-                    "CM602",
-                    f"guarantee {guarantee.name!r}: no trigger-graph path "
-                    f"carries {x_family!r} changes to {y_family!r} writes",
-                    check=CHECK,
-                    hint=(
-                        "check that the strategy's rules are installed "
-                        "and the needed interfaces are offered"
-                    ),
-                )
-            )
+        if best == _INF:
             continue
         if within < best:
             report.add(
@@ -245,7 +207,7 @@ def check_feasibility(ctx, report) -> None:
                 )
             )
             continue
-        dist_unguarded, __ = _distances_to(
+        dist_unguarded = _distances_to(
             graph, targets, network, keep=lambda e: not e.guarded
         )
         unguarded_best = _INF

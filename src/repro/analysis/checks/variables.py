@@ -6,20 +6,14 @@ upper-case name to a local data item.  A lower-case name that neither the
 LHS template nor a binder equality binds raises ``BindingError`` at
 evaluation time — which the shell treats as "condition not applicable", so
 the rule silently never fires.  That is a configuration bug worth an error
-at lint time.
-
-The check also surfaces (as info) rules the compiler cannot specialize:
-they run correctly on the interpreted fallback path, but a hot-path rule
-set full of fallbacks loses the compiled-dispatch speedup.
+at lint time: nothing else reports it, before or after a run.
 """
 
 from __future__ import annotations
 
 from repro.analysis.diagnostics import diagnostic
 from repro.analysis.graph import guard_conjuncts
-from repro.core.compile import compile_rule
 from repro.core.conditions import TRUE, Expr
-from repro.core.errors import CompileError
 from repro.core.rules import IMPLICIT_VARIABLES, Rule
 
 CHECK = "variable-safety"
@@ -71,18 +65,5 @@ def check_variable_safety(ctx, report) -> None:
                         "binder conjunct (var == expr), or use an "
                         "upper-case name for a local data item"
                     ),
-                )
-            )
-        try:
-            compile_rule(rule)
-        except CompileError as exc:
-            report.add(
-                diagnostic(
-                    "CM202",
-                    f"rule {rule.name!r} cannot be compiled and will run "
-                    f"on the interpreted fallback path: {exc}",
-                    site=node.site,
-                    rule=rule.name,
-                    check=CHECK,
                 )
             )

@@ -1,21 +1,22 @@
 """Structured diagnostics for the CM-Lint static analyzer.
 
-A :class:`Diagnostic` is one finding: a stable code (``CM101``), a severity,
+A :class:`Diagnostic` is one finding: a stable code (``CM301``), a severity,
 a message, and provenance (site, rule, check family) plus an optional fix
 hint.  Codes are stable across releases so suppression lists and CI
 baselines can reference them; the registry below is the single source of
 truth for what each code means (the TUTORIAL table is generated from the
-same text).
+same text).  A code stays in it only while nothing else in the toolkit
+reports its mistake (DESIGN.md §6, "CM-Lint keeps what only it catches").
 
 Severity semantics follow the usual linter convention:
 
-- ``error`` — the configuration is wrong: a rule can never run, will fail
-  at runtime, or a promised guarantee is provably unachievable.  Strict
-  installation mode and the CI lint job fail on these.
-- ``warning`` — suspicious but possibly intended (dead rules, unordered
-  write-write pairs, echo-prone cycles).
-- ``info`` — observations useful when tuning (guarded cycles with their
-  guard, compile fallbacks).
+- ``error`` — the configuration is wrong: a rule can never fire, never
+  stops firing, or a promised guarantee is provably unachievable.
+  ``verify()`` and the CI lint job fail on these.
+- ``warning`` — suspicious but possibly intended (unordered write-write
+  pairs).
+- ``info`` — observations useful when tuning (a bound that holds only
+  while a guard fires).
 """
 
 from __future__ import annotations
@@ -42,67 +43,17 @@ class Severity(Enum):
 #: Checks must use codes from this table; :func:`describe_codes` renders it
 #: for the CLI and the TUTORIAL.
 CODES: dict[str, tuple[Severity, str]] = {
-    # interface compliance (CM1xx)
-    "CM101": (
-        Severity.ERROR,
-        "rule issues a write request (WR) on a family whose source offers "
-        "no write interface",
-    ),
-    "CM102": (
-        Severity.ERROR,
-        "rule issues a read request (RR) on a family whose source offers "
-        "no read interface",
-    ),
-    "CM103": (
-        Severity.ERROR,
-        "rule triggers on a notification (N) for a family whose source "
-        "offers no notify-flavoured interface",
-    ),
-    "CM104": (
-        Severity.ERROR,
-        "rule references an item family no registered source provides",
-    ),
-    "CM105": (
-        Severity.ERROR,
-        "rule writes (W) a database family directly; database items need a "
-        "write request (WR)",
-    ),
     # variable safety (CM2xx)
     "CM201": (
         Severity.ERROR,
         "condition uses a rule variable never bound by the LHS template or "
         "a binder equality; the rule can never fire",
     ),
-    "CM202": (
-        Severity.INFO,
-        "rule cannot be compiled and will run on the interpreted fallback "
-        "path",
-    ),
-    # cycles & echo (CM3xx)
+    # cycles (CM3xx)
     "CM301": (
         Severity.ERROR,
         "unguarded cycle in the trigger graph; the rules re-trigger each "
         "other forever",
-    ),
-    "CM302": (
-        Severity.WARNING,
-        "cycle closed only by write-notify echo; safe only while "
-        "translators suppress echo notifications",
-    ),
-    "CM303": (
-        Severity.INFO,
-        "trigger-graph cycle guarded by a condition (benign while the "
-        "guard converges)",
-    ),
-    # dead & shadowed rules (CM4xx)
-    "CM401": (
-        Severity.WARNING,
-        "rule is unreachable from any source event or periodic timer",
-    ),
-    "CM402": (
-        Severity.WARNING,
-        "rule is shadowed by an equivalent rule that matches the same "
-        "events; both fire, duplicating the right-hand side",
     ),
     # write-write conflicts (CM5xx)
     "CM501": (
@@ -116,26 +67,16 @@ CODES: dict[str, tuple[Severity, str]] = {
         "metric guarantee's κ is smaller than the best worst-case bound "
         "achievable along any trigger-graph path",
     ),
-    "CM602": (
-        Severity.WARNING,
-        "metric guarantee has no trigger-graph path carrying X changes to "
-        "Y writes",
-    ),
     "CM603": (
         Severity.INFO,
         "metric guarantee's only delivery paths are conditionally guarded; "
         "the bound holds only when the guards fire",
     ),
-    "CM604": (
-        Severity.INFO,
-        "a channel on the delivery path has an unbounded latency model; "
-        "feasibility cannot be proven statically",
-    ),
 }
 
 
 def describe_codes() -> str:
-    """The codes table, one line per code (CLI ``--lint --codes``)."""
+    """The codes table, one line per code (CLI ``--lint-codes``)."""
     lines = []
     for code, (severity, meaning) in sorted(CODES.items()):
         lines.append(f"{code}  {severity.value:7s}  {meaning}")
@@ -221,9 +162,6 @@ class LintReport:
     def add(self, finding: Diagnostic) -> None:
         self.diagnostics.append(finding)
 
-    def extend(self, findings: Iterable[Diagnostic]) -> None:
-        self.diagnostics.extend(findings)
-
     def finalize(self, suppress: Iterable[str] = ()) -> "LintReport":
         """Apply suppressions and sort by severity (stable within rank)."""
         allow = set(suppress)
@@ -241,10 +179,6 @@ class LintReport:
     @property
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity is Severity.ERROR]
-
-    @property
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity is Severity.WARNING]
 
     @property
     def ok(self) -> bool:

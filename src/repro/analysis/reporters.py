@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from repro.analysis.diagnostics import CODES, LintReport
+from repro.analysis.diagnostics import LintReport
 
 
 def merge_reports(reports: list[LintReport]) -> LintReport:
@@ -60,56 +60,6 @@ def render_text(results: dict[str, LintReport]) -> str:
         f"lint summary: {len(results)} target(s), {total_errors} error(s), "
         f"{total_warnings} warning(s)"
     )
-    return "\n".join(lines)
-
-
-def render_explain(code: str, results: dict[str, LintReport]) -> str:
-    """Deep-dive digest for one diagnostic code (CLI ``--explain``).
-
-    Prints the registry entry for ``code`` (a key of ``CODES``; the CLI
-    rejects anything else before linting) followed by every matching
-    finding across the linted targets.  Suppressed findings are included
-    (marked), since ``--explain`` is a diagnosis tool, not a gate.
-    """
-    severity, meaning = CODES[code]
-    lines = [f"{code} ({severity.value}): {meaning}", ""]
-    hits = 0
-    for target, report in results.items():
-        findings = [
-            (finding, False)
-            for finding in report.diagnostics
-            if finding.code == code
-        ] + [
-            (finding, True)
-            for finding in report.suppressed
-            if finding.code == code
-        ]
-        if not findings:
-            continue
-        lines.append(f"== {target} ==")
-        for finding, suppressed in findings:
-            hits += 1
-            mark = " (suppressed)" if suppressed else ""
-            where = []
-            if finding.site is not None:
-                where.append(f"site {finding.site}")
-            if finding.rule is not None:
-                where.append(f"rule {finding.rule}")
-            location = f" [{', '.join(where)}]" if where else ""
-            lines.append(f"  finding{location}{mark}:")
-            lines.append(f"    {finding.message}")
-            if finding.hint:
-                lines.append(f"    -> {finding.hint}")
-        lines.append("")
-    if hits == 0:
-        lines.append(
-            f"no {code} findings across {len(results)} linted target(s)"
-        )
-    else:
-        lines.append(
-            f"{hits} {code} finding(s) across {len(results)} linted "
-            f"target(s)"
-        )
     return "\n".join(lines)
 
 

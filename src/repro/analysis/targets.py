@@ -5,7 +5,7 @@ Each experiment module exposes ``build_for_lint()`` returning one wired
 :class:`~repro.cm.manager.ConstraintManager` (or a list of them, for
 experiments that sweep configurations); example scripts expose the same
 hook and are loaded by file path, since ``examples/`` is not a package.  A
-module may declare ``LINT_SUPPRESS = ("CM501", "CM402:rule-name", ...)`` as
+module may declare ``LINT_SUPPRESS = ("CM601", "CM501:rule-name", ...)`` as
 its inline allowlist — suppressed findings stay visible in the report's
 ``suppressed`` section rather than disappearing.
 """

@@ -91,15 +91,20 @@ class SiteBuilder:
         """Install a hand-written strategy rule whose LHS is at this site.
 
         Accepts a :class:`~repro.core.rules.Rule` or rule-language text.
-        ``rhs_site`` defaults to the registered location of the RHS families
-        (falling back to this site for purely private right-hand sides);
-        notify-triggered rules get their translator hook set up, matching
-        what catalog installation does.
+        The rule passes the same interface survey as catalog installation
+        before it is indexed: a WR, RR or N on a family whose source offers
+        no such interface, or a W on a database family, raises
+        :class:`~repro.core.errors.ConfigurationError` and leaves the shell
+        unchanged.  ``rhs_site`` defaults to the registered location of the
+        RHS families (falling back to this site for purely private
+        right-hand sides); notify-triggered rules get their translator hook
+        set up, matching what catalog installation does.
         """
         from repro.core.dsl import parse_rule
 
         if isinstance(rule, str):
             rule = parse_rule(rule, name=name)
+        self.manager._validate_rule_requirements([rule], set())
         if rhs_site is None:
             try:
                 rhs_site = rule.resolve_rhs_site(self.manager.locations)

@@ -17,7 +17,7 @@ rule language:
   rules in the exact bucket plus the kind's catch-all bucket — merged by
   installation order, so the firing sequence is *identical* to the linear
   scan's.  The merged bucket is memoized per ``(kind, family)`` until the
-  rule set changes.
+  next rule is added.
 
 The index is purely a pre-filter: every rule it returns still runs its
 compiled matcher (which re-checks kind and family), so indexing can drop
@@ -109,22 +109,6 @@ class RuleIndex:
             # "family" is None and whose descriptors carry no item either.
             self._buckets.setdefault((kind, family), []).append(installed)
         return installed
-
-    def remove(self, installed: InstalledRule) -> None:
-        """Withdraw an entry previously returned by :meth:`add`.
-
-        Used by strict installation mode to roll back a rule whose lint
-        findings reject it; serials of surviving entries are untouched, so
-        installation-order iteration stays correct.
-        """
-        self._all.remove(installed)
-        self._memo.clear()
-        kind = installed.rule.lhs.kind
-        family = installed.rule.lhs.dispatch_family
-        if family is None and installed.rule.lhs.item is not None:
-            self._catch_all[kind].remove(installed)
-        else:
-            self._buckets[(kind, family)].remove(installed)
 
     def candidates(self, desc: EventDesc) -> list[InstalledRule]:
         """Rules whose LHS might match ``desc``, in installation order.

@@ -21,16 +21,18 @@ This is the operator-facing surface of the toolkit (Section 4 of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from repro.constraints import Constraint, InequalityConstraint
 from repro.core.catalog import Suggestion, SuggestionContext, suggest
 from repro.core.errors import ConfigurationError
 from repro.core.events import Event, EventKind, reset_event_sequence
 from repro.core.guarantees import Guarantee, GuaranteeReport
-from repro.core.interfaces import InterfaceSet
+from repro.core.interfaces import InterfaceKind, InterfaceSet
 from repro.core.items import MISSING, DataItemRef, Locations, Value
+from repro.core.rules import Rule
 from repro.core.strategies import StrategySpec
+from repro.core.terms import FAMILY_WILDCARD
 from repro.core.timebase import Ticks
 from repro.core.trace import ExecutionTrace
 from repro.cm.guarantee_status import GuaranteeStatusBoard
@@ -281,7 +283,10 @@ class ConstraintManager:
                     f"has no site (pass dst_site when building the strategy)"
                 )
             self.locations.register(family, site)
-        self._validate_rule_requirements(strategy)
+        self._validate_rule_requirements(
+            strategy.rules,
+            {family for family, __ in strategy.private_families},
+        )
         placed = []
         for rule in strategy.rules:
             rhs_site = rule.resolve_rhs_site(self.locations)
@@ -314,60 +319,72 @@ class ConstraintManager:
                 self.shell(lhs_site).translator_for(family).setup_notify(family)
         return replace(strategy, rules=tuple(placed))
 
-    def _validate_rule_requirements(self, strategy: StrategySpec) -> None:
-        """Fail installation early when a rule needs an unoffered interface.
+    def _validate_rule_requirements(
+        self, rules: Iterable[Rule], private: set[str]
+    ) -> None:
+        """The interface survey: fail before any rule is indexed when one
+        needs an interface its source does not offer.
 
         A WR (write request) to a family requires its source to offer a
         write interface; an RR a read interface; a notify-triggered LHS a
-        (conditional/periodic) notify interface.  Catching this at install
-        time mirrors the paper's configuration-time interface survey — a
-        strategy that does not fit the offered interfaces should never
-        start running.
+        (conditional/periodic) notify interface; and a W (direct write) may
+        not target a family a translator backs, since database items need a
+        WR.  This is the paper's configuration-time interface survey: a rule
+        that does not fit the offered interfaces never starts running.
+        Families in ``private`` are shell-private to the rules' strategy
+        and need no interface.
         """
-        from repro.core.interfaces import InterfaceKind
-
         interfaces = self.interfaces()
-        needs: list[tuple[str, InterfaceKind]] = []
-        for rule in strategy.rules:
+        backed = {
+            family
+            for shell in self.shells.values()
+            for family in shell.translators
+        }
+        for rule in rules:
+            needs: list[tuple[str, InterfaceKind]] = []
             if rule.lhs.kind is EventKind.NOTIFY and rule.lhs.item_family:
                 needs.append((rule.lhs.item_family, InterfaceKind.NOTIFY))
             for step in rule.steps:
                 family = step.template.item_family
+                kind = step.template.kind
                 if family is None:
                     continue
-                if step.template.kind is EventKind.WRITE_REQUEST:
+                if kind is EventKind.WRITE_REQUEST:
                     needs.append((family, InterfaceKind.WRITE))
-                elif step.template.kind is EventKind.READ_REQUEST:
+                elif kind is EventKind.READ_REQUEST:
                     needs.append((family, InterfaceKind.READ))
-        from repro.core.terms import FAMILY_WILDCARD
-
-        private = {family for family, __ in strategy.private_families}
-        for family, kind in needs:
-            if family in private or family == FAMILY_WILDCARD:
-                continue
-            if not self.locations.known(family):
-                raise ConfigurationError(
-                    f"strategy {strategy.name!r} references family "
-                    f"{family!r} ({kind.value} interface needed), but no "
-                    f"source is registered for it; add the source with "
-                    f"cm.add_source(...) before installing the strategy"
-                )
-            if kind is InterfaceKind.NOTIFY:
-                satisfied = any(
-                    interfaces.has(family, k)
-                    for k in (
-                        InterfaceKind.NOTIFY,
-                        InterfaceKind.CONDITIONAL_NOTIFY,
-                        InterfaceKind.PERIODIC_NOTIFY,
+                elif kind is EventKind.WRITE and family in backed:
+                    raise ConfigurationError(
+                        f"rule {rule.name!r} writes W({family}) directly, "
+                        f"but {family!r} is a database family; emit a WR "
+                        f"(write request) instead"
                     )
-                )
-            else:
-                satisfied = interfaces.has(family, kind)
-            if not satisfied:
-                raise ConfigurationError(
-                    f"strategy {strategy.name!r} needs a {kind.value} "
-                    f"interface for {family!r}, but none is offered"
-                )
+            for family, kind in needs:
+                if family in private or family == FAMILY_WILDCARD:
+                    continue
+                if not self.locations.known(family):
+                    raise ConfigurationError(
+                        f"rule {rule.name!r} references family {family!r} "
+                        f"({kind.value} interface needed), but no source is "
+                        f"registered for it; add the source with "
+                        f"cm.add_source(...) before installing the rule"
+                    )
+                if kind is InterfaceKind.NOTIFY:
+                    satisfied = any(
+                        interfaces.has(family, k)
+                        for k in (
+                            InterfaceKind.NOTIFY,
+                            InterfaceKind.CONDITIONAL_NOTIFY,
+                            InterfaceKind.PERIODIC_NOTIFY,
+                        )
+                    )
+                else:
+                    satisfied = interfaces.has(family, kind)
+                if not satisfied:
+                    raise ConfigurationError(
+                        f"rule {rule.name!r} needs a {kind.value} interface "
+                        f"for {family!r}, but none is offered"
+                    )
 
     def _install_native(
         self,

@@ -180,7 +180,6 @@ class CMShell:
         *,
         phase: Optional[Ticks] = None,
         compiled: bool | None = None,
-        strict: bool = False,
     ) -> None:
         """Install a strategy rule whose LHS is at this site.
 
@@ -195,11 +194,10 @@ class CMShell:
         starts at the epoch and fires every period.  ``rhs_site`` defaults
         to this site (local execution).
 
-        With ``strict=True`` the shell lints itself (the single-site
-        subset of CM-Lint: interface compliance, variable safety, cycle
-        detection) after indexing the rule; any error-severity finding
-        rolls the rule back and raises :class:`ConfigurationError`, so a
-        strictly-installed shell is always lint-clean.
+        This is the raw wiring path: it does not survey interfaces.
+        ``cm.install`` and ``cm.site(...).rule(...)`` do, before calling
+        it; a rule installed here that needs a missing interface fails at
+        its translator on first use.
         """
         existing = self._rules_by_name.get(rule.name)
         if existing is not None and existing != rule:
@@ -215,17 +213,6 @@ class CMShell:
         if compiled is None:
             compiled = self.compile_rules
         installed = self._index.add(rule, rhs_site, compiled=compiled)
-        if strict:
-            from repro.analysis import lint_shell
-
-            errors = lint_shell(self).errors
-            if errors:
-                self._index.remove(installed)
-                raise ConfigurationError(
-                    f"strict install of rule {rule.name!r} at site "
-                    f"{self.site!r} rejected by lint:\n  "
-                    + "\n  ".join(str(finding) for finding in errors)
-                )
         if rule.lhs.kind is EventKind.PERIODIC:
             self._install_timer(rule, phase)
         if installed.program is not None:

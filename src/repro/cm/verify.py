@@ -1,6 +1,6 @@
 """One-call post-run verification of a constraint-managed scenario.
 
-Bundles the three validation layers the repository provides:
+Bundles the four validation layers the repository provides:
 
 1. **guarantee checking** — every issued guarantee evaluated against the
    recorded execution trace;
@@ -11,7 +11,13 @@ Bundles the three validation layers the repository provides:
    a transient failure can invalidate a guarantee whose obligations happened
    to be met anyway, but never the other way around — except for silent
    failures, which is precisely what :attr:`VerificationReport.silent_gaps`
-   surfaces).
+   surfaces);
+4. **static lint** — the CM-Lint checks (:func:`repro.analysis.lint_manager`)
+   over the still-wired configuration, limited to mistakes nothing else
+   reports: unguarded trigger cycles, unbound rule variables, unordered
+   cross-site writers, infeasible or guard-dependent metric bounds.  The
+   interface survey itself is not repeated here: ``cm.install`` and
+   ``cm.site(...).rule(...)`` reject an unoffered interface before the run.
 
 Usage::
 
@@ -109,25 +115,17 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify(
-    cm: ConstraintManager,
-    *,
-    lint: bool = True,
-    lint_suppress: tuple[str, ...] = (),
-) -> VerificationReport:
+def verify(cm: ConstraintManager) -> VerificationReport:
     """Run all post-hoc validation layers over a finished scenario.
 
-    ``lint`` (default on) also runs the static CM-Lint battery over the
-    still-wired configuration and attaches its findings; pass
-    ``lint_suppress`` codes (``"CM501"`` / ``"CM501:rule-name"``) for
-    findings that are expected in this scenario.
+    The static CM-Lint checks run over the still-wired configuration and
+    their findings are attached, so the report also shows what was
+    knowable before the run.
     """
-    report = VerificationReport()
-    if lint:
-        from repro.analysis import lint_manager
+    from repro.analysis import lint_manager
 
-        lint_report = lint_manager(cm, suppress=lint_suppress)
-        report.diagnostics = list(lint_report.diagnostics)
+    report = VerificationReport()
+    report.diagnostics = list(lint_manager(cm).diagnostics)
     report.guarantee_reports = cm.check_guarantees()
     rules = [
         rule

@@ -157,7 +157,9 @@ def encode_event(
     }
 
 
-def decode_event(data: dict[str, Any]) -> Event:
+def decode_event(
+    data: dict[str, Any], depth: int = MAX_TRIGGER_DEPTH
+) -> Event:
     """Reverse :func:`encode_event`, bottom-up.
 
     Reconstructed events carry empty interpretations (the receiving side
@@ -166,10 +168,19 @@ def decode_event(data: dict[str, Any]) -> Event:
     counter untouched, so local event numbering is unaffected by decoding.
     The ``rule`` field decodes to ``None``: the frame carries the rule's
     *name*, and validators identify remote triggers by ``(site, seq)``,
-    not by their rule field.
+    not by their rule field.  A chain longer than the encoder ever emits
+    (:data:`MAX_TRIGGER_DEPTH` events) raises :class:`CodecError`, so a
+    hostile frame cannot drive the recursion to the interpreter's limit.
     """
     trigger_data = data["trigger"]
-    trigger = decode_event(trigger_data) if trigger_data is not None else None
+    if trigger_data is None:
+        trigger = None
+    elif depth > 1:
+        trigger = decode_event(trigger_data, depth - 1)
+    else:
+        raise CodecError(
+            f"trigger chain deeper than {MAX_TRIGGER_DEPTH} events"
+        )
     return Event(
         time=data["time"],
         site=data["site"],

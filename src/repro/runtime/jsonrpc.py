@@ -97,6 +97,19 @@ class ErrorResponse:
 Message = Union[Request, Notification, Response, ErrorResponse]
 
 
+def _message_id(raw: dict[str, Any]) -> int | str | None:
+    """The envelope's id: a string, an integer or null (JSON-RPC 2.0 §4;
+    a boolean is not an integer here)."""
+    value = raw.get("id")
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ProtocolError(
+        f"id must be a string, an integer or null, got {type(value).__name__}"
+    )
+
+
 def parse_message(raw: Any) -> Message:
     """Parse one decoded JSON value into a typed JSON-RPC message.
 
@@ -117,20 +130,23 @@ def parse_message(raw: Any) -> Message:
                 "params must be an object", code=INVALID_PARAMS
             )
         if "id" in raw:
-            return Request(method=method, params=params, id=raw["id"])
+            return Request(method=method, params=params, id=_message_id(raw))
         return Notification(method=method, params=params)
     if "error" in raw:
         error = raw["error"]
         if not isinstance(error, dict) or "code" not in error:
             raise ProtocolError("malformed error object")
+        code = error["code"]
+        if not isinstance(code, int) or isinstance(code, bool):
+            raise ProtocolError("error code must be an integer")  # §5.1
         return ErrorResponse(
-            id=raw.get("id"),
-            code=error["code"],
+            id=_message_id(raw),
+            code=code,
             message=error.get("message", ""),
             data=error.get("data"),
         )
     if "result" in raw:
         if "id" not in raw:
             raise ProtocolError("response without an id")
-        return Response(id=raw["id"], result=raw["result"])
+        return Response(id=_message_id(raw), result=raw["result"])
     raise ProtocolError("message is neither request, notification, nor response")

@@ -3,8 +3,8 @@
 ``salary_cm(kind)`` wires the Section 4.2 personnel scenario via the
 catalog (the canonical lint-clean configuration); ``bare_two_site()``
 wires the same sources *without* installing any strategy, so tests can
-install handcrafted (often deliberately broken) rules directly on the
-shells, bypassing the manager's eager validation.
+install handcrafted (often deliberately broken) rules, through the
+surveyed ``cm.site(...).rule(...)`` or directly on the shells.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ def bare_two_site(
     seed: int = 0,
     offer_notify: bool = True,
     offer_write: bool = True,
+    offer_read: bool = True,
 ) -> ConstraintManager:
     """sf/ny with salary1 (notify+read) and salary2 (write+read+quiet),
-    no strategy installed."""
+    no strategy installed; each flag withdraws one of those offers."""
     cm = ConstraintManager(Scenario(seed=seed))
     cm.add_site("sf")
     cm.add_site("ny")
@@ -38,7 +39,8 @@ def bare_two_site(
     )
     if offer_notify:
         rid_a.offer("salary1", InterfaceKind.NOTIFY, bound_seconds=2.0)
-    rid_a.offer("salary1", InterfaceKind.READ, bound_seconds=1.0)
+    if offer_read:
+        rid_a.offer("salary1", InterfaceKind.READ, bound_seconds=1.0)
     cm.add_source("sf", branch, rid_a)
 
     hq = RelationalDatabase("hq")

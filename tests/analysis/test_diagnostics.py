@@ -18,7 +18,7 @@ class TestDiagnostic:
             )
 
     def test_helper_uses_registered_default_severity(self):
-        finding = diagnostic("CM101", "missing write interface")
+        finding = diagnostic("CM301", "unguarded cycle")
         assert finding.severity is Severity.ERROR
         finding = diagnostic("CM501", "conflict")
         assert finding.severity is Severity.WARNING
@@ -27,10 +27,10 @@ class TestDiagnostic:
 
     def test_str_includes_code_severity_and_provenance(self):
         finding = diagnostic(
-            "CM101", "no write interface", site="ny", rule="forward"
+            "CM201", "unbound variable", site="ny", rule="forward"
         )
         text = str(finding)
-        assert "CM101" in text
+        assert "CM201" in text
         assert "error" in text
         assert "ny" in text
         assert "forward" in text
@@ -51,7 +51,7 @@ class TestLintReport:
         report = LintReport()
         report.add(diagnostic("CM603", "info finding"))
         report.add(diagnostic("CM501", "warning finding"))
-        report.add(diagnostic("CM101", "error finding"))
+        report.add(diagnostic("CM301", "error finding"))
         report = report.finalize(())
         assert [d.severity for d in report.diagnostics] == [
             Severity.ERROR,
@@ -64,7 +64,7 @@ class TestLintReport:
         report.add(diagnostic("CM501", "warning"))
         assert report.finalize(()).ok
         report = LintReport()
-        report.add(diagnostic("CM101", "error"))
+        report.add(diagnostic("CM301", "error"))
         assert not report.finalize(()).ok
 
     def test_suppression_by_code(self):
@@ -89,15 +89,15 @@ class TestLintReport:
 
     def test_to_json_is_valid(self):
         report = LintReport()
-        report.add(diagnostic("CM401", "dead rule", rule="r"))
+        report.add(diagnostic("CM201", "unbound variable", rule="r"))
         data = json.loads(report.finalize(()).to_json())
-        assert data["diagnostics"][0]["code"] == "CM401"
+        assert data["diagnostics"][0]["code"] == "CM201"
 
 
 class TestCodeRegistry:
     def test_all_families_represented(self):
         prefixes = {code[:3] for code in CODES}
-        assert prefixes == {"CM1", "CM2", "CM3", "CM4", "CM5", "CM6"}
+        assert prefixes == {"CM2", "CM3", "CM5", "CM6"}
 
     def test_describe_codes_lists_every_code(self):
         text = describe_codes()

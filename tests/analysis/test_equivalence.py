@@ -2,9 +2,8 @@
 
 Two directions: every lint-clean catalog configuration must also produce a
 valid trace when actually run (lint raises no false alarms for the
-configurations we ship), and a battery of known-bad fixtures must be
-flagged statically with the expected codes (the runtime misbehavior lint
-predicts really is there, without having to run it).
+configurations we ship), and known-bad fixtures must be rejected before the
+run — by the install-time interface survey or by a lint code.
 """
 
 import pytest
@@ -51,30 +50,33 @@ class TestCleanConfigsRunClean:
 
 
 class TestKnownBadFixtures:
-    def test_echo_loop_flagged_statically(self):
-        from repro.core.interfaces import InterfaceKind
-
-        cm = bare_two_site()
-        rid_b = cm.shells["ny"].translators["salary2"].rid
-        rid_b.offer("salary2", InterfaceKind.NOTIFY, bound_seconds=2.0)
-        cm.shell("ny").install(
-            rule("rule echoer: N(salary2(n), b) -> [1] WR(salary2(n), b)"),
-            rhs_site="ny",
-        )
-        report = lint_manager(cm)
-        cm.stop()
-        assert "CM302" in codes_of(report)
-
     def test_ungranted_write_flagged_statically(self):
+        # The interface survey runs before the first rule is indexed, so a
+        # strategy that needs an unoffered write interface never starts.
+        from repro.constraints.copy import CopyConstraint
+        from repro.core.catalog import Suggestion
+        from repro.core.errors import ConfigurationError
+        from repro.core.strategies import StrategySpec
+
         cm = bare_two_site(offer_write=False)
-        cm.shell("sf").install(
-            rule("rule fwd: N(salary1(n), b) -> [1] WR(salary2(n), b)"),
-            rhs_site="ny",
+        constraint = cm.declare(
+            CopyConstraint("salary1", "salary2", params=("n",))
         )
-        report = lint_manager(cm)
+        spec = StrategySpec(
+            name="ungranted",
+            kind="propagation",
+            description="requests writes salary2 does not offer",
+            rules=(
+                rule("rule mark: P(60) -> [1] W(Seen, 0)"),
+                rule("rule fwd: N(salary1(n), b) -> [1] WR(salary2(n), b)"),
+            ),
+            private_families=(("Seen", "sf"),),
+        )
+        with pytest.raises(ConfigurationError, match="write interface"):
+            cm.install(constraint, Suggestion(spec, (), "test"))
         cm.stop()
-        assert "CM101" in codes_of(report)
-        assert not report.ok
+        assert not cm.installed
+        assert all(len(shell._index) == 0 for shell in cm.shells.values())
 
     def test_infeasible_kappa_flagged_statically(self):
         from repro.analysis.lint import manager_context, run_checks

@@ -92,9 +92,7 @@ class TestTriggerGraph:
         cm = salary_cm("propagation")
         graph = build_trigger_graph(cm)
         cm.stop()
-        assert not any(
-            edge.guarded for edge in graph.edges if not edge.echo
-        )
+        assert not any(edge.guarded for edge in graph.edges)
 
     def test_graph_len_counts_nodes(self):
         cm = salary_cm("propagation")

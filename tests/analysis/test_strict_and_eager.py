@@ -1,16 +1,17 @@
-"""Tests for strict shell installs, eager manager validation, and the
-lint wiring in ``verify()`` / run reports."""
+"""Tests for the unsurveyed raw install, eager manager validation, and
+the lint wiring in ``verify()`` / run reports."""
 
 import pytest
 
 from analysis_helpers import bare_two_site, salary_cm
 
 from repro import parse_rules
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, UnsupportedOperationError
 from repro.cm.verify import verify
 from repro.constraints.copy import CopyConstraint
 from repro.core.catalog import Suggestion
 from repro.core.strategies import StrategySpec
+from repro.core.timebase import seconds
 
 
 def rule(text: str):
@@ -19,23 +20,8 @@ def rule(text: str):
 
 
 class TestStrictInstall:
-    def test_strict_rejects_rule_violating_interfaces(self):
-        # The RHS must be local: the single-shell lint view deliberately
-        # skips remote-RHS steps (their interfaces are out of scope), so
-        # the violation here is a write-back to salary1, which offers
-        # notify and read but no write interface.
-        cm = bare_two_site()
-        shell = cm.shell("sf")
-        before = len(shell._index)
-        with pytest.raises(ConfigurationError) as excinfo:
-            shell.install(
-                rule("rule back: N(salary1(n), b) -> [1] WR(salary1(n), b)"),
-                strict=True,
-            )
-        cm.stop()
-        assert "CM101" in str(excinfo.value)
-        # The rejected rule was rolled back, not left half-installed.
-        assert len(shell._index) == before
+    """Raw ``CMShell.install`` is unsurveyed; a misconfigured rule fails
+    loudly at its translator on first use."""
 
     def test_non_strict_install_of_same_rule_succeeds(self):
         cm = bare_two_site()
@@ -44,33 +30,12 @@ class TestStrictInstall:
         shell.install(
             rule("rule back: N(salary1(n), b) -> [1] WR(salary1(n), b)")
         )
-        cm.stop()
         assert len(shell._index) == before + 1
-
-    def test_strict_accepts_clean_rule(self):
-        cm = bare_two_site()
-        shell = cm.shell("sf")
-        shell.install(
-            rule("rule fwd: N(salary1(n), b) -> [1] WR(salary2(n), b)"),
-            rhs_site="ny",
-            strict=True,
-        )
+        shell.translator_for("salary1").setup_notify("salary1")
+        cm.spontaneous_write("salary1", ("e1",), 5.0)
+        with pytest.raises(UnsupportedOperationError, match="no write"):
+            cm.run(until=seconds(30))
         cm.stop()
-        assert any(r.rule.name == "fwd" for r in shell._index)
-
-    def test_strict_rejects_unguarded_cycle(self):
-        cm = bare_two_site()
-        shell = cm.shell("sf")
-        cm.locations.register("PingV", "sf")
-        cm.locations.register("PongV", "sf")
-        shell.install(rule("rule ping: W(PingV, b) -> [1] W(PongV, b)"))
-        with pytest.raises(ConfigurationError) as excinfo:
-            shell.install(
-                rule("rule pong: W(PongV, b) -> [1] W(PingV, b)"),
-                strict=True,
-            )
-        cm.stop()
-        assert "CM301" in str(excinfo.value)
 
 
 class TestEagerValidation:
@@ -102,48 +67,32 @@ class TestEagerValidation:
         cm.stop()  # construction already installed the strategy
 
 
+def cross_site_cycle(cm):
+    """A ping/pong pair across sf and ny: an unguarded cycle (CM301)."""
+    cm.site("sf").private("PingV").site("ny").private("PongV")
+    cm.shell("sf").install(
+        rule("rule ping: W(PingV, b) -> [1] W(PongV, b)"), rhs_site="ny"
+    )
+    cm.shell("ny").install(
+        rule("rule pong: W(PongV, b) -> [1] W(PingV, b)"), rhs_site="sf"
+    )
+
+
 class TestVerifyLintIntegration:
     def test_bad_rule_fails_verification(self):
         cm = salary_cm("propagation")
-        cm.shell("ny").install(
-            rule("rule raw: N(salary1(n), b) -> [1] W(salary2(n), b)"),
-            rhs_site="ny",
-        )
+        cross_site_cycle(cm)
         report = verify(cm)
         cm.stop()
         assert not report.lint_ok
         assert not report.ok
-        assert any(d.code == "CM105" for d in report.diagnostics)
-
-    def test_lint_can_be_skipped(self):
-        cm = salary_cm("propagation")
-        cm.shell("ny").install(
-            rule("rule raw: N(salary1(n), b) -> [1] W(salary2(n), b)"),
-            rhs_site="ny",
-        )
-        report = verify(cm, lint=False)
-        cm.stop()
-        assert report.lint_ok  # no findings recorded at all
-        assert not report.diagnostics
-
-    def test_suppression_reaches_verify(self):
-        cm = salary_cm("propagation")
-        cm.shell("ny").install(
-            rule("rule raw: N(salary1(n), b) -> [1] W(salary2(n), b)"),
-            rhs_site="ny",
-        )
-        report = verify(cm, lint_suppress=("CM105:raw",))
-        cm.stop()
-        assert report.lint_ok
+        assert any(d.code == "CM301" for d in report.diagnostics)
 
     def test_run_report_carries_lint_findings(self):
         cm = salary_cm("propagation")
-        cm.shell("ny").install(
-            rule("rule raw: N(salary1(n), b) -> [1] W(salary2(n), b)"),
-            rhs_site="ny",
-        )
+        cross_site_cycle(cm)
         report = cm.run_report()
         cm.stop()
         codes = {finding["code"] for finding in report.lint}
-        assert "CM105" in codes
+        assert "CM301" in codes
         assert "lint" in report.to_dict()

@@ -460,8 +460,10 @@ class TestScalingBudgets:
         assert per_event[4000] / per_event[2000] <= 1.1, per_event
 
     def test_lint_calls_linear_in_rules(self):
-        # Calls per rule for a warm lint pass: 85.5 at 10 chained rules,
-        # 77.1 at 1 000.  The first pass pays one-time setup, so it is
+        # Calls per rule for a warm lint pass: 59.9 at 10 chained rules,
+        # 54.1 at 1 000 (85.5 and 77.1 before the codes that repeat the
+        # install-time survey, the compile fallback count and the dead-rule
+        # walk were deleted).  The first pass pays one-time setup, so it is
         # the lint-clean check, not the count.
         per_rule = {}
         for n_rules in (10, 1000):
@@ -469,3 +471,4 @@ class TestScalingBudgets:
             assert lint_manager(cm).diagnostics == []
             per_rule[n_rules] = python_calls(partial(lint_manager, cm)) / n_rules
         assert per_rule[1000] <= 1.1 * per_rule[10], per_rule
+        assert per_rule[1000] <= 60, per_rule

@@ -10,11 +10,15 @@ exactly like the wire), with the rule's name in the encoded frame.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.timebase import seconds
 from repro.experiments.common import build_salary_scenario
+from repro.runtime.channels import decode_payload
 from repro.runtime.codec import (
     MAX_TRIGGER_DEPTH,
+    CodecError,
     decode_desc,
     decode_event,
     decode_value,
@@ -95,3 +99,138 @@ class TestEventRoundTrip:
                 assert decode_value(encode_value(value)) == value
                 seen += 1
         assert seen > 0
+
+
+def _chain(length: int) -> dict:
+    """An encoded event whose trigger chain holds ``length`` events."""
+    data = None
+    for seq in range(length):
+        data = {
+            "time": seq,
+            "site": "sf",
+            "seq": seq,
+            "desc": {"kind": "W", "item": {"name": "F", "args": []}, "values": [seq]},
+            "rule": None,
+            "trigger": data,
+        }
+    return data
+
+
+class TestHostileChains:
+    def test_chain_the_encoder_emits_decodes(self):
+        event = decode_event(_chain(MAX_TRIGGER_DEPTH))
+        depth = 0
+        while event is not None:
+            depth, event = depth + 1, event.trigger
+        assert depth == MAX_TRIGGER_DEPTH
+
+    @pytest.mark.parametrize("length", [MAX_TRIGGER_DEPTH + 1, 960])
+    def test_deeper_chain_is_a_codec_error(self, length):
+        with pytest.raises(CodecError, match="trigger chain deeper"):
+            decode_event(_chain(length))
+
+
+# -- properties ------------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**63), max_value=2**63)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=10,
+)
+
+#: Tagged values as the value codec writes them, with arbitrary fields.
+tagged_values = st.recursive(
+    json_values,
+    lambda children: st.fixed_dictionaries(
+        {"$": st.sampled_from(["missing", "item", "tuple", "list", "dict", "?"])},
+        optional={
+            "name": st.text(max_size=6) | children,
+            "args": st.lists(children, max_size=3) | children,
+            "v": st.lists(children, max_size=3)
+            | st.lists(st.lists(children, max_size=2), max_size=3)
+            | children,
+        },
+    ),
+    max_leaves=10,
+)
+
+descs = st.fixed_dictionaries(
+    {},
+    optional={
+        "kind": st.sampled_from(["W", "WR", "N", "Ws", "P", "?"]) | json_values,
+        "item": st.none()
+        | st.fixed_dictionaries(
+            {},
+            optional={
+                "name": st.text(max_size=6) | json_values,
+                "args": st.lists(tagged_values, max_size=3) | json_values,
+            },
+        ),
+        "values": st.lists(tagged_values, max_size=3) | json_values,
+    },
+)
+
+events = st.recursive(
+    st.none() | json_values,
+    lambda trigger: st.fixed_dictionaries(
+        {},
+        optional={
+            "time": st.integers(min_value=0) | json_values,
+            "site": st.text(max_size=4) | json_values,
+            "seq": st.integers(min_value=0) | json_values,
+            "desc": descs | json_values,
+            "rule": st.none() | st.text(max_size=6),
+            "trigger": trigger,
+        },
+    ),
+    max_leaves=12,
+)
+
+payloads = st.one_of(
+    json_values,
+    st.fixed_dictionaries(
+        {
+            "type": st.sampled_from(
+                ["failure-notice", "fire", "limit-request", "limit-grant", "value", "?"]
+            )
+        },
+        optional={
+            "rule": st.text(max_size=6) | json_values,
+            "trigger": events,
+            "slots": st.lists(tagged_values, max_size=3) | json_values,
+            "bindings": st.lists(
+                st.tuples(st.text(max_size=4), tagged_values).map(list),
+                max_size=3,
+            )
+            | json_values,
+            "v": tagged_values,
+            "site": st.text(max_size=4) | json_values,
+            "source": st.text(max_size=4) | json_values,
+            "kind": st.text(max_size=8) | json_values,
+            "time": st.integers() | json_values,
+            "detail": json_values,
+            "recovered": st.booleans() | json_values,
+            "origin": json_values,
+            "needed": json_values,
+            "granted": json_values,
+            "request_id": json_values,
+        },
+    ),
+)
+
+
+class TestPayloadDecodeProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(payloads)
+    def test_any_payload_decodes_or_raises_what_arrival_catches(self, data):
+        # The gateway's arrival path drops a frame whose payload raises one
+        # of these three; anything else would escape the loop callback.
+        try:
+            decode_payload(data)
+        except (ValueError, KeyError, TypeError):
+            pass
