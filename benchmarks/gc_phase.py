@@ -2,8 +2,10 @@
 ``python3 benchmarks/gc_phase.py --workload W [--seed 11]`` runs one real
 ``run.py`` measurement (``--trace 0``) under a ``gc.callbacks`` hook and prints,
 per repetition (row 0 is the untimed warm-up), the generation-2 passes begun
-inside ``setup`` / ``run`` / ``verdict`` as count/ms.  One pass costs more than
-a dispatch workload's whole verdict: compare the parent's table and the change's.
+inside ``setup`` / ``run`` / ``verdict`` as count/ms, and the GC-tracked objects
+alive when each phase ended (thousands).  One pass costs more than a dispatch
+workload's whole verdict, and how many tracked objects a phase leaves decides
+where the next one lands: compare the parent's table and the change's.
 """
 
 import argparse
@@ -38,10 +40,11 @@ def main(argv=None) -> int:
     def timed(name, inner):
         def phase(*args):
             if name == "setup":
-                rows.append({p: [0, 0.0] for p in PHASES})
+                rows.append({p: [0, 0.0, 0] for p in PHASES})
             now[0] = name
             result = inner(*args)
             now[0] = None
+            rows[-1][name][2] = len(gc.get_objects())
             return result
         return phase
 
@@ -49,10 +52,13 @@ def main(argv=None) -> int:
         setattr(workload, name, timed(name, getattr(workload, name)))
     gc.callbacks.append(on_gc)
     status = run.measure(args.workload, args.seed, run.DEFAULT_SCALE, args.seconds, 0)
-    print(f"gen-2 passes, count/ms  {'  '.join(f'{p:>10}' for p in PHASES)}")
+    heading = "  ".join(f"{p:>17}" for p in PHASES)
+    print(f"gen-2 passes, count/ms alive k  {heading}")
     for index, row in enumerate(rows):
-        cells = "  ".join(f"{row[p][0]:>3}/{row[p][1]:<6.1f}" for p in PHASES)
-        print(f"repetition {index:>3}          {cells}")
+        cells = "  ".join(
+            f"{row[p][0]:>3}/{row[p][1]:<6.1f} {row[p][2] / 1e3:>6.1f}" for p in PHASES
+        )
+        print(f"repetition {index:>3}                  {cells}")
     return status
 
 

@@ -25,8 +25,8 @@ stay near-linear in the number of events:
   :class:`Timeline` until the item changes; a timeline derives its held
   segments once (:meth:`Timeline.held`), so every guarantee checker reads
   the same segment objects;
-- :func:`validate_trace` compiles each rule's templates once per validation
-  and resolves provenance through a per-rule index keyed by trigger ``seq``.
+- :func:`validate_trace` compiles and matches each distinct LHS once and
+  resolves provenance through a per-rule index keyed by trigger ``seq``.
 
 The naive full-scan implementations are retained in
 :class:`ReferenceTraceQueries` / :func:`validate_trace_naive` as the
@@ -90,11 +90,9 @@ class Timeline:
     change, and a further write to the item yields a *new* timeline.
     """
 
-    __slots__ = ("_times", "_values", "_length", "horizon", "_held", "_by_value")
-
-    #: Up to this many held segments are scanned for a value, not grouped:
-    #: the dict costs more to build and keep than the scans it saves.
-    _SCAN_LIMIT = 8
+    __slots__ = (
+        "_times", "_values", "_length", "horizon", "_held", "_by_value", "_queries"
+    )
 
     def __init__(self, changes: list[tuple[Ticks, Value]], horizon: Ticks):
         if not changes or changes[0][0] != 0:
@@ -118,6 +116,7 @@ class Timeline:
         self._length = len(self._times)
         self.horizon = max(horizon, self._times[-1])
         self._held = self._by_value = None
+        self._queries = 0
 
     @classmethod
     def _over(
@@ -134,6 +133,7 @@ class Timeline:
         timeline._length = length
         timeline.horizon = max(horizon, times[length - 1])
         timeline._held = timeline._by_value = None
+        timeline._queries = 0
         return timeline
 
     def value_at(self, time: Ticks) -> Value:
@@ -165,29 +165,32 @@ class Timeline:
             )
         return held
 
-    def held_with(self, value: Value) -> Sequence[TimelineSegment]:
+    def held_with(self, value: Value) -> tuple[TimelineSegment, ...]:
         """The :meth:`held` segments whose value equals ``value``.
 
-        Long histories answer from a by-value grouping built once; short
-        ones (and histories holding an unhashable value) scan.
+        Scanned until the timeline has been asked more times than it holds
+        segments, then answered from a by-value grouping built once (a
+        history holding an unhashable value keeps scanning).
         """
         held = self.held()
         grouped = self._by_value
-        if grouped is None and len(held) > self._SCAN_LIMIT:
-            lists: dict[Value, list[TimelineSegment]] = {}
-            try:
-                for segment in held:
-                    lists.setdefault(segment.value, []).append(segment)
-                grouped = {v: tuple(group) for v, group in lists.items()}
-            except TypeError:
-                grouped = False  # an unhashable value: scan, and do not retry
-            self._by_value = grouped
+        if grouped is None:
+            self._queries += 1
+            if self._queries > len(held):
+                lists: dict[Value, list[TimelineSegment]] = {}
+                try:
+                    for segment in held:
+                        lists.setdefault(segment.value, []).append(segment)
+                    grouped = {v: tuple(group) for v, group in lists.items()}
+                except TypeError:
+                    grouped = False  # an unhashable value: scan, do not retry
+                self._by_value = grouped
         if grouped:
             try:
                 return grouped.get(value, ())
             except TypeError:
                 pass
-        return [s for s in held if s.value is value or s.value == value]
+        return tuple([s for s in held if s.value is value or s.value == value])
 
     def change_points(self) -> list[tuple[Ticks, Value]]:
         """The (time, new value) change list, starting at time 0."""
@@ -228,36 +231,37 @@ class _TimelineBuilder:
 
     def extend(self, writes: Sequence[Event]) -> int:
         """Fold in writes not yet consumed; returns the number processed."""
-        fresh = len(writes) - self._consumed
-        if fresh:
-            for index in range(self._consumed, len(writes)):
-                event = writes[index]
-                self._push(event.time, event.written_value)
-            self._consumed = len(writes)
-        return fresh
-
-    def _push(self, time: Ticks, value: Value) -> None:
+        consumed = self._consumed
         times, values = self._times, self._values
-        if times[-1] == time:
-            if len(times) > 1 and values[-2] == value:
+        for index in range(consumed, len(writes)):
+            event = writes[index]
+            time = event.time
+            desc = event.desc
+            value = desc.values[0] if desc.kind is _WRITE else desc.values[1]
+            if times[-1] != time:
+                if values[-1] != value:
+                    times.append(time)
+                    values.append(value)
+            elif len(times) > 1 and values[-2] == value:
                 # The same-instant overwrite re-created an adjacent
                 # duplicate: the entry collapses away entirely.
-                self._unshare_tail()
-                self._times.pop()
-                self._values.pop()
+                times, values = self._unshared()
+                times.pop()
+                values.pop()
             elif values[-1] != value:
-                self._unshare_tail()
-                self._values[-1] = value
-        elif values[-1] != value:
-            times.append(time)
-            values.append(value)
+                times, values = self._unshared()
+                values[-1] = value
+        self._consumed = len(writes)
+        return len(writes) - consumed
 
-    def _unshare_tail(self) -> None:
+    def _unshared(self) -> tuple[list[Ticks], list[Value]]:
+        """The arrays, copied first if a handed-out view sees their tail."""
         if self._shared >= len(self._times):
             self._times = list(self._times)
             self._values = list(self._values)
             self._shared = 0
             self._cached = None
+        return self._times, self._values
 
     def build(self, horizon: Ticks) -> Timeline:
         """The current timeline; reuses the last one when nothing changed."""
@@ -580,12 +584,14 @@ def validate_trace(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
     property-2/3 state checks), and properties 6-7 consume the trace's
     kind/family indexes.  Each rule object gets one :class:`_RulePlan` per
     validation — its templates compiled once, its generated events indexed
-    by trigger — which property 5 fills and property 6 reads.
+    by trigger — which property 5 fills and property 6 reads — and rules
+    with equal LHS templates share the matches of one :class:`_LhsMatch`.
     :func:`validate_trace_naive` is the pass-per-property, pair-per-pair,
     template-interpreting reference this is tested against.
     """
     buckets: dict[int, list[Violation]] = {n: [] for n in range(1, 8)}
-    plans: dict[int, _RulePlan] = {}  # by rule object identity
+    shared: dict[Template, _LhsMatch] = {}  # by LHS template
+    plans = {id(rule): _RulePlan(rule, shared) for rule in rules}  # by identity
     previous: Event | None = None
     for event in trace.events:
         kind = event.desc.kind
@@ -630,7 +636,7 @@ def validate_trace(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
         if rule is not None:
             plan = plans.get(id(rule))
             if plan is None:
-                plan = plans[id(rule)] = _RulePlan(rule)
+                plan = plans[id(rule)] = _RulePlan(rule, shared)
             _check_provenance(event, rule, plan, buckets[5])
 
         previous = event
@@ -661,27 +667,50 @@ def _write_transforms_state(event: Event, ref: DataItemRef) -> bool:
     return event.new == event.old.updated(ref, written)
 
 
+class _LhsMatch:
+    """One LHS template's compiled matcher, shared by the rules whose LHS
+    equals it, with the last trigger object property 5 matched and its
+    bindings (one entry: an entry per trigger would be one per generated
+    event) and property 6's LHS events per rule site."""
+
+    __slots__ = ("match", "trigger", "bindings", "at_site")
+
+    def __init__(self, lhs: Template) -> None:
+        self.match: Matcher = compile_matcher(lhs)
+        self.trigger: Event | None = None
+        self.bindings: Bindings | None = None
+        self.at_site: dict[str | None, list[Event]] = {}
+
+
 class _RulePlan:
     """What one validation needs of one rule object, derived once: the
-    compiled LHS, one compiled matcher per RHS step (``steps[i]`` for
-    ``rule.steps[i]``; ``FALSE`` compiles to match-nothing), and the rule's
-    generated events by their trigger's ``seq`` — the event itself, a list
-    only when one trigger generated several (a multi-step RHS).  The key is
-    an int every event already holds, where ``(rule id, site, seq)`` tuples
-    and a bucket list per event were the validator's allocation peak; the
-    trigger's site is compared on the hit.  Trigger identity is
-    ``(site, seq)``, never the object: a firing that crossed the wire
-    carries a by-value reconstruction of its trigger.
+    shared LHS (:class:`_LhsMatch`), one compiled matcher per RHS step
+    (``steps[i]`` for ``rule.steps[i]``; ``FALSE`` compiles to
+    match-nothing), and the rule's generated events by their trigger's
+    ``seq`` — the event itself, a list only when one trigger generated
+    several (a multi-step RHS).  The key is an int every event already
+    holds, where ``(rule id, site, seq)`` tuples and a bucket list per event
+    were the validator's allocation peak; the trigger's site is compared on
+    the hit.  Trigger identity is ``(site, seq)``, never the object: a
+    firing that crossed the wire carries a by-value reconstruction of its
+    trigger.  ``confirmed``: property 5 matched every indexed event to a step.
     """
 
-    __slots__ = ("lhs", "steps", "by_trigger")
+    __slots__ = ("lhs", "steps", "by_trigger", "confirmed")
 
-    def __init__(self, rule: Rule) -> None:
-        self.lhs: Matcher = compile_matcher(rule.lhs)
+    def __init__(self, rule: Rule, shared: dict[Template, _LhsMatch]) -> None:
+        try:
+            lhs = shared.get(rule.lhs)
+            if lhs is None:
+                lhs = shared[rule.lhs] = _LhsMatch(rule.lhs)
+        except TypeError:  # an unhashable constant: this rule matches alone
+            lhs = _LhsMatch(rule.lhs)
+        self.lhs = lhs
         self.steps: tuple[Matcher, ...] = tuple(
             compile_matcher(step.template) for step in rule.steps
         )
         self.by_trigger: dict[int, Event | list[Event]] = {}
+        self.confirmed = True
 
 
 def _check_provenance(
@@ -700,8 +729,14 @@ def _check_provenance(
         held.append(event)
     else:
         index[trigger.seq] = [held, event]
-    bindings = plan.lhs(trigger.desc)
+    lhs = plan.lhs
+    if trigger is lhs.trigger:
+        bindings = lhs.bindings
+    else:
+        bindings = lhs.bindings = lhs.match(trigger.desc)
+        lhs.trigger = trigger
     if bindings is None:
+        plan.confirmed = False
         violations.append(
             Violation(5, "trigger does not match the rule's LHS", event)
         )
@@ -713,6 +748,7 @@ def _check_provenance(
         if step(desc, bindings) is not None:
             break
     else:
+        plan.confirmed = False
         violations.append(
             Violation(
                 5, "event is not an instantiation of any RHS template", event
@@ -726,14 +762,19 @@ def _check_provenance(
         )
 
 
-def _lhs_events(trace: ExecutionTrace, rule: Rule, lhs: Matcher) -> Iterator[Event]:
-    """LHS matches at the rule's own site (see :func:`_own_site_matches`)."""
+def _lhs_events(trace: ExecutionTrace, rule: Rule, lhs: _LhsMatch) -> list[Event]:
+    """LHS matches at the rule's own site (see :func:`_own_site_matches`),
+    collected once per shared LHS and site."""
     site = rule.lhs_site
-    return (
-        event
-        for event in trace._candidates(rule.lhs)
-        if (site is None or event.site == site) and lhs(event.desc) is not None
-    )
+    found = lhs.at_site.get(site)
+    if found is None:
+        match = lhs.match
+        found = lhs.at_site[site] = [
+            event
+            for event in trace._candidates(rule.lhs)
+            if (site is None or event.site == site) and match(event.desc) is not None
+        ]
+    return found
 
 
 def _check_liveness(
@@ -747,9 +788,7 @@ def _check_liveness(
         if not prohibition and rule.condition is not TRUE:
             # The LHS condition read local data we no longer have; skip.
             continue
-        plan = plans.get(id(rule))
-        if plan is None:
-            plan = plans[id(rule)] = _RulePlan(rule)
+        plan = plans[id(rule)]
         if prohibition:
             for event in _lhs_events(trace, rule, plan.lhs):
                 violations.append(
@@ -760,12 +799,18 @@ def _check_liveness(
                     )
                 )
             continue
+        # A seeded match that succeeded implies the unseeded one: while
+        # property 5 flagged none of a single-step rule's indexed events,
+        # each of them instantiates the step and needs no second match.
+        steps = plan.steps
+        if plan.confirmed and len(steps) == 1:
+            steps = (None,)
         for event in _lhs_events(trace, rule, plan.lhs):
             deadline = event.time + rule.delay
             if deadline > trace.horizon:
                 continue  # obligation not yet due at end of trace
             previous_time = event.time
-            for step, matches in zip(rule.steps, plan.steps):
+            for step, matches in zip(rule.steps, steps):
                 if step.condition is not TRUE:
                     break  # later steps' timing depends on this one; stop here
                 found = _find_generated(plan, event, matches, previous_time, deadline)
@@ -784,17 +829,18 @@ def _check_liveness(
 
 
 def _find_generated(
-    plan: _RulePlan, trigger: Event, matches: Matcher, earliest: Ticks, deadline: Ticks
+    plan: _RulePlan, trigger: Event, matches: Matcher | None, since: Ticks, until: Ticks
 ) -> Event | None:
+    """``matches`` is ``None`` when every indexed event instantiates the step."""
     held = plan.by_trigger.get(trigger.seq)
     if held is None:
         return None
     for event in held if type(held) is list else (held,):
         if event.trigger.site != trigger.site:
             continue  # another site's event that happens to share the seq
-        if event.time < earliest or event.time > deadline:
+        if event.time < since or event.time > until:
             continue
-        if matches(event.desc) is not None:
+        if matches is None or matches(event.desc) is not None:
             return event
     return None
 

@@ -46,6 +46,12 @@ from repro.core.items import MISSING, DataItemRef
 #: validators and the propagation-latency walk need from a remote chain).
 MAX_TRIGGER_DEPTH = 8
 
+#: Containers (tuples, lists, dicts, item refs) nest at most this deep in one
+#: value; a deeper one raises :class:`CodecError` on both sides, so neither a
+#: hostile frame nor a runaway value reaches the interpreter's recursion
+#: limit, whatever nesting depth the JSON parser admits.
+MAX_VALUE_DEPTH = 32
+
 _TAG = "$"
 
 
@@ -58,46 +64,64 @@ class CodecError(ValueError):
 
 def encode_value(value: Any) -> Any:
     """Encode one value into JSON-compatible data."""
+    return _encode(value, MAX_VALUE_DEPTH)
+
+
+def decode_value(data: Any) -> Any:
+    """Reverse :func:`encode_value`, refusing what it would have refused."""
+    return _decode(data, MAX_VALUE_DEPTH)
+
+
+def _too_deep() -> CodecError:
+    return CodecError(f"value nests deeper than {MAX_VALUE_DEPTH} containers")
+
+
+def _encode(value: Any, depth: int) -> Any:
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, (str, int, float)):
         return value
     if value is MISSING or type(value).__name__ == "_Missing":
         return {_TAG: "missing"}
+    if isinstance(value, (tuple, list, dict)) and depth < 1:
+        raise _too_deep()
+    depth -= 1
     if isinstance(value, DataItemRef):
         return {
             _TAG: "item",
             "name": value.name,
-            "args": [encode_value(a) for a in value.args],
+            "args": [_encode(a, depth) for a in value.args],
         }
     if isinstance(value, tuple):
-        return {_TAG: "tuple", "v": [encode_value(v) for v in value]}
+        return {_TAG: "tuple", "v": [_encode(v, depth) for v in value]}
     if isinstance(value, list):
-        return {_TAG: "list", "v": [encode_value(v) for v in value]}
+        return {_TAG: "list", "v": [_encode(v, depth) for v in value]}
     if isinstance(value, dict):
         return {
             _TAG: "dict",
-            "v": [[encode_value(k), encode_value(v)] for k, v in value.items()],
+            "v": [[_encode(k, depth), _encode(v, depth)] for k, v in value.items()],
         }
     raise CodecError(f"value not encodable by the wire codec: {value!r}")
 
 
-def decode_value(data: Any) -> Any:
-    """Reverse :func:`encode_value`."""
+def _decode(data: Any, depth: int) -> Any:
     if isinstance(data, dict):
         tag = data.get(_TAG)
         if tag == "missing":
             return MISSING
+        if depth < 1:
+            raise _too_deep()
+        depth -= 1
         if tag == "item":
             return DataItemRef(
-                data["name"], tuple(decode_value(a) for a in data["args"])
+                data["name"], tuple(_decode(a, depth) for a in data["args"])
             )
         if tag == "tuple":
-            return tuple(decode_value(v) for v in data["v"])
+            return tuple(_decode(v, depth) for v in data["v"])
         if tag == "list":
-            return [decode_value(v) for v in data["v"]]
+            return [_decode(v, depth) for v in data["v"]]
         if tag == "dict":
-            return {decode_value(k): decode_value(v) for k, v in data["v"]}
+            return {_decode(k, depth): _decode(v, depth) for k, v in data["v"]}
         raise CodecError(f"unknown value tag: {tag!r}")
     return data
 

@@ -9,6 +9,7 @@ follows/leads/strictly-follows, and value corruption must break follows.
 from hypothesis import given, settings, strategies as st
 
 from repro.core.guarantees import follows, leads, strictly_follows
+from repro.core.guarantees.copy import StrictlyFollowsGuarantee
 from repro.core.timebase import seconds
 
 from conftest import make_timeline_trace
@@ -278,6 +279,79 @@ class TestStrictlyFollows:
         assert report.valid and report.checked_instances == 2
         # k1: (1,1) (1,2) (2,2); k2: (7,7).
         assert report.stats["ordered_pairs_checked"] == 4
+
+
+class _EveryPair(StrictlyFollowsGuarantee):
+    """The checker with its one-scan path switched off: every instance goes
+    through the pairwise loop, the specification the scan is held to."""
+
+    @staticmethod
+    def _ordered_pairs(y_segments, first_start, last_end):
+        return None
+
+
+class _Spy(StrictlyFollowsGuarantee):
+    """The checker as shipped, counting the instances its scan decided."""
+
+    decided = 0
+
+    @staticmethod
+    def _ordered_pairs(y_segments, first_start, last_end):
+        pairs = StrictlyFollowsGuarantee._ordered_pairs(
+            y_segments, first_start, last_end
+        )
+        _Spy.decided += pairs is not None
+        return pairs
+
+
+# Raw ticks, so consecutive writes leave 1-tick segments.  X holds 0-3; Y is
+# X's history delayed (in order, repeats included) plus stray writes of 0-4,
+# so Y also takes values X never held and values out of X's order.
+_WRITES = st.lists(st.tuples(st.integers(1, 30), st.integers(0, 3)), max_size=7)
+_INSTANCE = st.tuples(
+    _WRITES,
+    st.integers(0, 3),
+    st.lists(st.tuples(st.integers(1, 30), st.integers(0, 4)), max_size=2),
+)
+
+
+class TestStrictlyFollowsScan:
+    @given(st.lists(_INSTANCE, min_size=1, max_size=3))
+    @settings(max_examples=400, deadline=None)
+    def test_scan_and_every_pair_loop_give_equal_reports(self, instances):
+        histories = {}
+        for key, (xs, delay, strays) in enumerate(instances):
+            histories[("X", key)] = xs
+            histories[("Y", key)] = [(t + delay, v) for t, v in xs] + strays
+        trace = keyed_trace(histories, horizon=40)
+        expected = _EveryPair("X", "Y").check(trace).to_dict()
+        assert strictly_follows("X", "Y").check(trace).to_dict() == expected
+
+    def test_the_scan_decides_distinct_witnessed_histories(self):
+        _Spy.decided = 0
+        trace = keyed_trace(
+            {
+                ("X", "k1"): [(1, 1), (2, 2), (3, 3)],
+                ("Y", "k1"): [(2, 1), (3, 2), (4, 3)],  # 1-tick segments
+                ("X", "k2"): [(1, 1), (5, 2)],
+                ("Y", "k2"): [(2, 1), (7, 2), (9, 1)],  # a repeated value
+                ("X", "k3"): [(1, 1), (5, 2)],
+                ("Y", "k3"): [(6, 2), (8, 1)],  # out of order
+                # Each neighbouring pair in order, the first and last not:
+                # the scan must compare against *every* earlier segment.
+                ("X", "k4"): [(1, 2), (2, 3), (4, 1), (6, 2)],
+                ("Y", "k4"): [(7, 1), (9, 2), (11, 3)],
+            },
+            horizon=20,
+        )
+        report = _Spy("X", "Y").check(trace)
+        assert report.to_dict() == _EveryPair("X", "Y").check(trace).to_dict()
+        assert _Spy.decided == 1  # k1; the others went through the loop
+        assert len(report.counterexamples) == 3
+        assert "held 1 then 3" in report.counterexamples[-1]
+        # k1: 3 pairs of distinct values + the last segment with itself;
+        # k2: (1,1) (1,2) (2,2) (2,1); k3: (2,2) (2,1) (1,1); k4: 3 + 3.
+        assert report.stats["ordered_pairs_checked"] == 4 + 4 + 3 + 6
 
 
 class TestPropagationModel:

@@ -370,9 +370,13 @@ class TestTimelineEdgeCases:
         assert held == (TimelineSegment(10, 20, "a"), TimelineSegment(20, 30, "b"))
         assert before.held() is held  # no MISSING head, nothing re-derived
         assert trace.timeline(X).held() is held
-        assert before.held_with("b") == [held[1]]
+        assert before.held_with("b") == (held[1],)
         assert before.held_with("b")[0] is held[1]
-        assert before.held_with(MISSING) == [] == before.held_with("zz")
+        assert before.held_with(MISSING) == () == before.held_with("zz")
+        # Four queries against two held segments: from the third on the
+        # answer comes from the grouping, of the same segment objects.
+        assert before._by_value == {"a": (held[0],), "b": (held[1],)}
+        assert before.held_with("b")[0] is held[1]
         # A further write yields a *new* timeline with the new segment; the
         # view handed out earlier still answers from what it remembered.
         trace.record(25, "a", write_desc(X, "c"))
@@ -383,28 +387,43 @@ class TestTimelineEdgeCases:
         assert before.held() is held and held[1].end == 30
 
     def test_held_with_long_histories_group_and_short_ones_scan(self):
-        # Above Timeline._SCAN_LIMIT held segments the answer comes from a
-        # by-value grouping built once; both paths must agree with a filter.
-        for length in (3, Timeline._SCAN_LIMIT, Timeline._SCAN_LIMIT + 1, 40):
+        # A timeline scans until it has been queried more times than it
+        # holds segments, then answers from a by-value grouping built once,
+        # whatever its length; both paths must agree with a filter and
+        # return tuples.
+        probes = (0, 1, 2, 1.0, True, "absent", MISSING)
+        for length in (1, 3, 8, 9, 40):
             changes = [(10 * (i + 1), i % 3) for i in range(length)]
             timeline = Timeline(changes, horizon=10 * (length + 2))
             assert len(timeline.held()) == length
-            for value in (0, 1, 2, 1.0, True, "absent", MISSING):
-                expected = [s for s in timeline.held() if s.value == value]
-                assert list(timeline.held_with(value)) == expected
-            grouped = length > Timeline._SCAN_LIMIT
-            assert (timeline._by_value is not None) == grouped
+            for query in range(length + len(probes)):
+                value = probes[query % len(probes)]
+                expected = tuple(s for s in timeline.held() if s.value == value)
+                answer = timeline.held_with(value)
+                assert type(answer) is tuple and answer == expected
+                grouped = query + 1 > length
+                assert (timeline._by_value is not None) == grouped
+        # Read once per checker, a long history is never grouped.
+        once = Timeline([(10 * (i + 1), i) for i in range(40)], horizon=500)
+        for value in range(3):
+            once.held_with(value)
+        assert once._by_value is None
 
     def test_held_with_unhashable_values_falls_back_to_a_scan(self):
-        changes = [(10 * (i + 1), [i % 2]) for i in range(12)]
+        changes = [(10 * (i + 1), [i % 2]) for i in range(2)]
         timeline = Timeline(changes, horizon=200)
-        assert [s.start for s in timeline.held_with([1])] == [20, 40, 60, 80, 100, 120]
+        assert timeline.held_with([1]) == (timeline.held()[1],)
+        assert timeline.held_with([0]) == (timeline.held()[0],)
+        assert timeline._by_value is None  # two queries, two segments: scans
+        assert [s.start for s in timeline.held_with([1])] == [20]
         assert timeline._by_value is False  # remembered: no second attempt
-        assert len(timeline.held_with([0])) == 6
+        assert len(timeline.held_with([0])) == 1
         # ... and an unhashable probe against a hashable, grouped history.
-        plain = Timeline([(10 * (i + 1), i) for i in range(12)], horizon=200)
-        assert plain.held_with(3) == (plain.held()[3],)
-        assert plain.held_with([3]) == []
+        plain = Timeline([(10 * (i + 1), i) for i in range(2)], horizon=200)
+        for __ in range(3):
+            assert plain.held_with(1) == (plain.held()[1],)
+        assert plain._by_value
+        assert plain.held_with([1]) == ()
 
     def test_segment_is_a_frozen_slotted_value(self):
         segment = TimelineSegment(10, 20, "a")

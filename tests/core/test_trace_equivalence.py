@@ -513,6 +513,141 @@ class TestPlantedProvenance:
         assert [(v.property_number, v.event.site) for v in found] == [(6, "annex")]
 
 
+class TestSharedMatches:
+    """Rules with one LHS template share its matches, and property 6 takes a
+    single-step rule's events from property 5 unless it flagged one: each
+    case holds both validators to the same violations (``_both``)."""
+
+    _both = TestPlantedProvenance._both
+
+    def test_rules_sharing_an_lhs_keep_their_own_obligations(self):
+        rules = [PROPAGATE, MIRROR, TWO_STEP]
+        assert len({rule.lhs for rule in rules}) == 1
+        trace, chains = _chains(*rules)
+        assert self._both(trace, rules) == []
+        trigger, (__, mirrored, __, second) = chains[2]
+        found = self._both(_replayed(trace, drop={mirrored.seq}), rules)
+        assert [(v.property_number, v.event.seq) for v in found] == [
+            (6, trigger.seq)
+        ]
+        assert "'mirror'" in found[0].message
+        found = self._both(_replayed(trace, drop={second.seq}), rules)
+        assert [(v.property_number, v.event.seq) for v in found] == [
+            (6, trigger.seq)
+        ]
+        assert "'two-step'" in found[0].message
+
+    def test_event_property_5_flags_is_still_found_by_property_6(self):
+        # WR(addr(p0), 3) under a trigger binding n = p1: the seeded match
+        # fails (property 5), the unseeded one succeeds, so the trigger's
+        # obligation is met.  The rule's other events, one of them dropped,
+        # go through the matcher too.
+        trace, chains = _chains(PROPAGATE, MIRROR)
+        __, (victim, __) = chains[3]
+        trigger, (dropped, __) = chains[4]
+        planted = _replayed(
+            trace,
+            {victim.seq: {"desc": write_request_desc(item("addr", "p0"), 3)}},
+            drop={dropped.seq},
+        )
+        found = self._both(planted, [PROPAGATE, MIRROR])
+        assert [(v.property_number, v.event.seq) for v in found] == [
+            (5, victim.seq),
+            (6, trigger.seq),
+        ]
+
+    def test_multi_step_event_instantiating_another_step(self):
+        # The second step's event replaced by another instantiation of the
+        # first: property 5 is content (it instantiates *a* step), property
+        # 6 finds no N(flag(n), b) — a multi-step rule is always matched.
+        trace, chains = _chains(TWO_STEP)
+        trigger, (first, second) = chains[1]
+        planted = _replayed(trace, {second.seq: {"desc": first.desc}})
+        found = self._both(planted, [TWO_STEP])
+        assert [(v.property_number, v.event.seq) for v in found] == [
+            (6, trigger.seq)
+        ]
+        assert "N(flag(n), b)" in found[0].message
+
+    def test_equal_lhs_pinned_to_two_sites_keeps_each_sites_events(self):
+        # Shared LHS events are collected per rule site: a periodic rule
+        # pinned to one site owes nothing for the other site's timer.
+        rules = [
+            dataclasses.replace(
+                parse_rule("P(2) -> [3] RR(phone(n))", name=f"tick-{site}"),
+                lhs_site=site,
+            )
+            for site in ("hub", "replica1")
+        ]
+        ban = dataclasses.replace(
+            parse_rule("P(2) -> [1] FALSE", name="no-ticks"), lhs_site="replica1"
+        )
+        trace = ExecutionTrace()
+        for tick in range(1, 4):
+            timers = [
+                trace.record(seconds(4 * tick), site, periodic_desc(seconds(2)))
+                for site in ("hub", "replica1")
+            ]
+            for rule, timer in zip(rules, timers):
+                if rule.lhs_site == "hub" or tick != 2:
+                    trace.record(
+                        seconds(4 * tick + 1),
+                        rule.lhs_site,
+                        read_request_desc(item("phone", "p0")),
+                        rule=rule,
+                        trigger=timer,
+                    )
+        trace.close(seconds(20))
+        found = self._both(trace, rules + [ban])
+        names = [v.message.split("'")[1] for v in found]
+        assert names == ["tick-replica1"] + ["no-ticks"] * 3
+        assert {(v.property_number, v.event.site) for v in found} == {(6, "replica1")}
+
+    def test_one_triggers_events_interleaved_with_anothers(self):
+        # Property 5 keeps one trigger's LHS match at a time; alternating
+        # triggers must re-match, never reuse the other's bindings.
+        trace = ExecutionTrace()
+        triggers = [
+            trace.record(seconds(1), "hub", notify_desc(item("phone", ref), value))
+            for ref, value in (("p0", 1), ("p1", 2))
+        ]
+        clock = seconds(2)
+        for rule, make, family in (
+            (PROPAGATE, write_request_desc, "addr"),
+            (MIRROR, notify_desc, "flag"),
+        ):
+            for trigger in triggers:
+                clock += 1
+                ref, value = trigger.desc.item.args[0], trigger.desc.values[0]
+                trace.record(
+                    clock,
+                    "replica1",
+                    make(item(family, ref), value),
+                    rule=rule,
+                    trigger=trigger,
+                )
+        # ... and one claiming the wrong trigger between the right ones.
+        stray = trace.record(
+            clock + 1,
+            "replica1",
+            notify_desc(item("flag", "p0"), 1),
+            rule=MIRROR,
+            trigger=triggers[1],
+        )
+        trace.record(
+            clock + 2,
+            "replica1",
+            notify_desc(item("flag", "p0"), 1),
+            rule=MIRROR,
+            trigger=triggers[0],
+        )
+        trace.close(seconds(20))
+        found = self._both(trace, [PROPAGATE, MIRROR])
+        assert [(v.property_number, v.event.seq) for v in found] == [
+            (5, stray.seq)
+        ]
+
+
 # Rules the random traces draw provenance from: a repeated variable, a
 # constant, a multi-step RHS, a prohibition and a site-pinned periodic rule
 # beside the plain copy rules.

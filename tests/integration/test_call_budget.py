@@ -229,7 +229,10 @@ class TestCallBudget:
         # Appendix-A properties over 3 300 events.  96.4 calls per event
         # when every guarantee re-segmented its timelines per pair and the
         # validator interpreted each rule's templates per generated event,
-        # 42 with each history read once; halfway, as above.
+        # 42.3 with each history read once, 34.1 once the lint kept only
+        # what nothing else catches, 26.6 with each match derived once
+        # (rules sharing an LHS share its matches, property 6 reuses
+        # property 5, strictly-follows scans linearly).  About 20 % above.
         cm, __ = fanout_federation()
         cm.run(until=seconds(40))
         events = len(cm.scenario.trace)
@@ -238,7 +241,7 @@ class TestCallBudget:
         (report,) = reports
         assert report.ok, report.render()
         assert len(report.guarantee_reports) == 128
-        assert calls / events <= 65
+        assert calls / events <= 32
 
     @pytest.mark.parametrize(
         "batched, budget", [(True, 10.5), (False, 12)], ids=["block", "per_event"]

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from repro.core.timebase import seconds
 from repro.experiments.common import build_salary_scenario
 from repro.runtime.channels import decode_payload
+from repro.core.items import MISSING, item
 from repro.runtime.codec import (
     MAX_TRIGGER_DEPTH,
+    MAX_VALUE_DEPTH,
     CodecError,
     decode_desc,
     decode_event,
@@ -128,6 +130,61 @@ class TestHostileChains:
     def test_deeper_chain_is_a_codec_error(self, length):
         with pytest.raises(CodecError, match="trigger chain deeper"):
             decode_event(_chain(length))
+
+
+def _nested(tag: str, depth: int) -> dict:
+    """Encoded ``tag`` containers nested ``depth`` deep around one scalar."""
+    data = 7
+    for __ in range(depth):
+        if tag == "item":
+            data = {"$": "item", "name": "F", "args": [data]}
+        elif tag == "dict":
+            data = {"$": "dict", "v": [["k", data]]}
+        else:
+            data = {"$": tag, "v": [data]}
+    return data
+
+
+def _nest(tag: str, depth: int):
+    """The value :func:`_nested` encodes."""
+    value = 7
+    for __ in range(depth):
+        if tag == "item":
+            value = item("F", value)
+        elif tag == "dict":
+            value = {"k": value}
+        else:
+            value = {"tuple": tuple, "list": list}[tag]([value])
+    return value
+
+
+class TestHostileNesting:
+    @pytest.mark.parametrize("tag", ["tuple", "list", "item", "dict"])
+    def test_value_at_the_bound_decodes(self, tag):
+        decoded = decode_value(_nested(tag, MAX_VALUE_DEPTH))
+        assert decoded == _nest(tag, MAX_VALUE_DEPTH)
+
+    @pytest.mark.parametrize("tag", ["tuple", "list", "item", "dict"])
+    @pytest.mark.parametrize("depth", [MAX_VALUE_DEPTH + 1, 480, 5000])
+    def test_deeper_value_is_a_codec_error(self, tag, depth):
+        with pytest.raises(CodecError, match="nests deeper"):
+            decode_value(_nested(tag, depth))
+
+    @pytest.mark.parametrize("tag", ["tuple", "list", "item", "dict"])
+    def test_encoder_refuses_what_the_decoder_refuses(self, tag):
+        at_bound = _nest(tag, MAX_VALUE_DEPTH)
+        assert encode_value(at_bound) == _nested(tag, MAX_VALUE_DEPTH)
+        assert decode_value(encode_value(at_bound)) == at_bound
+        with pytest.raises(CodecError, match="nests deeper"):
+            encode_value(_nest(tag, MAX_VALUE_DEPTH + 1))
+        with pytest.raises(CodecError, match="nests deeper"):
+            encode_value([_nest(tag, MAX_VALUE_DEPTH)])
+
+    def test_missing_and_scalars_do_not_count_as_nesting(self):
+        value = _nest("tuple", MAX_VALUE_DEPTH - 1)
+        for leaf in (MISSING, None, "s", 1.5):
+            nested = (value, leaf)
+            assert decode_value(encode_value(nested)) == nested
 
 
 # -- properties ------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 
 from repro.runtime.channels import DELIVER_METHOD, encode_payload
 from repro.runtime.clock import WallClock
+from repro.runtime.codec import MAX_VALUE_DEPTH
 from repro.runtime.gateway import WireNetwork
 from repro.runtime.jsonrpc import Notification
 from repro.runtime.transport import MAX_FRAME_BYTES, encode_frame
@@ -29,6 +30,15 @@ def deliver(seq, payload=None):
         "deliver_at": 0,
         "payload": encode_payload(f"m{seq}") if payload is None else payload,
     }
+
+
+def nested_tuple(depth):
+    """An encoded tuple nested ``depth`` deep: JSON that parses, a value
+    the codec refuses above :data:`MAX_VALUE_DEPTH`."""
+    value = 0
+    for __ in range(depth):
+        value = {"$": "tuple", "v": [value]}
+    return value
 
 
 def serve(frames, expected):
@@ -66,8 +76,16 @@ def serve(frames, expected):
         {"type": "fire"},  # KeyError: no rule, no trigger
         {"type": "value", "v": {"$": "tuple", "v": 3}},  # TypeError
         {"type": "value", "v": {"$": "mystery"}},  # CodecError
+        {"type": "value", "v": nested_tuple(MAX_VALUE_DEPTH + 1)},  # CodecError
     ],
-    ids=["unknown-type", "not-an-object", "fire-no-fields", "tuple-of-int", "bad-tag"],
+    ids=[
+        "unknown-type",
+        "not-an-object",
+        "fire-no-fields",
+        "tuple-of-int",
+        "bad-tag",
+        "too-deep",
+    ],
 )
 def test_undecodable_payload_is_dropped_and_the_channel_keeps_serving(payload):
     network, received = serve(
