@@ -7,9 +7,9 @@ combination.  Distributed rule systems avoid exactly this by keying rules
 on their trigger discriminator; this module does the same for the paper's
 rule language:
 
-- at install time each rule is keyed by its LHS ``(EventKind, family)``
-  pair and its :func:`~repro.core.templates.compile_matcher`-compiled
-  matcher is cached;
+- at install time each rule is compiled into its program
+  (:func:`~repro.core.compile.compile_rule`) and keyed by its LHS
+  ``(EventKind, family)`` pair;
 - *family-variable* templates (item patterns named
   :data:`~repro.core.terms.FAMILY_WILDCARD`) and item-less templates with
   no family to key on land in a per-kind **catch-all bucket**;
@@ -31,27 +31,19 @@ from operator import attrgetter
 from typing import Iterator, Optional
 
 from repro.core.compile import CompiledRule, compile_rule
-from repro.core.errors import CompileError
 from repro.core.events import EventDesc, EventKind
 from repro.core.rules import Rule
-from repro.core.templates import Matcher, compile_matcher
 
 
 @dataclass(frozen=True)
 class InstalledRule:
-    """One installed rule with its routing and pre-compiled matcher.
-
-    ``program`` is the rule's compiled program (:mod:`repro.core.compile`);
-    ``None`` when compilation was disabled (``install(compiled=False)``) or
-    fell back, in which case dispatch runs the tree-walking reference path
-    through ``matcher``.
-    """
+    """One installed rule with its routing and its compiled program
+    (:mod:`repro.core.compile`)."""
 
     rule: Rule
     rhs_site: Optional[str]
-    matcher: Matcher = field(compare=False)
     serial: int
-    program: Optional[CompiledRule] = field(default=None, compare=False)
+    program: CompiledRule = field(compare=False)
 
     def __str__(self) -> str:
         return f"#{self.serial} {self.rule.name}: {self.rule}"
@@ -73,29 +65,17 @@ class RuleIndex:
         # kind's string value: hashing an Enum member is a Python-level call.
         self._memo: dict[tuple[str, Optional[str]], list[InstalledRule]] = {}
 
-    def add(
-        self, rule: Rule, rhs_site: Optional[str], compiled: bool = True
-    ) -> InstalledRule:
-        """Install a rule; returns its index entry.
+    def add(self, rule: Rule, rhs_site: Optional[str]) -> InstalledRule:
+        """Compile and install a rule; returns its index entry.
 
-        With ``compiled`` (the default) the rule is also compiled into an
-        executable program stored next to the matcher; a
-        :class:`~repro.core.errors.CompileError` silently falls back to the
-        interpreted path (``installed.program is None`` — callers that want
-        to count fallbacks inspect that).
+        A rule the compiler rejects raises
+        :class:`~repro.core.errors.CompileError` before the index changes.
         """
-        program: Optional[CompiledRule] = None
-        if compiled:
-            try:
-                program = compile_rule(rule)
-            except CompileError:
-                program = None
         installed = InstalledRule(
             rule=rule,
             rhs_site=rhs_site,
-            matcher=compile_matcher(rule.lhs),
             serial=len(self._all),
-            program=program,
+            program=compile_rule(rule),
         )
         self._all.append(installed)
         self._memo.clear()

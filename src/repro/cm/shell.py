@@ -41,16 +41,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.compile import CompiledRule, compile_rule
-from repro.core.conditions import evaluate, evaluate_value
-from repro.core.errors import (
-    BindingError,
-    CompileError,
-    ConfigurationError,
-    SpecError,
-)
+from repro.core.errors import BindingError, ConfigurationError, SpecError
 from repro.core.events import Event, EventKind, periodic_desc
 from repro.core.rules import Rule
-from repro.core.terms import Bindings, Const, ground_item
+from repro.core.terms import Const
 from repro.cm.dispatch import InstalledRule, RuleIndex
 from repro.core.timebase import DAY, Ticks
 from repro.core.trace import ExecutionTrace
@@ -59,7 +53,7 @@ from repro.cm.store import ShellStore
 from repro.cm.translator import CMTranslator
 from repro.obs import Instrumentation
 from repro.runtime.api import Clock
-from repro.runtime.codec import WireFiring
+from repro.runtime.codec import CodecError, WireFiring
 from repro.sim.failures import FailurePlan
 from repro.sim.network import Message, Network
 from repro.sim.process import PeriodicTimer
@@ -68,19 +62,16 @@ from repro.sim.rng import RngRegistry
 
 @dataclass(frozen=True)
 class FireMessage:
-    """Cross-site rule firing: 'run this rule's RHS with these bindings'.
+    """Cross-site rule firing: 'run this program's RHS with these slots'.
 
-    A compiled firing carries the compiled program and its flat binding
-    slot tuple (``program``/``slots``); the receiving shell runs the
-    program's RHS plan against *its* local store and translators.  An
-    interpreted firing carries the classic name/value ``bindings`` pairs.
+    ``program`` is the rule's compiled program and ``slots`` its flat
+    binding tuple; the receiving shell runs the program's RHS plan against
+    *its* local store and translators.
     """
 
-    rule: Rule
-    bindings: tuple[tuple[str, object], ...]
+    program: CompiledRule
+    slots: tuple
     trigger: Event
-    program: object = None
-    slots: tuple = ()
 
 
 class CMShell:
@@ -121,15 +112,12 @@ class CMShell:
         )
         self._m_fired = metrics.counter("shell_rules_fired", site=site)
         self._m_failures = metrics.counter("shell_failure_notices", site=site)
-        self._m_compiled = metrics.counter("shell_rules_compiled", site=site)
-        self._m_fallback = metrics.counter("shell_rules_fallback", site=site)
         self._fired_by_rule: dict[str, object] = {}
-        self._rules_by_name: dict[str, Rule] = {}
-        self._installed_by_name: dict[str, object] = {}
-        # Rules whose LHS fires at a *peer* but whose RHS runs here: the
-        # receiving half of the by-value firing codec (rule name + slots
-        # cross the wire; this side re-compiles its own program).
-        self._remote_rules: dict[str, tuple[Rule, Optional[CompiledRule]]] = {}
+        # Every rule this shell knows by name — installed here, or installed
+        # at a peer with its RHS here — as its compiled program.  Names key
+        # firing counters and the by-value firing codec, so one name is one
+        # definition.
+        self._programs: dict[str, CompiledRule] = {}
         self._chain_depth = 0
         self._m_batches = metrics.counter("shell_batches_processed", site=site)
         self._m_batch_events = metrics.counter("shell_batch_events", site=site)
@@ -141,6 +129,7 @@ class CMShell:
         #: guarantees must absorb clock skew in their margins.
         self.clock_skew: Ticks = 0
         network.register_site(site, self._on_message)
+        network.register_resolver(site, self._resolve_firing)
 
     #: Maximum depth of rule-chained private writes in one causal chain.
     MAX_CHAIN_DEPTH = 16
@@ -168,59 +157,38 @@ class CMShell:
             )
         return translator
 
-    #: Default for :meth:`install`'s ``compiled`` flag.  Set the class (or
-    #: instance) attribute to ``False`` to force the tree-walking reference
-    #: evaluator everywhere — the debugging escape hatch.
-    compile_rules = True
-
     def install(
         self,
         rule: Rule,
         rhs_site: str | None = None,
         *,
         phase: Optional[Ticks] = None,
-        compiled: bool | None = None,
     ) -> None:
         """Install a strategy rule whose LHS is at this site.
 
-        The rule is keyed into the shell's dispatch index by its LHS
-        ``(kind, family)`` discriminator and compiled into an executable
-        program (:mod:`repro.core.compile`); rules the compiler cannot
-        specialize fall back to the tree-walking reference evaluator
-        (``stats()['rules_fallback']``), and ``compiled=False`` forces the
-        fallback for debugging.  A periodic LHS (``P(p)``) also starts its
-        timer here; ``phase`` is then the tick-of-day of the first firing
-        (e.g. 17:00 for end-of-day strategies) — without it the timer
-        starts at the epoch and fires every period.  ``rhs_site`` defaults
-        to this site (local execution).
+        The rule is compiled (:mod:`repro.core.compile`) and keyed into the
+        dispatch index by its LHS ``(kind, family)`` discriminator; a rule
+        the compiler rejects raises :class:`~repro.core.errors.CompileError`
+        and leaves the shell unchanged.  A periodic LHS (``P(p)``) also
+        starts its timer here; ``phase`` is then the tick-of-day of the
+        first firing (e.g. 17:00 for end-of-day strategies) — without it the
+        timer starts at the epoch and fires every period.  ``rhs_site``
+        defaults to this site (local execution).
 
         This is the raw wiring path: it does not survey interfaces.
         ``cm.install`` and ``cm.site(...).rule(...)`` do, before calling
         it; a rule installed here that needs a missing interface fails at
         its translator on first use.
         """
-        existing = self._rules_by_name.get(rule.name)
-        if existing is not None and existing != rule:
-            raise ConfigurationError(
-                f"rule {rule.name!r} is already installed at site "
-                f"{self.site!r} with a different definition; rule names key "
-                f"firing counters and must be unique per shell"
-            )
+        self._check_name(rule)
         if rule.lhs.kind is not EventKind.PERIODIC and phase is not None:
             raise SpecError(
                 f"rule {rule.name!r}: phase only applies to periodic rules"
             )
-        if compiled is None:
-            compiled = self.compile_rules
-        installed = self._index.add(rule, rhs_site, compiled=compiled)
+        installed = self._index.add(rule, rhs_site)
         if rule.lhs.kind is EventKind.PERIODIC:
             self._install_timer(rule, phase)
-        if installed.program is not None:
-            self._m_compiled.value += 1
-        elif compiled:
-            self._m_fallback.value += 1
-        self._rules_by_name[rule.name] = rule
-        self._installed_by_name[rule.name] = installed
+        self._programs[rule.name] = installed.program
         if rule.name not in self._fired_by_rule:
             self._fired_by_rule[rule.name] = self.obs.metrics.counter(
                 "rule_fired", site=self.site, rule=rule.name
@@ -230,44 +198,44 @@ class CMShell:
         """Register a rule installed at a peer whose RHS executes here.
 
         The by-value firing codec ships only the rule *name* plus encoded
-        slot values; this registration is the receiving half of the CM-RID
-        contract — both sites hold the same rule definition, and this side
-        compiles its own program, so an inbound firing resolves and runs
-        without referencing any sender memory.  Compilation is
-        deterministic, so the sender's slot layout drops straight into the
-        local program.
+        slot values; this is the receiving half of the CM-RID contract —
+        both sites hold the same rule definition and compile it to the same
+        slot layout.  Registering the same definition again is a no-op.
         """
-        existing = self._rules_by_name.get(rule.name)
-        if existing is not None and existing != rule:
+        if not self._check_name(rule):
+            self._programs[rule.name] = compile_rule(rule)
+
+    def _check_name(self, rule: Rule) -> bool:
+        """Whether this shell already knows ``rule``; raises if it knows a
+        different rule by the same name."""
+        known = self._programs.get(rule.name)
+        if known is None:
+            return False
+        if known.rule != rule:
             raise ConfigurationError(
                 f"rule {rule.name!r} is already known at site {self.site!r} "
-                f"with a different definition; the firing codec resolves "
-                f"rules by name, so names must be unique per shell"
+                f"with a different definition; rule names key firing "
+                f"counters and the firing codec, so they must be unique "
+                f"per shell"
             )
-        if rule.name in self._remote_rules:
-            return
-        program: Optional[CompiledRule] = None
-        if self.compile_rules:
-            try:
-                program = compile_rule(rule)
-            except CompileError:
-                program = None
-        self._remote_rules[rule.name] = (rule, program)
+        return True
 
-    def _resolve_firing(self, firing: WireFiring) -> tuple[Rule, object]:
-        """Resolve an inbound by-value firing against local rule knowledge."""
-        name = firing.rule_name
-        installed = self._installed_by_name.get(name)
-        if installed is not None:
-            return installed.rule, installed.program
-        entry = self._remote_rules.get(name)
-        if entry is not None:
-            return entry
-        raise ConfigurationError(
-            f"shell {self.site!r} received a firing for unknown rule "
-            f"{name!r}; a cross-site rule must be registered at its RHS "
-            f"site (the CM-RID contract the by-value codec relies on)"
-        )
+    def _resolve_firing(self, firing: WireFiring) -> FireMessage:
+        """Resolve an inbound by-value firing against this shell's programs.
+
+        Raises :class:`~repro.runtime.codec.CodecError` for a firing this
+        shell cannot run — an unknown rule name, or a slot count other than
+        the program's — so the wire drops it like an undecodable payload.
+        """
+        program = self._programs.get(firing.rule_name)
+        if program is None:
+            raise CodecError(f"{self.site!r} knows no rule {firing.rule_name!r}")
+        slots = firing.slots
+        if len(slots) != len(program.slot_names):
+            raise CodecError(
+                f"rule {firing.rule_name!r} takes {len(program.slot_names)} slots"
+            )
+        return FireMessage(program, tuple(slots), firing.trigger)
 
     def _install_timer(self, rule: Rule, phase: Optional[Ticks]) -> None:
         """Start the timer driving a ``P(p)``-triggered rule."""
@@ -327,8 +295,6 @@ class CMShell:
         """
         return {
             "rules_installed": len(self._index),
-            "rules_compiled": self._m_compiled.value,
-            "rules_fallback": self._m_fallback.value,
             "events_processed": self._m_events.value,
             "candidates_considered": self._m_candidates.value,
             "rules_fired": self._m_fired.value,
@@ -405,9 +371,9 @@ class CMShell:
             candidates = self._index.candidates(desc)
             self._m_candidates.value += len(candidates)
             for installed in candidates:
-                bound = self._applies(installed, desc)
-                if bound is not None:
-                    self._fire(installed, bound, event)
+                slots = self._applies(installed, desc)
+                if slots is not None:
+                    self._fire(installed, slots, event)
         finally:
             if span is not None:
                 obs.tracer.pop()
@@ -419,23 +385,13 @@ class CMShell:
     # descriptor and exactly one fires it; _process_event is the only loop
     # that calls them.
 
-    def _applies(self, installed: InstalledRule, desc):
+    def _applies(self, installed: InstalledRule, desc) -> Optional[list]:
         """Match ``desc`` against the rule's LHS and evaluate its condition.
 
-        Returns the firing's bound variables — the compiled program's slot
-        list, or the interpreted matcher's bindings dict — or ``None`` when
-        the rule does not apply.
+        Returns the firing's slot list, or ``None`` when the rule does not
+        apply.
         """
         program = installed.program
-        if program is None:
-            # Interpreted reference path (compiled=False or compile fallback).
-            bindings = installed.matcher(desc)
-            if bindings is None or not self._lhs_condition_holds(
-                installed.rule, bindings
-            ):
-                return None
-            return bindings
-        # Compiled hot path: slot matcher -> fused binder/condition closure.
         slots = program.match(desc)
         if slots is None:
             return None
@@ -450,114 +406,61 @@ class CMShell:
                 return None
         return slots
 
-    def _fire(self, installed: InstalledRule, bound, trigger: Event) -> None:
+    def _fire(self, installed: InstalledRule, slots: list, trigger: Event) -> None:
         """Fire an applicable rule: run its RHS here, or send the firing to
-        the shell owning the RHS site.  ``bound`` is what :meth:`_applies`
+        the shell owning the RHS site.  ``slots`` is what :meth:`_applies`
         returned."""
-        rule = installed.rule
-        self._m_fired.value += 1
-        self._fired_by_rule[rule.name].value += 1
         program = installed.program
+        self._m_fired.value += 1
+        self._fired_by_rule[program.rule.name].value += 1
         rhs_site = installed.rhs_site
         if rhs_site is None or rhs_site == self.site:
-            if program is not None:
-                self._execute_compiled_rhs(program, bound, trigger)
-            else:
-                self._execute_rhs(rule, bound, trigger)
+            self._execute_rhs(program, slots, trigger)
         else:
-            if program is not None:
-                message = FireMessage(
-                    rule, (), trigger, program=program, slots=tuple(bound)
-                )
-            else:
-                message = FireMessage(rule, tuple(bound.items()), trigger)
-            self.network.send(self.site, rhs_site, message)
-
-    def _lhs_condition_holds(self, rule: Rule, bindings: Bindings) -> bool:
-        try:
-            for var, expr in rule.binders:
-                bindings[var] = evaluate_value(expr, bindings, self.store)
-            return evaluate(rule.condition, bindings, self.store)
-        except (BindingError, TypeError):
-            # An unbindable condition (e.g. arithmetic over a cache that is
-            # still MISSING) means the rule is simply not applicable yet.
-            return False
+            self.network.send(
+                self.site, rhs_site, FireMessage(program, tuple(slots), trigger)
+            )
 
     # -- RHS execution -----------------------------------------------------------------
 
     def _on_message(self, message: Message) -> None:
         payload = message.payload
-        if isinstance(payload, FireMessage):
-            rule, program = payload.rule, payload.program
-            slots = payload.slots if program is not None else None
-        elif isinstance(payload, FailureNotice):
+        if not isinstance(payload, FireMessage):
+            if not isinstance(payload, FailureNotice):
+                raise ConfigurationError(
+                    f"shell {self.site!r} received unknown message {payload!r}"
+                )
             self._handle_failure(payload)
             return
-        elif isinstance(payload, WireFiring):
-            # A firing that crossed a by-value channel: resolve the rule
-            # from local knowledge and run the locally compiled program.
-            rule, program = self._resolve_firing(payload)
-            slots = payload.slots
-            if slots is not None and program is None:
-                raise ConfigurationError(
-                    f"shell {self.site!r}: firing for rule {rule.name!r} "
-                    f"carries compiled slots but the rule did not compile "
-                    f"here — both sides of a channel must share the rule "
-                    f"definition"
-                )
-        else:
-            raise ConfigurationError(
-                f"shell {self.site!r} received unknown message {payload!r}"
-            )
+        program = payload.program
         obs = self.obs
         span = None
         if obs.enabled:
+            name = program.rule.name
             if obs.flight is not None:
-                obs.flight.record(self.site, "fire", self.sim.now, rule.name)
+                obs.flight.record(self.site, "fire", self.sim.now, name)
             if obs.tracer.enabled:
                 # Parent is the in-flight net.send activation the network
                 # pushed (a local span, or a SpanContext resumed off a wire
                 # frame).
                 span = obs.tracer.start(
-                    "shell.fire", self.site, self.sim.now, rule=rule.name
+                    "shell.fire", self.site, self.sim.now, rule=name
                 )
                 obs.tracer.push(span)
         try:
-            if slots is not None:
-                self._execute_compiled_rhs(program, list(slots), payload.trigger)
-            else:
-                self._execute_rhs(
-                    rule, dict(payload.bindings or ()), payload.trigger
-                )
+            self._execute_rhs(program, list(payload.slots), payload.trigger)
         finally:
             if span is not None:
                 obs.tracer.pop()
                 obs.tracer.finish(span, self.sim.now)
 
-    def _execute_rhs(self, rule: Rule, bindings: Bindings, trigger: Event) -> None:
-        for step in rule.steps:
-            if step.template.kind is EventKind.FALSE:
-                continue  # prohibitions are promises, not actions
-            step_bindings = dict(bindings)
-            step_bindings["now"] = self.sim.now + self.clock_skew
-            try:
-                applicable = evaluate(step.condition, step_bindings, self.store)
-            except (BindingError, TypeError):
-                applicable = False  # unevaluable condition = not applicable
-            if not applicable:
-                continue
-            self._emit(step.template, step_bindings, rule, trigger)
-
-    def _execute_compiled_rhs(
-        self, program, slots: list, trigger: Event
+    def _execute_rhs(
+        self, program: CompiledRule, slots: list, trigger: Event
     ) -> None:
-        """Run a compiled rule program's RHS plan.
-
-        Semantically identical to :meth:`_execute_rhs` over the equivalent
-        bindings dict, but flat: ``now`` is one slot store instead of a
-        per-step dict copy, step conditions are pre-compiled closures, and
-        each emission's item/value accessors were resolved at install time.
-        """
+        """Run a compiled rule program's RHS plan.  A generated private
+        write is itself an event other rules may trigger on (how the
+        Section 7.1 arithmetic decomposition recomputes X from its caches);
+        chaining depth is bounded to catch self-triggering rule sets."""
         rule = program.rule
         slots[program.now_slot] = self.sim.now + self.clock_skew
         for step in program.steps:
@@ -607,58 +510,6 @@ class CMShell:
                 finally:
                     self._chain_depth -= 1
 
-    def _emit(self, template, bindings: Bindings, rule: Rule, trigger: Event) -> None:
-        kind = template.kind
-        if kind is EventKind.WRITE_REQUEST:
-            ref = ground_item(template.item, bindings)
-            value = _ground_value(template, bindings, index=0)
-            self.translator_for(ref.name).request_write(
-                ref, value, rule=rule, trigger=trigger
-            )
-            return
-        if kind is EventKind.READ_REQUEST:
-            unbound = template.item.variables() - set(bindings)
-            if unbound:
-                translator = self.translator_for(template.item.name)
-                for ref in translator.enumerate_refs(template.item.name):
-                    translator.request_read(ref, rule=rule, trigger=trigger)
-                return
-            ref = ground_item(template.item, bindings)
-            self.translator_for(ref.name).request_read(
-                ref, rule=rule, trigger=trigger
-            )
-            return
-        if kind is EventKind.WRITE:
-            ref = ground_item(template.item, bindings)
-            if ref.name in self.translators:
-                raise SpecError(
-                    f"rule {rule.name!r} writes {ref.name!r} directly; "
-                    f"database items need a WR (write request) event"
-                )
-            value = _ground_value(template, bindings, index=0)
-            event = self.store.write(
-                ref, value, self.sim.now, rule=rule, trigger=trigger
-            )
-            # Rule chaining: a generated write on private data is itself an
-            # event other rules may trigger on (how the Section 7.1
-            # arithmetic decomposition recomputes X from its caches).  Depth
-            # is bounded to catch self-triggering rule sets.
-            self._chain_depth += 1
-            try:
-                if self._chain_depth > self.MAX_CHAIN_DEPTH:
-                    raise SpecError(
-                        f"rule chaining exceeded depth "
-                        f"{self.MAX_CHAIN_DEPTH} at {ref} (self-triggering "
-                        f"rule set?)"
-                    )
-                self._process_event(event)
-            finally:
-                self._chain_depth -= 1
-            return
-        raise SpecError(
-            f"rule {rule.name!r}: cannot generate a {kind.value} event"
-        )
-
     # -- failure propagation ---------------------------------------------------------------
 
     def report_failure(self, notice: FailureNotice) -> None:
@@ -701,8 +552,3 @@ class CMShell:
         for listener in self.on_failure:
             listener(notice)
 
-
-def _ground_value(template, bindings: Bindings, index: int):
-    from repro.core.terms import ground_term
-
-    return ground_term(template.values[index], bindings)

@@ -29,13 +29,12 @@ same for the paper's rule language:
 - the per-step ``dict(bindings)`` copy is gone: ``now`` has a dedicated
   slot written once per firing, and RHS steps never bind anything new.
 
-The tree-walking ``evaluate()``/``ground_term`` path remains the reference
-implementation: a rule the compiler cannot specialize raises
-:class:`~repro.core.errors.CompileError` and the shell falls back to it
-(counted in ``stats()['rules_fallback']``), and ``install(compiled=False)``
-forces the fallback for debugging.  Randomized equivalence tests
-(``tests/core/test_compile.py``, ``tests/cm/test_compiled_equivalence.py``)
-hold the compiled programs to the reference semantics, exceptions included.
+The compiled program is the shell's only executor.  The tree-walking
+``evaluate()``/``match_desc``/``instantiate`` evaluator remains the
+specification: randomized equivalence tests (``tests/core/test_compile.py``)
+hold the compiled programs to it, exceptions included.  A rule the compiler
+cannot specialize raises :class:`~repro.core.errors.CompileError`, a
+:class:`~repro.core.errors.SpecError`, when the shell installs it.
 """
 
 from __future__ import annotations
@@ -76,9 +75,8 @@ ValueFn = Callable[[list, LocalData], Value]
 #: A compiled slot matcher: ground descriptor in, slot list (or ``None``) out.
 SlotMatcher = Callable[[object], Optional[list]]
 
-#: RHS event kinds the compiler knows how to emit.  Anything else (which the
-#: shell would reject with a SpecError at firing time) forces the
-#: interpreted fallback, preserving the reference error behaviour.
+#: RHS event kinds the compiler knows how to emit.  Anything else is a
+#: :class:`CompileError` at install: no shell can generate it.
 _EMITTABLE = (
     EventKind.WRITE_REQUEST,
     EventKind.READ_REQUEST,
@@ -529,7 +527,7 @@ def compile_rule(rule: Rule) -> CompiledRule:
     """Compile a rule into a :class:`CompiledRule` program.
 
     Raises :class:`CompileError` for shapes the compiler does not
-    specialize; callers fall back to the tree-walking reference path.
+    specialize.
     """
     # -- slot layout: LHS template vars, binder vars, implicit ``now`` ------
     slot_names: list[str] = _template_variables_in_order(rule.lhs)

@@ -28,13 +28,14 @@ class DslSyntaxError(SpecError):
         self.column = column
 
 
-class CompileError(ReproError):
+class CompileError(SpecError):
     """A rule could not be compiled into an executable program.
 
     Raised by :func:`repro.core.compile.compile_rule` for expression or
-    template shapes the compiler does not specialize.  Callers (the
-    CM-Shell's ``install``) treat it as "fall back to the tree-walking
-    reference evaluator", never as a hard failure.
+    template shapes the compiler does not specialize — an RHS that emits
+    a notification, say.  The CM-Shell's ``install`` raises it before
+    indexing the rule: a rule the shell cannot run is a malformed
+    specification.
     """
 
 

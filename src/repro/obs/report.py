@@ -78,9 +78,7 @@ class RunReport:
             f"  dispatch: {total.get('events_processed', 0)} events, "
             f"{total.get('candidates_considered', 0)} candidates, "
             f"{total.get('rules_fired', 0)} fired "
-            f"({total.get('rules_compiled', 0)}/"
-            f"{total.get('rules_installed', 0)} rules compiled, "
-            f"{total.get('rules_fallback', 0)} fallback)"
+            f"({total.get('rules_installed', 0)} rules installed)"
         )
         for entry in self.constraints:
             fired = sum(entry["rules_fired"].values())

@@ -24,9 +24,9 @@ Four layers, each building on the previous:
   Event identity across the boundary is ``(site, seq)`` — the trace
   validators key provenance on that pair, not on object identity.
 - **firings** — a :class:`~repro.cm.shell.FireMessage` crosses as rule
-  name + encoded slot values (compiled) or bindings (interpreted) + the
-  trigger chain; it decodes to a :class:`WireFiring`, a neutral record the
-  receiving shell resolves against its own rules.
+  name + encoded slot values + the trigger chain; it decodes to a
+  :class:`WireFiring`, a neutral record the receiving shell resolves
+  against its own rules.
 
 Demarcation-protocol payloads (``_LimitRequest``/``_LimitGrant``) are
 plain facts and encode field-by-field like failure notices.
@@ -35,7 +35,7 @@ plain facts and encode field-by-field like failure notices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.core.events import Event, EventDesc, EventKind
 from repro.core.interpretations import Interpretation
@@ -227,46 +227,27 @@ class WireFiring:
     and registered-remote rules (same CM-RID on both sides), then runs the
     locally compiled program with ``slots`` — the slot layout is
     deterministic per rule, so slot values computed by the sender drop
-    straight into the receiver's program — or falls back to the
-    interpreted path with ``bindings``.
+    straight into the receiver's program.
     """
 
     rule_name: str
     trigger: Event
-    slots: Optional[list] = None
-    bindings: Optional[tuple[tuple[str, Any], ...]] = None
+    slots: list
 
 
 def encode_firing(fire: Any) -> dict[str, Any]:
     """Encode a :class:`~repro.cm.shell.FireMessage` by value."""
-    data: dict[str, Any] = {
-        "rule": fire.rule.name,
+    return {
+        "rule": fire.program.rule.name,
         "trigger": encode_event(fire.trigger),
+        "slots": [encode_value(v) for v in fire.slots],
     }
-    if fire.program is not None:
-        data["slots"] = [encode_value(v) for v in fire.slots]
-    else:
-        data["bindings"] = [
-            [name, encode_value(v)] for name, v in fire.bindings
-        ]
-    return data
 
 
 def decode_firing(data: dict[str, Any]) -> WireFiring:
     """Reverse :func:`encode_firing` into a neutral :class:`WireFiring`."""
-    slots_data = data.get("slots")
-    bindings_data = data.get("bindings")
     return WireFiring(
         rule_name=data["rule"],
         trigger=decode_event(data["trigger"]),
-        slots=(
-            [decode_value(v) for v in slots_data]
-            if slots_data is not None
-            else None
-        ),
-        bindings=(
-            tuple((name, decode_value(v)) for name, v in bindings_data)
-            if bindings_data is not None
-            else None
-        ),
+        slots=[decode_value(v) for v in data["slots"]],
     )

@@ -39,6 +39,7 @@ from repro.runtime.channels import (
     encode_payload,
 )
 from repro.runtime.clock import WallClock
+from repro.runtime.codec import WireFiring
 from repro.runtime.jsonrpc import (
     INVALID_REQUEST,
     ErrorResponse,
@@ -313,9 +314,13 @@ class WireNetwork(Network):
         wall_sent = self._wall_sent.pop((src, dst, params["seq"]), None)
         try:
             payload = decode_payload(params["payload"])
+            if type(payload) is WireFiring:
+                # A site with no resolver (KeyError) cannot run a firing.
+                payload = self._resolvers[dst](payload)
         except (ValueError, KeyError, TypeError):  # CodecError is a ValueError
-            # Sequenced but undecodable: lost like a dropped frame, past the
-            # resequencer, so its successors on the channel still flow.
+            # Sequenced but undecodable, or a firing its site cannot run:
+            # lost like a dropped frame, past the resequencer, so its
+            # successors on the channel still flow.
             self.messages_dropped += 1
             return
         trace = SpanContext.from_wire(params.get("trace"))

@@ -145,6 +145,7 @@ class Network:
         self.in_order = in_order
         self.obs = obs or Instrumentation()
         self._sites: dict[str, _SiteEntry] = {}
+        self._resolvers: dict[str, Callable[[Any], Any]] = {}
         self._channel_latency: dict[tuple[str, str], LatencyModel] = {}
         self._channels: dict[tuple[str, str], _Channel] = {}
         self.messages_sent = 0
@@ -168,6 +169,12 @@ class Network:
         if site in self._sites:
             raise ValueError(f"site already registered: {site}")
         self._sites[site] = _SiteEntry(handler=handler)
+
+    def register_resolver(self, site: str, resolve: Callable[[Any], Any]) -> None:
+        """Register how ``site`` turns a firing decoded off the wire into
+        one it runs; the wire drops a firing ``resolve`` refuses.  Kernel
+        payloads travel by reference and are never resolved."""
+        self._resolvers[site] = resolve
 
     def has_site(self, site: str) -> bool:
         """Whether ``site`` is registered."""

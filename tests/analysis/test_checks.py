@@ -18,7 +18,7 @@ from repro.analysis import lint_manager
 from repro.cm.verify import verify
 from repro.constraints.copy import CopyConstraint
 from repro.core.catalog import Suggestion
-from repro.core.errors import ConfigurationError
+from repro.core.errors import CompileError, ConfigurationError, SpecError
 from repro.core.interfaces import InterfaceKind
 from repro.core.strategies import StrategySpec
 from repro.core.timebase import seconds
@@ -159,17 +159,25 @@ class TestVariableSafety:
         cm.spontaneous_write("salary1", ("e1",), 5.0)
         cm.run(until=seconds(30))
         assert fired_by_rule(cm) == {"guarded": 0}
-        assert cm.stats()["total"]["rules_fallback"] == 0
         report = verify(cm)
         cm.stop()
         only_lint_reports(report, "CM201")
 
-    def test_uncompilable_rule_counts_in_rules_fallback_cm202(self):
+    def test_uncompilable_rule_is_rejected_at_install_cm202(self):
+        # The compiler has no plan for an RHS that emits a notification, so
+        # no shell can run the rule: both wiring paths refuse it with a
+        # CompileError, a SpecError, and the shell is left as it was.
         cm = bare_two_site()
         sf = cm.shell("sf")
-        # The compiler has no plan for an RHS that emits a notification.
-        sf.install(rule("rule echo: N(salary1(n), b) -> [1] N(salary2(n), b)"))
-        assert cm.stats()["total"]["rules_fallback"] == 1
+        before = (len(sf._index), len(sf._timers), dict(sf._programs))
+        echo = rule("rule echo: N(salary1(n), b) -> [1] N(salary2(n), b)")
+        periodic_echo = rule("rule tock: P(60) -> [1] N(salary2('e1'), 0)")
+        for rejected in (echo, periodic_echo):
+            with pytest.raises(CompileError, match="N emission"):
+                sf.install(rejected)
+        with pytest.raises(SpecError, match="N emission"):
+            install_hand_built(cm, echo)
+        assert (len(sf._index), len(sf._timers), sf._programs) == before
         report = lint_manager(cm)
         cm.stop()
         assert not report.diagnostics

@@ -1,4 +1,4 @@
-"""Block delivery vs. per-event delivery, on compiled and interpreted rules.
+"""Block delivery vs. per-event delivery.
 
 - **trace identity** — ``deliver_local_events`` over pre-recorded events
   produces the byte-identical trace per-event delivery produces;
@@ -34,10 +34,6 @@ from repro.core.terms import FAMILY_WILDCARD, ItemPattern, Var
 from repro.core.timebase import seconds
 from repro.core.trace import ExecutionTrace
 
-COMPILED = pytest.mark.parametrize(
-    "compiled", [True, False], ids=["compiled", "interpreted"]
-)
-
 N_EVENTS = 200
 FAMILIES = 8
 
@@ -45,26 +41,22 @@ FAMILIES = 8
 # -- dispatch-level trace identity --------------------------------------------
 
 
-def _build_shell(catch_all: bool = True, compiled: bool = True):
+def _build_shell(catch_all: bool = True):
     """One shell with a chained-write rule per family (immediate RHS, so
     firing writes land mid-batch) plus an optional family-wildcard audit
-    rule (a catch-all candidate for every NOTIFY).  ``compiled=False``
-    installs every rule on the interpreted arm."""
+    rule (a catch-all candidate for every NOTIFY)."""
     reset_event_sequence()
     cm = ConstraintManager(Scenario(seed=0))
     shell = cm.add_site("s")
     for i in range(FAMILIES):
         cm.locations.register(f"Out{i}", "s")
         shell.install(
-            parse_rule(f"N(fam{i}(n), b) -> [0] W(Out{i}, b)", name=f"copy{i}"),
-            compiled=compiled,
+            parse_rule(f"N(fam{i}(n), b) -> [0] W(Out{i}, b)", name=f"copy{i}")
         )
     if catch_all:
         wildcard = ItemPattern(FAMILY_WILDCARD, (Var("n"),))
         lhs = Template(EventKind.NOTIFY, wildcard, (Var("b"),))
-        shell.install(
-            Rule("audit", lhs, 0, (RhsStep(FALSE_TEMPLATE),)), compiled=compiled
-        )
+        shell.install(Rule("audit", lhs, 0, (RhsStep(FALSE_TEMPLATE),)))
     return cm, shell
 
 
@@ -101,13 +93,11 @@ def _sequential_signature(**build_kwargs):
     return _signature(trace), cm.stats()["total"]
 
 
-def _assert_ran_batched(stats, expected_stats, compiled):
+def _assert_ran_batched(stats, expected_stats):
     """Every dispatch counter equals the per-event run's, and the run
-    delivered real blocks on the arm the test asked for — so the suite
-    cannot go vacuous."""
+    delivered real blocks — so the suite cannot go vacuous."""
     assert stats.pop("batch_events") > stats.pop("batches_processed") > 0
     assert stats == {key: expected_stats[key] for key in stats}
-    assert bool(stats["rules_compiled"]) is compiled
 
 
 def _per_event(cm, shell, descs):
@@ -119,26 +109,22 @@ def _ingest(cm, shell, descs):
     shell.ingest_batch(descs)
 
 
-@COMPILED
-def test_deliver_local_events_trace_identical(compiled):
-    expected, expected_stats = _sequential_signature(compiled=compiled)
-    cm, shell = _build_shell(compiled=compiled)
+def test_deliver_local_events_trace_identical():
+    expected, expected_stats = _sequential_signature()
+    cm, shell = _build_shell()
     trace = cm.scenario.trace
     events = [trace.record(0, "s", desc) for desc in _descs()]
     shell.deliver_local_events(events)
     assert _signature(trace) == expected
-    _assert_ran_batched(cm.stats()["total"], expected_stats, compiled)
+    _assert_ran_batched(cm.stats()["total"], expected_stats)
 
 
-@COMPILED
-def test_ingest_batch_equivalent_and_valid(compiled):
+def test_ingest_batch_equivalent_and_valid():
     """``ingest_batch`` defers chained writes to after the block (they
     stay same-tick, so verdicts and the validator are unaffected); the
     event *multiset* matches the sequential run's exactly."""
-    expected, expected_stats = _sequential_signature(
-        catch_all=False, compiled=compiled
-    )
-    cm, shell = _build_shell(catch_all=False, compiled=compiled)
+    expected, expected_stats = _sequential_signature(catch_all=False)
+    cm, shell = _build_shell(catch_all=False)
     for start in range(0, N_EVENTS, 64):
         assert shell.ingest_batch(_descs()[start : start + 64]) == min(
             64, N_EVENTS - start
@@ -148,7 +134,7 @@ def test_ingest_batch_equivalent_and_valid(compiled):
         e[:4] for e in expected
     )
     assert validate_trace(cm.scenario.trace, shell._index.rules) == []
-    _assert_ran_batched(cm.stats()["total"], expected_stats, compiled)
+    _assert_ran_batched(cm.stats()["total"], expected_stats)
 
 
 def test_ingest_batch_records_at_the_current_tick():

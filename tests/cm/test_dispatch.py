@@ -181,8 +181,15 @@ class TestIndexEquivalence:
     def indexed_matches(index: RuleIndex, desc: EventDesc):
         out = []
         for installed in index.candidates(desc):
-            bindings = installed.matcher(desc)
-            if bindings is not None:
+            program = installed.program
+            slots = program.match(desc)
+            if slots is not None:
+                lhs_vars = installed.rule.lhs.variables()
+                bindings = {
+                    name: value
+                    for name, value in zip(program.slot_names, slots)
+                    if name in lhs_vars
+                }
                 out.append((installed.rule.name, bindings))
         return out
 

@@ -220,3 +220,44 @@ class TestInstallValidation:
         )
         cm.shell("sf").install(rule_sf, "ny")
         cm.shell("ny").install(rule_ny, "ny")
+
+    def test_remote_registration_with_a_different_rule_rejected(self):
+        cm, __, ___, ____, _____ = two_site_relational()
+        shell = cm.shell("ny")
+        first = parse_rule(
+            "N(salary1(n), b) -> [5] WR(salary2(n), b)", name="prop"
+        )
+        imposter = parse_rule(
+            "N(salary1(n), b) & b > 0 -> [1] WR(salary2(n), b)", name="prop"
+        )
+        shell.register_remote_rule(first)
+        with pytest.raises(ConfigurationError, match="prop"):
+            shell.register_remote_rule(imposter)
+        assert shell._programs["prop"].rule is first
+
+    def test_install_over_a_different_remote_rule_rejected(self):
+        # A wire firing names its rule; installing a different definition
+        # under a registered remote rule's name would run the wrong program.
+        cm, __, ___, ____, _____ = two_site_relational()
+        shell = cm.shell("ny")
+        remote = parse_rule(
+            "N(salary1(n), b) -> [5] WR(salary2(n), b)", name="prop"
+        )
+        local = parse_rule("N(salary2(n), b) -> [5] W(Echo(n), b)", name="prop")
+        shell.register_remote_rule(remote)
+        with pytest.raises(ConfigurationError, match="prop"):
+            shell.install(local, "ny")
+        assert shell.stats()["rules_installed"] == 0
+        assert shell._programs["prop"].rule is remote
+
+    def test_identical_remote_registration_is_a_no_op(self):
+        cm, __, ___, ____, _____ = two_site_relational()
+        shell = cm.shell("ny")
+        rule = parse_rule(
+            "N(salary1(n), b) -> [5] WR(salary2(n), b)", name="prop"
+        )
+        shell.register_remote_rule(rule)
+        program = shell._programs["prop"]
+        shell.register_remote_rule(rule)
+        assert shell._programs["prop"] is program
+        assert shell.stats()["rules_installed"] == 0

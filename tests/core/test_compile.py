@@ -6,8 +6,9 @@ reference path — ``match_desc`` + ``evaluate``/``evaluate_value`` +
 ``ground_item``/``ground_term`` — on every input: same match/no-match, same
 bindings, same condition verdicts, same grounded events, and the same
 exception classes where the reference raises.  These tests drive that over
-generated expressions, rules, descriptors, and stores; the directed tests
-pin the constant-folding and static-decision behaviours.
+generated expressions, rules, descriptors, and stores, and over every rule
+the strategy catalog builds; the directed tests pin the constant-folding and
+static-decision behaviours.
 """
 
 import random
@@ -31,6 +32,15 @@ from repro.core.errors import BindingError, CompileError
 from repro.core.events import EventDesc, EventKind, notify_desc, periodic_desc
 from repro.core.items import MISSING, DataItemRef
 from repro.core.rules import RhsStep, Rule
+from repro.core.strategies import (
+    arithmetic_maintenance,
+    cached_propagation,
+    eod_batch,
+    eod_cleanup,
+    monitor,
+    polling,
+    propagation,
+)
 from repro.core.templates import (
     FALSE_TEMPLATE,
     Template,
@@ -44,7 +54,7 @@ from repro.core.terms import (
     ItemPattern,
     Var,
 )
-from repro.core.timebase import seconds
+from repro.core.timebase import hours, seconds
 
 
 class DictLocal:
@@ -119,6 +129,12 @@ def reference_outcome(fn, *args):
         return ("raise", type(exc).__name__)
     except (ZeroDivisionError,) as exc:
         return ("raise", type(exc).__name__)
+
+
+def verdict(fn, *args):
+    """:func:`reference_outcome` of a condition, its value read as a bool."""
+    kind, value = reference_outcome(fn, *args)
+    return (kind, bool(value)) if kind == "ok" else (kind, value)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -232,6 +248,65 @@ def test_random_matcher_equivalence(seed):
                 assert_slots_match_bindings(program, slots, expected)
 
 
+# -- every rule the strategy catalog builds -----------------------------------
+
+
+def _strategy_rules():
+    """``(label/rule name, rule)`` for every rule of every strategy."""
+    delay = seconds(1)
+    specs = {
+        "propagation": propagation("alpha", "beta", delay, params=("n",)),
+        "cached-propagation": cached_propagation(
+            "alpha", "beta", delay, params=("n",), dst_site="s"
+        ),
+        "polling": polling("alpha", "beta", seconds(60), delay, params=("n",)),
+        "monitor": monitor("alpha", "beta", "s", delay),
+        "eod-batch": eod_batch(
+            "alpha", "beta", hours(17), delay, params=("n",)
+        ),
+        "eod-cleanup": eod_cleanup("alpha", "beta", hours(17), delay),
+        "arithmetic-notify": arithmetic_maintenance(
+            "gamma", ("alpha", "beta"), "s", delay
+        ),
+        "arithmetic-poll": arithmetic_maintenance(
+            "gamma", ("alpha", "beta"), "s", delay,
+            transport="poll", period=seconds(60),
+        ),
+    }
+    return [
+        (f"{label}/{rule.name}", rule)
+        for label, spec in specs.items()
+        for rule in spec.rules
+    ]
+
+
+STRATEGY_RULES = _strategy_rules()
+LOCAL_VALUES = [0, 1, 2.5, True, MISSING]
+
+
+def desc_from_lhs(rng, lhs):
+    """A descriptor the LHS template matches: its variables bound at
+    random (item keys from ``KEYS``, values possibly ``MISSING``)."""
+    keys = lhs.item.variables_in_order() if lhs.item is not None else []
+    bindings = {name: rng.choice(KEYS) for name in keys}
+    for term in lhs.values:
+        if isinstance(term, Var) and term.name not in bindings:
+            bindings[term.name] = rng.choice([0, 1, 2.5, -3, "x", MISSING])
+    return instantiate(lhs, bindings)
+
+
+class SeededLocal:
+    """A LocalData that answers every read: each ref's value is a pure
+    function of the seed and the ref, so the compiled program and the
+    reference read the same store whatever order they read it in."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def read_local(self, ref):
+        return random.Random(f"{self.seed}|{ref!r}").choice(LOCAL_VALUES)
+
+
 # -- LHS condition + binder equivalence ---------------------------------------
 
 CONDITIONS = [
@@ -276,7 +351,7 @@ def test_random_lhs_condition_equivalence(seed):
                         [0, 1, 2.5]
                     )
 
-            # Reference: the shell's _lhs_condition_holds semantics.
+            # Reference: match, bind, evaluate; unbindable = not applicable.
             bindings = match_desc(lhs, desc)
             assert bindings is not None
             try:
@@ -303,6 +378,38 @@ def test_random_lhs_condition_equivalence(seed):
                 # Binder slots must hold the reference binder values.
                 for var, __expr in rule.binders:
                     assert slots[slot_of[var]] == bindings[var]
+    for __, rule in STRATEGY_RULES:
+        assert_lhs_condition_matches_reference(rule, rng)
+
+
+def assert_lhs_condition_matches_reference(rule, rng):
+    """Descriptors built from the rule's own LHS, against a seeded store:
+    the compiled match, binders and LHS condition agree with ``match_desc``
+    + ``evaluate_value`` + ``evaluate``."""
+    program = compile_rule(rule)
+    slot_of = {name: i for i, name in enumerate(program.slot_names)}
+    for __ in range(100):
+        desc = desc_from_lhs(rng, rule.lhs)
+        local = SeededLocal(rng.random())
+        bindings = match_desc(rule.lhs, desc)
+        assert bindings is not None
+        try:
+            for var, expr in rule.binders:
+                bindings[var] = evaluate_value(expr, bindings, local)
+            expected_ok = bool(evaluate(rule.condition, bindings, local))
+        except (BindingError, TypeError):
+            expected_ok = False
+        slots = program.match(desc)
+        assert slots is not None
+        assert_slots_match_bindings(program, slots, match_desc(rule.lhs, desc))
+        try:
+            got_ok = program.lhs is None or bool(program.lhs(slots, local))
+        except (BindingError, TypeError):
+            got_ok = False
+        assert got_ok == expected_ok, f"{rule.name} on {desc}"
+        if expected_ok:
+            for var, __expr in rule.binders:
+                assert slots[slot_of[var]] == bindings[var]
 
 
 # -- RHS step equivalence ------------------------------------------------------
@@ -319,25 +426,23 @@ RHS_RULES = [
 ]
 
 
-@pytest.mark.parametrize("source", RHS_RULES)
+@pytest.mark.parametrize(
+    "source",
+    RHS_RULES + [pytest.param(rule, id=label) for label, rule in STRATEGY_RULES],
+)
 def test_rhs_step_plans_match_reference(source):
     rng = random.Random(42)
-    rule = parse_rule(source, name="r")
+    rule = parse_rule(source, name="r") if isinstance(source, str) else source
     program = compile_rule(rule)
-    slot_of = {name: i for i, name in enumerate(program.slot_names)}
     live_steps = [
         step for step in rule.steps
         if step.template.kind is not EventKind.FALSE
     ]
     assert len(program.steps) == len(live_steps)
+    fired = 0
     for __ in range(50):
-        if rule.lhs.kind is EventKind.PERIODIC:
-            desc = periodic_desc(seconds(60))
-        else:
-            desc = notify_desc(
-                DataItemRef("alpha", (rng.choice(KEYS),)), rng.choice([1.0, 2.5])
-            )
-        local = DictLocal({DataItemRef("X"): 7.0, DataItemRef("Cache"): 1.5})
+        desc = desc_from_lhs(rng, rule.lhs)
+        local = SeededLocal(rng.random())
         bindings = match_desc(rule.lhs, desc)
         assert bindings is not None
         try:
@@ -347,6 +452,7 @@ def test_rhs_step_plans_match_reference(source):
                 continue
         except (BindingError, TypeError):
             continue
+        fired += 1
         slots = program.match(desc)
         if program.lhs is not None:
             assert program.lhs(slots, local)
@@ -355,24 +461,27 @@ def test_rhs_step_plans_match_reference(source):
         for step, compiled in zip(live_steps, program.steps):
             step_bindings = dict(bindings)
             step_bindings["now"] = now
-            expected_applicable = bool(
-                evaluate(step.condition, step_bindings, local)
+            expected_applicable = verdict(
+                evaluate, step.condition, step_bindings, local
             )
             if compiled.condition is None:
-                got_applicable = True
+                got_applicable = ("ok", True)
             else:
-                got_applicable = bool(compiled.condition(slots, local))
+                got_applicable = verdict(compiled.condition, slots, local)
             assert got_applicable == expected_applicable
-            if not expected_applicable:
+            if expected_applicable != ("ok", True):
                 continue
+            assert compiled.kind is step.template.kind
             if compiled.enumerating:
                 unbound = step.template.item.variables() - set(step_bindings)
                 assert unbound, "compiled enumerating but reference is ground"
+                assert compiled.family == step.template.item.name
                 continue
             expected_event = instantiate(step.template, step_bindings)
             assert compiled.make_ref(slots) == expected_event.item
             if compiled.make_value is not None:
                 assert compiled.make_value(slots) == expected_event.values[0]
+    assert fired, f"{rule.name}: no descriptor passed the LHS"
 
 
 # -- directed compile-time behaviours -----------------------------------------
@@ -442,8 +551,8 @@ def test_slot_layout_is_deterministic():
 
 
 def test_uncompilable_rhs_kind_raises_compile_error():
-    # An N emission is rejected by the compiler (the shell would reject it
-    # with a SpecError at firing time on the reference path).
+    # An N emission is rejected by the compiler, so the shell refuses the
+    # rule at install.
     rule = Rule(
         name="r",
         lhs=Template(

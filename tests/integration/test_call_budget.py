@@ -14,10 +14,9 @@ Run these first after touching ``cm/translator.py``, ``sim/scheduler.py``,
 budgets, ``cm/shell.py`` or ``cm/dispatch.py``; for the verdict budget,
 ``core/guarantees/`` or ``validate_trace``.
 
-``TestScalingBudgets`` holds the same kind of count to a *shape*: compiled
-rules against the interpreter, observability off against nothing, and
-calls per unit of work as items, events or rules double or grow a
-hundredfold.
+``TestScalingBudgets`` holds the same kind of count to a *shape*: dispatch
+over 1 000 compiled rules, observability off against nothing, and calls
+per unit of work as items, events or rules double or grow a hundredfold.
 """
 
 import gc
@@ -298,7 +297,7 @@ class TestCallBudget:
         assert calls_on - calls_off == dispatched
 
 
-def dispatch_mix(n_rules: int, compiled: bool = True):
+def dispatch_mix(n_rules: int):
     """One prohibition rule per item family plus one family-wildcard rule
     per 50 (those land in the index's catch-all bucket, so every event
     still consults them), and 200 recorded notifications not yet
@@ -313,7 +312,7 @@ def dispatch_mix(n_rules: int, compiled: bool = True):
             rule = Rule(f"r{i}", wildcard, 0, (RhsStep(FALSE_TEMPLATE),))
         else:
             rule = parse_rule(f"N(fam{i}(n), b) -> [1] FALSE", name=f"r{i}")
-        shell.install(rule, compiled=compiled)
+        shell.install(rule)
     descs = [notify_desc(item(f"fam{i % n_rules}", "e"), float(i)) for i in range(200)]
     record = cm.scenario.trace.record
     events = [record(seconds(i + 1), "bench", d) for i, d in enumerate(descs)]
@@ -401,27 +400,21 @@ class TestScalingBudgets:
     # bound sits about 15 % beyond its measurement.
 
     def test_compiled_dispatch_calls_per_event(self):
-        # 1 000 rules: 88.9 calls per dispatched event compiled, 277.7
-        # interpreted (3.12x).
-        per_event = {}
-        for compiled in (True, False):
-            shell, events = dispatch_mix(1000, compiled)
-            calls = python_calls(partial(deliver_all, shell, events))
-            per_event[compiled] = calls / shell.stats()["events_processed"]
-        assert per_event[True] <= 105, per_event
-        assert per_event[False] / per_event[True] >= 2.7, per_event
+        # 1 000 rules: 88.9 calls per dispatched event.
+        shell, events = dispatch_mix(1000)
+        calls = python_calls(partial(deliver_all, shell, events))
+        per_event = calls / shell.stats()["events_processed"]
+        assert per_event <= 105, per_event
 
     def test_observability_off_costs_no_calls(self):
         # With tracing and the flight recorder off, the shell's counters
-        # are attribute increments: not one call lands in ``repro/obs/``,
-        # on either dispatch arm.
-        for compiled in (True, False):
-            shell, events = dispatch_mix(1000, compiled)
-            assert not shell.obs.enabled
-            by_file = python_calls_by_file(partial(deliver_all, shell, events))
-            assert shell.stats()["events_processed"] == len(events)
-            obs = {name: n for name, n in by_file.items() if layer_of(name) == "obs"}
-            assert obs == {}, obs
+        # are attribute increments: not one call lands in ``repro/obs/``.
+        shell, events = dispatch_mix(1000)
+        assert not shell.obs.enabled
+        by_file = python_calls_by_file(partial(deliver_all, shell, events))
+        assert shell.stats()["events_processed"] == len(events)
+        obs = {name: n for name, n in by_file.items() if layer_of(name) == "obs"}
+        assert obs == {}, obs
 
     def test_record_calls_flat_in_items(self):
         # Per recorded event over 4 000 events: 15.03 at 64 items, 15.06 at

@@ -33,8 +33,6 @@ DISPATCH_TOTAL_KEYS = {
     "candidates_considered",
     "rules_fired",
     "rules_installed",
-    "rules_compiled",
-    "rules_fallback",
     "batches_processed",
     "batch_events",
 }

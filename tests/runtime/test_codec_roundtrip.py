@@ -260,11 +260,6 @@ payloads = st.one_of(
             "rule": st.text(max_size=6) | json_values,
             "trigger": events,
             "slots": st.lists(tagged_values, max_size=3) | json_values,
-            "bindings": st.lists(
-                st.tuples(st.text(max_size=4), tagged_values).map(list),
-                max_size=3,
-            )
-            | json_values,
             "v": tagged_values,
             "site": st.text(max_size=4) | json_values,
             "source": st.text(max_size=4) | json_values,

@@ -2,10 +2,11 @@
 
 Each case opens a real ``a -> b`` channel connection, writes the frames by
 hand, and checks what ``b``'s handler saw: a frame with a bad envelope is
-dropped before the resequencer, one whose payload fails to decode after
-it, both are counted in ``messages_dropped``, and the connection keeps
-serving the frames behind them.  A frame that breaks the framing itself
-closes its own connection, and no other.
+dropped before the resequencer, one whose payload fails to decode — or a
+firing that ``b``'s shell cannot run — after it, all are counted in
+``messages_dropped``, and the connection keeps serving the frames behind
+them.  A frame that breaks the framing itself closes its own connection,
+and no other.
 """
 
 import asyncio
@@ -13,6 +14,13 @@ import struct
 
 import pytest
 
+from repro.cm import ConstraintManager, Scenario
+from repro.cm.shell import FireMessage
+from repro.core.compile import compile_rule
+from repro.core.dsl import parse_rule
+from repro.core.events import notify_desc
+from repro.core.items import MISSING, item
+from repro.core.trace import ExecutionTrace
 from repro.runtime.channels import DELIVER_METHOD, encode_payload
 from repro.runtime.clock import WallClock
 from repro.runtime.codec import MAX_VALUE_DEPTH
@@ -41,13 +49,18 @@ def nested_tuple(depth):
     return value
 
 
-def serve(frames, expected):
+def serve(frames, expected, network=None):
     """Write ``frames`` on one ``a -> b`` connection; return the network and
-    the payloads ``b`` received once ``expected`` arrived (or 5 s passed)."""
-    network = WireNetwork(WallClock())
+    the payloads ``b`` received once ``expected`` were delivered (or 5 s
+    passed).  Without a ``network``, ``b`` is a handler that records
+    payloads; given one, its sites are whatever the caller registered."""
     received = []
-    network.register_site("a", lambda message: None)
-    network.register_site("b", lambda message: received.append(message.payload))
+    if network is None:
+        network = WireNetwork(WallClock())
+        network.register_site("a", lambda message: None)
+        network.register_site(
+            "b", lambda message: received.append(message.payload)
+        )
 
     async def session():
         await network.start()
@@ -57,7 +70,10 @@ def serve(frames, expected):
                 transport.write(encode_frame(Notification(DELIVER_METHOD, params)))
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 5.0
-            while len(received) < expected and loop.time() < deadline:
+            while (
+                network.messages_delivered < expected
+                and loop.time() < deadline
+            ):
                 await asyncio.sleep(0.002)
             transport.close()
             await transport.get_protocol().closed
@@ -92,6 +108,44 @@ def test_undecodable_payload_is_dropped_and_the_channel_keeps_serving(payload):
         [deliver(0, payload), deliver(1), deliver(2)], expected=2
     )
     assert received == ["m1", "m2"]
+    assert network.messages_dropped == 1
+    assert network.messages_delivered == 2
+
+
+SEEN = parse_rule("N(alpha(n), v) -> [1] W(Seen(n), v)", name="seen")
+
+
+def firing(key, value, **overrides):
+    """The encoded payload of a ``seen`` firing for ``alpha(key) = value``."""
+    program = compile_rule(SEEN)
+    trigger = ExecutionTrace().record(0, "a", notify_desc(item("alpha", key), value))
+    slots = tuple(program.match(trigger.desc))
+    return dict(encode_payload(FireMessage(program, slots, trigger)), **overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"rule": "unregistered"}, {"slots": [0.0]}],
+    ids=["unknown-rule", "too-few-slots"],
+)
+def test_firing_the_shell_cannot_run_is_dropped_and_the_channel_keeps_serving(
+    overrides,
+):
+    cm = ConstraintManager(Scenario(runtime="async"))
+    cm.add_site("a")
+    b = cm.add_site("b")
+    b.register_remote_rule(SEEN)
+    frames = [
+        deliver(0, firing("e0", 1.0, **overrides)),
+        deliver(1, firing("e1", 2.0)),
+        deliver(2, firing("e2", 3.0)),
+    ]
+    network, __ = serve(frames, expected=2, network=cm.scenario.network)
+    seen = {
+        key: b.store.read_local(item("Seen", key)) for key in ("e0", "e1", "e2")
+    }
+    assert seen == {"e0": MISSING, "e1": 2.0, "e2": 3.0}
+    assert b.rules_fired == 0  # the RHS ran; the LHS fired at the peer
     assert network.messages_dropped == 1
     assert network.messages_delivered == 2
 
