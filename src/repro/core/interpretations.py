@@ -14,8 +14,9 @@ Two representations share the :class:`Interpretation` interface:
 - the plain dict-backed form, for hand-built states; and
 - :class:`VersionedInterpretation`, a copy-on-write *view* over a shared
   :class:`StateJournal`.  The trace records one journal write per write
-  event — O(1), independent of how many items are traced — and each event's
-  ``old``/``new`` is a view pinned to a journal version.  Per-item lookups
+  event — O(1), independent of how many items are traced — and keeps each
+  event's ``old``/``new`` as journal versions (write counts); a view pinned
+  to one is made when someone reads it.  Per-item lookups
   are binary searches over that item's write history; the full mapping is
   materialized (and cached) only if someone iterates or compares it against
   a foreign interpretation.
@@ -30,6 +31,7 @@ from typing import Iterator, Mapping, Optional
 from repro.core.items import MISSING, DataItemRef, Value
 
 _entry_version = itemgetter(0)
+_new_view = object.__new__
 
 
 class Interpretation(Mapping[DataItemRef, Value]):
@@ -41,6 +43,8 @@ class Interpretation(Mapping[DataItemRef, Value]):
     """
 
     __slots__ = ("_values",)
+    #: The journal a view reads (:class:`VersionedInterpretation`); none here.
+    _journal: Optional["StateJournal"] = None
 
     def __init__(self, values: Mapping[DataItemRef, Value] | None = None) -> None:
         self._values: dict[DataItemRef, Value] = dict(values or {})
@@ -98,21 +102,33 @@ class StateJournal:
 
     Version 0 is the seeded initial state; each :meth:`write` produces the
     next version.  Every version stays addressable forever: per item the
-    journal keeps the ``(version, value)`` list of its writes, so the value
-    of any item at any version is one binary search away, and the set of
-    items specified at a version is a prefix of the first-specified order.
+    journal keeps the list of versions that set it, so the value of any item
+    at any version is one binary search away, and the set of items specified
+    at a version is a prefix of the first-specified order.
+
+    A version is a write count, nothing more: per write the journal keeps
+    the written item, its value and the version in that item's list (three
+    pointers, no new container), and ``current`` — the one view pinned to
+    the latest version.
     """
 
-    __slots__ = ("_history", "_order", "_log", "_current_view", "materializations")
+    __slots__ = (
+        "_history", "_seeds", "_order", "_log", "_logged", "current",
+        "materializations",
+    )
 
     def __init__(self) -> None:
-        #: Per item: the (version, value) list of its seed + writes.
-        self._history: dict[DataItemRef, list[tuple[int, Value]]] = {}
+        #: Per item: the versions that set it, ascending (0: it was seeded).
+        self._history: dict[DataItemRef, list[int]] = {}
+        self._seeds: dict[DataItemRef, Value] = {}
         #: (first-specified version, item), in first-specified order.
         self._order: list[tuple[int, DataItemRef]] = []
-        #: ``_log[i]`` is the (item, value) write that produced version i+1.
-        self._log: list[tuple[DataItemRef, Value]] = []
-        self._current_view: Optional["VersionedInterpretation"] = None
+        #: ``_log[i]`` / ``_logged[i]``: the write that produced version i+1.
+        self._log: list[DataItemRef] = []
+        self._logged: list[Value] = []
+        #: The view pinned to the latest version (interned until the next
+        #: write or seed, so events that do not write share it).
+        self.current = VersionedInterpretation(self, 0)
         #: How many views had to materialize a full dict (diagnostics).
         self.materializations = 0
 
@@ -128,25 +144,30 @@ class StateJournal:
         """Set an item's version-0 value.  Only valid before any write."""
         if self._log:
             raise ValueError("cannot seed a journal after writes")
-        history = self._history.get(ref)
-        if history is None:
-            self._history[ref] = [(0, value)]
+        if ref not in self._history:
+            self._history[ref] = [0]
             self._order.append((0, ref))
-        else:
-            history[0] = (0, value)
-        self._current_view = None
+        self._seeds[ref] = value
+        self.current = VersionedInterpretation(self, 0)
 
     def write(self, ref: DataItemRef, value: Value) -> int:
         """Append one write, returning the version it produced.  O(1)."""
-        self._log.append((ref, value))
-        version = len(self._log)
+        log = self._log
+        log.append(ref)
+        self._logged.append(value)
+        version = len(log)
         history = self._history.get(ref)
         if history is None:
-            self._history[ref] = [(version, value)]
+            self._history[ref] = [version]
             self._order.append((version, ref))
         else:
-            history.append((version, value))
-        self._current_view = None
+            history.append(version)
+        # Built through its slots: no ``__init__`` frame on the record path.
+        view = _new_view(VersionedInterpretation)
+        view._journal = self
+        view.version = version
+        view._cache = None
+        self.current = view
         return version
 
     def view(self, version: int | None = None) -> "VersionedInterpretation":
@@ -157,11 +178,7 @@ class StateJournal:
         identity comparisons.
         """
         if version is None or version == len(self._log):
-            view = self._current_view
-            if view is None:
-                view = VersionedInterpretation(self, len(self._log))
-                self._current_view = view
-            return view
+            return self.current
         return VersionedInterpretation(self, version)
 
     def lookup(self, ref: DataItemRef, version: int) -> tuple[bool, Value]:
@@ -169,20 +186,24 @@ class StateJournal:
         history = self._history.get(ref)
         if history is None:
             return False, MISSING
-        index = bisect_right(history, version, key=_entry_version)
+        index = bisect_right(history, version)
         if index == 0:
             return False, MISSING
-        return True, history[index - 1][1]
+        version = history[index - 1]  # the write (or seed, 0) in force
+        return True, self._seeds[ref] if version == 0 else self._logged[version - 1]
 
     def specifies(self, ref: DataItemRef, version: int) -> bool:
         """Whether ``ref`` was seeded or written at or before ``version``."""
         history = self._history.get(ref)
-        return history is not None and history[0][0] <= version
+        return history is not None and history[0] <= version
 
     def current_value(self, ref: DataItemRef, default: Value = MISSING) -> Value:
         """The latest value of ``ref`` — O(1)."""
         history = self._history.get(ref)
-        return history[-1][1] if history else default
+        if not history:
+            return default
+        version = history[-1]
+        return self._seeds[ref] if version == 0 else self._logged[version - 1]
 
     def size_at(self, version: int) -> int:
         """How many items are specified at ``version``."""
@@ -193,9 +214,10 @@ class StateJournal:
         count = bisect_right(self._order, version, key=_entry_version)
         return iter([ref for __, ref in self._order[:count]])
 
-    def writes_between(self, lo: int, hi: int) -> list[tuple[DataItemRef, Value]]:
-        """The raw journal writes in versions ``(lo, hi]``, in order."""
-        return self._log[lo:hi]
+    def log(self) -> tuple[list[DataItemRef], list[Value]]:
+        """The write log, read-only: the item and the value written at
+        version ``v`` are at index ``v - 1`` of the two lists."""
+        return self._log, self._logged
 
     def effective_delta(self, lo: int, hi: int) -> dict[DataItemRef, Value]:
         """Items whose value at version ``hi`` differs from version ``lo``.
@@ -204,9 +226,7 @@ class StateJournal:
         not to the state size — this is what makes equality of two views of
         one journal cheap.
         """
-        written: dict[DataItemRef, Value] = {}
-        for ref, value in self._log[lo:hi]:
-            written[ref] = value
+        written = dict(zip(self._log[lo:hi], self._logged[lo:hi]))
         changed: dict[DataItemRef, Value] = {}
         for ref, value in written.items():
             specified, before = self.lookup(ref, lo)
@@ -221,9 +241,7 @@ class StateJournal:
         for first, ref in self._order:
             if first > version:
                 break
-            history = self._history[ref]
-            index = bisect_right(history, version, key=_entry_version)
-            values[ref] = history[index - 1][1]
+            values[ref] = self.lookup(ref, version)[1]
         return values
 
 
@@ -238,28 +256,24 @@ class VersionedInterpretation(Interpretation):
     the write log alone.
     """
 
-    __slots__ = ("_journal", "_version", "_cache")
+    __slots__ = ("_journal", "version", "_cache")
 
     def __init__(self, journal: StateJournal, version: int) -> None:
         self._journal = journal
-        self._version = version
+        #: The journal version this view is pinned to.
+        self.version = version
         self._cache: dict[DataItemRef, Value] | None = None
 
     @property
     def _values(self) -> dict[DataItemRef, Value]:  # type: ignore[override]
         cache = self._cache
         if cache is None:
-            cache = self._journal.materialize(self._version)
+            cache = self._journal.materialize(self.version)
             self._cache = cache
         return cache
 
-    @property
-    def version(self) -> int:
-        """The journal version this view is pinned to."""
-        return self._version
-
     def __getitem__(self, ref: DataItemRef) -> Value:
-        specified, value = self._journal.lookup(ref, self._version)
+        specified, value = self._journal.lookup(ref, self.version)
         if not specified:
             raise KeyError(ref)
         return value
@@ -267,13 +281,13 @@ class VersionedInterpretation(Interpretation):
     def __contains__(self, ref: object) -> bool:
         if not isinstance(ref, DataItemRef):
             return False
-        return self._journal.specifies(ref, self._version)
+        return self._journal.specifies(ref, self.version)
 
     def __iter__(self) -> Iterator[DataItemRef]:
-        return self._journal.refs_at(self._version)
+        return self._journal.refs_at(self.version)
 
     def __len__(self) -> int:
-        return self._journal.size_at(self._version)
+        return self._journal.size_at(self.version)
 
     def __eq__(self, other: object) -> bool:
         if other is self:
@@ -282,7 +296,7 @@ class VersionedInterpretation(Interpretation):
             isinstance(other, VersionedInterpretation)
             and other._journal is self._journal
         ):
-            lo, hi = sorted((self._version, other._version))
+            lo, hi = sorted((self.version, other.version))
             if lo == hi:
                 return True
             return not self._journal.effective_delta(lo, hi)
@@ -294,32 +308,12 @@ class VersionedInterpretation(Interpretation):
 
     def specifies(self, ref: DataItemRef) -> bool:
         """Whether this interpretation constrains ``ref`` at all."""
-        return self._journal.specifies(ref, self._version)
+        return self._journal.specifies(ref, self.version)
 
     def exists(self, ref: DataItemRef) -> bool:
         """The ``E(X)`` predicate: item is specified and not MISSING."""
-        specified, value = self._journal.lookup(ref, self._version)
+        specified, value = self._journal.lookup(ref, self.version)
         return specified and value is not MISSING
-
-
-def write_delta(
-    old: Interpretation, new: Interpretation
-) -> list[tuple[DataItemRef, Value]] | None:
-    """The journal writes separating two views, or ``None`` if unrelated.
-
-    The trace validator's property-2 fast path: for events recorded through
-    a trace, ``old``/``new`` are views of one journal and the write that
-    separates them is read straight off the log instead of diffing two
-    materialized dicts.
-    """
-    if (
-        isinstance(old, VersionedInterpretation)
-        and isinstance(new, VersionedInterpretation)
-        and old._journal is new._journal
-        and old._version <= new._version
-    ):
-        return old._journal.writes_between(old._version, new._version)
-    return None
 
 
 #: The fully unconstrained interpretation.

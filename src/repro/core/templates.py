@@ -34,7 +34,8 @@ from repro.core.terms import (
 
 #: A pre-compiled template matcher: descriptor (and, optionally, bindings to
 #: start from) in, matching interpretation (or ``None``) out.  Produced by
-#: :func:`compile_matcher`.
+#: :func:`compile_matcher` (a descriptor) and :func:`compile_fields_matcher`
+#: (its kind value, item and values).
 Matcher = Callable[..., Optional[Bindings]]
 
 
@@ -178,9 +179,7 @@ def compile_matcher(tmpl: Template) -> Matcher:
     The returned callable is semantically identical to
     ``lambda desc: match_desc(tmpl, desc)`` but resolves the template's
     structure — kind, family, per-term dispatch — once at compile time
-    instead of re-interpreting it on every event.  Rule engines that match
-    the same LHS against many events (the CM-Shell's dispatch loop) install
-    one compiled matcher per rule.
+    instead of re-interpreting it on every event.
 
     The matcher takes an optional ``seed``: bindings to start from instead
     of the empty interpretation (copied, never mutated).  A seeded match
@@ -188,21 +187,46 @@ def compile_matcher(tmpl: Template) -> Matcher:
     seed on every variable they share — how an RHS template is matched
     under its rule's LHS interpretation — and returns the seed extended.
     """
+    match = compile_fields_matcher(tmpl)
+
+    def desc_matcher(
+        desc: EventDesc, seed: Optional[Bindings] = None
+    ) -> Optional[Bindings]:
+        values = desc.values + (None, None)
+        return match(desc.kind._value_, desc.item, values[0], values[1], seed)
+
+    return desc_matcher
+
+
+def compile_fields_matcher(tmpl: Template) -> Matcher:
+    """:func:`compile_matcher` over a descriptor's fields: the returned
+    ``match(kind value, item, first value, second value, seed=None)`` reads
+    an event stored as atoms (the trace's rows) without building a
+    descriptor; a value the kind does not carry is passed as ``None``."""
     if tmpl.kind is EventKind.FALSE:
-        return lambda desc, seed=None: None
-    kind = tmpl.kind
-    value_tests = tuple(_compile_term(term) for term in tmpl.values)
+        return lambda kind, item, first, second, seed=None: None
+    kind = tmpl.kind._value_
+    # A template carries exactly its kind's value arity (at most two).
+    tests = [_compile_term(term) for term in tmpl.values]
+    first_test = tests[0] if tests else None
+    second_test = tests[1] if len(tests) > 1 else None
+
     if tmpl.item is None:
 
         def itemless_matcher(
-            desc: EventDesc, seed: Optional[Bindings] = None
+            got: str,
+            item: object,
+            first: object,
+            second: object,
+            seed: Optional[Bindings] = None,
         ) -> Optional[Bindings]:
-            if desc.kind is not kind:
+            if got != kind:
                 return None
             bindings: Bindings = {} if seed is None else dict(seed)
-            for test, value in zip(value_tests, desc.values):
-                if not test(value, bindings):
-                    return None
+            if first_test is not None and not first_test(first, bindings):
+                return None
+            if second_test is not None and not second_test(second, bindings):
+                return None
             return bindings
 
         return itemless_matcher
@@ -213,12 +237,13 @@ def compile_matcher(tmpl: Template) -> Matcher:
     arg_count = len(arg_tests)
 
     def matcher(
-        desc: EventDesc, seed: Optional[Bindings] = None
+        got: str,
+        item: Optional[DataItemRef],
+        first: object,
+        second: object,
+        seed: Optional[Bindings] = None,
     ) -> Optional[Bindings]:
-        if desc.kind is not kind:
-            return None
-        item = desc.item
-        if item is None:
+        if got != kind or item is None:
             return None
         if not any_family and item.name != family:
             return None
@@ -228,9 +253,10 @@ def compile_matcher(tmpl: Template) -> Matcher:
         for test, value in zip(arg_tests, item.args):
             if not test(value, bindings):
                 return None
-        for test, value in zip(value_tests, desc.values):
-            if not test(value, bindings):
-                return None
+        if first_test is not None and not first_test(first, bindings):
+            return None
+        if second_test is not None and not second_test(second, bindings):
+            return None
         return bindings
 
     return matcher

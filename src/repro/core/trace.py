@@ -10,14 +10,15 @@ valid execution in the paper's Appendix A.2.
 The trace layer is the hot path of every scenario, so it is engineered to
 stay near-linear in the number of events:
 
-- ``record()`` is O(1) per event: ``old``/``new`` are copy-on-write views
-  over one shared :class:`~repro.core.interpretations.StateJournal` instead
-  of per-event dict snapshots;
+- ``record()`` is O(1) per event and keeps the event as a row of atoms, not
+  as objects: ``old``/``new`` are versions of one shared
+  :class:`~repro.core.interpretations.StateJournal`, and readers get
+  :class:`Event` views built from the rows on demand;
 - every query (:meth:`~ExecutionTrace.writes_to`,
   :meth:`~ExecutionTrace.events_of_kind`,
   :meth:`~ExecutionTrace.events_matching`,
   :meth:`~ExecutionTrace.refs_of_family`) reads record-time indexes —
-  per-item write lists, per-kind and per-(kind, family) event lists — rather
+  per-item write lists, per-kind and per-(kind, family) row lists — rather
   than scanning the whole trace;
 - :meth:`~ExecutionTrace.timeline` extends a per-item incrementally
   collapsed change list, doing O(1) work per appended write, instead of
@@ -25,8 +26,9 @@ stay near-linear in the number of events:
   :class:`Timeline` until the item changes; a timeline derives its held
   segments once (:meth:`Timeline.held`), so every guarantee checker reads
   the same segment objects;
-- :func:`validate_trace` compiles and matches each distinct LHS once and
-  resolves provenance through a per-rule index keyed by trigger ``seq``.
+- :func:`validate_trace` reads the rows, compiles and matches each distinct
+  LHS once and resolves provenance through a per-rule index keyed by
+  trigger ``seq``.
 
 The naive full-scan implementations are retained in
 :class:`ReferenceTraceQueries` / :func:`validate_trace_naive` as the
@@ -38,16 +40,22 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import count
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.core import events as _numbering
 from repro.core.errors import TraceError
 from repro.core.events import Event, EventDesc, EventKind
-from repro.core.interpretations import StateJournal, write_delta
+from repro.core.interpretations import StateJournal, VersionedInterpretation
 from repro.core.items import MISSING, DataItemRef, Value
 from repro.core.rules import Rule
-from repro.core.templates import Matcher, Template, compile_matcher, match_desc
+from repro.core.templates import (
+    Matcher,
+    Template,
+    compile_fields_matcher,
+    match_desc,
+)
 from repro.core.terms import Bindings
 from repro.core.timebase import Ticks
 
@@ -229,15 +237,14 @@ class _TimelineBuilder:
         self._shared = 0  # prefix length visible through a handed-out view
         self._cached: Optional[Timeline] = None
 
-    def extend(self, writes: Sequence[Event]) -> int:
-        """Fold in writes not yet consumed; returns the number processed."""
+    def extend(self, rows: list, writes: Sequence[int]) -> int:
+        """Fold in write rows not yet consumed; returns the number processed."""
         consumed = self._consumed
         times, values = self._times, self._values
         for index in range(consumed, len(writes)):
-            event = writes[index]
-            time = event.time
-            desc = event.desc
-            value = desc.values[0] if desc.kind is _WRITE else desc.values[1]
+            at = writes[index]
+            time = rows[at]
+            value = rows[at + (_V0 if rows[at + _KIND] is _W else _V1)]
             if times[-1] != time:
                 if values[-1] != value:
                     times.append(time)
@@ -296,16 +303,44 @@ class Violation:
         return prefix
 
 
-_NO_EVENTS: tuple[Event, ...] = ()
+_NO_ROWS: tuple[int, ...] = ()
+
+# The trace keeps each event as ``_WIDTH`` atoms — ints, interned strings,
+# ``None`` and the values themselves — appended to one flat list: recording
+# leaves no object per event for the collector to count or traverse.  A row
+# is named by its offset ``at`` (a multiple of ``_WIDTH``): the indexes hold
+# offsets, and ``rows[at : at + _WIDTH]`` are these columns:
+(_TIME, _SITE, _KIND, _REF, _V0, _V1, _RULE, _TRIGGER_SITE, _TRIGGER_SEQ, _SEQ,
+ _VERSION) = range(11)
+_WIDTH = 11
+# ``_KIND`` holds ``EventKind._value_`` itself, so kinds compare by identity;
+# ``_REF`` is the item's id, interned once per item; ``_RULE`` the rule
+# object (shared and long-lived: keeping it adds nothing); ``_V0`` / ``_V1``
+# the descriptor's first and last value (``None`` without one); the trigger is
+# its identity, ``(_TRIGGER_SITE, _TRIGGER_SEQ)`` — one that is not an event
+# of this trace is kept whole in ``_foreign``; ``_VERSION`` is the journal
+# version after the event (its ``new``; a write's ``old`` is one less).
+_FOREIGN = -1
+
+_KINDS = {kind._value_: kind for kind in EventKind}
+_ARITY = {kind._value_: kind.value_arity for kind in EventKind}
 
 
+def _values(kind: str, first: Value, second: Value) -> tuple[Value, ...]:
+    """A row's values as the descriptor's tuple."""
+    arity = _ARITY[kind]
+    return (first,) if arity == 1 else (first, second) if arity else ()
+
+
+_W = EventKind.WRITE._value_
+_WS = EventKind.SPONTANEOUS_WRITE._value_
+_P = EventKind.PERIODIC._value_
 # Recording tests ``kind is _WRITE or kind is _SPONTANEOUS_WRITE`` instead of
 # the ``is_write`` property: it runs once per event, and a Python-level
 # property call is a measurable fraction of the whole record path.
 _WRITE = EventKind.WRITE
 _SPONTANEOUS_WRITE = EventKind.SPONTANEOUS_WRITE
-_PERIODIC = EventKind.PERIODIC
-_new_event = Event.__new__
+_new = object.__new__
 _set_time = Event.time.__set__
 _set_site = Event.site.__set__
 _set_desc = Event.desc.__set__
@@ -314,6 +349,9 @@ _set_new = Event.new.__set__
 _set_rule = Event.rule.__set__
 _set_trigger = Event.trigger.__set__
 _set_seq = Event.seq.__set__
+_set_kind = EventDesc.kind.__set__
+_set_item = EventDesc.item.__set__
+_set_values = EventDesc.values.__set__
 
 
 class ExecutionTrace:
@@ -325,24 +363,39 @@ class ExecutionTrace:
     valid-execution properties 2 and 3 by construction — the validator then
     re-checks them independently.
 
+    Each event is kept as a row of atoms (see ``_TIME`` … ``_VERSION``), not
+    as objects: the :class:`Event` that :meth:`record` returns is the
+    caller's to dispatch and pass on as a trigger, and the trace does not
+    keep it.  Readers get views built from the rows on demand
+    (:attr:`events`, :meth:`events_of_kind`, :meth:`writes_to`,
+    :attr:`generated_events`); the indexed validator and :class:`Timeline`
+    read the rows themselves.
+
     Recording also maintains the query indexes (per-item writes, per-kind
-    and per-(kind, family) event lists, per-family ref sets), so queries
+    and per-(kind, family) row lists, per-family ref sets), so queries
     touch only the events they return.
     """
 
     def __init__(self) -> None:
-        self._events: list[Event] = []
-        self._events_snapshot: tuple[Event, ...] = ()
+        self._rows: list = []  # ``_WIDTH`` atoms per event
+        self._snapshot: Optional[EventViews] = None
         self._journal = StateJournal()
         self._seeded: dict[DataItemRef, Value] = {}
         self.horizon: Ticks = 0
-        # -- record-time indexes (kinds keyed by ``_value_``, hashed in C) --
-        self._writes_by_item: dict[DataItemRef, list[Event]] = {}
-        self._by_kind: dict[str, list[Event]] = {}
-        self._by_kind_family: dict[tuple[str, str], list[Event]] = {}
+        # -- interned once per item: its id, write list and family rows --
+        self._ref_ids: dict[DataItemRef, int] = {}
+        self._refs: list[DataItemRef] = []
+        self._writes: list[list[int]] = []  # per ref id: its writes (offsets)
+        self._family_rows: list[dict[str, list[int]]] = []  # per ref id
+        # -- record-time indexes, of row offsets --
+        self._by_kind: dict[str, list[int]] = {}
+        self._by_family: dict[str, dict[str, list[int]]] = {}
         self._family_refs: dict[str, set[DataItemRef]] = {}
         self._family_sorted: dict[str, tuple[int, list[DataItemRef]]] = {}
-        self._generated: list[Event] = []
+        self._generated: list[int] = []
+        self._identities: dict[tuple[str, int], int] = {}  # (site, seq) -> at
+        self._identified = 0  # offsets below it are in ``_identities``
+        self._foreign: dict[int, Event] = {}  # at -> the row's foreign trigger
         self._timelines: dict[DataItemRef, _TimelineBuilder] = {}
         # Family-pair timeline lists of the guarantee checkers
         # (:func:`repro.core.guarantees.base.paired_timelines`).
@@ -359,13 +412,24 @@ class ExecutionTrace:
 
         Must be called before any event is recorded.
         """
-        if self._events:
+        if self._rows:
             raise TraceError("cannot seed a trace after events were recorded")
         self._journal.seed(ref, value)
         self._seeded[ref] = value
-        self._family_refs.setdefault(ref.name, set()).add(ref)
+        if ref not in self._ref_ids:
+            self._intern(ref)
         self._timelines.pop(ref, None)
         self._pairings.clear()
+
+    def _intern(self, ref: DataItemRef) -> int:
+        """Give ``ref`` its id: its write list and its family's rows."""
+        ref_id = self._ref_ids[ref] = len(self._refs)
+        self._refs.append(ref)
+        self._writes.append([])
+        family = ref.name
+        self._family_refs.setdefault(family, set()).add(ref)
+        self._family_rows.append(self._by_family.setdefault(family, {}))
+        return ref_id
 
     def record(
         self,
@@ -378,34 +442,55 @@ class ExecutionTrace:
     ) -> Event:
         """Record one event, computing its interpretations.  O(1) per event.
 
+        Returns the event for the caller to dispatch and pass on as a
+        trigger; it holds the caller's own ``desc`` and ``trigger``, and the
+        trace keeps only its row.
+
         ``seq`` preserves an explicit sequence number when re-recording an
         event numbered elsewhere, e.g. replaying a trace with planted
         faults: event identity is ``(site, seq)``, so the copy must keep
         the original numbering for provenance lookups to resolve.  Passing
         it never advances the global event counter.
         """
-        events = self._events
-        if events and time < events[-1].time:
+        rows = self._rows
+        if rows and time < rows[-_WIDTH]:
             raise TraceError(
-                f"event at {time} recorded after event at {events[-1].time}"
+                f"event at {time} recorded after event at {rows[-_WIDTH]}"
             )
         journal = self._journal
-        old = new = journal.view()
+        old = new = journal.current
         kind = desc.kind
+        key = kind._value_
         item = desc.item
-        is_write = kind is _WRITE or kind is _SPONTANEOUS_WRITE
-        if is_write:
-            assert item is not None
-            journal.write(item, desc.values[0] if kind is _WRITE else desc.values[1])
-            new = journal.view()
+        values = desc.values
+        at = len(rows)
+        if item is None:
+            ref = None
+        else:
+            ref = self._ref_ids.get(item)
+            if ref is None:  # :meth:`_intern`, inline: no frame per new item
+                ref = self._ref_ids[item] = len(self._refs)
+                self._refs.append(item)
+                self._writes.append([])
+                self._family_refs.setdefault(item.name, set()).add(item)
+                self._family_rows.append(self._by_family.setdefault(item.name, {}))
+            if kind is _WRITE or kind is _SPONTANEOUS_WRITE:
+                # The interned ref: the journal keeps no ref object per write.
+                journal.write(
+                    self._refs[ref], values[0] if kind is _WRITE else values[1]
+                )
+                new = journal.current
+                self._writes[ref].append(at)
+            indexed = self._family_rows[ref].get(key)
+            if indexed is None:
+                indexed = self._family_rows[ref][key] = []
+            indexed.append(at)
         if seq is None:
             seq = _numbering._next_seq
             _numbering._next_seq = seq + 1
-        # Numbered, built and indexed in this one frame.  Event is a frozen,
-        # slotted dataclass: its generated ``__init__`` sets every field by
-        # name through ``object.__setattr__``, ~2.5x the cost of filling the
-        # slots through their member descriptors.
-        event = _new_event(Event)
+        # Built through its slots: the generated frozen ``__init__`` sets
+        # every field through ``object.__setattr__``, ~2.5x the cost.
+        event = _new(Event)
         _set_time(event, time)
         _set_site(event, site)
         _set_desc(event, desc)
@@ -414,32 +499,56 @@ class ExecutionTrace:
         _set_rule(event, rule)
         _set_trigger(event, trigger)
         _set_seq(event, seq)
-        events.append(event)
-        key = kind._value_
         indexed = self._by_kind.get(key)
         if indexed is None:
             indexed = self._by_kind[key] = []
-        indexed.append(event)
-        if item is not None:
-            family = item.name
-            indexed = self._by_kind_family.get((key, family))
-            if indexed is None:
-                indexed = self._by_kind_family[key, family] = []
-            indexed.append(event)
-            if is_write:
-                indexed = self._writes_by_item.get(item)
-                if indexed is None:
-                    indexed = self._writes_by_item[item] = []
-                indexed.append(event)
-            refs = self._family_refs.get(family)
-            if refs is None:
-                refs = self._family_refs[family] = set()
-            refs.add(item)
-        if rule is not None or trigger is not None:
-            self._generated.append(event)
+        indexed.append(at)
+        if trigger is None:
+            trigger_site = trigger_seq = None
+            if rule is not None:
+                self._generated.append(at)
+        else:
+            trigger_site, trigger_seq = trigger.site, trigger.seq
+            if trigger.new._journal is not journal:  # not an event of this trace
+                self._foreign[at] = trigger
+            self._generated.append(at)
+        # ``_V1`` repeats a one-value descriptor's value: one test, no slice.
+        if values:
+            rows += (
+                time, site, key, ref, values[0], values[-1],
+                rule, trigger_site, trigger_seq, seq, new.version,
+            )
+        else:
+            rows += (
+                time, site, key, ref, None, None,
+                rule, trigger_site, trigger_seq, seq, new.version,
+            )
         if time > self.horizon:
             self.horizon = time
         return event
+
+    def _trigger_at(self, at: int) -> int:
+        """The offset of row ``at``'s trigger, or ``_FOREIGN`` (``_foreign``).
+
+        Events numbered as recorded sit ``seq - first seq`` rows in; anything
+        else (replays, merged numbering) is found by ``(site, seq)`` in an
+        index that only this lookup builds, so recording pays nothing."""
+        if at in self._foreign:
+            return _FOREIGN
+        rows = self._rows
+        site, seq = rows[at + _TRIGGER_SITE], rows[at + _TRIGGER_SEQ]
+        found = (seq - rows[_SEQ]) * _WIDTH
+        if (
+            0 <= found < at
+            and rows[found + _SEQ] == seq
+            and rows[found + _SITE] == site
+        ):
+            return found
+        identities = self._identities
+        for other in range(self._identified, len(rows), _WIDTH):
+            identities.setdefault((rows[other + _SITE], rows[other + _SEQ]), other)
+        self._identified = len(rows)
+        return identities[site, seq]
 
     def record_batch(
         self, time: Ticks, site: str, descs: Sequence[EventDesc]
@@ -462,11 +571,11 @@ class ExecutionTrace:
     # -- queries ---------------------------------------------------------------
 
     @property
-    def events(self) -> tuple[Event, ...]:
-        """All recorded events, in order (a read-only snapshot)."""
-        snapshot = self._events_snapshot
-        if len(snapshot) != len(self._events):
-            snapshot = self._events_snapshot = tuple(self._events)
+    def events(self) -> EventViews:
+        """All recorded events, in order (a read-only snapshot of views)."""
+        snapshot = self._snapshot
+        if snapshot is None or len(snapshot) != len(self):
+            snapshot = self._snapshot = EventViews(self, None, len(self))
         return snapshot
 
     @property
@@ -475,38 +584,47 @@ class ExecutionTrace:
         return MappingProxyType(self._seeded)
 
     @property
-    def generated_events(self) -> tuple[Event, ...]:
+    def generated_events(self) -> EventViews:
         """Events carrying provenance (a rule and/or trigger), in order."""
-        return tuple(self._generated)
+        return EventViews(self, self._generated, len(self._generated))
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows) // _WIDTH
 
-    def _candidates(self, tmpl: Template) -> Sequence[Event]:
-        """The indexed superset of events that can match ``tmpl``."""
+    def _candidates(self, tmpl: Template) -> Sequence[int]:
+        """The indexed superset of rows that can match ``tmpl``."""
         if tmpl.kind is EventKind.FALSE:
-            return _NO_EVENTS
+            return _NO_ROWS
         family = tmpl.dispatch_family
         if family is None:
             # Item-less (P) or family-wildcard template: every event of the
             # kind must be consulted.
-            return self._by_kind.get(tmpl.kind._value_, _NO_EVENTS)
-        return self._by_kind_family.get((tmpl.kind._value_, family), _NO_EVENTS)
+            return self._by_kind.get(tmpl.kind._value_, _NO_ROWS)
+        by_kind = self._by_family.get(family)
+        if by_kind is None:
+            return _NO_ROWS
+        return by_kind.get(tmpl.kind._value_, _NO_ROWS)
+
+    def _views(self, offsets: Sequence[int]) -> Iterator[Event]:
+        """Views of the rows at ``offsets`` (as they are now), sharing one
+        viewer."""
+        return map(_Viewer(self), offsets[:])
 
     def events_matching(self, tmpl: Template) -> Iterator[tuple[Event, Bindings]]:
         """All (event, matching interpretation) pairs for a template."""
-        for event in self._candidates(tmpl):
+        for event in self._views(self._candidates(tmpl)):
             bindings = match_desc(tmpl, event.desc)
             if bindings is not None:
                 yield event, bindings
 
     def events_of_kind(self, kind: EventKind) -> Iterator[Event]:
         """All events with the given descriptor kind."""
-        return iter(self._by_kind.get(kind._value_, _NO_EVENTS))
+        return self._views(self._by_kind.get(kind._value_, _NO_ROWS))
 
     def writes_to(self, ref: DataItemRef) -> Iterator[Event]:
         """All (generated or spontaneous) writes to ``ref``, in order."""
-        return iter(self._writes_by_item.get(ref, _NO_EVENTS))
+        ref_id = self._ref_ids.get(ref)
+        return self._views(_NO_ROWS if ref_id is None else self._writes[ref_id])
 
     def timeline(self, ref: DataItemRef) -> Timeline:
         """The value history of ``ref`` over this trace.
@@ -519,9 +637,11 @@ class ExecutionTrace:
         if builder is None:
             builder = _TimelineBuilder(self._seeded.get(ref, MISSING))
             self._timelines[ref] = builder
-        self._timeline_extend_steps += builder.extend(
-            self._writes_by_item.get(ref, _NO_EVENTS)
-        )
+        ref_id = self._ref_ids.get(ref)
+        if ref_id is not None:
+            self._timeline_extend_steps += builder.extend(
+                self._rows, self._writes[ref_id]
+            )
         before = builder._cached
         timeline = builder.build(self.horizon)
         if timeline is before:
@@ -553,7 +673,7 @@ class ExecutionTrace:
     def stats(self) -> dict[str, int]:
         """Recording/query counters (surfaced in run reports and tests)."""
         return {
-            "events_recorded": len(self._events),
+            "events_recorded": len(self),
             "items_tracked": len(self._journal),
             "state_versions": self._journal.version,
             "interpretation_materializations": self._journal.materializations,
@@ -561,6 +681,137 @@ class ExecutionTrace:
             "timeline_builds": self._timeline_builds,
             "timeline_cache_hits": self._timeline_cache_hits,
         }
+
+
+class _Viewer:
+    """Builds the :class:`Event` view of a trace row, each row once: a view's
+    trigger is the view of its trigger's row (or the foreign object it was
+    recorded with), and views of one version share one interpretation, so
+    consecutive views chain by identity."""
+
+    __slots__ = ("trace", "built", "versions")
+
+    def __init__(self, trace: ExecutionTrace) -> None:
+        self.trace = trace
+        self.built: dict[int, Event] = {}
+        self.versions: dict[int, VersionedInterpretation] = {}
+
+    def __call__(self, at: int) -> Event:
+        built = self.built
+        event = built.get(at)
+        if event is None:
+            trace = self.trace
+            # The unbuilt rows up the trigger chain, then built from the top
+            # (a long chain costs no recursion); ``event`` is the top's
+            # trigger: none, foreign or built.
+            chain = [at]
+            while trace._rows[at + _TRIGGER_SEQ] is not None:
+                source = trace._trigger_at(at)
+                if source == _FOREIGN:
+                    event = trace._foreign[at]
+                    break
+                event = built.get(source)
+                if event is not None:
+                    break
+                chain.append(at := source)
+            for at in reversed(chain):
+                event = built[at] = self._build(at, event)
+        return event
+
+    def _interpretation(self, version: int) -> VersionedInterpretation:
+        view = self.versions.get(version)
+        if view is None:
+            view = self.versions[version] = self.trace._journal.view(version)
+        return view
+
+    def _build(self, at: int, trigger: Optional[Event]) -> Event:
+        trace = self.trace
+        time, site, kind, ref, first, second, rule, __, __, seq, version = (
+            trace._rows[at : at + _WIDTH]
+        )
+        desc = _new(EventDesc)
+        _set_kind(desc, _KINDS[kind])
+        _set_item(desc, None if ref is None else trace._refs[ref])
+        _set_values(desc, _values(kind, first, second))
+        new = self._interpretation(version)
+        event = _new(Event)
+        _set_time(event, time)
+        _set_site(event, site)
+        _set_desc(event, desc)
+        _set_old(
+            event,
+            self._interpretation(version - 1) if kind is _W or kind is _WS else new,
+        )
+        _set_new(event, new)
+        _set_rule(event, rule)
+        _set_trigger(event, trigger)
+        _set_seq(event, seq)
+        return event
+
+
+class EventViews(tuple):
+    """A read-only tuple of a trace's events, as views built on demand.
+
+    ``len()`` is O(1) and builds nothing — a run may count its events
+    inside a timed phase.  The first element access builds every view once
+    (one :class:`_Viewer`) and keeps them, so the views of one snapshot
+    chain by identity.  A snapshot is pinned at its length: events recorded
+    later are not in it.
+    """
+
+    def __new__(
+        cls, trace: ExecutionTrace, offsets: Optional[list[int]], length: int
+    ) -> "EventViews":
+        self = tuple.__new__(cls)
+        self._trace, self._offsets, self._length = trace, offsets, length
+        self._built: Optional[tuple[Event, ...]] = None
+        return self
+
+    def _views(self) -> tuple[Event, ...]:
+        built = self._built
+        if built is None:
+            offsets = self._offsets
+            if offsets is None:  # every row
+                offsets = range(0, self._length * _WIDTH, _WIDTH)
+            else:
+                offsets = offsets[: self._length]
+            built = self._built = tuple(map(_Viewer(self._trace), offsets))
+        return built
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        return self._views()[index]
+
+    def __iter__(self) -> Iterator[Event]:
+        return iter(self._views())
+
+    def __contains__(self, event: object) -> bool:
+        return event in self._views()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EventViews):
+            other = other._views()
+        return self._views() == other
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self._views())
+
+    def __repr__(self) -> str:
+        return repr(self._views())
+
+    def __reduce__(self):
+        return tuple, (self._views(),)
+
+    def index(self, event: Event, *bounds: int) -> int:
+        return self._views().index(event, *bounds)
+
+    def count(self, event: Event) -> int:
+        return self._views().count(event)
 
 
 # -- validation (indexed) ----------------------------------------------------
@@ -579,124 +830,109 @@ def validate_trace(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
     the latest trigger its (trigger site, site) group saw at a strictly
     earlier event tick.  Each late event is reported once, not once per pair.
 
-    Implementation: properties 1-5 are fused into a single pass over the
-    event list (using the interpretation journal's write deltas for the
-    property-2/3 state checks), and properties 6-7 consume the trace's
-    kind/family indexes.  Each rule object gets one :class:`_RulePlan` per
-    validation — its templates compiled once, its generated events indexed
-    by trigger — which property 5 fills and property 6 reads — and rules
-    with equal LHS templates share the matches of one :class:`_LhsMatch`.
+    Implementation: the checks read the trace's rows, not event objects.
+    Properties 1-5 are fused into a single pass over the rows (the
+    property-2/3 state checks compare journal versions), and properties 6-7
+    consume the trace's kind/family indexes.  Each rule object gets one
+    :class:`_RulePlan` per validation — its templates compiled once, its
+    generated rows indexed by trigger — which property 5 fills and property
+    6 reads — and rules with equal LHS templates share the matches of one
+    :class:`_LhsMatch`.  A view is built only for a flagged event.
     :func:`validate_trace_naive` is the pass-per-property, pair-per-pair,
-    template-interpreting reference this is tested against.
+    template-interpreting reference over views this is tested against.
     """
     buckets: dict[int, list[Violation]] = {n: [] for n in range(1, 8)}
     shared: dict[Template, _LhsMatch] = {}  # by LHS template
     plans = {id(rule): _RulePlan(rule, shared) for rule in rules}  # by identity
-    previous: Event | None = None
-    for event in trace.events:
-        kind = event.desc.kind
+    sources: list[int | None] = []  # the trigger of each generated row
+    view = _Viewer(trace)
+    refs = trace._refs
+    logged_refs, logged_values = trace._journal.log()
+    previous_time = trace._rows[_TIME] if trace._rows else 0
+    previous_version = 0  # the seeded state
+    columns = iter(trace._rows)
+    for at, fields in zip(count(0, _WIDTH), zip(*[columns] * _WIDTH)):
+        time, __, kind, ref, first, second, rule, __, trigger, __, version = fields
         # Property 1: nondecreasing time.
-        if previous is not None and event.time < previous.time:
-            buckets[1].append(Violation(1, "events out of time order", event))
+        if time < previous_time:
+            buckets[1].append(Violation(1, "events out of time order", view(at)))
+        previous_time = time
 
-        # Property 2: write events transform interpretations correctly.
-        if kind is _WRITE or kind is _SPONTANEOUS_WRITE:
-            ref = event.desc.item
-            assert ref is not None
-            if not _write_transforms_state(event, ref):
+        # Property 2: a write's journal entry is its own item and value; a
+        # non-write has one version for both old and new.
+        old = version
+        if kind is _W or kind is _WS:
+            old = version - 1
+            if logged_refs[old] is not refs[ref] or logged_values[old] != (
+                first if kind is _W else second
+            ):
                 buckets[2].append(
-                    Violation(2, "write event has inconsistent new state", event)
-                )
-        else:
-            if event.new is not event.old and event.new != event.old:
-                buckets[2].append(
-                    Violation(2, "non-write event changed the state", event)
+                    Violation(2, "write event has inconsistent new state", view(at))
                 )
 
         # Property 3: interpretations chain.
-        if (
-            previous is not None
-            and event.old is not previous.new
-            and event.old != previous.new
-        ):
+        if old != previous_version:
             buckets[3].append(
-                Violation(3, "old state does not chain from previous event", event)
+                Violation(
+                    3, "old state does not chain from previous event", view(at)
+                )
             )
+        previous_version = version
 
         # Property 4: spontaneous events carry no provenance.
-        if (kind is _SPONTANEOUS_WRITE or kind is _PERIODIC) and (
-            event.rule is not None or event.trigger is not None
-        ):
+        if (kind is _WS or kind is _P) and (rule is not None or trigger is not None):
             buckets[4].append(
-                Violation(4, "spontaneous event carries rule/trigger", event)
+                Violation(4, "spontaneous event carries rule/trigger", view(at))
             )
 
         # Property 5: generated events have consistent provenance.
-        rule = event.rule
-        if rule is not None:
-            plan = plans.get(id(rule))
-            if plan is None:
-                plan = plans[id(rule)] = _RulePlan(rule, shared)
-            _check_provenance(event, rule, plan, buckets[5])
-
-        previous = event
+        if rule is not None or trigger is not None:
+            source = None if trigger is None else trace._trigger_at(at)
+            sources.append(source)
+            if rule is not None:
+                plan = plans.get(id(rule))
+                if plan is None:
+                    plan = plans[id(rule)] = _RulePlan(rule, shared)
+                _check_provenance(trace, at, fields, source, plan, buckets[5], view)
 
     # Property 6: rule liveness for unconditional steps.
-    buckets[6] = _check_liveness(trace, rules, plans)
+    buckets[6] = _check_liveness(trace, rules, plans, view)
 
     # Property 7: related rules fire in order.
-    buckets[7] = _check_in_order(trace._generated)
+    buckets[7] = _in_order(_in_order_entries(trace, sources), view)
 
     return [violation for n in range(1, 8) for violation in buckets[n]]
 
 
-def _write_transforms_state(event: Event, ref: DataItemRef) -> bool:
-    """Property 2 for a write event: ``new == old.updated(ref, written)``.
-
-    Fast path: when ``old``/``new`` are views of one journal, the check is a
-    constant-time comparison against the journal's write log; the
-    materializing equality check runs only for foreign (hand-built)
-    interpretations or on mismatch.
-    """
-    written = event.written_value
-    delta = write_delta(event.old, event.new)
-    if delta is not None and len(delta) == 1:
-        w_ref, w_value = delta[0]
-        if w_ref == ref and w_value == written:
-            return True
-    return event.new == event.old.updated(ref, written)
-
-
 class _LhsMatch:
     """One LHS template's compiled matcher, shared by the rules whose LHS
-    equals it, with the last trigger object property 5 matched and its
-    bindings (one entry: an entry per trigger would be one per generated
-    event) and property 6's LHS events per rule site."""
+    equals it, with the last trigger property 5 matched (its offset; ``~at``
+    of the generated row for a foreign one) and its bindings (one entry: an
+    entry per trigger would be one per generated event) and property 6's LHS
+    rows per rule site."""
 
     __slots__ = ("match", "trigger", "bindings", "at_site")
 
     def __init__(self, lhs: Template) -> None:
-        self.match: Matcher = compile_matcher(lhs)
-        self.trigger: Event | None = None
+        self.match: Matcher = compile_fields_matcher(lhs)
+        self.trigger: int | None = None
         self.bindings: Bindings | None = None
-        self.at_site: dict[str | None, list[Event]] = {}
+        self.at_site: dict[str | None, list[int]] = {}
 
 
 class _RulePlan:
     """What one validation needs of one rule object, derived once: the
     shared LHS (:class:`_LhsMatch`), one compiled matcher per RHS step
     (``steps[i]`` for ``rule.steps[i]``; ``FALSE`` compiles to
-    match-nothing), and the rule's generated events by their trigger's
-    ``seq`` — the event itself, a list only when one trigger generated
-    several (a multi-step RHS).  The key is an int every event already
-    holds, where ``(rule id, site, seq)`` tuples and a bucket list per event
-    were the validator's allocation peak; the trigger's site is compared on
-    the hit.  Trigger identity is ``(site, seq)``, never the object: a
-    firing that crossed the wire carries a by-value reconstruction of its
-    trigger.  ``confirmed``: property 5 matched every indexed event to a step.
+    match-nothing), and the rule's generated rows by their trigger's
+    ``seq`` — the row itself, a list only when one trigger generated
+    several (a multi-step RHS).  The trigger's site is compared on the hit:
+    trigger identity is ``(site, seq)``, never the object — a firing that
+    crossed the wire carries a by-value reconstruction of its trigger.
+    ``confirmed``: property 5 matched every indexed row to a step.
     """
 
-    __slots__ = ("lhs", "steps", "by_trigger", "confirmed")
+    __slots__ = ("lhs", "steps", "delay", "by_trigger", "confirmed")
 
     def __init__(self, rule: Rule, shared: dict[Template, _LhsMatch]) -> None:
         try:
@@ -707,81 +943,116 @@ class _RulePlan:
             lhs = _LhsMatch(rule.lhs)
         self.lhs = lhs
         self.steps: tuple[Matcher, ...] = tuple(
-            compile_matcher(step.template) for step in rule.steps
+            compile_fields_matcher(step.template) for step in rule.steps
         )
-        self.by_trigger: dict[int, Event | list[Event]] = {}
+        self.delay = rule.delay
+        self.by_trigger: dict[int, int | list[int]] = {}
         self.confirmed = True
 
 
 def _check_provenance(
-    event: Event, rule: Rule, plan: _RulePlan, violations: list[Violation]
+    trace: ExecutionTrace,
+    at: int,
+    fields: tuple,
+    source: int | None,
+    plan: _RulePlan,
+    violations: list[Violation],
+    view: _Viewer,
 ) -> None:
-    """Property 5 checks for one generated event (and its index entry)."""
-    trigger = event.trigger
-    if trigger is None:
-        violations.append(Violation(5, "generated event lacks a trigger", event))
+    """Property 5 checks for the generated row at ``at`` (and its index
+    entry); ``fields`` are its columns, ``source`` its trigger's offset."""
+    time, __, kind, ref, first, second, __, __, trigger_seq, __, __ = fields
+    if source is None:
+        violations.append(
+            Violation(5, "generated event lacks a trigger", view(at))
+        )
         return
-    index = plan.by_trigger
-    held = index.get(trigger.seq)
-    if held is None:
-        index[trigger.seq] = event
-    elif type(held) is list:
-        held.append(event)
+    refs = trace._refs
+    if source >= 0:
+        key = source  # the one-entry cache's key: an offset, ~at if foreign
+        rows = trace._rows
+        t_time, t_kind, t_first, t_second = (
+            rows[source], rows[source + _KIND], rows[source + _V0], rows[source + _V1]
+        )
+        t_ref = rows[source + _REF]
+        t_item = None if t_ref is None else refs[t_ref]
     else:
-        index[trigger.seq] = [held, event]
+        key = ~at
+        foreign = trace._foreign[at]
+        t_time, t_desc = foreign.time, foreign.desc
+        t_kind, t_item = t_desc.kind._value_, t_desc.item
+        t_first, t_second = (t_desc.values + (None, None))[:2]
+    index = plan.by_trigger
+    held = index.get(trigger_seq)
+    if held is None:
+        index[trigger_seq] = at
+    elif type(held) is list:
+        held.append(at)
+    else:
+        index[trigger_seq] = [held, at]
     lhs = plan.lhs
-    if trigger is lhs.trigger:
+    if key == lhs.trigger:
         bindings = lhs.bindings
     else:
-        bindings = lhs.bindings = lhs.match(trigger.desc)
-        lhs.trigger = trigger
+        bindings = lhs.bindings = lhs.match(t_kind, t_item, t_first, t_second)
+        lhs.trigger = key
     if bindings is None:
         plan.confirmed = False
         violations.append(
-            Violation(5, "trigger does not match the rule's LHS", event)
+            Violation(5, "trigger does not match the rule's LHS", view(at))
         )
         return
     # Seeded with the LHS interpretation: instantiates the step *and* agrees
     # with the trigger on every shared variable.
-    desc = event.desc
+    item = None if ref is None else refs[ref]
     for step in plan.steps:
-        if step(desc, bindings) is not None:
+        if step(kind, item, first, second, bindings) is not None:
             break
     else:
         plan.confirmed = False
         violations.append(
             Violation(
-                5, "event is not an instantiation of any RHS template", event
+                5, "event is not an instantiation of any RHS template", view(at)
             )
         )
-    if trigger.time > event.time:
-        violations.append(Violation(5, "event precedes its trigger", event))
-    if event.time > trigger.time + rule.delay:
+    if t_time > time:
+        violations.append(Violation(5, "event precedes its trigger", view(at)))
+    if time > t_time + plan.delay:
         violations.append(
-            Violation(5, "event exceeds its rule's delay bound", event)
+            Violation(5, "event exceeds its rule's delay bound", view(at))
         )
 
 
-def _lhs_events(trace: ExecutionTrace, rule: Rule, lhs: _LhsMatch) -> list[Event]:
+def _lhs_rows(trace: ExecutionTrace, rule: Rule, lhs: _LhsMatch) -> list[int]:
     """LHS matches at the rule's own site (see :func:`_own_site_matches`),
     collected once per shared LHS and site."""
     site = rule.lhs_site
     found = lhs.at_site.get(site)
     if found is None:
-        match = lhs.match
-        found = lhs.at_site[site] = [
-            event
-            for event in trace._candidates(rule.lhs)
-            if (site is None or event.site == site) and match(event.desc) is not None
-        ]
+        match, rows, refs = lhs.match, trace._rows, trace._refs
+        found = lhs.at_site[site] = []
+        for at in trace._candidates(rule.lhs):
+            if site is not None and rows[at + _SITE] != site:
+                continue
+            ref = rows[at + _REF]
+            item = None if ref is None else refs[ref]
+            if (
+                match(rows[at + _KIND], item, rows[at + _V0], rows[at + _V1])
+                is not None
+            ):
+                found.append(at)
     return found
 
 
 def _check_liveness(
-    trace: ExecutionTrace, rules: list[Rule], plans: dict[int, _RulePlan]
+    trace: ExecutionTrace,
+    rules: list[Rule],
+    plans: dict[int, _RulePlan],
+    view: _Viewer,
 ) -> list[Violation]:
     from repro.core.conditions import TRUE  # local import to avoid cycle noise
 
+    rows = trace._rows
     violations: list[Violation] = []
     for rule in rules:
         prohibition = rule.is_prohibition
@@ -790,87 +1061,133 @@ def _check_liveness(
             continue
         plan = plans[id(rule)]
         if prohibition:
-            for event in _lhs_events(trace, rule, plan.lhs):
+            for at in _lhs_rows(trace, rule, plan.lhs):
                 violations.append(
                     Violation(
                         6,
                         f"rule {rule.name!r} prohibits this event",
-                        event,
+                        view(at),
                     )
                 )
             continue
         # A seeded match that succeeded implies the unseeded one: while
-        # property 5 flagged none of a single-step rule's indexed events,
+        # property 5 flagged none of a single-step rule's indexed rows,
         # each of them instantiates the step and needs no second match.
         steps = plan.steps
         if plan.confirmed and len(steps) == 1:
             steps = (None,)
-        for event in _lhs_events(trace, rule, plan.lhs):
-            deadline = event.time + rule.delay
+        for at in _lhs_rows(trace, rule, plan.lhs):
+            previous_time = rows[at]
+            deadline = previous_time + rule.delay
             if deadline > trace.horizon:
                 continue  # obligation not yet due at end of trace
-            previous_time = event.time
             for step, matches in zip(rule.steps, steps):
                 if step.condition is not TRUE:
                     break  # later steps' timing depends on this one; stop here
-                found = _find_generated(plan, event, matches, previous_time, deadline)
+                found = _find_generated(
+                    trace, plan, at, matches, previous_time, deadline
+                )
                 if found is None:
                     violations.append(
                         Violation(
                             6,
                             f"rule {rule.name!r}: no {step.template} within "
                             f"delay after trigger",
-                            event,
+                            view(at),
                         )
                     )
                     break
-                previous_time = found.time
+                previous_time = found
     return violations
 
 
 def _find_generated(
-    plan: _RulePlan, trigger: Event, matches: Matcher | None, since: Ticks, until: Ticks
-) -> Event | None:
-    """``matches`` is ``None`` when every indexed event instantiates the step."""
-    held = plan.by_trigger.get(trigger.seq)
+    trace: ExecutionTrace,
+    plan: _RulePlan,
+    trigger: int,
+    matches: Matcher | None,
+    since: Ticks,
+    until: Ticks,
+) -> Ticks | None:
+    """The time of the first row that the row at ``trigger`` generated in
+    ``[since, until]`` and that ``matches`` (``None`` when every indexed row
+    instantiates the step)."""
+    rows = trace._rows
+    site = rows[trigger + _SITE]
+    held = plan.by_trigger.get(rows[trigger + _SEQ])
     if held is None:
         return None
-    for event in held if type(held) is list else (held,):
-        if event.trigger.site != trigger.site:
+    for at in held if type(held) is list else (held,):
+        if rows[at + _TRIGGER_SITE] != site:
             continue  # another site's event that happens to share the seq
-        if event.time < since or event.time > until:
+        time = rows[at]
+        if time < since or time > until:
             continue
-        if matches is None or matches(event.desc) is not None:
-            return event
+        ref = rows[at + _REF]
+        if matches is None or matches(
+            rows[at + _KIND],
+            None if ref is None else trace._refs[ref],
+            rows[at + _V0],
+            rows[at + _V1],
+        ) is not None:
+            return time
     return None
 
 
+def _in_order_entries(
+    trace: ExecutionTrace, sources: list[int | None]
+) -> Iterator[tuple]:
+    """``(trigger site, site, trigger time, time, at)`` per generated row
+    with a rule and a trigger, in row (hence time) order; ``sources`` are
+    the generated rows' trigger rows."""
+    rows, foreign = trace._rows, trace._foreign
+    for at, source in zip(trace._generated, sources):
+        if rows[at + _RULE] is None or source is None:
+            continue
+        trigger_time = rows[source] if source >= 0 else foreign[at].time
+        yield rows[at + _TRIGGER_SITE], rows[at + _SITE], trigger_time, rows[at], at
+
+
 def _check_in_order(generated_events: Sequence[Event]) -> list[Violation]:
-    """Property 7: if two generated events come from *related* rules (same
-    LHS site, same RHS site), their order must match their triggers' order.
-    One scan, one violation per late event; see :func:`validate_trace`."""
+    """Property 7 over event objects: :func:`_in_order` after sorting a list
+    found out of time order (a tampered trace, see property 1)."""
     events = [
         e for e in generated_events if e.rule is not None and e.trigger is not None
     ]
     if any(a.time > b.time for a, b in zip(events, events[1:])):
-        events.sort(key=lambda e: e.time)  # tampered trace, see property 1
+        events.sort(key=lambda e: e.time)
+    return _in_order(
+        ((e.trigger.site, e.site, e.trigger.time, e.time, e) for e in events),
+        lambda event: event,
+    )
+
+
+def _in_order(entries: Iterator[tuple], view) -> list[Violation]:
+    """Property 7: if two generated events come from *related* rules (same
+    LHS site, same RHS site), their order must match their triggers' order.
+    One scan over ``(trigger site, site, trigger time, time, key)`` entries
+    in time order, one violation (``view(key)``) per late event; see
+    :func:`validate_trace`."""
     violations: list[Violation] = []
     marks: dict[tuple[str, str], list] = {}  # group -> [mark holder, candidate]
-    for event in events:
-        mark = marks.setdefault((event.trigger.site, event.site), [None, event])
+    for entry in entries:
+        source_site, site, source_time, time, key = entry
+        mark = marks.get((source_site, site))
+        if mark is None:
+            mark = marks[source_site, site] = [None, entry]
         first, held = mark
-        if held.time < event.time:
-            if first is None or held.trigger.time > first.trigger.time:
+        if held[3] < time:
+            if first is None or held[2] > first[2]:
                 first = mark[0] = held
-            mark[1] = event
-        elif event.trigger.time > held.trigger.time:
-            mark[1] = event
-        if first is not None and event.trigger.time < first.trigger.time:
+            mark[1] = entry
+        elif source_time > held[2]:
+            mark[1] = entry
+        if first is not None and source_time < first[2]:
             message = (
-                f"related rules fired out of order (triggers at {first.trigger.time} "
-                f"vs {event.trigger.time}, events at {first.time} vs {event.time})"
+                f"related rules fired out of order (triggers at {first[2]} "
+                f"vs {source_time}, events at {first[3]} vs {time})"
             )
-            violations.append(Violation(7, message, event))
+            violations.append(Violation(7, message, view(key)))
     return violations
 
 

@@ -168,7 +168,8 @@ def run_echo_ablation(
         claim=ECHO_CLAIM,
         headers=["suppression", "notifications", "write_requests"],
     )
-    from repro.core.events import EventKind
+    from repro.core.events import Event, EventKind, spontaneous_write_desc
+    from repro.core.interpretations import EMPTY_INTERPRETATION
 
     counts = {}
     for suppress in (True, False):
@@ -184,8 +185,15 @@ def run_echo_ablation(
 
             def leaky_write(ref, value, _original=original, _t=translator):
                 marker = _t._current_spontaneous
-                if marker is None:
-                    _t._current_spontaneous = object()  # fake Ws marker
+                if marker is None:  # a fake Ws marker, numbered outside the run
+                    _t._current_spontaneous = Event(
+                        _t.sim.now,
+                        _t.site,
+                        spontaneous_write_desc(ref, value, value),
+                        EMPTY_INTERPRETATION,
+                        EMPTY_INTERPRETATION,
+                        seq=0,
+                    )
                 try:
                     _original(ref, value)
                 finally:

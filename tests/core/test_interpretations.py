@@ -14,7 +14,6 @@ from repro.core.interpretations import (
     Interpretation,
     StateJournal,
     VersionedInterpretation,
-    write_delta,
 )
 from repro.core.items import MISSING, DataItemRef, item
 
@@ -119,37 +118,6 @@ class TestJournalViews:
         view = journal.view()
         assert view[a] == "555" and view[b] == "666"
         assert set(view) == {a, b}
-
-
-class TestWriteDelta:
-    def test_delta_between_views_is_the_log_slice(self):
-        journal = StateJournal()
-        journal.seed(X, 0)
-        old = journal.view()
-        journal.write(X, 1)
-        new = journal.view()
-        assert write_delta(old, new) == [(X, 1)]
-        journal.write(Y, 2)
-        assert write_delta(old, journal.view()) == [(X, 1), (Y, 2)]
-        assert write_delta(old, old) == []
-
-    def test_unrelated_interpretations_give_none(self):
-        journal = StateJournal()
-        journal.write(X, 1)
-        view = journal.view()
-        other_journal = StateJournal()
-        other_journal.write(X, 1)
-        assert write_delta(view, Interpretation({X: 1})) is None
-        assert write_delta(Interpretation({X: 1}), view) is None
-        assert write_delta(view, other_journal.view()) is None
-
-    def test_reversed_versions_give_none(self):
-        journal = StateJournal()
-        journal.write(X, 1)
-        old = journal.view()
-        journal.write(X, 2)
-        new = journal.view()
-        assert write_delta(new, old) is None
 
 
 class TestMaterializationAccounting:

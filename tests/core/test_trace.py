@@ -463,6 +463,30 @@ class TestTimelineEdgeCases:
         assert Timeline([(0, 5)], horizon=10).value_at(-3) is MISSING
 
 
+class TestRowViews:
+    def test_trigger_resolves_by_site_and_seq(self, trace):
+        # Sequence numbers are per process: merged or replayed numbering can
+        # put another site's event where this trace's own numbering would.
+        trace.record(10, "a", notify_desc(X, 1), seq=499)
+        trace.record(10, "annex", notify_desc(X, 2), seq=500)
+        hub = trace.record(10, "hub", notify_desc(X, 3), seq=500)
+        trace.record(
+            20, "b", write_request_desc(Y, 3), rule=parse_rule(
+                "N(X, b) -> [5] WR(Y, b)", name="prop"
+            ), trigger=hub, seq=501,
+        )
+        generated = trace.events[-1]
+        assert (generated.trigger.site, generated.trigger.seq) == ("hub", 500)
+        assert generated.trigger.desc == hub.desc
+
+    def test_len_builds_no_views(self, trace):
+        for tick in range(5):
+            trace.record(tick, "a", write_desc(X, tick))
+        events = trace.events
+        assert len(events) == 5 and events._built is None
+        assert events[2] == trace.events[2] and events._built is not None
+
+
 class TestEventsSnapshot:
     def test_events_is_a_read_only_tuple(self, trace):
         trace.record(10, "a", write_desc(X, 1))
