@@ -45,7 +45,8 @@ def build():
             window=(clock_time(17), clock_time(8)),
         )
     )
-    cm.site("branch").source(branch_db, rid_branch)
+    cm.add_site("branch")
+    cm.add_source("branch", branch_db, rid_branch)
 
     hq_db = RelationalDatabase("ho-ledger")
     hq_db.execute(
@@ -63,7 +64,8 @@ def build():
         .offer("balance2", InterfaceKind.WRITE, bound_seconds=2.0)
         .offer("balance2", InterfaceKind.NO_SPONTANEOUS_WRITE)
     )
-    cm.site("head-office").source(hq_db, rid_hq)
+    cm.add_site("head-office")
+    cm.add_source("head-office", hq_db, rid_hq)
 
     constraint = cm.declare(
         CopyConstraint("balance1", "balance2", params=("n",))

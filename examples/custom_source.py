@@ -136,10 +136,11 @@ def build():
         .offer("depth", InterfaceKind.READ, bound_seconds=1.0)
     )
     # A custom translator is attached directly (bypassing the standard
-    # registry): the fluent .translator() registers it with the shell and
-    # the location registry in one step.
+    # registry): add_translator registers it with the shell and its
+    # families with the location registry in one step.
     translator = JobQueueTranslator(queue, rid_queue)
-    cm.site("queue-site").translator(translator)
+    cm.add_site("queue-site")
+    cm.add_translator("queue-site", translator)
 
     dashboard = RelationalDatabase("ops-dashboard")
     dashboard.execute(
@@ -157,7 +158,8 @@ def build():
         .offer("dash_depth", InterfaceKind.WRITE, bound_seconds=1.0)
         .offer("dash_depth", InterfaceKind.NO_SPONTANEOUS_WRITE)
     )
-    cm.site("ops-site").source(dashboard, rid_dash)
+    cm.add_site("ops-site")
+    cm.add_source("ops-site", dashboard, rid_dash)
 
     # The custom strategy, written in the rule language (Section 3.2):
     # mirror each depth change to the dashboard, and track a shell-private
@@ -170,9 +172,10 @@ def build():
             N(depth(c), b) -> [2] (Highwater(c) == MISSING or b > Highwater(c)) ? W(Highwater(c), b)
         """
     )
-    queue_site = cm.site("ops-site").private("Highwater").site("queue-site")
+    cm.locations.register("Highwater", "ops-site")  # shell-private
     for rule in rules:
-        queue_site.rule(rule)  # installs, routes the RHS, hooks the notify
+        # Surveys, routes the RHS to ops-site, hooks the notify.
+        cm.install_rule("queue-site", rule)
 
     # Hand-issued guarantee for the custom strategy: the dashboard only
     # shows depths the queue actually had ("follows").

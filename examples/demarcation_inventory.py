@@ -47,7 +47,8 @@ def build():
         .offer("committed", InterfaceKind.READ, bound_seconds=1.0)
         .offer("committed", InterfaceKind.WRITE, bound_seconds=1.0)
     )
-    cm.site("storefront").source(orders_db, rid_orders)
+    cm.add_site("storefront")
+    cm.add_source("storefront", orders_db, rid_orders)
 
     stock_db = RelationalDatabase("stock")
     stock_db.execute(
@@ -65,15 +66,19 @@ def build():
         .offer("stock", InterfaceKind.READ, bound_seconds=1.0)
         .offer("stock", InterfaceKind.WRITE, bound_seconds=1.0)
     )
-    cm.site("warehouse").source(stock_db, rid_stock)
+    cm.add_site("warehouse")
+    cm.add_source("warehouse", stock_db, rid_stock)
 
-    # Declare + survey + install in one fluent chain; the demarcation
-    # protocol's construction arguments travel in ``native``.
-    demarcation = cm.constraint(
-        InequalityConstraint("committed", "stock")
-    ).strategy(
-        demarcation_policy=SlackPolicy.SPLIT,
-        native=dict(initial_x=0.0, initial_y=1000.0, initial_limit=100.0),
+    # Declare, survey, install; the demarcation protocol's construction
+    # arguments travel as install keywords.
+    constraint = cm.declare(InequalityConstraint("committed", "stock"))
+    suggestions = cm.suggest(constraint, demarcation_policy=SlackPolicy.SPLIT)
+    demarcation = cm.install(
+        constraint,
+        suggestions[0],
+        initial_x=0.0,
+        initial_y=1000.0,
+        initial_limit=100.0,
     )
     return cm, demarcation
 
@@ -86,7 +91,7 @@ def build_for_lint():
 def main() -> None:
     cm, demarcation = build()
     scenario = cm.scenario
-    print("installed:", demarcation.installed.strategy.name)
+    print("installed:", demarcation.strategy.name)
     for guarantee in demarcation.guarantees:
         print("  guarantees:", guarantee)
 

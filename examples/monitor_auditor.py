@@ -42,7 +42,8 @@ def build():
         .bind("X", key_prefix="px")
         .offer("X", InterfaceKind.NOTIFY, bound_seconds=1.0)
     )
-    cm.site("site-x").source(feed_x, rid_x)
+    cm.add_site("site-x")
+    cm.add_source("site-x", feed_x, rid_x)
 
     feed_y = LegacySystem("ticker-y")
     rid_y = (
@@ -50,7 +51,8 @@ def build():
         .bind("Y", key_prefix="py")
         .offer("Y", InterfaceKind.NOTIFY, bound_seconds=1.0)
     )
-    cm.site("site-y").source(feed_y, rid_y)
+    cm.add_site("site-y")
+    cm.add_source("site-y", feed_y, rid_y)
 
     constraint = cm.declare(CopyConstraint("X", "Y"))
     suggestions = cm.suggest(constraint, rule_delay=seconds(0.5))

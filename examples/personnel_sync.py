@@ -23,6 +23,8 @@ This example wires up all four source kinds:
 Run:  python examples/personnel_sync.py
 """
 
+import zlib
+
 from repro import (
     CMRID,
     ConstraintManager,
@@ -46,13 +48,16 @@ def build() -> tuple[ConstraintManager, dict]:
 
     whois = WhoisDirectory("stanford-whois")
     for name in RESEARCHERS:
-        whois.admin_update(name, phone=f"650-723-{hash(name) % 9000 + 1000}")
+        # crc32, not hash(): str hashes are salted per process.
+        extension = zlib.crc32(name.encode()) % 9000 + 1000
+        whois.admin_update(name, phone=f"650-723-{extension}")
     rid_whois = (
         CMRID("whois", "stanford-whois")
         .bind("whois_phone", params=("n",), field="phone")
         .offer("whois_phone", InterfaceKind.READ, bound_seconds=1.0)
     )
-    cm.site("whois-site").source(whois, rid_whois)
+    cm.add_site("whois-site")
+    cm.add_source("whois-site", whois, rid_whois)
 
     lookup = ObjectStore("cs-lookup")
     lookup.define_class("Person", {"login": "str", "email": "str"})
@@ -70,7 +75,8 @@ def build() -> tuple[ConstraintManager, dict]:
         .offer("lookup_email", InterfaceKind.NOTIFY, bound_seconds=2.0)
         .offer("lookup_email", InterfaceKind.READ, bound_seconds=1.0)
     )
-    cm.site("lookup-site").source(lookup, rid_lookup)
+    cm.add_site("lookup-site")
+    cm.add_source("lookup-site", lookup, rid_lookup)
 
     sybase = RelationalDatabase("dbgroup")
     sybase.execute(
@@ -108,7 +114,8 @@ def build() -> tuple[ConstraintManager, dict]:
         .offer("master_email", InterfaceKind.NO_SPONTANEOUS_WRITE)
         .offer("group_paper", InterfaceKind.READ, bound_seconds=1.0)
     )
-    cm.site("dbgroup-site").source(sybase, rid_sybase)
+    cm.add_site("dbgroup-site")
+    cm.add_source("dbgroup-site", sybase, rid_sybase)
 
     biblio = BiblioDatabase("folio")
     rid_biblio = (
@@ -116,7 +123,8 @@ def build() -> tuple[ConstraintManager, dict]:
         .bind("bib_paper", params=("i",), field="title")
         .offer("bib_paper", InterfaceKind.READ, bound_seconds=3.0)
     )
-    cm.site("library-site").source(biblio, rid_biblio)
+    cm.add_site("library-site")
+    cm.add_source("library-site", biblio, rid_biblio)
 
     sources = {
         "whois": whois,
@@ -125,6 +133,18 @@ def build() -> tuple[ConstraintManager, dict]:
         "biblio": biblio,
     }
     return cm, sources
+
+
+def install_email_propagation(cm: ConstraintManager):
+    """Declare the email copy constraint and install its propagation
+    strategy from the suggested menu."""
+    emails = cm.declare(
+        CopyConstraint("lookup_email", "master_email", params=("n",))
+    )
+    propagation = next(
+        s for s in cm.suggest(emails) if s.strategy.kind == "propagation"
+    )
+    return cm.install(emails, propagation)
 
 
 def main() -> None:
@@ -144,12 +164,9 @@ def main() -> None:
 
     # Copy constraint 2: lookup emails -> master copy.  The object store has
     # a change feed, so update propagation applies (with guarantee (2)).
-    # The fluent chain declares, surveys, picks and installs in one go.
-    emails = cm.constraint(
-        CopyConstraint("lookup_email", "master_email", params=("n",))
-    ).strategy("propagation")
+    emails = install_email_propagation(cm)
     print(
-        f"emails: installed {emails.installed.strategy.name} "
+        f"emails: installed {emails.strategy.name} "
         f"({len(emails.guarantees)} guarantees)"
     )
 
@@ -232,7 +249,5 @@ def build_for_lint():
         CopyConstraint("whois_phone", "master_phone", params=("n",))
     )
     cm.install(phones, cm.suggest(phones, polling_period=seconds(30))[0])
-    cm.constraint(
-        CopyConstraint("lookup_email", "master_email", params=("n",))
-    ).strategy("propagation")
+    install_email_propagation(cm)
     return cm

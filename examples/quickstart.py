@@ -71,9 +71,12 @@ def build(offer_notify: bool) -> tuple[ConstraintManager, RelationalDatabase]:
         .offer("salary2", InterfaceKind.NO_SPONTANEOUS_WRITE)
     )
 
-    # One fluent expression wires both sites.
-    (cm.site("san-francisco").source(branch, rid_a)
-       .site("new-york").source(hq, rid_b))
+    # Each site gets a CM-Shell; each source joins it through its
+    # CM-RID-configured translator.
+    cm.add_site("san-francisco")
+    cm.add_source("san-francisco", branch, rid_a)
+    cm.add_site("new-york")
+    cm.add_source("new-york", hq, rid_b)
     return cm, hq
 
 

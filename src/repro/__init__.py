@@ -39,86 +39,40 @@ from repro.cm import (
     CMRID,
     CMShell,
     CMTranslator,
-    ConstraintBuilder,
     ConstraintManager,
-    FailureNotice,
-    GuaranteeStatusBoard,
     InstalledConstraint,
     Scenario,
     ServiceModel,
-    SiteBuilder,
     verify,
 )
 from repro.constraints import (
     ArithmeticConstraint,
-    Constraint,
     CopyConstraint,
     InequalityConstraint,
     ReferentialConstraint,
 )
-from repro.core.dsl import (
-    parse_condition,
-    parse_event_template,
-    parse_rule,
-    parse_rules,
-)
-from repro.core.formula import FormulaChecker
-from repro.core.guarantee_dsl import parse_guarantee
-from repro.core.guarantees import (
-    Guarantee,
-    GuaranteeReport,
-    follows,
-    invariant,
-    leads,
-    monitor_window,
-    periodic,
-    referential_within,
-    strictly_follows,
-)
+from repro.core.dsl import parse_condition, parse_rule, parse_rules
+from repro.core.guarantees import follows, leads
 from repro.core.interfaces import InterfaceKind
 from repro.core.items import MISSING, DataItemRef
-from repro.core.timebase import days, hours, minutes, seconds, to_seconds
-from repro.obs import (
-    FlightRecorder,
-    Instrumentation,
-    MetricsRegistry,
-    RunReport,
-    SpanContext,
-    SpanTree,
-    Tracer,
-)
-from repro.runtime import (
-    AsyncRuntime,
-    ChannelFaults,
-    RunConfig,
-    Runtime,
-    SimRuntime,
-    WireFaultPlan,
-    resolve_runtime,
-    run_equivalence,
-)
+from repro.core.timebase import days, hours, seconds, to_seconds
+from repro.runtime import AsyncRuntime, RunConfig
 from repro.sim.scheduler import Simulator
 
-#: Alias for readers who know the class by the paper's component name.
-CMManager = ConstraintManager
-
+#: Only names an experiment, a ``benchmarks/`` script, an example or the
+#: CLI imports from here; everything else is imported from its module.
+#: ``tests/test_public_api.py`` holds the list to that.
 __all__ = [
     # toolkit façade and wiring
     "ConstraintManager",
-    "CMManager",
     "Scenario",
-    "SiteBuilder",
-    "ConstraintBuilder",
     "InstalledConstraint",
     "CMRID",
     "CMShell",
     "CMTranslator",
     "ServiceModel",
-    "FailureNotice",
-    "GuaranteeStatusBoard",
     "verify",
     # constraints
-    "Constraint",
     "CopyConstraint",
     "InequalityConstraint",
     "ReferentialConstraint",
@@ -127,43 +81,18 @@ __all__ = [
     "parse_rule",
     "parse_rules",
     "parse_condition",
-    "parse_event_template",
-    "parse_guarantee",
-    "FormulaChecker",
     # guarantee checkers
-    "Guarantee",
-    "GuaranteeReport",
     "follows",
     "leads",
-    "strictly_follows",
-    "invariant",
-    "periodic",
-    "referential_within",
-    "monitor_window",
-    # observability
-    "Instrumentation",
-    "MetricsRegistry",
-    "Tracer",
-    "SpanTree",
-    "SpanContext",
-    "FlightRecorder",
-    "RunReport",
     # runtimes (sim kernel and wire/asyncio)
-    "Runtime",
-    "SimRuntime",
     "AsyncRuntime",
     "RunConfig",
-    "ChannelFaults",
-    "WireFaultPlan",
-    "resolve_runtime",
-    "run_equivalence",
     # substrate
     "Simulator",
     "InterfaceKind",
     "MISSING",
     "DataItemRef",
     "seconds",
-    "minutes",
     "hours",
     "days",
     "to_seconds",

@@ -2,8 +2,8 @@
 
 The paper's toolkit assumes administrators pick interface/strategy pairs
 from a library of proven combinations.  Its one static step, the interface
-survey, is not here: ``cm.install`` and ``cm.site(...).rule(...)`` run it
-and raise :class:`~repro.core.errors.ConfigurationError` before a rule is
+survey, is not here: ``cm.install`` and ``cm.install_rule`` run it and
+raise :class:`~repro.core.errors.ConfigurationError` before a rule is
 indexed.  This package checks what that survey, the runtime and the
 post-run verdict do not: it builds a static **trigger graph** over a wired
 (but not yet run) :class:`~repro.cm.manager.ConstraintManager` — nodes are

@@ -1,11 +1,9 @@
 """Applications that consume the toolkit's guarantees (Section 7.1).
 
 The paper stresses that weakened guarantees are only useful if applications
-can actually act on them.  This package models the four application patterns
-the paper discusses:
+can actually act on them.  This package models three of the application
+patterns the paper discusses:
 
-- :class:`~repro.apps.tabulator.TabulatorApp` — tabulates every value a
-  remote item takes; correct iff "Y follows X" AND "X leads Y" hold.
 - :class:`~repro.apps.plotter.PlotterApp` — plots a path from a copied
   position stream; correct iff "Y strictly follows X" holds.
 - :class:`~repro.apps.auditor.AuditorApp` — validates past query results
@@ -14,9 +12,8 @@ the paper discusses:
   that runs inside the periodic-guarantee window (Section 6.4).
 """
 
-from repro.apps.tabulator import TabulatorApp
 from repro.apps.plotter import PlotterApp
 from repro.apps.auditor import AuditorApp
 from repro.apps.analyst import AnalystApp
 
-__all__ = ["TabulatorApp", "PlotterApp", "AuditorApp", "AnalystApp"]
+__all__ = ["PlotterApp", "AuditorApp", "AnalystApp"]

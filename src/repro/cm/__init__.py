@@ -18,7 +18,6 @@ Layering, bottom-up:
   (:mod:`repro.cm.failures`, :mod:`repro.cm.guarantee_status`).
 """
 
-from repro.cm.builder import ConstraintBuilder, SiteBuilder
 from repro.cm.dispatch import InstalledRule, RuleIndex
 from repro.cm.manager import ConstraintManager, InstalledConstraint, Scenario
 from repro.cm.rid import CMRID, ItemBinding
@@ -39,8 +38,6 @@ __all__ = [
     "ShellStore",
     "CMTranslator",
     "ServiceModel",
-    "ConstraintBuilder",
-    "SiteBuilder",
     "InstalledRule",
     "RuleIndex",
     "FailureNotice",

@@ -21,7 +21,7 @@ This is the operator-facing surface of the toolkit (Section 4 of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.constraints import Constraint, InequalityConstraint
 from repro.core.catalog import Suggestion, SuggestionContext, suggest
@@ -47,10 +47,6 @@ from repro.runtime.api import Clock, Runtime, RuntimeSpec, resolve_runtime
 from repro.sim.failures import FailurePlan
 from repro.sim.network import LatencyModel, Network
 from repro.sim.rng import RngRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.cm.builder import ConstraintBuilder, SiteBuilder
-
 
 @dataclass
 class Scenario:
@@ -151,33 +147,6 @@ class ConstraintManager:
             raise ConfigurationError(f"unknown site: {site!r}")
         return self.shells[site]
 
-    # -- fluent wiring ---------------------------------------------------------
-
-    def site(self, name: str) -> "SiteBuilder":
-        """Fluent wiring for a site, created on first mention.
-
-        ``cm.site("sf").source(db, rid).site("ny").source(hq, rid2)`` replaces
-        the ``add_site`` / ``add_source`` two-step; see
-        :class:`~repro.cm.builder.SiteBuilder`.
-        """
-        from repro.cm.builder import SiteBuilder
-
-        if name not in self.shells:
-            self.add_site(name)
-        return SiteBuilder(self, name)
-
-    def constraint(self, constraint: Constraint) -> "ConstraintBuilder":
-        """Fluent declare-suggest-install chain for one constraint.
-
-        ``cm.constraint(CopyConstraint(...)).strategy("propagation")``
-        declares the constraint, surveys interfaces, picks the named proven
-        strategy, and installs it; see
-        :class:`~repro.cm.builder.ConstraintBuilder`.
-        """
-        from repro.cm.builder import ConstraintBuilder
-
-        return ConstraintBuilder(self, constraint)
-
     def add_source(
         self,
         site: str,
@@ -200,10 +169,7 @@ class ConstraintManager:
         ``spontaneous_write`` after setup.
         """
         translator = translator_for(source, rid, service)
-        shell = self.shell(site)
-        shell.add_translator(translator)
-        for family in translator.families():
-            self.locations.register(family, site)
+        self.add_translator(site, translator)
         if seed_existing:
             for family in translator.families():
                 for ref in translator._native_enumerate(family):
@@ -211,6 +177,15 @@ class ConstraintManager:
                     if value is not MISSING:
                         self.scenario.trace.seed(ref, value)
         return translator
+
+    def add_translator(self, site: str, translator: CMTranslator) -> None:
+        """Attach a translator at a site and register its item families
+        there.  :meth:`add_source` builds the standard translator for a
+        source and calls this; a hand-built translator (a custom source)
+        is attached with it directly."""
+        self.shell(site).add_translator(translator)
+        for family in translator.families():
+            self.locations.register(family, site)
 
     # -- survey and declaration (Section 4.1 initialization) --------------------
 
@@ -269,13 +244,29 @@ class ConstraintManager:
         self.installed.append(installed)
         return installed
 
-    def _install_rules(self, strategy: StrategySpec) -> StrategySpec:
-        """Install a strategy's rules at their shells.
+    def install_rule(
+        self,
+        site: str,
+        rule: Rule,
+        rhs_site: Optional[str] = None,
+        *,
+        phase: Optional[Ticks] = None,
+    ) -> Rule:
+        """Install one hand-written strategy rule whose LHS runs at ``site``.
 
-        Returns the strategy as installed: a periodic rule that left its
-        ``lhs_site`` open is pinned to the shell that runs its timer, so
-        the trace validator holds it to that site's ``P`` events only.
+        The rule is placed exactly as a catalog strategy's rules are
+        (:meth:`_place`): surveyed, routed to the site of its RHS families
+        (or ``rhs_site``), registered at that shell when it differs, and
+        hooked to its notify interface.  ``phase`` is the tick-of-day of a
+        periodic rule's first firing.  Returns the rule as installed.
         """
+        phases = {} if phase is None else {rule.name: phase}
+        (placed,) = self._place((rule,), site=site, rhs_site=rhs_site, phases=phases)
+        return placed
+
+    def _install_rules(self, strategy: StrategySpec) -> StrategySpec:
+        """Install a strategy's rules at their shells; returns the strategy
+        with its rules as :meth:`_place` installed them."""
         for family, site in strategy.private_families:
             if not site:
                 raise ConfigurationError(
@@ -283,41 +274,62 @@ class ConstraintManager:
                     f"has no site (pass dst_site when building the strategy)"
                 )
             self.locations.register(family, site)
-        self._validate_rule_requirements(
+        placed = self._place(
             strategy.rules,
             {family for family, __ in strategy.private_families},
+            phases=strategy.timer_phases,
         )
-        placed = []
-        for rule in strategy.rules:
-            rhs_site = rule.resolve_rhs_site(self.locations)
-            periodic = rule.lhs.kind is EventKind.PERIODIC
-            if periodic and rule.lhs_site is None and rhs_site is not None:
-                rule = replace(rule, lhs_site=rhs_site)
-            placed.append(rule)
-            if periodic:
-                lhs_site = rule.lhs_site
-                if lhs_site is None:
-                    raise ConfigurationError(
-                        f"rule {rule.name!r}: cannot place the periodic timer"
-                    )
-                self.shell(lhs_site).install(
-                    rule, rhs_site, phase=strategy.timer_phases.get(rule.name)
+        return replace(strategy, rules=placed)
+
+    def _place(
+        self,
+        rules: Iterable[Rule],
+        private: Iterable[str] = (),
+        *,
+        site: Optional[str] = None,
+        rhs_site: Optional[str] = None,
+        phases: Optional[dict[str, Ticks]] = None,
+    ) -> tuple[Rule, ...]:
+        """The one placement routine: every rule the toolkit runs is
+        installed here, from a catalog strategy or :meth:`install_rule`.
+
+        Nothing is indexed until every rule has passed the interface survey
+        (:meth:`_validate_rule_requirements`) and been routed: its RHS runs
+        at ``rhs_site`` or at the one registered site of its RHS families
+        (an RHS spanning sites, or naming an unregistered family, raises);
+        its LHS runs at ``site`` or at its LHS family's site.  A periodic
+        rule that left its ``lhs_site`` open is pinned to the shell running
+        its timer (``site``, else its RHS site), so the trace validator
+        holds it to that site's ``P`` events only.  Each rule is then
+        installed at its LHS shell, registered at a different RHS shell (so
+        a by-value firing resolves there) and, when notify-triggered, arms
+        its translator's notify hook.  Returns the rules as installed.
+        """
+        rules = tuple(rules)
+        self._validate_rule_requirements(rules, set(private))
+        routes = []
+        for rule in rules:
+            target = rhs_site or rule.resolve_rhs_site(self.locations)
+            if rule.lhs.kind is EventKind.PERIODIC and rule.lhs_site is None:
+                rule = replace(rule, lhs_site=site or target)
+            lhs_site = site or rule.resolve_lhs_site(self.locations)
+            if rule.lhs_site not in (None, lhs_site):
+                raise ConfigurationError(
+                    f"rule {rule.name!r} runs at {rule.lhs_site!r}, "
+                    f"not {lhs_site!r}"
                 )
-                if rhs_site is not None and rhs_site != lhs_site:
-                    self.shell(rhs_site).register_remote_rule(rule)
-                continue
-            lhs_site = rule.resolve_lhs_site(self.locations)
-            self.shell(lhs_site).install(rule, rhs_site)
-            if rhs_site is not None and rhs_site != lhs_site:
-                # Cross-site rule: the RHS shell registers the same rule
-                # definition so a by-value firing (rule name + slots over
-                # the wire) resolves and compiles locally at the receiver.
-                self.shell(rhs_site).register_remote_rule(rule)
+            hook = None
             if rule.lhs.kind is EventKind.NOTIFY:
-                family = rule.lhs.item_family
-                assert family is not None
-                self.shell(lhs_site).translator_for(family).setup_notify(family)
-        return replace(strategy, rules=tuple(placed))
+                hook = self.shell(lhs_site).translator_for(rule.lhs.item_family)
+            routes.append((rule, lhs_site, target, hook))
+        phases = phases or {}
+        for rule, lhs_site, target, hook in routes:
+            self.shell(lhs_site).install(rule, target, phase=phases.get(rule.name))
+            if target is not None and target != lhs_site:
+                self.shell(target).register_remote_rule(rule)
+            if hook is not None:
+                hook.setup_notify(rule.lhs.item_family)
+        return tuple(rule for rule, __, ___, ____ in routes)
 
     def _validate_rule_requirements(
         self, rules: Iterable[Rule], private: set[str]

@@ -176,8 +176,8 @@ class CMShell:
         defaults to this site (local execution).
 
         This is the raw wiring path: it does not survey interfaces.
-        ``cm.install`` and ``cm.site(...).rule(...)`` do, before calling
-        it; a rule installed here that needs a missing interface fails at
+        ``cm.install`` and ``cm.install_rule`` do, before calling it; a
+        rule installed here that needs a missing interface fails at
         its translator on first use.
         """
         self._check_name(rule)

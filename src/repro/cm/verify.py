@@ -5,7 +5,9 @@ Bundles the four validation layers the repository provides:
 1. **guarantee checking** — every issued guarantee evaluated against the
    recorded execution trace;
 2. **valid-execution checking** — the Appendix A.2 properties over the
-   trace, using all installed strategy rules;
+   trace, using every rule installed at a shell — the same installed rules
+   CM-Lint's trigger graph reads, whether a catalog strategy or
+   ``cm.install_rule`` placed them;
 3. **board consistency** — the status board must not *believe* a guarantee
    that the trace refutes (belief may be strictly more cautious than truth:
    a transient failure can invalidate a guarantee whose obligations happened
@@ -17,7 +19,7 @@ Bundles the four validation layers the repository provides:
    reports: unguarded trigger cycles, unbound rule variables, unordered
    cross-site writers, infeasible or guard-dependent metric bounds.  The
    interface survey itself is not repeated here: ``cm.install`` and
-   ``cm.site(...).rule(...)`` reject an unoffered interface before the run.
+   ``cm.install_rule`` reject an unoffered interface before the run.
 
 Usage::
 
@@ -127,11 +129,7 @@ def verify(cm: ConstraintManager) -> VerificationReport:
     report = VerificationReport()
     report.diagnostics = list(lint_manager(cm).diagnostics)
     report.guarantee_reports = cm.check_guarantees()
-    rules = [
-        rule
-        for installed in cm.installed
-        for rule in installed.strategy.rules
-    ]
+    rules = [rule for shell in cm.shells.values() for rule in shell.rules]
     report.trace_violations = validate_trace(cm.scenario.trace, rules)
     report.trace_stats = cm.scenario.trace.stats()
     for installed in cm.installed:

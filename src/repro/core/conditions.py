@@ -237,12 +237,5 @@ def evaluate(expr: Expr, bindings: Bindings, local: LocalData = NO_LOCAL_DATA) -
     return bool(_resolve_operand(expr, bindings, local))
 
 
-def evaluate_value(
-    expr: Expr, bindings: Bindings, local: LocalData = NO_LOCAL_DATA
-) -> Value:
-    """Evaluate an expression to its raw value (used by value expressions)."""
-    return _resolve_operand(expr, bindings, local)
-
-
 #: The always-true condition (used when a rule omits its condition).
 TRUE = Literal(True)

@@ -6,9 +6,8 @@ discrete-event kernel, the executable specification;
 on asyncio loop callbacks behind real loopback sockets with length-prefixed
 JSON-RPC framing, wall-clock timers, and injectable dup/reorder socket
 faults — over the same :class:`~repro.sim.network.Network` delivery policy.
-See :mod:`repro.runtime.api` for the seam and
-:mod:`repro.runtime.equivalence` for the harness that holds the wire
-runtime to the sim kernel's guarantees.
+See :mod:`repro.runtime.api` for the seam; the harness that holds the wire
+runtime to the sim kernel's guarantees is ``tests/runtime/equivalence.py``.
 """
 
 from repro.runtime.api import (
@@ -23,7 +22,6 @@ from repro.runtime.api import (
 from repro.runtime.async_runtime import AsyncRuntime, WireRuntimeError
 from repro.runtime.channels import ChannelFaults, WireFaultPlan
 from repro.runtime.clock import WallClock
-from repro.runtime.equivalence import EquivalenceReport, run_equivalence
 from repro.runtime.gateway import Gateway, WireNetwork
 from repro.runtime.sim_runtime import SimRuntime
 
@@ -31,7 +29,6 @@ __all__ = [
     "AsyncRuntime",
     "ChannelFaults",
     "Clock",
-    "EquivalenceReport",
     "Gateway",
     "RUNTIMES",
     "RunConfig",
@@ -44,5 +41,4 @@ __all__ = [
     "WireRuntimeError",
     "resolve_config",
     "resolve_runtime",
-    "run_equivalence",
 ]

@@ -6,7 +6,7 @@ inline in ``Scenario.__post_init__``, which is what lets a scenario swap
 in the wire runtime with one parameter.  The sim kernel remains the
 executable specification of the paper's semantics: deterministic, totally
 ordered, and the reference the equivalence harness
-(:mod:`repro.runtime.equivalence`) compares the wire runtime against.
+(``tests/runtime/equivalence.py``) compares the wire runtime against.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from repro.sim.network import (
     LatencyModel,
     FixedLatency,
     UniformLatency,
-    ExponentialLatency,
 )
 from repro.sim.process import PeriodicTimer
 from repro.sim.rng import RngRegistry
@@ -47,7 +46,6 @@ __all__ = [
     "LatencyModel",
     "FixedLatency",
     "UniformLatency",
-    "ExponentialLatency",
     "PeriodicTimer",
     "RngRegistry",
     "FailureKind",

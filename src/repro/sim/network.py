@@ -73,17 +73,6 @@ class UniformLatency(LatencyModel):
         return self.high
 
 
-@dataclass(frozen=True)
-class ExponentialLatency(LatencyModel):
-    """``base + Exp(mean_extra)`` latency, a common WAN-ish shape."""
-
-    base: Ticks
-    mean_extra: Ticks
-
-    def sample(self, rng) -> Ticks:
-        return self.base + round(rng.expovariate(1.0 / self.mean_extra))
-
-
 @dataclass
 class Message:
     """A message in flight between two sites.
@@ -175,10 +164,6 @@ class Network:
         one it runs; the wire drops a firing ``resolve`` refuses.  Kernel
         payloads travel by reference and are never resolved."""
         self._resolvers[site] = resolve
-
-    def has_site(self, site: str) -> bool:
-        """Whether ``site`` is registered."""
-        return site in self._sites
 
     @property
     def sites(self) -> list[str]:

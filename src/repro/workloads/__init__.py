@@ -7,13 +7,10 @@ randomness comes from named, seeded streams so experiments are reproducible.
 """
 
 from repro.workloads.generators import (
-    BurstStream,
-    ChurnStream,
     UpdateStream,
     ValueModel,
     duplicate_heavy,
     random_walk,
-    uniform_values,
 )
 from repro.workloads.personnel import PersonnelWorkload
 from repro.workloads.banking import BankingWorkload
@@ -21,10 +18,7 @@ from repro.workloads.inventory import InventoryWorkload
 
 __all__ = [
     "UpdateStream",
-    "BurstStream",
-    "ChurnStream",
     "ValueModel",
-    "uniform_values",
     "random_walk",
     "duplicate_heavy",
     "PersonnelWorkload",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.cm.manager import ConstraintManager
 from repro.core.events import EventDesc, notify_desc
@@ -41,13 +41,9 @@ def notification_stream(
     ]
 
 
-def uniform_values(low: float = 0.0, high: float = 100.0, digits: int = 2) -> ValueModel:
-    """Independent uniform draws in ``[low, high]``."""
-
-    def model(stream: "UpdateStream", key: str) -> object:
-        return round(stream.rng.uniform(low, high), digits)
-
-    return model
+def _uniform(stream: "UpdateStream", key: str) -> object:
+    """The default value model: independent uniform draws in ``[0, 100]``."""
+    return round(stream.rng.uniform(0.0, 100.0), 2)
 
 
 def random_walk(step: float = 5.0, start: float = 100.0) -> ValueModel:
@@ -88,7 +84,6 @@ class StreamStats:
     """What a stream actually generated."""
 
     updates: int = 0
-    deletes: int = 0
 
 
 class UpdateStream:
@@ -117,7 +112,7 @@ class UpdateStream:
         self.rng = cm.scenario.rngs.stream(
             stream_name or f"workload:{family}"
         )
-        self.value_model = value_model or uniform_values()
+        self.value_model = value_model or _uniform
         self.stats = StreamStats()
         self.schedule: list[Ticks] = []
         time = float(start)
@@ -139,98 +134,3 @@ class UpdateStream:
             self.stats.updates += 1
 
         return update
-
-
-class BurstStream:
-    """Bursts of back-to-back updates to a single key.
-
-    Exercises the polling-misses-updates behaviour (E2): two or more updates
-    inside one polling interval guarantee a missed value.
-    """
-
-    def __init__(
-        self,
-        cm: ConstraintManager,
-        family: str,
-        key: object,
-        burst_times: Sequence[Ticks],
-        burst_size: int = 3,
-        intra_gap: Ticks = seconds(0.2),
-        value_model: ValueModel | None = None,
-        stream_name: str = "",
-    ):
-        self.cm = cm
-        self.family = family
-        self.key = key
-        self.rng = cm.scenario.rngs.stream(
-            stream_name or f"burst:{family}:{key}"
-        )
-        self.value_model = value_model or uniform_values()
-        self.stats = StreamStats()
-        for burst_start in burst_times:
-            for index in range(burst_size):
-                tick = burst_start + index * intra_gap
-                cm.scenario.sim.at(tick, self._make_update())
-
-    def _make_update(self) -> Callable[[], None]:
-        def update() -> None:
-            args = () if self.key is None else (self.key,)
-            value = self.value_model(self, str(self.key))  # type: ignore[arg-type]
-            self.cm.spontaneous_write(self.family, args, value)
-            self.stats.updates += 1
-
-        return update
-
-
-class ChurnStream:
-    """Insert/delete churn on a parameterized family (referential workloads).
-
-    With probability ``delete_probability`` an existing key is deleted;
-    otherwise a new key is inserted.  Key names are drawn from a counter so
-    each insertion is a fresh parameter value.
-    """
-
-    def __init__(
-        self,
-        cm: ConstraintManager,
-        family: str,
-        rate: float,
-        duration: Ticks,
-        delete_probability: float = 0.3,
-        value_model: Optional[ValueModel] = None,
-        start: Ticks = 0,
-        key_prefix: str = "k",
-        stream_name: str = "",
-    ):
-        self.cm = cm
-        self.family = family
-        self.rng = cm.scenario.rngs.stream(stream_name or f"churn:{family}")
-        self.delete_probability = delete_probability
-        self.value_model = value_model or uniform_values()
-        self.stats = StreamStats()
-        self.live_keys: list[str] = []
-        self._counter = 0
-        self.key_prefix = key_prefix
-        time = float(start)
-        end = float(start + duration)
-        while True:
-            time += self.rng.expovariate(rate) * seconds(1)
-            if time >= end:
-                break
-            cm.scenario.sim.at(round(time), self._make_op())
-
-    def _make_op(self) -> Callable[[], None]:
-        def operate() -> None:
-            if self.live_keys and self.rng.random() < self.delete_probability:
-                key = self.live_keys.pop(self.rng.randrange(len(self.live_keys)))
-                self.cm.spontaneous_delete(self.family, (key,))
-                self.stats.deletes += 1
-            else:
-                self._counter += 1
-                key = f"{self.key_prefix}{self._counter}"
-                self.live_keys.append(key)
-                value = self.value_model(self, key)
-                self.cm.spontaneous_write(self.family, (key,), value)
-                self.stats.updates += 1
-
-        return operate

@@ -4,7 +4,7 @@
 catalog (the canonical lint-clean configuration); ``bare_two_site()``
 wires the same sources *without* installing any strategy, so tests can
 install handcrafted (often deliberately broken) rules, through the
-surveyed ``cm.site(...).rule(...)`` or directly on the shells.
+surveyed ``cm.install_rule(...)`` or directly on the shells.
 """
 
 from __future__ import annotations

@@ -6,14 +6,14 @@ run in which it is the *only* report of a real mistake: the run completes
 and every other layer of ``verify()`` is clean.  A deleted code's test,
 still named after it, shows what reports that mistake now — for CM101–105
 the install-time interface survey, which rejects the rule through
-``cm.site(...).rule(...)`` before it is indexed.
+``cm.install_rule(...)`` before it is indexed.
 """
 
 import pytest
 
 from analysis_helpers import bare_two_site, codes_of, salary_cm
 
-from repro import parse_rules
+from repro import parse_rule, parse_rules
 from repro.analysis import lint_manager
 from repro.cm.verify import verify
 from repro.constraints.copy import CopyConstraint
@@ -30,11 +30,11 @@ def rule(text: str):
 
 
 def assert_survey_rejects(cm, site: str, text: str, match: str, **kwargs):
-    """``cm.site(site).rule(text)`` raises before indexing anything."""
+    """``cm.install_rule(site, rule)`` raises before indexing anything."""
     shell = cm.shell(site)
     before = len(shell._index)
     with pytest.raises(ConfigurationError, match=match):
-        cm.site(site).rule(text, **kwargs)
+        cm.install_rule(site, parse_rule(text), **kwargs)
     cm.stop()
     assert len(shell._index) == before
 
@@ -201,10 +201,11 @@ class TestCycles:
         # sites every hop is a fresh message, so one timer tick keeps the
         # pair firing until the horizon and only lint reports it.
         cm = bare_two_site()
-        cm.site("sf").private("PingV").site("ny").private("PongV")
-        cm.site("sf").rule("P(3600) -> [1] W(PingV, 0)", name="kick", phase=1)
-        cm.site("sf").rule("W(PingV, b) -> [1] W(PongV, b)", name="ping")
-        cm.site("ny").rule("W(PongV, b) -> [1] W(PingV, b)", name="pong")
+        cm.locations.register("PingV", "sf")
+        cm.locations.register("PongV", "ny")
+        cm.install_rule("sf", rule("rule kick: P(3600) -> [1] W(PingV, 0)"), phase=1)
+        cm.install_rule("sf", rule("rule ping: W(PingV, b) -> [1] W(PongV, b)"))
+        cm.install_rule("ny", rule("rule pong: W(PongV, b) -> [1] W(PingV, b)"))
         cm.run(until=seconds(2))
         fired = cm.stats()["total"]["rules_fired"]
         cm.run(until=seconds(4))

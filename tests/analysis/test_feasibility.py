@@ -122,13 +122,17 @@ class TestFeasibility:
 
     def test_unbounded_channel_latency_cm604(self):
         from repro.experiments.common import build_salary_scenario
-        from repro.sim.network import ExponentialLatency
+        from repro.sim.network import LatencyModel
         from repro.core.timebase import seconds
 
+        class ExponentialTail(LatencyModel):
+            """10 ms plus an exponential tail: no worst case."""
+
+            def sample(self, rng):
+                return seconds(0.01) + round(rng.expovariate(1 / seconds(0.05)))
+
         cm = build_salary_scenario(
-            strategy_kind="propagation",
-            seed=0,
-            latency=ExponentialLatency(seconds(0.01), seconds(0.05)),
+            strategy_kind="propagation", seed=0, latency=ExponentialTail()
         ).cm
         report = run_feasibility(cm)
         cm.stop()

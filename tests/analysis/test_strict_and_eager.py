@@ -69,7 +69,8 @@ class TestEagerValidation:
 
 def cross_site_cycle(cm):
     """A ping/pong pair across sf and ny: an unguarded cycle (CM301)."""
-    cm.site("sf").private("PingV").site("ny").private("PongV")
+    cm.locations.register("PingV", "sf")
+    cm.locations.register("PongV", "ny")
     cm.shell("sf").install(
         rule("rule ping: W(PingV, b) -> [1] W(PongV, b)"), rhs_site="ny"
     )

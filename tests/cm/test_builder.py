@@ -1,169 +1,22 @@
-"""Tests for the fluent wiring API and the unified install() surface.
+"""Tests for the shell's one ``install()`` surface and failure relay.
 
-The builders must be a pure veneer: a scenario wired fluently behaves
-identically to one wired through the classic imperative calls, and
-``install()`` is the one installation entry point (the old
-``install_rule`` / ``install_periodic_rule`` aliases are gone).  Also
-covered here: the failure-propagation fix — remote
-notices now reach ``on_failure`` listeners, and the status board stays
-deduplicated under the resulting fan-in.
+``CMShell.install()`` is the shell's one installation entry point (the old
+``install_rule`` / ``install_periodic_rule`` aliases are gone); the
+manager's placement routine is its only caller in the library, and its
+tests are in ``test_manager.py``.  Also covered here: the
+failure-propagation fix — remote notices now reach ``on_failure``
+listeners, and the status board stays deduplicated under the resulting
+fan-in.
 """
 
 import pytest
 
-from cm_helpers import EXACT_SERVICE, two_site_relational
+from cm_helpers import two_site_relational
 
-from repro.cm import CMRID, ConstraintManager, FailureNotice, Scenario
-from repro.cm.builder import ConstraintBuilder, SiteBuilder
-from repro.constraints import CopyConstraint
-from repro.core.errors import ConfigurationError, SpecError
+from repro.cm import FailureNotice
+from repro.core.errors import SpecError
 from repro.core.dsl import parse_rule
-from repro.core.interfaces import InterfaceKind
 from repro.core.timebase import seconds
-from repro.ris.relational import RelationalDatabase
-
-
-def salary_rids(offer_notify: bool = True):
-    branch = RelationalDatabase("branch")
-    branch.execute(
-        "CREATE TABLE employees (empid TEXT PRIMARY KEY, salary REAL)"
-    )
-    rid_a = CMRID("relational", "branch").bind(
-        "salary1",
-        params=("n",),
-        table="employees",
-        key_column="empid",
-        value_column="salary",
-    )
-    if offer_notify:
-        rid_a.offer("salary1", InterfaceKind.NOTIFY, bound_seconds=2.0)
-    rid_a.offer("salary1", InterfaceKind.READ, bound_seconds=1.0)
-
-    hq = RelationalDatabase("hq")
-    hq.execute(
-        "CREATE TABLE employees (empid TEXT PRIMARY KEY, salary REAL)"
-    )
-    rid_b = (
-        CMRID("relational", "hq")
-        .bind(
-            "salary2",
-            params=("n",),
-            table="employees",
-            key_column="empid",
-            value_column="salary",
-        )
-        .offer("salary2", InterfaceKind.WRITE, bound_seconds=2.0)
-        .offer("salary2", InterfaceKind.READ, bound_seconds=1.0)
-        .offer("salary2", InterfaceKind.NO_SPONTANEOUS_WRITE)
-    )
-    return branch, rid_a, hq, rid_b
-
-
-def run_salary_sync(cm: ConstraintManager, hq: RelationalDatabase):
-    cm.scenario.sim.at(
-        seconds(1), lambda: cm.spontaneous_write("salary1", ("e1",), 50_000.0)
-    )
-    cm.run(until=seconds(30))
-    return hq.query("SELECT empid, salary FROM employees ORDER BY empid")
-
-
-class TestSiteBuilder:
-    def test_fluent_wiring_matches_classic_wiring(self):
-        # Classic imperative wiring.
-        branch_c, rid_a_c, hq_c, rid_b_c = salary_rids()
-        classic = ConstraintManager(Scenario(seed=3))
-        classic.add_site("sf")
-        classic.add_site("ny")
-        classic.add_source("sf", branch_c, rid_a_c, EXACT_SERVICE)
-        classic.add_source("ny", hq_c, rid_b_c, EXACT_SERVICE)
-        constraint = classic.declare(
-            CopyConstraint("salary1", "salary2", params=("n",))
-        )
-        classic.install(constraint, classic.suggest(constraint)[0])
-
-        # Fluent wiring of the same scenario.
-        branch_f, rid_a_f, hq_f, rid_b_f = salary_rids()
-        fluent = ConstraintManager(Scenario(seed=3))
-        (
-            fluent.site("sf")
-            .source(branch_f, rid_a_f, EXACT_SERVICE)
-            .site("ny")
-            .source(hq_f, rid_b_f, EXACT_SERVICE)
-            .constraint(CopyConstraint("salary1", "salary2", params=("n",)))
-            .strategy()
-        )
-
-        assert run_salary_sync(classic, hq_c) == run_salary_sync(fluent, hq_f)
-        assert classic.stats()["total"] == fluent.stats()["total"]
-
-    def test_site_is_idempotent_and_returns_builder(self):
-        cm = ConstraintManager(Scenario(seed=0))
-        builder = cm.site("sf")
-        assert isinstance(builder, SiteBuilder)
-        again = cm.site("sf")
-        assert again.shell is builder.shell
-        assert list(cm.shells) == ["sf"]
-
-    def test_private_registers_families_here(self):
-        cm = ConstraintManager(Scenario(seed=0))
-        cm.site("sf").private("Scratch", "Audit")
-        assert cm.locations.site_of("Scratch") == "sf"
-        assert cm.locations.site_of("Audit") == "sf"
-
-    def test_rule_accepts_text_and_resolves_rhs_site(self):
-        cm, __, ___, ____, _____ = two_site_relational()
-        cm.site("sf").rule(
-            "N(salary1(n), b) -> [5] WR(salary2(n), b)", name="sync"
-        )
-        shell = cm.shell("sf")
-        assert [r.name for r in shell.rules] == ["sync"]
-        # salary2 lives at ny, so the resolved rhs_site must be ny.
-        assert [inst.rhs_site for inst in shell._index] == ["ny"]
-        # NOTIFY LHS on a locally translated family -> notify hook armed.
-        cm.scenario.sim.at(
-            seconds(1), lambda: cm.spontaneous_write("salary1", ("e1",), 9.0)
-        )
-        cm.run(until=seconds(20))
-        assert shell.stats()["rules_fired"] == 1
-
-    def test_rule_falls_back_to_this_site_for_private_rhs(self):
-        cm, __, ___, ____, _____ = two_site_relational()
-        builder = cm.site("sf").private("Mirror")
-        builder.rule("N(salary1(n), b) -> [5] W(Mirror(n), b)", name="mirror")
-        assert [inst.rhs_site for inst in cm.shell("sf")._index] == ["sf"]
-
-
-class TestConstraintBuilder:
-    def test_strategy_picks_by_name_substring(self):
-        branch, rid_a, hq, rid_b = salary_rids()
-        cm = ConstraintManager(Scenario(seed=1))
-        cm.site("sf").source(branch, rid_a).site("ny").source(hq, rid_b)
-        emails = cm.constraint(
-            CopyConstraint("salary1", "salary2", params=("n",))
-        ).strategy("propagation")
-        assert "propagation" in emails.installed.strategy.name
-        assert len(emails.guarantees) >= 1
-
-    def test_strategy_unknown_name_lists_offers(self):
-        branch, rid_a, hq, rid_b = salary_rids()
-        cm = ConstraintManager(Scenario(seed=1))
-        cm.site("sf").source(branch, rid_a).site("ny").source(hq, rid_b)
-        builder = cm.constraint(
-            CopyConstraint("salary1", "salary2", params=("n",))
-        )
-        with pytest.raises(ConfigurationError, match="offered:"):
-            builder.strategy("no-such-strategy")
-
-    def test_guarantees_before_install_raises(self):
-        branch, rid_a, hq, rid_b = salary_rids()
-        cm = ConstraintManager(Scenario(seed=1))
-        cm.site("sf").source(branch, rid_a).site("ny").source(hq, rid_b)
-        builder = cm.constraint(
-            CopyConstraint("salary1", "salary2", params=("n",))
-        )
-        assert isinstance(builder, ConstraintBuilder)
-        with pytest.raises(ConfigurationError, match="no strategy installed"):
-            builder.guarantees
 
 
 class TestUnifiedInstall:

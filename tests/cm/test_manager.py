@@ -1,12 +1,15 @@
 """Tests for the ConstraintManager façade."""
 
+from dataclasses import replace
+
 import pytest
 
 from cm_helpers import two_site_relational
 
 from repro.cm import CMRID, ConstraintManager, Scenario
 from repro.constraints import CopyConstraint
-from repro.core.errors import ConfigurationError
+from repro.core.dsl import parse_rule
+from repro.core.errors import ConfigurationError, SpecError
 from repro.core.events import EventKind
 from repro.core.interfaces import InterfaceKind
 from repro.core.timebase import seconds
@@ -178,6 +181,113 @@ class TestInstallation:
         cm.run(until=seconds(60))
         # Nothing new after stopping (no timers left to fire).
         assert len(cm.scenario.trace.events) == reads_before
+
+
+class TestInstallRule:
+    """``cm.install_rule`` places a hand-written rule through the same
+    routine as a catalog strategy's rules."""
+
+    SYNC = "N(salary1(n), b) -> [5] WR(salary2(n), b)"
+
+    @staticmethod
+    def shell_state(cm):
+        """What a refused rule must leave unchanged, at every shell."""
+        return {
+            site: (len(shell._index), sorted(shell._programs))
+            for site, shell in cm.shells.items()
+        }
+
+    def test_resolves_rhs_site_and_arms_notify(self):
+        cm, __, hq, *___ = two_site_relational()
+        placed = cm.install_rule("sf", parse_rule(self.SYNC, name="sync"))
+        shell = cm.shell("sf")
+        assert shell.rules == [placed]
+        # salary2 lives at ny: the firing goes there, and ny knows the rule.
+        assert [inst.rhs_site for inst in shell._index] == ["ny"]
+        assert "sync" in cm.shell("ny")._programs
+        # A NOTIFY LHS on a locally translated family arms the notify hook.
+        assert "salary1" in shell.translator_for("salary1")._notify_families
+        cm.scenario.sim.at(
+            seconds(1), lambda: cm.spontaneous_write("salary1", ("e1",), 9.0)
+        )
+        cm.run(until=seconds(20))
+        assert shell.stats()["rules_fired"] == 1
+        assert hq.query("SELECT empid, salary FROM employees") == [("e1", 9.0)]
+
+    def test_private_rhs_runs_at_its_registered_site(self):
+        cm, *__ = two_site_relational()
+        cm.locations.register("Mirror", "sf")
+        cm.install_rule(
+            "sf", parse_rule("N(salary1(n), b) -> [5] W(Mirror(n), b)")
+        )
+        assert [inst.rhs_site for inst in cm.shell("sf")._index] == ["sf"]
+        assert cm.shell("ny")._programs == {}
+
+    def test_survey_refusal_leaves_every_shell_unchanged(self):
+        cm, *__ = two_site_relational()
+        before = self.shell_state(cm)
+        # salary1 offers notify and read, but no write interface.
+        rule = parse_rule("N(salary1(n), b) -> [5] WR(salary1(n), b)")
+        with pytest.raises(ConfigurationError, match="write interface"):
+            cm.install_rule("sf", rule)
+        assert self.shell_state(cm) == before
+        assert not cm.shell("sf").translator_for("salary1")._notify_families
+
+    def test_unplaceable_rhs_is_refused(self):
+        cm, *__ = two_site_relational()
+        cm.locations.register("Mirror", "sf")
+        before = self.shell_state(cm)
+        spans = parse_rule(
+            "N(salary1(n), b) -> [5] WR(salary2(n), b), W(Mirror(n), b)"
+        )
+        with pytest.raises(SpecError, match="span multiple sites"):
+            cm.install_rule("sf", spans)
+        unregistered = parse_rule("N(salary1(n), b) -> [5] W(Ghost(n), b)")
+        with pytest.raises(ConfigurationError, match="Ghost"):
+            cm.install_rule("sf", unregistered)
+        assert self.shell_state(cm) == before
+
+    def test_periodic_rule_is_pinned_to_its_shell(self):
+        cm, *__ = two_site_relational()
+        cm.locations.register("Tick", "ny")
+        placed = cm.install_rule(
+            "sf", parse_rule("P(10) -> [1] W(Tick, 1)", name="tick")
+        )
+        assert placed.lhs_site == "sf"
+        assert cm.shell("sf").rules == [placed]
+        assert "tick" in cm.shell("ny")._programs
+        cm.run(until=seconds(25))
+        cm.stop()
+        periodic = [
+            e for e in cm.scenario.trace.events
+            if e.desc.kind is EventKind.PERIODIC
+        ]
+        assert [e.site for e in periodic] == ["sf", "sf"]
+
+    def test_periodic_rule_pinned_elsewhere_is_refused(self):
+        cm, *__ = two_site_relational()
+        cm.locations.register("Tick", "sf")
+        rule = replace(
+            parse_rule("P(10) -> [1] W(Tick, 1)", name="tick"), lhs_site="ny"
+        )
+        with pytest.raises(ConfigurationError, match="runs at 'ny', not 'sf'"):
+            cm.install_rule("sf", rule)
+        assert cm.shell("sf").rules == []
+
+    def test_add_translator_registers_its_families(self):
+        from repro.cm.translators import translator_for
+
+        cm = ConstraintManager(Scenario())
+        cm.add_site("sf")
+        db = RelationalDatabase("a")
+        db.execute("CREATE TABLE t (k TEXT PRIMARY KEY, v REAL)")
+        rid = CMRID("relational", "a").bind(
+            "salary1", params=("n",), table="t", key_column="k", value_column="v"
+        )
+        translator = translator_for(db, rid)
+        cm.add_translator("sf", translator)
+        assert cm.shell("sf").translator_for("salary1") is translator
+        assert cm.locations.site_of("salary1") == "sf"
 
 
 class TestEqualPeriodPolling:

@@ -6,6 +6,7 @@ from cm_helpers import two_site_relational
 
 from repro.cm.verify import verify
 from repro.constraints import CopyConstraint
+from repro.core.dsl import parse_rule
 from repro.core.timebase import seconds
 from repro.sim.failures import FailureKind, FailurePlan, FailureWindow
 
@@ -70,6 +71,45 @@ class TestVerify:
         # detected), so this is not a *silent* gap.
         assert not report.guarantees_ok
         assert report.silent_gaps == []
+
+
+class TestHandWrittenRules:
+    """``verify()`` validates every rule installed at a shell, so a rule
+    placed by ``cm.install_rule`` is held to Appendix A like a catalog
+    strategy's rules."""
+
+    def test_dropped_firing_is_a_property_6_violation(self):
+        # ny is down when sf's firing reaches it: the network drops the
+        # firing, no WR follows the notification, and property 6 says so.
+        plan = FailurePlan()
+        plan.add(FailureWindow("ny", FailureKind.LOGICAL, 0, seconds(10)))
+        cm, __, hq, *_ = two_site_relational(failure_plan=plan)
+        cm.install_rule(
+            "sf",
+            parse_rule("N(salary1(n), b) -> [5] WR(salary2(n), b)", name="sync"),
+        )
+        cm.scenario.sim.at(
+            seconds(1), lambda: cm.spontaneous_write("salary1", ("e1",), 9.0)
+        )
+        cm.run(until=seconds(20))
+        assert cm.scenario.network.messages_dropped == 1
+        assert hq.query("SELECT empid FROM employees") == []
+        report = verify(cm)
+        assert [v.property_number for v in report.trace_violations] == [6]
+        assert "rule 'sync'" in report.trace_violations[0].message
+        assert not report.ok
+
+    def test_delivered_firing_verifies_clean(self):
+        cm, *_ = two_site_relational()
+        cm.install_rule(
+            "sf",
+            parse_rule("N(salary1(n), b) -> [5] WR(salary2(n), b)", name="sync"),
+        )
+        cm.scenario.sim.at(
+            seconds(1), lambda: cm.spontaneous_write("salary1", ("e1",), 9.0)
+        )
+        cm.run(until=seconds(20))
+        assert verify(cm).trace_violations == []
 
 
 def silent_notify_loss_until(end_seconds):

@@ -9,9 +9,9 @@ from repro.core.interfaces import InterfaceKind
 from repro.ris.relational import RelationalDatabase
 
 
-def build_two_site(seed: int = 0, offer_notify: bool = True):
+def build_two_site(seed: int = 0, offer_notify: bool = True, runtime="sim"):
     """A minimal sf/ny salary pair (mirrors tests/cm/cm_helpers.py)."""
-    scenario = Scenario(seed=seed)
+    scenario = Scenario(seed=seed, runtime=runtime)
     cm = ConstraintManager(scenario)
     cm.add_site("sf")
     cm.add_site("ny")

@@ -2,7 +2,7 @@
 
 The load-bearing property: for any rule the compiler accepts, the compiled
 program (:mod:`repro.core.compile`) must agree with the tree-walking
-reference path — ``match_desc`` + ``evaluate``/``evaluate_value`` +
+reference path — ``match_desc`` + ``evaluate``/``_resolve_operand`` +
 ``ground_item``/``ground_term`` — on every input: same match/no-match, same
 bindings, same condition verdicts, same grounded events, and the same
 exception classes where the reference raises.  These tests drive that over
@@ -24,8 +24,8 @@ from repro.core.conditions import (
     Literal,
     Name,
     Unary,
+    _resolve_operand,
     evaluate,
-    evaluate_value,
 )
 from repro.core.dsl import parse_condition, parse_rule
 from repro.core.errors import BindingError, CompileError
@@ -159,7 +159,7 @@ def test_random_expression_equivalence(seed):
             fn, slots = compile_over(expr, bindings)
         except CompileError:
             pytest.fail(f"compiler rejected a valid expression: {expr}")
-        expected = reference_outcome(evaluate_value, expr, dict(bindings), local)
+        expected = reference_outcome(_resolve_operand, expr, dict(bindings), local)
         got = reference_outcome(fn, slots, local)
         assert got == expected, (
             f"expr {expr} bindings {bindings}: compiled {got} != "
@@ -356,7 +356,7 @@ def test_random_lhs_condition_equivalence(seed):
             assert bindings is not None
             try:
                 for var, expr in rule.binders:
-                    bindings[var] = evaluate_value(expr, bindings, local)
+                    bindings[var] = _resolve_operand(expr, bindings, local)
                 expected_ok = bool(evaluate(condition, bindings, local))
             except (BindingError, TypeError):
                 expected_ok = False
@@ -385,7 +385,7 @@ def test_random_lhs_condition_equivalence(seed):
 def assert_lhs_condition_matches_reference(rule, rng):
     """Descriptors built from the rule's own LHS, against a seeded store:
     the compiled match, binders and LHS condition agree with ``match_desc``
-    + ``evaluate_value`` + ``evaluate``."""
+    + ``_resolve_operand`` + ``evaluate``."""
     program = compile_rule(rule)
     slot_of = {name: i for i, name in enumerate(program.slot_names)}
     for __ in range(100):
@@ -395,7 +395,7 @@ def assert_lhs_condition_matches_reference(rule, rng):
         assert bindings is not None
         try:
             for var, expr in rule.binders:
-                bindings[var] = evaluate_value(expr, bindings, local)
+                bindings[var] = _resolve_operand(expr, bindings, local)
             expected_ok = bool(evaluate(rule.condition, bindings, local))
         except (BindingError, TypeError):
             expected_ok = False
@@ -447,7 +447,7 @@ def test_rhs_step_plans_match_reference(source):
         assert bindings is not None
         try:
             for var, expr in rule.binders:
-                bindings[var] = evaluate_value(expr, bindings, local)
+                bindings[var] = _resolve_operand(expr, bindings, local)
             if not evaluate(rule.condition, bindings, local):
                 continue
         except (BindingError, TypeError):

@@ -11,8 +11,8 @@ from repro.core.conditions import (
     Literal,
     Name,
     Unary,
+    _resolve_operand,
     evaluate,
-    evaluate_value,
 )
 from repro.core.errors import BindingError
 from repro.core.items import MISSING, DataItemRef
@@ -25,6 +25,11 @@ class FakeStore:
 
     def read_local(self, ref):
         return self.values.get(ref, MISSING)
+
+
+def evaluate_value(expr, bindings, local=NO_LOCAL_DATA):
+    """An expression's raw value, as the interpreter resolves operands."""
+    return _resolve_operand(expr, bindings, local)
 
 
 class TestNameResolution:

@@ -12,7 +12,7 @@ order.  What it *must* promise is the paper's actual contract:
 
 :func:`run_equivalence` runs one seeded salary scenario (the paper's
 Section 4.2 running example) on both runtimes and compares;
-``tests/runtime/test_sim_wire_equivalence.py`` asserts it across seeds.
+``test_sim_wire_equivalence.py`` asserts it across seeds.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ from typing import Any
 
 from repro.core.timebase import seconds
 from repro.core.trace import validate_trace
+from repro.experiments.common import build_salary_scenario
 from repro.runtime.api import RuntimeSpec
 from repro.runtime.async_runtime import AsyncRuntime
 from repro.runtime.channels import WireFaultPlan
+from repro.workloads import PersonnelWorkload
 
 
 @dataclass
@@ -155,10 +157,6 @@ def _observe(
     rate: float,
     duration_seconds: float,
 ) -> RuntimeObservation:
-    # Imported lazily: the experiments package imports the runtime package.
-    from repro.experiments.common import build_salary_scenario
-    from repro.workloads import PersonnelWorkload
-
     salary = build_salary_scenario(
         strategy_kind=strategy_kind,
         seed=seed,

@@ -10,7 +10,7 @@ guarantee verdicts* as the sim kernel, and the same logical work
 
 import pytest
 
-from repro.runtime import run_equivalence
+from equivalence import run_equivalence
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

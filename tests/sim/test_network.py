@@ -13,16 +13,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pytest
 
+from cm_helpers_root import build_two_site
+
+from repro.core.dsl import parse_rule
 from repro.core.timebase import seconds
+from repro.runtime import AsyncRuntime
 from repro.runtime.clock import WallClock
 from repro.runtime.gateway import WireNetwork
 from repro.sim.failures import FailureKind, FailurePlan, FailureWindow
-from repro.sim.network import (
-    ExponentialLatency,
-    FixedLatency,
-    Network,
-    UniformLatency,
-)
+from repro.sim.network import FixedLatency, Network, UniformLatency
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Simulator
 
@@ -361,6 +360,28 @@ class TestChannelMetrics(Policy):
         assert network.obs.metrics.get("net_messages", src="b", dst="a") is None
 
 
+class TestHandWrittenRule(Policy):
+    """A rule placed by ``cm.install_rule`` crosses the network like a
+    catalog rule: on the wire its firing travels by name, so the RHS
+    shell must know the rule."""
+
+    def test_cross_site_rule_writes_its_target(self):
+        runtime = AsyncRuntime(time_scale=WIRE_SCALE) if self.wire else "sim"
+        cm, __, hq = build_two_site(runtime=runtime)
+        cm.install_rule(
+            "sf",
+            parse_rule("N(salary1(n), b) -> [5] WR(salary2(n), b)", name="sync"),
+        )
+        cm.scenario.sim.at(
+            seconds(1), lambda: cm.spontaneous_write("salary1", ("e1",), 9.0)
+        )
+        cm.run(until=seconds(20))
+        cm.scenario.shutdown()
+        network = cm.scenario.network
+        assert (network.messages_sent, network.messages_dropped) == (1, 0)
+        assert hq.query("SELECT empid, salary FROM employees") == [("e1", 9.0)]
+
+
 class TestDeliveryOnTheWire(TestDelivery):
     wire = True
 
@@ -381,6 +402,10 @@ class TestChannelMetricsOnTheWire(TestChannelMetrics):
     wire = True
 
 
+class TestHandWrittenRuleOnTheWire(TestHandWrittenRule):
+    wire = True
+
+
 class TestLatencyModels:
     def test_fixed(self):
         assert FixedLatency(7).sample(None) == 7
@@ -396,23 +421,6 @@ class TestLatencyModels:
     def test_uniform_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             UniformLatency(10, 5)
-
-    def test_exponential_at_least_base(self):
-        import random
-
-        model = ExponentialLatency(100, 50)
-        rng = random.Random(0)
-        assert all(model.sample(rng) >= 100 for __ in range(100))
-
-    def test_exponential_mean_near_base_plus_extra(self):
-        import random
-
-        model = ExponentialLatency(seconds(0.1), seconds(0.05))
-        rng = random.Random(7)
-        samples = [model.sample(rng) for __ in range(2000)]
-        mean = sum(samples) / len(samples)
-        expected = seconds(0.1) + seconds(0.05)
-        assert abs(mean - expected) < 0.1 * expected
 
     def test_models_draw_from_dedicated_channel_stream(self):
         # Two networks with the same seed sample identical latencies for

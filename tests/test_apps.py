@@ -2,7 +2,7 @@
 
 from cm_helpers_root import build_two_site
 
-from repro.apps import AnalystApp, AuditorApp, PlotterApp, TabulatorApp
+from repro.apps import AnalystApp, AuditorApp, PlotterApp
 from repro.apps.auditor import AuditVerdict
 from repro.constraints import CopyConstraint
 from repro.core.items import DataItemRef
@@ -16,43 +16,6 @@ def install_propagation(cm, **options):
         if s.strategy.kind == "propagation"
     )
     return cm.install(constraint, suggestion)
-
-
-class TestTabulator:
-    def test_tabulation_complete_under_propagation(self):
-        cm, *_ = build_two_site()
-        install_propagation(cm)
-        app = TabulatorApp(
-            cm,
-            DataItemRef("salary1", ("e1",)),
-            DataItemRef("salary2", ("e1",)),
-            sample_period=seconds(0.05),
-        )
-        for index, value in enumerate((10.0, 20.0, 30.0)):
-            cm.scenario.sim.at(
-                seconds(5 + 10 * index),
-                lambda v=value: cm.spontaneous_write("salary1", ("e1",), v),
-            )
-        cm.run(until=seconds(60))
-        audit = app.audit()
-        assert audit.complete and audit.truthful
-        assert audit.values_tabulated == 3
-
-    def test_missing_value_detected_when_copy_skips(self):
-        cm, *_ = build_two_site()
-        # No strategy installed at all: the copy never changes.
-        app = TabulatorApp(
-            cm,
-            DataItemRef("salary1", ("e1",)),
-            DataItemRef("salary2", ("e1",)),
-        )
-        cm.scenario.sim.at(
-            seconds(5), lambda: cm.spontaneous_write("salary1", ("e1",), 1.0)
-        )
-        cm.run(until=seconds(20))
-        audit = app.audit()
-        assert not audit.complete
-        assert audit.missing_values == [1.0]
 
 
 class TestPlotter:

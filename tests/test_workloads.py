@@ -5,18 +5,8 @@ from cm_helpers_root import two_site  # noqa: F401  (fixture import)
 from repro.core.events import EventKind
 from repro.core.items import MISSING, DataItemRef
 from repro.core.timebase import DAY, Ticks, clock_time, seconds, time_of_day
-from repro.workloads import (
-    BankingWorkload,
-    BurstStream,
-    ChurnStream,
-    PersonnelWorkload,
-    UpdateStream,
-)
-from repro.workloads.generators import (
-    duplicate_heavy,
-    random_walk,
-    uniform_values,
-)
+from repro.workloads import BankingWorkload, PersonnelWorkload, UpdateStream
+from repro.workloads.generators import duplicate_heavy, random_walk
 
 
 class TestUpdateStream:
@@ -68,10 +58,18 @@ class TestValueModels:
 
             self.rng = random.Random(0)
 
-    def test_uniform_bounds(self):
-        model = uniform_values(10, 20)
-        stream = self.FakeStream()
-        assert all(10 <= model(stream, "k") <= 20 for __ in range(50))
+    def test_uniform_bounds(self, two_site):
+        # Without a value model a stream draws uniformly from [0, 100].
+        cm, *_ = two_site
+        UpdateStream(cm, "salary1", ["e1"], rate=2.0, duration=seconds(25))
+        cm.run(until=seconds(30))
+        values = [
+            e.written_value
+            for e in cm.scenario.trace.events
+            if e.desc.kind is EventKind.SPONTANEOUS_WRITE
+        ]
+        assert len(values) > 10
+        assert all(0.0 <= value <= 100.0 for value in values)
 
     def test_random_walk_is_per_key(self):
         model = random_walk(step=1.0, start=100.0)
@@ -87,43 +85,6 @@ class TestValueModels:
         stream = self.FakeStream()
         first = model(stream, "k")
         assert all(model(stream, "k") == first for __ in range(10))
-
-
-class TestBurstStream:
-    def test_burst_shape(self, two_site):
-        cm, *_ = two_site
-        BurstStream(
-            cm,
-            "salary1",
-            "e1",
-            burst_times=[seconds(10), seconds(50)],
-            burst_size=3,
-            intra_gap=seconds(0.5),
-        )
-        cm.run(until=seconds(60))
-        times = [
-            e.time for e in cm.scenario.trace.events
-            if e.desc.kind is EventKind.SPONTANEOUS_WRITE
-        ]
-        assert len(times) == 6
-        assert times[0:3] == [seconds(10), seconds(10.5), seconds(11)]
-
-
-class TestChurnStream:
-    def test_inserts_and_deletes(self, two_site):
-        cm, *_ = two_site
-        churn = ChurnStream(
-            cm, "salary1", rate=2.0, duration=seconds(100),
-            delete_probability=0.4,
-        )
-        cm.run(until=seconds(120))
-        assert churn.stats.updates > 0
-        assert churn.stats.deletes > 0
-        # Live keys exist; deleted ones are MISSING.
-        for key in churn.live_keys:
-            assert cm.scenario.trace.current_value(
-                DataItemRef("salary1", (key,))
-            ) is not MISSING
 
 
 class TestPersonnelWorkload:
