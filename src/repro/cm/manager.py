@@ -28,6 +28,7 @@ from repro.core.catalog import Suggestion, SuggestionContext, suggest
 from repro.core.errors import ConfigurationError
 from repro.core.events import Event, EventKind, reset_event_sequence
 from repro.core.guarantees import Guarantee, GuaranteeReport
+from repro.core.guarantees.copy import CopyGuarantee, check_copy_family
 from repro.core.interfaces import InterfaceKind, InterfaceSet
 from repro.core.items import MISSING, DataItemRef, Locations, Value
 from repro.core.rules import Rule
@@ -482,12 +483,26 @@ class ConstraintManager:
         return build_run_report(self)
 
     def check_guarantees(self) -> dict[str, GuaranteeReport]:
-        """Evaluate every issued guarantee against the recorded trace."""
-        reports: dict[str, GuaranteeReport] = {}
-        for installed in self.installed:
-            for guarantee in installed.guarantees:
-                reports[guarantee.name] = guarantee.check(self.scenario.trace)
-        return reports
+        """Evaluate every issued guarantee against the recorded trace.
+
+        Copy-family guarantees are checked together per ``(x_family,
+        y_family)`` pairing (:func:`~repro.core.guarantees.copy.check_copy_family`),
+        the others one by one; the reports come out in the order issued.
+        """
+        trace = self.scenario.trace
+        issued = [g for installed in self.installed for g in installed.guarantees]
+        checked: dict[int, GuaranteeReport] = {}
+        pairings: dict[tuple[str, str], list[int]] = {}
+        for index, guarantee in enumerate(issued):
+            if isinstance(guarantee, CopyGuarantee):
+                key = (guarantee.x_family, guarantee.y_family)
+                pairings.setdefault(key, []).append(index)
+            else:
+                checked[index] = guarantee.check(trace)
+        for indexes in pairings.values():
+            family = check_copy_family(trace, [issued[i] for i in indexes])
+            checked.update(zip(indexes, family))
+        return {g.name: checked[i] for i, g in enumerate(issued)}
 
     def stop(self) -> None:
         """Stop all shell timers (end of scenario)."""

@@ -123,6 +123,12 @@ def verify(cm: ConstraintManager) -> VerificationReport:
     The static CM-Lint checks run over the still-wired configuration and
     their findings are attached, so the report also shows what was
     knowable before the run.
+
+    A violated guarantee is a silent gap when the board vouched for it while
+    it was violated: some interval of its report's ``violated_during`` lies
+    outside ``board.invalid_intervals``.  A report that carries no intervals
+    (every family but the copy family) is read against the board's state at
+    the end of the run.
     """
     from repro.analysis import lint_manager
 
@@ -132,11 +138,17 @@ def verify(cm: ConstraintManager) -> VerificationReport:
     rules = [rule for shell in cm.shells.values() for rule in shell.rules]
     report.trace_violations = validate_trace(cm.scenario.trace, rules)
     report.trace_stats = cm.scenario.trace.stats()
+    horizon = cm.scenario.trace.horizon
     for installed in cm.installed:
         for guarantee in installed.guarantees:
             checked = report.guarantee_reports.get(guarantee.name)
             if checked is None or checked.valid:
                 continue
-            if cm.board.is_valid(guarantee):
+            if checked.violated_during:
+                withdrawn = cm.board.invalid_intervals(guarantee, horizon)
+                vouched = not all(map(withdrawn.covers, checked.violated_during))
+            else:
+                vouched = cm.board.is_valid(guarantee)
+            if vouched:
                 report.silent_gaps.append(guarantee.name)
     return report

@@ -407,8 +407,8 @@ def _compile_slot_matcher(
     """Compile the LHS template into a slot-filling matcher.
 
     Semantically identical to running the template's
-    :func:`~repro.core.templates.compile_matcher` matcher and copying the
-    resulting dict into slot positions — but flat: per-position constant
+    :func:`~repro.core.templates.compile_fields_matcher` matcher and copying
+    the resulting dict into slot positions — but flat: per-position constant
     checks, slot stores, and repeated-variable equality checks are resolved
     to combined-tuple indexes at compile time.
     """

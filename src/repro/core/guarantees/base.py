@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.intervals import Interval
 from repro.core.items import DataItemRef
 from repro.core.trace import ExecutionTrace, Timeline
 
@@ -17,7 +18,9 @@ class GuaranteeReport:
     ``inconclusive`` counts obligations whose deadline lies beyond the trace
     horizon (they neither support nor refute the guarantee).
     ``stats`` carries measured quantities the experiments report, such as the
-    smallest metric bound that would have held.
+    smallest metric bound that would have held.  ``violated_during``: the
+    tick intervals the counterexamples hold in, if the checker records them
+    (the copy family does); neither ``str`` nor :meth:`to_dict` renders it.
     """
 
     guarantee: str
@@ -26,6 +29,7 @@ class GuaranteeReport:
     counterexamples: list[str] = field(default_factory=list)
     inconclusive: int = 0
     stats: dict[str, Any] = field(default_factory=dict)
+    violated_during: list[Interval] = field(default_factory=list)
 
     def merge(self, other: "GuaranteeReport") -> None:
         """Fold another (per-instance) report into this aggregate."""
@@ -33,6 +37,7 @@ class GuaranteeReport:
         self.checked_instances += other.checked_instances
         self.counterexamples.extend(other.counterexamples)
         self.inconclusive += other.inconclusive
+        self.violated_during.extend(other.violated_during)
         for key, value in other.stats.items():
             if key in self.stats and isinstance(value, (int, float)):
                 self.stats[key] = max(self.stats[key], value)
@@ -113,17 +118,25 @@ def paired_timelines(
     """:func:`paired_refs` with both items' timelines attached.
 
     Derived once per family pair per trace state (event count and horizon)
-    and kept on the trace: the several guarantees issued for one copy
-    constraint iterate the same list, and through it the same
-    :class:`~repro.core.trace.Timeline` objects and their remembered
-    segments.
+    and kept on the trace, as is each item's timeline (an X every replica
+    copies is fetched once): every checker reads the same
+    :class:`~repro.core.trace.Timeline` objects and their remembered segments.
     """
     state = (len(trace), trace.horizon)
-    cached = trace._pairings.get((x_family, y_family))
-    if cached is None or cached[0] != state:
-        pairs = [
-            (x_ref, y_ref, trace.timeline(x_ref), trace.timeline(y_ref))
-            for x_ref, y_ref in paired_refs(trace, x_family, y_family)
+    memo = trace._pairings  # (x, y) -> pairs; None -> (state, ref -> timeline)
+    if memo.get(None, (None,))[0] != state:
+        memo.clear()
+        memo[None] = (state, {})
+    pairs = memo.get((x_family, y_family))
+    if pairs is None:
+        timelines = memo[None][1]
+        refs = paired_refs(trace, x_family, y_family)
+        fetch = {ref for pair in refs for ref in pair} - timelines.keys()
+        for ref in fetch:
+            timelines[ref] = trace.timeline(ref)
+        # A lookup the memo answers is a cache hit of ``trace.stats()``.
+        trace._timeline_cache_hits += 2 * len(refs) - len(fetch)
+        pairs = memo[x_family, y_family] = [
+            (x, y, timelines[x], timelines[y]) for x, y in refs
         ]
-        cached = trace._pairings[(x_family, y_family)] = (state, pairs)
-    return cached[1]
+    return pairs

@@ -22,11 +22,12 @@ Given a copy constraint ``X = Y`` with ``X`` the primary:
 Checking is exact over the piecewise-constant timelines the trace provides:
 each maximal constant segment of a timeline is one family of universally
 quantified instantiations, and witness existence reduces to interval
-coverage (:func:`repro.core.intervals.spans_cover`).  A check reads each
-history once: the family pairing and its timelines are fetched once per
-trace state (:func:`~repro.core.guarantees.base.paired_timelines`), every
-timeline hands out the segments it derived the first time it was asked, and
-one report accumulates over all instances.
+coverage (:func:`repro.core.intervals.spans_cover`).  The guarantees issued
+over one family pairing are checked together (:func:`check_copy_family`):
+per instance, one walk of Y's segments answers (1), (3) and (4) and one walk
+of X's answers (2), against X's by-value grouping, which the timeline derives
+once and remembers.  Each report also records the tick intervals during
+which its counterexamples hold (``violated_during``).
 
 Two boundary conventions, both documented behaviours:
 
@@ -45,12 +46,24 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.guarantees.base import Guarantee, GuaranteeReport, paired_timelines
-from repro.core.intervals import spans_cover
+from repro.core.intervals import Interval, IntervalSet, spans_cover
 from repro.core.timebase import Ticks, to_seconds
 from repro.core.trace import ExecutionTrace, TimelineSegment
 
 
-class FollowsGuarantee(Guarantee):
+class CopyGuarantee(Guarantee):
+    """A guarantee over the histories of a copy constraint's X and Y,
+    checked by :func:`check_copy_family` — alone, or with the others issued
+    over the same family pairing."""
+
+    x_family: str
+    y_family: str
+
+    def check(self, trace: ExecutionTrace) -> GuaranteeReport:
+        return check_copy_family(trace, [self])[0]
+
+
+class FollowsGuarantee(CopyGuarantee):
     """Guarantee (1) "Y follows X", or its metric form (4) when ``within``
     is given: Y never holds a value X did not previously hold (within κ)."""
 
@@ -73,69 +86,52 @@ class FollowsGuarantee(Guarantee):
             name = f"follows({x_family} -> {y_family}, κ={to_seconds(within):g}s)"
         super().__init__(name, formula, metric=within is not None)
 
-    def check(self, trace: ExecutionTrace) -> GuaranteeReport:
-        report = GuaranteeReport(self.name, valid=True)
-        check = self._check_nonmetric if self.within is None else self._check_metric
-        max_lag: Ticks = 0
-        for x_ref, y_ref, x_timeline, y_timeline in paired_timelines(
-            trace, self.x_family, self.y_family
-        ):
-            report.checked_instances += 1
-            for segment in y_timeline.held():
-                ok, lag = check(segment, x_timeline.held_with(segment.value))
-                if not ok:
-                    report.valid = False
-                    report.counterexamples.append(
-                        f"{y_ref} held {segment.value!r} during "
-                        f"[{segment.start}, {segment.end}) without a prior "
-                        f"{'(recent enough) ' if self.within else ''}"
-                        f"{x_ref} = {segment.value!r}"
-                    )
-                elif lag is not None and lag > max_lag:
-                    max_lag = lag
-        report.stats["max_lag_ticks"] = max_lag
-        report.stats["max_lag_seconds"] = to_seconds(max_lag)
-        return report
-
-    def _check_nonmetric(
-        self, segment: TimelineSegment, witnesses: Sequence[TimelineSegment]
-    ) -> tuple[bool, Ticks | None]:
+    @staticmethod
+    def _judge_nonmetric(
+        segment: TimelineSegment, witnesses: Sequence[TimelineSegment]
+    ) -> tuple[Ticks | None, list[Interval] | None]:
+        """``(lag, None)`` for a witnessed segment, else ``(None, where)``."""
+        start = segment.start
         best_lag: Ticks | None = None
         for witness in witnesses:
-            strictly_before = witness.start < segment.start
-            seeded_origin = witness.start == 0 and segment.start == 0
-            if strictly_before or seeded_origin:
-                lag = segment.start - witness.start
+            # Strictly before, or both held since time 0 (seeded origin).
+            if witness.start < start or witness.start == start == 0:
+                lag = start - witness.start
                 if best_lag is None or lag < best_lag:
                     best_lag = lag
-        return best_lag is not None, best_lag
+        if best_lag is not None:
+            return best_lag, None
+        # Each witness starts at or after ``start``: past the first, t1 has t2.
+        end = min([segment.end] + [w.start + 1 for w in witnesses])
+        return None, [Interval(start, end)]
 
-    def _check_metric(
+    def _judge_metric(
         self, segment: TimelineSegment, witnesses: Sequence[TimelineSegment]
-    ) -> tuple[bool, Ticks | None]:
-        assert self.within is not None
+    ) -> tuple[Ticks | None, list[Interval] | None]:
         # t2 must satisfy t1 - κ < t2 < t1 with t2 in [c, d); such a t2
         # exists iff c + 1 <= t1 <= d + κ - 2, i.e. t1 in [c+1, d+κ-1).
         # A witness held since time 0 also covers t1 = 0 (seeded origin).
         slack = self.within - 1
-        allowed = [
-            (w.start + 1 if w.start > 0 else 0, w.end + slack) for w in witnesses
-        ]
-        if not spans_cover(allowed, segment.start, segment.end):
-            return False, None
-        best_lag = min(
-            (segment.start - w.start for w in witnesses
-             if w.start <= segment.start),
-            default=None,
-        )
-        return True, best_lag
+        start = segment.start
+        best_lag: Ticks | None = None
+        allowed = []
+        for w in witnesses:
+            allowed.append((w.start + 1 if w.start > 0 else 0, w.end + slack))
+            if w.start <= start and (best_lag is None or start - w.start < best_lag):
+                best_lag = start - w.start
+        if spans_cover(allowed, start, segment.end):
+            return best_lag, None
+        return None, _uncovered(allowed, start, segment.end)
 
 
-class LeadsGuarantee(Guarantee):
+class LeadsGuarantee(CopyGuarantee):
     """Guarantee (2) "X leads Y": no value taken by X is missed by Y.
 
     With ``within``, additionally requires Y to take the value within κ of
-    *every* instant at which X holds it.
+    *every* instant at which X holds it.  A missed obligation raised at t1
+    is violated once its grace has run out, at t1 + κ - 1 (the plain form:
+    t1 + ``horizon_slack`` - 1, the grace the horizon gives it), and its
+    ``violated_during`` is dated so.
     """
 
     def __init__(
@@ -162,57 +158,14 @@ class LeadsGuarantee(Guarantee):
             name = f"leads({x_family} -> {y_family}, κ={to_seconds(within):g}s)"
         super().__init__(name, formula, metric=within is not None)
 
-    def check(self, trace: ExecutionTrace) -> GuaranteeReport:
-        report = GuaranteeReport(self.name, valid=True)
-        check = self._check_nonmetric if self.within is None else self._check_metric
-        horizon = trace.horizon
-        missed = 0
-        total = 0
-        exempt = 0
-        max_delay: Ticks = 0
-        for x_ref, y_ref, x_timeline, y_timeline in paired_timelines(
-            trace, self.x_family, self.y_family
-        ):
-            report.checked_instances += 1
-            for segment in x_timeline.held():
-                if segment.start == 0:
-                    # A value held since time 0 predates constraint
-                    # management (a seeded initial load); "X leads Y"
-                    # quantifies over the values X *takes* during the managed
-                    # execution.  Notify-based strategies only see changes,
-                    # so prior history is exempt — mirroring the
-                    # seeded-origin rule in `follows`.
-                    exempt += 1
-                    continue
-                total += 1
-                verdict, delay = check(
-                    segment, y_timeline.held_with(segment.value), horizon
-                )
-                if verdict == "violated":
-                    missed += 1
-                    report.valid = False
-                    report.counterexamples.append(
-                        f"{x_ref} took {segment.value!r} at {segment.start} but "
-                        f"{y_ref} never{' (in time)' if self.within else ''} "
-                        f"reflected it"
-                    )
-                elif verdict == "inconclusive":
-                    report.inconclusive += 1
-                elif delay is not None and delay > max_delay:
-                    max_delay = delay
-        report.stats["values_taken"] = total
-        report.stats["values_missed"] = missed
-        report.stats["values_exempt_seeded"] = exempt
-        report.stats["max_propagation_delay_ticks"] = max_delay
-        report.stats["max_propagation_delay_seconds"] = to_seconds(max_delay)
-        return report
-
-    def _check_nonmetric(
+    def _judge_nonmetric(
         self,
         segment: TimelineSegment,
         witnesses: Sequence[TimelineSegment],
         horizon: Ticks,
-    ) -> tuple[str, Ticks | None]:
+    ) -> tuple[str, object]:
+        """``("ok", delay)``, ``("inconclusive", None)`` or ``("violated",
+        where)``."""
         # A witness interval [e, f) provides t2 > t1 for every t1 < f - 1; a
         # witness still live at the horizon covers every t1 (the value remains
         # reflected).  Obligations t1 within horizon_slack of the horizon are
@@ -231,15 +184,16 @@ class LeadsGuarantee(Guarantee):
             return "ok", delay
         if due_end <= segment.start:
             return "inconclusive", None
-        return "violated", None
+        late = max(self.horizon_slack - 1, 0)
+        first = max(segment.start, covered_until)
+        return "violated", [Interval(first + late, due_end + late)]
 
-    def _check_metric(
+    def _judge_metric(
         self,
         segment: TimelineSegment,
         witnesses: Sequence[TimelineSegment],
         horizon: Ticks,
-    ) -> tuple[str, Ticks | None]:
-        assert self.within is not None
+    ) -> tuple[str, object]:
         # Obligations due strictly within the horizon only.
         due_end = min(segment.end, horizon - self.within + 1)
         if due_end <= segment.start:
@@ -249,16 +203,17 @@ class LeadsGuarantee(Guarantee):
         reach = self.within - 1
         allowed = [(max(0, w.start - reach), w.end - 1) for w in witnesses]
         if not spans_cover(allowed, segment.start, due_end):
-            return "violated", None
-        delay = min(
-            (max(0, w.start - segment.start) for w in witnesses),
-            default=0,
-        )
-        return "ok", delay
+            return "violated", _uncovered(allowed, segment.start, due_end, reach)
+        delays = [max(0, w.start - segment.start) for w in witnesses]
+        return "ok", min(delays, default=0)
 
 
-class StrictlyFollowsGuarantee(Guarantee):
-    """Guarantee (3) "Y strictly follows X": Y sees X's values in X's order."""
+class StrictlyFollowsGuarantee(CopyGuarantee):
+    """Guarantee (3) "Y strictly follows X": Y sees X's values in X's order.
+
+    Decided per instance by one scan when Y's values are distinct and all
+    witnessed (:func:`check_copy_family`), else by :meth:`_every_pair`.
+    """
 
     def __init__(self, x_family: str, y_family: str) -> None:
         self.x_family = x_family
@@ -271,87 +226,168 @@ class StrictlyFollowsGuarantee(Guarantee):
             f"strictly_follows({x_family} -> {y_family})", formula, metric=False
         )
 
-    def check(self, trace: ExecutionTrace) -> GuaranteeReport:
-        report = GuaranteeReport(self.name, valid=True)
-        ordered_pairs = 0
-        for x_ref, y_ref, x_timeline, y_timeline in paired_timelines(
-            trace, self.x_family, self.y_family
-        ):
+    def _every_pair(self, report, x_ref, y_ref, y_segments, witnesses_of) -> int:
+        """Check each distinct value pair of one instance's Y segments, in
+        order; returns how many."""
+        checked: set[tuple[object, object]] = set()
+        failed: set[tuple[object, object]] = set()
+        for index, earlier in enumerate(y_segments):
+            for later in y_segments[index:]:
+                if later is earlier and later.length < 2:
+                    continue  # no two distinct instants in a 1-tick segment
+                # Violated from the first instant of ``later`` after ``earlier``.
+                where = Interval(later.start + (later is earlier), later.end)
+                pair = (earlier.value, later.value)
+                if pair in checked:
+                    if pair in failed:
+                        report.violated_during.append(where)
+                    continue
+                checked.add(pair)
+                # t3 in an X=y1 segment and t4 > t3 in an X=y2 segment exist
+                # iff the earliest moment X held y1 precedes the last moment
+                # X held y2 (half-open intervals).
+                first, last = witnesses_of(pair[0]), witnesses_of(pair[1])
+                if not (first and last and first[0].start < last[-1].end - 1):
+                    failed.add(pair)
+                    report.valid = False
+                    report.counterexamples.append(
+                        f"{y_ref} held {earlier.value!r} then "
+                        f"{later.value!r} but {x_ref} never held them in "
+                        f"that order"
+                    )
+                    report.violated_during.append(where)
+        return len(checked)
+
+
+def check_copy_family(
+    trace: ExecutionTrace, guarantees: Sequence[CopyGuarantee]
+) -> list[GuaranteeReport]:
+    """The reports of copy-family guarantees issued over one ``(x_family,
+    y_family)`` pairing, in order.
+
+    Per instance, one walk of Y's held segments answers every follows and
+    strictly-follows guarantee, one walk of X's every leads.  Y's values are
+    looked up in X's by-value grouping (:meth:`~repro.core.trace.Timeline.by_value`,
+    remembered, so every constraint copying X shares it); a value's first
+    start and last end are its first and last segment's.  A guarantee's own
+    :meth:`~CopyGuarantee.check` is this routine over that guarantee alone.
+    """
+    x_family, y_family = guarantees[0].x_family, guarantees[0].y_family
+    reports = [GuaranteeReport(g.name, valid=True) for g in guarantees]
+    follows = []  # (guarantee, judge, report, [max lag, unused])
+    strict = []  # (guarantee, report, [ordered pairs])
+    leads = []  # (guarantee, judge, report, [missed, max delay])
+    for g, report in zip(guarantees, reports):
+        if isinstance(g, StrictlyFollowsGuarantee):
+            strict.append((g, report, [0]))
+        else:
+            judge = g._judge_nonmetric if g.within is None else g._judge_metric
+            kept = follows if isinstance(g, FollowsGuarantee) else leads
+            kept.append((g, judge, report, [0, 0]))
+    horizon, taken, exempt = trace.horizon, 0, 0
+    for x_ref, y_ref, x_timeline, y_timeline in paired_timelines(
+        trace, x_family, y_family
+    ):
+        for report in reports:
             report.checked_instances += 1
-            first_start: dict[object, Ticks] = {}
-            last_end: dict[object, Ticks] = {}
-            for segment in x_timeline.held():
-                key = segment.value
-                if key not in first_start:
-                    first_start[key] = segment.start
-                last_end[key] = max(last_end.get(key, 0), segment.end)
-            y_segments = y_timeline.held()
-            pairs = self._ordered_pairs(y_segments, first_start, last_end)
-            if pairs is not None:
-                ordered_pairs += pairs
-                continue
-            checked_pairs: set[tuple[object, object]] = set()
-            for index, earlier in enumerate(y_segments):
-                for later in y_segments[index:]:
-                    if later is earlier and later.length < 2:
-                        continue  # no two distinct instants in a 1-tick segment
-                    pair = (earlier.value, later.value)
-                    if pair in checked_pairs:
-                        continue
-                    checked_pairs.add(pair)
-                    if not self._witness_order(
-                        earlier.value, later.value, first_start, last_end
-                    ):
+        grouped = x_timeline.by_value()  # derived once per timeline
+        y_by_value = None  # Y's segments by value, for leads, if hashable
+        if follows or strict:
+            y_segments, y_by_value = y_timeline.held(), {}
+            # The one-scan strictly-follows state: a pair (earlier, later)
+            # holds iff the largest first start so far is < last_end - 1.
+            latest_first, seen, pairs, scanning = -1, set(), 0, bool(strict)
+            for segment in y_segments:
+                value = segment.value
+                try:
+                    witnesses = grouped.get(value, ())
+                    y_by_value.setdefault(value, []).append(segment)
+                except (AttributeError, TypeError):  # unhashable, or X's: scan
+                    witnesses, y_by_value = x_timeline.held_with(value), None
+                for guarantee, judge, report, max_lag in follows:
+                    lag, violated = judge(segment, witnesses)
+                    if violated is not None:
                         report.valid = False
                         report.counterexamples.append(
-                            f"{y_ref} held {earlier.value!r} then "
-                            f"{later.value!r} but {x_ref} never held them in "
-                            f"that order"
+                            f"{y_ref} held {value!r} during "
+                            f"[{segment.start}, {segment.end}) without a prior "
+                            f"{'(recent enough) ' if guarantee.within else ''}"
+                            f"{x_ref} = {value!r}"
                         )
-            ordered_pairs += len(checked_pairs)
+                        report.violated_during += violated
+                    elif lag is not None and lag > max_lag[0]:
+                        max_lag[0] = lag
+                if scanning:
+                    if not witnesses or value in seen:
+                        scanning = False
+                        continue
+                    seen.add(value)
+                    first, reach = witnesses[0].start, witnesses[-1].end - 1
+                    spans_two = segment.end - segment.start >= 2
+                    if latest_first >= reach or (spans_two and first >= reach):
+                        scanning = False
+                        continue
+                    pairs += spans_two
+                    latest_first = max(latest_first, first)
+            for guarantee, report, checked in strict:
+                if scanning:
+                    checked[0] += pairs + len(seen) * (len(seen) - 1) // 2
+                else:
+                    checked[0] += guarantee._every_pair(
+                        report, x_ref, y_ref, y_segments, x_timeline.held_with
+                    )
+        if leads:
+            for segment in x_timeline.held():
+                if segment.start == 0:
+                    # A value held since time 0 predates constraint
+                    # management (a seeded initial load); "X leads Y"
+                    # quantifies over the values X *takes* during the
+                    # managed execution.  Notify-based strategies only see
+                    # changes, so prior history is exempt — mirroring the
+                    # seeded-origin rule in `follows`.
+                    exempt += 1
+                    continue
+                taken += 1
+                witnesses = (
+                    y_timeline.held_with(segment.value) if y_by_value is None
+                    else y_by_value.get(segment.value, ())
+                )
+                for guarantee, judge, report, counts in leads:
+                    verdict, found = judge(segment, witnesses, horizon)
+                    if verdict == "violated":
+                        counts[0] += 1
+                        report.valid = False
+                        report.counterexamples.append(
+                            f"{x_ref} took {segment.value!r} at {segment.start}"
+                            f" but {y_ref} never"
+                            f"{' (in time)' if guarantee.within else ''}"
+                            " reflected it"
+                        )
+                        report.violated_during += found
+                    elif verdict == "inconclusive":
+                        report.inconclusive += 1
+                    elif found is not None and found > counts[1]:
+                        counts[1] = found
+    for __, __, report, (max_lag, __) in follows:
+        report.stats["max_lag_ticks"] = max_lag
+        report.stats["max_lag_seconds"] = to_seconds(max_lag)
+    for __, report, (ordered_pairs,) in strict:
         report.stats["ordered_pairs_checked"] = ordered_pairs
-        return report
+    for __, __, report, (missed, max_delay) in leads:
+        report.stats["values_taken"] = taken
+        report.stats["values_missed"] = missed
+        report.stats["values_exempt_seeded"] = exempt
+        report.stats["max_propagation_delay_ticks"] = max_delay
+        report.stats["max_propagation_delay_seconds"] = to_seconds(max_delay)
+    return reports
 
-    @staticmethod
-    def _ordered_pairs(
-        y_segments: Sequence[TimelineSegment],
-        first_start: dict[object, Ticks],
-        last_end: dict[object, Ticks],
-    ) -> int | None:
-        """The ordered pairs of an instance whose Y values are distinct,
-        held by X and in X's order, counted in one scan (else ``None``): a
-        pair (earlier, later) holds iff ``first_start[earlier] <
-        last_end[later] - 1``, so every earlier segment is answered by the
-        running maximum of ``first_start``.  A segment of two or more
-        instants pairs with itself."""
-        latest_first, seen, pairs = -1, set(), 0
-        for segment in y_segments:
-            value = segment.value
-            first = first_start.get(value)
-            if first is None or value in seen:
-                return None
-            seen.add(value)
-            reach = last_end[value] - 1
-            spans_two = segment.end - segment.start >= 2
-            if latest_first >= reach or (spans_two and first >= reach):
-                return None
-            pairs += spans_two
-            latest_first = max(latest_first, first)
-        return pairs + len(seen) * (len(seen) - 1) // 2
 
-    @staticmethod
-    def _witness_order(
-        y1: object,
-        y2: object,
-        first_start: dict[object, Ticks],
-        last_end: dict[object, Ticks],
-    ) -> bool:
-        if y1 not in first_start or y2 not in first_start:
-            return False
-        # t3 in an X=y1 segment and t4 > t3 in an X=y2 segment exist iff the
-        # earliest moment X held y1 (first_start[y1]) precedes the last moment
-        # X held y2 (last_end[y2] - 1, half-open intervals).
-        return first_start[y1] < last_end[y2] - 1
+def _uncovered(spans: list, start: Ticks, end: Ticks, late: Ticks = 0) -> list:
+    """The parts of ``[start, end)`` no ``(start, end)`` span covers, as
+    intervals ``late`` ticks on."""
+    covered = IntervalSet(Interval(*span) for span in spans)
+    gaps = covered.uncovered(Interval(start, end))
+    return [Interval(gap.start + late, gap.end + late) for gap in gaps]
 
 
 def follows(

@@ -32,10 +32,9 @@ from repro.core.terms import (
     match_term,
 )
 
-#: A pre-compiled template matcher: descriptor (and, optionally, bindings to
-#: start from) in, matching interpretation (or ``None``) out.  Produced by
-#: :func:`compile_matcher` (a descriptor) and :func:`compile_fields_matcher`
-#: (its kind value, item and values).
+#: A pre-compiled template matcher (:func:`compile_fields_matcher`): an
+#: event's kind value, item and values in, matching interpretation (or
+#: ``None``) out.
 Matcher = Callable[..., Optional[Bindings]]
 
 
@@ -173,38 +172,19 @@ def _compile_term(term: Term) -> Callable[[object, Bindings], bool]:
     raise TypeError(f"not a matchable term: {term!r}")
 
 
-def compile_matcher(tmpl: Template) -> Matcher:
-    """Pre-compile a template into a matcher closure.
-
-    The returned callable is semantically identical to
-    ``lambda desc: match_desc(tmpl, desc)`` but resolves the template's
-    structure — kind, family, per-term dispatch — once at compile time
-    instead of re-interpreting it on every event.
-
-    The matcher takes an optional ``seed``: bindings to start from instead
-    of the empty interpretation (copied, never mutated).  A seeded match
-    succeeds iff the descriptor matches standalone *and* agrees with the
-    seed on every variable they share — how an RHS template is matched
-    under its rule's LHS interpretation — and returns the seed extended.
-    """
-    match = compile_fields_matcher(tmpl)
-
-    def desc_matcher(
-        desc: EventDesc, seed: Optional[Bindings] = None
-    ) -> Optional[Bindings]:
-        values = desc.values + (None, None)
-        return match(desc.kind._value_, desc.item, values[0], values[1], seed)
-
-    return desc_matcher
-
-
 def compile_fields_matcher(tmpl: Template) -> Matcher:
-    """:func:`compile_matcher` over a descriptor's fields: the returned
-    ``match(kind value, item, first value, second value, seed=None)`` reads
-    an event stored as atoms (the trace's rows) without building a
-    descriptor; a value the kind does not carry is passed as ``None``."""
+    """Pre-compile a template into a matcher over a descriptor's fields.
+
+    ``match(kind value, item, first value, second value)`` is semantically
+    identical to ``match_desc(tmpl, desc)`` for the descriptor with those
+    fields, but resolves the template's structure — kind, family, per-term
+    dispatch — once at compile time instead of re-interpreting it on every
+    event, and reads an event stored as atoms (the trace's rows) without
+    building a descriptor; a value the kind does not carry is passed as
+    ``None``.
+    """
     if tmpl.kind is EventKind.FALSE:
-        return lambda kind, item, first, second, seed=None: None
+        return lambda kind, item, first, second: None
     kind = tmpl.kind._value_
     # A template carries exactly its kind's value arity (at most two).
     tests = [_compile_term(term) for term in tmpl.values]
@@ -214,15 +194,11 @@ def compile_fields_matcher(tmpl: Template) -> Matcher:
     if tmpl.item is None:
 
         def itemless_matcher(
-            got: str,
-            item: object,
-            first: object,
-            second: object,
-            seed: Optional[Bindings] = None,
+            got: str, item: object, first: object, second: object
         ) -> Optional[Bindings]:
             if got != kind:
                 return None
-            bindings: Bindings = {} if seed is None else dict(seed)
+            bindings: Bindings = {}
             if first_test is not None and not first_test(first, bindings):
                 return None
             if second_test is not None and not second_test(second, bindings):
@@ -237,11 +213,7 @@ def compile_fields_matcher(tmpl: Template) -> Matcher:
     arg_count = len(arg_tests)
 
     def matcher(
-        got: str,
-        item: Optional[DataItemRef],
-        first: object,
-        second: object,
-        seed: Optional[Bindings] = None,
+        got: str, item: Optional[DataItemRef], first: object, second: object
     ) -> Optional[Bindings]:
         if got != kind or item is None:
             return None
@@ -249,7 +221,7 @@ def compile_fields_matcher(tmpl: Template) -> Matcher:
             return None
         if len(item.args) != arg_count:
             return None
-        bindings: Bindings = {} if seed is None else dict(seed)
+        bindings: Bindings = {}
         for test, value in zip(arg_tests, item.args):
             if not test(value, bindings):
                 return None

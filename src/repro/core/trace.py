@@ -26,9 +26,9 @@ stay near-linear in the number of events:
   :class:`Timeline` until the item changes; a timeline derives its held
   segments once (:meth:`Timeline.held`), so every guarantee checker reads
   the same segment objects;
-- :func:`validate_trace` reads the rows, compiles and matches each distinct
-  LHS once and resolves provenance through a per-rule index keyed by
-  trigger ``seq``.
+- :func:`validate_trace` reads the rows, checks provenance by positional
+  agreements derived from each rule's templates (no matcher, no bindings)
+  and resolves it through a per-rule index keyed by trigger ``seq``.
 
 The naive full-scan implementations are retained in
 :class:`ReferenceTraceQueries` / :func:`validate_trace_naive` as the
@@ -56,7 +56,7 @@ from repro.core.templates import (
     compile_fields_matcher,
     match_desc,
 )
-from repro.core.terms import Bindings
+from repro.core.terms import FAMILY_WILDCARD, Bindings, Const, Var
 from repro.core.timebase import Ticks
 
 
@@ -180,25 +180,32 @@ class Timeline:
         segments, then answered from a by-value grouping built once (a
         history holding an unhashable value keeps scanning).
         """
-        held = self.held()
         grouped = self._by_value
         if grouped is None:
             self._queries += 1
-            if self._queries > len(held):
-                lists: dict[Value, list[TimelineSegment]] = {}
-                try:
-                    for segment in held:
-                        lists.setdefault(segment.value, []).append(segment)
-                    grouped = {v: tuple(group) for v, group in lists.items()}
-                except TypeError:
-                    grouped = False  # an unhashable value: scan, do not retry
-                self._by_value = grouped
+            if self._queries > len(self.held()):
+                grouped = self.by_value()
         if grouped:
             try:
                 return grouped.get(value, ())
             except TypeError:
                 pass
-        return tuple([s for s in held if s.value is value or s.value == value])
+        return tuple([s for s in self.held() if s.value is value or s.value == value])
+
+    def by_value(self) -> Optional[dict[Value, tuple[TimelineSegment, ...]]]:
+        """The :meth:`held` segments grouped by value, in time order; built
+        once and remembered (``None`` when a value is unhashable)."""
+        grouped = self._by_value
+        if grouped is None:
+            lists: dict[Value, list[TimelineSegment]] = {}
+            try:
+                for segment in self.held():
+                    lists.setdefault(segment.value, []).append(segment)
+                grouped = {v: tuple(group) for v, group in lists.items()}
+            except TypeError:
+                grouped = False  # an unhashable value: scan, do not retry
+            self._by_value = grouped
+        return None if grouped is False else grouped
 
     def change_points(self) -> list[tuple[Ticks, Value]]:
         """The (time, new value) change list, starting at time 0."""
@@ -397,9 +404,9 @@ class ExecutionTrace:
         self._identified = 0  # offsets below it are in ``_identities``
         self._foreign: dict[int, Event] = {}  # at -> the row's foreign trigger
         self._timelines: dict[DataItemRef, _TimelineBuilder] = {}
-        # Family-pair timeline lists of the guarantee checkers
+        # The guarantee checkers' family-pair timeline lists and timelines
         # (:func:`repro.core.guarantees.base.paired_timelines`).
-        self._pairings: dict[tuple[str, str], tuple] = {}
+        self._pairings: dict = {}
         # -- instrumentation --
         self._timeline_extend_steps = 0
         self._timeline_builds = 0
@@ -834,16 +841,16 @@ def validate_trace(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
     Properties 1-5 are fused into a single pass over the rows (the
     property-2/3 state checks compare journal versions), and properties 6-7
     consume the trace's kind/family indexes.  Each rule object gets one
-    :class:`_RulePlan` per validation — its templates compiled once, its
-    generated rows indexed by trigger — which property 5 fills and property
-    6 reads — and rules with equal LHS templates share the matches of one
-    :class:`_LhsMatch`.  A view is built only for a flagged event.
+    :class:`_RulePlan` per validation — each (LHS, RHS step) template pair
+    compiled once into positional agreements on row atoms, its generated
+    rows indexed by trigger — which property 5 fills and property 6 reads;
+    rules with equal LHS templates share their LHS rows.  A view is built
+    only for a flagged event.
     :func:`validate_trace_naive` is the pass-per-property, pair-per-pair,
     template-interpreting reference over views this is tested against.
     """
     buckets: dict[int, list[Violation]] = {n: [] for n in range(1, 8)}
-    shared: dict[Template, _LhsMatch] = {}  # by LHS template
-    plans = {id(rule): _RulePlan(rule, shared) for rule in rules}  # by identity
+    plans = {id(rule): _RulePlan(rule) for rule in rules}  # by identity
     sources: list[int | None] = []  # the trigger of each generated row
     view = _Viewer(trace)
     refs = trace._refs
@@ -892,7 +899,7 @@ def validate_trace(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
             if rule is not None:
                 plan = plans.get(id(rule))
                 if plan is None:
-                    plan = plans[id(rule)] = _RulePlan(rule, shared)
+                    plan = plans[id(rule)] = _RulePlan(rule)
                 _check_provenance(trace, at, fields, source, plan, buckets[5], view)
 
     # Property 6: rule liveness for unconditional steps.
@@ -904,46 +911,71 @@ def validate_trace(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
     return [violation for n in range(1, 8) for violation in buckets[n]]
 
 
-class _LhsMatch:
-    """One LHS template's compiled matcher, shared by the rules whose LHS
-    equals it, with the last trigger property 5 matched (its offset; ``~at``
-    of the generated row for a foreign one) and its bindings (one entry: an
-    entry per trigger would be one per generated event) and property 6's LHS
-    rows per rule site."""
+def _shape(tmpl: Template, base: int, own: dict, given: dict) -> tuple:
+    """``tmpl`` as agreements on atoms at ``base`` of a pool, as ``(first,
+    second, *args)``: kind value, family and arity (``None``: any, no item),
+    ``(position, constant)`` and ``(earlier, position)`` pairs — a variable's
+    position in ``given`` (the trigger's) or its first in ``own``, in
+    ``match_desc``'s order.  Shares nothing with :mod:`repro.core.compile`."""
+    if tmpl.kind is EventKind.FALSE:
+        return None, None, None, (), ()
+    args = () if tmpl.item is None else tmpl.item.args
+    consts, equal = [], []
+    positions = [base + 2 + i for i in range(len(args))] + [base, base + 1]
+    for position, term in zip(positions, args + tmpl.values):
+        if isinstance(term, Const):
+            consts.append((position, term.value))
+        elif isinstance(term, Var):
+            if term.name in own:
+                equal.append((own[term.name], position))
+            else:
+                own[term.name] = position
+                if term.name in given:
+                    equal.append((position, given[term.name]))
+    family = None if tmpl.item_family == FAMILY_WILDCARD else tmpl.item_family
+    arity = None if tmpl.item is None else len(args)
+    return tmpl.kind._value_, family, arity, tuple(consts), tuple(equal)
 
-    __slots__ = ("match", "trigger", "bindings", "at_site")
 
-    def __init__(self, lhs: Template) -> None:
-        self.match: Matcher = compile_fields_matcher(lhs)
-        self.trigger: int | None = None
-        self.bindings: Bindings | None = None
-        self.at_site: dict[str | None, list[int]] = {}
+def _fits(shape, kind, item, first, second, trigger=()) -> Optional[tuple]:
+    """The atom pool ``(*trigger, first, second, *args)`` of an event of
+    ``kind`` on ``item`` if it fits a :func:`_shape` (an RHS step's reads
+    the ``trigger``'s atoms too), else ``None``."""
+    want, family, arity, consts, equal = shape
+    if kind != want or arity is not None and (
+        item is None or len(item[1]) != arity or family and family != item[0]
+    ):
+        return None
+    pool = (*trigger, first, second, *(() if item is None else item[1]))
+    for position, value in consts:
+        if not value == pool[position]:
+            return None
+    for earlier, position in equal:
+        if not pool[earlier] == pool[position]:
+            return None
+    return pool
 
 
 class _RulePlan:
-    """What one validation needs of one rule object, derived once: the
-    shared LHS (:class:`_LhsMatch`), one compiled matcher per RHS step
-    (``steps[i]`` for ``rule.steps[i]``; ``FALSE`` compiles to
-    match-nothing), and the rule's generated rows by their trigger's
-    ``seq`` — the row itself, a list only when one trigger generated
-    several (a multi-step RHS).  The trigger's site is compared on the hit:
-    trigger identity is ``(site, seq)``, never the object — a firing that
-    crossed the wire carries a by-value reconstruction of its trigger.
-    ``confirmed``: property 5 matched every indexed row to a step.
+    """What one validation needs of one rule object, derived once: its LHS
+    and each RHS step's agreements with it, as :func:`_shape` tuples
+    (``steps[i]`` for ``rule.steps[i]``, after the trigger's atoms), and the
+    rule's generated rows by their trigger's ``seq`` — the row itself, a
+    list only when one trigger generated several (a multi-step RHS).  The
+    trigger's site is compared on the hit: trigger identity is ``(site,
+    seq)``, never the object — a firing that crossed the wire carries a
+    by-value reconstruction of its trigger.  ``confirmed``: property 5
+    matched every indexed row to a step.
     """
 
     __slots__ = ("lhs", "steps", "delay", "by_trigger", "confirmed")
 
-    def __init__(self, rule: Rule, shared: dict[Template, _LhsMatch]) -> None:
-        try:
-            lhs = shared.get(rule.lhs)
-            if lhs is None:
-                lhs = shared[rule.lhs] = _LhsMatch(rule.lhs)
-        except TypeError:  # an unhashable constant: this rule matches alone
-            lhs = _LhsMatch(rule.lhs)
-        self.lhs = lhs
-        self.steps: tuple[Matcher, ...] = tuple(
-            compile_fields_matcher(step.template) for step in rule.steps
+    def __init__(self, rule: Rule) -> None:
+        binds: dict[str, int] = {}  # an LHS variable's position
+        self.lhs = _shape(rule.lhs, 0, binds, {})
+        base = 2 + (self.lhs[2] or 0)
+        self.steps = tuple(
+            _shape(step.template, base, {}, binds) for step in rule.steps
         )
         self.delay = rule.delay
         self.by_trigger: dict[int, int | list[int]] = {}
@@ -969,7 +1001,6 @@ def _check_provenance(
         return
     refs = trace._refs
     if source >= 0:
-        key = source  # the one-entry cache's key: an offset, ~at if foreign
         rows = trace._rows
         t_time, t_kind, t_first, t_second = (
             rows[source], rows[source + _KIND], rows[source + _V0], rows[source + _V1]
@@ -977,7 +1008,6 @@ def _check_provenance(
         t_ref = rows[source + _REF]
         t_item = None if t_ref is None else refs[t_ref]
     else:
-        key = ~at
         foreign = trace._foreign[at]
         t_time, t_desc = foreign.time, foreign.desc
         t_kind, t_item = t_desc.kind._value_, t_desc.item
@@ -990,23 +1020,16 @@ def _check_provenance(
         held.append(at)
     else:
         index[trigger_seq] = [held, at]
-    lhs = plan.lhs
-    if key == lhs.trigger:
-        bindings = lhs.bindings
-    else:
-        bindings = lhs.bindings = lhs.match(t_kind, t_item, t_first, t_second)
-        lhs.trigger = key
-    if bindings is None:
+    atoms = _fits(plan.lhs, t_kind, t_item, t_first, t_second)
+    if atoms is None:
         plan.confirmed = False
         violations.append(
             Violation(5, "trigger does not match the rule's LHS", view(at))
         )
         return
-    # Seeded with the LHS interpretation: instantiates the step *and* agrees
-    # with the trigger on every shared variable.
     item = None if ref is None else refs[ref]
     for step in plan.steps:
-        if step(kind, item, first, second, bindings) is not None:
+        if _fits(step, kind, item, first, second, atoms) is not None:
             break
     else:
         plan.confirmed = False
@@ -1023,24 +1046,28 @@ def _check_provenance(
         )
 
 
-def _lhs_rows(trace: ExecutionTrace, rule: Rule, lhs: _LhsMatch) -> list[int]:
+def _lhs_rows(
+    trace: ExecutionTrace, rule: Rule, shape: tuple, shared: dict
+) -> list[int]:
     """LHS matches at the rule's own site (see :func:`_own_site_matches`),
-    collected once per shared LHS and site."""
+    collected once per LHS template and site and kept in ``shared``."""
     site = rule.lhs_site
-    found = lhs.at_site.get(site)
+    key = (rule.lhs, site)
+    try:
+        found = shared.get(key)
+    except TypeError:  # an unhashable constant: this rule matches alone
+        key, found = None, None
     if found is None:
-        match, rows, refs = lhs.match, trace._rows, trace._refs
-        found = lhs.at_site[site] = []
+        rows, refs, found = trace._rows, trace._refs, []
         for at in trace._candidates(rule.lhs):
             if site is not None and rows[at + _SITE] != site:
                 continue
             ref = rows[at + _REF]
             item = None if ref is None else refs[ref]
-            if (
-                match(rows[at + _KIND], item, rows[at + _V0], rows[at + _V1])
-                is not None
-            ):
+            if _fits(shape, rows[at + _KIND], item, rows[at + _V0], rows[at + _V1]):
                 found.append(at)
+        if key is not None:
+            shared[key] = found
     return found
 
 
@@ -1054,6 +1081,7 @@ def _check_liveness(
 
     rows = trace._rows
     violations: list[Violation] = []
+    shared: dict = {}  # (LHS template, site) -> its rows
     for rule in rules:
         prohibition = rule.is_prohibition
         if not prohibition and rule.condition is not TRUE:
@@ -1061,7 +1089,7 @@ def _check_liveness(
             continue
         plan = plans[id(rule)]
         if prohibition:
-            for at in _lhs_rows(trace, rule, plan.lhs):
+            for at in _lhs_rows(trace, rule, plan.lhs, shared):
                 violations.append(
                     Violation(
                         6,
@@ -1070,13 +1098,14 @@ def _check_liveness(
                     )
                 )
             continue
-        # A seeded match that succeeded implies the unseeded one: while
-        # property 5 flagged none of a single-step rule's indexed rows,
-        # each of them instantiates the step and needs no second match.
-        steps = plan.steps
-        if plan.confirmed and len(steps) == 1:
-            steps = (None,)
-        for at in _lhs_rows(trace, rule, plan.lhs):
+        # A match that agrees with the trigger implies the standalone one:
+        # while property 5 flagged none of a single-step rule's indexed
+        # rows, each of them instantiates the step and needs no second match.
+        if plan.confirmed and len(rule.steps) == 1:
+            steps: tuple = (None,)
+        else:
+            steps = tuple(compile_fields_matcher(s.template) for s in rule.steps)
+        for at in _lhs_rows(trace, rule, plan.lhs, shared):
             previous_time = rows[at]
             deadline = previous_time + rule.delay
             if deadline > trace.horizon:

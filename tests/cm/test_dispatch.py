@@ -16,7 +16,7 @@ from cm_helpers import two_site_relational
 from repro.cm import ConstraintManager, Scenario
 from repro.cm.dispatch import RuleIndex
 from repro.core.dsl import parse_rule
-from repro.core.errors import BindingError
+from repro.core.errors import BindingError, SpecError
 from repro.core.events import (
     EventDesc,
     EventKind,
@@ -31,7 +31,7 @@ from repro.core.rules import RhsStep, Rule
 from repro.core.templates import (
     FALSE_TEMPLATE,
     Template,
-    compile_matcher,
+    compile_fields_matcher,
     match_desc,
 )
 from repro.core.terms import (
@@ -43,6 +43,7 @@ from repro.core.terms import (
     ground_item,
 )
 from repro.core.timebase import seconds
+from repro.core.trace import ExecutionTrace, validate_trace
 
 FAMILIES = ["alpha", "beta", "gamma", "delta"]
 ITEM_KINDS = [
@@ -97,12 +98,70 @@ def random_desc(rng: random.Random) -> EventDesc:
     return EventDesc(kind, ref, values)
 
 
+def desc_matcher(tmpl: Template):
+    """``tmpl``'s fields matcher, called on a descriptor's fields."""
+    match = compile_fields_matcher(tmpl)
+
+    def on_desc(desc: EventDesc):
+        first, second = (desc.values + (None, None))[:2]
+        return match(desc.kind._value_, desc.item, first, second)
+
+    return on_desc
+
+
+def ground(tmpl: Template, bindings: dict, rng: random.Random) -> EventDesc:
+    """A descriptor ``tmpl`` matches under ``bindings``, but for a variable
+    occurrence now and then drawn afresh (a repeated variable that may
+    disagree); wildcards (a family wildcard too) take random values."""
+
+    def value(term):
+        if isinstance(term, Var):
+            if rng.random() < 0.1:
+                return rng.choice(KEYS + VALUES)
+            return bindings[term.name]
+        if isinstance(term, Const):
+            return term.value
+        return rng.choice(KEYS + VALUES)
+
+    ref = None
+    if tmpl.item is not None:
+        family = tmpl.item.name
+        if family == FAMILY_WILDCARD:
+            family = rng.choice(FAMILIES)
+        ref = DataItemRef(family, tuple(value(term) for term in tmpl.item.args))
+    return EventDesc(tmpl.kind, ref, tuple(value(term) for term in tmpl.values))
+
+
+def random_rule_templates(rng: random.Random) -> tuple[Template, Template]:
+    """An LHS and an RHS step a rule accepts: every step variable bound on
+    the LHS, but for a read request's (an enumerating read's)."""
+    while True:
+        lhs, step = random_template(rng), random_template(rng)
+        try:
+            Rule("r", lhs, 0, (RhsStep(step),))
+        except SpecError:
+            continue
+        return lhs, step
+
+
+def property_5_findings(lhs: Template, step: Template, trigger, generated):
+    """What ``validate_trace`` says of ``generated`` fired by a one-step rule
+    ``lhs -> step`` on ``trigger``: its property-5 messages."""
+    rule = Rule("r", lhs, seconds(10), (RhsStep(step),))
+    trace = ExecutionTrace()
+    source = trace.record(seconds(1), "s", trigger)
+    trace.record(seconds(1), "s", generated, rule=rule, trigger=source)
+    return [
+        v.message for v in validate_trace(trace, []) if v.property_number == 5
+    ]
+
+
 class TestCompiledMatcherEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_interpreted_match_desc(self, seed):
         rng = random.Random(seed)
         templates = [random_template(rng) for __ in range(60)]
-        matchers = [compile_matcher(t) for t in templates]
+        matchers = [desc_matcher(t) for t in templates]
         descs = [random_desc(rng) for __ in range(200)]
         for desc in descs:
             for tmpl, matcher in zip(templates, matchers):
@@ -111,45 +170,52 @@ class TestCompiledMatcherEquivalence:
                     f"{tmpl} vs {desc}"
                 )
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_seeded_match_is_standalone_match_plus_shared_variables(self, seed):
-        # What the trace validator asks of an RHS template under its rule's
-        # LHS interpretation: the descriptor matches on its own *and* agrees
-        # with the seed on every variable they share.  The random templates
-        # cover constants, WILDCARD, FAMILY_WILDCARD and repeated variables;
-        # seeds bind any subset of their variables, to values that sometimes
-        # agree with the descriptor and sometimes do not.
-        rng = random.Random(1000 + seed)
-        templates = [random_template(rng) for __ in range(60)]
-        matchers = [compile_matcher(t) for t in templates]
-        hits = misses = 0
-        for __ in range(200):
-            desc = random_desc(rng)
-            bound = rng.sample(["n", "m", "b"], rng.randint(0, 3))
-            given = {name: rng.choice(KEYS + VALUES) for name in bound}
-            before = dict(given)
-            for tmpl, matcher in zip(templates, matchers):
-                alone = match_desc(tmpl, desc)
-                if alone is None or any(
-                    alone[name] != value
-                    for name, value in given.items()
-                    if name in alone
-                ):
-                    expected = None
-                else:
-                    expected = {**given, **alone}
-                assert matcher(desc, given) == expected, f"{tmpl} vs {desc}"
-                hits += expected is not None
-                misses += alone is not None and expected is None
-            assert given == before  # the seed is copied, never written to
-        assert hits and misses  # both outcomes were exercised
+    def test_positional_plan_agrees_with_both_matches(self):
+        # Property 5 asks of a generated event that its trigger matches the
+        # rule's LHS and that it instantiates the RHS step *under* the LHS
+        # interpretation: both match on their own and agree on every
+        # variable they share.  The random templates cover constants,
+        # WILDCARD, FAMILY_WILDCARD and repeated variables; the events are
+        # grounded from them (or drawn at random), under bindings that
+        # sometimes agree and sometimes do not.
+        rng = random.Random(1000)
+        outcomes = {"match": 0, "no LHS": 0, "no step": 0, "disagree": 0}
+        for __ in range(3200):
+            lhs, step = random_rule_templates(rng)
+            given = {name: rng.choice(KEYS + VALUES) for name in "nmb"}
+            trigger = ground(lhs, given, rng)
+            if rng.random() < 0.2:
+                trigger = random_desc(rng)
+            redrawn = dict(given, **{rng.choice("nmb"): rng.choice(KEYS + VALUES)})
+            generated = ground(step, redrawn if rng.random() < 0.5 else given, rng)
+            if rng.random() < 0.2:
+                generated = random_desc(rng)
+            bound = match_desc(lhs, trigger)
+            alone = match_desc(step, generated)
+            if bound is None:
+                expected, outcome = ["trigger does not match the rule's LHS"], "no LHS"
+            elif alone is None or any(
+                alone[name] != value for name, value in bound.items() if name in alone
+            ):
+                expected = ["event is not an instantiation of any RHS template"]
+                outcome = "no step" if alone is None else "disagree"
+            else:
+                expected, outcome = [], "match"
+            found = property_5_findings(lhs, step, trigger, generated)
+            assert found == expected, f"{lhs} -> {step} on {trigger}, {generated}"
+            outcomes[outcome] += 1
+        assert all(outcomes.values()), outcomes  # every outcome was exercised
 
-    def test_seeded_false_template_never_matches(self):
-        matcher = compile_matcher(FALSE_TEMPLATE)
-        assert matcher(notify_desc(DataItemRef("alpha"), 1.0), {"b": 1.0}) is None
+    def test_false_step_is_never_instantiated(self):
+        lhs = Template(EventKind.NOTIFY, ItemPattern("alpha", ()), (Var("b"),))
+        trigger = notify_desc(DataItemRef("alpha"), 1.0)
+        generated = write_desc(DataItemRef("alpha"), 1.0)
+        assert property_5_findings(lhs, FALSE_TEMPLATE, trigger, generated) == [
+            "event is not an instantiation of any RHS template"
+        ]
 
     def test_false_template_never_matches(self):
-        matcher = compile_matcher(FALSE_TEMPLATE)
+        matcher = desc_matcher(FALSE_TEMPLATE)
         assert matcher(notify_desc(DataItemRef("alpha"), 1.0)) is None
 
     def test_repeated_variable_must_agree(self):
@@ -158,7 +224,7 @@ class TestCompiledMatcherEquivalence:
             ItemPattern("alpha", ()),
             (Var("b"), Var("b")),
         )
-        matcher = compile_matcher(tmpl)
+        matcher = desc_matcher(tmpl)
         ref = DataItemRef("alpha")
         assert matcher(spontaneous_write_desc(ref, 5.0, 5.0)) == {"b": 5.0}
         assert matcher(spontaneous_write_desc(ref, 4.0, 5.0)) is None
@@ -314,7 +380,7 @@ class TestFamilyVariableTemplates:
             ItemPattern(FAMILY_WILDCARD, (Var("n"),)),
             (Var("b"),),
         )
-        matcher = compile_matcher(tmpl)
+        matcher = desc_matcher(tmpl)
         desc = read_response_desc(DataItemRef("anything", ("e9",)), 3.5)
         assert matcher(desc) == {"n": "e9", "b": 3.5}
         assert matcher(desc) == match_desc(tmpl, desc)
@@ -325,7 +391,7 @@ class TestFamilyVariableTemplates:
             ItemPattern(FAMILY_WILDCARD, (Var("n"),)),
             (Var("b"),),
         )
-        matcher = compile_matcher(tmpl)
+        matcher = desc_matcher(tmpl)
         assert matcher(notify_desc(DataItemRef("alpha"), 1.0)) is None
 
     def test_wildcard_family_cannot_be_grounded(self):

@@ -127,9 +127,9 @@ def silent_notify_loss_until(end_seconds):
 
 
 class TestSilentGapsAreJudgedWhenTheViolationHappened:
-    """``silent_gaps`` asks the board about the end of the run, not about
-    when a guarantee was violated (ROADMAP item 4).  The two defects below
-    are pinned until violations carry the intervals that settle them."""
+    """``silent_gaps`` asks the board about the intervals in which a
+    guarantee was violated, not about the end of the run: a later failure
+    does not mask a gap, and a violation while withdrawn is not one."""
 
     UPDATES = ((1, 10.0), (5, 20.0), (40, 30.0), (52, 40.0))
 
@@ -141,11 +141,6 @@ class TestSilentGapsAreJudgedWhenTheViolationHappened:
         report = verify(cm)
         assert "leads(salary1 -> salary2)" in report.silent_gaps
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="masked gap: a failure detected after the violation, still "
-        "open at the horizon, hides it (verify reads the board at the end)",
-    )
     def test_later_detected_failure_does_not_mask_a_gap(self):
         cm, __, hq, *_ = two_site_relational(
             failure_plan=silent_notify_loss_until(30)
@@ -157,11 +152,6 @@ class TestSilentGapsAreJudgedWhenTheViolationHappened:
         assert not report.guarantee_reports["leads(salary1 -> salary2)"].valid
         assert "leads(salary1 -> salary2)" in report.silent_gaps
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="false alarm: a violation inside the interval the board had "
-        "withdrawn the guarantee for is reported once the site is reset",
-    )
     def test_violation_while_withdrawn_is_not_a_gap(self):
         cm, __, hq, *_ = two_site_relational()
         # A logical failure noticed at 5.09 s; the operator resets ny at 20 s.

@@ -181,6 +181,27 @@ class TestCrossValidation:
         generic_metric = check(metric_guarantee(kappa), trace)
         assert specialized_metric == generic_metric
 
+    @given(histories, st.integers(1, 4), st.booleans(), st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_agreement_on_guarantee_2(self, xs, delay_s, drop, drop_at):
+        # Y copies X's values after a delay, or misses one of them.  The
+        # formula is cut at the horizon: an obligation raised at the very
+        # last instant has no later instant to be met at, while the
+        # specialized checker counts a value Y still holds at the horizon as
+        # reflected.
+        gap = S(10)
+        x_history = [(S(1) + i * gap, v) for i, v in enumerate(xs)]
+        y_history = [(t + S(delay_s), v) for t, v in x_history]
+        if drop:
+            del y_history[drop_at % len(y_history)]
+        horizon = x_history[-1][0] + gap
+        trace = make_timeline_trace(
+            {"X": x_history, "Y": y_history}, horizon=horizon
+        )
+        specialized = leads("X", "Y").check(trace).valid
+        cut = f"(X = x)@t1 & t1 < {horizon // S(1)} => (Y = x)@t2 & t2 > t1"
+        assert specialized == check(cut, trace)
+
     @given(histories, st.integers(1, 3), st.booleans())
     @settings(max_examples=30, deadline=None)
     def test_agreement_on_guarantee_3(self, xs, delay_s, reorder):

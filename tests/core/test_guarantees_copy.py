@@ -9,8 +9,17 @@ follows/leads/strictly-follows, and value corruption must break follows.
 from hypothesis import given, settings, strategies as st
 
 from repro.core.guarantees import follows, leads, strictly_follows
-from repro.core.guarantees.copy import StrictlyFollowsGuarantee
+from repro.core.events import spontaneous_write_desc
+from repro.core.guarantees.base import GuaranteeReport, paired_timelines
+from repro.core.guarantees.copy import (
+    FollowsGuarantee,
+    LeadsGuarantee,
+    StrictlyFollowsGuarantee,
+    check_copy_family,
+)
+from repro.core.items import MISSING, DataItemRef
 from repro.core.timebase import seconds
+from repro.core.trace import ExecutionTrace
 
 from conftest import make_timeline_trace
 
@@ -281,27 +290,30 @@ class TestStrictlyFollows:
         assert report.stats["ordered_pairs_checked"] == 4
 
 
-class _EveryPair(StrictlyFollowsGuarantee):
-    """The checker with its one-scan path switched off: every instance goes
+def every_pair_report(trace):
+    """Strictly-follows with its one-scan path left out: every instance goes
     through the pairwise loop, the specification the scan is held to."""
-
-    @staticmethod
-    def _ordered_pairs(y_segments, first_start, last_end):
-        return None
+    guarantee = StrictlyFollowsGuarantee("X", "Y")
+    report = GuaranteeReport(guarantee.name, valid=True)
+    pairs = 0
+    for x_ref, y_ref, x_timeline, y_timeline in paired_timelines(trace, "X", "Y"):
+        report.checked_instances += 1
+        pairs += guarantee._every_pair(
+            report, x_ref, y_ref, y_timeline.held(), x_timeline.held_with
+        )
+    report.stats["ordered_pairs_checked"] = pairs
+    return report
 
 
 class _Spy(StrictlyFollowsGuarantee):
-    """The checker as shipped, counting the instances its scan decided."""
+    """The checker as shipped, counting the instances its scan left to the
+    pairwise loop."""
 
-    decided = 0
+    fell_back = 0
 
-    @staticmethod
-    def _ordered_pairs(y_segments, first_start, last_end):
-        pairs = StrictlyFollowsGuarantee._ordered_pairs(
-            y_segments, first_start, last_end
-        )
-        _Spy.decided += pairs is not None
-        return pairs
+    def _every_pair(self, *args):
+        _Spy.fell_back += 1
+        return super()._every_pair(*args)
 
 
 # Raw ticks, so consecutive writes leave 1-tick segments.  X holds 0-3; Y is
@@ -324,11 +336,11 @@ class TestStrictlyFollowsScan:
             histories[("X", key)] = xs
             histories[("Y", key)] = [(t + delay, v) for t, v in xs] + strays
         trace = keyed_trace(histories, horizon=40)
-        expected = _EveryPair("X", "Y").check(trace).to_dict()
+        expected = every_pair_report(trace).to_dict()
         assert strictly_follows("X", "Y").check(trace).to_dict() == expected
 
     def test_the_scan_decides_distinct_witnessed_histories(self):
-        _Spy.decided = 0
+        _Spy.fell_back = 0
         trace = keyed_trace(
             {
                 ("X", "k1"): [(1, 1), (2, 2), (3, 3)],
@@ -345,8 +357,8 @@ class TestStrictlyFollowsScan:
             horizon=20,
         )
         report = _Spy("X", "Y").check(trace)
-        assert report.to_dict() == _EveryPair("X", "Y").check(trace).to_dict()
-        assert _Spy.decided == 1  # k1; the others went through the loop
+        assert report.to_dict() == every_pair_report(trace).to_dict()
+        assert _Spy.fell_back == 3  # the scan decided k1, the loop the others
         assert len(report.counterexamples) == 3
         assert "held 1 then 3" in report.counterexamples[-1]
         # k1: 3 pairs of distinct values + the last segment with itself;
@@ -394,3 +406,63 @@ class TestPropagationModel:
             horizon=x_history[-1][0] + gap,
         )
         assert not follows("X", "Y").check(trace).valid
+
+
+# Per key: X's and Y's seeds (None: unseeded) and their writes, in raw ticks
+# up to the horizon; MISSING is a delete, and two writes at one tick are a
+# same-instant overwrite.  Y is mostly X's history delayed, so every checker
+# sees both verdicts; repeated Y values send strictly-follows to its
+# every-pair loop.
+_SEED = st.one_of(st.none(), st.integers(0, 3))
+_VALUE = st.one_of(st.integers(0, 3), st.just(MISSING))
+_HISTORY = st.lists(st.tuples(st.integers(1, 39), _VALUE), max_size=6)
+_KEYED = st.tuples(_SEED, _SEED, _HISTORY, st.integers(0, 4), _HISTORY)
+#: Every copy-family shape: (1), (4), (2) plain, with a horizon slack and
+#: metric, and (3); raw ticks.
+_FAMILY = [
+    FollowsGuarantee("X", "Y"),
+    FollowsGuarantee("X", "Y", within=5),
+    LeadsGuarantee("X", "Y"),
+    LeadsGuarantee("X", "Y", horizon_slack=4),
+    LeadsGuarantee("X", "Y", within=6),
+    StrictlyFollowsGuarantee("X", "Y"),
+]
+
+
+def seeded_keyed_trace(instances, horizon=40):
+    trace = ExecutionTrace()
+    writes = []
+    for key, (x_seed, y_seed, xs, delay, strays) in enumerate(instances):
+        x_ref, y_ref = DataItemRef("X", (key,)), DataItemRef("Y", (key,))
+        for ref, seed in ((x_ref, x_seed), (y_ref, y_seed)):
+            if seed is not None:
+                trace.seed(ref, seed)
+        writes += [(time, x_ref, value) for time, value in xs]
+        writes += [(min(time + delay, horizon), y_ref, value) for time, value in xs]
+        writes += [(time, y_ref, value) for time, value in strays]
+    for time, ref, value in sorted(writes, key=lambda write: write[0]):
+        trace.record(
+            time, "site", spontaneous_write_desc(ref, trace.current_value(ref), value)
+        )
+    trace.close(horizon)
+    return trace
+
+
+class TestGroupedEvaluation:
+    @given(
+        st.lists(_KEYED, min_size=1, max_size=3),
+        st.permutations(range(len(_FAMILY))),
+        st.integers(1, len(_FAMILY)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_each_report_equals_its_guarantee_checked_alone(
+        self, instances, order, issued
+    ):
+        trace = seeded_keyed_trace(instances)
+        guarantees = [_FAMILY[i] for i in order[:issued]]
+        grouped = check_copy_family(trace, guarantees)
+        for guarantee, report in zip(guarantees, grouped):
+            alone = guarantee.check(trace)
+            assert report.to_dict() == alone.to_dict()
+            assert report.violated_during == alone.violated_during
+            assert bool(report.violated_during) == (not report.valid)

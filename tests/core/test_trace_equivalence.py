@@ -10,7 +10,8 @@ provenance — and assert query-by-query agreement.
 
 ``validate_trace_naive`` interprets rule templates through its own
 provenance check (``match_desc`` per event), the indexed validator through
-compiled, LHS-seeded matchers and a per-rule trigger index, so the planted
+positional agreements derived from the templates and a per-rule trigger
+index, so the planted
 provenance faults of :class:`TestPlantedProvenance` are differential too:
 each names the property it must trip, on both validators, with the same
 flagged events.
