@@ -20,7 +20,7 @@ The package provides:
 - :mod:`repro.constraints`, :mod:`repro.protocols` — constraint types and
   the Demarcation Protocol.
 - :mod:`repro.obs` — the instrumentation subsystem: metrics registry,
-  causal firing traces, the flight recorder, and the end-of-run report.
+  the flight recorder, and the end-of-run report.
 - :mod:`repro.workloads`, :mod:`repro.apps`, :mod:`repro.experiments` —
   scenario generators, guarantee-consuming applications, and the
   experiment harness reproducing the paper's claims.

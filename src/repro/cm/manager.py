@@ -72,9 +72,8 @@ class Scenario:
     rngs: RngRegistry = field(init=False)
     network: Network = field(init=False)
     trace: ExecutionTrace = field(init=False)
-    #: The scenario-wide observability bundle (metrics registry, span
-    #: tracer, flight recorder).  Shells, the network, and translators all
-    #: share it.
+    #: The scenario-wide observability bundle (metrics registry, flight
+    #: recorder).  Shells, the network, and translators all share it.
     obs: Instrumentation = field(init=False)
     #: The resolved runtime instance bound to this scenario.
     runtime_impl: Runtime = field(init=False)

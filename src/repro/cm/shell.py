@@ -24,10 +24,11 @@ templates) instead of scanning every installed rule.  The per-shell counters
 ``events_processed`` / ``candidates_considered`` / ``rules_fired`` —
 surfaced by :meth:`CMShell.stats` — make the pruning observable: a linear
 scan would consider ``len(rules)`` candidates per event.  Since PR 2 those
-counters live in the scenario's :mod:`repro.obs` metrics registry, and when
-tracing is enabled every processed event opens a causal span, so a
+counters live in the scenario's :mod:`repro.obs` metrics registry.  A
 cross-site firing chain (``Ws`` → ``N`` → rule fire → network →
-``WR``/``W``) is queryable as one trace tree.
+``WR``/``W``) needs no record of its own: every event the shell causes
+names its trigger in the execution trace, so the chain is a walk back
+through ``trigger``.
 
 A documented extension beyond the paper's examples: a read-request template
 with unbound parameters (e.g. ``RR(salary1(n))`` fired by a poll timer) is
@@ -349,35 +350,18 @@ class CMShell:
         """Dispatch one recorded event: every candidate the index nominates,
         in installation order, through :meth:`_applies` and :meth:`_fire`."""
         self._m_events.value += 1
-        obs = self.obs
-        span = None
-        if obs.enabled:
-            if obs.flight is not None:
-                # The ring-buffer fast path: one tuple append, the detail
-                # (the event descriptor) stringified only if ever dumped.
-                obs.flight.record(self.site, "event", self.sim.now, event.desc)
-            if obs.tracer.enabled:
-                span = obs.tracer.start(
-                    "shell.process",
-                    self.site,
-                    self.sim.now,
-                    kind=event.desc.kind.value,
-                    event=str(event.desc),
-                    seq=event.seq,
-                )
-                obs.tracer.push(span)
-        try:
-            desc = event.desc
-            candidates = self._index.candidates(desc)
-            self._m_candidates.value += len(candidates)
-            for installed in candidates:
-                slots = self._applies(installed, desc)
-                if slots is not None:
-                    self._fire(installed, slots, event)
-        finally:
-            if span is not None:
-                obs.tracer.pop()
-                obs.tracer.finish(span, self.sim.now)
+        desc = event.desc
+        flight = self.obs.flight
+        if flight is not None:
+            # The ring-buffer fast path: one tuple append, the detail (the
+            # event descriptor) stringified only if ever dumped.
+            flight.record(self.site, "event", self.sim.now, desc)
+        candidates = self._index.candidates(desc)
+        self._m_candidates.value += len(candidates)
+        for installed in candidates:
+            slots = self._applies(installed, desc)
+            if slots is not None:
+                self._fire(installed, slots, event)
 
     # -- the dispatch kernel -----------------------------------------------------
     #
@@ -433,26 +417,10 @@ class CMShell:
             self._handle_failure(payload)
             return
         program = payload.program
-        obs = self.obs
-        span = None
-        if obs.enabled:
-            name = program.rule.name
-            if obs.flight is not None:
-                obs.flight.record(self.site, "fire", self.sim.now, name)
-            if obs.tracer.enabled:
-                # Parent is the in-flight net.send activation the network
-                # pushed (a local span, or a SpanContext resumed off a wire
-                # frame).
-                span = obs.tracer.start(
-                    "shell.fire", self.site, self.sim.now, rule=name
-                )
-                obs.tracer.push(span)
-        try:
-            self._execute_rhs(program, list(payload.slots), payload.trigger)
-        finally:
-            if span is not None:
-                obs.tracer.pop()
-                obs.tracer.finish(span, self.sim.now)
+        flight = self.obs.flight
+        if flight is not None:
+            flight.record(self.site, "fire", self.sim.now, program.rule.name)
+        self._execute_rhs(program, list(payload.slots), payload.trigger)
 
     def _execute_rhs(
         self, program: CompiledRule, slots: list, trigger: Event

@@ -280,11 +280,6 @@ class CMTranslator:
             operation, self._rng or self._stream(), slowdown
         )
         self._busy_until = completion
-        obs = self._obs
-        if obs.enabled:
-            # Carry the causal context across the service-time gap so the
-            # completion's span parents onto whatever requested the op.
-            fn = obs.tracer.bind(fn)
         sim.at(completion, fn)
 
     def _report(self, kind: FailureKind, detail: str) -> None:
@@ -382,12 +377,10 @@ class CMTranslator:
         except RISError as error:
             if error.code.transient and attempt < self.max_retries:
                 self._report_error(error, f"write {ref} (will retry)")
-                retry = lambda: self._perform_write(  # noqa: E731
-                    ref, value, wr_event, attempt + 1
+                sim.after(
+                    self.retry_delay * (attempt + 1),
+                    lambda: self._perform_write(ref, value, wr_event, attempt + 1),
                 )
-                if self._obs.enabled:
-                    retry = self._obs.tracer.bind(retry)
-                sim.after(self.retry_delay * (attempt + 1), retry)
                 return
             if error.code.transient:
                 self._report(
@@ -401,19 +394,6 @@ class CMTranslator:
         spec = self._offers[ref.name].write
         self._check_bound(spec, now - wr_event.time)
         self._observe_propagation(ref.name, wr_event, now)
-        obs = self._obs
-        if obs.enabled and obs.tracer.enabled:
-            # Retroactive span: the op's full extent (request to native
-            # completion) is only known now.  Its parent is the context the
-            # request captured, re-activated by the bound callback.
-            span = obs.tracer.start(
-                "translator.write",
-                self.site,
-                wr_event.time,
-                source=self.source.name,
-                ref=str(ref),
-            )
-            obs.tracer.finish(span, now)
         self.trace.record(
             now, self.site, write_desc(ref, value), rule=spec.rule, trigger=wr_event
         )
@@ -462,23 +442,7 @@ class CMTranslator:
             rule=spec.rule,
             trigger=rr_event,
         )
-        obs = self._obs
-        if obs.enabled and obs.tracer.enabled:
-            span = obs.tracer.start(
-                "translator.read",
-                self.site,
-                rr_event.time,
-                source=self.source.name,
-                ref=str(ref),
-            )
-            obs.tracer.finish(span, now)
-            obs.tracer.push(span)
-            try:
-                self.shell.deliver_local_event(r_event)
-            finally:
-                obs.tracer.pop()
-        else:
-            self.shell.deliver_local_event(r_event)
+        self.shell.deliver_local_event(r_event)
 
     def enumerate_refs(self, family: str) -> list[DataItemRef]:
         """All current instances of a family (for enumerating reads)."""
@@ -571,8 +535,6 @@ class CMTranslator:
             if spec is not None:
                 rule = spec.rule
 
-        requested = now
-
         def deliver() -> None:
             n_event = self.trace.record(
                 self.sim.now,
@@ -582,23 +544,7 @@ class CMTranslator:
                 trigger=trigger,
             )
             self.notifications_delivered += 1
-            obs = self._obs
-            if obs.enabled and obs.tracer.enabled:
-                span = obs.tracer.start(
-                    "translator.notify",
-                    self.site,
-                    requested,
-                    source=self.source.name,
-                    ref=str(ref),
-                )
-                obs.tracer.finish(span, self.sim.now)
-                obs.tracer.push(span)
-                try:
-                    self.shell.deliver_local_event(n_event)
-                finally:
-                    obs.tracer.pop()
-            else:
-                self.shell.deliver_local_event(n_event)
+            self.shell.deliver_local_event(n_event)
 
         self._schedule_op("notify", deliver)
 
@@ -615,28 +561,10 @@ class CMTranslator:
             self.sim.now, self.site, spontaneous_write_desc(ref, old, value)
         )
         self._current_spontaneous = ws_event
-        obs = self._obs
-        span = None
-        if obs.enabled and obs.tracer.enabled:
-            # Root of the causal tree: everything the write triggers
-            # (notify hooks, rule firings, cross-site propagation) parents
-            # onto this span, directly or via captured contexts.
-            span = obs.tracer.start(
-                "source.write",
-                self.site,
-                self.sim.now,
-                parent=obs.tracer.current,
-                source=self.source.name,
-                ref=str(ref),
-            )
-            obs.tracer.push(span)
         try:
             self._native_write(ref, value)
         finally:
             self._current_spontaneous = None
-            if span is not None:
-                obs.tracer.pop()
-                obs.tracer.finish(span, self.sim.now)
         return ws_event
 
     def apply_spontaneous_delete(self, ref: DataItemRef) -> Event:

@@ -18,6 +18,7 @@
 from __future__ import annotations
 
 from repro.apps import PlotterApp
+from repro.core.guarantees import FollowsGuarantee, StrictlyFollowsGuarantee
 from repro.core.items import DataItemRef
 from repro.core.timebase import seconds
 from repro.core.trace import validate_trace
@@ -90,16 +91,8 @@ def run_in_order_ablation(
         )
         salary.cm.run(until=seconds(duration + 30))
         reports = salary.cm.check_guarantees()
-        follows_ok = next(
-            r.valid
-            for n, r in reports.items()
-            if n.startswith("follows(") and "κ=" not in n
-        )
-        strict_ok = next(
-            r.valid
-            for n, r in reports.items()
-            if n.startswith("strictly_follows(")
-        )
+        follows_ok = reports[salary.issued(FollowsGuarantee, metric=False).name].valid
+        strict_ok = reports[salary.issued(StrictlyFollowsGuarantee).name].valid
         plotter = PlotterApp(
             salary.cm,
             DataItemRef("salary1", ("robot",)),

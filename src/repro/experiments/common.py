@@ -11,6 +11,7 @@ from repro.cm.translator import ServiceModel
 from repro.constraints import CopyConstraint
 from repro.core.catalog import Suggestion
 from repro.core.errors import ConfigurationError
+from repro.core.guarantees import Guarantee
 from repro.core.interfaces import InterfaceKind
 from repro.core.timebase import seconds
 from repro.ris.relational import RelationalDatabase
@@ -45,6 +46,16 @@ class SalaryScenario:
     constraint: CopyConstraint
     installed: InstalledConstraint
     suggestion: Suggestion
+
+    def issued(self, kind: type, metric: bool | None = None) -> Guarantee:
+        """The first guarantee of type ``kind`` issued for the constraint;
+        only a metric (or only a non-metric) one when ``metric`` says so.
+        ``check_guarantees()`` keys its report by the guarantee's ``name``."""
+        return next(
+            g
+            for g in self.installed.guarantees
+            if isinstance(g, kind) and metric in (None, g.metric)
+        )
 
 
 def build_salary_scenario(

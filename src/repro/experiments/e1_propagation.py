@@ -13,7 +13,12 @@ the measured worst-case propagation lag against the computed κ.
 
 from __future__ import annotations
 
-from repro.core.timebase import seconds
+from repro.core.guarantees import (
+    FollowsGuarantee,
+    LeadsGuarantee,
+    StrictlyFollowsGuarantee,
+)
+from repro.core.timebase import seconds, to_seconds
 from repro.core.trace import validate_trace
 from repro.experiments.common import (
     ExperimentResult,
@@ -70,12 +75,12 @@ def run(
         )
         salary.cm.run(until=seconds(duration_seconds + 60))
         reports = salary.cm.check_guarantees()
-        by_kind = {name: rep for name, rep in reports.items()}
-        follows = _report(by_kind, "follows(", metric=False)
-        leads = _report(by_kind, "leads(")
-        strict = _report(by_kind, "strictly_follows(")
-        metric = _report(by_kind, "follows(", metric=True)
-        kappa = _metric_kappa(by_kind)
+        follows = reports[salary.issued(FollowsGuarantee, metric=False).name]
+        leads = reports[salary.issued(LeadsGuarantee).name]
+        strict = reports[salary.issued(StrictlyFollowsGuarantee).name]
+        metric_guarantee = salary.issued(FollowsGuarantee, metric=True)
+        metric = reports[metric_guarantee.name]
+        kappa = to_seconds(metric_guarantee.within)
         violations = validate_trace(
             salary.scenario.trace, list(salary.installed.strategy.rules)
         )
@@ -102,23 +107,6 @@ def run(
     )
     attach_observability(result, salary.cm)
     return result
-
-
-def _report(reports: dict, prefix: str, metric: bool | None = None):
-    for name, report in reports.items():
-        if not name.startswith(prefix):
-            continue
-        is_metric = "κ=" in name
-        if metric is None or metric == is_metric:
-            return report
-    raise KeyError(f"no report with prefix {prefix!r} (metric={metric})")
-
-
-def _metric_kappa(reports: dict) -> float:
-    for name in reports:
-        if name.startswith("follows(") and "κ=" in name:
-            return float(name.split("κ=")[1].rstrip("s)"))
-    return 0.0
 
 
 def main() -> None:

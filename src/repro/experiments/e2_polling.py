@@ -16,7 +16,7 @@ disappear.
 
 from __future__ import annotations
 
-from repro.core.guarantees import leads
+from repro.core.guarantees import FollowsGuarantee, StrictlyFollowsGuarantee, leads
 from repro.core.timebase import seconds
 from repro.experiments.common import (
     ExperimentResult,
@@ -78,9 +78,9 @@ def run(
         )
         salary.cm.run(until=seconds(duration_seconds + 3 * period + 30))
         reports = salary.cm.check_guarantees()
-        follows_report = _get(reports, "follows(", metric=False)
-        strict_report = _get(reports, "strictly_follows(")
-        metric_report = _get(reports, "follows(", metric=True)
+        follows_report = reports[salary.issued(FollowsGuarantee, metric=False).name]
+        strict_report = reports[salary.issued(StrictlyFollowsGuarantee).name]
+        metric_report = reports[salary.issued(FollowsGuarantee, metric=True).name]
         # Guarantee (2) is not offered by the catalog under polling; check
         # it anyway to demonstrate *why* it is not offered.
         kappa = 3 * period + 30
@@ -131,16 +131,6 @@ def run(
     )
     attach_observability(result, salary.cm)
     return result
-
-
-def _get(reports: dict, prefix: str, metric: bool | None = None):
-    for name, report in reports.items():
-        if not name.startswith(prefix):
-            continue
-        is_metric = "κ=" in name
-        if metric is None or metric == is_metric:
-            return report
-    raise KeyError(f"no report with prefix {prefix!r}")
 
 
 def main() -> None:

@@ -135,12 +135,10 @@ def run(
         )
         cm.run(until=seconds(duration_seconds + 30))
         reports = cm.check_guarantees()
-        value_ok = next(
-            r for n, r in reports.items() if n.startswith("committed <=")
-        )
-        limit_ok = next(
-            r for n, r in reports.items() if n.startswith("Limit_")
-        )
+        # The catalog issues the value invariant X <= Y, then Lx <= Ly.
+        value_invariant, limit_invariant = installed.guarantees
+        value_ok = reports[value_invariant.name]
+        limit_ok = reports[limit_invariant.name]
         stats_x = protocol.x_agent.stats
         stats_y = protocol.y_agent.stats
         attempts = stats_x.updates_attempted + stats_y.updates_attempted

@@ -108,12 +108,9 @@ def _run_case(
             board_nonmetric_ok = board_nonmetric_ok and not ever_invalid
 
     reports = salary.cm.check_guarantees()
-    empirical_metric_ok = all(
-        r.valid for n, r in reports.items() if "κ=" in n
-    )
-    empirical_nonmetric_ok = all(
-        r.valid for n, r in reports.items() if "κ=" not in n
-    )
+    issued = salary.installed.guarantees
+    empirical_metric_ok = all(reports[g.name].valid for g in issued if g.metric)
+    empirical_nonmetric_ok = all(reports[g.name].valid for g in issued if not g.metric)
     outcome = {
         "case": case,
         "detected": len(board.notices) > 0,

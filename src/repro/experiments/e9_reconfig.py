@@ -18,6 +18,7 @@ interface, and that both configurations run correctly end to end.
 
 from __future__ import annotations
 
+from repro.core.guarantees import LeadsGuarantee
 from repro.core.timebase import seconds
 from repro.experiments.common import (
     ExperimentResult,
@@ -92,7 +93,7 @@ def run(
         configs[label] = {
             "rid": _rid_of(salary),
             "strategy": salary.installed.strategy.kind,
-            "guarantee_names": sorted(reports),
+            "guarantees": salary.installed.guarantees,
             "all_valid": all(r.valid for r in reports.values()),
             "translator_class": type(
                 salary.cm.shell("sf").translator_for("salary1")
@@ -114,7 +115,7 @@ def run(
             [
                 label,
                 config["strategy"],
-                len(config["guarantee_names"]),
+                len(config["guarantees"]),
                 config["all_valid"],
                 spec_changes if label == "read-only" else 0,
                 code_changes if label == "read-only" else 0,
@@ -124,20 +125,18 @@ def run(
             result.claim_holds = False
             result.notes.append(f"{label}: an issued guarantee was violated")
 
-    lost = set(configs["notify"]["guarantee_names"]) - set(
-        configs["read-only"]["guarantee_names"]
-    )
-    if not any(name.startswith("leads(") for name in lost):
+    kept = {g.name for g in configs["read-only"]["guarantees"]}
+    lost = [g for g in configs["notify"]["guarantees"] if g.name not in kept]
+    lost_names = sorted(g.name for g in lost)
+    if not any(isinstance(g, LeadsGuarantee) for g in lost):
         result.claim_holds = False
         result.notes.append(
-            f"expected the leads guarantee to be lost; lost: {sorted(lost)}"
+            f"expected the leads guarantee to be lost; lost: {lost_names}"
         )
     if code_changes != 0:
         result.claim_holds = False
         result.notes.append("the standard translator had to be replaced")
-    result.notes.append(
-        f"guarantees lost by weakening the interface: {sorted(lost)}"
-    )
+    result.notes.append(f"guarantees lost by weakening the interface: {lost_names}")
     attach_observability(result, salary.cm)
     return result
 

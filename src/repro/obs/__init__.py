@@ -6,21 +6,25 @@ bundles:
 - a :class:`~repro.obs.metrics.MetricsRegistry` of labeled counters,
   gauges, and virtual-time histograms (the shells' ``stats()`` counters
   are an adapter over it);
-- a :class:`~repro.obs.spans.Tracer` recording causal firing spans, so a
-  cross-site propagation chain is one queryable tree with per-hop
-  virtual-time latencies;
 - an optional :class:`~repro.obs.flight.FlightRecorder` of bounded
   per-site digest rings, dumped on every incident;
 
 and :class:`~repro.obs.report.RunReport` is the structured document
 assembled from them at end of run.
 
+A propagation's causal chain is not recorded here: every event in the
+:class:`~repro.core.trace.ExecutionTrace` names its trigger (Appendix A's
+``(time, desc, old, new, rule, trigger)``), so the chain from a ``W``
+back to the spontaneous write that started it is a walk through
+``trigger``, and the run report's ``propagation`` histograms are filled
+from that walk.
+
 Overhead discipline: metrics are always-on plain attribute increments
-(they back ``stats()``); span recording and flight digests happen only
-while :attr:`Instrumentation.enabled` is true, which every hook checks
-with a single attribute load.  ``tests/integration/test_call_budget.py``
-holds the disabled path to zero Python-level calls into this package per
-dispatched event, and the flight recorder to exactly one.
+(they back ``stats()``); flight digests are recorded only while
+:attr:`Instrumentation.flight` is set, which every hook reads once.
+``tests/integration/test_call_budget.py`` holds the unobserved path to
+zero Python-level calls into this package per dispatched event, and the
+flight recorder to exactly one.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BOUNDS,
 )
 from repro.obs.report import RunReport, build_run_report
-from repro.obs.spans import Span, SpanContext, SpanTree, Tracer
 
 __all__ = [
     "Counter",
@@ -46,40 +49,24 @@ __all__ = [
     "Instrumentation",
     "RunReport",
     "build_run_report",
-    "Span",
-    "SpanContext",
-    "SpanTree",
-    "Tracer",
 ]
 
 
 class Instrumentation:
-    """Metrics + tracer + flight recorder for one scenario.
+    """Metrics + flight recorder for one scenario.
 
-    ``enabled`` is the one flag hot paths check: false until tracing or
-    the flight recorder is enabled, so an unobserved run skips every span
-    and digest with a single attribute load and branch.
+    ``flight`` is the one attribute hot paths read: ``None`` until
+    :meth:`enable_flight`, so an unobserved run skips every digest with a
+    single attribute load and branch.
     """
 
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer()
-        self.enabled = False
-        #: The bounded digest rings, present only after
-        #: :meth:`enable_flight`.  Flight-only mode sets :attr:`enabled`
-        #: without enabling the tracer, so hooks record digests but skip
-        #: span construction entirely (the ring-buffer fast path).
+        #: The bounded digest rings, present only after :meth:`enable_flight`.
         self.flight: FlightRecorder | None = None
-
-    def enable_tracing(self) -> "Instrumentation":
-        """Record spans."""
-        self.tracer.enable()
-        self.enabled = True
-        return self
 
     def enable_flight(self, capacity: int = DEFAULT_CAPACITY) -> FlightRecorder:
         """Attach the flight recorder (idempotent; keeps an existing one)."""
         if self.flight is None:
             self.flight = FlightRecorder(capacity)
-        self.enabled = True
         return self.flight

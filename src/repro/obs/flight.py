@@ -1,19 +1,19 @@
 """Flight recorder: bounded per-site ring buffers of telemetry digests.
 
-Full tracing keeps every span of a run alive — exactly right for
-experiments, exactly wrong for a long-running deployment.  The flight
-recorder is the always-affordable middle ground the ROADMAP's
-ring-buffer item asks for: each site appends compact digests (event
-processed, rule fired, frame sent/received, failure notice) into a
-bounded ``deque``, so memory is O(sites × capacity) no matter how long
-the run, and the hot path is one tuple append.
+The execution trace keeps every event of a run and its trigger — exactly
+right for experiments, exactly wrong as the incident record of a
+long-running deployment.  The flight recorder is the always-affordable
+bounded record: each site appends compact digests (event processed, rule
+fired, frame sent/received, failure notice) into a bounded ``deque``, so
+memory is O(sites × capacity) no matter how long the run, and the hot
+path is one tuple append.
 
 The payoff comes at failure time.  :meth:`FlightRecorder.dump` freezes
 the current ring contents into a *dump* — the last-N-things-that-happened
 digest a post-mortem wants — and the shells and run-report builder call
 it on every :class:`~repro.cm.failures.FailureNotice` intake and on every
 guarantee found violated, so the run report carries the evidence trail
-for each incident without anyone having enabled full tracing up front.
+for each incident, whatever the trace has kept.
 
 Digests store their ``detail`` payload by reference and stringify it
 only when a dump or rendering actually happens; recording never formats.

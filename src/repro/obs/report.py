@@ -4,8 +4,8 @@ A :class:`RunReport` is the one document that makes two runs comparable:
 per-constraint firing counts, propagation-latency histograms, network
 channel statistics and queue depths, translator RISI op counts, failure
 classifications, and per-guarantee staleness.  It is assembled from the
-scenario's metrics registry, guarantee-status board, and (when tracing was
-on) span store — :meth:`repro.cm.manager.ConstraintManager.run_report`
+scenario's metrics registry, guarantee-status board, and (when attached)
+flight recorder — :meth:`repro.cm.manager.ConstraintManager.run_report`
 builds one, and ``experiments/runner.py --json`` persists them.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 from repro.core.items import DataItemRef
 from repro.core.timebase import Ticks, to_seconds
@@ -34,7 +34,6 @@ class RunReport:
     failures: dict = field(default_factory=dict)
     guarantees: list[dict] = field(default_factory=list)
     scheduler: dict = field(default_factory=dict)
-    traces: dict = field(default_factory=dict)
     trace_index: dict = field(default_factory=dict)
     #: Static CM-Lint findings over the configuration (list of
     #: ``Diagnostic.to_dict()`` entries), so a persisted run report records
@@ -56,7 +55,6 @@ class RunReport:
             "failures": self.failures,
             "guarantees": self.guarantees,
             "scheduler": self.scheduler,
-            "traces": self.traces,
             "trace_index": self.trace_index,
             "lint": self.lint,
             "flight": self.flight,
@@ -309,21 +307,6 @@ def build_run_report(cm: Any) -> RunReport:
         "callbacks_run": sim.events_processed,
         "max_queue_depth": sim.max_queue_depth,
     }
-
-    # -- traces (only when tracing was on) ------------------------------------
-    tracer = scenario.obs.tracer
-    if tracer.spans:
-        trees = list(tracer.trees())
-        deepest: Optional[Ticks] = max(
-            (tree.end_to_end() for tree in trees), default=None
-        )
-        report.traces = {
-            "spans": len(tracer.spans),
-            "trees": len(trees),
-            "max_end_to_end_s": (
-                to_seconds(deepest) if deepest is not None else 0.0
-            ),
-        }
 
     # -- flight recorder (only when the recorder was attached) -----------------
     if flight is not None:

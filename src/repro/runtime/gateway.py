@@ -6,10 +6,7 @@ channel connections between them on demand.  Each directed channel
 opens it, then ``cm.deliver`` notifications carry the FIFO traffic
 (:mod:`repro.runtime.channels`).  Both ends are
 :class:`~repro.runtime.transport.FrameProtocol` callbacks; no coroutine
-owns a connection.  When tracing is on, each frame also carries the
-sender's :class:`~repro.obs.spans.SpanContext`, and the receiving end
-resumes it around the handler, so causal chains reconnect into one
-:class:`~repro.obs.spans.SpanTree` by id, with no shared state.
+owns a connection.
 
 :class:`WireNetwork` *is* the sim kernel's
 :class:`~repro.sim.network.Network` — one delivery policy — with a socket
@@ -28,7 +25,6 @@ from typing import Any, Callable, Optional
 
 from repro.obs import Instrumentation
 from repro.obs.metrics import WIRE_MS_BOUNDS
-from repro.obs.spans import SpanContext
 from repro.runtime.channels import (
     DELIVER_METHOD,
     HELLO_METHOD,
@@ -149,8 +145,8 @@ class WireNetwork(Network):
 
     Every delivery decision is the kernel's: :meth:`Network.send` samples
     the latency, applies the failure plan, clamps for FIFO, moves the
-    instruments, records the flight digest and ``net.send`` span, and
-    schedules the delivery timer on the :class:`WallClock`.  The wire adds:
+    instruments, records the flight digest, and schedules the delivery
+    timer on the :class:`WallClock`.  The wire adds:
 
     - at ``send``, the payload's encoding and the channel sequence number
       (asyncio's timer heap does not keep FIFO order among the equal
@@ -217,11 +213,6 @@ class WireNetwork(Network):
                 "deliver_at": message.deliver_at,
                 "payload": encoded,
             }
-            if message.span is not None:
-                # The hop's causal context rides *in the frame*: the
-                # receiving endpoint reconnects onto these ids, never onto
-                # shared objects, so it works across process boundaries.
-                params["trace"] = message.span.context.to_wire()
             self._unsent[id(message)] = params
             self._wall_sent[src, dst, seq] = _time.monotonic()
         return message
@@ -323,10 +314,7 @@ class WireNetwork(Network):
             # successors on the channel still flow.
             self.messages_dropped += 1
             return
-        trace = SpanContext.from_wire(params.get("trace"))
-        message = Message(
-            src, dst, payload, params["sent_at"], params["deliver_at"], trace
-        )
+        message = Message(src, dst, payload, params["sent_at"], params["deliver_at"])
         channel = self._channels.get((src, dst)) or self._channel(src, dst)
         delivered = channel.delivered.value
         arrived = _time.monotonic()

@@ -21,7 +21,6 @@ from typing import Any, Callable, Optional
 from repro.core.timebase import Ticks, seconds
 from repro.obs import Instrumentation
 from repro.obs.metrics import Counter, Gauge, Histogram
-from repro.obs.spans import Span
 from repro.sim.failures import FailurePlan
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Simulator
@@ -75,20 +74,13 @@ class UniformLatency(LatencyModel):
 
 @dataclass
 class Message:
-    """A message in flight between two sites.
-
-    ``span`` carries the causal context across the hop: the network opens a
-    ``net.send`` span as a child of whatever was active at send time, and
-    the receiving shell parents its processing span on it — which is how a
-    cross-site propagation chain stays one connected trace tree.
-    """
+    """A message in flight between two sites."""
 
     src: str
     dst: str
     payload: Any
     sent_at: Ticks
     deliver_at: Ticks
-    span: Optional[Span] = None
 
 
 @dataclass
@@ -214,26 +206,9 @@ class Network:
         message = Message(
             src=src, dst=dst, payload=payload, sent_at=now, deliver_at=deliver_at
         )
-        if self.obs.enabled:
-            if self.obs.flight is not None:
-                self.obs.flight.record(
-                    src, "net.send", now, f"->{dst} {type(payload).__name__}"
-                )
-            if self.obs.tracer.enabled:
-                # The hop is fully determined at send time, so the span
-                # opens and closes here; the receiver parents onto it via
-                # the message.
-                tracer = self.obs.tracer
-                span = tracer.start(
-                    "net.send",
-                    src,
-                    now,
-                    src=src,
-                    dst=dst,
-                    payload=type(payload).__name__,
-                )
-                tracer.finish(span, deliver_at)
-                message.span = span
+        flight = self.obs.flight
+        if flight is not None:
+            flight.record(src, "net.send", now, f"->{dst} {type(payload).__name__}")
         self.sim.at(deliver_at, lambda: self._deliver(message, channel))
         return message
 
@@ -248,19 +223,12 @@ class Network:
         # latency histogram records only hops that actually completed.
         channel.delivered.value += 1
         channel.latency.observe(message.deliver_at - message.sent_at)
-        if self.obs.enabled and self.obs.flight is not None:
-            self.obs.flight.record(
+        flight = self.obs.flight
+        if flight is not None:
+            flight.record(
                 message.dst,
                 "net.recv",
                 self.sim.now,
                 f"<-{message.src} {type(message.payload).__name__}",
             )
-        if message.span is not None:
-            tracer = self.obs.tracer
-            tracer.push(message.span)
-            try:
-                self._sites[message.dst].handler(message)
-            finally:
-                tracer.pop()
-        else:
-            self._sites[message.dst].handler(message)
+        self._sites[message.dst].handler(message)

@@ -453,10 +453,10 @@ class TestScalingBudgets:
         assert per_event <= 105, per_event
 
     def test_observability_off_costs_no_calls(self):
-        # With tracing and the flight recorder off, the shell's counters
-        # are attribute increments: not one call lands in ``repro/obs/``.
+        # With the flight recorder off, the shell's counters are attribute
+        # increments: not one call lands in ``repro/obs/``.
         shell, events = dispatch_mix(1000)
-        assert not shell.obs.enabled
+        assert shell.obs.flight is None
         by_file = python_calls_by_file(partial(deliver_all, shell, events))
         assert shell.stats()["events_processed"] == len(events)
         obs = {name: n for name, n in by_file.items() if layer_of(name) == "obs"}

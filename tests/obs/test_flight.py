@@ -103,24 +103,12 @@ class TestDump:
 class TestInstrumentationWiring:
     def test_disabled_by_default(self):
         obs = Instrumentation()
-        assert not obs.enabled
-        assert not obs.tracer.enabled
         assert obs.flight is None
-
-    def test_enable_tracing_without_flight(self):
-        obs = Instrumentation()
-        obs.enable_tracing()
-        assert obs.enabled
-        assert obs.flight is None
-        span = obs.tracer.start("op", "sf", 0)
-        obs.tracer.finish(span, seconds(1))
-        assert len(obs.tracer.spans) == 1
 
     def test_enable_flight_turns_on_obs_without_tracing(self):
         obs = Instrumentation()
         flight = obs.enable_flight()
-        assert obs.enabled
-        assert not obs.tracer.enabled  # flight-only: no span retention
+        assert obs.flight is flight
         assert flight.capacity == DEFAULT_CAPACITY
         assert obs.enable_flight() is flight  # idempotent
 
@@ -130,7 +118,6 @@ class TestInstrumentationWiring:
         flight = cm.scenario.obs.enable_flight()
         cm.spontaneous_write("salary1", ("emp1",), 64_000.0)
         cm.run(seconds(30))
-        assert cm.scenario.obs.tracer.spans == []
         kinds = {row["kind"] for row in flight.digest()}
         assert {"event", "net.send", "net.recv", "fire"} <= kinds
         assert set(flight.sites) == {"sf", "ny"}

@@ -1,95 +1,71 @@
-"""Acceptance: one cross-site propagation is one connected span tree.
+"""Acceptance: one cross-site propagation is one trigger chain in the trace.
 
-Enabling tracing on the salary scenario and running a single spontaneous
-write must produce a single causal tree spanning shell -> network -> shell
--> translator across both sites, whose end-to-end latency equals the
-trace-derived ``W - Ws`` gap, lands in the ``propagation_latency``
-histogram, and respects the installed metric guarantee's kappa bound.
+Running a single spontaneous write on the salary scenario must leave one
+remote ``W`` whose trigger chain leads back, through the trace alone, to
+the ``Ws`` on the other site: ``Ws@sf -> N@sf -> WR@ny -> W@ny``.  Its
+root-to-``W`` lag equals the trace's ``W - Ws`` gap, is what the
+``propagation_latency`` histogram observed and the run report's
+``propagation`` section reports, and respects the installed metric
+guarantee's kappa bound.
 """
+
+from trigger_chains import chains, lag, rooted, shape
 
 from repro.core.events import EventKind
 from repro.core.timebase import seconds, to_seconds
 from repro.experiments.common import build_salary_scenario
 
 
-def run_traced_propagation():
+def run_propagation():
     salary = build_salary_scenario("propagation")
     cm = salary.cm
-    cm.scenario.obs.enable_tracing()
     cm.spontaneous_write("salary1", ("emp1",), 64_000.0)
     cm.run(seconds(30))
     return salary, cm
 
 
 class TestPropagationTrace:
-    def test_single_connected_tree_spans_both_sites(self):
-        __, cm = run_traced_propagation()
-        trees = list(cm.scenario.obs.tracer.trees())
-        assert len(trees) == 1
-        tree = trees[0]
-        assert tree.connected
-        assert tree.root.name == "source.write"
-        assert tree.sites == ["sf", "ny"]
-        names = {span.name for span in tree}
-        assert {
-            "source.write",
-            "translator.notify",
-            "shell.process",
-            "net.send",
-            "shell.fire",
-            "translator.write",
-        } <= names
+    def test_single_chain_crosses_both_sites(self):
+        __, cm = run_propagation()
+        (chain,) = chains(cm.scenario.trace)
+        assert rooted(chain)
+        assert [event.site for event in chain] == ["sf", "sf", "ny", "ny"]
 
     def test_causal_chain_orders_shell_network_translator(self):
-        __, cm = run_traced_propagation()
-        (tree,) = cm.scenario.obs.tracer.trees()
-        (send,) = tree.find("net.send")
-        (fire,) = tree.find("shell.fire")
-        (write,) = tree.find("translator.write")
-        # The network hop parents the remote firing, which parents the
-        # remote translator write — the cross-site edges of the chain.
-        assert fire.parent_id == send.span_id
-        assert write in tree.children(fire) or write.root_id == tree.root.span_id
-        assert send.site == "sf" and fire.site == "ny" and write.site == "ny"
-        assert tree.root.start <= send.start <= fire.start <= write.end
+        __, cm = run_propagation()
+        (chain,) = chains(cm.scenario.trace)
+        # The notification fires the rule at sf; the network carries the
+        # firing to ny, whose shell requests the write its translator
+        # performs — the cross-site edge is N@sf -> WR@ny.
+        assert shape(chain) == ["Ws@sf", "N@sf", "WR@ny", "W@ny"]
+        times = [event.time for event in chain]
+        assert times == sorted(times)
+        assert chain[0].rule is None
+        assert all(event.rule is not None for event in chain[1:])
 
     def test_end_to_end_matches_trace_and_metric_guarantee(self):
-        salary, cm = run_traced_propagation()
-        (tree,) = cm.scenario.obs.tracer.trees()
+        salary, cm = run_propagation()
+        (chain,) = chains(cm.scenario.trace)
 
         trace = cm.scenario.trace
         (ws,) = trace.events_of_kind(EventKind.SPONTANEOUS_WRITE)
         (w,) = trace.events_of_kind(EventKind.WRITE)
-        assert tree.end_to_end() == w.time - ws.time > 0
+        assert lag(chain) == w.time - ws.time > 0
 
         # The same latency is what the translator histogram observed ...
-        hist = cm.scenario.obs.metrics.get(
-            "propagation_latency", family="salary2"
-        )
+        hist = cm.scenario.obs.metrics.get("propagation_latency", family="salary2")
         assert hist is not None
         assert hist.count == 1
-        assert hist.max == tree.end_to_end()
+        assert hist.max == lag(chain)
 
         # ... and it must respect the metric guarantee's kappa bound.
         metric = [g for g in salary.installed.guarantees if g.metric]
         assert metric, "scenario should issue a metric follows-guarantee"
-        kappa = metric[0].within
-        assert tree.end_to_end() <= kappa
-        assert "κ=" in metric[0].name
+        assert lag(chain) <= metric[0].within
 
-    def test_report_traces_section_reflects_the_tree(self):
-        __, cm = run_traced_propagation()
-        (tree,) = cm.scenario.obs.tracer.trees()
+    def test_report_propagation_max_is_the_largest_chain_lag(self):
+        __, cm = run_propagation()
+        (chain,) = chains(cm.scenario.trace)
         report = cm.run_report()
-        assert report.traces["trees"] == 1
-        assert report.traces["spans"] == len(tree)
-        assert report.traces["max_end_to_end_s"] == to_seconds(
-            tree.end_to_end()
-        )
-
-    def test_tracing_off_means_no_spans(self):
-        salary = build_salary_scenario("propagation")
-        cm = salary.cm
-        cm.spontaneous_write("salary1", ("emp1",), 64_000.0)
-        cm.run(seconds(30))
-        assert cm.scenario.obs.tracer.spans == []
+        (entry,) = [p for p in report.propagation if p["family"] == "salary2"]
+        assert entry["max_s"] == to_seconds(lag(chain))

@@ -22,7 +22,6 @@ TOP_LEVEL_KEYS = [
     "failures",
     "guarantees",
     "scheduler",
-    "traces",
     "trace_index",
     "lint",
     "flight",
@@ -56,7 +55,6 @@ TRANSLATOR_KEYS = {
     "ris_ops",
 }
 SCHEDULER_KEYS = {"callbacks_run", "max_queue_depth"}
-TRACES_KEYS = {"trees", "spans", "max_end_to_end_s"}
 FLIGHT_KEYS = {"capacity", "records_taken", "ring_sizes", "dumps"}
 FLIGHT_DUMP_KEYS = {"reason", "time", "time_s", "records"}
 FLIGHT_RECORD_KEYS = {"time", "time_s", "site", "kind", "detail"}
@@ -65,7 +63,6 @@ FLIGHT_RECORD_KEYS = {"time", "time_s", "site", "kind", "detail"}
 def build_report():
     salary = build_salary_scenario("propagation")
     cm = salary.cm
-    cm.scenario.obs.enable_tracing()
     flight = cm.scenario.obs.enable_flight()
     cm.spontaneous_write("salary1", ("e1",), 50_000.0)
     cm.run(seconds(30))
@@ -96,7 +93,6 @@ class TestRunReportSchema:
         for entry in data["translators"]:
             assert set(entry) == TRANSLATOR_KEYS
         assert set(data["scheduler"]) == SCHEDULER_KEYS
-        assert set(data["traces"]) == TRACES_KEYS
 
     def test_flight_section_schema(self):
         data = build_report().to_dict()

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from trigger_chains import chains, lag, rooted
+
 from repro.core.timebase import seconds
 from repro.core.trace import validate_trace
 from repro.experiments.common import build_salary_scenario
@@ -40,23 +42,23 @@ class RuntimeObservation:
     messages_sent: int = 0
     events_recorded: int = 0
     rules_fired: int = 0
-    #: Span-tree observations (tracing is always on in the harness):
-    #: how many causal trees crossed sites, whether every one of them is
-    #: connected, and whether each cross-site tree's ``end_to_end()``
-    #: respects the installed metric guarantee's kappa.
-    span_trees: int = 0
-    cross_site_trees: int = 0
-    disconnected_trees: int = 0
-    trees_over_kappa: int = 0
+    #: Trigger-chain observations, one chain per ``W`` in the trace:
+    #: how many crossed sites, how many do not resolve back to a ``Ws`` or
+    #: ``P`` root, and how many cross-site chains took longer than the
+    #: installed metric guarantee's kappa.
+    chains: int = 0
+    cross_site_chains: int = 0
+    unrooted_chains: int = 0
+    chains_over_kappa: int = 0
 
     @property
     def trace_valid(self) -> bool:
         return not self.trace_violations
 
     @property
-    def spans_valid(self) -> bool:
-        """Every tree connected; every cross-site chain within kappa."""
-        return not self.disconnected_trees and not self.trees_over_kappa
+    def chains_valid(self) -> bool:
+        """Every chain rooted; every cross-site chain within kappa."""
+        return not self.unrooted_chains and not self.chains_over_kappa
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -68,11 +70,11 @@ class RuntimeObservation:
             "messages_sent": self.messages_sent,
             "events_recorded": self.events_recorded,
             "rules_fired": self.rules_fired,
-            "span_trees": self.span_trees,
-            "cross_site_trees": self.cross_site_trees,
-            "disconnected_trees": self.disconnected_trees,
-            "trees_over_kappa": self.trees_over_kappa,
-            "spans_valid": self.spans_valid,
+            "chains": self.chains,
+            "cross_site_chains": self.cross_site_chains,
+            "unrooted_chains": self.unrooted_chains,
+            "chains_over_kappa": self.chains_over_kappa,
+            "chains_valid": self.chains_valid,
         }
 
 
@@ -90,25 +92,25 @@ class EquivalenceReport:
         return self.sim.verdicts == self.wire.verdicts
 
     @property
-    def spans_match(self) -> bool:
-        """Both runtimes' causal trees connected and kappa-respecting.
+    def chains_match(self) -> bool:
+        """Both runtimes' trigger chains rooted and kappa-respecting.
 
-        This is the span-level equivalence the wire runtime owes: its
-        reconnected (trace-context-carried) SpanTrees must reach the same
-        ``end_to_end()``-vs-kappa verdicts the sim's in-process trees do —
-        not the same tick values, which a wall clock cannot promise.
+        This is the causal equivalence the wire runtime owes: its chains,
+        whose cross-site step is a trigger carried by value in a frame,
+        must reach the same lag-vs-kappa verdicts the sim's do — not the
+        same tick values, which a wall clock cannot promise.
         """
-        return self.sim.spans_valid and self.wire.spans_valid
+        return self.sim.chains_valid and self.wire.chains_valid
 
     @property
     def ok(self) -> bool:
         """Both executions valid, every guarantee verdict identical, and
-        span trees equivalent (connected, within kappa) on both sides."""
+        trigger chains equivalent (rooted, within kappa) on both sides."""
         return (
             self.sim.trace_valid
             and self.wire.trace_valid
             and self.verdicts_match
-            and self.spans_match
+            and self.chains_match
         )
 
     def render(self) -> str:
@@ -121,10 +123,10 @@ class EquivalenceReport:
                 f"  [{obs.runtime}] trace_valid={obs.trace_valid} "
                 f"updates={obs.updates} messages={obs.messages_sent} "
                 f"rules_fired={obs.rules_fired} "
-                f"spans={obs.span_trees} trees "
-                f"({obs.cross_site_trees} cross-site, "
-                f"{obs.disconnected_trees} disconnected, "
-                f"{obs.trees_over_kappa} over kappa)"
+                f"chains={obs.chains} "
+                f"({obs.cross_site_chains} cross-site, "
+                f"{obs.unrooted_chains} unrooted, "
+                f"{obs.chains_over_kappa} over kappa)"
             )
             for violation in obs.trace_violations[:3]:
                 lines.append(f"    violation: {violation}")
@@ -162,7 +164,6 @@ def _observe(
         seed=seed,
         runtime=runtime,
     )
-    salary.scenario.obs.enable_tracing()
     workload = PersonnelWorkload(
         salary.cm,
         employee_count=employee_count,
@@ -178,15 +179,8 @@ def _observe(
         kappa = next(
             (g.within for g in salary.installed.guarantees if g.metric), None
         )
-        span_trees = cross_site = disconnected = over_kappa = 0
-        for tree in salary.scenario.obs.tracer.trees():
-            span_trees += 1
-            if not tree.connected:
-                disconnected += 1
-            if len(tree.sites) > 1:
-                cross_site += 1
-                if kappa is not None and tree.end_to_end() > kappa:
-                    over_kappa += 1
+        found = chains(salary.scenario.trace)
+        cross_site = [c for c in found if c[0].site != c[-1].site]
         return RuntimeObservation(
             runtime=label,
             verdicts={name: report.valid for name, report in reports.items()},
@@ -195,10 +189,12 @@ def _observe(
             messages_sent=salary.scenario.network.messages_sent,
             events_recorded=len(salary.scenario.trace.events),
             rules_fired=salary.cm.stats()["total"]["rules_fired"],
-            span_trees=span_trees,
-            cross_site_trees=cross_site,
-            disconnected_trees=disconnected,
-            trees_over_kappa=over_kappa,
+            chains=len(found),
+            cross_site_chains=len(cross_site),
+            unrooted_chains=sum(not rooted(c) for c in found),
+            chains_over_kappa=sum(
+                kappa is not None and lag(c) > kappa for c in cross_site
+            ),
         )
     finally:
         # The wire runtime's sockets must be released even when a

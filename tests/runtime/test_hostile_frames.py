@@ -187,6 +187,26 @@ def test_bad_envelope_is_dropped_before_the_resequencer(key, value):
     assert network.messages_delivered == 1
 
 
+@pytest.mark.parametrize(
+    "trace",
+    [
+        {"trace_id": 7, "span_id": 12},
+        {"trace_id": "7", "span_id": None},
+        [7, 12],
+        "7:12",
+    ],
+    ids=["well-formed-dict", "malformed-dict", "list", "string"],
+)
+def test_trace_field_is_delivered_like_a_frame_without_it(trace):
+    # Frames carry no causal context — a firing carries its trigger in its
+    # payload — so an extra ``trace`` field is ignored, whatever it holds.
+    plain, plain_received = serve([deliver(0), deliver(1)], expected=2)
+    network, received = serve([dict(deliver(0), trace=trace), deliver(1)], expected=2)
+    assert received == plain_received == ["m0", "m1"]
+    assert network.messages_dropped == plain.messages_dropped == 0
+    assert network.messages_delivered == plain.messages_delivered == 2
+
+
 def test_oversized_declared_length_closes_only_its_own_connection():
     network = WireNetwork(WallClock())
     received = []

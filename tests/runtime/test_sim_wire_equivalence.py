@@ -24,23 +24,24 @@ def test_propagation_scenario_equivalent(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_span_trees_equivalent_across_runtimes(seed):
-    """The wire runtime's *reconnected* span trees (trace contexts carried
-    in ``cm.deliver`` frames) must reach the same ``end_to_end()``-vs-kappa
-    verdicts as the sim kernel's in-process trees — every tree connected,
-    every cross-site chain within the metric guarantee's bound."""
+def test_trigger_chains_equivalent_across_runtimes(seed):
+    """The wire runtime's trigger chains (the cross-site step a trigger
+    carried by value in a ``cm.deliver`` frame) must reach the same
+    lag-vs-kappa verdicts as the sim kernel's — every ``W`` resolving back
+    to a ``Ws`` or ``P`` root, every cross-site chain within the metric
+    guarantee's bound."""
     report = run_equivalence(seed=seed, strategy_kind="propagation")
-    assert report.spans_match, report.render()
+    assert report.chains_match, report.render()
     for obs in (report.sim, report.wire):
-        assert obs.span_trees > 0
-        assert obs.cross_site_trees > 0, obs.runtime
-        assert obs.disconnected_trees == 0, obs.runtime
-        assert obs.trees_over_kappa == 0, obs.runtime
-        assert obs.spans_valid
+        assert obs.chains > 0
+        assert obs.cross_site_chains > 0, obs.runtime
+        assert obs.unrooted_chains == 0, obs.runtime
+        assert obs.chains_over_kappa == 0, obs.runtime
+        assert obs.chains_valid
     # Same workload on both sides: same number of causal chains, and the
     # same number of them crossed sites.
-    assert report.sim.span_trees == report.wire.span_trees
-    assert report.sim.cross_site_trees == report.wire.cross_site_trees
+    assert report.sim.chains == report.wire.chains
+    assert report.sim.cross_site_chains == report.wire.cross_site_chains
 
 
 def test_polling_scenario_equivalent():
@@ -55,6 +56,6 @@ def test_report_serializes_for_artifacts():
     assert data["ok"] is True
     assert set(data["sim"]["verdicts"]) == set(data["wire"]["verdicts"])
     for side in ("sim", "wire"):
-        assert data[side]["spans_valid"] is True
-        assert data[side]["disconnected_trees"] == 0
-        assert data[side]["span_trees"] >= data[side]["cross_site_trees"]
+        assert data[side]["chains_valid"] is True
+        assert data[side]["unrooted_chains"] == 0
+        assert data[side]["chains"] >= data[side]["cross_site_chains"]

@@ -1,32 +1,34 @@
-"""Acceptance: distributed tracing and the flight recorder over the wire.
+"""Acceptance: causal chains and the flight recorder over the wire.
 
-The issue's bar: a wire-runtime (``runtime="async"``) failure-injection
-run must produce a *connected* cross-shell SpanTree — reconnected from
-the trace contexts carried in ``cm.deliver`` frames, not from shared
-Python objects — whose ``end_to_end()`` is validated against the metric
-guarantee's kappa; and a guarantee violation must dump a flight-recorder
-digest into the run report.
+A wire-runtime (``runtime="async"``) run with duplicating, reordering
+sockets must leave, for every remote ``W``, a trigger chain that resolves
+through the trace back to the ``Ws`` on the other site — the firing that
+crossed the socket carried its trigger by value, and the trace recorded
+it by ``(site, seq)`` — whose lag respects the metric guarantee's kappa;
+and a guarantee violation must dump a flight-recorder digest into the run
+report.
 """
 
+from trigger_chains import chains, lag, shape
+
 from repro.cm.failures import FailureNotice
-from repro.core.timebase import seconds
+from repro.core.timebase import seconds, to_seconds
 from repro.experiments.common import build_salary_scenario
 from repro.runtime import AsyncRuntime, ChannelFaults, WireFaultPlan
 from repro.sim.failures import FailureKind
 
 #: Socket-level fault injection: every frame duplicated and held for
-#: reordering — noise the channel layer must absorb without breaking
-#: span reconnection.
+#: reordering — noise the channel layer must absorb without breaking a
+#: causal chain.
 HOSTILE = WireFaultPlan(default=ChannelFaults(dup=1.0, reorder=1.0))
 
 
-def run_traced_wire(faults=HOSTILE, fail_site=None):
+def run_wire(faults=HOSTILE, fail_site=None):
     salary = build_salary_scenario(
         "propagation",
         runtime=lambda: AsyncRuntime(time_scale=20.0, faults=faults),
     )
     cm = salary.cm
-    cm.scenario.obs.enable_tracing()
     flight = cm.scenario.obs.enable_flight()
     cm.spontaneous_write("salary1", ("emp1",), 64_000.0)
     cm.scenario.sim.at(
@@ -48,31 +50,25 @@ def run_traced_wire(faults=HOSTILE, fail_site=None):
     return salary, cm, flight
 
 
-class TestWireSpanReconnection:
-    def test_cross_shell_trees_reconnect_and_respect_kappa(self):
-        salary, cm, __ = run_traced_wire()
+class TestWireTriggerChains:
+    def test_cross_shell_chains_resolve_and_respect_kappa(self):
+        salary, cm, __ = run_wire()
         metric = [g for g in salary.installed.guarantees if g.metric]
         assert metric, "scenario should issue a metric follows-guarantee"
         kappa = metric[0].within
 
-        trees = list(cm.scenario.obs.tracer.trees())
-        cross_site = [t for t in trees if len(t.sites) > 1]
-        assert len(cross_site) == 2  # one chain per spontaneous write
-        for tree in cross_site:
-            # Connected despite the socket hop: the remote spans joined
-            # the tree by the ids shipped in the frame's trace field.
-            assert tree.connected, tree.render()
-            assert tree.sites == ["sf", "ny"]
-            (send,) = tree.find("net.send")
-            (fire,) = tree.find("shell.fire")
-            assert fire.parent_id == send.span_id
-            assert send.site == "sf" and fire.site == "ny"
-            # The reconnected chain's end-to-end extent is what the
-            # metric guarantee bounds.
-            assert 0 < tree.end_to_end() <= kappa, tree.render()
+        found = chains(cm.scenario.trace)
+        assert len(found) == 2  # one chain per spontaneous write
+        for chain in found:
+            # Resolved despite the socket hop: the firing's trigger came
+            # by value in the frame and names an event sf recorded.
+            assert shape(chain) == ["Ws@sf", "N@sf", "WR@ny", "W@ny"]
+            assert 0 < lag(chain) <= kappa
+        (entry,) = cm.run_report().propagation
+        assert entry["max_s"] == to_seconds(max(lag(c) for c in found))
 
     def test_faults_actually_happened(self):
-        __, cm, __ = run_traced_wire()
+        __, cm, __ = run_wire()
         stats = cm.scenario.network.channel_stats()
         # reorder=1.0 always holds a channel's first frame back; dup only
         # strikes frames that are not already held, so on a two-frame run
@@ -84,7 +80,7 @@ class TestWireSpanReconnection:
         assert injected >= 1, stats
 
     def test_flight_rings_fill_on_both_shells(self):
-        __, __, flight = run_traced_wire()
+        __, __, flight = run_wire()
         assert set(flight.sites) == {"sf", "ny"}
         kinds = {row["kind"] for row in flight.digest()}
         assert {"event", "net.send", "net.recv", "fire"} <= kinds
@@ -92,7 +88,7 @@ class TestWireSpanReconnection:
 
 class TestGuaranteeViolationDumps:
     def test_violation_dumps_flight_digest_into_run_report(self):
-        salary, cm, flight = run_traced_wire(fail_site="ny")
+        salary, cm, flight = run_wire(fail_site="ny")
         report = cm.run_report()
 
         # The logical failure took the guarantees down ...
@@ -112,7 +108,7 @@ class TestGuaranteeViolationDumps:
         assert "flight:" in report.render()
 
     def test_healthy_run_report_has_no_dumps(self):
-        __, cm, __ = run_traced_wire()
+        __, cm, __ = run_wire()
         report = cm.run_report()
         assert report.flight["dumps"] == []
         assert all(g["standing"] for g in report.guarantees)
