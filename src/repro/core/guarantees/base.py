@@ -92,17 +92,17 @@ def paired_refs(
 ) -> list[tuple[DataItemRef, DataItemRef]]:
     """Instantiate a parameterized copy guarantee over a trace.
 
-    For plain items (no parameters) this returns the single pair
-    ``(X, Y)``.  For parameterized families it pairs ``x_family(args)`` with
-    ``y_family(args)`` for every argument tuple seen in the trace on either
-    side — quantification over data is achieved through parameterized data
-    names, as in Section 3.3 of the paper.
+    Pairs ``x_family(args)`` with ``y_family(args)`` for every argument
+    tuple seen in the trace on either side — quantification over data is
+    achieved through parameterized data names, as in Section 3.3 of the
+    paper; a plain item's tuple is ``()``.  A family neither side's item
+    occurs in gives no pair: a guarantee over it has no instance to check.
     """
     # Refs the trace already holds are reused, not rebuilt: the pairing is
     # kept with the trace (:func:`paired_timelines`) and should add little.
     x_refs = {ref.args: ref for ref in trace.refs_of_family(x_family)}
     y_refs = {ref.args: ref for ref in trace.refs_of_family(y_family)}
-    arg_tuples = x_refs.keys() | y_refs.keys() or {()}
+    arg_tuples = x_refs.keys() | y_refs.keys()
     return [
         (
             x_refs.get(args) or DataItemRef(x_family, args),
@@ -132,8 +132,7 @@ def paired_timelines(
         timelines = memo[None][1]
         refs = paired_refs(trace, x_family, y_family)
         fetch = {ref for pair in refs for ref in pair} - timelines.keys()
-        for ref in fetch:
-            timelines[ref] = trace.timeline(ref)
+        timelines.update(zip(fetch, trace.timelines(fetch)))
         # A lookup the memo answers is a cache hit of ``trace.stats()``.
         trace._timeline_cache_hits += 2 * len(refs) - len(fetch)
         pairs = memo[x_family, y_family] = [

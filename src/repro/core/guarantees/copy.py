@@ -304,7 +304,20 @@ def check_copy_family(
                     y_by_value.setdefault(value, []).append(segment)
                 except (AttributeError, TypeError):  # unhashable, or X's: scan
                     witnesses, y_by_value = x_timeline.held_with(value), None
+                one = len(witnesses) == 1  # the common case, judged inline
+                if one:
+                    (w_start, w_end, __), start = witnesses[0], segment.start
                 for guarantee, judge, report, max_lag in follows:
+                    # It starts first or both at 0 (seeded); metric, [start
+                    # + 1 (0: seeded), end + κ - 1) covers the segment.
+                    within = guarantee.within
+                    if one and (
+                        w_start < start or w_start == 0 == start if within is None
+                        else (w_start < start or w_start == 0)
+                        and w_end + within > segment.end
+                    ):
+                        max_lag[0] = max(max_lag[0], start - w_start)
+                        continue
                     lag, violated = judge(segment, witnesses)
                     if violated is not None:
                         report.valid = False

@@ -20,15 +20,13 @@ stay near-linear in the number of events:
   :meth:`~ExecutionTrace.refs_of_family`) reads record-time indexes —
   per-item write lists, per-kind and per-(kind, family) row lists — rather
   than scanning the whole trace;
-- :meth:`~ExecutionTrace.timeline` extends a per-item incrementally
-  collapsed change list, doing O(1) work per appended write, instead of
-  rebuilding from all of the item's writes, and hands out the same
-  :class:`Timeline` until the item changes; a timeline derives its held
-  segments once (:meth:`Timeline.held`), so every guarantee checker reads
-  the same segment objects;
-- :func:`validate_trace` reads the rows, checks provenance by positional
-  agreements derived from each rule's templates (no matcher, no bindings)
-  and resolves it through a per-rule index keyed by trigger ``seq``.
+- :meth:`~ExecutionTrace.timelines` extends each item's collapsed change
+  list by O(1) work per new write and hands out the same :class:`Timeline`
+  until the item changes; a timeline builds its held segments once, in C
+  (:meth:`Timeline.held`), for every guarantee checker to share;
+- :func:`validate_trace` reads the rows, and checks provenance a rule and
+  a column at a time, by positional agreements derived from the rule's
+  templates (no matcher, no bindings).
 
 The naive full-scan implementations are retained in
 :class:`ReferenceTraceQueries` / :func:`validate_trace_naive` as the
@@ -40,9 +38,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import count
+from functools import partial
+from itertools import compress, repeat
+from operator import and_, eq, itemgetter, lt, sub, truth
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from repro.core import events as _numbering
 from repro.core.errors import TraceError
@@ -60,12 +60,12 @@ from repro.core.terms import FAMILY_WILDCARD, Bindings, Const, Var
 from repro.core.timebase import Ticks
 
 
-@dataclass(frozen=True, slots=True)
-class TimelineSegment:
+class TimelineSegment(NamedTuple):
     """A maximal interval during which an item held one value.
 
     The segment covers ``[start, end)``; the final segment of a timeline has
-    ``end`` equal to the trace horizon.
+    ``end`` equal to the trace horizon.  A tuple, so a timeline builds its
+    segments in C (:meth:`Timeline.held`).
     """
 
     start: Ticks
@@ -82,6 +82,11 @@ class TimelineSegment:
         return max(0, self.end - self.start)
 
 
+#: A segment from a ``(start, end, value)`` tuple, in C (``_make`` is a
+#: Python-level classmethod: one frame per segment).
+_segment = partial(tuple.__new__, TimelineSegment)
+
+
 class Timeline:
     """The piecewise-constant value history of one data item.
 
@@ -89,17 +94,18 @@ class Timeline:
     changes at each write event.  Queries are binary searches.
 
     A timeline is immutable once handed out.  Instances built by
-    :meth:`ExecutionTrace.timeline` share their change arrays with the
-    trace's incremental per-item builder; the builder appends past
-    ``_length`` (invisible here) and copies the arrays before any in-place
-    collapse that would touch an entry this view can see.  That is what
-    makes it sound for a timeline to remember what it derives from itself
-    (:meth:`held`, :meth:`held_with`): nothing it was derived from can
-    change, and a further write to the item yields a *new* timeline.
+    :meth:`ExecutionTrace.timelines` share their change arrays with the
+    trace, which appends past ``_length`` (invisible here; ``_consumed``
+    counts the item's writes folded in) and copies the arrays before any
+    in-place collapse that would touch an entry this view can see.  That is
+    what makes it sound for a timeline to remember what it derives from
+    itself (:meth:`held`, :meth:`held_with`): nothing it was derived from
+    can change, and a further write to the item yields a *new* timeline.
     """
 
     __slots__ = (
-        "_times", "_values", "_length", "horizon", "_held", "_by_value", "_queries"
+        "_times", "_values", "_length", "horizon", "_held", "_by_value",
+        "_queries", "_consumed",
     )
 
     def __init__(self, changes: list[tuple[Ticks, Value]], horizon: Ticks):
@@ -126,24 +132,6 @@ class Timeline:
         self._held = self._by_value = None
         self._queries = 0
 
-    @classmethod
-    def _over(
-        cls,
-        times: list[Ticks],
-        values: list[Value],
-        length: int,
-        horizon: Ticks,
-    ) -> "Timeline":
-        """A view over pre-collapsed change arrays (no copy, no re-collapse)."""
-        timeline = cls.__new__(cls)
-        timeline._times = times
-        timeline._values = values
-        timeline._length = length
-        timeline.horizon = max(horizon, times[length - 1])
-        timeline._held = timeline._by_value = None
-        timeline._queries = 0
-        return timeline
-
     def value_at(self, time: Ticks) -> Value:
         """The item's value at virtual time ``time``."""
         if time < 0:
@@ -151,14 +139,15 @@ class Timeline:
         index = bisect_right(self._times, time, 0, self._length) - 1
         return self._values[index]
 
-    def segments(self) -> Iterator[TimelineSegment]:
-        """All maximal constant segments, in time order."""
-        times, values, length = self._times, self._values, self._length
-        for index in range(length):
-            start = times[index]
-            end = times[index + 1] if index + 1 < length else self.horizon
-            if end > start:
-                yield TimelineSegment(start, end, values[index])
+    def segments(self) -> list[TimelineSegment]:
+        """All maximal constant segments, in time order: built in C, through
+        ``zip`` and ``map``, with no Python frame per segment."""
+        length = self._length
+        starts = self._times[:length]
+        ends = starts[1:]
+        ends.append(self.horizon)
+        made = map(_segment, zip(starts, ends, self._values))
+        return list(compress(made, map(lt, starts, ends)))
 
     def held(self) -> tuple[TimelineSegment, ...]:
         """The segments with a real (non-``MISSING``) value, in time order.
@@ -168,9 +157,8 @@ class Timeline:
         """
         held = self._held
         if held is None:
-            held = self._held = tuple(
-                s for s in self.segments() if s.value is not MISSING
-            )
+            held = tuple([s for s in self.segments() if s[2] is not MISSING])
+            self._held = held
         return held
 
     def held_with(self, value: Value) -> tuple[TimelineSegment, ...]:
@@ -211,88 +199,6 @@ class Timeline:
         """The (time, new value) change list, starting at time 0."""
         length = self._length
         return list(zip(self._times[:length], self._values[:length]))
-
-    def distinct_values(self) -> list[Value]:
-        """Values taken over the trace, in order of first acquisition."""
-        seen: list[Value] = []
-        for value in self._values[: self._length]:
-            if value not in seen:
-                seen.append(value)
-        return seen
-
-
-class _TimelineBuilder:
-    """One item's incrementally collapsed change list.
-
-    Maintains the invariant that ``(times, values)`` is exactly what
-    :class:`Timeline`'s two-pass collapse would produce for the writes folded
-    in so far, by applying the collapse per appended write: a same-instant
-    write overwrites the last entry (and merges away an adjacent duplicate it
-    re-creates), a no-op value is dropped, anything else appends.
-
-    Handed-out timelines share the arrays, frozen at their length; before an
-    in-place tail mutation that a handed-out view could see, the arrays are
-    copied (copy-on-write), so views never change retroactively.
-    """
-
-    __slots__ = ("_times", "_values", "_consumed", "_shared", "_cached")
-
-    def __init__(self, seed_value: Value) -> None:
-        self._times: list[Ticks] = [0]
-        self._values: list[Value] = [seed_value]
-        self._consumed = 0  # write events folded in so far
-        self._shared = 0  # prefix length visible through a handed-out view
-        self._cached: Optional[Timeline] = None
-
-    def extend(self, rows: list, writes: Sequence[int]) -> int:
-        """Fold in write rows not yet consumed; returns the number processed."""
-        consumed = self._consumed
-        times, values = self._times, self._values
-        for index in range(consumed, len(writes)):
-            at = writes[index]
-            time = rows[at]
-            value = rows[at + (_V0 if rows[at + _KIND] is _W else _V1)]
-            if times[-1] != time:
-                if values[-1] != value:
-                    times.append(time)
-                    values.append(value)
-            elif len(times) > 1 and values[-2] == value:
-                # The same-instant overwrite re-created an adjacent
-                # duplicate: the entry collapses away entirely.
-                times, values = self._unshared()
-                times.pop()
-                values.pop()
-            elif values[-1] != value:
-                times, values = self._unshared()
-                values[-1] = value
-        self._consumed = len(writes)
-        return len(writes) - consumed
-
-    def _unshared(self) -> tuple[list[Ticks], list[Value]]:
-        """The arrays, copied first if a handed-out view sees their tail."""
-        if self._shared >= len(self._times):
-            self._times = list(self._times)
-            self._values = list(self._values)
-            self._shared = 0
-            self._cached = None
-        return self._times, self._values
-
-    def build(self, horizon: Ticks) -> Timeline:
-        """The current timeline; reuses the last one when nothing changed."""
-        length = len(self._times)
-        effective = max(horizon, self._times[length - 1])
-        cached = self._cached
-        if (
-            cached is not None
-            and cached._times is self._times
-            and cached._length == length
-            and cached.horizon == effective
-        ):
-            return cached
-        timeline = Timeline._over(self._times, self._values, length, horizon)
-        self._shared = length
-        self._cached = timeline
-        return timeline
 
 
 @dataclass
@@ -403,7 +309,7 @@ class ExecutionTrace:
         self._identities: dict[tuple[str, int], int] = {}  # (site, seq) -> at
         self._identified = 0  # offsets below it are in ``_identities``
         self._foreign: dict[int, Event] = {}  # at -> the row's foreign trigger
-        self._timelines: dict[DataItemRef, _TimelineBuilder] = {}
+        self._timelines: dict[DataItemRef, Timeline] = {}  # the last handed out
         # The guarantee checkers' family-pair timeline lists and timelines
         # (:func:`repro.core.guarantees.base.paired_timelines`).
         self._pairings: dict = {}
@@ -634,28 +540,62 @@ class ExecutionTrace:
         return self._views(_NO_ROWS if ref_id is None else self._writes[ref_id])
 
     def timeline(self, ref: DataItemRef) -> Timeline:
-        """The value history of ``ref`` over this trace.
+        """The value history of ``ref`` over this trace (:meth:`timelines`)."""
+        return self.timelines((ref,))[0]
 
-        Incremental: each call folds in only the writes recorded since the
-        previous call for this item, and returns the cached
-        :class:`Timeline` object when nothing changed.
-        """
-        builder = self._timelines.get(ref)
-        if builder is None:
-            builder = _TimelineBuilder(self._seeded.get(ref, MISSING))
-            self._timelines[ref] = builder
-        ref_id = self._ref_ids.get(ref)
-        if ref_id is not None:
-            self._timeline_extend_steps += builder.extend(
-                self._rows, self._writes[ref_id]
-            )
-        before = builder._cached
-        timeline = builder.build(self.horizon)
-        if timeline is before:
-            self._timeline_cache_hits += 1
-        else:
-            self._timeline_builds += 1
-        return timeline
+    def timelines(self, refs: Iterable[DataItemRef]) -> list[Timeline]:
+        """The value histories of ``refs``, in one loop: no frame per item.
+        Incremental: the trace keeps the last timeline handed out per item,
+        hands it out again while nothing changed, and folds later writes
+        into its arrays past its ``_length``, collapsing per write as
+        :class:`Timeline` does (copied before a change it would see)."""
+        views, ref_ids, rows, horizon = (
+            self._timelines, self._ref_ids, self._rows, self.horizon
+        )
+        found: list[Timeline] = []
+        for ref in refs:
+            view = views.get(ref)
+            if view is None:
+                times, values, consumed = [0], [self._seeded.get(ref, MISSING)], 0
+            else:
+                times, values, consumed = view._times, view._values, view._consumed
+            ref_id = ref_ids.get(ref)
+            writes = _NO_ROWS if ref_id is None else self._writes[ref_id]
+            self._timeline_extend_steps += len(writes) - consumed
+            for at in writes[consumed:]:
+                time = rows[at]
+                value = rows[at + (_V0 if rows[at + _KIND] is _W else _V1)]
+                if times[-1] != time:
+                    if values[-1] != value:
+                        times.append(time)
+                        values.append(value)
+                    continue
+                collapses = len(times) > 1 and values[-2] == value
+                if not collapses and values[-1] == value:
+                    continue
+                if view is not None and view._length >= len(times):
+                    times, values, view = list(times), list(values), None
+                if collapses:
+                    times.pop()
+                    values.pop()
+                else:
+                    values[-1] = value
+            if (
+                view is None
+                or view._length != len(times)
+                or view.horizon != max(horizon, times[-1])
+            ):
+                view = views[ref] = _new(Timeline)
+                view._times, view._values, view._length = times, values, len(times)
+                view.horizon = max(horizon, times[-1])
+                view._held = view._by_value = None
+                view._queries = 0
+                self._timeline_builds += 1
+            else:
+                self._timeline_cache_hits += 1
+            view._consumed = len(writes)
+            found.append(view)
+        return found
 
     def value_at(self, ref: DataItemRef, time: Ticks) -> Value:
         """Value of ``ref`` at ``time`` (MISSING before any seed/write)."""
@@ -837,32 +777,34 @@ def validate_trace(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
     the latest trigger its (trigger site, site) group saw at a strictly
     earlier event tick.  Each late event is reported once, not once per pair.
 
-    Implementation: the checks read the trace's rows, not event objects.
-    Properties 1-5 are fused into a single pass over the rows (the
-    property-2/3 state checks compare journal versions), and properties 6-7
-    consume the trace's kind/family indexes.  Each rule object gets one
-    :class:`_RulePlan` per validation — each (LHS, RHS step) template pair
-    compiled once into positional agreements on row atoms, its generated
-    rows indexed by trigger — which property 5 fills and property 6 reads;
-    rules with equal LHS templates share their LHS rows.  A view is built
-    only for a flagged event.
-    :func:`validate_trace_naive` is the pass-per-property, pair-per-pair,
-    template-interpreting reference over views this is tested against.
+    Implementation: properties 1-4 are one pass over the trace's rows (the
+    state checks compare journal versions), which also groups each rule's
+    generated rows with their triggers' rows in a :class:`_RulePlan`;
+    property 5 checks each rule's rows a column at a time
+    (:func:`_provenance`), property 6 reads what it found, property 7 the
+    same columns.  A view is built only for a flagged event.
+    :func:`validate_trace_naive`, the pass-per-property, template-
+    interpreting reference over views, is the specification.
     """
     buckets: dict[int, list[Violation]] = {n: [] for n in range(1, 8)}
     plans = {id(rule): _RulePlan(rule) for rule in rules}  # by identity
-    sources: list[int | None] = []  # the trigger of each generated row
+    flagged: list[tuple[int, str]] = []  # property 5: (row, message)
+    ordered: list[int] = []  # rows with a rule and a trigger, for property 7
+    sources: list[int] = []  # ... and their triggers' rows
     view = _Viewer(trace)
-    refs = trace._refs
+    view_of = lambda row: view(row * _WIDTH)  # noqa: E731
+    rows, refs, foreign = trace._rows, trace._refs, trace._foreign
+    columns = _Columns(trace)
+    seqs, sites = (columns[_SEQ], columns[_SITE]) if trace._generated else ((), ())
     logged_refs, logged_values = trace._journal.log()
-    previous_time = trace._rows[_TIME] if trace._rows else 0
+    previous_time, first_seq = (rows[_TIME], rows[_SEQ]) if rows else (0, 0)
     previous_version = 0  # the seeded state
-    columns = iter(trace._rows)
-    for at, fields in zip(count(0, _WIDTH), zip(*[columns] * _WIDTH)):
-        time, __, kind, ref, first, second, rule, __, trigger, __, version = fields
+    atoms = iter(rows)
+    for row, fields in enumerate(zip(*[atoms] * _WIDTH)):
+        time, __, kind, ref, first, second, rule, t_site, trigger, __, version = fields
         # Property 1: nondecreasing time.
         if time < previous_time:
-            buckets[1].append(Violation(1, "events out of time order", view(at)))
+            buckets[1].append(Violation(1, "events out of time order", view_of(row)))
         previous_time = time
 
         # Property 2: a write's journal entry is its own item and value; a
@@ -874,41 +816,195 @@ def validate_trace(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
                 first if kind is _W else second
             ):
                 buckets[2].append(
-                    Violation(2, "write event has inconsistent new state", view(at))
+                    Violation(2, "write event has inconsistent new state", view_of(row))
                 )
 
         # Property 3: interpretations chain.
         if old != previous_version:
-            buckets[3].append(
-                Violation(
-                    3, "old state does not chain from previous event", view(at)
-                )
-            )
+            message = "old state does not chain from previous event"
+            buckets[3].append(Violation(3, message, view_of(row)))
         previous_version = version
 
         # Property 4: spontaneous events carry no provenance.
         if (kind is _WS or kind is _P) and (rule is not None or trigger is not None):
             buckets[4].append(
-                Violation(4, "spontaneous event carries rule/trigger", view(at))
+                Violation(4, "spontaneous event carries rule/trigger", view_of(row))
             )
 
-        # Property 5: generated events have consistent provenance.
-        if rule is not None or trigger is not None:
-            source = None if trigger is None else trace._trigger_at(at)
+        # Property 5, below: a generated row joins its rule's plan with its
+        # trigger's row, found by ``_trigger_at``'s fast path inline (row
+        # numbers, not offsets: no arithmetic allocates an int per row).
+        if rule is not None and trigger is None:
+            flagged.append((row, "generated event lacks a trigger"))
+        elif rule is not None:
+            source = trigger - first_seq
+            if (
+                foreign
+                and row * _WIDTH in foreign
+                or not 0 <= source < row
+                or seqs[source] != trigger
+                or sites[source] != t_site
+            ):
+                source = trace._trigger_at(row * _WIDTH)
+                if source == _FOREIGN:
+                    source = columns.virtual[row * _WIDTH]
+                else:
+                    source //= _WIDTH
+            ordered.append(row)
             sources.append(source)
-            if rule is not None:
-                plan = plans.get(id(rule))
-                if plan is None:
-                    plan = plans[id(rule)] = _RulePlan(rule)
-                _check_provenance(trace, at, fields, source, plan, buckets[5], view)
+            plan = plans.get(id(rule))
+            if plan is None:
+                plan = plans[id(rule)] = _RulePlan(rule)
+            plan.rows.append(row)
+            plan.sources.append(source)
+
+    # Property 5: a row's violations in check order, the rows in row order.
+    for plan in plans.values():
+        flagged += _provenance(plan, columns)
+    flagged.sort(key=itemgetter(0))
+    buckets[5] = [Violation(5, text, view_of(row)) for row, text in flagged]
 
     # Property 6: rule liveness for unconditional steps.
-    buckets[6] = _check_liveness(trace, rules, plans, view)
+    buckets[6] = _check_liveness(trace, rules, plans, view, columns)
 
     # Property 7: related rules fire in order.
-    buckets[7] = _in_order(_in_order_entries(trace, sources), view)
+    if ordered:
+        times = columns[_TIME]
+        entries = zip(
+            map(columns[_TRIGGER_SITE].__getitem__, ordered),
+            map(sites.__getitem__, ordered),
+            map(times.__getitem__, sources),
+            map(times.__getitem__, ordered),
+            ordered,
+        )
+        buckets[7] = _in_order(entries, view_of)
 
     return [violation for n in range(1, 8) for violation in buckets[n]]
+
+
+class _Columns(dict):
+    """A trace's rows as columns, each sliced out on first use:
+    ``columns[field][row]``.  A trigger recorded elsewhere (``_foreign``)
+    is a row too, after the trace's (``virtual``: the offset of the row it
+    triggered -> its row), its item after the trace's (``items``)."""
+
+    def __init__(self, trace: ExecutionTrace) -> None:
+        self.rows, self.items, self.virtual = trace._rows, trace._refs, {}
+        self.recorded = len(trace)
+        if trace._foreign:
+            self.rows, self.items = list(self.rows), list(self.items)
+        for at, event in trace._foreign.items():
+            desc, values = event.desc, event.desc.values or (None,)
+            self.virtual[at] = len(self.rows) // _WIDTH
+            ref = None if desc.item is None else len(self.items)
+            self.items.append(desc.item)
+            self.rows += (
+                event.time, event.site, desc.kind._value_, ref, values[0],
+                values[-1], None, None, None, event.seq, None,
+            )
+
+    def __missing__(self, field: int) -> list:
+        column = self[field] = self.rows[field::_WIDTH]
+        return column
+
+
+class _Side(dict):
+    """Some rows' atoms: ``side[field]`` a column of them, gathered on first
+    use, and :meth:`atom` their :func:`_shape` pool atoms."""
+
+    def __init__(self, columns: _Columns, rows: list[int]) -> None:
+        self.columns, self.rows = columns, rows
+
+    def __missing__(self, field: int) -> list:
+        column = self.columns[field]
+        found = self[field] = [column[row] for row in self.rows]
+        return found
+
+    def atom(self, index: int) -> list:
+        """Each row's first value, last value, then item arguments (``None``
+        past the last)."""
+        if index < 2:
+            return self[_V0 + index]
+        found = self.get(-index)
+        if found is None:
+            items, refs, at = self.columns.items, self[_REF], index - 2
+            arg = {
+                ref: None if ref is None or len(items[ref][1]) <= at
+                else items[ref][1][at]
+                for ref in set(refs)
+            }
+            found = self[-index] = list(map(arg.__getitem__, refs))
+        return found
+
+
+def _mask(shape: tuple, own: _Side, given: Optional[_Side], base: int):
+    """Which rows of ``own`` fit a :func:`_shape` whose pool atoms below
+    ``base`` are ``given``'s: ``None`` when all do, else a bool per row.
+    One check is one column, in C: kind, item (per distinct item), each
+    constant, each equality."""
+    want, family, arity, consts, equal = shape
+
+    def pool(position: int) -> list:
+        return given.atom(position) if position < base else own.atom(position - base)
+
+    kinds = own[_KIND]
+    checks = []
+    if kinds.count(want) != len(kinds):
+        checks.append([kind == want for kind in kinds])
+    if arity is not None:
+        items = own.columns.items
+        fits = {
+            ref: ref is not None and len(items[ref][1]) == arity
+            and (not family or family == items[ref][0])
+            for ref in set(own[_REF])
+        }
+        if not all(fits.values()):
+            checks.append(list(map(fits.__getitem__, own[_REF])))
+    # ``(make, left, right)``: ``make(left)`` is a fresh iterator per read.
+    agreements = [(repeat, value, pool(at)) for at, value in consts]
+    agreements += [(iter, pool(earlier), pool(at)) for earlier, at in equal]
+    for make, left, right in agreements:
+        if not all(map(eq, make(left), right)):
+            checks.append(list(map(truth, map(eq, make(left), right))))
+    failing = None
+    for check in checks:
+        failing = list(map(and_, failing or repeat(True), check))
+    return failing
+
+
+def _provenance(plan: _RulePlan, columns: _Columns) -> list[tuple[int, str]]:
+    """Property 5 over one rule's rows, a column at a time: the trigger fits
+    the LHS, the row some RHS step under it (:func:`_mask`), and trigger
+    time <= time <= trigger time + delay.  ``(row, message)`` per
+    violation, a row's in check order."""
+    own, sources = plan.rows, plan.sources
+    if not own:
+        return []
+    mine, theirs = _Side(columns, own), _Side(columns, sources)
+    lhs = _mask(plan.lhs, theirs, None, 0)
+    base = 2 + (plan.lhs[2] or 0)  # the trigger's pool atoms come first
+    steps = [_mask(step, mine, theirs, base) for step in plan.steps]
+    instance = None if None in steps else list(map(any, zip(*steps)))
+    lags = list(map(sub, mine[_TIME], theirs[_TIME]))
+    if lhs is instance is None and 0 <= min(lags) and max(lags) <= plan.delay:
+        if max(sources) < columns.recorded:  # every trigger is this trace's
+            plan.triggers = set(sources)
+        return []
+    flagged = []
+    for row, lhs_ok, fits, lag in zip(
+        own, lhs or repeat(True), instance or repeat(True), lags
+    ):
+        if not lhs_ok:
+            flagged.append((row, "trigger does not match the rule's LHS"))
+            continue
+        if not fits:
+            message = "event is not an instantiation of any RHS template"
+            flagged.append((row, message))
+        if lag < 0:
+            flagged.append((row, "event precedes its trigger"))
+        if lag > plan.delay:
+            flagged.append((row, "event exceeds its rule's delay bound"))
+    return flagged
 
 
 def _shape(tmpl: Template, base: int, own: dict, given: dict) -> tuple:
@@ -937,38 +1033,16 @@ def _shape(tmpl: Template, base: int, own: dict, given: dict) -> tuple:
     return tmpl.kind._value_, family, arity, tuple(consts), tuple(equal)
 
 
-def _fits(shape, kind, item, first, second, trigger=()) -> Optional[tuple]:
-    """The atom pool ``(*trigger, first, second, *args)`` of an event of
-    ``kind`` on ``item`` if it fits a :func:`_shape` (an RHS step's reads
-    the ``trigger``'s atoms too), else ``None``."""
-    want, family, arity, consts, equal = shape
-    if kind != want or arity is not None and (
-        item is None or len(item[1]) != arity or family and family != item[0]
-    ):
-        return None
-    pool = (*trigger, first, second, *(() if item is None else item[1]))
-    for position, value in consts:
-        if not value == pool[position]:
-            return None
-    for earlier, position in equal:
-        if not pool[earlier] == pool[position]:
-            return None
-    return pool
-
-
 class _RulePlan:
     """What one validation needs of one rule object, derived once: its LHS
     and each RHS step's agreements with it, as :func:`_shape` tuples
     (``steps[i]`` for ``rule.steps[i]``, after the trigger's atoms), and the
-    rule's generated rows by their trigger's ``seq`` — the row itself, a
-    list only when one trigger generated several (a multi-step RHS).  The
-    trigger's site is compared on the hit: trigger identity is ``(site,
-    seq)``, never the object — a firing that crossed the wire carries a
-    by-value reconstruction of its trigger.  ``confirmed``: property 5
-    matched every indexed row to a step.
+    rule's generated rows with their triggers' rows, in row order; and
+    ``triggers``, when property 5 found every row clean and every trigger
+    one of this trace's rows: those rows.
     """
 
-    __slots__ = ("lhs", "steps", "delay", "by_trigger", "confirmed")
+    __slots__ = ("lhs", "steps", "delay", "rows", "sources", "triggers")
 
     def __init__(self, rule: Rule) -> None:
         binds: dict[str, int] = {}  # an LHS variable's position
@@ -978,76 +1052,13 @@ class _RulePlan:
             _shape(step.template, base, {}, binds) for step in rule.steps
         )
         self.delay = rule.delay
-        self.by_trigger: dict[int, int | list[int]] = {}
-        self.confirmed = True
-
-
-def _check_provenance(
-    trace: ExecutionTrace,
-    at: int,
-    fields: tuple,
-    source: int | None,
-    plan: _RulePlan,
-    violations: list[Violation],
-    view: _Viewer,
-) -> None:
-    """Property 5 checks for the generated row at ``at`` (and its index
-    entry); ``fields`` are its columns, ``source`` its trigger's offset."""
-    time, __, kind, ref, first, second, __, __, trigger_seq, __, __ = fields
-    if source is None:
-        violations.append(
-            Violation(5, "generated event lacks a trigger", view(at))
-        )
-        return
-    refs = trace._refs
-    if source >= 0:
-        rows = trace._rows
-        t_time, t_kind, t_first, t_second = (
-            rows[source], rows[source + _KIND], rows[source + _V0], rows[source + _V1]
-        )
-        t_ref = rows[source + _REF]
-        t_item = None if t_ref is None else refs[t_ref]
-    else:
-        foreign = trace._foreign[at]
-        t_time, t_desc = foreign.time, foreign.desc
-        t_kind, t_item = t_desc.kind._value_, t_desc.item
-        t_first, t_second = (t_desc.values + (None, None))[:2]
-    index = plan.by_trigger
-    held = index.get(trigger_seq)
-    if held is None:
-        index[trigger_seq] = at
-    elif type(held) is list:
-        held.append(at)
-    else:
-        index[trigger_seq] = [held, at]
-    atoms = _fits(plan.lhs, t_kind, t_item, t_first, t_second)
-    if atoms is None:
-        plan.confirmed = False
-        violations.append(
-            Violation(5, "trigger does not match the rule's LHS", view(at))
-        )
-        return
-    item = None if ref is None else refs[ref]
-    for step in plan.steps:
-        if _fits(step, kind, item, first, second, atoms) is not None:
-            break
-    else:
-        plan.confirmed = False
-        violations.append(
-            Violation(
-                5, "event is not an instantiation of any RHS template", view(at)
-            )
-        )
-    if t_time > time:
-        violations.append(Violation(5, "event precedes its trigger", view(at)))
-    if time > t_time + plan.delay:
-        violations.append(
-            Violation(5, "event exceeds its rule's delay bound", view(at))
-        )
+        self.rows: list[int] = []
+        self.sources: list[int] = []
+        self.triggers: Optional[set[int]] = None
 
 
 def _lhs_rows(
-    trace: ExecutionTrace, rule: Rule, shape: tuple, shared: dict
+    trace: ExecutionTrace, rule: Rule, shape: tuple, shared: dict, columns: _Columns
 ) -> list[int]:
     """LHS matches at the rule's own site (see :func:`_own_site_matches`),
     collected once per LHS template and site and kept in ``shared``."""
@@ -1058,14 +1069,12 @@ def _lhs_rows(
     except TypeError:  # an unhashable constant: this rule matches alone
         key, found = None, None
     if found is None:
-        rows, refs, found = trace._rows, trace._refs, []
-        for at in trace._candidates(rule.lhs):
-            if site is not None and rows[at + _SITE] != site:
-                continue
-            ref = rows[at + _REF]
-            item = None if ref is None else refs[ref]
-            if _fits(shape, rows[at + _KIND], item, rows[at + _V0], rows[at + _V1]):
-                found.append(at)
+        rows = [at // _WIDTH for at in trace._candidates(rule.lhs)]
+        if site is not None:
+            sites = columns[_SITE]
+            rows = [row for row in rows if sites[row] == site]
+        fits = _mask(shape, _Side(columns, rows), None, 0)
+        found = [r * _WIDTH for r in (rows if fits is None else compress(rows, fits))]
         if key is not None:
             shared[key] = found
     return found
@@ -1076,10 +1085,11 @@ def _check_liveness(
     rules: list[Rule],
     plans: dict[int, _RulePlan],
     view: _Viewer,
+    columns: _Columns,
 ) -> list[Violation]:
     from repro.core.conditions import TRUE  # local import to avoid cycle noise
 
-    rows = trace._rows
+    rows, trigger_seqs = trace._rows, columns[_TRIGGER_SEQ]
     violations: list[Violation] = []
     shared: dict = {}  # (LHS template, site) -> its rows
     for rule in rules:
@@ -1089,7 +1099,7 @@ def _check_liveness(
             continue
         plan = plans[id(rule)]
         if prohibition:
-            for at in _lhs_rows(trace, rule, plan.lhs, shared):
+            for at in _lhs_rows(trace, rule, plan.lhs, shared, columns):
                 violations.append(
                     Violation(
                         6,
@@ -1098,14 +1108,21 @@ def _check_liveness(
                     )
                 )
             continue
-        # A match that agrees with the trigger implies the standalone one:
-        # while property 5 flagged none of a single-step rule's indexed
-        # rows, each of them instantiates the step and needs no second match.
-        if plan.confirmed and len(rule.steps) == 1:
-            steps: tuple = (None,)
-        else:
-            steps = tuple(compile_fields_matcher(s.template) for s in rule.steps)
-        for at in _lhs_rows(trace, rule, plan.lhs, shared):
+        # When property 5 found each of a single-step rule's rows a clean
+        # instance, within [trigger time, + delay], of a trigger of this
+        # trace, an obligation is met iff its row triggered one (``met``).
+        # Else the rows by their trigger's ``seq``, the site compared on the
+        # hit: trigger identity is ``(site, seq)``, never the object (a
+        # firing that crossed the wire carries a copy).
+        met = plan.triggers if len(rule.steps) == 1 else None
+        by_trigger: dict[int, list[int]] = {}
+        for row in plan.rows if met is None else ():
+            by_trigger.setdefault(trigger_seqs[row], []).append(row * _WIDTH)
+        steps = [None] if met is not None else [
+            compile_fields_matcher(step.template) for step in rule.steps
+        ]
+        lhs_rows = _lhs_rows(trace, rule, plan.lhs, shared, columns)
+        for at in lhs_rows:
             previous_time = rows[at]
             deadline = previous_time + rule.delay
             if deadline > trace.horizon:
@@ -1113,9 +1130,12 @@ def _check_liveness(
             for step, matches in zip(rule.steps, steps):
                 if step.condition is not TRUE:
                     break  # later steps' timing depends on this one; stop here
-                found = _find_generated(
-                    trace, plan, at, matches, previous_time, deadline
-                )
+                if met is not None:
+                    found = previous_time if at // _WIDTH in met else None
+                else:
+                    found = _find_generated(
+                        trace, by_trigger, at, matches, previous_time, deadline
+                    )
                 if found is None:
                     violations.append(
                         Violation(
@@ -1132,28 +1152,24 @@ def _check_liveness(
 
 def _find_generated(
     trace: ExecutionTrace,
-    plan: _RulePlan,
+    by_trigger: dict[int, list[int]],
     trigger: int,
-    matches: Matcher | None,
+    matches: Matcher,
     since: Ticks,
     until: Ticks,
 ) -> Ticks | None:
     """The time of the first row that the row at ``trigger`` generated in
-    ``[since, until]`` and that ``matches`` (``None`` when every indexed row
-    instantiates the step)."""
+    ``[since, until]`` and that ``matches``."""
     rows = trace._rows
     site = rows[trigger + _SITE]
-    held = plan.by_trigger.get(rows[trigger + _SEQ])
-    if held is None:
-        return None
-    for at in held if type(held) is list else (held,):
+    for at in by_trigger.get(rows[trigger + _SEQ], ()):
         if rows[at + _TRIGGER_SITE] != site:
             continue  # another site's event that happens to share the seq
         time = rows[at]
         if time < since or time > until:
             continue
         ref = rows[at + _REF]
-        if matches is None or matches(
+        if matches(
             rows[at + _KIND],
             None if ref is None else trace._refs[ref],
             rows[at + _V0],
@@ -1161,34 +1177,6 @@ def _find_generated(
         ) is not None:
             return time
     return None
-
-
-def _in_order_entries(
-    trace: ExecutionTrace, sources: list[int | None]
-) -> Iterator[tuple]:
-    """``(trigger site, site, trigger time, time, at)`` per generated row
-    with a rule and a trigger, in row (hence time) order; ``sources`` are
-    the generated rows' trigger rows."""
-    rows, foreign = trace._rows, trace._foreign
-    for at, source in zip(trace._generated, sources):
-        if rows[at + _RULE] is None or source is None:
-            continue
-        trigger_time = rows[source] if source >= 0 else foreign[at].time
-        yield rows[at + _TRIGGER_SITE], rows[at + _SITE], trigger_time, rows[at], at
-
-
-def _check_in_order(generated_events: Sequence[Event]) -> list[Violation]:
-    """Property 7 over event objects: :func:`_in_order` after sorting a list
-    found out of time order (a tampered trace, see property 1)."""
-    events = [
-        e for e in generated_events if e.rule is not None and e.trigger is not None
-    ]
-    if any(a.time > b.time for a, b in zip(events, events[1:])):
-        events.sort(key=lambda e: e.time)
-    return _in_order(
-        ((e.trigger.site, e.site, e.trigger.time, e.time, e) for e in events),
-        lambda event: event,
-    )
 
 
 def _in_order(entries: Iterator[tuple], view) -> list[Violation]:
@@ -1340,7 +1328,7 @@ def validate_trace_naive(
 
 def _check_provenance_naive(event: Event, violations: list[Violation]) -> None:
     """Property 5 for one generated event, interpreting the templates: the
-    reference's own copy, sharing nothing with :func:`_check_provenance`."""
+    reference's own copy, sharing nothing with :func:`_provenance`."""
     if event.trigger is None:
         violations.append(Violation(5, "generated event lacks a trigger", event))
         return

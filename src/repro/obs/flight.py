@@ -17,6 +17,8 @@ for each incident, whatever the trace has kept.
 
 Digests store their ``detail`` payload by reference and stringify it
 only when a dump or rendering actually happens; recording never formats.
+The network's ``net.send`` / ``net.recv`` digests keep the message itself
+and render as ``->dst Payload`` / ``<-src Payload``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,13 @@ from repro.core.timebase import Ticks, to_seconds
 #: salary-scenario traffic — enough context around an incident without
 #: letting an idle site pin unbounded history.
 DEFAULT_CAPACITY = 256
+
+#: How :meth:`FlightRecorder.digest` renders a kind's ``detail`` (``str``
+#: for any other kind): a network digest keeps the message itself.
+_RENDER = {
+    "net.send": lambda message: f"->{message.dst} {type(message.payload).__name__}",
+    "net.recv": lambda message: f"<-{message.src} {type(message.payload).__name__}",
+}
 
 
 class FlightRecorder:
@@ -89,7 +98,7 @@ class FlightRecorder:
                 "time_s": round(to_seconds(time), 6),
                 "site": ring_site,
                 "kind": kind,
-                "detail": str(detail),
+                "detail": _RENDER.get(kind, str)(detail),
             }
             for (time, ring_site, kind, detail) in rows
         ]

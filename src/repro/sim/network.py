@@ -208,7 +208,7 @@ class Network:
         )
         flight = self.obs.flight
         if flight is not None:
-            flight.record(src, "net.send", now, f"->{dst} {type(payload).__name__}")
+            flight.record(src, "net.send", now, message)
         self.sim.at(deliver_at, lambda: self._deliver(message, channel))
         return message
 
@@ -225,10 +225,5 @@ class Network:
         channel.latency.observe(message.deliver_at - message.sent_at)
         flight = self.obs.flight
         if flight is not None:
-            flight.record(
-                message.dst,
-                "net.recv",
-                self.sim.now,
-                f"<-{message.src} {type(message.payload).__name__}",
-            )
+            flight.record(message.dst, "net.recv", self.sim.now, message)
         self._sites[message.dst].handler(message)

@@ -17,6 +17,7 @@ from repro.core.guarantees.copy import (
     StrictlyFollowsGuarantee,
     check_copy_family,
 )
+from repro.core.intervals import Interval
 from repro.core.items import MISSING, DataItemRef
 from repro.core.timebase import seconds
 from repro.core.trace import ExecutionTrace
@@ -151,6 +152,23 @@ class TestMetricFollows:
         )
         assert follows("X", "Y", within_seconds=2).check(trace).valid
         assert not follows("X", "Y", within_seconds=0.5).check(trace).valid
+
+    def test_kappa_boundary_to_the_tick(self):
+        # X holds "a" during [1s, 3s): a t1 in Y's "a" segment has a witness
+        # iff t1 < 3s + kappa - 1 tick.  One witness, so the segment is
+        # judged inline: holding "a" until 3s + kappa is one tick too long.
+        for late, valid in ((0, True), (1, False)):
+            trace = make_timeline_trace(
+                {
+                    "X": [(S(1), "a"), (S(3), "b")],
+                    "Y": [(S(2), "a"), (S(5) - 1 + late, "b")],
+                },
+                horizon=S(20),
+            )
+            report = follows("X", "Y", within_seconds=2).check(trace)
+            assert report.valid is valid, late
+            where = [] if valid else [Interval(S(5) - 1, S(5))]
+            assert report.violated_during == where
 
 
 class TestLeads:
@@ -466,3 +484,66 @@ class TestGroupedEvaluation:
             assert report.to_dict() == alone.to_dict()
             assert report.violated_during == alone.violated_during
             assert bool(report.violated_during) == (not report.valid)
+
+    @given(st.lists(_KEYED, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_inline_one_witness_judgement_agrees_with_the_judges(self, instances):
+        # ``check_copy_family`` judges a segment with one witness inline;
+        # each follows and leads report must read as if every segment went
+        # through the guarantee's own judge.
+        trace = seeded_keyed_trace(instances)
+        pairs = paired_timelines(trace, "X", "Y")
+        for guarantee in _FAMILY[:5]:
+            (report,) = check_copy_family(trace, [guarantee])
+            judge = (
+                guarantee._judge_nonmetric if guarantee.within is None
+                else guarantee._judge_metric
+            )
+            where, extreme, inconclusive = [], 0, 0
+            for __, __, x_timeline, y_timeline in pairs:
+                if isinstance(guarantee, FollowsGuarantee):
+                    for segment in y_timeline.held():
+                        witnesses = x_timeline.held_with(segment.value)
+                        lag, violated = judge(segment, witnesses)
+                        where += violated or []
+                        extreme = max(extreme, lag or 0)
+                    continue
+                for segment in x_timeline.held():
+                    if segment.start == 0:
+                        continue
+                    witnesses = y_timeline.held_with(segment.value)
+                    verdict, found = judge(segment, witnesses, trace.horizon)
+                    if verdict == "violated":
+                        where += found
+                    elif verdict == "inconclusive":
+                        inconclusive += 1
+                    else:
+                        extreme = max(extreme, found or 0)
+            stat = (
+                "max_lag_ticks" if isinstance(guarantee, FollowsGuarantee)
+                else "max_propagation_delay_ticks"
+            )
+            assert report.violated_during == where, guarantee.name
+            assert report.valid == (not where)
+            assert report.stats[stat] == extreme, guarantee.name
+            assert report.inconclusive == inconclusive
+
+
+class TestUnseenFamilies:
+    """A guarantee over families the trace never saw has no instance."""
+
+    def test_follows_over_unseen_families_checks_nothing(self):
+        report = follows("nosuch_x", "nosuch_y", 5.0).check(ExecutionTrace())
+        assert report.valid and report.checked_instances == 0
+        assert paired_timelines(ExecutionTrace(), "nosuch_x", "nosuch_y") == []
+
+    def test_leads_over_unseen_families_checks_nothing(self):
+        trace = make_timeline_trace({"X": [(S(1), 1)]}, horizon=S(5))
+        report = leads("nosuch_x", "nosuch_y").check(trace)
+        assert report.valid and report.checked_instances == 0
+        assert report.stats["values_taken"] == 0
+
+    def test_one_seen_family_still_pairs_with_the_unseen_one(self):
+        trace = make_timeline_trace({"X": [(S(1), 1)]}, horizon=S(5))
+        report = leads("X", "Y").check(trace)
+        assert report.checked_instances == 1 and not report.valid

@@ -123,11 +123,6 @@ class TestTimelines:
         assert values == [MISSING, 1, 2]
         assert segments[1].start == 10 and segments[1].end == 30
 
-    def test_distinct_values_in_order(self, trace):
-        for time, value in [(10, "a"), (20, "b"), (30, "a")]:
-            trace.record(time, "s", write_desc(X, value))
-        assert trace.timeline(X).distinct_values() == [MISSING, "a", "b"]
-
     def test_timeline_cache_invalidates_on_append(self, trace):
         trace.record(10, "a", write_desc(X, 1))
         assert trace.value_at(X, 15) == 1
@@ -433,9 +428,13 @@ class TestTimelineEdgeCases:
         assert repr(segment) == "TimelineSegment(start=10, end=20, value='a')"
         assert segment.covers(10) and not segment.covers(20)
         assert segment.length == 10
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        # A tuple (the timeline builds its segments in C): immutable, and
+        # still a ``TimelineSegment`` when built from ``held()``'s path.
+        with pytest.raises(AttributeError):
             segment.end = 30
         assert not hasattr(segment, "__dict__")
+        built = Timeline([(10, "a")], horizon=20).held()[0]
+        assert type(built) is TimelineSegment and built == segment
 
     def test_close_extends_horizon_of_later_timelines_only(self, trace):
         trace.record(10, "a", write_desc(X, 1))

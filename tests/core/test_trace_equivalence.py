@@ -40,11 +40,12 @@ from repro.core.items import MISSING, item
 from repro.core.templates import FALSE_TEMPLATE, Template
 from repro.core.terms import FAMILY_WILDCARD, ItemPattern, Var
 from repro.core.timebase import seconds
+from repro.core import trace as trace_module
 from repro.core.trace import (
     ExecutionTrace,
     ReferenceTraceQueries,
-    _check_in_order,
     _check_in_order_naive,
+    _in_order,
     validate_trace,
     validate_trace_naive,
 )
@@ -256,6 +257,20 @@ def _generated(triples):
     ]
 
 
+def _check_in_order(generated_events):
+    """The indexed property-7 scan over event objects, sorted by time first
+    when they are not (a tampered trace, see property 1)."""
+    events = [
+        e for e in generated_events if e.rule is not None and e.trigger is not None
+    ]
+    if any(a.time > b.time for a, b in zip(events, events[1:])):
+        events.sort(key=lambda e: e.time)
+    return _in_order(
+        ((e.trigger.site, e.site, e.trigger.time, e.time, e) for e in events),
+        lambda event: event,
+    )
+
+
 # Few distinct ticks over many events: most pairs tie on one side or both.
 _TRIPLES = st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(0, 6)),
@@ -330,10 +345,13 @@ def _chains(*rules, rounds=6):
     return trace, chains
 
 
-def _replayed(trace, edits=None, drop=(), horizon=None):
+def _replayed(trace, edits=None, drop=(), horizon=None, local=False):
     """A copy of ``trace`` with per-``seq`` field overrides applied and the
     ``drop`` seqs left out, re-recorded in (new) time order under the
-    original sequence numbers, so provenance keeps resolving."""
+    original sequence numbers, so provenance keeps resolving.  Triggers stay
+    the original trace's events, as a trigger decoded from a wire frame is
+    another trace's; ``local`` re-records one the copy already holds as the
+    copy's own event instead (an edited trigger stays as given)."""
     edits = edits or {}
     rows = []
     for event in trace.events:
@@ -348,11 +366,16 @@ def _replayed(trace, edits=None, drop=(), horizon=None):
             "seq": event.seq,
         }
         row.update(edits.get(event.seq, {}))
-        rows.append(row)
-    rows.sort(key=lambda row: row["time"])
+        rows.append((row, local and "trigger" not in edits.get(event.seq, {})))
+    rows.sort(key=lambda pair: pair[0]["time"])
     copy = ExecutionTrace()
-    for row in rows:
-        copy.record(**row)
+    recorded = {}
+    for row, resolve in rows:
+        trigger = row["trigger"]
+        if resolve and trigger is not None:
+            row["trigger"] = recorded.get((trigger.site, trigger.seq), trigger)
+        event = copy.record(**row)
+        recorded[event.site, event.seq] = event
     copy.close(trace.horizon if horizon is None else horizon)
     return copy
 
@@ -647,6 +670,98 @@ class TestSharedMatches:
         assert [(v.property_number, v.event.seq) for v in found] == [
             (5, stray.seq)
         ]
+
+
+class TestBulkProvenance:
+    """Property 5 checks each rule's rows column by column: the planted
+    faults below must read the same on both validators, in the same order
+    (``_both``)."""
+
+    _both = TestPlantedProvenance._both
+
+    def test_one_fault_among_hundreds_of_clean_rows(self, monkeypatch):
+        trace, chains = _chains(PROPAGATE, rounds=220)
+        masks = []
+        mask = trace_module._mask
+        with monkeypatch.context() as patched:
+            # Clean, every agreement holds for the whole column at once.
+            patched.setattr(
+                trace_module, "_mask", lambda *a: masks.append(mask(*a)) or masks[-1]
+            )
+            assert self._both(trace, [PROPAGATE]) == []
+        assert masks and all(found is None for found in masks)
+        trigger, (victim,) = chains[150]
+        late = trigger.time + PROPAGATE.delay + 1
+        planted = _replayed(trace, {victim.seq: {"time": late}}, local=True)
+        assert not planted._foreign  # every trigger is the copy's own row
+        found = self._both(planted, [PROPAGATE])
+        assert _flagged(found, 5) == [
+            ("event exceeds its rule's delay bound", victim.seq)
+        ]
+        assert [seq for __, seq in _flagged(found, 6)] == [trigger.seq]
+
+    def test_two_faults_on_one_row_keep_their_order(self):
+        trace, chains = _chains(PROPAGATE, MIRROR, rounds=12)
+        trigger, (victim, mirrored) = chains[7]
+        __, (early, __) = chains[2]
+        planted = _replayed(
+            trace,
+            {
+                victim.seq: {
+                    "desc": write_request_desc(item("flag", "p1"), 7),
+                    "time": trigger.time + PROPAGATE.delay + 1,
+                },
+                mirrored.seq: {"time": trigger.time - 1},
+                early.seq: {"desc": write_request_desc(item("addr", "p0"), 9)},
+            },
+            local=True,
+        )
+        found = self._both(planted, [PROPAGATE, MIRROR])
+        assert _flagged(found, 5) == [
+            ("event is not an instantiation of any RHS template", early.seq),
+            ("event precedes its trigger", mirrored.seq),
+            ("event is not an instantiation of any RHS template", victim.seq),
+            ("event exceeds its rule's delay bound", victim.seq),
+        ]
+
+    def test_triggers_carried_over_the_wire_by_value(self):
+        # A trigger decoded from a frame is another trace's event with the
+        # same (site, seq): the columns read its atoms from the object.
+        trace, chains = _chains(PROPAGATE, rounds=8)
+        elsewhere = ExecutionTrace()
+        wired = {
+            trigger.seq: elsewhere.record(
+                trigger.time, trigger.site, trigger.desc, seq=trigger.seq
+            )
+            for trigger, __ in chains
+        }
+        edits = {
+            event.seq: {"trigger": wired[trigger.seq]}
+            for trigger, generated in chains
+            for event in generated
+        }
+        planted = _replayed(trace, edits)
+        assert len(planted._foreign) == len(chains)
+        assert self._both(planted, [PROPAGATE]) == []
+        trigger, (victim,) = chains[5]
+        edits[victim.seq]["time"] = trigger.time + PROPAGATE.delay + 1
+        found = self._both(_replayed(trace, edits), [PROPAGATE])
+        assert _flagged(found, 5) == [
+            ("event exceeds its rule's delay bound", victim.seq)
+        ]
+
+    def test_rows_of_a_multi_step_rule_fitting_its_second_step(self):
+        # Every first-step event dropped: the rule's rows all fit its second
+        # step, so property 5 is content, and property 6 misses each
+        # trigger's first step.
+        trace, chains = _chains(TWO_STEP)
+        dropped = {first.seq for __, (first, __) in chains}
+        found = self._both(_replayed(trace, drop=dropped, local=True), [TWO_STEP])
+        assert _flagged(found, 5) == []
+        assert [seq for __, seq in _flagged(found, 6)] == [
+            trigger.seq for trigger, __ in chains
+        ]
+        assert all("WR(addr(n), b)" in v.message for v in found)
 
 
 # Rules the random traces draw provenance from: a repeated variable, a

@@ -244,7 +244,10 @@ class TestCallBudget:
         # property 5, strictly-follows scans linearly), 24.6 with the
         # validator reading rows (25.6 when next measured), 16.1 with
         # property 5 checked by positional agreements and each copy-family
-        # pairing in one walk per instance.  About 20 % above.
+        # pairing in one walk per instance, 6.07 with segments built in C,
+        # a pairing's timelines fetched in one loop, property 5 checked a
+        # rule and a column at a time and one-witness follows judged
+        # inline.  About 20 % above.
         cm, __ = fanout_federation()
         cm.run(until=seconds(40))
         events = len(cm.scenario.trace)
@@ -253,13 +256,14 @@ class TestCallBudget:
         (report,) = reports
         assert report.ok, report.render()
         assert len(report.guarantee_reports) == 128
-        assert calls / events <= 19
+        assert calls / events <= 7.3
 
     def test_property_5_makes_no_template_call(self):
-        # Property 5 checks a generated row by positional agreements, not a
-        # matcher: no call into core/templates.py comes from it, and all of
-        # validate_trace makes at most one per LHS candidate row property 6
-        # reads.  A presence check, like CI's tokenize_sql one.
+        # Property 5 checks a rule's generated rows by positional agreements
+        # on columns, not a matcher: no call into core/templates.py comes
+        # from it, and all of validate_trace makes at most one per LHS
+        # candidate row property 6 reads.  A presence check, like CI's
+        # tokenize_sql one.
         cm, __ = fanout_federation()
         cm.run(until=seconds(40))
         trace = cm.scenario.trace
@@ -283,7 +287,7 @@ class TestCallBudget:
         assert violations == []
         candidates = sum(len(trace._candidates(rule.lhs)) for rule in rules)
         assert len(trace.generated_events) > candidates / 2  # a real load
-        assert callers["_check_provenance"] == 0, callers
+        assert callers["_provenance"] == callers["_mask"] == 0, callers
         assert sum(callers.values()) <= candidates, callers
 
     @pytest.mark.parametrize(

@@ -123,6 +123,21 @@ class TestInstrumentationWiring:
         assert set(flight.sites) == {"sf", "ny"}
         assert flight.dumps == []  # nothing went wrong
 
+    def test_network_digests_keep_the_message_and_format_at_digest(self):
+        # ``net.send`` / ``net.recv`` keep the message by reference, as the
+        # shell's digests keep their descriptor: no string is built per send.
+        salary = build_salary_scenario("propagation")
+        cm = salary.cm
+        flight = cm.scenario.obs.enable_flight()
+        cm.spontaneous_write("salary1", ("emp1",), 64_000.0)
+        cm.run(seconds(30))
+        network = [row for row in flight if row[2] in ("net.send", "net.recv")]
+        assert {kind for __, __, kind, __ in network} == {"net.send", "net.recv"}
+        assert not any(isinstance(detail, str) for *__, detail in network)
+        rows = {row["kind"]: row["detail"] for row in flight.digest()}
+        assert rows["net.send"] == "->ny FireMessage"
+        assert rows["net.recv"] == "<-sf FireMessage"
+
     def test_injected_failure_dumps_the_notice_and_the_guarantees(self):
         # The sim-runtime incident: a logical failure at ny mid-run freezes
         # the rings once for the notice and once per guarantee it took down.

@@ -45,8 +45,15 @@ def test_trigger_chains_equivalent_across_runtimes(seed):
 
 
 def test_polling_scenario_equivalent():
-    report = run_equivalence(seed=0, strategy_kind="polling")
+    # The salary scenario polls every 60 virtual seconds: a 115 s workload
+    # run to 125 s spans two polls, so both runtimes really propagate.
+    report = run_equivalence(seed=0, strategy_kind="polling", duration_seconds=115.0)
     assert report.ok, report.render()
+    for obs in (report.sim, report.wire):
+        assert obs.rules_fired > 0, report.render()
+        assert obs.messages_sent > 0, report.render()
+        assert obs.chains > 0, report.render()
+    assert report.sim.chains == report.wire.chains, report.render()
 
 
 def test_report_serializes_for_artifacts():
