@@ -252,3 +252,17 @@ class Event:
 
     def __str__(self) -> str:
         return f"[{format_ticks(self.time)} @{self.site}] {self.desc}"
+
+
+# The builders that fill an event's fields themselves (the trace's record and
+# views, the wire codec's decoder) set its slots through their member
+# descriptors, like the descriptor helpers above: the generated frozen
+# ``__init__`` sets every field through ``object.__setattr__``, ~2.5x the cost.
+_set_time = Event.time.__set__
+_set_site = Event.site.__set__
+_set_desc = Event.desc.__set__
+_set_old = Event.old.__set__
+_set_new = Event.new.__set__
+_set_rule = Event.rule.__set__
+_set_trigger = Event.trigger.__set__
+_set_seq = Event.seq.__set__

@@ -46,7 +46,10 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from repro.core import events as _numbering
 from repro.core.errors import TraceError
-from repro.core.events import Event, EventDesc, EventKind
+from repro.core.events import (  # and the slot setters
+    Event, EventDesc, EventKind, _set_desc, _set_item, _set_kind, _set_new,
+    _set_old, _set_rule, _set_seq, _set_site, _set_time, _set_trigger, _set_values,
+)
 from repro.core.interpretations import StateJournal, VersionedInterpretation
 from repro.core.items import MISSING, DataItemRef, Value
 from repro.core.rules import Rule
@@ -231,8 +234,9 @@ _WIDTH = 11
 # object (shared and long-lived: keeping it adds nothing); ``_V0`` / ``_V1``
 # the descriptor's first and last value (``None`` without one); the trigger is
 # its identity, ``(_TRIGGER_SITE, _TRIGGER_SEQ)`` — one that is not an event
-# of this trace is kept whole in ``_foreign``; ``_VERSION`` is the journal
-# version after the event (its ``new``; a write's ``old`` is one less).
+# of this trace and names none of its rows (``_names_row``) is kept whole in
+# ``_foreign``; ``_VERSION`` is the journal version after the event (its
+# ``new``; a write's ``old`` is one less).
 _FOREIGN = -1
 
 _KINDS = {kind._value_: kind for kind in EventKind}
@@ -254,17 +258,6 @@ _P = EventKind.PERIODIC._value_
 _WRITE = EventKind.WRITE
 _SPONTANEOUS_WRITE = EventKind.SPONTANEOUS_WRITE
 _new = object.__new__
-_set_time = Event.time.__set__
-_set_site = Event.site.__set__
-_set_desc = Event.desc.__set__
-_set_old = Event.old.__set__
-_set_new = Event.new.__set__
-_set_rule = Event.rule.__set__
-_set_trigger = Event.trigger.__set__
-_set_seq = Event.seq.__set__
-_set_kind = EventDesc.kind.__set__
-_set_item = EventDesc.item.__set__
-_set_values = EventDesc.values.__set__
 
 
 class ExecutionTrace:
@@ -422,7 +415,7 @@ class ExecutionTrace:
                 self._generated.append(at)
         else:
             trigger_site, trigger_seq = trigger.site, trigger.seq
-            if trigger.new._journal is not journal:  # not an event of this trace
+            if trigger.new._journal is not journal and not self._names_row(trigger):
                 self._foreign[at] = trigger
             self._generated.append(at)
         # ``_V1`` repeats a one-value descriptor's value: one test, no slice.
@@ -439,6 +432,22 @@ class ExecutionTrace:
         if time > self.horizon:
             self.horizon = time
         return event
+
+    def _names_row(self, event: Event) -> bool:
+        """Whether ``event`` is the row ``_trigger_at``'s fast path finds for
+        it, atom for atom; a copy that disagrees with its row stays foreign."""
+        rows, seq, desc = self._rows, event.seq, event.desc
+        at = (seq - rows[_SEQ]) * _WIDTH if rows else -1
+        if not 0 <= at < len(rows):
+            return False
+        ref, values = rows[at + _REF], desc.values or (None,)
+        return (
+            rows[at + _SEQ] == seq and rows[at + _SITE] == event.site
+            and rows[at + _TIME] == event.time
+            and rows[at + _KIND] is desc.kind._value_
+            and (desc.item is None if ref is None else self._refs[ref] == desc.item)
+            and rows[at + _V0] == values[0] and rows[at + _V1] == values[-1]
+        )
 
     def _trigger_at(self, at: int) -> int:
         """The offset of row ``at``'s trigger, or ``_FOREIGN`` (``_foreign``).
@@ -1089,7 +1098,7 @@ def _check_liveness(
 ) -> list[Violation]:
     from repro.core.conditions import TRUE  # local import to avoid cycle noise
 
-    rows, trigger_seqs = trace._rows, columns[_TRIGGER_SEQ]
+    rows = trace._rows
     violations: list[Violation] = []
     shared: dict = {}  # (LHS template, site) -> its rows
     for rule in rules:
@@ -1116,8 +1125,10 @@ def _check_liveness(
         # firing that crossed the wire carries a copy).
         met = plan.triggers if len(rule.steps) == 1 else None
         by_trigger: dict[int, list[int]] = {}
-        for row in plan.rows if met is None else ():
-            by_trigger.setdefault(trigger_seqs[row], []).append(row * _WIDTH)
+        if met is None and plan.rows:  # the column, sliced on first need
+            trigger_seqs = columns[_TRIGGER_SEQ]
+            for row in plan.rows:
+                by_trigger.setdefault(trigger_seqs[row], []).append(row * _WIDTH)
         steps = [None] if met is not None else [
             compile_fields_matcher(step.template) for step in rule.steps
         ]

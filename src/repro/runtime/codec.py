@@ -37,8 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.events import Event, EventDesc, EventKind
-from repro.core.interpretations import Interpretation
+from repro.core.events import (  # and the slot setters
+    Event, EventDesc, EventKind, _set_desc, _set_item, _set_kind, _set_new,
+    _set_old, _set_rule, _set_seq, _set_site, _set_time, _set_trigger, _set_values,
+)
+from repro.core.interpretations import EMPTY_INTERPRETATION
 from repro.core.items import MISSING, DataItemRef
 
 #: Provenance chains are encoded to this depth; a trigger further up is
@@ -53,6 +56,7 @@ MAX_TRIGGER_DEPTH = 8
 MAX_VALUE_DEPTH = 32
 
 _TAG = "$"
+_new = object.__new__
 
 
 class CodecError(ValueError):
@@ -77,9 +81,7 @@ def _too_deep() -> CodecError:
 
 
 def _encode(value: Any, depth: int) -> Any:
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (str, int, float)):
+    if value is None or isinstance(value, (str, int, float)):  # bool is an int
         return value
     if value is MISSING or type(value).__name__ == "_Missing":
         return {_TAG: "missing"}
@@ -128,35 +130,53 @@ def _decode(data: Any, depth: int) -> Any:
 
 # -- descriptors --------------------------------------------------------------
 
+#: Types that are their own encoding: a sequence of them is copied in C.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+#: ``kind._value_`` -> (kind, takes an item, value arity): one lookup.
+_KINDS = {kind._value_: (kind, kind.takes_item, kind.value_arity) for kind in EventKind}
+
+
+def _encode_all(values: Any) -> list:
+    plain = _PLAIN.issuperset(map(type, values))
+    return list(values) if plain else [_encode(v, MAX_VALUE_DEPTH) for v in values]
+
+
+def _decode_all(data: Any) -> list:
+    tagged = dict in map(type, data)  # only a dict is a tagged value
+    return [_decode(v, MAX_VALUE_DEPTH) for v in data] if tagged else list(data)
+
 
 def encode_desc(desc: EventDesc) -> dict[str, Any]:
     """Encode a ground descriptor as a JSON dict."""
     item = desc.item
     return {
-        "kind": desc.kind.value,
+        "kind": desc.kind._value_,
         "item": None
         if item is None
-        else {"name": item.name, "args": [encode_value(a) for a in item.args]},
-        "values": [encode_value(v) for v in desc.values],
+        else {"name": item.name, "args": _encode_all(item.args)},
+        "values": _encode_all(desc.values),
     }
 
 
 def decode_desc(data: dict[str, Any]) -> EventDesc:
-    """Reverse :func:`encode_desc`."""
-    item_data = data["item"]
-    item = (
-        None
-        if item_data is None
-        else DataItemRef(
-            item_data["name"],
-            tuple(decode_value(a) for a in item_data["args"]),
-        )
-    )
-    return EventDesc(
-        EventKind(data["kind"]),
-        item,
-        tuple(decode_value(v) for v in data["values"]),
-    )
+    """Reverse :func:`encode_desc`: an unknown kind or a wrong shape is a
+    :class:`CodecError`."""
+    item = data["item"]
+    if item is not None:
+        item = DataItemRef(item["name"], tuple(_decode_all(item["args"])))
+    values = tuple(_decode_all(data["values"]))
+    try:
+        kind, takes_item, arity = _KINDS[data["kind"]]
+    except (KeyError, TypeError):  # unknown, or not even hashable
+        raise CodecError(f"unknown event kind: {data['kind']!r}") from None
+    if (item is None) is takes_item or len(values) != arity:
+        raise CodecError(f"{kind._value_} descriptor of the wrong shape")
+    desc = _new(EventDesc)
+    _set_kind(desc, kind)
+    _set_item(desc, item)
+    _set_values(desc, values)
+    return desc
 
 
 # -- events (trigger provenance chains) ---------------------------------------
@@ -184,36 +204,36 @@ def encode_event(
 def decode_event(
     data: dict[str, Any], depth: int = MAX_TRIGGER_DEPTH
 ) -> Event:
-    """Reverse :func:`encode_event`, bottom-up.
+    """Reverse :func:`encode_event`, bottom-up, in one loop.
 
-    Reconstructed events carry empty interpretations (the receiving side
-    never reads ``old``/``new`` off a remote trigger) and their *original*
-    sequence numbers — passing ``seq=`` explicitly keeps the global event
-    counter untouched, so local event numbering is unaffected by decoding.
-    The ``rule`` field decodes to ``None``: the frame carries the rule's
-    *name*, and validators identify remote triggers by ``(site, seq)``,
-    not by their rule field.  A chain longer than the encoder ever emits
-    (:data:`MAX_TRIGGER_DEPTH` events) raises :class:`CodecError`, so a
-    hostile frame cannot drive the recursion to the interpreter's limit.
+    Decoded events share one empty interpretation (the receiving side never
+    reads ``old``/``new`` off a remote trigger), keep their *original*
+    sequence numbers (local numbering is unaffected) and carry no rule: the
+    frame carries its *name*, and validators identify remote triggers by
+    ``(site, seq)``.  A chain longer than the encoder ever emits
+    (:data:`MAX_TRIGGER_DEPTH` events), or an event whose time, site or seq
+    has the wrong type, raises :class:`CodecError`.
     """
-    trigger_data = data["trigger"]
-    if trigger_data is None:
-        trigger = None
-    elif depth > 1:
-        trigger = decode_event(trigger_data, depth - 1)
-    else:
-        raise CodecError(
-            f"trigger chain deeper than {MAX_TRIGGER_DEPTH} events"
-        )
-    return Event(
-        time=data["time"],
-        site=data["site"],
-        desc=decode_desc(data["desc"]),
-        old=Interpretation(),
-        new=Interpretation(),
-        trigger=trigger,
-        seq=data["seq"],
-    )
+    chain = [data]
+    while (data := data["trigger"]) is not None:
+        if len(chain) >= depth:
+            raise CodecError(f"trigger chain deeper than {MAX_TRIGGER_DEPTH} events")
+        chain.append(data)
+    event = None
+    for data in reversed(chain):
+        time, site, seq = data["time"], data["site"], data["seq"]
+        if type(time) is not int or type(seq) is not int or type(site) is not str:
+            raise CodecError("event time, site or seq of the wrong type")
+        trigger, event = event, _new(Event)
+        _set_time(event, time)
+        _set_site(event, site)
+        _set_desc(event, decode_desc(data["desc"]))
+        _set_old(event, EMPTY_INTERPRETATION)
+        _set_new(event, EMPTY_INTERPRETATION)
+        _set_rule(event, None)
+        _set_trigger(event, trigger)
+        _set_seq(event, seq)
+    return event
 
 
 # -- firings ------------------------------------------------------------------
@@ -235,12 +255,20 @@ class WireFiring:
     slots: list
 
 
+#: The last trigger encoded, held (matched by identity), and its encoding,
+#: which frames share read-only: a fan-out encodes its trigger chain once.
+_last_trigger: list = [None, None]
+
+
 def encode_firing(fire: Any) -> dict[str, Any]:
     """Encode a :class:`~repro.cm.shell.FireMessage` by value."""
+    trigger, last = fire.trigger, _last_trigger
+    if last[0] is not trigger:
+        last[:] = trigger, encode_event(trigger)
     return {
         "rule": fire.program.rule.name,
-        "trigger": encode_event(fire.trigger),
-        "slots": [encode_value(v) for v in fire.slots],
+        "trigger": last[1],
+        "slots": _encode_all(fire.slots),
     }
 
 
@@ -249,5 +277,5 @@ def decode_firing(data: dict[str, Any]) -> WireFiring:
     return WireFiring(
         rule_name=data["rule"],
         trigger=decode_event(data["trigger"]),
-        slots=[decode_value(v) for v in data["slots"]],
+        slots=_decode_all(data["slots"]),
     )

@@ -726,29 +726,79 @@ class TestBulkProvenance:
 
     def test_triggers_carried_over_the_wire_by_value(self):
         # A trigger decoded from a frame is another trace's event with the
-        # same (site, seq): the columns read its atoms from the object.
+        # same (site, seq).  A faithful copy is the row it names: nothing is
+        # kept foreign, and the verdict is the one over the copy's own rows.
         trace, chains = _chains(PROPAGATE, rounds=8)
-        elsewhere = ExecutionTrace()
-        wired = {
-            trigger.seq: elsewhere.record(
-                trigger.time, trigger.site, trigger.desc, seq=trigger.seq
+        trigger, (victim,) = chains[5]
+        late = {victim.seq: {"time": trigger.time + PROPAGATE.delay + 1}}
+
+        def wired(event, **changes):
+            fields = {"time": event.time, "desc": event.desc, **changes}
+            return ExecutionTrace().record(
+                site=event.site, seq=event.seq, **fields
             )
-            for trigger, __ in chains
-        }
+
         edits = {
-            event.seq: {"trigger": wired[trigger.seq]}
-            for trigger, generated in chains
+            event.seq: {"trigger": wired(source)}
+            for source, generated in chains
             for event in generated
         }
         planted = _replayed(trace, edits)
-        assert len(planted._foreign) == len(chains)
+        assert not planted._foreign
         assert self._both(planted, [PROPAGATE]) == []
-        trigger, (victim,) = chains[5]
-        edits[victim.seq]["time"] = trigger.time + PROPAGATE.delay + 1
-        found = self._both(_replayed(trace, edits), [PROPAGATE])
+        edits[victim.seq].update(late[victim.seq])
+        planted = _replayed(trace, edits)
+        assert not planted._foreign
+        found = self._both(planted, [PROPAGATE])
+        local = self._both(_replayed(trace, late, local=True), [PROPAGATE])
+        assert _split(found) == _split(local)
         assert _flagged(found, 5) == [
             ("event exceeds its rule's delay bound", victim.seq)
         ]
+        # A copy that disagrees with its row in time, value, item or kind is
+        # not that row: it stays foreign, and the verdict reads the copy.
+        ref, value = trigger.desc.item, trigger.desc.values[0]
+        delay = "event exceeds its rule's delay bound"
+        lhs = "trigger does not match the rule's LHS"
+        for changes, fault in (
+            ({"time": victim.time - PROPAGATE.delay - 1}, delay),
+            (
+                {"desc": notify_desc(ref, value + 1)},
+                "event is not an instantiation of any RHS template",
+            ),
+            ({"desc": notify_desc(item("addr", *ref.args), value)}, lhs),
+            ({"desc": write_request_desc(ref, value)}, lhs),
+        ):
+            edits = {victim.seq: {"trigger": wired(trigger, **changes)}}
+            planted = _replayed(trace, edits, local=True)
+            assert len(planted._foreign) == 1, changes
+            found = self._both(planted, [PROPAGATE])
+            assert _flagged(found, 5) == [(fault, victim.seq)], changes
+
+    def test_a_copy_under_non_contiguous_numbering_stays_foreign(self):
+        # The copy's row is not at ``seq - first seq``: no index is built at
+        # record time to find it, so the copy is kept whole, and the verdict
+        # reads it as the row it is.
+        trace = ExecutionTrace()
+        first, trigger = (
+            trace.record(seconds(n), "hub", notify_desc(item("phone", ref), n), seq=seq)
+            for n, ref, seq in ((1, "p0", 5), (2, "p1", 9))
+        )
+        copy = ExecutionTrace().record(
+            trigger.time, trigger.site, trigger.desc, seq=trigger.seq
+        )
+        for source in (first, copy):
+            ref, value = source.desc.item, source.desc.values[0]
+            trace.record(
+                source.time + seconds(2),
+                "replica1",
+                write_request_desc(item("addr", *ref.args), value),
+                rule=PROPAGATE,
+                trigger=source,
+            )
+        trace.close(seconds(100))
+        assert list(trace._foreign.values()) == [copy]
+        assert self._both(trace, [PROPAGATE]) == []
 
     def test_rows_of_a_multi_step_rule_fitting_its_second_step(self):
         # Every first-step event dropped: the rule's rows all fit its second

@@ -23,6 +23,7 @@ left per recorded event, after ``gc.collect()``.
 """
 
 import gc
+import json
 import os
 import random
 import sys
@@ -33,6 +34,7 @@ import pytest
 
 from repro.analysis import lint_manager
 from repro.cm import CMRID, ConstraintManager, Scenario
+from repro.cm.shell import FireMessage
 from repro.cm.verify import verify
 from repro.core.dsl import parse_rule
 from repro.core.events import EventKind, notify_desc, spontaneous_write_desc
@@ -46,6 +48,8 @@ from repro.core.trace import ExecutionTrace, validate_trace
 from repro.experiments.e4_demarcation import build_inventory_cm
 from repro.experiments.e10_scale import build_federation
 from repro.protocols.demarcation import SlackPolicy
+from repro.runtime.channels import decode_payload, encode_payload
+from repro.runtime.codec import decode_event, encode_event
 from repro.ris.relational import RelationalDatabase
 from repro.sim.scheduler import Simulator
 from repro.workloads.generators import notification_stream
@@ -109,12 +113,12 @@ def layer_of(filename: str) -> str:
     return "other"
 
 
-def fanout_federation():
-    """The ``fanout_sim`` federation of ``benchmarks/e2e``: a hub and 32
-    relational replicas, one propagated copy constraint each, with 50
-    updates over 50 keys scheduled.  Returns the manager and the number of
-    propagations the run will make."""
-    replicas, keys, updates = 32, 50, 50
+def fanout_federation(replicas: int = 32):
+    """The ``fanout_sim`` federation of ``benchmarks/e2e``: a hub and 32 (or
+    ``replicas``) relational replicas, one propagated copy constraint each,
+    with 50 updates over 50 keys scheduled.  Returns the manager and the
+    number of propagations the run will make."""
+    keys, updates = 50, 50
     cm, __ = build_federation(replicas, seed=11)
     rng = random.Random(5)
     names = [f"p{i}" for i in range(keys)]
@@ -232,6 +236,35 @@ class TestCallBudget:
             if calls > budgets[layer]
         }
         assert not over, f"over budget (calls, budget): {over}; all: {measured}"
+
+    def test_fanout_codec_calls_per_firing(self):
+        # Each cross-site firing of a 4-replica fan-out, encoded in send
+        # order as the wire's sender does and decoded from its JSON as the
+        # receiver does.  31.0 + 49.0 calls per firing while every value
+        # took a codec frame, events and descriptors ran their generated
+        # ``__init__`` and kinds an ``Enum`` lookup; 5.5 + 15.0 once plain
+        # scalars were copied in C, events decoded through their slots and
+        # a fan-out encoded its shared trigger chain once.  About 15 % above.
+        cm, propagations = fanout_federation(replicas=4)
+        network, sent = cm.scenario.network, []
+        send = network.send
+
+        def capture(src, dst, payload):
+            sent.append(payload)
+            return send(src, dst, payload)
+
+        network.send = capture
+        cm.run(until=seconds(40))
+        firings = [payload for payload in sent if type(payload) is FireMessage]
+        assert len(firings) == propagations
+        encoded: list = []
+        encode_calls = python_calls(
+            lambda: encoded.extend(map(encode_payload, firings))
+        )
+        frames = [json.loads(json.dumps(data)) for data in encoded]
+        decode_calls = python_calls(lambda: list(map(decode_payload, frames)))
+        assert encode_calls / len(firings) <= 6.4
+        assert decode_calls / len(firings) <= 17.3
 
     def test_fanout_verdict_calls_per_event(self):
         # The same federation, judged: 128 guarantees and the seven
@@ -377,10 +410,14 @@ def deliver_all(shell, events) -> None:
 ANNOUNCE = parse_rule("Ws(F(n), a, b) -> [1] N(F(n), b)", name="announce")
 
 
-def fill_trace(trace: ExecutionTrace, refs, n_events: int) -> None:
+def fill_trace(
+    trace: ExecutionTrace, refs, n_events: int, wire: bool = False
+) -> None:
     """``n_events`` events over ``refs``: spontaneous writes, each followed
     by its generated ``ANNOUNCE`` notification, all in one site-pair group
-    (so validation runs Appendix-A properties 5-7 on half the trace)."""
+    (so validation runs Appendix-A properties 5-7 on half the trace).  With
+    ``wire``, each notification's trigger is its write's codec round trip,
+    as a firing that crossed a channel carries it."""
     clock = 0
     for index in range(n_events // 2):
         ref = refs[index % len(refs)]
@@ -394,7 +431,7 @@ def fill_trace(trace: ExecutionTrace, refs, n_events: int) -> None:
             "s",
             notify_desc(ref, value),
             rule=ANNOUNCE,
-            trigger=write,
+            trigger=decode_event(encode_event(write)) if wire else write,
         )
     trace.close(clock + seconds(10))
 
@@ -533,13 +570,25 @@ class TestRetentionBudget:
         # is left is per item and per family, not per event).  Objects,
         # not collector passes: how a CPython version schedules its passes
         # does not move this count.
-        refs = [item("F", f"i{k}") for k in range(64)]
-        fill_trace(ExecutionTrace(), refs, 400)  # lazy imports, caches
-        trace = ExecutionTrace()
-        gc.collect()
-        before = len(gc.get_objects())
-        fill_trace(trace, refs, 4000)
-        gc.collect()
-        per_event = (len(gc.get_objects()) - before) / len(trace)
-        assert len(trace) == 4000
-        assert per_event <= 0.25, per_event
+        assert retained_per_event(wire=False) <= 0.25
+
+    def test_trace_keeps_no_tracked_object_per_wire_trigger(self):
+        # The same events with each trigger carried by value, as a decoded
+        # frame carries it: 2.57 per event while the trace kept every such
+        # trigger whole, ~0.05 since a faithful copy resolves to the row it
+        # names by ``(site, seq)``.
+        assert retained_per_event(wire=True) <= 0.25
+
+
+def retained_per_event(wire: bool) -> float:
+    refs = [item("F", f"i{k}") for k in range(64)]
+    fill_trace(ExecutionTrace(), refs, 400, wire)  # lazy imports, caches
+    trace = ExecutionTrace()
+    gc.collect()
+    before = len(gc.get_objects())
+    fill_trace(trace, refs, 4000, wire)
+    gc.collect()
+    per_event = (len(gc.get_objects()) - before) / len(trace)
+    assert len(trace) == 4000
+    assert not trace._foreign
+    return per_event

@@ -10,6 +10,7 @@ and no other.
 """
 
 import asyncio
+import copy
 import struct
 
 import pytest
@@ -21,9 +22,9 @@ from repro.core.dsl import parse_rule
 from repro.core.events import notify_desc
 from repro.core.items import MISSING, item
 from repro.core.trace import ExecutionTrace
-from repro.runtime.channels import DELIVER_METHOD, encode_payload
+from repro.runtime.channels import DELIVER_METHOD, decode_payload, encode_payload
 from repro.runtime.clock import WallClock
-from repro.runtime.codec import MAX_VALUE_DEPTH
+from repro.runtime.codec import MAX_VALUE_DEPTH, CodecError
 from repro.runtime.gateway import WireNetwork
 from repro.runtime.jsonrpc import Notification
 from repro.runtime.transport import MAX_FRAME_BYTES, encode_frame
@@ -146,6 +147,52 @@ def test_firing_the_shell_cannot_run_is_dropped_and_the_channel_keeps_serving(
     }
     assert seen == {"e0": MISSING, "e1": 2.0, "e2": 3.0}
     assert b.rules_fired == 0  # the RHS ran; the LHS fired at the peer
+    assert network.messages_dropped == 1
+    assert network.messages_delivered == 2
+
+
+@pytest.mark.parametrize(
+    "field, changes",
+    [
+        ("desc", {"values": [1.0, 2.0]}),
+        ("desc", {"kind": "P", "values": [1]}),
+        ("desc", {"kind": "Q"}),
+        ("desc", {"kind": ["N"]}),
+        (None, {"time": "noon"}),
+        (None, {"site": ["a"]}),
+    ],
+    ids=[
+        "wrong-value-arity",
+        "item-on-item-less-kind",
+        "unknown-kind",
+        "unhashable-kind",
+        "str-time",
+        "list-site",
+    ],
+)
+def test_malformed_trigger_is_a_codec_error_and_the_channel_keeps_serving(
+    field, changes
+):
+    # Dropped at arrival, before the shell records an event with it: a
+    # trigger with a text time would reach the verdict's lag arithmetic.
+    bad = copy.deepcopy(firing("e0", 1.0))
+    (bad["trigger"] if field is None else bad["trigger"][field]).update(changes)
+    with pytest.raises(CodecError):
+        decode_payload(bad)
+    cm = ConstraintManager(Scenario(runtime="async"))
+    cm.add_site("a")
+    b = cm.add_site("b")
+    b.register_remote_rule(SEEN)
+    frames = [
+        deliver(0, bad),
+        deliver(1, firing("e1", 2.0)),
+        deliver(2, firing("e2", 3.0)),
+    ]
+    network, __ = serve(frames, expected=2, network=cm.scenario.network)
+    seen = {
+        key: b.store.read_local(item("Seen", key)) for key in ("e0", "e1", "e2")
+    }
+    assert seen == {"e0": MISSING, "e1": 2.0, "e2": 3.0}
     assert network.messages_dropped == 1
     assert network.messages_delivered == 2
 
