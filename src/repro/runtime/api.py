@@ -59,9 +59,6 @@ class Clock(Protocol):
         so a plain attribute satisfies it (the simulator's is one)."""
         ...
 
-    @property
-    def now_seconds(self) -> float: ...
-
     def at(self, time: Ticks, callback: Callable[[], None]) -> Any: ...
 
     def after(self, delay: Ticks, callback: Callable[[], None]) -> Any: ...

@@ -18,12 +18,17 @@ frame, and replaces the discrete-event queue with a scaled wall clock
 
 A wall-clock watchdog (``max_wall_seconds``) raises instead of hanging
 on a wedged socket or a runaway schedule.
+
+Each run has its own :func:`new_event_loop`, which waits in ``select(2)``
+for the clock's one timer to the microsecond (``epoll_wait`` rounds every
+wait up to a whole millisecond, a lateness each hop paid).
 """
 
 from __future__ import annotations
 
 import asyncio
 import gc
+import selectors
 from typing import TYPE_CHECKING
 
 from repro.core.timebase import Ticks
@@ -36,7 +41,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class WireRuntimeError(RuntimeError):
-    """The wire runtime failed to make progress (watchdog expired)."""
+    """The watchdog expired, or a socket is past ``select(2)``'s reach."""
+
+
+class _SelectSelector(selectors.SelectSelector):
+    def select(self, timeout=None):
+        try:
+            return super().select(timeout)
+        except ValueError as exc:  # "filedescriptor out of range in select()"
+            raise WireRuntimeError(
+                "a socket's descriptor is past select(2)'s FD_SETSIZE (1024)"
+            ) from exc
+
+
+def new_event_loop() -> asyncio.AbstractEventLoop:
+    """A loop on ``select(2)``; :class:`WireRuntimeError`, with nothing
+    left open, if its own self-pipe is past ``FD_SETSIZE``."""
+    selector = _SelectSelector()
+    loop = asyncio.SelectorEventLoop(selector)
+    try:
+        selector.select(0)
+    except WireRuntimeError:
+        loop.close()
+        raise
+    return loop
 
 
 class AsyncRuntime:
@@ -103,11 +131,14 @@ class AsyncRuntime:
         """
         if self.wire is None or self.clock is None:
             raise WireRuntimeError("runtime was never built for a scenario")
+        loop = new_event_loop()
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            asyncio.run(self._session(until))
+            loop.run_until_complete(self._session(until))
+            loop.run_until_complete(loop.shutdown_asyncgens())
         finally:
+            loop.close()
             if gc_was_enabled:
                 gc.enable()
                 gc.collect(0)

@@ -3,11 +3,10 @@
 The sim kernel's :class:`~repro.sim.network.Network` gets FIFO "for free"
 by clamping delivery times in one global event queue.  The wire runs the
 same network, clamp included, but a clamped deadline is not an order on a
-real socket: asyncio fires equal deadlines in any order, and frames can be
-duplicated or overtaken.  So the channel layer has to *earn* the property
-— and that is exactly what Appendix A property 7 requires of any
-deployment: in-order message delivery between sites, in-order processing
-at each site.
+real socket: frames can be duplicated or overtaken.  So the channel layer
+has to *earn* the property — and that is exactly what Appendix A property
+7 requires of any deployment: in-order message delivery between sites,
+in-order processing at each site.
 
 Three pieces live here:
 

@@ -149,8 +149,7 @@ class WireNetwork(Network):
     timer on the :class:`WallClock`.  The wire adds:
 
     - at ``send``, the payload's encoding and the channel sequence number
-      (asyncio's timer heap does not keep FIFO order among the equal
-      deadlines the clamp makes common, so timers cannot sequence);
+      (the channel's order is its send order, fixed before any timer);
     - when the delivery timer fires, the frame's write;
     - at the receiving endpoint, resequencing and decoding, then the
       kernel's own delivery (:meth:`Network._deliver`).
@@ -280,10 +279,9 @@ class WireNetwork(Network):
             and src in self._sites
             and isinstance(dst, str)
             and dst in self._sites
-            and all(
-                type(params.get(key)) is int
-                for key in ("seq", "sent_at", "deliver_at")
-            )
+            and type(params.get("seq")) is int
+            and type(params.get("sent_at")) is int
+            and type(params.get("deliver_at")) is int
         ):
             self.messages_dropped += 1
             return

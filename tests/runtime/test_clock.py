@@ -1,11 +1,13 @@
 """Tests for the scaled wall clock behind the wire runtime."""
 
 import asyncio
+import statistics
 import time
 
 import pytest
 
 from repro.core.timebase import seconds
+from repro.runtime.async_runtime import new_event_loop
 from repro.runtime.clock import WallClock
 
 #: Fast enough that a 10-virtual-second test costs ~2ms of wall time.
@@ -14,6 +16,14 @@ SCALE = 5000.0
 
 def run(clock: WallClock, until) -> None:
     asyncio.run(clock.run_until(until))
+
+
+def run_on_runtime_loop(clock: WallClock, until) -> None:
+    loop = new_event_loop()
+    try:
+        loop.run_until_complete(clock.run_until(until))
+    finally:
+        loop.close()
 
 
 class TestScheduling:
@@ -137,3 +147,119 @@ class TestWallPacing:
         run(clock, seconds(4))
         samples.append(clock.now)
         assert samples == sorted(samples)
+
+
+class TestOneQueue:
+    """The clock keeps the kernel's queue and arms one loop timer."""
+
+    def test_equal_times_fire_in_scheduling_order(self):
+        clock = WallClock(time_scale=SCALE)
+        fired = []
+        for i in range(64):
+            clock.at(seconds(1), lambda i=i: fired.append(i))
+        run(clock, seconds(2))
+        assert fired == list(range(64))
+
+    def test_one_clock_timer_whatever_is_pending(self):
+        clock = WallClock(time_scale=100.0)  # a virtual second is 10 wall ms
+        armed = []
+
+        def count_timers():
+            scheduled = asyncio.get_running_loop()._scheduled
+            armed.append(sum(not handle.cancelled() for handle in scheduled))
+
+        clock.at(seconds(1), count_timers)
+        for i in range(1_000):
+            clock.at(seconds(2) + 1_000 * i, lambda: None)
+        run(clock, seconds(4))
+        # The clock's one timer, for the head or the horizon (and popped
+        # while its batch runs); asyncio's heap orders none of the events.
+        assert armed and armed[0] <= 1
+        assert clock.events_processed == 1_001
+
+    def test_stop_ends_run_until_within_one_iteration(self):
+        clock = WallClock(time_scale=1.0)  # the horizon is 60 wall seconds
+        iterations = []
+
+        def spin():
+            iterations[0] += 1
+            asyncio.get_running_loop().call_soon(spin)
+
+        def stop():
+            clock.stop()
+            iterations.append(0)
+            asyncio.get_running_loop().call_soon(spin)
+
+        clock.at(seconds(0.001), stop)
+
+        async def session():
+            await clock.run_until(seconds(60))
+            return iterations[0]
+
+        assert asyncio.run(session()) <= 2
+
+    def test_cancel_heavy_run_compacts_tombstones(self):
+        # Timeout guards: every event schedules a guard far ahead and
+        # cancels the previous one, so tombstones would pile up unbounded.
+        clock = WallClock(time_scale=100.0)
+        guard = [clock.at(seconds(900), lambda: None)]
+        depths = []
+
+        def step(i):
+            guard[0].cancel()
+            guard[0] = clock.at(seconds(900), lambda: None)
+            depths.append(len(clock._queue))
+            if i < 500:
+                clock.at(seconds(1) + 1_000 * (i + 1), lambda: step(i + 1))
+
+        clock.at(seconds(1), lambda: step(0))
+        run(clock, seconds(10))
+        assert len(depths) == 501
+        assert max(depths) <= 8
+
+    def test_events_close_together_share_a_wake_and_none_runs_early(self):
+        # At x20 the window is 5 virtual ms (250 wall us): three events
+        # 4 virtual ms (200 wall us) apart need fewer wakes than events,
+        # and each runs no earlier than the wall clock reaches it.
+        clock = WallClock(time_scale=20.0)
+        batches, early = [], []
+        wake = clock._wake
+
+        def counting_wake():
+            before = clock.events_processed
+            wake()
+            batches.append(clock.events_processed - before)
+
+        def check(due):
+            # Less a wall microsecond: the loop's time and ``monotonic()``
+            # were read one after the other at activation.
+            wall = clock._anchor + (time.monotonic() - clock._origin) * 20e6
+            early.append(wall < due - 20)
+
+        clock._wake = counting_wake
+        for i in range(3):
+            due = seconds(0.1) + 4_000 * i
+            clock.at(due, lambda due=due: check(due))
+        run_on_runtime_loop(clock, seconds(0.2))
+        assert early == [False, False, False]
+        assert 1 <= len([n for n in batches if n]) < 3
+
+    def test_wakes_on_time_on_the_runtime_loop(self):
+        # 200 timers 0.3 wall ms apart (time_scale 1: a tick is a wall
+        # microsecond); epoll rounds each wait up to a whole millisecond,
+        # a median of about 0.6 ms here.  A descheduled process is late for
+        # every timer due during the stall, so the best of three rounds
+        # counts: rounding is late in every round, a busy host only in some.
+        assert min(median_wake_lateness() for __ in range(3)) < 300
+
+
+def median_wake_lateness() -> float:
+    """Median ticks a timer ran after its due time, at time_scale 1."""
+    clock = WallClock(time_scale=1.0)
+    lateness = []
+    for i in range(200):
+        due = seconds(0.01) + 300 * i
+        clock.at(due, lambda due=due: lateness.append(clock.now - due))
+    run_on_runtime_loop(clock, seconds(0.08))
+    assert len(lateness) == 200
+    return statistics.median(lateness)

@@ -55,7 +55,7 @@ class WireDriver:
 
     def _horizon(self):
         """The latest pending event's time; ``None`` when nothing is left."""
-        pending = [event.time for event in self.clock._buffered if not event.cancelled]
+        pending = [event.time for event in self.clock._queue if not event.cancelled]
         return max(pending, default=None)
 
     def run(self, until=None):
