@@ -31,7 +31,7 @@ from repro import (
     parse_rules,
     seconds,
 )
-from repro.ris.base import Capability, RawInformationSource
+from repro.ris.base import RawInformationSource
 from repro.ris.relational import RelationalDatabase
 
 
@@ -52,9 +52,6 @@ class JobQueueServer(RawInformationSource):
         super().__init__(name)
         self._queues: dict[str, list[str]] = {}
         self._listeners = []
-
-    def capabilities(self) -> Capability:
-        return Capability.READ | Capability.NOTIFY
 
     def subscribe(self, callback) -> None:
         self._listeners.append(callback)

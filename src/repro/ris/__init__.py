@@ -5,8 +5,9 @@ holding the data.  Each source is implemented from scratch with a genuinely
 different native interface (RISI), so the CM-Translators above them have real
 heterogeneity to absorb:
 
-- :mod:`repro.ris.relational` — a mini relational DBMS with a SQL subset,
-  indexes, triggers and transactions (the "Sybase" of the paper's examples).
+- :mod:`repro.ris.relational` — a mini relational DBMS running the SQL the
+  relational translator sends, with row triggers (the "Sybase" of the
+  paper's examples).
 - :mod:`repro.ris.filestore` — a flat-file record store (the "Unix files"
   source): whole-file read/write, no transactions, no triggers.
 - :mod:`repro.ris.objectstore` — a small object-oriented store with classes,
@@ -18,15 +19,9 @@ heterogeneity to absorb:
   fail silently (the Section 5 cautionary case).
 """
 
-from repro.ris.base import (
-    Capability,
-    RawInformationSource,
-    RISError,
-    RISErrorCode,
-)
+from repro.ris.base import RawInformationSource, RISError, RISErrorCode
 
 __all__ = [
-    "Capability",
     "RawInformationSource",
     "RISError",
     "RISErrorCode",

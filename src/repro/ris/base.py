@@ -1,9 +1,9 @@
 """Common vocabulary for raw information sources.
 
-Each RIS advertises a set of :class:`Capability` flags describing what its
-native interface can do; CM-Translators consult these when deciding which
-CM-Interfaces they can offer (Section 4.1: during initialization the
-CM-Shells query the CM-Translators about local capabilities).
+A source describes itself once, in the CM-RID: the ``offer(...)``
+statements a CM-Translator reads name the interfaces it can support
+(Section 4.1: during initialization the CM-Shells survey the
+CM-Translators, not the sources).  A source only exposes its native API.
 
 Errors raised by a RIS carry an errno-like :class:`RISErrorCode`.  The
 CM-Translator maps these codes to the paper's failure classes (Section 5):
@@ -13,28 +13,7 @@ failures.
 
 from __future__ import annotations
 
-from enum import Enum, Flag, auto
-
-
-class Capability(Flag):
-    """What a source's native interface supports."""
-
-    NONE = 0
-    #: Values can be read on demand.
-    READ = auto()
-    #: Values can be written on demand.
-    WRITE = auto()
-    #: Records can be created and deleted.
-    INSERT_DELETE = auto()
-    #: The source can push update notifications (e.g. via triggers).
-    NOTIFY = auto()
-    #: The source evaluates predicates locally (conditional notification).
-    LOCAL_CONDITIONS = auto()
-    #: The source has a local constraint manager that can enforce local
-    #: predicates (required by the Demarcation Protocol, Section 6.1).
-    LOCAL_CONSTRAINTS = auto()
-    #: The source supports local transactions (atomic multi-item updates).
-    TRANSACTIONS = auto()
+from enum import Enum
 
 
 class RISErrorCode(Enum):
@@ -79,9 +58,9 @@ class RawInformationSource:
     """Base class for raw sources.
 
     Concrete sources expose their own native APIs (SQL strings, file paths,
-    lookup keys, ...); this base class only fixes the capability survey and a
-    display name.  The heterogeneity is the point: nothing above the
-    CM-Translator layer ever sees these native APIs.
+    lookup keys, ...); this base class only fixes a display name.  The
+    heterogeneity is the point: nothing above the CM-Translator layer ever
+    sees these native APIs.
     """
 
     #: Human-readable kind, e.g. "relational", "flat-file".
@@ -89,10 +68,6 @@ class RawInformationSource:
 
     def __init__(self, name: str):
         self.name = name
-
-    def capabilities(self) -> Capability:
-        """The capability flags of this source's native interface."""
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

@@ -14,12 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.ris.base import (
-    Capability,
-    RawInformationSource,
-    RISError,
-    RISErrorCode,
-)
+from repro.ris.base import RawInformationSource, RISError, RISErrorCode
 
 
 @dataclass(frozen=True)
@@ -44,10 +39,6 @@ class BiblioDatabase(RawInformationSource):
         self._by_author: dict[str, set[str]] = {}
         self._available = True
         self.queries = 0
-
-    def capabilities(self) -> Capability:
-        """Read-only: field queries are all the CM gets."""
-        return Capability.READ
 
     def set_available(self, available: bool) -> None:
         """Simulate the server being unreachable."""

@@ -17,12 +17,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.timebase import Ticks
-from repro.ris.base import (
-    Capability,
-    RawInformationSource,
-    RISError,
-    RISErrorCode,
-)
+from repro.ris.base import RawInformationSource, RISError, RISErrorCode
 
 
 def parse_records(content: str) -> dict[str, str]:
@@ -64,10 +59,6 @@ class FlatFileStore(RawInformationSource):
         self._available = True
         self.reads = 0
         self.writes = 0
-
-    def capabilities(self) -> Capability:
-        """Read/write files; no notifications, no transactions."""
-        return Capability.READ | Capability.WRITE | Capability.INSERT_DELETE
 
     def set_available(self, available: bool) -> None:
         """Simulate the file server becoming unreachable."""

@@ -18,12 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.ris.base import (
-    Capability,
-    RawInformationSource,
-    RISError,
-    RISErrorCode,
-)
+from repro.ris.base import RawInformationSource, RISError, RISErrorCode
 
 UpdateCallback = Callable[[str, Any], None]
 
@@ -45,10 +40,6 @@ class LegacySystem(RawInformationSource):
         self._available = True
         self.updates_sent = 0
         self.updates_dropped = 0
-
-    def capabilities(self) -> Capability:
-        """Read, write, and a best-effort notify feed."""
-        return Capability.READ | Capability.WRITE | Capability.NOTIFY
 
     def set_available(self, available: bool) -> None:
         """Simulate the system being down (a detectable failure)."""

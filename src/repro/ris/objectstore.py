@@ -16,12 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.ris.base import (
-    Capability,
-    RawInformationSource,
-    RISError,
-    RISErrorCode,
-)
+from repro.ris.base import RawInformationSource, RISError, RISErrorCode
 
 _TYPES: dict[str, type | tuple[type, ...]] = {
     "int": int,
@@ -77,15 +72,6 @@ class ObjectStore(RawInformationSource):
         self._subscribers: list[ChangeCallback] = []
         self._next_oid = 1
         self._available = True
-
-    def capabilities(self) -> Capability:
-        """Full access plus a change feed (an OODB event service)."""
-        return (
-            Capability.READ
-            | Capability.WRITE
-            | Capability.INSERT_DELETE
-            | Capability.NOTIFY
-        )
 
     def set_available(self, available: bool) -> None:
         """Simulate the object server going down."""

@@ -5,19 +5,21 @@ paper: the CM-Translator for relational sources (Section 4.2.1) speaks SQL to
 it, declares triggers on it to implement Notify Interfaces, and maps its
 error codes to metric/logical failures.
 
-Features (the subset the constraint-management toolkit exercises):
+It runs the statement shapes the toolkit sends, and no others:
 
-- DDL: ``CREATE TABLE``, ``DROP TABLE``, ``CREATE INDEX``.
-- DML: ``INSERT``, ``UPDATE``, ``DELETE`` with ``WHERE`` predicates and
-  ``?`` parameter placeholders.
-- Queries: ``SELECT`` with projection, expressions, ``WHERE``, ``ORDER BY``,
-  ``LIMIT``, and the aggregates ``COUNT/MIN/MAX/SUM``.
-- Row triggers: ``AFTER INSERT / UPDATE [OF col] / DELETE`` firing host
-  callbacks with old/new rows (how notify interfaces are implemented).
-- Primary-key and unique constraints backed by hash indexes; secondary
-  hash/ordered indexes chosen automatically for equality predicates.
-- Local transactions with rollback (undo logging) — the facility the
-  Demarcation Protocol relies on for local-constraint enforcement.
+- DDL: ``CREATE TABLE`` with typed columns, ``PRIMARY KEY`` and
+  ``NOT NULL``; ``CREATE TRIGGER name AFTER INSERT / UPDATE [OF col] /
+  DELETE ON table``, whose bodies are host callbacks fed the old/new rows
+  (how notify interfaces are implemented).
+- DML: ``INSERT … VALUES``, ``UPDATE … SET … [WHERE]``, ``DELETE …
+  [WHERE]`` with ``?`` placeholders.
+- Queries: ``SELECT cols | * FROM table [WHERE] [ORDER BY cols]``.
+- ``WHERE`` predicates: comparisons, ``AND`` / ``OR`` / ``NOT`` and
+  ``IS [NOT] NULL``, with SQL NULL semantics; ``key = constant`` finds its
+  row through the primary key.
+
+Any other statement is a :class:`SqlSyntaxError` (``INVALID_REQUEST``)
+raised before it touches a row.
 
 Public entry point: :class:`~repro.ris.relational.database.RelationalDatabase`.
 """
@@ -28,7 +30,6 @@ from repro.ris.relational.errors import (
     ConstraintViolationError,
     SqlError,
     SqlSyntaxError,
-    TransactionError,
 )
 from repro.ris.relational.triggers import TriggerEvent
 
@@ -39,6 +40,5 @@ __all__ = [
     "SqlSyntaxError",
     "CatalogError",
     "ConstraintViolationError",
-    "TransactionError",
     "TriggerEvent",
 ]

@@ -37,16 +37,15 @@ class SqlParam(SqlExpr):
 
 
 @dataclass(frozen=True)
-class SqlUnary(SqlExpr):
-    """``-x`` or ``NOT x``."""
+class SqlNot(SqlExpr):
+    """``NOT x``."""
 
-    op: str
     operand: SqlExpr
 
 
 @dataclass(frozen=True)
 class SqlBinary(SqlExpr):
-    """Binary arithmetic / comparison / boolean operation."""
+    """A comparison (``= != < <= > >=``) or ``AND`` / ``OR``."""
 
     op: str
     left: SqlExpr
@@ -61,42 +60,6 @@ class SqlIsNull(SqlExpr):
     negated: bool
 
 
-@dataclass(frozen=True)
-class SqlInList(SqlExpr):
-    """``x IN (v1, v2, ...)``."""
-
-    operand: SqlExpr
-    values: tuple[SqlExpr, ...]
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class SqlBetween(SqlExpr):
-    """``x [NOT] BETWEEN low AND high`` (inclusive)."""
-
-    operand: SqlExpr
-    low: SqlExpr
-    high: SqlExpr
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class SqlLike(SqlExpr):
-    """``x [NOT] LIKE pattern`` with ``%`` and ``_`` wildcards."""
-
-    operand: SqlExpr
-    pattern: SqlExpr
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class SqlAggregate(SqlExpr):
-    """``COUNT(*)``, ``COUNT(col)``, ``MIN/MAX/SUM(col)``."""
-
-    func: str
-    argument: Optional[SqlExpr]  # None means COUNT(*)
-
-
 # -- statements -----------------------------------------------------------------
 
 
@@ -108,27 +71,12 @@ class ColumnDef:
     type_name: str  # INTEGER | REAL | TEXT | BOOLEAN
     primary_key: bool = False
     not_null: bool = False
-    unique: bool = False
 
 
 @dataclass(frozen=True)
 class CreateTable:
     name: str
     columns: tuple[ColumnDef, ...]
-    checks: tuple[SqlExpr, ...] = ()
-
-
-@dataclass(frozen=True)
-class DropTable:
-    name: str
-
-
-@dataclass(frozen=True)
-class CreateIndex:
-    name: str
-    table: str
-    column: str
-    unique: bool = False
 
 
 @dataclass(frozen=True)
@@ -152,14 +100,6 @@ class Delete:
 
 
 @dataclass(frozen=True)
-class SelectItem:
-    """One projected expression with an optional alias."""
-
-    expr: SqlExpr
-    alias: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class OrderItem:
     column: str
     descending: bool = False
@@ -167,22 +107,10 @@ class OrderItem:
 
 @dataclass(frozen=True)
 class Select:
-    items: tuple[SelectItem, ...]  # empty means SELECT *
+    columns: tuple[str, ...]  # empty means SELECT *
     table: str
     where: Optional[SqlExpr] = None
     order_by: tuple[OrderItem, ...] = ()
-    limit: Optional[int] = None
-    distinct: bool = False
-
-    @property
-    def is_star(self) -> bool:
-        """Whether this is a SELECT * query."""
-        return not self.items
-
-    @property
-    def is_aggregate(self) -> bool:
-        """Whether any projected expression is an aggregate."""
-        return any(isinstance(i.expr, SqlAggregate) for i in self.items)
 
 
 @dataclass(frozen=True)
@@ -201,40 +129,7 @@ class CreateTrigger:
     column: Optional[str] = None  # UPDATE OF col
 
 
-@dataclass(frozen=True)
-class DropTrigger:
-    name: str
-
-
-@dataclass(frozen=True)
-class BeginTransaction:
-    pass
-
-
-@dataclass(frozen=True)
-class CommitTransaction:
-    pass
-
-
-@dataclass(frozen=True)
-class RollbackTransaction:
-    pass
-
-
-Statement = (
-    CreateTable
-    | DropTable
-    | CreateIndex
-    | Insert
-    | Update
-    | Delete
-    | Select
-    | CreateTrigger
-    | DropTrigger
-    | BeginTransaction
-    | CommitTransaction
-    | RollbackTransaction
-)
+Statement = CreateTable | Insert | Update | Delete | Select | CreateTrigger
 
 
 def param_count(node: Any) -> int:

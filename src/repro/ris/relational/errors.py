@@ -23,7 +23,7 @@ class SqlSyntaxError(SqlError):
 
 
 class CatalogError(SqlError):
-    """Unknown (or duplicate) table, column, index, or trigger."""
+    """Unknown (or duplicate) table, column, or trigger."""
 
     def __init__(self, message: str):
         super().__init__(RISErrorCode.NOT_FOUND, message)
@@ -37,17 +37,10 @@ class TypeMismatchError(SqlError):
 
 
 class ConstraintViolationError(SqlError):
-    """Primary-key / unique / not-null / CHECK constraint rejected a change."""
+    """A primary-key or not-null constraint rejected a change."""
 
     def __init__(self, message: str):
         super().__init__(RISErrorCode.CONSTRAINT_VIOLATION, message)
-
-
-class TransactionError(SqlError):
-    """Transaction misuse (commit without begin, nested begin, ...)."""
-
-    def __init__(self, message: str):
-        super().__init__(RISErrorCode.INVALID_REQUEST, message)
 
 
 class DatabaseUnavailableError(SqlError):

@@ -6,31 +6,20 @@ from functools import lru_cache
 from typing import Optional
 
 from repro.ris.relational.ast import (
-    BeginTransaction,
     ColumnDef,
-    CommitTransaction,
-    CreateIndex,
     CreateTable,
     CreateTrigger,
     Delete,
-    DropTable,
-    DropTrigger,
     Insert,
     OrderItem,
-    RollbackTransaction,
     Select,
-    SelectItem,
-    SqlAggregate,
-    SqlBetween,
     SqlBinary,
     SqlColumn,
     SqlExpr,
-    SqlInList,
     SqlIsNull,
-    SqlLike,
     SqlLiteral,
+    SqlNot,
     SqlParam,
-    SqlUnary,
     Statement,
     Update,
 )
@@ -48,7 +37,7 @@ _TYPE_ALIASES = {
     "BOOL": "BOOLEAN",
 }
 
-_AGGREGATES = {"COUNT", "MIN", "MAX", "SUM"}
+_CONSTANTS = {"NULL": None, "TRUE": True, "FALSE": False}
 
 
 class _SqlParser:
@@ -128,17 +117,6 @@ class _SqlParser:
             return self.parse_delete()
         if word == "CREATE":
             return self.parse_create()
-        if word == "DROP":
-            return self.parse_drop()
-        if word == "BEGIN":
-            self.advance()
-            return BeginTransaction()
-        if word == "COMMIT":
-            self.advance()
-            return CommitTransaction()
-        if word == "ROLLBACK":
-            self.advance()
-            return RollbackTransaction()
         raise self.error(f"unsupported statement {word}")
 
     # -- DDL ---------------------------------------------------------------------
@@ -147,33 +125,18 @@ class _SqlParser:
         self.expect_keyword("CREATE")
         if self.accept_keyword("TABLE"):
             return self.parse_create_table()
-        unique = bool(self.accept_keyword("UNIQUE"))
-        if self.accept_keyword("INDEX"):
-            return self.parse_create_index(unique)
-        if unique:
-            raise self.error("UNIQUE must be followed by INDEX")
         if self.accept_keyword("TRIGGER"):
             return self.parse_create_trigger()
-        raise self.error("expected TABLE, INDEX, or TRIGGER after CREATE")
+        raise self.error("expected TABLE or TRIGGER after CREATE")
 
     def parse_create_table(self) -> CreateTable:
         name = self.expect_ident()
         self.expect_sym("(")
-        columns: list[ColumnDef] = []
-        checks: list[SqlExpr] = []
-        while True:
-            if self.accept_keyword("CHECK"):
-                self.expect_sym("(")
-                checks.append(self.parse_expr())
-                self.expect_sym(")")
-            else:
-                columns.append(self.parse_column_def())
-            if not self.accept_sym(","):
-                break
+        columns = [self.parse_column_def()]
+        while self.accept_sym(","):
+            columns.append(self.parse_column_def())
         self.expect_sym(")")
-        if not columns:
-            raise self.error("a table needs at least one column")
-        return CreateTable(name, tuple(columns), tuple(checks))
+        return CreateTable(name, tuple(columns))
 
     def parse_column_def(self) -> ColumnDef:
         name = self.expect_ident()
@@ -188,7 +151,6 @@ class _SqlParser:
             self.expect_sym(")")
         primary_key = False
         not_null = False
-        unique = False
         while True:
             if self.accept_keyword("PRIMARY"):
                 self.expect_keyword("KEY")
@@ -196,20 +158,9 @@ class _SqlParser:
             elif self.accept_keyword("NOT"):
                 self.expect_keyword("NULL")
                 not_null = True
-            elif self.accept_keyword("UNIQUE"):
-                unique = True
             else:
                 break
-        return ColumnDef(name, type_name, primary_key, not_null, unique)
-
-    def parse_create_index(self, unique: bool) -> CreateIndex:
-        name = self.expect_ident()
-        self.expect_keyword("ON")
-        table = self.expect_ident()
-        self.expect_sym("(")
-        column = self.expect_ident()
-        self.expect_sym(")")
-        return CreateIndex(name, table, column, unique)
+        return ColumnDef(name, type_name, primary_key, not_null)
 
     def parse_create_trigger(self) -> CreateTrigger:
         name = self.expect_ident()
@@ -230,14 +181,6 @@ class _SqlParser:
         self.expect_keyword("ON")
         table = self.expect_ident()
         return CreateTrigger(name, op_token.upper, table, column)
-
-    def parse_drop(self) -> Statement:
-        self.expect_keyword("DROP")
-        if self.accept_keyword("TABLE"):
-            return DropTable(self.expect_ident())
-        if self.accept_keyword("TRIGGER"):
-            return DropTrigger(self.expect_ident())
-        raise self.error("expected TABLE or TRIGGER after DROP")
 
     # -- DML -----------------------------------------------------------------------
 
@@ -297,14 +240,11 @@ class _SqlParser:
 
     def parse_select(self) -> Select:
         self.expect_keyword("SELECT")
-        distinct = bool(self.accept_keyword("DISTINCT"))
-        items: list[SelectItem] = []
-        if self.accept_sym("*"):
-            pass  # SELECT * — empty items
-        else:
-            items.append(self.parse_select_item())
+        columns: list[str] = []
+        if not self.accept_sym("*"):
+            columns.append(self.expect_ident())
             while self.accept_sym(","):
-                items.append(self.parse_select_item())
+                columns.append(self.expect_ident())
         self.expect_keyword("FROM")
         table = self.expect_ident()
         where = self.parse_where()
@@ -313,33 +253,12 @@ class _SqlParser:
             self.expect_keyword("BY")
             while True:
                 column = self.expect_ident()
-                descending = False
-                if self.accept_keyword("DESC"):
-                    descending = True
-                elif self.accept_keyword("ASC"):
-                    pass
+                direction = self.accept_keyword("ASC", "DESC")
+                descending = direction is not None and direction.upper == "DESC"
                 order_by.append(OrderItem(column, descending))
                 if not self.accept_sym(","):
                     break
-        limit: Optional[int] = None
-        if self.accept_keyword("LIMIT"):
-            token = self.advance()
-            if token.kind != "number" or "." in token.text:
-                raise SqlSyntaxError(
-                    f"LIMIT expects an integer, found {token.text!r}",
-                    token.position,
-                )
-            limit = int(token.text)
-        return Select(
-            tuple(items), table, where, tuple(order_by), limit, distinct
-        )
-
-    def parse_select_item(self) -> SelectItem:
-        expr = self.parse_expr()
-        alias: Optional[str] = None
-        if self.accept_keyword("AS"):
-            alias = self.expect_ident()
-        return SelectItem(expr, alias)
+        return Select(tuple(columns), table, where, tuple(order_by))
 
     # -- expressions ---------------------------------------------------------------------
 
@@ -360,82 +279,21 @@ class _SqlParser:
 
     def parse_not(self) -> SqlExpr:
         if self.accept_keyword("NOT"):
-            return SqlUnary("NOT", self.parse_not())
+            return SqlNot(self.parse_not())
         return self.parse_predicate()
 
     def parse_predicate(self) -> SqlExpr:
-        left = self.parse_additive()
+        left = self.parse_atom()
         token = self.peek()
         if token.kind == "op":
             self.advance()
             op = "!=" if token.text == "<>" else token.text
-            return SqlBinary(op, left, self.parse_additive())
-        if token.kind == "keyword" and token.upper == "IS":
-            self.advance()
+            return SqlBinary(op, left, self.parse_atom())
+        if self.accept_keyword("IS"):
             negated = bool(self.accept_keyword("NOT"))
             self.expect_keyword("NULL")
             return SqlIsNull(left, negated)
-        if token.kind == "keyword" and token.upper == "NOT":
-            # x NOT IN (...) / x NOT BETWEEN ... / x NOT LIKE ...
-            save = self.index
-            self.advance()
-            if self.accept_keyword("IN"):
-                return self.parse_in_list(left, negated=True)
-            if self.accept_keyword("BETWEEN"):
-                return self.parse_between(left, negated=True)
-            if self.accept_keyword("LIKE"):
-                return SqlLike(left, self.parse_additive(), negated=True)
-            self.index = save
-            return left
-        if token.kind == "keyword" and token.upper == "IN":
-            self.advance()
-            return self.parse_in_list(left, negated=False)
-        if token.kind == "keyword" and token.upper == "BETWEEN":
-            self.advance()
-            return self.parse_between(left, negated=False)
-        if token.kind == "keyword" and token.upper == "LIKE":
-            self.advance()
-            return SqlLike(left, self.parse_additive(), negated=False)
         return left
-
-    def parse_between(self, operand: SqlExpr, negated: bool) -> SqlExpr:
-        low = self.parse_additive()
-        self.expect_keyword("AND")
-        high = self.parse_additive()
-        return SqlBetween(operand, low, high, negated)
-
-    def parse_in_list(self, operand: SqlExpr, negated: bool) -> SqlExpr:
-        self.expect_sym("(")
-        values: list[SqlExpr] = [self.parse_expr()]
-        while self.accept_sym(","):
-            values.append(self.parse_expr())
-        self.expect_sym(")")
-        return SqlInList(operand, tuple(values), negated)
-
-    def parse_additive(self) -> SqlExpr:
-        left = self.parse_multiplicative()
-        while True:
-            token = self.peek()
-            if token.kind == "sym" and token.text in ("+", "-"):
-                self.advance()
-                left = SqlBinary(token.text, left, self.parse_multiplicative())
-            else:
-                return left
-
-    def parse_multiplicative(self) -> SqlExpr:
-        left = self.parse_unary()
-        while True:
-            token = self.peek()
-            if token.kind == "sym" and token.text in ("*", "/"):
-                self.advance()
-                left = SqlBinary(token.text, left, self.parse_unary())
-            else:
-                return left
-
-    def parse_unary(self) -> SqlExpr:
-        if self.accept_sym("-"):
-            return SqlUnary("-", self.parse_unary())
-        return self.parse_atom()
 
     def parse_atom(self) -> SqlExpr:
         token = self.peek()
@@ -456,26 +314,9 @@ class _SqlParser:
         if token.kind == "string":
             self.advance()
             return SqlLiteral(token.text[1:-1].replace("''", "'"))
-        if token.kind == "keyword":
-            word = token.upper
-            if word == "NULL":
-                self.advance()
-                return SqlLiteral(None)
-            if word == "TRUE":
-                self.advance()
-                return SqlLiteral(True)
-            if word == "FALSE":
-                self.advance()
-                return SqlLiteral(False)
-            if word in _AGGREGATES:
-                self.advance()
-                self.expect_sym("(")
-                if word == "COUNT" and self.accept_sym("*"):
-                    self.expect_sym(")")
-                    return SqlAggregate("COUNT", None)
-                argument = self.parse_expr()
-                self.expect_sym(")")
-                return SqlAggregate(word, argument)
+        if token.kind == "keyword" and token.upper in _CONSTANTS:
+            self.advance()
+            return SqlLiteral(_CONSTANTS[token.upper])
         if token.kind == "ident":
             self.advance()
             return SqlColumn(token.text)

@@ -1,23 +1,22 @@
 """Row storage, schemas, and constraint enforcement.
 
-Tables store rows as dicts keyed by an internal rowid.  Primary-key and
-unique columns are backed by unique hash indexes; secondary indexes can be
-added via ``CREATE INDEX``.  Type checking is strict but friendly: INTEGER
-accepts ints, REAL accepts ints and floats, TEXT accepts str, BOOLEAN
-accepts bool; NULL (None) is accepted anywhere except NOT NULL columns.
+Tables store rows as dicts keyed by an internal rowid; a primary key maps
+each key value to its row's rowid (``Table.keys``).  Type checking is
+strict but friendly: INTEGER accepts ints, REAL accepts ints and floats,
+TEXT accepts str, BOOLEAN accepts bool; NULL (None) is accepted anywhere
+except NOT NULL and primary-key columns.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
-from repro.ris.relational.ast import ColumnDef, SqlExpr
+from repro.ris.relational.ast import ColumnDef
 from repro.ris.relational.errors import (
     CatalogError,
     ConstraintViolationError,
     TypeMismatchError,
 )
-from repro.ris.relational.index import HashIndex, OrderedIndex
 
 Row = dict[str, Any]
 
@@ -59,11 +58,9 @@ def _check_type(column: ColumnDef, value: Any) -> Any:
 
 
 class Table:
-    """One table: schema, rows, and indexes."""
+    """One table: schema, rows, and the primary key's value -> rowid map."""
 
-    def __init__(
-        self, name: str, columns: tuple[ColumnDef, ...], checks: tuple[SqlExpr, ...]
-    ):
+    def __init__(self, name: str, columns: tuple[ColumnDef, ...]):
         self.name = name
         self.columns: dict[str, ColumnDef] = {}
         for column in columns:
@@ -78,21 +75,10 @@ class Table:
                 f"table {name!r}: composite primary keys are not supported"
             )
         self.primary_key: Optional[str] = primary[0] if primary else None
-        self.checks = checks
         self.rows: dict[int, Row] = {}
+        #: Primary-key value -> rowid (empty without a primary key).
+        self.keys: dict[Any, int] = {}
         self._next_rowid = 1
-        self.hash_indexes: dict[str, HashIndex] = {}
-        self.ordered_indexes: dict[str, OrderedIndex] = {}
-        for column in columns:
-            if column.primary_key or column.unique:
-                self.hash_indexes[column.name] = HashIndex(
-                    column.name, unique=True
-                )
-
-    @property
-    def column_names(self) -> list[str]:
-        """Schema-order column names."""
-        return list(self.columns)
 
     def require_column(self, name: str) -> ColumnDef:
         """The column definition; CatalogError if absent."""
@@ -103,28 +89,10 @@ class Table:
             )
         return column
 
-    def add_hash_index(self, column: str, unique: bool = False) -> None:
-        """Create (or reuse) a hash index on a column."""
-        self.require_column(column)
-        if column in self.hash_indexes:
-            return
-        index = HashIndex(column, unique)
-        for rowid, row in self.rows.items():
-            if index.would_violate(row[column]):
-                raise ConstraintViolationError(
-                    f"cannot create unique index: duplicate {row[column]!r}"
-                )
-            index.add(row[column], rowid)
-        self.hash_indexes[column] = index
-
-    def add_ordered_index(self, column: str) -> None:
-        """Create (or reuse) an ordered index for range scans."""
-        self.require_column(column)
-        if column in self.ordered_indexes:
-            return
-        index = OrderedIndex(column)
-        index.load((row[column], rowid) for rowid, row in self.rows.items())
-        self.ordered_indexes[column] = index
+    def _duplicate_key(self, value: Any) -> ConstraintViolationError:
+        return ConstraintViolationError(
+            f"duplicate value {value!r} for {self.name}.{self.primary_key}"
+        )
 
     # -- row operations -----------------------------------------------------
 
@@ -138,19 +106,14 @@ class Table:
             raise CatalogError(
                 f"table {self.name!r} has no column(s) {sorted(extraneous)}"
             )
-        for column_name, index in self.hash_indexes.items():
-            if index.would_violate(row[column_name]):
-                raise ConstraintViolationError(
-                    f"duplicate value {row[column_name]!r} for "
-                    f"{self.name}.{column_name}"
-                )
+        key = self.primary_key
+        if key is not None and row[key] in self.keys:
+            raise self._duplicate_key(row[key])
         rowid = self._next_rowid
         self._next_rowid += 1
         self.rows[rowid] = row
-        for column_name, index in self.hash_indexes.items():
-            index.add(row[column_name], rowid)
-        for column_name, ordered in self.ordered_indexes.items():
-            ordered.add(row[column_name], rowid)
+        if key is not None:
+            self.keys[row[key]] = rowid
         return rowid
 
     def update_row(self, rowid: int, changes: Row) -> tuple[Row, Row]:
@@ -158,7 +121,7 @@ class Table:
 
         One copy: the stored dict is replaced, not mutated, and is returned
         as ``old``.  No code mutates a stored row (only :meth:`insert_row`
-        and :meth:`restore_row` build one), so it stays as it was.
+        builds one), so it stays as it was.
         """
         old = self.rows[rowid]
         new = dict(old)
@@ -166,47 +129,21 @@ class Table:
         for name, value in changes.items():
             column = columns.get(name) or self.require_column(name)
             new[name] = _check_type(column, value)
-        for column_name, index in self.hash_indexes.items():
-            if new[column_name] != old[column_name] and index.would_violate(
-                new[column_name], ignoring_rowid=rowid
-            ):
-                raise ConstraintViolationError(
-                    f"duplicate value {new[column_name]!r} for "
-                    f"{self.name}.{column_name}"
-                )
-        for column_name in changes:
-            if column_name in self.hash_indexes:
-                self.hash_indexes[column_name].remove(old[column_name], rowid)
-                self.hash_indexes[column_name].add(new[column_name], rowid)
-            if column_name in self.ordered_indexes:
-                self.ordered_indexes[column_name].remove(old[column_name], rowid)
-                self.ordered_indexes[column_name].add(new[column_name], rowid)
+        key = self.primary_key
+        if key in changes and new[key] != old[key]:
+            if new[key] in self.keys:
+                raise self._duplicate_key(new[key])
+            del self.keys[old[key]]
+            self.keys[new[key]] = rowid
         self.rows[rowid] = new
         return old, new
 
     def delete_row(self, rowid: int) -> Row:
-        """Remove one row; returns a copy of it."""
+        """Remove one row; returns it."""
         row = self.rows.pop(rowid)
-        for column_name, index in self.hash_indexes.items():
-            index.remove(row[column_name], rowid)
-        for column_name, ordered in self.ordered_indexes.items():
-            ordered.remove(row[column_name], rowid)
+        if self.primary_key is not None:
+            del self.keys[row[self.primary_key]]
         return row
-
-    def restore_row(self, rowid: int, row: Row) -> None:
-        """Re-insert a previously deleted row under its old rowid (undo)."""
-        self.rows[rowid] = dict(row)
-        for column_name, index in self.hash_indexes.items():
-            index.add(row[column_name], rowid)
-        for column_name, ordered in self.ordered_indexes.items():
-            ordered.add(row[column_name], rowid)
-
-    def scan(self) -> Iterator[tuple[int, Row]]:
-        """All (rowid, row) pairs in insertion order."""
-        return iter(self.rows.items())
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 class Catalog:
@@ -215,21 +152,13 @@ class Catalog:
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
 
-    def create_table(
-        self, name: str, columns: tuple[ColumnDef, ...], checks: tuple[SqlExpr, ...]
-    ) -> Table:
+    def create_table(self, name: str, columns: tuple[ColumnDef, ...]) -> Table:
         """Create a table; CatalogError on duplicates."""
         if name in self._tables:
             raise CatalogError(f"table {name!r} already exists")
-        table = Table(name, columns, checks)
+        table = Table(name, columns)
         self._tables[name] = table
         return table
-
-    def drop_table(self, name: str) -> Table:
-        """Remove a table, returning it."""
-        if name not in self._tables:
-            raise CatalogError(f"no such table: {name!r}")
-        return self._tables.pop(name)
 
     def table(self, name: str) -> Table:
         """Look a table up; CatalogError if absent."""

@@ -8,14 +8,11 @@ from dataclasses import dataclass
 from repro.ris.relational.errors import SqlSyntaxError
 
 KEYWORDS = {
-    "SELECT", "FROM", "WHERE", "ORDER", "BY", "ASC", "DESC", "LIMIT",
+    "SELECT", "FROM", "WHERE", "ORDER", "BY", "ASC", "DESC",
     "INSERT", "INTO", "VALUES", "UPDATE", "SET", "DELETE",
-    "CREATE", "DROP", "TABLE", "INDEX", "TRIGGER", "ON", "OF",
-    "AFTER", "PRIMARY", "KEY", "NOT", "NULL", "UNIQUE", "CHECK",
-    "AND", "OR", "IS", "IN", "AS", "INTEGER", "INT", "REAL", "FLOAT",
+    "CREATE", "TABLE", "TRIGGER", "ON", "OF", "AFTER", "PRIMARY", "KEY",
+    "NOT", "NULL", "AND", "OR", "IS", "INTEGER", "INT", "REAL", "FLOAT",
     "TEXT", "VARCHAR", "BOOLEAN", "BOOL", "TRUE", "FALSE",
-    "BEGIN", "COMMIT", "ROLLBACK", "COUNT", "MIN", "MAX", "SUM", "DISTINCT",
-    "BETWEEN", "LIKE",
 }
 
 _TOKEN_RE = re.compile(
@@ -26,7 +23,7 @@ _TOKEN_RE = re.compile(
   | (?P<string>'(?:[^']|'')*')
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op><=|>=|<>|!=|=|<|>)
-  | (?P<sym>[(),.*?+\-/;])
+  | (?P<sym>[(),*?;])
     """,
     re.VERBOSE,
 )

@@ -3,11 +3,8 @@
 Section 4.2.1 of the paper: "a CM-Translator supporting a Notify Interface
 for a Sybase RIS may need to declare triggers on the underlying database."
 Our engine supports ``AFTER INSERT / UPDATE [OF column] / DELETE`` row
-triggers whose bodies are host-language callbacks.
-
-Trigger events fire after the statement completes in autocommit mode; inside
-an explicit transaction they are queued and delivered on COMMIT (and dropped
-on ROLLBACK), so observers never see effects of undone work.
+triggers whose bodies are host-language callbacks, each called once per
+row the statement changed, right after that row's change.
 """
 
 from __future__ import annotations
@@ -61,26 +58,12 @@ class TriggerManager:
         self._triggers[name] = trigger
         return trigger
 
-    def drop(self, name: str) -> None:
-        """Remove a trigger by name."""
-        if name not in self._triggers:
-            raise CatalogError(f"no such trigger: {name!r}")
-        del self._triggers[name]
-
     def set_callback(self, name: str, callback: TriggerCallback) -> None:
         """Attach the host-language body to a declared trigger."""
         trigger = self._triggers.get(name)
         if trigger is None:
             raise CatalogError(f"no such trigger: {name!r}")
         trigger.callback = callback
-
-    def triggers_for(self, table: str) -> list[TriggerDef]:
-        """All triggers declared on a table."""
-        return [t for t in self._triggers.values() if t.table == table]
-
-    def names(self) -> list[str]:
-        """All trigger names."""
-        return list(self._triggers)
 
     def matching(
         self, table: str, operation: str, assigned: frozenset[str] = frozenset()
@@ -105,8 +88,3 @@ class TriggerManager:
                 or trigger.column in assigned
             )
         ]
-
-    def drop_table(self, table: str) -> None:
-        """Forget every trigger declared on a table (it was dropped)."""
-        for trigger in self.triggers_for(table):
-            del self._triggers[trigger.name]

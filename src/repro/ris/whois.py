@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.ris.base import (
-    Capability,
-    RawInformationSource,
-    RISError,
-    RISErrorCode,
-)
+from repro.ris.base import RawInformationSource, RISError, RISErrorCode
 
 Entry = dict[str, str]
 
@@ -30,10 +25,6 @@ class WhoisDirectory(RawInformationSource):
         self._entries: dict[str, Entry] = {}
         self._available = True
         self.lookups = 0
-
-    def capabilities(self) -> Capability:
-        """Lookup only."""
-        return Capability.READ
 
     def set_available(self, available: bool) -> None:
         """Simulate the directory being unreachable."""

@@ -44,11 +44,20 @@ class WireRuntimeError(RuntimeError):
     """The watchdog expired, or a socket is past ``select(2)``'s reach."""
 
 
+#: select(2) watches descriptors below this.
+FD_SETSIZE = 1024
+
+
 class _SelectSelector(selectors.SelectSelector):
     def select(self, timeout=None):
         try:
             return super().select(timeout)
         except ValueError as exc:  # "filedescriptor out of range in select()"
+            # Forget what select(2) cannot watch, so the loop can still run
+            # the teardown; closing a transport tolerates a missing key.
+            for key in list(self.get_map().values()):
+                if key.fd >= FD_SETSIZE:
+                    self.unregister(key.fileobj)
             raise WireRuntimeError(
                 "a socket's descriptor is past select(2)'s FD_SETSIZE (1024)"
             ) from exc
@@ -135,7 +144,20 @@ class AsyncRuntime:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            loop.run_until_complete(self._session(until))
+            try:
+                loop.run_until_complete(self._session(until))
+            except WireRuntimeError:
+                # Cancel what is still pending (the session stops the wire,
+                # closing every socket) and let it finish before the loop
+                # closes.
+                pending = asyncio.all_tasks(loop)
+                for task in pending:
+                    task.cancel()
+                if pending:
+                    loop.run_until_complete(
+                        asyncio.gather(*pending, return_exceptions=True)
+                    )
+                raise
             loop.run_until_complete(loop.shutdown_asyncgens())
         finally:
             loop.close()
@@ -145,8 +167,8 @@ class AsyncRuntime:
 
     async def _session(self, until: Ticks) -> None:
         assert self.wire is not None and self.clock is not None
-        await self.wire.start()
         try:
+            await self.wire.start()
             await asyncio.wait_for(
                 self._advance(until), timeout=self.max_wall_seconds
             )

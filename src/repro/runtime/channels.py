@@ -309,8 +309,13 @@ class ChannelSender:
         run dials afresh on its own loop."""
         self._flush_held()
         if self._dialing is not None:
-            await self._dialing
-            self._dialing = None
+            dialing, self._dialing = self._dialing, None
+            try:
+                await dialing
+            except asyncio.CancelledError:
+                if not dialing.cancelled():
+                    raise
+                # A run torn down mid-dial cancelled it: nothing was written.
         transport, self._transport = self._transport, None
         if transport is not None:
             transport.close()

@@ -73,11 +73,15 @@ class WallClock:
 
     @property
     def now(self) -> Ticks:
-        """Current virtual time in ticks (monotonic, never past a freeze)."""
+        """Current virtual time in ticks: monotonic, and never past the
+        active horizon or a freeze, so a late loop's callbacks schedule
+        what is due by the horizon inside this run."""
         if self._loop is not None:
             current = self._anchor + round(
                 (monotonic() - self._origin) * self._ticks_per_wall_second
             )
+            if current > self._until:
+                current = self._until
             if current > self._floor:
                 self._floor = current
         return self._floor

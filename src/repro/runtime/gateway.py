@@ -112,9 +112,13 @@ class Gateway:
         """Open one listening endpoint per site (ephemeral loopback ports)."""
         loop = asyncio.get_running_loop()
         for site in sites:
-            server = await loop.create_server(partial(_Endpoint, self), self.host, 0)
+            server = await loop.create_server(
+                partial(_Endpoint, self), self.host, 0, start_serving=False
+            )
+            # Kept before it serves: a run torn down from here closes it.
             self._servers.append(server)
             self.ports[site] = server.sockets[0].getsockname()[1]
+            await server.start_serving()
 
     async def dial(self, src: str, dst: str) -> asyncio.Transport:
         """Open the ``src -> dst`` channel connection (hello handshake)."""
@@ -122,7 +126,11 @@ class Gateway:
             _Dialer, self.host, self.ports[dst]
         )
         dialer.send(Request(HELLO_METHOD, {"src": src, "dst": dst}, id=1))
-        reply = await dialer.reply
+        try:
+            reply = await dialer.reply
+        except BaseException:  # a cancelled run closes what it dialed
+            transport.close()
+            raise
         if not isinstance(reply, Response):
             transport.close()
             raise ProtocolError(f"hello to {dst!r} rejected: {reply!r}")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ris.base import Capability, RISError, RISErrorCode
+from repro.ris.base import RISError, RISErrorCode
 from repro.ris.bibliodb import BibRecord, BiblioDatabase
 from repro.ris.filestore import FlatFileStore, parse_records, render_records
 from repro.ris.legacy import LegacySystem
@@ -56,9 +56,6 @@ class TestFlatFileStore:
         with pytest.raises(RISError) as excinfo:
             store.list_files()
         assert excinfo.value.code is RISErrorCode.UNAVAILABLE
-
-    def test_capabilities_exclude_notify(self):
-        assert Capability.NOTIFY not in FlatFileStore("fs").capabilities()
 
 
 class TestObjectStore:
@@ -146,9 +143,6 @@ class TestBiblioDatabase:
         biblio.ingest(self.record())
         assert len(biblio.search(year=1996, venue="ICDE")) == 1
         assert biblio.search(year=1997) == []
-
-    def test_read_only_capabilities(self):
-        assert BiblioDatabase("lib").capabilities() == Capability.READ
 
 
 class TestWhoisDirectory:

@@ -4,12 +4,12 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ris.base import Capability
+from repro.ris.base import RISErrorCode
 from repro.ris.relational import (
     ConstraintViolationError,
     RelationalDatabase,
     SqlError,
-    TransactionError,
+    SqlSyntaxError,
 )
 from repro.ris.relational.errors import (
     CatalogError,
@@ -53,26 +53,6 @@ class TestQueries:
         rows = db.query("SELECT name FROM emp ORDER BY dept, name DESC")
         assert rows == [("Cy",), ("Ada",), ("Bob",)]
 
-    def test_limit(self, db):
-        assert len(db.query("SELECT * FROM emp ORDER BY empid LIMIT 2")) == 2
-
-    def test_aggregates_skip_nulls(self, db):
-        row = db.query(
-            "SELECT COUNT(*), COUNT(salary), SUM(salary), MIN(salary), "
-            "MAX(salary) FROM emp"
-        )[0]
-        assert row == (3, 2, 190.0, 90.0, 100.0)
-
-    def test_aggregate_over_empty_set(self, db):
-        row = db.query("SELECT SUM(salary) FROM emp WHERE dept = 'hr'")[0]
-        assert row == (None,)
-
-    def test_expression_projection(self, db):
-        rows = db.query(
-            "SELECT salary * 2 FROM emp WHERE empid = 'e1'"
-        )
-        assert rows == [(200.0,)]
-
     def test_parameters(self, db):
         rows = db.query("SELECT name FROM emp WHERE empid = ?", ("e2",))
         assert rows == [("Bob",)]
@@ -96,8 +76,8 @@ class TestMutations:
         assert result.rowcount == 2
 
     def test_delete(self, db):
-        db.execute("DELETE FROM emp WHERE empid = 'e3'")
-        assert db.query("SELECT COUNT(*) FROM emp")[0][0] == 2
+        assert db.execute("DELETE FROM emp WHERE empid = 'e3'").rowcount == 1
+        assert len(db.query("SELECT * FROM emp")) == 2
 
     def test_primary_key_enforced(self, db):
         with pytest.raises(ConstraintViolationError):
@@ -116,58 +96,22 @@ class TestMutations:
         with pytest.raises(ConstraintViolationError):
             db.execute("UPDATE emp SET empid = 'e1' WHERE empid = 'e2'")
 
-    def test_check_constraint(self):
-        database = RelationalDatabase("chk")
-        database.execute(
-            "CREATE TABLE acct (id TEXT PRIMARY KEY, bal REAL, "
-            "CHECK (bal >= 0))"
-        )
-        database.execute("INSERT INTO acct VALUES ('a', 10.0)")
-        with pytest.raises(ConstraintViolationError):
-            database.execute("UPDATE acct SET bal = -5.0 WHERE id = 'a'")
-
 
 class TestIndexes:
     def test_index_lookup_equals_scan(self, db):
-        before = db.query("SELECT name FROM emp WHERE dept = 'eng'")
-        db.execute("CREATE INDEX idx ON emp (dept)")
-        after = db.query("SELECT name FROM emp WHERE dept = 'eng'")
-        assert sorted(before) == sorted(after)
-
-    def test_range_via_ordered_index(self, db):
-        db.execute("CREATE INDEX idx ON emp (salary)")
-        rows = db.query("SELECT name FROM emp WHERE salary >= 95")
-        assert rows == [("Ada",)]
-
-    def test_unique_index_on_existing_duplicates_rejected(self, db):
-        with pytest.raises(ConstraintViolationError):
-            db.execute("CREATE UNIQUE INDEX idx ON emp (dept)")
-
-
-class TestTransactions:
-    def test_rollback_restores_everything(self, db):
-        db.execute("BEGIN")
-        db.execute("DELETE FROM emp WHERE dept = 'eng'")
-        db.execute("UPDATE emp SET salary = 1 WHERE empid = 'e2'")
-        db.execute("INSERT INTO emp (empid, name) VALUES ('e9', 'New')")
-        db.execute("ROLLBACK")
-        rows = db.query("SELECT empid, salary FROM emp ORDER BY empid")
-        assert rows == [("e1", 100.0), ("e2", 90.0), ("e3", None)]
-
-    def test_commit_keeps_changes(self, db):
-        db.execute("BEGIN")
-        db.execute("UPDATE emp SET salary = 1 WHERE empid = 'e2'")
-        db.execute("COMMIT")
-        assert db.query("SELECT salary FROM emp WHERE empid = 'e2'") == [(1.0,)]
-
-    def test_nested_begin_rejected(self, db):
-        db.execute("BEGIN")
-        with pytest.raises(TransactionError):
-            db.execute("BEGIN")
-
-    def test_commit_without_begin_rejected(self, db):
-        with pytest.raises(TransactionError):
-            db.execute("COMMIT")
+        # ``empid = ?`` finds its row through the primary key; under OR the
+        # same predicate scans every row.
+        db.execute("UPDATE emp SET empid = 'e7' WHERE empid = 'e3'")
+        db.execute("DELETE FROM emp WHERE empid = 'e2'")
+        for empid in ("e1", "e2", "e3", "e7", None):
+            by_key = db.query("SELECT name FROM emp WHERE empid = ?", (empid,))
+            scanned = db.query(
+                "SELECT name FROM emp WHERE empid = ? OR 1 = 0", (empid,)
+            )
+            assert by_key == scanned
+        assert db.query("SELECT name FROM emp WHERE ? = empid", ("e7",)) == [
+            ("Cy",)
+        ]
 
 
 class TestTriggers:
@@ -195,31 +139,6 @@ class TestTriggers:
         db.execute("DELETE FROM emp WHERE empid = 'e9'")
         assert [e.operation for e in events] == ["INSERT", "DELETE"]
 
-    def test_triggers_deferred_until_commit(self, db):
-        events = []
-        db.execute("CREATE TRIGGER t AFTER UPDATE OF salary ON emp")
-        db.set_trigger_callback("t", events.append)
-        db.execute("BEGIN")
-        db.execute("UPDATE emp SET salary = 5 WHERE empid = 'e1'")
-        assert events == []
-        db.execute("COMMIT")
-        assert len(events) == 1
-
-    def test_triggers_dropped_on_rollback(self, db):
-        events = []
-        db.execute("CREATE TRIGGER t AFTER UPDATE OF salary ON emp")
-        db.set_trigger_callback("t", events.append)
-        db.execute("BEGIN")
-        db.execute("UPDATE emp SET salary = 5 WHERE empid = 'e1'")
-        db.execute("ROLLBACK")
-        assert events == []
-
-    def test_drop_trigger(self, db):
-        db.execute("CREATE TRIGGER t AFTER INSERT ON emp")
-        db.execute("DROP TRIGGER t")
-        with pytest.raises(CatalogError):
-            db.set_trigger_callback("t", lambda e: None)
-
 
 class TestAvailability:
     def test_unavailable(self, db):
@@ -231,10 +150,6 @@ class TestAvailability:
         db.set_busy(True)
         with pytest.raises(DatabaseBusyError):
             db.query("SELECT * FROM emp")
-
-    def test_capabilities(self, db):
-        caps = db.capabilities()
-        assert Capability.NOTIFY in caps and Capability.TRANSACTIONS in caps
 
 
 class TestProperties:
@@ -265,22 +180,36 @@ class TestProperties:
         rows = database.query("SELECT k, v FROM kv ORDER BY k")
         assert rows == sorted(model.items())
 
-    @given(st.lists(st.integers(0, 10), min_size=1, max_size=20))
-    @settings(max_examples=40, deadline=None)
-    def test_rollback_is_always_a_no_op(self, keys):
-        database = RelationalDatabase("prop")
-        database.execute(
-            "CREATE TABLE kv (k INTEGER PRIMARY KEY, v INTEGER)"
-        )
-        for key in set(keys):
-            database.execute(
-                "INSERT INTO kv (k, v) VALUES (?, ?)", (key, key)
-            )
-        before = database.query("SELECT k, v FROM kv ORDER BY k")
-        database.execute("BEGIN")
-        for key in keys:
-            database.execute("UPDATE kv SET v = v + 1 WHERE k = ?", (key,))
-            if key % 2:
-                database.execute("DELETE FROM kv WHERE k = ?", (key,))
-        database.execute("ROLLBACK")
-        assert database.query("SELECT k, v FROM kv ORDER BY k") == before
+
+#: One statement per form the engine no longer runs.
+REMOVED_FORMS = {
+    "BEGIN": "BEGIN",
+    "CREATE INDEX": "CREATE INDEX by_dept ON emp (dept)",
+    "DROP TABLE": "DROP TABLE emp",
+    "LIKE": "DELETE FROM emp WHERE name LIKE 'A%'",
+    "BETWEEN": "UPDATE emp SET salary = 1.0 WHERE salary BETWEEN 0 AND 200",
+    "IN": "DELETE FROM emp WHERE dept IN ('eng', 'sales')",
+    "COUNT": "SELECT COUNT(*) FROM emp",
+    "DISTINCT": "SELECT DISTINCT dept FROM emp",
+    "LIMIT": "SELECT * FROM emp ORDER BY empid LIMIT 1",
+    "CHECK": "CREATE TABLE acct (id TEXT PRIMARY KEY, bal REAL, CHECK (bal >= 0))",
+}
+
+
+@pytest.mark.parametrize("sql", REMOVED_FORMS.values(), ids=REMOVED_FORMS.keys())
+def test_removed_form_is_rejected(db, sql):
+    """A statement outside the kept grammar fails in ``execute`` as
+    INVALID_REQUEST, every time, and is applied to no row or catalog."""
+    events = []
+    for operation in ("INSERT", "UPDATE", "DELETE"):
+        db.execute(f"CREATE TRIGGER t_{operation} AFTER {operation} ON emp")
+        db.set_trigger_callback(f"t_{operation}", events.append)
+    before = db.query("SELECT * FROM emp ORDER BY empid")
+    for __ in range(2):
+        with pytest.raises(SqlSyntaxError) as raised:
+            db.execute(sql)
+        assert raised.value.code is RISErrorCode.INVALID_REQUEST
+    assert db.query("SELECT * FROM emp ORDER BY empid") == before
+    assert events == []
+    with pytest.raises(CatalogError):
+        db.query("SELECT * FROM acct")

@@ -29,7 +29,7 @@ from repro.ris.relational.parser import parse_sql
 SCHEMA = [
     "CREATE TABLE emp (empid TEXT PRIMARY KEY, name TEXT NOT NULL, "
     "salary REAL, dept TEXT)",
-    "CREATE TABLE acct (id TEXT PRIMARY KEY, bal REAL, CHECK (bal >= 0))",
+    "CREATE TABLE acct (id TEXT PRIMARY KEY, bal REAL)",
     "CREATE TRIGGER ti AFTER INSERT ON emp",
     "CREATE TRIGGER tu AFTER UPDATE OF salary ON emp",
     "CREATE TRIGGER td AFTER DELETE ON emp",
@@ -40,68 +40,51 @@ SCHEMA = [
     "INSERT INTO acct VALUES ('a', 10.0), ('b', 0.0)",
 ]
 
-#: The statements ``tests/ris`` exercises, on this schema, in one sequence.
+#: Every statement shape the engine runs and every error it raises, on this
+#: schema, in one sequence (a removed form among them).
 CORPUS = [
     ("SELECT * FROM emp", ()),
     ("SELECT name FROM emp WHERE dept = 'eng' AND salary > 50", ()),
     ("SELECT name FROM emp WHERE salary > 0", ()),
     ("SELECT name FROM emp WHERE salary IS NULL", ()),
+    ("SELECT name FROM emp WHERE NOT salary IS NOT NULL OR dept <> 'eng'", ()),
     ("SELECT name FROM emp ORDER BY dept, name DESC", ()),
-    ("SELECT * FROM emp ORDER BY empid LIMIT 2", ()),
-    ("SELECT COUNT(*), COUNT(salary), SUM(salary), MIN(salary), MAX(salary) "
-     "FROM emp", ()),
-    ("SELECT SUM(salary) FROM emp WHERE dept = 'hr'", ()),
-    ("SELECT salary * 2 FROM emp WHERE empid = 'e1'", ()),
     ("SELECT name FROM emp WHERE empid = ?", ("e2",)),
     ("SELECT name FROM emp WHERE empid = ?", ()),
     ("SELECT name FROM emp WHERE empid = ?", ("e1", "e2", "e3")),
     ("SELECT name FROM emp WHERE empid = ?", (None,)),
+    ("SELECT name FROM emp WHERE ? = empid AND salary >= ?", ("e1", 100)),
     ("SELECT ghost FROM emp", ()),
     ("SELECT * FROM ghosts", ()),
-    ("SELECT COUNT(*), name FROM emp", ()),
-    ("SELECT DISTINCT dept FROM emp ORDER BY dept", ()),
-    ("SELECT DISTINCT dept, salary FROM emp", ()),
-    ("SELECT empid FROM emp WHERE salary BETWEEN ? AND ?", (95, 125)),
-    ("SELECT empid FROM emp WHERE salary NOT BETWEEN 90 AND 100", ()),
-    ("SELECT empid FROM emp WHERE name LIKE 'A%'", ()),
-    ("SELECT empid FROM emp WHERE empid LIKE 'e_'", ()),
-    ("SELECT empid FROM emp WHERE name NOT LIKE ?", ("%race%",)),
-    ("SELECT empid FROM emp WHERE dept IN ('eng', 'ops')", ()),
+    ("SELECT * FROM emp ORDER BY ghost", ()),
+    ("SELECT COUNT(*) FROM emp", ()),
     ("UPDATE emp SET salary = 95 WHERE dept = 'eng'", ()),
     ("UPDATE emp SET salary = 100.0 WHERE empid = 'e1'", ()),
     ("UPDATE emp SET dept = 'ops' WHERE empid = 'e1'", ()),
     ("UPDATE emp SET empid = 'e1' WHERE empid = 'e2'", ()),
     ("UPDATE emp SET salary = ? WHERE empid = ?", ()),
+    ("UPDATE emp SET empid = 'e4', name = dept WHERE empid = 'e3'", ()),
+    ("SELECT empid, name FROM emp WHERE empid = 'e4'", ()),
+    ("UPDATE acct SET bal = ? WHERE id = ?", (5.0, "a")),
+    ("UPDATE acct SET bal = 'x' WHERE id = 'a'", ()),
     ("INSERT INTO emp (empid, name) VALUES ('e1', 'Dup')", ()),
     ("INSERT INTO emp (empid) VALUES ('e9')", ()),
     ("INSERT INTO emp (empid, name, salary) VALUES ('e9', 'X', 'lots')", ()),
     ("INSERT INTO emp (empid, name) VALUES ('e7', 'Ok'), ('e8')", ()),
     ("INSERT INTO emp VALUES ('e9', 'New')", ()),
-    ("SELECT name FROM emp WHERE dept = 'eng'", ()),
-    ("CREATE INDEX idx_dept ON emp (dept)", ()),
-    ("SELECT name FROM emp WHERE dept = 'eng'", ()),
-    ("SELECT name FROM emp WHERE salary >= 95", ()),
-    ("CREATE INDEX idx_salary ON emp (salary)", ()),
-    ("SELECT name FROM emp WHERE salary >= 95", ()),
-    ("SELECT name FROM emp WHERE 95 < salary AND dept = ?", ("eng",)),
-    ("CREATE UNIQUE INDEX idx_u ON emp (dept)", ()),
-    ("UPDATE acct SET bal = -5.0 WHERE id = 'a'", ()),
-    ("BEGIN", ()),
+    ("INSERT INTO emp VALUES ('e9', 'New', NULL, 'ops')", ()),
     ("DELETE FROM emp WHERE dept = 'eng'", ()),
-    ("UPDATE emp SET salary = 1 WHERE empid = 'e2'", ()),
-    ("INSERT INTO emp (empid, name) VALUES ('e9', 'New')", ()),
-    ("BEGIN", ()),
-    ("ROLLBACK", ()),
-    ("SELECT empid, salary FROM emp ORDER BY empid", ()),
-    ("BEGIN", ()),
-    ("UPDATE emp SET salary = 5 WHERE empid = 'e1'", ()),
-    ("COMMIT", ()),
-    ("COMMIT", ()),
-    ("DELETE FROM emp WHERE empid = 'e3'", ()),
+    ("DELETE FROM emp WHERE empid = ?", ("e9",)),
     ("CREATE TRIGGER ti AFTER INSERT ON emp", ()),
-    ("DROP TRIGGER td", ()),
-    ("DELETE FROM emp WHERE empid = 'e2'", ()),
-    ("DROP TRIGGER td", ()),
+    ("CREATE TRIGGER tx AFTER UPDATE OF ghost ON emp", ()),
+    ("CREATE TRIGGER tx AFTER DELETE ON ghosts", ()),
+    ("CREATE TABLE emp (a TEXT)", ()),
+    ("CREATE TABLE t2 (a TEXT PRIMARY KEY, b TEXT PRIMARY KEY)", ()),
+    ("CREATE TABLE t2 (k TEXT PRIMARY KEY, v INTEGER)", ()),
+    ("CREATE TRIGGER t2u AFTER UPDATE ON t2", ()),
+    ("INSERT INTO t2 VALUES ('a', 1)", ()),
+    ("UPDATE t2 SET v = 2 WHERE k = 'a'", ()),
+    ("SELECT * FROM t2", ()),
     ("SELECT * FROM emp extra stuff", ()),
     ("GRANT ALL ON emp", ()),
     ("DROP TABLE acct", ()),
@@ -111,40 +94,39 @@ CORPUS = [
 
 _RANDOM_TEXTS = [
     ("UPDATE emp SET salary = ? WHERE empid = ?", "vk"),
-    ("UPDATE emp SET salary = salary + ? WHERE dept = ?", "vd"),
+    ("UPDATE emp SET salary = ? WHERE dept = ?", "vd"),
+    ("UPDATE emp SET empid = ? WHERE empid = ?", "kk"),
     ("INSERT INTO emp (empid, name, salary, dept) VALUES (?, ?, ?, ?)", "knvd"),
     ("DELETE FROM emp WHERE empid = ?", "k"),
     ("SELECT name, salary FROM emp WHERE empid = ?", "k"),
     ("SELECT empid FROM emp WHERE salary >= ? ORDER BY empid", "v"),
-    ("SELECT COUNT(*), SUM(salary) FROM emp WHERE dept = ?", "d"),
     ("SELECT * FROM emp WHERE salary < ? AND dept = ?", "vd"),
-    ("SELECT empid FROM emp WHERE name LIKE ?", "l"),
-    ("UPDATE acct SET bal = bal - ? WHERE id = ?", "va"),
+    ("SELECT empid FROM emp WHERE dept = ? OR salary IS NULL "
+     "ORDER BY salary DESC, empid", "d"),
+    ("UPDATE acct SET bal = ? WHERE id = ?", "va"),
 ]
 
 
 def random_script(seed: int, length: int = 300):
     """Seeded DML/SELECTs over a handful of texts, so every text repeats;
-    with the odd NULL key, wrong arity, literal-bearing text, index
-    creation and transaction bracket thrown in."""
+    with the odd NULL key, wrong arity, literal-bearing text, new trigger
+    (DDL drops every bound statement) and removed form thrown in."""
     rng = random.Random(seed)
     draw = {
         "k": lambda: rng.choice([f"e{rng.randint(1, 9)}", None]),
         "v": lambda: rng.choice([float(rng.randint(-20, 150)), None]),
         "d": lambda: rng.choice(["eng", "sales", "ops"]),
         "n": lambda: rng.choice(["Ada", "Bob", None]),
-        "l": lambda: rng.choice(["A%", "%o_", "Ada"]),
         "a": lambda: rng.choice(["a", "b", "z"]),
     }
     script = []
     for step in range(length):
         roll = rng.random()
-        if roll < 0.04:
-            script.append((rng.choice(["BEGIN", "COMMIT", "ROLLBACK"]), ()))
-        elif roll < 0.06:
-            column = rng.choice(["dept", "salary"])
-            script.append((f"CREATE INDEX i{step} ON emp ({column})", ()))
-        elif roll < 0.10:
+        if roll < 0.03:
+            script.append((rng.choice(["BEGIN", "SELECT COUNT(*) FROM emp"]), ()))
+        elif roll < 0.05:
+            script.append((f"CREATE TRIGGER g{step} AFTER DELETE ON emp", ()))
+        elif roll < 0.09:
             script.append(
                 (f"SELECT name FROM emp WHERE empid = 'e{rng.randint(1, 9)}'", ())
             )
@@ -184,8 +166,6 @@ def run_script(script, cold: bool):
             outcomes.append((type(error).__name__, error.code))
         else:
             outcomes.append((result.columns, result.rows, result.rowcount))
-    if db.transactions.active:
-        db.execute("ROLLBACK")
     return outcomes, events, db.query("SELECT * FROM emp"), hits
 
 
@@ -201,7 +181,7 @@ class TestColdVersusWarm:
         errors = {o[0] for o in outcomes if isinstance(o[0], str)}
         assert errors >= {
             "SqlError", "SqlSyntaxError", "CatalogError", "TypeMismatchError",
-            "ConstraintViolationError", "TransactionError",
+            "ConstraintViolationError",
         }
 
     @pytest.mark.parametrize("seed", range(5))
@@ -250,12 +230,11 @@ class TestPlaceholderArity:
 UNKNOWN_COLUMN = [
     ("UPDATE kv SET nope = ? WHERE k = ?", (1, "a")),
     ("UPDATE kv SET v = ? WHERE nope = ?", (1, "a")),
-    ("UPDATE kv SET v = nope + ? WHERE k = ?", (1, "a")),
+    ("UPDATE kv SET v = nope WHERE k = ?", ("a",)),
     ("DELETE FROM kv WHERE nope = ?", ("a",)),
     ("SELECT nope FROM kv WHERE k = ?", ("a",)),
     ("SELECT k FROM kv WHERE k = ? AND nope IS NULL", ("a",)),
     ("SELECT k FROM kv ORDER BY nope", ()),
-    ("SELECT SUM(nope) FROM kv", ()),
 ]
 
 
@@ -280,48 +259,24 @@ class TestUnknownColumns:
     def test_insert_values_name_no_column(self, kv):
         with pytest.raises(CatalogError):
             kv.execute("INSERT INTO kv VALUES (?, v)", ("c",))
-        assert kv.query("SELECT COUNT(*) FROM kv") == [(2,)]
+        assert len(kv.query("SELECT * FROM kv")) == 2
+
+    def test_a_short_values_row_applies_none(self, kv):
+        with pytest.raises(CatalogError):
+            kv.execute("INSERT INTO kv (k, v) VALUES ('c', 3), ('d')")
+        assert kv.query("SELECT k FROM kv") == [("a",), ("b",)]
 
 
 class TestTriggerCatalog:
-    def test_drop_table_drops_its_triggers(self, kv):
-        events = []
-        kv.execute("CREATE TRIGGER t AFTER INSERT ON kv")
-        kv.set_trigger_callback("t", events.append)
-        kv.execute("DROP TABLE kv")
-        kv.execute("CREATE TABLE kv (k TEXT PRIMARY KEY, v INTEGER)")
-        kv.execute("INSERT INTO kv VALUES ('a', 1)")
-        assert events == []
-        assert kv.triggers.names() == []
-        kv.execute("CREATE TRIGGER t AFTER INSERT ON kv")  # the name is free
-
     def test_update_of_an_unknown_column_is_rejected(self, kv):
         with pytest.raises(CatalogError):
             kv.execute("CREATE TRIGGER t AFTER UPDATE OF ghost ON kv")
-        assert kv.triggers.names() == []
+        with pytest.raises(CatalogError):
+            kv.set_trigger_callback("t", print)
+        kv.execute("CREATE TRIGGER t AFTER UPDATE OF v ON kv")  # the name is free
 
 
 class TestInvalidation:
-    def test_drop_and_recreate_with_another_schema(self, kv):
-        assert kv.execute("SELECT * FROM kv").columns == ["k", "v"]
-        kv.execute("INSERT INTO kv VALUES (?, ?)", ("c", 3))
-        kv.execute("DROP TABLE kv")
-        kv.execute("CREATE TABLE kv (a INTEGER, b TEXT, c REAL)")
-        with pytest.raises(CatalogError):
-            kv.execute("INSERT INTO kv VALUES (?, ?)", (1, "x"))
-        kv.execute("INSERT INTO kv VALUES (1, 'x', 2.5)")
-        result = kv.execute("SELECT * FROM kv")
-        assert result.columns == ["a", "b", "c"]
-        assert result.rows == [(1, "x", 2.5)]
-
-    def test_create_index_after_first_execution_replans(self, kv):
-        query = "SELECT k FROM kv WHERE v >= ?"
-        kv.execute("INSERT INTO kv VALUES ('c', 0)")
-        assert kv.query(query, (0,)) == [("a",), ("b",), ("c",)]  # scan order
-        kv.execute("CREATE INDEX by_v ON kv (v)")
-        assert kv.query(query, (0,)) == [("c",), ("a",), ("b",)]  # index order
-        assert kv.query(query, (2,)) == [("b",)]
-
     def test_new_trigger_reaches_a_bound_statement(self, kv):
         events = []
         update = "UPDATE kv SET v = ? WHERE k = ?"
@@ -329,17 +284,7 @@ class TestInvalidation:
         kv.execute("CREATE TRIGGER t AFTER UPDATE OF v ON kv")
         kv.set_trigger_callback("t", events.append)
         kv.execute(update, (6, "a"))
-        kv.execute("DROP TRIGGER t")
-        kv.execute(update, (7, "a"))
         assert [(e.old_row["v"], e.new_row["v"]) for e in events] == [(5, 6)]
-
-    def test_bound_update_in_a_rolled_back_transaction(self, kv):
-        update = "UPDATE kv SET v = ? WHERE k = ?"
-        kv.execute(update, (5, "a"))
-        kv.execute("BEGIN")
-        assert kv.execute(update, (6, "a")).rowcount == 1
-        kv.execute("ROLLBACK")
-        assert kv.query("SELECT v FROM kv WHERE k = ?", ("a",)) == [(5,)]
 
     def test_failure_injection_after_warm_up(self, kv):
         query = "SELECT v FROM kv WHERE k = ?"
@@ -379,7 +324,7 @@ class TestBounds:
         assert info.currsize <= info.maxsize == _STATEMENT_CACHE_SIZE
         for i in (0, 77, 9_999):
             assert db.query(f"SELECT sq FROM n WHERE i = {i}") == [(i * i,)]
-        assert db.query("SELECT COUNT(*) FROM n") == [(10_000,)]
+        assert len(db.query("SELECT i FROM n")) == 10_000
 
 
 def test_fanout_parses_per_text_not_per_call(monkeypatch):

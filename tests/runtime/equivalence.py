@@ -103,11 +103,22 @@ class EquivalenceReport:
         return self.sim.chains_valid and self.wire.chains_valid
 
     @property
+    def decided(self) -> bool:
+        """Both runtimes fired rules, sent messages and built chains: two
+        runs that did nothing agree on everything and show nothing."""
+        return all(
+            obs.rules_fired > 0 and obs.messages_sent > 0 and obs.chains > 0
+            for obs in (self.sim, self.wire)
+        )
+
+    @property
     def ok(self) -> bool:
-        """Both executions valid, every guarantee verdict identical, and
-        trigger chains equivalent (rooted, within kappa) on both sides."""
+        """Both executions did work and are valid, every guarantee verdict
+        identical, and trigger chains equivalent (rooted, within kappa) on
+        both sides."""
         return (
-            self.sim.trace_valid
+            self.decided
+            and self.sim.trace_valid
             and self.wire.trace_valid
             and self.verdicts_match
             and self.chains_match

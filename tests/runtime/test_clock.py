@@ -118,6 +118,32 @@ class TestScheduling:
         run(clock, seconds(10))
         assert fired == ["late"]
 
+    def test_a_late_callback_still_finishes_its_chain_by_the_horizon(self):
+        # The callback just before the horizon overruns its wall time, then
+        # schedules a chain due by the horizon: the kernel would run all of
+        # it in this run, so the wire clock must too, at times <= h.
+        clock = WallClock(time_scale=SCALE)
+        horizon = seconds(2)
+        ran = []
+
+        def step(then=None):
+            def callback():
+                ran.append(clock.now)
+                if then is not None:
+                    clock.at(then, step())
+
+            return callback
+
+        def late():
+            time.sleep(0.01)  # 50 virtual s past the horizon's wall time
+            clock.at(horizon - 500, step(then=horizon - 200))
+
+        clock.at(horizon - 1_000, late)
+        run(clock, horizon)
+        assert len(ran) == 2
+        assert all(t <= horizon for t in ran)
+        assert clock.now == horizon
+
     def test_freeze_runs_what_is_due_by_the_horizon(self):
         # Timers a stalled loop had not reached by the deadline run at the
         # freeze, in time order, with what they schedule that is due too.
