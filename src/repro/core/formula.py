@@ -181,7 +181,7 @@ class FormulaChecker:
         """The instants at which the formula's truth can change (see module docstring)."""
         base: set[Ticks] = {0, max(0, trace.horizon - 1)}
         for ref in self.formula.items():
-            for time, __ in trace.timeline(ref).change_points():
+            for time in trace.timeline(ref).change_times():
                 base.add(time)
                 if time > 0:
                     base.add(time - 1)

@@ -33,7 +33,7 @@ def sum_timeline(trace: ExecutionTrace, refs: list[DataItemRef]) -> Timeline:
     timelines = [trace.timeline(ref) for ref in refs]
     points: set[Ticks] = {0}
     for timeline in timelines:
-        for time, __ in timeline.change_points():
+        for time in timeline.change_times():
             points.add(time)
     changes: list[tuple[Ticks, object]] = []
     for time in sorted(points):

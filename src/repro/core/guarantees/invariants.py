@@ -14,7 +14,7 @@ change points (linear in the total number of changes).
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import repeat
 from typing import Callable
 
 from repro.core.guarantees.base import Guarantee, GuaranteeReport
@@ -31,28 +31,29 @@ def _violation_intervals(
 ) -> IntervalSet:
     """The set of times at which the predicate does **not** hold.
 
-    One merged sweep over the items' change points: the running joint state
-    is updated change by change (every item changes at time 0, so it is
-    complete from the first region on) and the predicate evaluated once per
-    maximal region in which no item changes.
+    One merged sweep over the items' change arrays, in time order (a stable
+    sort of their positions; no object per change): the joint state takes
+    each change (every item changes at time 0) and the predicate runs once
+    per maximal region in which no item changes, after its instant's last.
     """
-    changes = [
-        (time, ref, value)
-        for ref in items
-        for time, value in trace.timeline(ref).change_points()
-    ]
-    changes.sort(key=itemgetter(0))  # stable: per-item order is kept
-    horizon = trace.horizon
+    times: list[Ticks] = []
+    values: list[Value] = []
+    owners: list[DataItemRef] = []
+    for ref, timeline in zip(items, trace.timelines(items)):
+        changed = timeline.change_times()
+        times += changed
+        values += timeline.change_values()
+        owners += repeat(ref, len(changed))
+    order = sorted(range(len(times)), key=times.__getitem__)
+    starts = list(map(times.__getitem__, order))
+    ends = starts[1:]
+    ends.append(trace.horizon)
     state: dict[DataItemRef, Value] = {}
     bad: list[Interval] = []
-    index, count = 0, len(changes)
-    while index < count:
-        start = changes[index][0]
-        while index < count and changes[index][0] == start:
-            __, ref, value = changes[index]
-            state[ref] = value
-            index += 1
-        end = changes[index][0] if index < count else horizon
+    for ref, value, start, end in zip(
+        map(owners.__getitem__, order), map(values.__getitem__, order), starts, ends
+    ):
+        state[ref] = value
         if end > start and not predicate(state):
             bad.append(Interval(start, end))
     return IntervalSet(bad)
@@ -166,8 +167,6 @@ class PeriodicCopyGuarantee(Guarantee):
         window_start: Ticks,
         window_end: Ticks,
     ) -> None:
-        from repro.core.timebase import format_ticks
-
         self.src_family = src_family
         self.dst_family = dst_family
         self.window_start = window_start

@@ -72,7 +72,7 @@ class MonitorGuarantee(Guarantee):
             # Sub-divide by Tb changes within the Flag=true segment so each
             # (t, s) instantiation family has a constant s.
             boundaries = {flag_segment.start, flag_segment.end}
-            for time, __ in tb_timeline.change_points():
+            for time in tb_timeline.change_times():
                 if flag_segment.start < time < flag_segment.end:
                     boundaries.add(time)
             ordered = sorted(boundaries)
@@ -113,10 +113,10 @@ class MonitorGuarantee(Guarantee):
         if start > end:
             return None  # vacuous claim
         points = {start}
-        for time, __ in trace.timeline(self.x_ref).change_points():
+        for time in trace.timeline(self.x_ref).change_times():
             if start < time <= end:
                 points.add(time)
-        for time, __ in trace.timeline(self.y_ref).change_points():
+        for time in trace.timeline(self.y_ref).change_times():
             if start < time <= end:
                 points.add(time)
         for time in sorted(points):

@@ -203,6 +203,14 @@ class Timeline:
         length = self._length
         return list(zip(self._times[:length], self._values[:length]))
 
+    def change_times(self) -> list[Ticks]:
+        """The times of :meth:`change_points`, with no tuple per change."""
+        return self._times[: self._length]
+
+    def change_values(self) -> list[Value]:
+        """The new values of :meth:`change_points`, in the same order."""
+        return self._values[: self._length]
+
 
 @dataclass
 class Violation:

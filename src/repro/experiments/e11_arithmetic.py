@@ -82,7 +82,7 @@ def measure_staleness(cm: ConstraintManager) -> float:
     x_timeline = trace.timeline(x_ref)
     points: set[Ticks] = set()
     for timeline in (true_sum, x_timeline):
-        for time, __ in timeline.change_points():
+        for time in timeline.change_times():
             points.add(time)
     ordered = sorted(points)
     stale: Ticks = 0

@@ -149,14 +149,18 @@ class AsyncRuntime:
             except WireRuntimeError:
                 # Cancel what is still pending (the session stops the wire,
                 # closing every socket) and let it finish before the loop
-                # closes.
-                pending = asyncio.all_tasks(loop)
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
+                # closes; again for what the teardown itself started (a
+                # connection accepted meanwhile), and past a socket that
+                # select(2) cannot watch (the selector has forgotten it).
+                while pending := asyncio.all_tasks(loop):
+                    for task in pending:
+                        task.cancel()
+                    try:
+                        loop.run_until_complete(
+                            asyncio.gather(*pending, return_exceptions=True)
+                        )
+                    except WireRuntimeError:
+                        pass
                 raise
             loop.run_until_complete(loop.shutdown_asyncgens())
         finally:

@@ -213,8 +213,9 @@ class ChannelSender:
     task writes out in sequence order.  Dup and reorder faults are applied
     here, at the frame layer, after sequencing — which is what makes the
     receiver's resequencer an honest reimplementation of property 7.  The
-    sequence counter and frame counts outlive a run; :meth:`close` drops
-    only what belongs to one event loop.
+    sequence counter, frame counts and frames still waiting outlive a run;
+    :meth:`close` drops only what belongs to one event loop (the dial task
+    and the connection).
     """
 
     def __init__(
@@ -232,8 +233,8 @@ class ChannelSender:
         self.frames_dropped_dead = 0
         self._next_seq = 0
         self._transport: asyncio.Transport | None = None
-        #: Frames waiting for a dial in flight (``None`` when there is none).
-        self._waiting: list[bytes] | None = None
+        #: Frames waiting for a dial (:meth:`resume`), in sequence order.
+        self._waiting: list[bytes] = []
         self._dialing: asyncio.Task | None = None
         self._held: bytes | None = None
         self._flush_timer: asyncio.TimerHandle | None = None
@@ -278,44 +279,53 @@ class ChannelSender:
         if transport is not None and not transport.is_closing():
             transport.write(frame)
             self.frames_written += 1
-        elif self._waiting is not None:
-            self._waiting.append(frame)
         else:
-            self._waiting = [frame]
+            self._waiting.append(frame)
+            self.resume()
+
+    def resume(self) -> None:
+        """Dial for the waiting frames, unless a dial is in flight.
+
+        Frames a run torn down mid-dial left waiting are this channel's,
+        not that run's: their sequence numbers are spent, so the receiver
+        waits for them, and the next run's dial writes them first.
+        """
+        dialing = self._dialing
+        if self._waiting and (dialing is None or dialing.done()):
             self._dialing = asyncio.get_running_loop().create_task(self._connect())
 
     async def _connect(self) -> None:
         """Dial, then write the waiting frames in order.  A refused dial
-        drops the first waiting frame, counted, and redials for the rest."""
+        drops the first waiting frame, counted, and redials for the rest;
+        a cancelled one leaves them all waiting (:meth:`resume`)."""
         waiting = self._waiting
-        try:
-            while waiting:
-                try:
-                    transport = await self.dial()
-                except OSError:
-                    del waiting[0]
-                    self.frames_dropped_dead += 1
-                    continue
-                for frame in waiting:
-                    transport.write(frame)
-                self.frames_written += len(waiting)
-                self._transport = transport
-                return
-        finally:
-            self._waiting = None
+        while waiting:
+            try:
+                transport = await self.dial()
+            except OSError:
+                del waiting[0]
+                self.frames_dropped_dead += 1
+                continue
+            for frame in waiting:
+                transport.write(frame)
+            self.frames_written += len(waiting)
+            waiting.clear()
+            self._transport = transport
 
     async def close(self) -> None:
-        """Write what is held or waiting and close the connection; the next
-        run dials afresh on its own loop."""
+        """Write what is held and close the connection; the next run dials
+        afresh on its own loop.  A dial still in flight has outlived the
+        run's quiesce (a wedged hello, a torn-down run): it is cancelled,
+        and its frames wait for the next run."""
         self._flush_held()
-        if self._dialing is not None:
-            dialing, self._dialing = self._dialing, None
+        dialing, self._dialing = self._dialing, None
+        if dialing is not None:
+            dialing.cancel()
             try:
                 await dialing
             except asyncio.CancelledError:
                 if not dialing.cancelled():
                     raise
-                # A run torn down mid-dial cancelled it: nothing was written.
         transport, self._transport = self._transport, None
         if transport is not None:
             transport.close()

@@ -64,7 +64,10 @@ class _Endpoint(FrameProtocol):
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         super().connection_made(transport)
-        self.gateway._accepted.append(self)
+        if self.gateway._servers:
+            self.gateway._accepted.append(self)
+        else:  # accepted as a torn-down run stopped the gateway
+            transport.close()
 
     def on_message(self, message: RpcMessage) -> None:
         if self.greeted:
@@ -84,16 +87,20 @@ class _Dialer(FrameProtocol):
 
     def __init__(self) -> None:
         super().__init__()
-        self.reply = asyncio.get_running_loop().create_future()
+        #: The hello's reply, made when :meth:`Gateway.dial` sends the hello
+        #: and awaits it: a dial cancelled before then has no one to tell.
+        self.reply: asyncio.Future | None = None
 
     def on_message(self, message: RpcMessage) -> None:
-        if not self.reply.done():
-            self.reply.set_result(message)
+        reply = self.reply
+        if reply is not None and not reply.done():
+            reply.set_result(message)
 
     def connection_lost(self, exc: Exception | None) -> None:
         super().connection_lost(exc)
-        if not self.reply.done():
-            self.reply.set_exception(ConnectionResetError("hello unanswered"))
+        reply = self.reply
+        if reply is not None and not reply.done():
+            reply.set_exception(ConnectionResetError("hello unanswered"))
 
 
 class Gateway:
@@ -122,9 +129,11 @@ class Gateway:
 
     async def dial(self, src: str, dst: str) -> asyncio.Transport:
         """Open the ``src -> dst`` channel connection (hello handshake)."""
-        transport, dialer = await asyncio.get_running_loop().create_connection(
+        loop = asyncio.get_running_loop()
+        transport, dialer = await loop.create_connection(
             _Dialer, self.host, self.ports[dst]
         )
+        dialer.reply = loop.create_future()
         dialer.send(Request(HELLO_METHOD, {"src": src, "dst": dst}, id=1))
         try:
             reply = await dialer.reply
@@ -138,14 +147,14 @@ class Gateway:
 
     async def stop(self) -> None:
         """Close all servers and accepted connections."""
-        for closable in self._servers + [e.transport for e in self._accepted]:
+        servers, self._servers = self._servers, []
+        accepted, self._accepted = self._accepted, []
+        for closable in servers + [e.transport for e in accepted]:
             closable.close()
-        for server in self._servers:
+        for server in servers:
             await server.wait_closed()
-        for endpoint in self._accepted:
+        for endpoint in accepted:
             await endpoint.closed
-        self._servers.clear()
-        self._accepted.clear()
 
 
 class WireNetwork(Network):
@@ -246,8 +255,11 @@ class WireNetwork(Network):
         return sender
 
     async def start(self) -> None:
-        """Open the gateway endpoints."""
+        """Open the gateway endpoints, then dial for any frames an earlier
+        run torn down mid-dial left waiting."""
         await self.gateway.start(self.sites)
+        for sender in self._senders.values():
+            sender.resume()
 
     async def quiesce(self, wall_budget: float = 5.0) -> None:
         """Wait until every frame written has reached its receiver.

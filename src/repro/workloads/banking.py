@@ -8,6 +8,7 @@ periodic guarantee for the 17:15-08:00 window.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.cm.manager import ConstraintManager
@@ -33,18 +34,23 @@ class BankingWorkload:
     close_at: Ticks = clock_time(17)
     accounts: list[str] = field(init=False)
     updates_scheduled: int = field(init=False, default=0)
+    # What each scheduled write sets, in scheduling order: every write is
+    # due no earlier than the one before it, so they run in that order.
+    _due_accounts: deque[str] = field(init=False, repr=False, default_factory=deque)
+    _due_balances: deque[float] = field(
+        init=False, repr=False, default_factory=deque
+    )
 
     def __post_init__(self) -> None:
         self.accounts = [f"a{i:03d}" for i in range(1, self.account_count + 1)]
         rng = self.cm.scenario.rngs.stream(f"banking:{self.family}")
         balances = {a: round(rng.uniform(100, 10_000), 2) for a in self.accounts}
+        at, write = self.cm.scenario.sim.at, self._write  # one callable, shared
+        due_accounts, due_balances = self._due_accounts, self._due_balances
         for account, balance in balances.items():
-            self.cm.scenario.sim.at(
-                0,
-                lambda a=account, b=balance: self.cm.spontaneous_write(
-                    self.family, (a,), b
-                ),
-            )
+            due_accounts.append(account)
+            due_balances.append(balance)
+            at(0, write)
         time = 0.0
         horizon = self.days * DAY
         while time < horizon:
@@ -58,9 +64,12 @@ class BankingWorkload:
             delta = round(rng.uniform(-500, 500), 2)
             balances[account] = round(balances[account] + delta, 2)
             self.updates_scheduled += 1
-            self.cm.scenario.sim.at(
-                tick,
-                lambda a=account, b=balances[account]: self.cm.spontaneous_write(
-                    self.family, (a,), b
-                ),
-            )
+            due_accounts.append(account)
+            due_balances.append(balances[account])
+            at(tick, write)
+
+    def _write(self) -> None:
+        account = self._due_accounts.popleft()
+        self.cm.spontaneous_write(
+            self.family, (account,), self._due_balances.popleft()
+        )

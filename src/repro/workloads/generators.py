@@ -117,20 +117,19 @@ class UpdateStream:
         self.schedule: list[Ticks] = []
         time = float(start)
         end = float(start + duration)
+        at, update = cm.scenario.sim.at, self._update  # one callable, shared
         while True:
             time += self.rng.expovariate(rate) * seconds(1)
             if time >= end:
                 break
             tick = round(time)
             self.schedule.append(tick)
-            cm.scenario.sim.at(tick, self._make_update())
+            at(tick, update)
 
-    def _make_update(self) -> Callable[[], None]:
-        def update() -> None:
-            key = self.rng.choice(self.keys)
-            args = () if key is None else (key,)
-            value = self.value_model(self, str(key))
-            self.cm.spontaneous_write(self.family, args, value)
-            self.stats.updates += 1
-
-        return update
+    def _update(self) -> None:
+        """One update: its key and value are drawn when it runs."""
+        key = self.rng.choice(self.keys)
+        args = () if key is None else (key,)
+        value = self.value_model(self, str(key))
+        self.cm.spontaneous_write(self.family, args, value)
+        self.stats.updates += 1

@@ -8,6 +8,7 @@ Poisson arrivals).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.cm.manager import ConstraintManager
@@ -27,20 +28,20 @@ class PersonnelWorkload:
     start: Ticks = 0
     employees: list[str] = field(init=False)
     stream: UpdateStream = field(init=False)
+    # The roster loads still due, in scheduling (and so running) order.
+    _due: deque[str] = field(init=False, repr=False, default_factory=deque)
+    _salaries: deque[float] = field(init=False, repr=False, default_factory=deque)
 
     def __post_init__(self) -> None:
         self.employees = [f"e{i:03d}" for i in range(1, self.employee_count + 1)]
         rng = self.cm.scenario.rngs.stream(f"personnel:{self.family}")
         # Initial roster load: everyone gets a starting salary at time 0;
         # these are spontaneous writes too (the databases pre-exist the CM).
+        at, load = self.cm.scenario.sim.at, self._load  # one callable, shared
         for employee in self.employees:
-            salary = round(rng.uniform(50_000, 150_000), 2)
-            self.cm.scenario.sim.at(
-                self.start,
-                lambda e=employee, s=salary: self.cm.spontaneous_write(
-                    self.family, (e,), s
-                ),
-            )
+            self._due.append(employee)
+            self._salaries.append(round(rng.uniform(50_000, 150_000), 2))
+            at(self.start, load)
         self.stream = UpdateStream(
             self.cm,
             self.family,
@@ -51,3 +52,7 @@ class PersonnelWorkload:
             start=self.start,
             stream_name=f"personnel-updates:{self.family}",
         )
+
+    def _load(self) -> None:
+        employee = self._due.popleft()
+        self.cm.spontaneous_write(self.family, (employee,), self._salaries.popleft())

@@ -1,5 +1,6 @@
 """Tests for invariant, periodic, and periodic-copy guarantees."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.guarantees import invariant, periodic
@@ -188,6 +189,48 @@ class TestMergedSweep:
         # Once per maximal joint region, on the same full states, in order.
         assert states == seen
         assert all(list(state) == items for state in states)
+
+    # Named shapes the random histories above reach only by chance.
+    CASES = {
+        "simultaneous changes across items": (
+            {"X": [(0, 1), (4, 3), (8, 0)], "Y": [(0, 2), (4, 0), (8, 5)]},
+            ["X", "Y"],
+        ),
+        "an item never written": ({"X": [(0, 1), (5, 4)]}, ["X", "Z"]),
+        "three items": (
+            {
+                "X": [(0, 0), (3, 2), (9, 0)],
+                "Y": [(0, 1), (3, 1), (6, 3)],
+                "Z": [(2, 1), (6, 0), (9, 2)],
+            },
+            ["X", "Y", "Z"],
+        ),
+        "a duplicated ref": (
+            {"X": [(0, 1), (4, 3)], "Y": [(0, 2), (4, 1), (7, 0)]},
+            ["X", "Y", "X"],
+        ),
+        "a change at the horizon": (
+            {"X": [(0, 0), (6, 3), (12, 0)], "Y": [(0, 1), (12, 5)]},
+            ["X", "Y"],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_named_case_agrees_with_bisection(self, case):
+        histories, names = self.CASES[case]
+        trace = make_timeline_trace(histories, horizon=12)
+        items = [DataItemRef(name) for name in names]
+        seen = []
+
+        def predicate(state):
+            seen.append(dict(state))
+            return sum(v for v in state.values() if isinstance(v, int)) <= 3
+
+        swept = _violation_intervals(trace, items, predicate)
+        states, seen = seen, []
+        assert swept == _bisecting_violation_intervals(trace, items, predicate)
+        assert swept  # each case violates somewhere
+        assert states == seen
 
     def test_change_exactly_at_the_horizon_opens_no_region(self):
         trace = make_timeline_trace(

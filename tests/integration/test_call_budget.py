@@ -38,6 +38,7 @@ from repro.cm.shell import FireMessage
 from repro.cm.verify import verify
 from repro.core.dsl import parse_rule
 from repro.core.events import EventKind, notify_desc, spontaneous_write_desc
+from repro.core.guarantees.invariants import _violation_intervals
 from repro.core.interfaces import InterfaceKind
 from repro.core.items import item
 from repro.core.rules import RhsStep, Rule
@@ -581,6 +582,55 @@ class TestRetentionBudget:
         # trigger whole, ~0.05 since a faithful copy resolves to the row it
         # names by ``(site, seq)``.
         assert retained_per_event(wire=True) <= 0.25
+
+    def test_inventory_setup_keeps_one_tracked_object_per_update(self):
+        # ``demarcation_sim``'s set-up pre-schedules every update.  5.0
+        # tracked objects per update while each was a closure (its two
+        # cells and their tuple) and a queue entry: set-up's promotions
+        # then armed a full pass that landed in the verdict.  Now the queue
+        # entry alone: the deltas are floats in a queue, and one bound
+        # method per stream is shared by all its updates.
+        cm, installed = build_inventory_cm(11, SlackPolicy.EXACT)
+        sim = cm.scenario.sim
+        gc.collect()
+        before, queued = len(gc.get_objects()), len(sim._queue)
+        workload = InventoryWorkload(
+            sim, cm.scenario.rngs, installed.native_protocol, duration=seconds(5000)
+        )
+        gc.collect()
+        updates = len(sim._queue) - queued
+        assert updates > 3000 and workload.attempts > 2000
+        assert (len(gc.get_objects()) - before) / updates <= 1.25
+
+    @pytest.mark.usefixtures("no_collector")
+    def test_invariant_sweep_makes_no_tracked_object_per_change(self):
+        # ``_violation_intervals`` over two items and 12 000 changes (some
+        # simultaneous across the items): the gen-0 allocation count, read
+        # while the sweep evaluates the predicate and after it returns,
+        # rises by a fixed handful of lists, not by a tuple per change.
+        x, y = item("X"), item("Y")
+        trace = ExecutionTrace()
+        trace.seed(x, 0)
+        trace.seed(y, 1)
+        for step in range(1, 6001):
+            trace.record(step * 10, "s", spontaneous_write_desc(x, step - 1, step))
+            trace.record(
+                step * 10 + step % 2, "s", spontaneous_write_desc(y, step, step + 1)
+            )
+        trace.close(60_020)
+        changes = sum(len(t.change_times()) for t in trace.timelines([x, y]))
+        assert changes > 12_000
+        before = gc.get_count()[0]
+        peak = [before]
+
+        def predicate(state):
+            peak[0] = max(peak[0], gc.get_count()[0])
+            return state[x] <= state[y]
+
+        bad = _violation_intervals(trace, [x, y], predicate)
+        assert not bad
+        assert peak[0] - before < 0.01 * changes
+        assert gc.get_count()[0] - before < 0.01 * changes
 
 
 def retained_per_event(wire: bool) -> float:

@@ -168,6 +168,34 @@ class TestSenderSurvivesDeadEndpoint:
         assert dials == 2
 
 
+class TestSenderSurvivesTeardownMidDial:
+    def test_frames_of_a_cancelled_first_dial_go_out_first_next_time(self):
+        # A run torn down while the channel's first dial is in flight
+        # cancels the dial.  The frames waiting for it have spent their
+        # sequence numbers, so the receiver would wait for them for good:
+        # the next run's dial writes them first, each exactly once.
+        async def scenario(sender_for, received):
+            gate = asyncio.Event()
+            sender = sender_for(dial_gate=gate)
+            send(sender)
+            send(sender)
+            await asyncio.sleep(0)
+            await sender.close()  # the teardown: cancels the dial in flight
+            assert sender.frames_written == sender.frames_dropped_dead == 0
+            gate.set()
+            sender.resume()  # the next run's start
+            await until(lambda: len(received) == 2)
+            send(sender)
+            await until(lambda: len(received) == 3)
+            await sender.close()
+            return sender.frames_written, received
+
+        (written, received), dials = run_channel(scenario)
+        assert received == [0, 1, 2]
+        assert written == 3
+        assert dials == 2
+
+
 class TestCallbackSender:
     def test_frames_enqueued_while_dialing_leave_in_sequence_order(self):
         async def scenario(sender_for, received):

@@ -5,13 +5,16 @@ frames over loopback TCP, paced by the scaled wall clock.  Time scales
 are set high so virtual minutes cost wall milliseconds.
 """
 
+import asyncio
+import gc
+
 import pytest
 
 from repro.cm import ConstraintManager, Scenario
 from repro.core.timebase import seconds
 from repro.experiments.common import build_salary_scenario
-from repro.runtime import AsyncRuntime, ChannelFaults, WireFaultPlan
-from repro.runtime.gateway import WireNetwork
+from repro.runtime import AsyncRuntime, ChannelFaults, WireFaultPlan, WireRuntimeError
+from repro.runtime.gateway import WireNetwork, _Dialer
 from repro.sim.network import FixedLatency
 
 
@@ -110,6 +113,64 @@ def test_message_in_flight_at_the_horizon_arrives_in_the_next_run(runtime):
         scenario.shutdown()
     assert len(received) == 1 and received[0] >= seconds(30.3)
     assert network.messages_dropped == 0
+
+
+class TestTeardownMidDial:
+    def test_a_dialer_lost_before_its_hello_logs_nothing(self, caplog):
+        # What a dial cancelled before its hello leaves: a connected
+        # ``_Dialer`` nobody awaits a reply from, then closed.
+        async def session():
+            loop = asyncio.get_running_loop()
+            server = await loop.create_server(_Dialer, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            transport, dialer = await loop.create_connection(
+                _Dialer, "127.0.0.1", port
+            )
+            transport.close()
+            await dialer.closed
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(session())
+        gc.collect()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_a_run_torn_down_mid_dial_delivers_next_run(self, caplog):
+        # The first dial hangs until the watchdog tears the run down and
+        # cancels it; the message it was to carry arrives, exactly once, in
+        # the next run, and neither run leaves asyncio anything to report.
+        salary = build_salary_scenario(
+            strategy_kind="propagation", seed=0, runtime=wire()
+        )
+        cm = salary.cm
+        runtime = cm.scenario.runtime_impl
+        gateway = runtime.wire.gateway
+        dial, stuck = gateway.dial, []
+
+        async def first_dial_hangs(src, dst):
+            if not stuck:
+                stuck.append((src, dst))
+                await asyncio.Event().wait()
+            return await dial(src, dst)
+
+        gateway.dial = first_dial_hangs
+        cm.scenario.sim.at(
+            seconds(1), lambda: cm.spontaneous_write("salary1", ("e1",), 50_000.0)
+        )
+        runtime.max_wall_seconds = 0.5
+        with pytest.raises(WireRuntimeError, match="no progress"):
+            cm.run(until=seconds(30))
+        assert stuck == [("sf", "ny")]
+        assert salary.hq_db.query("SELECT salary FROM employees") == []
+        runtime.max_wall_seconds = 30.0
+        cm.run(until=seconds(60))
+        gc.collect()
+        assert salary.hq_db.query("SELECT salary FROM employees") == [(50000.0,)]
+        network = cm.scenario.network
+        assert network.messages_delivered == 1
+        assert network.channel_stats()["sf->ny"]["frames_written"] == 1
+        assert network.outstanding == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
 
 class TestSocketFaults:
