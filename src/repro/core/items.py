@@ -66,7 +66,7 @@ class DataItemRef(tuple):
     items like ``X``.
 
     An immutable value, stored as the tuple ``(name, args, _REF_MARK)`` so
-    that ``hash`` and ``==`` run in C: every trace index, journal and store
+    that ``hash`` and ``==`` run in C: every trace index and store
     is keyed by refs.  The private mark keeps a ref from equalling (or
     colliding as a key with) the plain tuple of its fields; ``name`` and
     ``args`` read through the C field getters ``namedtuple`` uses.

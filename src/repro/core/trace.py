@@ -11,9 +11,8 @@ The trace layer is the hot path of every scenario, so it is engineered to
 stay near-linear in the number of events:
 
 - ``record()`` is O(1) per event and keeps the event as a row of atoms, not
-  as objects: ``old``/``new`` are versions of one shared
-  :class:`~repro.core.interpretations.StateJournal`, and readers get
-  :class:`Event` views built from the rows on demand;
+  as objects; readers get :class:`Event` views built from the rows on
+  demand, and the rows are the state too (:class:`_State`);
 - every query (:meth:`~ExecutionTrace.writes_to`,
   :meth:`~ExecutionTrace.events_of_kind`,
   :meth:`~ExecutionTrace.events_matching`,
@@ -36,7 +35,7 @@ to them.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
@@ -50,7 +49,7 @@ from repro.core.events import (  # and the slot setters
     Event, EventDesc, EventKind, _set_desc, _set_item, _set_kind, _set_new,
     _set_old, _set_rule, _set_seq, _set_site, _set_time, _set_trigger, _set_values,
 )
-from repro.core.interpretations import StateJournal, VersionedInterpretation
+from repro.core.interpretations import Interpretation
 from repro.core.items import MISSING, DataItemRef, Value
 from repro.core.rules import Rule
 from repro.core.templates import (
@@ -243,8 +242,8 @@ _WIDTH = 11
 # the descriptor's first and last value (``None`` without one); the trigger is
 # its identity, ``(_TRIGGER_SITE, _TRIGGER_SEQ)`` — one that is not an event
 # of this trace and names none of its rows (``_names_row``) is kept whole in
-# ``_foreign``; ``_VERSION`` is the journal version after the event (its
-# ``new``; a write's ``old`` is one less).
+# ``_foreign``; ``_VERSION`` is the version after the event (its ``new``: the
+# number of writes up to and including it; a write's ``old`` is one less).
 _FOREIGN = -1
 
 _KINDS = {kind._value_: kind for kind in EventKind}
@@ -273,9 +272,9 @@ class ExecutionTrace:
 
     The trace owns the authoritative interpretation of the traced items:
     callers record *what happened* (site + descriptor + provenance) and the
-    trace computes the ``old``/``new`` interpretations, which guarantees
-    valid-execution properties 2 and 3 by construction — the validator then
-    re-checks them independently.
+    trace derives the ``old``/``new`` interpretations from its own rows, so
+    valid-execution properties 2 and 3 hold by construction;
+    :func:`validate_trace_naive` re-checks them over the views.
 
     Each event is kept as a row of atoms (see ``_TIME`` … ``_VERSION``), not
     as objects: the :class:`Event` that :meth:`record` returns is the
@@ -283,7 +282,7 @@ class ExecutionTrace:
     keep it.  Readers get views built from the rows on demand
     (:attr:`events`, :meth:`events_of_kind`, :meth:`writes_to`,
     :attr:`generated_events`); the indexed validator and :class:`Timeline`
-    read the rows themselves.
+    read the rows themselves, and so do the interpretations (:class:`_State`).
 
     Recording also maintains the query indexes (per-item writes, per-kind
     and per-(kind, family) row lists, per-family ref sets), so queries
@@ -293,8 +292,8 @@ class ExecutionTrace:
     def __init__(self) -> None:
         self._rows: list = []  # ``_WIDTH`` atoms per event
         self._snapshot: Optional[EventViews] = None
-        self._journal = StateJournal()
         self._seeded: dict[DataItemRef, Value] = {}
+        self._current = _State(self, 0, 0)  # the state after the last row
         self.horizon: Ticks = 0
         # -- interned once per item: its id, write list and family rows --
         self._ref_ids: dict[DataItemRef, int] = {}
@@ -315,6 +314,7 @@ class ExecutionTrace:
         # (:func:`repro.core.guarantees.base.paired_timelines`).
         self._pairings: dict = {}
         # -- instrumentation --
+        self._materializations = 0  # full mappings built by ``_State``
         self._timeline_extend_steps = 0
         self._timeline_builds = 0
         self._timeline_cache_hits = 0
@@ -328,7 +328,6 @@ class ExecutionTrace:
         """
         if self._rows:
             raise TraceError("cannot seed a trace after events were recorded")
-        self._journal.seed(ref, value)
         self._seeded[ref] = value
         if ref not in self._ref_ids:
             self._intern(ref)
@@ -371,8 +370,7 @@ class ExecutionTrace:
             raise TraceError(
                 f"event at {time} recorded after event at {rows[-_WIDTH]}"
             )
-        journal = self._journal
-        old = new = journal.current
+        old = new = self._current
         kind = desc.kind
         key = kind._value_
         item = desc.item
@@ -389,11 +387,13 @@ class ExecutionTrace:
                 self._family_refs.setdefault(item.name, set()).add(item)
                 self._family_rows.append(self._by_family.setdefault(item.name, {}))
             if kind is _WRITE or kind is _SPONTANEOUS_WRITE:
-                # The interned ref: the journal keeps no ref object per write.
-                journal.write(
-                    self._refs[ref], values[0] if kind is _WRITE else values[1]
-                )
-                new = journal.current
+                # The next version's view, built through its slots: no
+                # ``__init__`` frame on the record path.
+                new = self._current = _new(_State)
+                new._trace = self
+                new.version = old.version + 1
+                new._end = at + _WIDTH
+                new._cache = None
                 self._writes[ref].append(at)
             indexed = self._family_rows[ref].get(key)
             if indexed is None:
@@ -423,7 +423,7 @@ class ExecutionTrace:
                 self._generated.append(at)
         else:
             trigger_site, trigger_seq = trigger.site, trigger.seq
-            if trigger.new._journal is not journal and not self._names_row(trigger):
+            if trigger.new._trace is not self and not self._names_row(trigger):
                 self._foreign[at] = trigger
             self._generated.append(at)
         # ``_V1`` repeats a one-value descriptor's value: one test, no slice.
@@ -581,7 +581,7 @@ class ExecutionTrace:
             self._timeline_extend_steps += len(writes) - consumed
             for at in writes[consumed:]:
                 time = rows[at]
-                value = rows[at + (_V0 if rows[at + _KIND] is _W else _V1)]
+                value = rows[at + _V1]  # the value written (``_State``)
                 if times[-1] != time:
                     if values[-1] != value:
                         times.append(time)
@@ -619,8 +619,13 @@ class ExecutionTrace:
         return self.timeline(ref).value_at(time)
 
     def current_value(self, ref: DataItemRef) -> Value:
-        """Value of ``ref`` right now — O(1), no timeline construction."""
-        return self._journal.current_value(ref, MISSING)
+        """Value of ``ref`` right now — O(1), no timeline construction: the
+        value in the row of its last write, else its seed."""
+        ref_id = self._ref_ids.get(ref)
+        writes = _NO_ROWS if ref_id is None else self._writes[ref_id]
+        if writes:
+            return self._rows[writes[-1] + _V1]
+        return self._seeded.get(ref, MISSING)
 
     def refs_of_family(self, family: str) -> list[DataItemRef]:
         """All ground item refs of a parameterized family seen in the trace."""
@@ -636,29 +641,80 @@ class ExecutionTrace:
 
     def stats(self) -> dict[str, int]:
         """Recording/query counters (surfaced in run reports and tests)."""
+        seeded, refs = self._seeded, self._refs
+        unseeded = [r for r, w in zip(refs, self._writes) if w and r not in seeded]
         return {
             "events_recorded": len(self),
-            "items_tracked": len(self._journal),
-            "state_versions": self._journal.version,
-            "interpretation_materializations": self._journal.materializations,
+            "items_tracked": len(seeded) + len(unseeded),  # seeded or written
+            "state_versions": self._current.version,
+            "interpretation_materializations": self._materializations,
             "timeline_extend_steps": self._timeline_extend_steps,
             "timeline_builds": self._timeline_builds,
             "timeline_cache_hits": self._timeline_cache_hits,
         }
 
 
+class _State(Interpretation):
+    """A trace's state at ``version`` (the number of writes so far), read
+    from its rows below offset ``_end``: an item's value is the one in its
+    last write row there (one bisect of its write list), else its seed.
+    The trace keeps no other record of state.  Two views of one trace at
+    one version are equal; the full mapping is built (counted, and kept)
+    only to iterate, hash or compare with any other interpretation."""
+
+    __slots__ = ("_trace", "version", "_end", "_cache")
+
+    def __init__(self, trace: ExecutionTrace, version: int, end: int) -> None:
+        self._trace, self.version, self._end, self._cache = trace, version, end, None
+
+    @property
+    def _values(self) -> dict[DataItemRef, Value]:  # type: ignore[override]
+        cache = self._cache
+        if cache is None:
+            trace, end = self._trace, self._end
+            trace._materializations += 1
+            cache = dict(trace._seeded)
+            for ref, writes in zip(trace._refs, trace._writes):
+                if writes and writes[0] < end:
+                    cache[ref] = trace._rows[writes[bisect_left(writes, end) - 1] + _V1]
+            self._cache = cache
+        return cache
+
+    def __getitem__(self, ref: DataItemRef) -> Value:
+        trace = self._trace
+        ref_id = trace._ref_ids.get(ref)
+        if ref_id is not None:
+            writes = trace._writes[ref_id]
+            index = bisect_left(writes, self._end)
+            if index:
+                return trace._rows[writes[index - 1] + _V1]
+        return trace._seeded[ref]
+
+    def __eq__(self, other: object) -> bool:
+        if other is self or (
+            isinstance(other, _State)
+            and other._trace is self._trace
+            and other.version == self.version
+        ):
+            return True
+        return Interpretation.__eq__(self, other)
+
+    __hash__ = Interpretation.__hash__
+
+
 class _Viewer:
     """Builds the :class:`Event` view of a trace row, each row once: a view's
     trigger is the view of its trigger's row (or the foreign object it was
-    recorded with), and views of one version share one interpretation, so
-    consecutive views chain by identity."""
+    recorded with), and views of one version share one :class:`_State` (the
+    latest version's is the trace's own), so consecutive views chain by
+    identity."""
 
     __slots__ = ("trace", "built", "versions")
 
     def __init__(self, trace: ExecutionTrace) -> None:
         self.trace = trace
         self.built: dict[int, Event] = {}
-        self.versions: dict[int, VersionedInterpretation] = {}
+        self.versions: dict[int, _State] = {}
 
     def __call__(self, at: int) -> Event:
         built = self.built
@@ -682,10 +738,14 @@ class _Viewer:
                 event = built[at] = self._build(at, event)
         return event
 
-    def _interpretation(self, version: int) -> VersionedInterpretation:
+    def _state(self, version: int, end: int) -> _State:
+        """The view of ``version``, read from the rows below ``end``."""
         view = self.versions.get(version)
         if view is None:
-            view = self.versions[version] = self.trace._journal.view(version)
+            view = self.trace._current
+            if view.version != version:
+                view = _State(self.trace, version, end)
+            self.versions[version] = view
         return view
 
     def _build(self, at: int, trigger: Optional[Event]) -> Event:
@@ -697,14 +757,13 @@ class _Viewer:
         _set_kind(desc, _KINDS[kind])
         _set_item(desc, None if ref is None else trace._refs[ref])
         _set_values(desc, _values(kind, first, second))
-        new = self._interpretation(version)
+        new = self._state(version, at + _WIDTH)
         event = _new(Event)
         _set_time(event, time)
         _set_site(event, site)
         _set_desc(event, desc)
         _set_old(
-            event,
-            self._interpretation(version - 1) if kind is _W or kind is _WS else new,
+            event, self._state(version - 1, at) if kind is _W or kind is _WS else new
         )
         _set_new(event, new)
         _set_rule(event, rule)
@@ -784,22 +843,25 @@ class EventViews(tuple):
 def validate_trace(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
     """Check the seven valid-execution properties of Appendix A.2.
 
-    Properties 1-5 are checked exactly.  Property 6 (rule liveness) is checked
-    for every LHS match whose RHS steps carry the trivial condition; steps
-    with non-trivial conditions depend on local shell state at firing time,
-    which the trace does not retain, so a missing event for such a step is
-    not reported (it may legitimately have been suppressed by its condition).
+    Properties 2 and 3 (a write changes exactly its item; ``old`` chains
+    from the previous ``new``) hold by construction, the interpretations
+    being read from the rows (:class:`_State`); :func:`validate_trace_naive`
+    checks them over the views.  Properties 1, 4 and 5 are checked exactly.
+    Property 6 (rule liveness) is checked for every LHS match whose RHS
+    steps carry the trivial condition; steps with non-trivial conditions
+    depend on local shell state at firing time, which the trace does not
+    retain, so a missing event for such a step is not reported (it may
+    legitimately have been suppressed by its condition).
     Property 7 (in-order processing of related rules) is one scan, O(1) per
     generated event: in time order an event is late iff its trigger precedes
     the latest trigger its (trigger site, site) group saw at a strictly
     earlier event tick.  Each late event is reported once, not once per pair.
 
-    Implementation: properties 1-4 are one pass over the trace's rows (the
-    state checks compare journal versions), which also groups each rule's
-    generated rows with their triggers' rows in a :class:`_RulePlan`;
-    property 5 checks each rule's rows a column at a time
-    (:func:`_provenance`), property 6 reads what it found, property 7 the
-    same columns.  A view is built only for a flagged event.
+    Implementation: properties 1 and 4 are one pass over the trace's rows,
+    which also groups each rule's generated rows with their triggers' rows
+    in a :class:`_RulePlan`; property 5 checks each rule's rows a column at
+    a time (:func:`_provenance`), property 6 reads what it found, property
+    7 the same columns.  A view is built only for a flagged event.
     :func:`validate_trace_naive`, the pass-per-property, template-
     interpreting reference over views, is the specification.
     """
@@ -810,37 +872,17 @@ def validate_trace(trace: ExecutionTrace, rules: list[Rule]) -> list[Violation]:
     sources: list[int] = []  # ... and their triggers' rows
     view = _Viewer(trace)
     view_of = lambda row: view(row * _WIDTH)  # noqa: E731
-    rows, refs, foreign = trace._rows, trace._refs, trace._foreign
+    rows, foreign = trace._rows, trace._foreign
     columns = _Columns(trace)
     seqs, sites = (columns[_SEQ], columns[_SITE]) if trace._generated else ((), ())
-    logged_refs, logged_values = trace._journal.log()
     previous_time, first_seq = (rows[_TIME], rows[_SEQ]) if rows else (0, 0)
-    previous_version = 0  # the seeded state
     atoms = iter(rows)
     for row, fields in enumerate(zip(*[atoms] * _WIDTH)):
-        time, __, kind, ref, first, second, rule, t_site, trigger, __, version = fields
+        time, __, kind, __, __, __, rule, t_site, trigger, __, __ = fields
         # Property 1: nondecreasing time.
         if time < previous_time:
             buckets[1].append(Violation(1, "events out of time order", view_of(row)))
         previous_time = time
-
-        # Property 2: a write's journal entry is its own item and value; a
-        # non-write has one version for both old and new.
-        old = version
-        if kind is _W or kind is _WS:
-            old = version - 1
-            if logged_refs[old] is not refs[ref] or logged_values[old] != (
-                first if kind is _W else second
-            ):
-                buckets[2].append(
-                    Violation(2, "write event has inconsistent new state", view_of(row))
-                )
-
-        # Property 3: interpretations chain.
-        if old != previous_version:
-            message = "old state does not chain from previous event"
-            buckets[3].append(Violation(3, message, view_of(row)))
-        previous_version = version
 
         # Property 4: spontaneous events carry no provenance.
         if (kind is _WS or kind is _P) and (rule is not None or trigger is not None):

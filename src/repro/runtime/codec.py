@@ -255,8 +255,9 @@ class WireFiring:
     slots: list
 
 
-#: The last trigger encoded, held (matched by identity), and its encoding,
-#: which frames share read-only: a fan-out encodes its trigger chain once.
+#: The last trigger encoded, held (matched by identity) until a wire session
+#: stops, and its encoding, which frames share read-only: a fan-out encodes
+#: its trigger chain once.
 _last_trigger: list = [None, None]
 
 

@@ -35,7 +35,7 @@ from repro.runtime.channels import (
     encode_payload,
 )
 from repro.runtime.clock import WallClock
-from repro.runtime.codec import WireFiring
+from repro.runtime.codec import WireFiring, _last_trigger
 from repro.runtime.jsonrpc import (
     INVALID_REQUEST,
     ErrorResponse,
@@ -282,6 +282,7 @@ class WireNetwork(Network):
         for sender in self._senders.values():
             await sender.close()
         await self.gateway.stop()
+        _last_trigger[:] = None, None  # the codec memo: its trigger pins a trace
 
     # -- inbound path ------------------------------------------------------------
 

@@ -36,7 +36,7 @@ Y = item("Y")
 class TestRecording:
     def test_write_updates_interpretations(self, trace):
         event = trace.record(10, "a", write_desc(X, 5))
-        assert event.old.specifies(X) is False
+        assert X not in event.old
         assert event.new[X] == 5
 
     def test_chaining(self, trace):

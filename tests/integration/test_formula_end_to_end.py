@@ -8,8 +8,12 @@ actual propagation run — the strongest cross-validation the repository has
 
 from repro.core.formula import FormulaChecker
 from repro.core.guarantee_dsl import parse_guarantee
+from repro.core.items import item
 from repro.core.timebase import seconds
 from repro.experiments.common import build_salary_scenario
+
+#: The guarantees' Y item: the copy the strategy maintains.
+Y = item("salary2", "e1")
 
 
 def run_small_scenario(seed: int = 42, updates: int = 12):
@@ -29,6 +33,12 @@ def run_small_scenario(seed: int = 42, updates: int = 12):
     return salary
 
 
+def assert_y_changed(trace) -> None:
+    """The copy changed at least once, so the verdict judged propagations
+    and not only the initial state."""
+    assert len(trace.timeline(Y).change_points()) > 1
+
+
 class TestFormulaOnRealExecution:
     def test_paper_guarantees_hold_generically(self):
         salary = run_small_scenario()
@@ -41,6 +51,7 @@ class TestFormulaOnRealExecution:
                   "=> (salary1('e1') = y)@t2 & t1 - 6 < t2 & t2 < t1",
         }
         # g4 is the paper's metric guarantee (4) verbatim.
+        assert_y_changed(trace)
         checker = FormulaChecker(parse_guarantee(formulas["g4"]))
         assert checker.check(trace) == []
 
@@ -49,6 +60,7 @@ class TestFormulaOnRealExecution:
 
         salary = run_small_scenario(seed=7)
         trace = salary.scenario.trace
+        assert_y_changed(trace)
         specialized = follows(
             "salary1", "salary2", within_seconds=6
         ).check(trace)

@@ -53,7 +53,10 @@ def test_polling_scenario_equivalent():
 
 
 def test_report_serializes_for_artifacts():
-    report = run_equivalence(seed=1, duration_seconds=10.0)
+    # At x10, half the default scale: the metric guarantee's 6 virtual
+    # seconds are 600 wall ms, so a loaded machine's scheduling stall does
+    # not read as a missed bound.
+    report = run_equivalence(seed=1, duration_seconds=10.0, time_scale=10.0)
     data = report.to_dict()
     assert data["seed"] == 1
     assert data["ok"] is True
