@@ -119,6 +119,8 @@ class ConstraintManager:
         self.board = GuaranteeStatusBoard()
         self.constraints: list[Constraint] = []
         self.installed: list[InstalledConstraint] = []
+        #: The last survey and the translators it merged, in order.
+        self._survey: tuple[InterfaceSet, list[CMTranslator]] = (InterfaceSet(), [])
 
     # -- topology ------------------------------------------------------------
 
@@ -190,16 +192,27 @@ class ConstraintManager:
     # -- survey and declaration (Section 4.1 initialization) --------------------
 
     def interfaces(self) -> InterfaceSet:
-        """The merged interface survey across all translators."""
-        merged = InterfaceSet()
+        """The merged interface survey across all translators (shared: read
+        it, do not add to it).
+
+        Every constraint's ``suggest`` and ``install`` survey, and merging
+        afresh each time made set-up quadratic in the number of sources: a
+        survey whose translators (in merge order) extend the last one's
+        only adds the new translators' offers."""
+        translators: list[CMTranslator] = []
         for shell in self.shells.values():
             seen: set[int] = set()
             for translator in shell.translators.values():
-                if id(translator) in seen:
-                    continue
-                seen.add(id(translator))
-                for spec in translator.offered_interfaces().specs:
-                    merged.add(spec)
+                if id(translator) not in seen:
+                    seen.add(id(translator))
+                    translators.append(translator)
+        merged, surveyed = self._survey
+        if translators[: len(surveyed)] != surveyed:
+            merged, surveyed = InterfaceSet(), []
+        for translator in translators[len(surveyed) :]:
+            for spec in translator.offered_interfaces().specs:
+                merged.add(spec)
+        self._survey = merged, translators
         return merged
 
     def declare(self, constraint: Constraint) -> Constraint:

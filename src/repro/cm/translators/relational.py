@@ -28,8 +28,7 @@ from repro.core.interfaces import InterfaceKind
 from repro.core.items import MISSING, DataItemRef, Value
 from repro.cm.rid import ItemBinding
 from repro.cm.translator import CMTranslator
-from repro.ris.relational import RelationalDatabase
-from repro.ris.relational.triggers import TriggerEvent
+from repro.ris.relational import RelationalDatabase, TriggerEvent
 
 
 class _Family(NamedTuple):
@@ -130,7 +129,7 @@ class RelationalTranslator(CMTranslator):
         if not binding.parameterized:
             return [DataItemRef(family, ())]
         self.count_op("sql_select")
-        rows = self.db.query(f"SELECT {key_column} FROM {table}")
+        rows = self.db.query(f"SELECT {key_column} FROM {table} ORDER BY rowid")
         return sorted(
             (DataItemRef(family, (row[0],)) for row in rows),
             key=lambda r: str(r.args),

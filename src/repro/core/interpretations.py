@@ -32,8 +32,8 @@ class Interpretation(Mapping[DataItemRef, Value]):
     """
 
     __slots__ = ("_values",)
-    #: The trace whose rows back a view (:mod:`repro.core.trace`); none here.
-    _trace: Any = None
+    #: The trace rows that back a view (:mod:`repro.core.trace`); none here.
+    _store: Any = None
 
     def __init__(self, values: Mapping[DataItemRef, Value] | None = None) -> None:
         self._values: dict[DataItemRef, Value] = dict(values or {})

@@ -291,14 +291,15 @@ class ExecutionTrace:
 
     def __init__(self) -> None:
         self._rows: list = []  # ``_WIDTH`` atoms per event
-        self._snapshot: Optional[EventViews] = None
+        self._every: tuple[Event, ...] = ()  # the views :attr:`events` built
         self._seeded: dict[DataItemRef, Value] = {}
-        self._current = _State(self, 0, 0)  # the state after the last row
         self.horizon: Ticks = 0
         # -- interned once per item: its id, write list and family rows --
         self._ref_ids: dict[DataItemRef, int] = {}
         self._refs: list[DataItemRef] = []
         self._writes: list[list[int]] = []  # per ref id: its writes (offsets)
+        self._store = _Store(self)
+        self._current = _State(self._store, 0, 0)  # the state after the last row
         self._family_rows: list[dict[str, list[int]]] = []  # per ref id
         # -- record-time indexes, of row offsets --
         self._by_kind: dict[str, list[int]] = {}
@@ -314,7 +315,6 @@ class ExecutionTrace:
         # (:func:`repro.core.guarantees.base.paired_timelines`).
         self._pairings: dict = {}
         # -- instrumentation --
-        self._materializations = 0  # full mappings built by ``_State``
         self._timeline_extend_steps = 0
         self._timeline_builds = 0
         self._timeline_cache_hits = 0
@@ -390,7 +390,7 @@ class ExecutionTrace:
                 # The next version's view, built through its slots: no
                 # ``__init__`` frame on the record path.
                 new = self._current = _new(_State)
-                new._trace = self
+                new._store = self._store
                 new.version = old.version + 1
                 new._end = at + _WIDTH
                 new._cache = None
@@ -423,7 +423,7 @@ class ExecutionTrace:
                 self._generated.append(at)
         else:
             trigger_site, trigger_seq = trigger.site, trigger.seq
-            if trigger.new._trace is not self and not self._names_row(trigger):
+            if trigger.new._store is not self._store and not self._names_row(trigger):
                 self._foreign[at] = trigger
             self._generated.append(at)
         # ``_V1`` repeats a one-value descriptor's value: one test, no slice.
@@ -503,10 +503,7 @@ class ExecutionTrace:
     @property
     def events(self) -> EventViews:
         """All recorded events, in order (a read-only snapshot of views)."""
-        snapshot = self._snapshot
-        if snapshot is None or len(snapshot) != len(self):
-            snapshot = self._snapshot = EventViews(self, None, len(self))
-        return snapshot
+        return EventViews(self, None, len(self))
 
     @property
     def seeded(self) -> Mapping[DataItemRef, Value]:
@@ -647,11 +644,26 @@ class ExecutionTrace:
             "events_recorded": len(self),
             "items_tracked": len(seeded) + len(unseeded),  # seeded or written
             "state_versions": self._current.version,
-            "interpretation_materializations": self._materializations,
+            "interpretation_materializations": self._store.materializations,
             "timeline_extend_steps": self._timeline_extend_steps,
             "timeline_builds": self._timeline_builds,
             "timeline_cache_hits": self._timeline_cache_hits,
         }
+
+
+class _Store:
+    """What a trace's state views read: its rows and item tables (the
+    trace's own containers), without the trace.  Views point here, not at
+    the trace, so a trace that keeps views (its current state, the views
+    :attr:`ExecutionTrace.events` built) is in no reference cycle and goes
+    as soon as its last reference does, collector or not."""
+
+    __slots__ = ("rows", "refs", "writes", "ref_ids", "seeded", "materializations")
+
+    def __init__(self, trace: ExecutionTrace) -> None:
+        self.rows, self.refs, self.writes = trace._rows, trace._refs, trace._writes
+        self.ref_ids, self.seeded = trace._ref_ids, trace._seeded
+        self.materializations = 0  # full mappings built by ``_State``
 
 
 class _State(Interpretation):
@@ -662,38 +674,38 @@ class _State(Interpretation):
     one version are equal; the full mapping is built (counted, and kept)
     only to iterate, hash or compare with any other interpretation."""
 
-    __slots__ = ("_trace", "version", "_end", "_cache")
+    __slots__ = ("_store", "version", "_end", "_cache")
 
-    def __init__(self, trace: ExecutionTrace, version: int, end: int) -> None:
-        self._trace, self.version, self._end, self._cache = trace, version, end, None
+    def __init__(self, store: _Store, version: int, end: int) -> None:
+        self._store, self.version, self._end, self._cache = store, version, end, None
 
     @property
     def _values(self) -> dict[DataItemRef, Value]:  # type: ignore[override]
         cache = self._cache
         if cache is None:
-            trace, end = self._trace, self._end
-            trace._materializations += 1
-            cache = dict(trace._seeded)
-            for ref, writes in zip(trace._refs, trace._writes):
+            store, end = self._store, self._end
+            store.materializations += 1
+            cache = dict(store.seeded)
+            for ref, writes in zip(store.refs, store.writes):
                 if writes and writes[0] < end:
-                    cache[ref] = trace._rows[writes[bisect_left(writes, end) - 1] + _V1]
+                    cache[ref] = store.rows[writes[bisect_left(writes, end) - 1] + _V1]
             self._cache = cache
         return cache
 
     def __getitem__(self, ref: DataItemRef) -> Value:
-        trace = self._trace
-        ref_id = trace._ref_ids.get(ref)
+        store = self._store
+        ref_id = store.ref_ids.get(ref)
         if ref_id is not None:
-            writes = trace._writes[ref_id]
+            writes = store.writes[ref_id]
             index = bisect_left(writes, self._end)
             if index:
-                return trace._rows[writes[index - 1] + _V1]
-        return trace._seeded[ref]
+                return store.rows[writes[index - 1] + _V1]
+        return store.seeded[ref]
 
     def __eq__(self, other: object) -> bool:
         if other is self or (
             isinstance(other, _State)
-            and other._trace is self._trace
+            and other._store is self._store
             and other.version == self.version
         ):
             return True
@@ -744,7 +756,7 @@ class _Viewer:
         if view is None:
             view = self.trace._current
             if view.version != version:
-                view = _State(self.trace, version, end)
+                view = _State(self.trace._store, version, end)
             self.versions[version] = view
         return view
 
@@ -793,12 +805,15 @@ class EventViews(tuple):
     def _views(self) -> tuple[Event, ...]:
         built = self._built
         if built is None:
-            offsets = self._offsets
-            if offsets is None:  # every row
-                offsets = range(0, self._length * _WIDTH, _WIDTH)
+            trace, offsets = self._trace, self._offsets
+            if offsets is not None:
+                built = tuple(map(_Viewer(trace), offsets[: self._length]))
+            elif len(trace._every) == self._length:  # every row: built before
+                built = trace._every
             else:
-                offsets = offsets[: self._length]
-            built = self._built = tuple(map(_Viewer(self._trace), offsets))
+                offsets = range(0, self._length * _WIDTH, _WIDTH)
+                built = trace._every = tuple(map(_Viewer(trace), offsets))
+            self._built = built
         return built
 
     def __len__(self) -> int:

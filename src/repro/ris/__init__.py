@@ -1,13 +1,12 @@
 """Raw Information Sources (RIS).
 
 The bottom layer of Figure 2 in the paper: the actual, heterogeneous systems
-holding the data.  Each source is implemented from scratch with a genuinely
-different native interface (RISI), so the CM-Translators above them have real
-heterogeneity to absorb:
+holding the data.  Each source has a genuinely different native interface
+(RISI), so the CM-Translators above them have real heterogeneity to absorb:
 
-- :mod:`repro.ris.relational` — a mini relational DBMS running the SQL the
-  relational translator sends, with row triggers (the "Sybase" of the
-  paper's examples).
+- :mod:`repro.ris.relational` — an in-memory SQLite database (stdlib
+  ``sqlite3``) with body-less row triggers fed to host callbacks (the
+  "Sybase" of the paper's examples).
 - :mod:`repro.ris.filestore` — a flat-file record store (the "Unix files"
   source): whole-file read/write, no transactions, no triggers.
 - :mod:`repro.ris.objectstore` — a small object-oriented store with classes,

@@ -1,9 +1,5 @@
-"""Error taxonomy of the mini relational DBMS.
-
-All errors are :class:`~repro.ris.base.RISError` subclasses carrying an
-errno-like code, which is what the relational CM-Translator uses to classify
-failures as metric or logical (Section 5 of the paper).
-"""
+"""Error taxonomy of the relational RIS: :class:`~repro.ris.base.RISError`
+subclasses whose code the translator classifies (Section 5)."""
 
 from __future__ import annotations
 
@@ -11,11 +7,11 @@ from repro.ris.base import RISError, RISErrorCode
 
 
 class SqlError(RISError):
-    """Base class for all SQL-engine errors."""
+    """Base class; raised for a wrong parameter count or unbindable value."""
 
 
 class SqlSyntaxError(SqlError):
-    """The SQL text failed to parse."""
+    """The SQL text failed to parse, or SQLite refused to run it."""
 
     def __init__(self, message: str, position: int = 0):
         super().__init__(RISErrorCode.INVALID_REQUEST, message)

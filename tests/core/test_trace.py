@@ -1,7 +1,9 @@
 """Unit tests for execution traces, timelines, and the validator."""
 
 import dataclasses
+import gc
 import time
+import weakref
 
 import pytest
 
@@ -521,3 +523,32 @@ class TestIncrementalTimelineWork:
         assert trace.stats()["timeline_cache_hits"] == 1
         trace.record(20, "a", write_desc(X, 2))
         assert trace.timeline(X) is not first
+
+
+class TestReferenceCycles:
+    def test_a_dropped_trace_is_freed_without_the_collector(self):
+        # Views point at the trace's rows, not at the trace: neither its
+        # current state nor the views ``events`` built keep it alive.
+        gc.collect()
+        gc.disable()
+        try:
+            for length in (0, 6):
+                trace = ExecutionTrace()
+                for tick in range(length):
+                    trace.record(tick, "a", write_desc(X, tick))
+                events = trace.events
+                assert len(events) == length and list(events) == list(trace.events)
+                del events
+                freed = weakref.ref(trace)
+                del trace
+                assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_views_outlive_their_trace(self):
+        trace = ExecutionTrace()
+        trace.record(1, "a", write_desc(X, 1))
+        trace.record(2, "a", write_desc(X, 2))
+        first, second = trace.events
+        del trace
+        assert (first.new[X], second.old[X], second.new[X]) == (1, 1, 2)

@@ -184,8 +184,10 @@ class TestCallBudget:
         # relational RIS finds a row by its primary key inline (the budget
         # fell by the 2.5 calls that earned); 55.5 since the rows are the
         # state and ``record`` calls no journal ``write`` (the budget fell
-        # by the 1 call that earned).  The budget sits ~20 % above,
-        # so it catches a regression without pinning the exact count.
+        # by the 1 call that earned); 44.9 since the relational RIS is
+        # SQLite and a statement runs in C (the budget fell by the 10.6
+        # calls that earned).  The budget sits ~20 % above, so it catches
+        # a regression without pinning the exact count.
         cm, propagations = fanout_federation()
         calls = python_calls(lambda: cm.run(until=seconds(40)))
         writes = sum(
@@ -197,7 +199,7 @@ class TestCallBudget:
         # ``sim.now`` is a plain attribute that only run() assigns: nothing
         # on the write path may have moved the clock past the run's end.
         assert cm.scenario.sim.now == seconds(40)
-        assert calls / propagations <= 67.5
+        assert calls / propagations <= 57
 
     def test_fanout_calls_per_propagation_by_layer(self):
         # The same count, per layer, so a regression names the layer that
@@ -221,8 +223,12 @@ class TestCallBudget:
         #                                 slots; left: ``ResultSet`` /
         #                                 ``Message`` / ``FireMessage``
         #                                 ``__init__``, compiled rules
+        #   ris          11.80 ->  1.81   SQLite runs the statement in C:
+        #                                 ``execute`` and, at the hub, the
+        #                                 trigger function are left
+        #   other        11.25 -> 10.63   (the engine's generated frames)
         budgets = {
-            "ris": 14.5,
+            "ris": 2.2,
             "translator": 17,
             "trace": 4.8,
             "sim": 7,
@@ -303,8 +309,7 @@ class TestCallBudget:
         # Property 5 checks a rule's generated rows by positional agreements
         # on columns, not a matcher: no call into core/templates.py comes
         # from it, and all of validate_trace makes at most one per LHS
-        # candidate row property 6 reads.  A presence check, like CI's
-        # tokenize_sql one.
+        # candidate row property 6 reads.  A presence check, not a count.
         cm, __ = fanout_federation()
         cm.run(until=seconds(40))
         trace = cm.scenario.trace
@@ -356,9 +361,10 @@ class TestCallBudget:
         # recorded event 55.4 while every ref hash, descriptor, plan probe
         # and gauge update was a Python frame and each handler re-read its
         # limit per use; 33.9 since, 30.9 once ``record`` made no journal
-        # view (30.5 when last measured), 28.0 once it kept no journal.  A
-        # handshake that re-reads its state per use, or a probe of an empty
-        # plan, fails here.
+        # view (30.5 when last measured), 28.0 once it kept no journal,
+        # 25.1 since the relational RIS is SQLite (the budget fell by the
+        # 2.9 calls that earned).  A handshake that re-reads its state per
+        # use, or a probe of an empty plan, fails here.
         cm, installed = build_inventory_cm(11, SlackPolicy.EXACT)
         protocol = installed.native_protocol
         InventoryWorkload(
@@ -370,7 +376,7 @@ class TestCallBudget:
         x, y = protocol.x_agent.stats, protocol.y_agent.stats
         assert x.updates_attempted + y.updates_attempted > 3000
         assert x.requests_sent + y.requests_sent > 1000
-        assert calls / events <= 39
+        assert calls / events <= 36
 
     @pytest.mark.usefixtures("no_collector")
     def test_flight_recorder_calls_per_event(self):

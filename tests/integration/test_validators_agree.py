@@ -36,8 +36,11 @@ def _value(translator, family: str, index: int):
     binding = translator.rid.bindings[family]
     db = getattr(translator, "db", None)
     if db is not None:
-        table = db.catalog.table(binding.locator["table"])
-        if table.columns[binding.locator["value_column"]].type_name == "TEXT":
+        [(schema,)] = db.query(
+            "SELECT sql FROM sqlite_schema WHERE name = ?",
+            (binding.locator["table"],),
+        )
+        if f'"{binding.locator["value_column"]} expects TEXT"' in schema:
             return f"v{index}"
     return index
 

@@ -1,11 +1,13 @@
-"""The relational RIS parses each text once and binds it once per database.
+"""The relational RIS translates each text once per database.
 
-Nothing observable may depend on whether a statement was already bound:
-the differential tests run one script on a database that forgets every
-statement before each call (cold) and on one that keeps them (warm), and
-compare results, rowcounts, trigger events and error types.  The rest pins
-what drops a bound statement, the fixed bounds of both caches, and — as a
-count, not a timing — that a fan-out run parses per text, not per call.
+``parse_sql`` (memoized per process) turns the toolkit's dialect into
+SQLite's, and each database asks it once per text, on first sight.  Nothing
+observable may depend on whether a text was seen before: the differential
+tests run one script on a database that forgets every text before each call
+(cold) and on one that keeps them (warm), and compare results, rowcounts,
+trigger events and error types.  The rest pins errors raised whatever the
+cache holds, the fixed bounds of both caches, and — as a count, not a
+timing — that a fan-out run parses per text, not per call.
 """
 
 import random
@@ -17,14 +19,12 @@ from repro.experiments.e10_scale import build_federation
 from repro.ris.base import RISError, RISErrorCode
 from repro.ris.relational import RelationalDatabase, SqlError, SqlSyntaxError
 from repro.ris.relational import database as database_module
-from repro.ris.relational import parser as parser_module
-from repro.ris.relational.database import _STATEMENT_CACHE_SIZE
+from repro.ris.relational.database import _STATEMENT_CACHE_SIZE, parse_sql
 from repro.ris.relational.errors import (
     CatalogError,
     DatabaseBusyError,
     DatabaseUnavailableError,
 )
-from repro.ris.relational.parser import parse_sql
 
 SCHEMA = [
     "CREATE TABLE emp (empid TEXT PRIMARY KEY, name TEXT NOT NULL, "
@@ -40,8 +40,8 @@ SCHEMA = [
     "INSERT INTO acct VALUES ('a', 10.0), ('b', 0.0)",
 ]
 
-#: Every statement shape the engine runs and every error it raises, on this
-#: schema, in one sequence (a removed form among them).
+#: Every statement shape the toolkit sends and every error class, on this
+#: schema, in one sequence (statements it never sends among them).
 CORPUS = [
     ("SELECT * FROM emp", ()),
     ("SELECT name FROM emp WHERE dept = 'eng' AND salary > 50", ()),
@@ -110,7 +110,7 @@ _RANDOM_TEXTS = [
 def random_script(seed: int, length: int = 300):
     """Seeded DML/SELECTs over a handful of texts, so every text repeats;
     with the odd NULL key, wrong arity, literal-bearing text, new trigger
-    (DDL drops every bound statement) and removed form thrown in."""
+    and statement SQLite runs but the toolkit never sends thrown in."""
     rng = random.Random(seed)
     draw = {
         "k": lambda: rng.choice([f"e{rng.randint(1, 9)}", None]),
@@ -141,7 +141,7 @@ def random_script(seed: int, length: int = 300):
 
 def run_script(script, cold: bool):
     """Outcomes of a script on a fresh database, its trigger events, its
-    final rows, and how many calls found their statement already bound.
+    final rows, and how many calls found their text already seen.
     Cold: both caches are emptied before every statement."""
     db = RelationalDatabase("diff")
     events = []
@@ -239,8 +239,8 @@ UNKNOWN_COLUMN = [
 
 
 class TestUnknownColumns:
-    """An unknown column is rejected when the statement binds, so the
-    outcome cannot depend on whether any row reaches the reference."""
+    """An unknown column is rejected when SQLite prepares the statement, so
+    the outcome cannot depend on whether any row reaches the reference."""
 
     @pytest.mark.parametrize("populated", [False, True], ids=["empty", "populated"])
     @pytest.mark.parametrize("sql, params", UNKNOWN_COLUMN)
@@ -250,10 +250,9 @@ class TestUnknownColumns:
         if populated:
             db.execute("INSERT INTO kv VALUES ('a', 1), ('b', 2)")
         before = db.query("SELECT k, v FROM kv ORDER BY k")
-        for __ in range(2):  # a bind that raises is not kept
+        for __ in range(2):
             with pytest.raises(CatalogError):
                 db.execute(sql, params)
-            assert sql not in db._statements
         assert db.query("SELECT k, v FROM kv ORDER BY k") == before
 
     def test_insert_values_name_no_column(self, kv):
@@ -302,15 +301,18 @@ class TestInvalidation:
         assert kv.statements_executed == executed + 1
 
     def test_a_syntax_error_is_raised_anew_each_time(self, kv):
-        cached = parse_sql.cache_info().currsize
         seen = []
         for __ in range(2):
             with pytest.raises(SqlSyntaxError) as raised:
                 kv.execute("SELECT * FROM kv WHERE")
             seen.append((str(raised.value), raised.value.position))
         assert seen[0] == seen[1]
+        # A malformed CREATE fails in parse_sql, which memoizes no failure.
+        cached = parse_sql.cache_info().currsize
+        for __ in range(2):
+            with pytest.raises(SqlSyntaxError):
+                kv.execute("CREATE TABLE t (a BLOB)")
         assert parse_sql.cache_info().currsize == cached
-        assert "SELECT * FROM kv WHERE" not in kv._statements
 
 
 class TestBounds:
@@ -337,12 +339,9 @@ def test_fanout_parses_per_text_not_per_call(monkeypatch):
 
         return wrapper
 
-    asked, parsed = [], []
+    asked = []
     monkeypatch.setattr(
         database_module, "parse_sql", counting(asked, database_module.parse_sql)
-    )
-    monkeypatch.setattr(
-        parser_module, "tokenize_sql", counting(parsed, parser_module.tokenize_sql)
     )
     parse_sql.cache_clear()
     cm, __ = build_federation(4, seed=3)
@@ -361,7 +360,7 @@ def test_fanout_parses_per_text_not_per_call(monkeypatch):
         for translator in shell.translators.values()
     ]
     assert sum(db.statements_executed for db in databases) >= 250
-    # Each database asks for a text at most once; the process parses it once.
+    # Each database asks for a text at most once.
     assert len(asked) <= len(databases) * len(set(asked))
-    assert len(parsed) <= len(set(asked)) <= 8
+    assert len(set(asked)) <= 8
     assert all(r.valid for r in cm.check_guarantees().values())
